@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"gvrt"
+	"gvrt/internal/wal"
 )
 
 // parseGPUs maps comma-separated model names to device specs.
@@ -52,32 +53,6 @@ func parseGPUs(s string) ([]gvrt.DeviceSpec, error) {
 		return nil, fmt.Errorf("no GPUs specified")
 	}
 	return specs, nil
-}
-
-// saveStateAtomic writes the runtime state to a temporary file, fsyncs
-// it, and renames it into place, so the previous state file survives a
-// failure at any point of the save.
-func saveStateAtomic(rt *gvrt.Runtime, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := rt.SaveState(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func main() {
@@ -428,7 +403,7 @@ func main() {
 	if *stateFile != "" {
 		// Write-then-rename so a kill mid-save can never leave a
 		// truncated state file where a good one was.
-		if err := saveStateAtomic(node.RT, *stateFile); err != nil {
+		if err := wal.WriteFileAtomic(*stateFile, node.RT.SaveState); err != nil {
 			log.Printf("gvrtd: SAVING STATE FAILED, sessions not persisted to %s: %v", *stateFile, err)
 			code = 1
 		} else {

@@ -9,6 +9,7 @@ import (
 	"gvrt/internal/api"
 	"gvrt/internal/faultinject"
 	"gvrt/internal/memmgr"
+	"gvrt/internal/wal"
 )
 
 func entry(v api.DevPtr, data string) memmgr.EntryImage {
@@ -139,7 +140,7 @@ func TestJournalFreeDiscardsEntry(t *testing.T) {
 }
 
 func TestTornTailTruncated(t *testing.T) {
-	for _, cut := range []int{1, frameHdrLen - 1, frameHdrLen + 3} {
+	for _, cut := range []int{1, wal.HeaderLen - 1, wal.HeaderLen + 3} {
 		dir := t.TempDir()
 		j, _ := mustOpen(t, dir, Options{})
 		populate(t, j)
@@ -147,8 +148,8 @@ func TestTornTailTruncated(t *testing.T) {
 
 		// Simulate a crash mid-append: a fresh, partially written frame at
 		// the tail.
-		path := filepath.Join(dir, journalName)
-		full := encodeFrame(nil, frame{Type: RecEntryWritten, Ctx: 1, Seq: 999, Payload: []byte("partial")})
+		path := filepath.Join(dir, layout.Log)
+		full := wal.EncodeFrame(nil, wal.Frame{Kind: uint8(RecEntryWritten), ID: 1, Seq: 999, Payload: []byte("partial")})
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -180,19 +181,19 @@ func TestCorruptPayloadQuarantinesOneContext(t *testing.T) {
 	j.Close()
 
 	// Flip one byte inside the payload of ctx 2's entry-written record.
-	path := filepath.Join(dir, journalName)
+	path := filepath.Join(dir, layout.Log)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off, target := 0, -1
 	for off < len(data) {
-		f, n, res := decodeFrame(data[off:])
-		if res != decodeOK {
+		f, n, res := wal.DecodeFrame(data[off:])
+		if res != wal.OK {
 			t.Fatalf("pre-corruption journal not clean at %d", off)
 		}
-		if f.Type == RecEntryWritten && f.Ctx == 2 {
-			target = off + frameHdrLen
+		if RecType(f.Kind) == RecEntryWritten && f.ID == 2 {
+			target = off + wal.HeaderLen
 		}
 		off += n
 	}
@@ -226,7 +227,7 @@ func TestCompactionRoundTrip(t *testing.T) {
 	if err := j.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	st, err := os.Stat(filepath.Join(dir, journalName))
+	st, err := os.Stat(filepath.Join(dir, layout.Log))
 	if err != nil || st.Size() != 0 {
 		t.Fatalf("journal after compaction: size=%v err=%v, want empty", st, err)
 	}
@@ -271,7 +272,6 @@ func simulateCrash(t *testing.T, j *Journal, fn func()) (crashed bool) {
 		// way, but unlock so Close in cleanup paths cannot deadlock.
 		j.mu.TryLock()
 		j.mu.Unlock()
-		j.dead = true
 	}()
 	fn()
 	return false
@@ -372,7 +372,7 @@ func TestCorruptSnapshotHeaderIsFatal(t *testing.T) {
 	}
 	j.Close()
 
-	path := filepath.Join(dir, snapshotName)
+	path := filepath.Join(dir, layout.Snapshot)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -398,19 +398,19 @@ func TestCorruptSnapshotImageQuarantined(t *testing.T) {
 	j.Close()
 
 	// Corrupt ctx 1's image payload inside the snapshot.
-	path := filepath.Join(dir, snapshotName)
+	path := filepath.Join(dir, layout.Snapshot)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off, target := 0, -1
 	for off < len(data) {
-		f, n, res := decodeFrame(data[off:])
-		if res != decodeOK {
+		f, n, res := wal.DecodeFrame(data[off:])
+		if res != wal.OK {
 			t.Fatalf("pre-corruption snapshot not clean at %d", off)
 		}
-		if f.Type == RecImage && f.Ctx == 1 {
-			target = off + frameHdrLen
+		if RecType(f.Kind) == RecImage && f.ID == 1 {
+			target = off + wal.HeaderLen
 		}
 		off += n
 	}
@@ -433,13 +433,13 @@ func TestStaleCompactionTempRemoved(t *testing.T) {
 	j, _ := mustOpen(t, dir, Options{})
 	populate(t, j)
 	j.Close()
-	if err := os.WriteFile(filepath.Join(dir, tmpName), []byte("half a snapshot"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, layout.Tmp), []byte("half a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	_, rec := mustOpen(t, dir, Options{})
 	checkPopulated(t, rec)
-	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, layout.Tmp)); !os.IsNotExist(err) {
 		t.Fatalf("stale temp still present: %v", err)
 	}
 }
@@ -466,23 +466,62 @@ func TestAutoCompaction(t *testing.T) {
 }
 
 func TestSequenceContinuesAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Options{})
-	populate(t, j)
-	j.Close()
+	for _, corruptTail := range []bool{false, true} {
+		dir := t.TempDir()
+		j, _ := mustOpen(t, dir, Options{})
+		populate(t, j)
+		j.Close()
 
-	j2, _ := mustOpen(t, dir, Options{})
-	// New records must sort after every recovered one; a sequence reset
-	// would make them fall below a later snapshot's fence.
-	j2.EntryWritten(1, entry(0x500, "epsilon"), 2048)
-	if err := j2.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	j2.Close()
+		path := filepath.Join(dir, layout.Log)
+		if corruptTail {
+			// Damage the last record's payload CRC: the record (ctx 2's
+			// checkpoint) is quarantined, but its header verified, so its
+			// sequence number is taken and must not be reissued.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0xff
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	_, rec := mustOpen(t, dir, Options{})
-	img1 := rec.Images[0]
-	if len(img1.Entries) != 3 || string(img1.Entries[2].Data) != "epsilon" {
-		t.Fatalf("ctx 1 = %+v, want epsilon entry preserved", img1.Entries)
+		j2, rec := mustOpen(t, dir, Options{})
+		if got := len(rec.Quarantined); (got == 1) != corruptTail {
+			t.Fatalf("corruptTail=%v: quarantined %v", corruptTail, rec.Quarantined)
+		}
+		// New records must sort after every recovered one; a sequence reset
+		// would make them fall below a later snapshot's fence.
+		j2.EntryWritten(1, entry(0x500, "epsilon"), 2048)
+		if err := j2.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last uint64
+		for off := 0; off < len(data); {
+			f, n, res := wal.DecodeFrame(data[off:])
+			if res == wal.Torn {
+				t.Fatalf("journal torn at %d", off)
+			}
+			if f.Seq <= last {
+				t.Fatalf("corruptTail=%v: sequence %d follows %d at offset %d", corruptTail, f.Seq, last, off)
+			}
+			last = f.Seq
+			off += n
+		}
+		if err := j2.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		j2.Close()
+
+		_, rec = mustOpen(t, dir, Options{})
+		img1 := rec.Images[0]
+		if len(img1.Entries) != 3 || string(img1.Entries[2].Data) != "epsilon" {
+			t.Fatalf("ctx 1 = %+v, want epsilon entry preserved", img1.Entries)
+		}
 	}
 }

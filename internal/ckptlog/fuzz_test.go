@@ -9,57 +9,6 @@ import (
 	"gvrt/internal/api"
 )
 
-// FuzzDecodeFrame feeds arbitrary bytes to the frame decoder: it must
-// never panic, and every complete decode must re-encode to the bytes it
-// consumed.
-func FuzzDecodeFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(encodeFrame(nil, frame{Type: RecCheckpoint, Ctx: 7, Seq: 42}))
-	f.Add(encodeFrame(nil, frame{Type: RecEntryWritten, Ctx: 1, Seq: 1, Payload: []byte("payload")}))
-	corrupt := encodeFrame(nil, frame{Type: RecKernelCommitted, Ctx: 3, Seq: 9, Payload: []byte("kernel")})
-	corrupt[frameHdrLen] ^= 0xff
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, res := decodeFrame(data)
-		if n < 0 || n > len(data) {
-			t.Fatalf("decodeFrame consumed %d of %d bytes", n, len(data))
-		}
-		switch res {
-		case decodeOK:
-			redone := encodeFrame(nil, fr)
-			if string(redone) != string(data[:n]) {
-				t.Fatalf("re-encode mismatch: %x != %x", redone, data[:n])
-			}
-		case decodeTorn:
-			if n != 0 {
-				t.Fatalf("torn decode consumed %d bytes", n)
-			}
-		}
-	})
-}
-
-// FuzzDecodePayload feeds arbitrary bytes to the gob payload decoder for
-// every record shape: a typed error or success, never a panic.
-func FuzzDecodePayload(f *testing.F) {
-	f.Add([]byte{})
-	if p, err := encodePayload(entryRecord{Entry: entry(0x100, "seed"), NextOff: 256}); err == nil {
-		f.Add(p)
-	}
-	if p, err := encodePayload(kernelRecord{Call: launch("inc", 0x100)}); err == nil {
-		f.Add(p)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, v := range []any{
-			new(headerRecord), new(imageRecord), new(entryRecord),
-			new(freeRecord), new(kernelRecord),
-		} {
-			if err := decodePayload(data, v); err != nil && !errors.Is(err, api.ErrInvalidValue) {
-				t.Fatalf("decodePayload(%T) = untyped error %v", v, err)
-			}
-		}
-	})
-}
-
 // FuzzRecover writes arbitrary bytes as both snapshot and journal and
 // runs full recovery: Open must either succeed (with repairs) or return
 // a typed error, and never panic.
@@ -80,18 +29,18 @@ func FuzzRecover(f *testing.F) {
 	j.EntryWritten(1, entry(0x200, "tail"), 512)
 	j.Sync()
 	j.Close()
-	snap, _ := os.ReadFile(filepath.Join(seedDir, snapshotName))
-	wal, _ := os.ReadFile(filepath.Join(seedDir, journalName))
+	snap, _ := os.ReadFile(filepath.Join(seedDir, layout.Snapshot))
+	wal, _ := os.ReadFile(filepath.Join(seedDir, layout.Log))
 	f.Add(snap, wal)
 	f.Add([]byte{}, wal)
 	f.Add(snap, []byte{})
 
 	f.Fuzz(func(t *testing.T, snapshot, journal []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapshotName), snapshot, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, layout.Snapshot), snapshot, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, layout.Log), journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j, rec, err := Open(dir, Options{})

@@ -1,46 +1,36 @@
 package ckptlog
 
 import (
-	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"syscall"
 
 	"gvrt/internal/api"
 	"gvrt/internal/faultinject"
 	"gvrt/internal/memmgr"
-)
-
-// File names inside a journal directory.
-const (
-	snapshotName = "snapshot.ckpt"
-	journalName  = "journal.wal"
-	tmpName      = "snapshot.tmp"
+	"gvrt/internal/wal"
 )
 
 // DefaultCompactBytes is the journal growth (bytes appended since the
 // last compaction) that triggers an automatic compaction.
 const DefaultCompactBytes = 4 << 20
 
-// Options tunes a Journal.
-type Options struct {
-	// Faults, when set, arms the journal's crash points (pre-fsync,
-	// post-fsync, mid-compaction) against the deterministic fault plane.
-	Faults *faultinject.Plane
-	// OnCrash is invoked when an armed crash point fires. Nil ignores
-	// crash decisions (library users); daemons install Die so an armed
-	// point kills the process exactly as a power loss would.
-	OnCrash func()
-	// CompactBytes is the auto-compaction threshold; 0 means
-	// DefaultCompactBytes, negative disables auto-compaction.
-	CompactBytes int64
-	// Logf, when set, receives journal events (compactions, recovery
-	// repairs, quarantines).
-	Logf func(format string, args ...any)
+// layout names the journal's files and crash points.
+var layout = wal.Layout{
+	Name:         "ckptlog",
+	Log:          "journal.wal",
+	Snapshot:     "snapshot.ckpt",
+	Tmp:          "snapshot.tmp",
+	HeaderKind:   uint8(RecSnapshotHeader),
+	PreSync:      faultinject.PointJournalPreSync,
+	PostSync:     faultinject.PointJournalPostSync,
+	Compact:      faultinject.PointJournalCompact,
+	CompactBytes: DefaultCompactBytes,
 }
+
+// Options tunes a Journal.
+type Options = wal.Options
 
 // Die is the production OnCrash: SIGKILL the process. No deferred
 // function, no flush, no signal handler runs — the closest a process
@@ -75,8 +65,8 @@ type mirrorCtx struct {
 	pending []api.LaunchCall
 }
 
-// Journal is an open checkpoint journal: an append-only record log plus
-// the in-memory mirror of the state it encodes. The mirror is what
+// Journal is an open checkpoint journal: the durable log plus the
+// in-memory mirror of the state its records encode. The mirror is what
 // compaction snapshots and what Open returns after recovery — journal
 // bytes are written through it, never parsed back during normal
 // operation.
@@ -87,37 +77,10 @@ type Journal struct {
 	dir  string
 	opts Options
 
-	preSync  *faultinject.Hook
-	postSync *faultinject.Hook
-	compact  *faultinject.Hook
-
-	mu       sync.Mutex
-	f        *os.File
-	seq      uint64
-	applied  uint64 // sequence fence of the current snapshot
-	mirror   map[int64]*mirrorCtx
-	dead     bool // a persistent write error; appends become no-ops
-	appended int64
-	stats    Stats
-}
-
-// logf emits a journal event when configured.
-func (j *Journal) logf(format string, args ...any) {
-	if j.opts.Logf != nil {
-		j.opts.Logf(format, args...)
-	}
-}
-
-// crashPoint consults an armed crash hook and, when it fires, invokes
-// the configured OnCrash. With the production OnCrash (Die) this call
-// never returns.
-func (j *Journal) crashPoint(h *faultinject.Hook) {
-	if h == nil {
-		return
-	}
-	if h.Check().Crash && j.opts.OnCrash != nil {
-		j.opts.OnCrash()
-	}
+	mu          sync.Mutex
+	log         *wal.Log
+	mirror      map[int64]*mirrorCtx
+	quarantined int64
 }
 
 // Dir returns the journal directory.
@@ -129,16 +92,23 @@ func (j *Journal) Dir() string { return j.dir }
 func (j *Journal) Healthy() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return !j.dead
+	return j.log.Healthy()
 }
 
 // Stats returns a snapshot of the journal's counters.
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s := j.stats
-	s.Contexts = len(j.mirror)
-	return s
+	ls := j.log.Stats()
+	return Stats{
+		Records:     ls.Appends,
+		Syncs:       ls.Syncs,
+		Bytes:       ls.Bytes,
+		Compactions: ls.Compactions,
+		TornBytes:   ls.TornBytes,
+		Quarantined: j.quarantined,
+		Contexts:    len(j.mirror),
+	}
 }
 
 // HasContext reports whether the mirror currently tracks ctxID — used
@@ -161,54 +131,32 @@ func (j *Journal) ctx(ctxID int64) *mirrorCtx {
 	return mc
 }
 
-// append frames and writes one record, applying it to the mirror. The
-// caller holds j.mu. A dead journal drops the record silently — the
-// failure was already reported loudly on the append that killed it.
+// append writes one record. The caller holds j.mu. Mutation records
+// ignore the error: a dead log already reported its failure loudly, and
+// the next commit record's append refuses the acknowledgement.
 func (j *Journal) append(t RecType, ctxID int64, payload []byte) error {
-	if j.dead {
-		return fmt.Errorf("ckptlog: journal dead after earlier write error: %w", api.ErrJournalFailure)
-	}
-	j.seq++
-	buf := encodeFrame(nil, frame{Type: t, Ctx: ctxID, Seq: j.seq, Payload: payload})
-	if _, err := j.f.Write(buf); err != nil {
-		j.dead = true
-		j.logf("journal write failed (journal now dead): %v", err)
-		return fmt.Errorf("ckptlog: appending %s: %v: %w", t, err, api.ErrJournalFailure)
-	}
-	j.appended += int64(len(buf))
-	j.stats.Records++
-	j.stats.Bytes += int64(len(buf))
-	return nil
+	_, err := j.log.Append(uint8(t), ctxID, payload)
+	return err
 }
 
-// sync runs the fsync barrier with its two crash points.
-func (j *Journal) sync() error {
-	if j.dead {
-		return fmt.Errorf("ckptlog: journal dead: %w", api.ErrJournalFailure)
+// commit appends a commit record and runs the fsync barrier: when it
+// returns nil the record, and every mutation record before it, is
+// durable. The caller holds j.mu.
+func (j *Journal) commit(t RecType, ctxID int64, payload []byte) error {
+	if err := j.append(t, ctxID, payload); err != nil {
+		return err
 	}
-	j.crashPoint(j.preSync)
-	if err := j.f.Sync(); err != nil {
-		j.dead = true
-		j.logf("journal fsync failed (journal now dead): %v", err)
-		return fmt.Errorf("ckptlog: fsync: %v: %w", err, api.ErrJournalFailure)
-	}
-	j.stats.Syncs++
-	j.crashPoint(j.postSync)
-	return nil
+	return j.log.Sync()
 }
 
 // maybeCompact runs a compaction when the journal grew past the
 // threshold. The caller holds j.mu.
 func (j *Journal) maybeCompact() {
-	limit := j.opts.CompactBytes
-	if limit == 0 {
-		limit = DefaultCompactBytes
-	}
-	if limit < 0 || j.appended < limit {
+	if !j.log.CompactDue() {
 		return
 	}
 	if err := j.compactLocked(); err != nil {
-		j.logf("auto-compaction failed: %v", err)
+		j.opts.Printf("auto-compaction failed: %v", err)
 	}
 }
 
@@ -232,20 +180,18 @@ func (j *Journal) ContextReleased(ctxID int64) {
 		return
 	}
 	delete(j.mirror, ctxID)
-	if err := j.append(RecContextDestroyed, ctxID, nil); err != nil {
-		return
+	if j.commit(RecContextDestroyed, ctxID, nil) == nil {
+		j.maybeCompact()
 	}
-	_ = j.sync()
-	j.maybeCompact()
 }
 
 // EntryWritten records one page-table entry's new swap-side state. Not
 // individually synced: the next commit record's fsync makes it durable
 // (prefix durability). The signature matches memmgr.Observer.
 func (j *Journal) EntryWritten(ctxID int64, e memmgr.EntryImage, nextOff uint64) {
-	payload, err := encodePayload(entryRecord{Entry: e, NextOff: nextOff})
+	payload, err := wal.EncodeGob(entryRecord{Entry: e, NextOff: nextOff})
 	if err != nil {
-		j.logf("entry-written encode failed: %v", err)
+		j.opts.Printf("entry-written encode failed: %v", err)
 		return
 	}
 	j.mu.Lock()
@@ -261,9 +207,9 @@ func (j *Journal) EntryWritten(ctxID int64, e memmgr.EntryImage, nextOff uint64)
 // EntryFreed records a page-table entry de-allocation. The signature
 // matches memmgr.Observer.
 func (j *Journal) EntryFreed(ctxID int64, virtual api.DevPtr) {
-	payload, err := encodePayload(freeRecord{Virtual: virtual})
+	payload, err := wal.EncodeGob(freeRecord{Virtual: virtual})
 	if err != nil {
-		j.logf("entry-freed encode failed: %v", err)
+		j.opts.Printf("entry-freed encode failed: %v", err)
 		return
 	}
 	j.mu.Lock()
@@ -280,17 +226,14 @@ func (j *Journal) EntryFreed(ctxID int64, virtual api.DevPtr) {
 // runtime may acknowledge the launch to the client knowing a crash
 // cannot lose it. An error means the launch must not be acknowledged.
 func (j *Journal) KernelCommitted(ctxID int64, call api.LaunchCall) error {
-	payload, err := encodePayload(kernelRecord{Call: call})
+	payload, err := wal.EncodeGob(kernelRecord{Call: call})
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	mc := j.ctx(ctxID)
-	if err := j.append(RecKernelCommitted, ctxID, payload); err != nil {
-		return err
-	}
-	if err := j.sync(); err != nil {
+	if err := j.commit(RecKernelCommitted, ctxID, payload); err != nil {
 		return err
 	}
 	mc.pending = append(mc.pending, call)
@@ -306,10 +249,7 @@ func (j *Journal) CheckpointMark(ctxID int64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	mc := j.ctx(ctxID)
-	if err := j.append(RecCheckpoint, ctxID, nil); err != nil {
-		return err
-	}
-	if err := j.sync(); err != nil {
+	if err := j.commit(RecCheckpoint, ctxID, nil); err != nil {
 		return err
 	}
 	mc.pending = mc.pending[:0]
@@ -320,19 +260,17 @@ func (j *Journal) CheckpointMark(ctxID int64) error {
 // SnapshotContext installs a context's complete state at once (journal
 // attach over a live runtime, RestoreState import). Synced.
 func (j *Journal) SnapshotContext(img *memmgr.ContextImage, pending []api.LaunchCall) error {
-	payload, err := encodePayload(imageRecord{Image: *img, Pending: pending})
+	rec := imageRecord{Image: *img, Pending: pending}
+	payload, err := wal.EncodeGob(rec)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.append(RecImage, img.CtxID, payload); err != nil {
+	if err := j.commit(RecImage, img.CtxID, payload); err != nil {
 		return err
 	}
-	if err := j.sync(); err != nil {
-		return err
-	}
-	j.applyImage(img.CtxID, imageRecord{Image: *img, Pending: pending})
+	j.applyImage(img.CtxID, rec)
 	return nil
 }
 
@@ -354,7 +292,7 @@ func (j *Journal) applyImage(ctxID int64, rec imageRecord) {
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.sync()
+	return j.log.Sync()
 }
 
 // imageOf builds the ContextImage for one mirrored context, entries in
@@ -365,20 +303,26 @@ func (mc *mirrorCtx) imageOf(ctxID int64) *memmgr.ContextImage {
 	for v := range mc.entries {
 		ptrs = append(ptrs, v)
 	}
-	sort.Slice(ptrs, func(i, k int) bool { return ptrs[i] < ptrs[k] })
+	slices.Sort(ptrs)
 	for _, v := range ptrs {
 		img.Entries = append(img.Entries, mc.entries[v])
 	}
 	return img
 }
 
-// Compact folds the journal into a fresh snapshot: the mirror is
-// written to a temporary file, fsynced, atomically renamed over the
-// snapshot, and the journal truncated. A crash at any boundary —
-// including the two armed mid-compaction crash points — leaves either
-// the old state (before the rename) or the new state (after it), never
-// a mix: the snapshot header's sequence fence makes journal records
-// already folded into the renamed snapshot no-ops on replay.
+// sortedContexts returns the mirrored context IDs in ascending order.
+func (j *Journal) sortedContexts() []int64 {
+	ids := make([]int64, 0, len(j.mirror))
+	for id := range j.mirror {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// Compact folds the journal into a fresh snapshot of the mirror, one
+// image record per context (wal.Log.Compact is the crash-atomic
+// protocol).
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -386,87 +330,18 @@ func (j *Journal) Compact() error {
 }
 
 func (j *Journal) compactLocked() error {
-	if j.dead {
-		return fmt.Errorf("ckptlog: journal dead: %w", api.ErrJournalFailure)
-	}
-	// The snapshot must not outrun the journal: sync first so the fence
-	// covers only records that are actually durable.
-	if err := j.sync(); err != nil {
-		return err
-	}
-	tmp := filepath.Join(j.dir, tmpName)
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ckptlog: compaction temp: %w", err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			tf.Close()
-			os.Remove(tmp)
+	ids := j.sortedContexts()
+	return j.log.Compact(func(add func(kind uint8, id int64, payload []byte)) error {
+		for _, id := range ids {
+			mc := j.mirror[id]
+			payload, err := wal.EncodeGob(imageRecord{Image: *mc.imageOf(id), Pending: mc.pending})
+			if err != nil {
+				return err
+			}
+			add(uint8(RecImage), id, payload)
 		}
-	}()
-
-	hdrPayload, err := encodePayload(headerRecord{AppliedSeq: j.seq, Contexts: len(j.mirror)})
-	if err != nil {
-		return err
-	}
-	buf := encodeFrame(nil, frame{Type: RecSnapshotHeader, Seq: j.seq, Payload: hdrPayload})
-	ids := make([]int64, 0, len(j.mirror))
-	for id := range j.mirror {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	for _, id := range ids {
-		mc := j.mirror[id]
-		payload, err := encodePayload(imageRecord{Image: *mc.imageOf(id), Pending: mc.pending})
-		if err != nil {
-			return err
-		}
-		buf = encodeFrame(buf, frame{Type: RecImage, Ctx: id, Seq: j.seq, Payload: payload})
-	}
-	if _, err := tf.Write(buf); err != nil {
-		return fmt.Errorf("ckptlog: writing snapshot: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		return fmt.Errorf("ckptlog: syncing snapshot: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("ckptlog: closing snapshot: %w", err)
-	}
-
-	// Crash point 1: temp written and durable, rename not yet done. A
-	// crash here recovers from the OLD snapshot + full journal.
-	j.crashPoint(j.compact)
-
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapshotName)); err != nil {
-		return fmt.Errorf("ckptlog: installing snapshot: %w", err)
-	}
-	ok = true
-	syncDir(j.dir)
-
-	// Crash point 2: new snapshot installed, journal not yet truncated.
-	// A crash here recovers from the NEW snapshot; the journal's stale
-	// records sit below the sequence fence and replay as no-ops.
-	j.crashPoint(j.compact)
-
-	if err := j.f.Truncate(0); err != nil {
-		j.dead = true
-		return fmt.Errorf("ckptlog: truncating journal: %v: %w", err, api.ErrJournalFailure)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		j.dead = true
-		return fmt.Errorf("ckptlog: rewinding journal: %v: %w", err, api.ErrJournalFailure)
-	}
-	if err := j.f.Sync(); err != nil {
-		j.dead = true
-		return fmt.Errorf("ckptlog: syncing truncated journal: %v: %w", err, api.ErrJournalFailure)
-	}
-	j.applied = j.seq
-	j.appended = 0
-	j.stats.Compactions++
-	j.logf("journal compacted: %d contexts, fence seq %d", len(j.mirror), j.applied)
-	return nil
+		return nil
+	})
 }
 
 // Close syncs and closes the journal. The files remain, ready for the
@@ -474,24 +349,5 @@ func (j *Journal) compactLocked() error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	serr := j.sync()
-	cerr := j.f.Close()
-	j.f = nil
-	j.dead = true
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable. Best
-// effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	return j.log.Close()
 }

@@ -1,13 +1,12 @@
 package ckptlog
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"gvrt/internal/api"
-	"gvrt/internal/faultinject"
 	"gvrt/internal/memmgr"
+	"gvrt/internal/wal"
 )
 
 // Quarantine describes one context image recovery could not restore.
@@ -54,7 +53,7 @@ type Recovered struct {
 // — is missing or corrupt. Unlike a torn journal tail or a corrupt
 // per-context image, this cannot be repaired locally; the operator must
 // intervene (restore the file or accept a fresh start).
-var ErrCorruptSnapshot = fmt.Errorf("ckptlog: snapshot header corrupt: %w", api.ErrInvalidValue)
+var ErrCorruptSnapshot = fmt.Errorf("ckptlog: %w: %w", wal.ErrCorruptSnapshot, api.ErrInvalidValue)
 
 // Open opens (creating if absent) the journal directory, recovers the
 // state it holds, and returns the journal ready for appends plus what
@@ -65,262 +64,118 @@ var ErrCorruptSnapshot = fmt.Errorf("ckptlog: snapshot header corrupt: %w", api.
 // quarantined while every other context is restored. The one fatal
 // corruption is the snapshot header (see ErrCorruptSnapshot).
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("ckptlog: creating journal dir: %w", err)
-	}
-	// A leftover temp snapshot is a compaction that died before its
-	// rename: the old snapshot + journal are authoritative.
-	if err := os.Remove(filepath.Join(dir, tmpName)); err == nil && opts.Logf != nil {
-		opts.Logf("removed interrupted compaction temp")
-	}
-
-	j := &Journal{
-		dir:      dir,
-		opts:     opts,
-		preSync:  opts.Faults.Hook(faultinject.PointJournalPreSync, ""),
-		postSync: opts.Faults.Hook(faultinject.PointJournalPostSync, ""),
-		compact:  opts.Faults.Hook(faultinject.PointJournalCompact, ""),
-		mirror:   make(map[int64]*mirrorCtx),
-	}
+	j := &Journal{dir: dir, opts: opts, mirror: make(map[int64]*mirrorCtx)}
 	rec := &Recovered{Pending: make(map[int64][]api.LaunchCall)}
 	quarantined := make(map[int64]bool)
-
-	if err := j.recoverSnapshot(rec, quarantined); err != nil {
+	log, err := wal.Open(dir, layout, opts, func(r wal.Replayed) { j.replay(rec, quarantined, r) })
+	if errors.Is(err, wal.ErrCorruptSnapshot) {
+		return nil, nil, ErrCorruptSnapshot
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := j.recoverJournal(rec, quarantined); err != nil {
-		return nil, nil, err
-	}
+	j.log = log
 
 	// Drop quarantined contexts from the mirror and surface the rest.
 	for id := range quarantined {
 		delete(j.mirror, id)
 	}
-	ids := make([]int64, 0, len(j.mirror))
-	for id, mc := range j.mirror {
+	for _, id := range j.sortedContexts() {
+		mc := j.mirror[id]
 		if len(mc.entries) == 0 && len(mc.pending) == 0 {
 			// An empty context (connected, never allocated) is not worth
 			// resurrecting as an orphan session; keep mirroring it so a
 			// later record can still fill it in, but do not report it.
 			continue
 		}
-		ids = append(ids, id)
-	}
-	sortInt64(ids)
-	for _, id := range ids {
-		mc := j.mirror[id]
 		rec.Images = append(rec.Images, mc.imageOf(id))
 		if len(mc.pending) > 0 {
 			rec.Pending[id] = append([]api.LaunchCall(nil), mc.pending...)
 		}
 	}
-	j.stats.TornBytes = rec.TornBytes
-	j.stats.Quarantined = int64(len(rec.Quarantined))
-
-	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ckptlog: opening journal: %w", err)
-	}
-	j.f = f
-	if st, err := f.Stat(); err == nil {
-		j.appended = st.Size()
-	}
+	rec.TornBytes = log.Stats().TornBytes
+	j.quarantined = int64(len(rec.Quarantined))
 	return j, rec, nil
 }
 
-// recoverSnapshot loads the snapshot file into the mirror.
-func (j *Journal) recoverSnapshot(rec *Recovered, quarantined map[int64]bool) error {
-	data, err := os.ReadFile(filepath.Join(j.dir, snapshotName))
-	if os.IsNotExist(err) {
-		return nil
+// replay applies one recovered record to the mirror. This is where the
+// schema says what damage costs: a record whose payload failed its CRC
+// or does not decode quarantines its whole context — the header names
+// the owner, so only that context is lost — and every later record for
+// a quarantined context is ignored.
+func (j *Journal) replay(rec *Recovered, quarantined map[int64]bool, r wal.Replayed) {
+	where := "journal"
+	if r.Snapshot {
+		where = "snapshot"
 	}
-	if err != nil {
-		return fmt.Errorf("ckptlog: reading snapshot: %w", err)
+	if r.Class == wal.Torn {
+		rec.Quarantined = append(rec.Quarantined, Quarantine{Where: where, Reason: "unreadable region; remaining images lost"})
+		return
 	}
-	if len(data) == 0 {
-		return nil
+	// Quarantined and destroyed contexts still fence the ID allocator.
+	if r.ID > rec.MaxCtxID {
+		rec.MaxCtxID = r.ID
 	}
-	f, n, res := decodeFrame(data)
-	if res != decodeOK || f.Type != RecSnapshotHeader {
-		return ErrCorruptSnapshot
+	if quarantined[r.ID] {
+		return
 	}
-	var hdr headerRecord
-	if err := decodePayload(f.Payload, &hdr); err != nil {
-		return ErrCorruptSnapshot
+	var reason string
+	if r.Class == wal.CorruptPayload {
+		reason = "record payload failed CRC"
+	} else if err := j.applyRecord(r.Frame); err != nil {
+		reason = err.Error()
 	}
-	j.seq = hdr.AppliedSeq
-	j.applied = hdr.AppliedSeq
-	data = data[n:]
-	images := 0
-	for len(data) > 0 {
-		f, n, res := decodeFrame(data)
-		switch res {
-		case decodeTorn:
-			// The snapshot was written with one fsync before an atomic
-			// rename, so a torn region mid-snapshot is media damage, not
-			// a crash artifact. The remaining images are unreadable;
-			// restore what decoded and quarantine the remainder.
-			rec.Quarantined = append(rec.Quarantined, Quarantine{
-				Where:  "snapshot",
-				Reason: fmt.Sprintf("unreadable region after %d of %d images", images, hdr.Contexts),
-			})
-			j.logf("snapshot: unreadable region after %d of %d images; rest quarantined", images, hdr.Contexts)
-			return nil
-		case decodeCorruptPayload:
-			quarantined[f.Ctx] = true
-			rec.Quarantined = append(rec.Quarantined, Quarantine{
-				CtxID: f.Ctx, Where: "snapshot", Reason: "image payload failed CRC",
-			})
-			j.logf("snapshot: ctx %d image failed CRC; quarantined", f.Ctx)
-			j.noteCtxID(rec, f.Ctx)
-			data = data[n:]
-			images++
-			continue
-		}
-		if f.Type != RecImage {
-			data = data[n:]
-			continue
-		}
-		var ir imageRecord
-		if err := decodePayload(f.Payload, &ir); err != nil {
-			quarantined[f.Ctx] = true
-			rec.Quarantined = append(rec.Quarantined, Quarantine{
-				CtxID: f.Ctx, Where: "snapshot", Reason: "image does not decode",
-			})
-			j.logf("snapshot: ctx %d image does not decode; quarantined", f.Ctx)
-		} else {
-			j.applyImage(f.Ctx, ir)
-		}
-		j.noteCtxID(rec, f.Ctx)
-		data = data[n:]
-		images++
+	if reason != "" {
+		quarantined[r.ID] = true
+		rec.Quarantined = append(rec.Quarantined, Quarantine{CtxID: r.ID, Where: where, Reason: reason})
+		j.opts.Printf("%s: ctx %d quarantined: %s", where, r.ID, reason)
 	}
-	return nil
-}
-
-// recoverJournal replays the journal over the snapshot state,
-// truncating a torn tail and quarantining contexts whose records are
-// corrupt mid-file.
-func (j *Journal) recoverJournal(rec *Recovered, quarantined map[int64]bool) error {
-	path := filepath.Join(j.dir, journalName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("ckptlog: reading journal: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		f, n, res := decodeFrame(data[off:])
-		if res == decodeTorn {
-			// A crash mid-append: everything from here was never
-			// acknowledged. Truncate so the next append starts on a
-			// clean frame boundary.
-			rec.TornBytes = int64(len(data) - off)
-			j.logf("journal: torn tail of %d bytes at offset %d; truncated", rec.TornBytes, off)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("ckptlog: truncating torn tail: %w", err)
-			}
-			break
-		}
-		if res == decodeCorruptPayload {
-			// The header names the owner, so only that context need be
-			// lost; scanning continues at the next frame.
-			if !quarantined[f.Ctx] {
-				quarantined[f.Ctx] = true
-				rec.Quarantined = append(rec.Quarantined, Quarantine{
-					CtxID: f.Ctx, Where: "journal", Reason: "record payload failed CRC",
-				})
-				j.logf("journal: ctx %d record failed CRC; context quarantined", f.Ctx)
-			}
-			j.noteCtxID(rec, f.Ctx)
-			off += n
-			continue
-		}
-		off += n
-		if f.Seq <= j.applied {
-			// Already folded into the snapshot (a compaction crashed
-			// between its rename and the journal truncation).
-			continue
-		}
-		if f.Seq > j.seq {
-			j.seq = f.Seq
-		}
-		j.noteCtxID(rec, f.Ctx)
-		if quarantined[f.Ctx] {
-			continue
-		}
-		if err := j.applyRecord(f); err != nil {
-			quarantined[f.Ctx] = true
-			rec.Quarantined = append(rec.Quarantined, Quarantine{
-				CtxID: f.Ctx, Where: "journal", Reason: err.Error(),
-			})
-			j.logf("journal: ctx %d record does not decode; context quarantined", f.Ctx)
-		}
-	}
-	return nil
 }
 
 // applyRecord applies one verified journal record to the mirror.
-func (j *Journal) applyRecord(f frame) error {
-	switch f.Type {
+func (j *Journal) applyRecord(f wal.Frame) error {
+	switch RecType(f.Kind) {
 	case RecImage:
 		var ir imageRecord
-		if err := decodePayload(f.Payload, &ir); err != nil {
+		if err := wal.DecodeGob(f.Payload, &ir); err != nil {
 			return err
 		}
-		j.applyImage(f.Ctx, ir)
+		j.applyImage(f.ID, ir)
 	case RecContextCreated:
-		j.ctx(f.Ctx)
+		j.ctx(f.ID)
 	case RecContextDestroyed:
-		delete(j.mirror, f.Ctx)
+		delete(j.mirror, f.ID)
 	case RecEntryWritten:
 		var er entryRecord
-		if err := decodePayload(f.Payload, &er); err != nil {
+		if err := wal.DecodeGob(f.Payload, &er); err != nil {
 			return err
 		}
-		mc := j.ctx(f.Ctx)
+		mc := j.ctx(f.ID)
 		mc.entries[er.Entry.Virtual] = er.Entry
 		if er.NextOff > mc.nextOff {
 			mc.nextOff = er.NextOff
 		}
 	case RecEntryFreed:
 		var fr freeRecord
-		if err := decodePayload(f.Payload, &fr); err != nil {
+		if err := wal.DecodeGob(f.Payload, &fr); err != nil {
 			return err
 		}
-		if mc := j.mirror[f.Ctx]; mc != nil {
+		if mc := j.mirror[f.ID]; mc != nil {
 			delete(mc.entries, fr.Virtual)
 		}
 	case RecKernelCommitted:
 		var kr kernelRecord
-		if err := decodePayload(f.Payload, &kr); err != nil {
+		if err := wal.DecodeGob(f.Payload, &kr); err != nil {
 			return err
 		}
-		mc := j.ctx(f.Ctx)
+		mc := j.ctx(f.ID)
 		mc.pending = append(mc.pending, kr.Call)
 	case RecCheckpoint:
-		mc := j.ctx(f.Ctx)
+		mc := j.ctx(f.ID)
 		mc.pending = mc.pending[:0]
 	default:
 		// Unknown record types are skipped, not fatal: an older runtime
 		// reading a newer journal loses only what it cannot understand.
 	}
 	return nil
-}
-
-// noteCtxID tracks the highest context ID observed anywhere in the log.
-func (j *Journal) noteCtxID(rec *Recovered, id int64) {
-	if id > rec.MaxCtxID {
-		rec.MaxCtxID = id
-	}
-}
-
-func sortInt64(ids []int64) {
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
 }

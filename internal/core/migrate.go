@@ -9,6 +9,7 @@ import (
 	"gvrt/internal/memmgr"
 	"gvrt/internal/trace"
 	"gvrt/internal/transport"
+	"gvrt/internal/wal"
 )
 
 // This file implements journaled live context migration (DESIGN.md §13):
@@ -76,26 +77,28 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 	}
 	defer conn.Close()
 	var seq uint64
-	send := func(f failover.Frame) (failover.Frame, error) {
-		f.Session = ctx.id
-		f.Seq = seq
+	send := func(kind uint8, msg any) (wal.Frame, error) {
+		f := wal.Frame{Kind: kind, ID: ctx.id, Seq: seq}
 		seq++
+		if msg != nil {
+			p, err := wal.EncodeGob(msg)
+			if err != nil {
+				return wal.Frame{}, err
+			}
+			f.Payload = p
+		}
 		return rt.sendMigFrame(conn, f)
 	}
 
-	helloPayload, err := failover.EncodePayload(hello)
+	reply, err := send(failover.FrameHello, hello)
 	if err != nil {
 		return err
 	}
-	reply, err := send(failover.Frame{Type: failover.FrameHello, Payload: helloPayload})
-	if err != nil {
-		return err
-	}
-	if reply.Type != failover.FrameNeed {
-		return fmt.Errorf("core: migrate: unexpected %d reply to hello: %w", reply.Type, api.ErrInvalidValue)
+	if reply.Kind != failover.FrameNeed {
+		return fmt.Errorf("core: migrate: unexpected %d reply to hello: %w", reply.Kind, api.ErrInvalidValue)
 	}
 	var need failover.Need
-	if err := failover.DecodePayload(reply.Payload, &need); err != nil {
+	if err := wal.DecodeGob(reply.Payload, &need); err != nil {
 		return err
 	}
 
@@ -109,22 +112,18 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 		if len(data) == 0 {
 			return fmt.Errorf("core: migrate: target needs unknown chunk %d.%d: %w", id.Entry, id.Index, api.ErrInvalidValue)
 		}
-		payload, err := failover.EncodePayload(failover.Chunk{ID: id, Data: data})
-		if err != nil {
-			return err
-		}
-		if _, err := send(failover.Frame{Type: failover.FrameChunk, Payload: payload}); err != nil {
+		if _, err := send(failover.FrameChunk, failover.Chunk{ID: id, Data: data}); err != nil {
 			return err
 		}
 		shipped += int64(len(data))
 	}
 
-	reply, err = send(failover.Frame{Type: failover.FrameCommit})
+	reply, err = send(failover.FrameCommit, nil)
 	if err != nil {
 		return err
 	}
 	var res failover.Result
-	if reply.Type != failover.FrameResult || failover.DecodePayload(reply.Payload, &res) != nil {
+	if reply.Kind != failover.FrameResult || wal.DecodeGob(reply.Payload, &res) != nil {
 		return fmt.Errorf("core: migrate: malformed commit reply: %w", api.ErrInvalidValue)
 	}
 	if res.Code != 0 {
@@ -159,7 +158,7 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 // response frame from the reply. The transfer fault hook fires per
 // frame: an injected crash kills the source mid-stream, an injected
 // error or drop models a partition.
-func (rt *Runtime) sendMigFrame(conn transport.Conn, f failover.Frame) (failover.Frame, error) {
+func (rt *Runtime) sendMigFrame(conn transport.Conn, f wal.Frame) (wal.Frame, error) {
 	if h := rt.migXferHook; h != nil {
 		dec := h.Check()
 		if dec.Crash {
@@ -170,22 +169,22 @@ func (rt *Runtime) sendMigFrame(conn transport.Conn, f failover.Frame) (failover
 			rt.clock.Sleep(dec.Delay)
 		}
 		if dec.Err != nil {
-			return failover.Frame{}, dec.Err
+			return wal.Frame{}, dec.Err
 		}
 		if dec.Drop {
-			return failover.Frame{}, api.ErrConnectionClosed
+			return wal.Frame{}, api.ErrConnectionClosed
 		}
 	}
-	reply, err := conn.Call(api.MigrateFrameCall{Frame: failover.EncodeFrame(nil, f)})
+	reply, err := conn.Call(api.MigrateFrameCall{Frame: wal.EncodeFrame(nil, f)})
 	if err != nil {
-		return failover.Frame{}, err
+		return wal.Frame{}, err
 	}
 	if err := reply.Code.Err(); err != nil {
-		return failover.Frame{}, err
+		return wal.Frame{}, err
 	}
-	rf, _, res := failover.DecodeFrame(reply.Data)
-	if res != failover.DecodeOK {
-		return failover.Frame{}, fmt.Errorf("core: migrate: bad response frame: %w", api.ErrInvalidValue)
+	rf, _, class := wal.DecodeFrame(reply.Data)
+	if class != wal.OK {
+		return wal.Frame{}, fmt.Errorf("core: migrate: bad response frame: %w", api.ErrInvalidValue)
 	}
 	return rf, nil
 }
@@ -211,14 +210,14 @@ func (rt *Runtime) handleMigrateFrame(ctx *Context, raw []byte) api.Reply {
 			return api.Reply{Code: api.Code(dec.Err)}
 		}
 	}
-	f, _, res := failover.DecodeFrame(raw)
-	if res != failover.DecodeOK {
+	f, _, class := wal.DecodeFrame(raw)
+	if class != wal.OK {
 		// Torn or corrupt frame: reject before any byte can reach an
 		// imported image. The source retries or aborts; the spool keeps
 		// every chunk that arrived intact.
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
-	switch f.Type {
+	switch f.Kind {
 	case failover.FrameHello:
 		return rt.migrateHello(ctx, f)
 	case failover.FrameChunk:
@@ -230,17 +229,17 @@ func (rt *Runtime) handleMigrateFrame(ctx *Context, raw []byte) api.Reply {
 	}
 }
 
-func frameReply(session int64, t failover.FrameType, payload any) api.Reply {
-	p, err := failover.EncodePayload(payload)
+func frameReply(session int64, kind uint8, msg any) api.Reply {
+	p, err := wal.EncodeGob(msg)
 	if err != nil {
 		return api.Reply{Code: api.Code(err)}
 	}
-	return api.Reply{Data: failover.EncodeFrame(nil, failover.Frame{Type: t, Session: session, Payload: p})}
+	return api.Reply{Data: wal.EncodeFrame(nil, wal.Frame{Kind: kind, ID: session, Payload: p})}
 }
 
-func (rt *Runtime) migrateHello(ctx *Context, f failover.Frame) api.Reply {
+func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 	var hello failover.Hello
-	if err := failover.DecodePayload(f.Payload, &hello); err != nil {
+	if err := wal.DecodeGob(f.Payload, &hello); err != nil {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
 	if rt.hasSession(hello.Session) {
@@ -275,10 +274,15 @@ func (rt *Runtime) migrateHello(ctx *Context, f failover.Frame) api.Reply {
 		for k, ref := range em.Chunks {
 			id := failover.ChunkID{Entry: int32(i), Index: int32(k)}
 			mi.need[id] = ref
-			if spool.Has(id) {
-				// Spooled by a previous attempt at this epoch — the
-				// resumable offset: don't ask for it again.
-				continue
+			if data, ok := spool.Get(id); ok {
+				if failover.VerifyChunk(ref, data) {
+					// Spooled by a previous attempt at this epoch — the
+					// resumable offset: don't ask for it again.
+					continue
+				}
+				// Disk bytes get the same check as wire bytes: a spooled
+				// chunk that does not match THIS manifest is re-requested.
+				spool.Drop(id)
 			}
 			if data, ok := rt.mm.DedupLookup(ref.Hash, int(ref.Len), ref.Sum); ok {
 				// Another tenant's identical chunk already lives here;
@@ -296,13 +300,13 @@ func (rt *Runtime) migrateHello(ctx *Context, f failover.Frame) api.Reply {
 	return frameReply(hello.Session, failover.FrameNeed, need)
 }
 
-func (rt *Runtime) migrateChunk(ctx *Context, f failover.Frame) api.Reply {
+func (rt *Runtime) migrateChunk(ctx *Context, f wal.Frame) api.Reply {
 	mi := ctx.migrate
-	if mi == nil || f.Session != mi.hello.Session {
+	if mi == nil || f.ID != mi.hello.Session {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
 	var c failover.Chunk
-	if err := failover.DecodePayload(f.Payload, &c); err != nil {
+	if err := wal.DecodeGob(f.Payload, &c); err != nil {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
 	ref, ok := mi.need[c.ID]
@@ -314,18 +318,18 @@ func (rt *Runtime) migrateChunk(ctx *Context, f failover.Frame) api.Reply {
 	if err := mi.spool.Put(c.ID, c.Data); err != nil {
 		return api.Reply{Code: api.Code(err)}
 	}
-	return frameReply(f.Session, failover.FrameResult, failover.Result{})
+	return frameReply(f.ID, failover.FrameResult, failover.Result{})
 }
 
-func (rt *Runtime) migrateCommit(ctx *Context, f failover.Frame) api.Reply {
+func (rt *Runtime) migrateCommit(ctx *Context, f wal.Frame) api.Reply {
 	mi := ctx.migrate
-	if mi == nil || f.Session != mi.hello.Session {
+	if mi == nil || f.ID != mi.hello.Session {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
 	refuse := func(err error, detail string) api.Reply {
 		rt.migAborted.Add(1)
 		rt.logf("import of session %d refused: %s: %v", mi.hello.Session, detail, err)
-		return frameReply(f.Session, failover.FrameResult, failover.Result{
+		return frameReply(f.ID, failover.FrameResult, failover.Result{
 			Code:   int32(api.Code(err)),
 			Detail: detail,
 		})
@@ -355,7 +359,7 @@ func (rt *Runtime) migrateCommit(ctx *Context, f failover.Frame) api.Reply {
 	}
 	mi.spool.Resolve()
 	ctx.migrate = nil
-	return frameReply(f.Session, failover.FrameResult, failover.Result{})
+	return frameReply(f.ID, failover.FrameResult, failover.Result{})
 }
 
 // adoptImage installs an imported context image as an orphan session a

@@ -11,6 +11,7 @@ import (
 	"gvrt/internal/faultinject"
 	"gvrt/internal/sim"
 	"gvrt/internal/transport"
+	"gvrt/internal/wal"
 )
 
 // listen serves the runtime on a real TCP listener and returns its
@@ -363,11 +364,11 @@ func TestMigrateFrameRejectsTornAndCorrupt(t *testing.T) {
 	conn := dst.clientConn()
 	defer conn.Close()
 
-	hello, err := failover.EncodePayload(failover.Hello{Session: 7, Owner: "src"})
+	hello, err := wal.EncodeGob(failover.Hello{Session: 7, Owner: "src"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := failover.EncodeFrame(nil, failover.Frame{Type: failover.FrameHello, Session: 7, Payload: hello})
+	valid := wal.EncodeFrame(nil, wal.Frame{Kind: failover.FrameHello, ID: 7, Payload: hello})
 
 	for _, tc := range []struct {
 		name  string
@@ -378,6 +379,8 @@ func TestMigrateFrameRejectsTornAndCorrupt(t *testing.T) {
 		{"torn", valid[:len(valid)-3]},
 		{"corrupt-payload", flipByte(valid, len(valid)-6)},
 		{"corrupt-header", flipByte(valid, 6)},
+		{"unknown-kind", wal.EncodeFrame(nil, wal.Frame{Kind: failover.FrameResult + 1, ID: 7, Payload: hello})},
+		{"zero-kind", wal.EncodeFrame(nil, wal.Frame{ID: 7, Payload: hello})},
 	} {
 		reply, err := conn.Call(api.MigrateFrameCall{Frame: tc.frame})
 		if err != nil {
@@ -393,9 +396,54 @@ func TestMigrateFrameRejectsTornAndCorrupt(t *testing.T) {
 	if err != nil || reply.Code != 0 {
 		t.Fatalf("valid hello after rejects: code %v, err %v", reply.Code, err)
 	}
-	rf, _, res := failover.DecodeFrame(reply.Data)
-	if res != failover.DecodeOK || rf.Type != failover.FrameNeed {
-		t.Fatalf("hello reply frame = %v type %d, want DecodeOK FrameNeed", res, rf.Type)
+	rf, _, res := wal.DecodeFrame(reply.Data)
+	if res != wal.OK || rf.Kind != failover.FrameNeed {
+		t.Fatalf("hello reply frame = %v kind %d, want OK FrameNeed", res, rf.Kind)
+	}
+}
+
+// TestMigrateHelloReverifiesSpooledChunks: a chunk resumed from the
+// spool is disk bytes, and gets the same check as wire bytes — one that
+// does not match the manifest of the Hello being served is dropped and
+// asked for again, never assembled into the image.
+func TestMigrateHelloReverifiesSpooledChunks(t *testing.T) {
+	dir := t.TempDir()
+	data := bytes.Repeat([]byte("0123456789abcdef"), failover.ChunkSize/16+1) // two chunks
+	good, bad := failover.ChunkID{Entry: 0, Index: 1}, failover.ChunkID{Entry: 0, Index: 0}
+	rec := failover.PendingRecord{Session: 7, Owner: "src", Epoch: 3, Total: 2}
+	spool, err := failover.OpenSpool(dir, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spool.Put(good, failover.ChunkAt(data, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := spool.Put(bad, []byte("what an earlier attempt left behind")); err != nil {
+		t.Fatal(err)
+	}
+	spool.Close()
+
+	dst := newEnv(t, Config{SessionBase: 1 << 20}, smallSpec(1<<20, 1))
+	dst.rt.cfg.MigrateDir = dir // set after boot: boot aborts every pending import
+	conn := dst.clientConn()
+	defer conn.Close()
+	hello, err := wal.EncodeGob(failover.Hello{
+		Session: rec.Session, Owner: rec.Owner, Epoch: rec.Epoch,
+		Entries: []failover.EntryManifest{{Chunks: failover.ManifestOf(data)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := conn.Call(api.MigrateFrameCall{Frame: wal.EncodeFrame(nil, wal.Frame{Kind: failover.FrameHello, ID: rec.Session, Payload: hello})})
+	if err != nil || reply.Code != 0 {
+		t.Fatalf("hello: code %v, err %v", reply.Code, err)
+	}
+	var need failover.Need
+	if rf, _, res := wal.DecodeFrame(reply.Data); res != wal.OK || wal.DecodeGob(rf.Payload, &need) != nil {
+		t.Fatalf("hello reply does not decode (%v)", res)
+	}
+	if len(need.Chunks) != 1 || need.Chunks[0] != bad {
+		t.Fatalf("need = %+v, want exactly the mismatching chunk %+v", need.Chunks, bad)
 	}
 }
 

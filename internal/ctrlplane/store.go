@@ -3,16 +3,14 @@
 // and node membership, plus a pending-operation engine that makes every
 // mutating administrative action survive daemon crashes.
 //
-// The store generalizes the checkpoint journal's durability discipline
-// (DESIGN.md §9) from per-context images to an arbitrary keyed state
-// space: commits are CRC-framed transaction records appended to a WAL
-// (one frame per transaction, so a multi-key commit is atomic by
-// construction), folded periodically into a snapshot via write-temp +
-// fsync + atomic rename, with a sequence fence making replay idempotent
-// across a compaction crash. Recovery truncates torn tails and
-// quarantines (skips and counts) records whose payload fails its CRC —
-// the same classification the journal's recovery applies, via the same
-// exported frame codec (ckptlog.DecodeRawFrame).
+// The store is a record schema over the durable log in internal/wal —
+// the same log the checkpoint journal uses — for an arbitrary keyed
+// state space: a commit is one transaction record (one frame, so a
+// multi-key commit is atomic by construction), and compaction folds the
+// key/value mirror into a snapshot of entry records. Recovery
+// quarantines (skips and counts) a record whose payload fails its CRC
+// or does not decode: for a keyed store the affected keys are
+// unknowable, so the record is lost as a unit.
 //
 // On top of the store, ops.go models every mutation as a journaled
 // pending operation (heketi's pending-operations pattern): recorded
@@ -22,25 +20,20 @@
 package ctrlplane
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
-	"gvrt/internal/ckptlog"
 	"gvrt/internal/faultinject"
+	"gvrt/internal/wal"
 )
 
 // File names inside a store directory.
 const (
 	snapName = "store.snap"
 	walName  = "store.wal"
-	tmpName  = "store.tmp"
 )
 
 // DefaultCompactBytes is the WAL growth (bytes appended since the last
@@ -50,17 +43,22 @@ const DefaultCompactBytes = 1 << 20
 // Record kinds inside the store's frames. Zero is invalid so a zeroed
 // frame can never masquerade as a record.
 const (
-	kindHeader uint8 = iota + 1 // snapshot header (payload: headerRec)
+	kindHeader uint8 = iota + 1 // snapshot header (wal owns its payload)
 	kindEntry                   // snapshot key/value entry (payload: kvRec)
 	kindTxn                     // WAL transaction (payload: txnRec)
 )
 
-// headerRec opens a snapshot file; AppliedSeq is the sequence fence:
-// every WAL record with Seq <= AppliedSeq is already folded into the
-// snapshot and replays as a no-op.
-type headerRec struct {
-	AppliedSeq uint64
-	Keys       int
+// layout names the store's files and crash points.
+var layout = wal.Layout{
+	Name:         "ctrlplane",
+	Log:          walName,
+	Snapshot:     snapName,
+	Tmp:          "store.tmp",
+	HeaderKind:   kindHeader,
+	PreSync:      faultinject.PointStorePreSync,
+	PostSync:     faultinject.PointStorePostSync,
+	Compact:      faultinject.PointStoreCompact,
+	CompactBytes: DefaultCompactBytes,
 }
 
 // kvRec is one snapshot entry.
@@ -114,21 +112,7 @@ type Event struct {
 }
 
 // Options tunes a Store.
-type Options struct {
-	// Faults, when set, arms the store's crash points (pre-fsync,
-	// post-fsync, mid-compaction) against the deterministic fault plane.
-	Faults *faultinject.Plane
-	// OnCrash is invoked when an armed crash point fires. Nil ignores
-	// crash decisions; daemons install ckptlog.Die so an armed point
-	// kills the process exactly as a power loss would.
-	OnCrash func()
-	// CompactBytes is the auto-compaction threshold; 0 means
-	// DefaultCompactBytes, negative disables auto-compaction.
-	CompactBytes int64
-	// Logf, when set, receives store events (compactions, recovery
-	// repairs, quarantined records).
-	Logf func(format string, args ...any)
-}
+type Options = wal.Options
 
 // Stats is a snapshot of a store's counters.
 type Stats struct {
@@ -149,30 +133,29 @@ type Stats struct {
 	Keys int `json:"keys"`
 }
 
-// Store is an open control-plane store: the WAL file plus the in-memory
-// mirror of the keyed state it encodes. Safe for concurrent use; one
-// mutex serialises commits so transactions land in a total order.
+// Store is an open control-plane store: the durable log plus the
+// in-memory mirror of the keyed state its records encode. Safe for
+// concurrent use; one mutex serialises commits so transactions land in a
+// total order.
 type Store struct {
 	dir  string
 	opts Options
 
-	preSync  *faultinject.Hook
-	postSync *faultinject.Hook
-	compact  *faultinject.Hook
-
-	mu       sync.Mutex
-	f        *os.File
-	seq      uint64
-	applied  uint64 // sequence fence of the current snapshot
-	kv       map[string][]byte
-	dead     bool // a persistent write error; commits fail loudly
-	appended int64
-	stats    Stats
+	mu          sync.Mutex
+	log         *wal.Log
+	kv          map[string][]byte
+	quarantined int64
 
 	watchMu  sync.Mutex
 	watchers map[int]chan Event
 	nextW    int
 }
+
+// ErrCorruptSnapshot reports an unrecoverable snapshot header: the
+// sequence fence is gone, so replaying the WAL over a fresh mirror
+// could double-apply folded records. Operators must restore the
+// directory or move it aside.
+var ErrCorruptSnapshot = fmt.Errorf("ctrlplane: store %w", wal.ErrCorruptSnapshot)
 
 // Open opens (creating if absent) the store in dir, recovering its
 // state from the snapshot and WAL. A torn WAL tail is truncated; a
@@ -180,143 +163,48 @@ type Store struct {
 // (skipped and counted) and the scan continues. Only a corrupt snapshot
 // header is unrecoverable, because it carries the sequence fence.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ctrlplane: creating store dir: %w", err)
-	}
 	s := &Store{
 		dir:      dir,
 		opts:     opts,
 		kv:       make(map[string][]byte),
 		watchers: make(map[int]chan Event),
 	}
-	s.preSync = opts.Faults.Hook(faultinject.PointStorePreSync, "")
-	s.postSync = opts.Faults.Hook(faultinject.PointStorePostSync, "")
-	s.compact = opts.Faults.Hook(faultinject.PointStoreCompact, "")
-
-	if err := s.recoverSnapshot(); err != nil {
-		return nil, err
+	log, err := wal.Open(dir, layout, opts, s.replay)
+	if errors.Is(err, wal.ErrCorruptSnapshot) {
+		return nil, ErrCorruptSnapshot
 	}
-	if err := s.recoverWAL(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("ctrlplane: opening WAL: %w", err)
+		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ctrlplane: seeking WAL: %w", err)
-	}
-	s.f = f
+	s.log = log
 	return s, nil
 }
 
-// ErrCorruptSnapshot reports an unrecoverable snapshot header: the
-// sequence fence is gone, so replaying the WAL over a fresh mirror
-// could double-apply folded records. Operators must restore the
-// directory or move it aside.
-var ErrCorruptSnapshot = fmt.Errorf("ctrlplane: store snapshot header corrupt")
-
-// recoverSnapshot loads the snapshot file into the mirror.
-func (s *Store) recoverSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, snapName))
+// replay applies one recovered record to the mirror. A record that is
+// corrupt, undecodable, or part of an unreadable snapshot region is
+// quarantined as a unit: skipped, counted, reported.
+func (s *Store) replay(r wal.Replayed) {
+	var err error
+	switch {
+	case r.Class == wal.Torn:
+		err = errors.New("rest of snapshot unreadable")
+	case r.Class == wal.CorruptPayload:
+		err = errors.New("payload failed CRC")
+	case r.Kind == kindEntry:
+		var kv kvRec
+		if err = wal.DecodeGob(r.Payload, &kv); err == nil {
+			s.kv[kv.Key] = kv.Val
+		}
+	case r.Kind == kindTxn:
+		var txn txnRec
+		if err = wal.DecodeGob(r.Payload, &txn); err == nil {
+			s.applyLocked(txn)
+		}
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("ctrlplane: reading snapshot: %w", err)
+		s.quarantined++
+		s.opts.Printf("record seq %d quarantined (snapshot=%v): %v", r.Seq, r.Snapshot, err)
 	}
-	if len(data) == 0 {
-		return nil
-	}
-	f, n, res := ckptlog.DecodeRawFrame(data)
-	if res != ckptlog.FrameOK || f.Kind != kindHeader {
-		return ErrCorruptSnapshot
-	}
-	var hdr headerRec
-	if err := decodeRec(f.Payload, &hdr); err != nil {
-		return ErrCorruptSnapshot
-	}
-	s.applied = hdr.AppliedSeq
-	s.seq = hdr.AppliedSeq
-	data = data[n:]
-	for len(data) > 0 {
-		f, n, res := ckptlog.DecodeRawFrame(data)
-		switch res {
-		case ckptlog.FrameTorn:
-			// A snapshot is written whole and renamed into place; a torn
-			// entry means the file was damaged after the fact. The entries
-			// already decoded are good; the rest are lost.
-			s.stats.TornBytes += int64(len(data))
-			s.logf("snapshot torn after %d keys; %d bytes dropped", len(s.kv), len(data))
-			return nil
-		case ckptlog.FrameCorrupt:
-			s.stats.Quarantined++
-			s.logf("snapshot entry quarantined (payload CRC)")
-			data = data[n:]
-			continue
-		}
-		if f.Kind == kindEntry {
-			var kv kvRec
-			if err := decodeRec(f.Payload, &kv); err != nil {
-				s.stats.Quarantined++
-				s.logf("snapshot entry quarantined (decode: %v)", err)
-			} else {
-				s.kv[kv.Key] = kv.Val
-			}
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// recoverWAL replays the WAL over the mirror, truncating a torn tail.
-func (s *Store) recoverWAL() error {
-	path := filepath.Join(s.dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("ctrlplane: reading WAL: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		f, n, res := ckptlog.DecodeRawFrame(data[off:])
-		if res == ckptlog.FrameTorn {
-			torn := int64(len(data) - off)
-			s.stats.TornBytes += torn
-			s.logf("WAL torn tail: truncating %d bytes (interrupted write)", torn)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("ctrlplane: truncating torn WAL tail: %w", err)
-			}
-			break
-		}
-		if res == ckptlog.FrameCorrupt {
-			// The frame's extent is known but its content is gone. For a
-			// keyed store the affected keys are unknowable, so the record
-			// is quarantined as a unit: skipped, counted, reported.
-			s.stats.Quarantined++
-			s.logf("WAL record seq %d quarantined (payload CRC)", f.Seq)
-			off += n
-			continue
-		}
-		if f.Seq > s.seq {
-			s.seq = f.Seq
-		}
-		if f.Kind == kindTxn && f.Seq > s.applied {
-			var txn txnRec
-			if err := decodeRec(f.Payload, &txn); err != nil {
-				s.stats.Quarantined++
-				s.logf("WAL record seq %d quarantined (decode: %v)", f.Seq, err)
-			} else {
-				s.applyLocked(txn)
-			}
-		}
-		off += n
-	}
-	s.appended = int64(off)
-	return nil
 }
 
 // applyLocked applies a transaction to the mirror. Caller holds s.mu
@@ -338,23 +226,30 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Healthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f != nil && !s.dead
+	return s.log.Healthy()
 }
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Keys = len(s.kv)
-	return st
+	ls := s.log.Stats()
+	return Stats{
+		Commits:     ls.Appends,
+		Syncs:       ls.Syncs,
+		Bytes:       ls.Bytes,
+		Compactions: ls.Compactions,
+		TornBytes:   ls.TornBytes,
+		Quarantined: s.quarantined,
+		Keys:        len(s.kv),
+	}
 }
 
 // Seq returns the latest committed sequence number.
 func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq
+	return s.log.Seq()
 }
 
 // Get returns the value stored under key.
@@ -388,169 +283,72 @@ type KV struct {
 	Val []byte
 }
 
-// Commit durably applies the transaction: one CRC-framed record
-// appended and fsynced (through the armed crash points), then applied
-// to the mirror and broadcast to watchers. The multi-key atomicity is
-// physical — the puts and deletes travel in a single frame, so recovery
-// sees all of them or none.
+// Commit durably applies the transaction: one record appended and
+// fsynced (through the armed crash points), then applied to the mirror
+// and broadcast to watchers. The multi-key atomicity is physical — the
+// puts and deletes travel in a single frame, so recovery sees all of
+// them or none.
 func (s *Store) Commit(t *Txn) error {
 	if t.empty() {
 		return nil
 	}
-	payload, err := encodeRec(t.rec)
+	payload, err := wal.EncodeGob(t.rec)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	if s.dead || s.f == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("ctrlplane: store dead after earlier write error")
+	seq, err := s.log.Append(kindTxn, 0, payload)
+	if err == nil {
+		err = s.log.Sync()
 	}
-	s.seq++
-	seq := s.seq
-	buf := ckptlog.EncodeRawFrame(nil, ckptlog.RawFrame{Kind: kindTxn, Seq: seq, Payload: payload})
-	if _, err := s.f.Write(buf); err != nil {
-		s.dead = true
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("ctrlplane: appending commit (store now dead): %w", err)
+		return err
 	}
-	s.appended += int64(len(buf))
-	s.stats.Bytes += int64(len(buf))
-	s.crashPoint(s.preSync)
-	if err := s.f.Sync(); err != nil {
-		s.dead = true
-		s.mu.Unlock()
-		return fmt.Errorf("ctrlplane: fsync (store now dead): %w", err)
-	}
-	s.stats.Syncs++
-	s.crashPoint(s.postSync)
 	s.applyLocked(t.rec)
-	s.stats.Commits++
 	ev := Event{Seq: seq}
 	for _, kv := range t.rec.Puts {
 		ev.Puts = append(ev.Puts, kv.Key)
 	}
 	ev.Deletes = append(ev.Deletes, t.rec.Deletes...)
-	limit := s.opts.CompactBytes
-	if limit == 0 {
-		limit = DefaultCompactBytes
-	}
-	needCompact := limit > 0 && s.appended >= limit
+	needCompact := s.log.CompactDue()
 	s.mu.Unlock()
 
 	s.broadcast(ev)
 	if needCompact {
 		if err := s.Compact(); err != nil {
-			s.logf("auto-compaction failed: %v", err)
+			s.opts.Printf("auto-compaction failed: %v", err)
 		}
 	}
 	return nil
 }
 
-// Compact folds the WAL into a fresh snapshot: mirror written to a
-// temporary file, fsynced, atomically renamed over the snapshot, WAL
-// truncated. A crash at either armed boundary leaves either the old
-// state (before the rename) or the new state (after it), never a mix:
-// the snapshot header's sequence fence makes already-folded WAL records
-// no-ops on replay.
+// Compact folds the WAL into a fresh snapshot of the mirror, one entry
+// record per key (wal.Log.Compact is the crash-atomic protocol).
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead || s.f == nil {
-		return fmt.Errorf("ctrlplane: store dead")
-	}
-	if err := s.f.Sync(); err != nil {
-		s.dead = true
-		return fmt.Errorf("ctrlplane: pre-compaction fsync: %w", err)
-	}
-	tmp := filepath.Join(s.dir, tmpName)
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ctrlplane: compaction temp: %w", err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			tf.Close()
-			os.Remove(tmp)
-		}
-	}()
-
-	hdr, err := encodeRec(headerRec{AppliedSeq: s.seq, Keys: len(s.kv)})
-	if err != nil {
-		return err
-	}
-	buf := ckptlog.EncodeRawFrame(nil, ckptlog.RawFrame{Kind: kindHeader, Seq: s.seq, Payload: hdr})
 	keys := make([]string, 0, len(s.kv))
 	for k := range s.kv {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		payload, err := encodeRec(kvRec{Key: k, Val: s.kv[k]})
-		if err != nil {
-			return err
+	return s.log.Compact(func(add func(kind uint8, id int64, payload []byte)) error {
+		for _, k := range keys {
+			payload, err := wal.EncodeGob(kvRec{Key: k, Val: s.kv[k]})
+			if err != nil {
+				return err
+			}
+			add(kindEntry, 0, payload)
 		}
-		buf = ckptlog.EncodeRawFrame(buf, ckptlog.RawFrame{Kind: kindEntry, Seq: s.seq, Payload: payload})
-	}
-	if _, err := tf.Write(buf); err != nil {
-		return fmt.Errorf("ctrlplane: writing snapshot: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		return fmt.Errorf("ctrlplane: syncing snapshot: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("ctrlplane: closing snapshot: %w", err)
-	}
-
-	// Crash point 1: temp written and durable, rename not yet done. A
-	// crash here recovers from the OLD snapshot + full WAL.
-	s.crashPoint(s.compact)
-
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
-		return fmt.Errorf("ctrlplane: installing snapshot: %w", err)
-	}
-	ok = true
-	ckptlog.SyncDir(s.dir)
-
-	// Crash point 2: new snapshot installed, WAL not yet truncated. A
-	// crash here recovers from the NEW snapshot; the WAL's stale records
-	// sit below the sequence fence and replay as no-ops.
-	s.crashPoint(s.compact)
-
-	if err := s.f.Truncate(0); err != nil {
-		s.dead = true
-		return fmt.Errorf("ctrlplane: truncating WAL: %w", err)
-	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		s.dead = true
-		return fmt.Errorf("ctrlplane: rewinding WAL: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		s.dead = true
-		return fmt.Errorf("ctrlplane: syncing truncated WAL: %w", err)
-	}
-	s.applied = s.seq
-	s.appended = 0
-	s.stats.Compactions++
-	s.logf("store compacted: %d keys, fence seq %d", len(s.kv), s.applied)
-	return nil
+		return nil
+	})
 }
 
 // Close syncs and closes the store. The files remain for the next Open.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.f == nil {
-		s.mu.Unlock()
-		return nil
-	}
-	var serr error
-	if !s.dead {
-		serr = s.f.Sync()
-	}
-	cerr := s.f.Close()
-	s.f = nil
-	s.dead = true
+	err := s.log.Close()
 	s.mu.Unlock()
 
 	s.watchMu.Lock()
@@ -559,10 +357,7 @@ func (s *Store) Close() error {
 		delete(s.watchers, id)
 	}
 	s.watchMu.Unlock()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return err
 }
 
 // Subscribe registers a watcher fed one Event per committed
@@ -627,47 +422,4 @@ func (s *Store) broadcast(ev Event) {
 			break
 		}
 	}
-}
-
-// crashPoint consults an armed crash hook and, when it fires, invokes
-// the configured OnCrash. With the production OnCrash (ckptlog.Die)
-// this call never returns.
-func (s *Store) crashPoint(h *faultinject.Hook) {
-	if h == nil {
-		return
-	}
-	if h.Check().Crash && s.opts.OnCrash != nil {
-		s.opts.OnCrash()
-	}
-}
-
-// logf emits a store event when configured.
-func (s *Store) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
-}
-
-// encodeRec gob-encodes a record payload.
-func encodeRec(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("ctrlplane: encoding record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeRec gob-decodes a record payload. Any failure — including a
-// panic from a hostile gob stream — is reported as an error, never a
-// crash: this feeds on disk bytes.
-func decodeRec(data []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("ctrlplane: record decode panicked: %v", r)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("ctrlplane: decoding record: %w", err)
-	}
-	return nil
 }

@@ -5,8 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gvrt/internal/ckptlog"
 	"gvrt/internal/faultinject"
+	"gvrt/internal/wal"
 )
 
 func mustOpenStore(t *testing.T, dir string, opts Options) *Store {
@@ -116,12 +116,12 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 	}
 	// Walk to the second frame and flip a byte just before its trailing
 	// payload CRC.
-	_, n1, res := ckptlog.DecodeRawFrame(data)
-	if res != ckptlog.FrameOK {
+	_, n1, res := wal.DecodeFrame(data)
+	if res != wal.OK {
 		t.Fatalf("first frame: %v", res)
 	}
-	_, n2, res := ckptlog.DecodeRawFrame(data[n1:])
-	if res != ckptlog.FrameOK {
+	_, n2, res := wal.DecodeFrame(data[n1:])
+	if res != wal.OK {
 		t.Fatalf("second frame: %v", res)
 	}
 	data[n1+n2-5] ^= 0xff
@@ -138,6 +138,41 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 	}
 	if got := s2.Stats().Quarantined; got != 1 {
 		t.Fatalf("quarantined = %d, want 1", got)
+	}
+}
+
+// TestStoreSequenceContinuesPastCorruptTail damages the last WAL
+// record's payload: it is quarantined, but its header verified, so its
+// sequence number is taken — the next commit must not reuse it.
+func TestStoreSequenceContinuesPastCorruptTail(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpenStore(t, dir, Options{})
+	mustCommit(t, s, (&Txn{}).Put("a", []byte("1")))
+	mustCommit(t, s, (&Txn{}).Put("b", []byte("2")))
+	seq := s.Seq()
+	s.Close()
+
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0xff // last payload byte of the tail record
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpenStore(t, dir, Options{})
+	defer s2.Close()
+	if got := s2.Stats().Quarantined; got != 1 {
+		t.Fatalf("quarantined = %d, want 1", got)
+	}
+	if got := s2.Seq(); got != seq {
+		t.Fatalf("recovered seq = %d, want %d (the quarantined record's)", got, seq)
+	}
+	mustCommit(t, s2, (&Txn{}).Put("c", []byte("3")))
+	if got := s2.Seq(); got != seq+1 {
+		t.Fatalf("commit after corrupt tail got seq %d, want %d", got, seq+1)
 	}
 }
 
@@ -187,7 +222,6 @@ func simulateStoreCrash(t *testing.T, s *Store, fn func()) (crashed bool) {
 		// dead either way, but unlock so Close cannot deadlock.
 		s.mu.TryLock()
 		s.mu.Unlock()
-		s.dead = true
 	}()
 	fn()
 	return false

@@ -3,8 +3,11 @@ package failover
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"gvrt/internal/wal"
 )
 
 // This file implements the target side's crash safety: an import in
@@ -38,8 +41,10 @@ func pendingPath(dir string, session int64) string {
 	return filepath.Join(dir, fmt.Sprintf("mig-%d.pending", session))
 }
 
+func spoolName(session int64) string { return fmt.Sprintf("mig-%d.spool", session) }
+
 func spoolPath(dir string, session int64) string {
-	return filepath.Join(dir, fmt.Sprintf("mig-%d.spool", session))
+	return filepath.Join(dir, spoolName(session))
 }
 
 // Spool accumulates received chunks for one import. Not safe for
@@ -48,70 +53,43 @@ type Spool struct {
 	dir    string
 	rec    PendingRecord
 	chunks map[ChunkID][]byte
-	f      *os.File
+	log    *wal.Log // a bare append log of chunk frames; nil in memory
 }
 
 // OpenSpool starts (or resumes) the spool for rec. With a directory it
-// writes the pending record atomically, then replays any existing spool
-// file: chunk frames recorded by a previous attempt at the same epoch
-// are loaded as already-received; a spool from a different epoch is
-// stale (the image changed) and is discarded. A torn spool tail — the
-// crash arrived mid-append — is truncated away, exactly like the
-// journal's recovery.
+// publishes the pending record atomically, then replays any existing
+// spool: chunk frames recorded by a previous attempt at the same epoch
+// are loaded as already-received, a torn tail — the crash arrived
+// mid-append — is truncated away and a corrupt frame skipped, exactly
+// like the journal's recovery. A spool from a different epoch or owner
+// is stale (the image changed); it is removed before the new record is
+// published, so no failure in between can pair a new record with old
+// chunks.
 func OpenSpool(dir string, rec PendingRecord) (*Spool, error) {
 	s := &Spool{dir: dir, rec: rec, chunks: make(map[ChunkID][]byte)}
 	if dir == "" {
 		return s, nil
 	}
 	prev, err := readPending(pendingPath(dir, rec.Session))
-	stale := err != nil || prev.Epoch != rec.Epoch || prev.Owner != rec.Owner
+	if err != nil || prev.Epoch != rec.Epoch || prev.Owner != rec.Owner {
+		if err := os.Remove(spoolPath(dir, rec.Session)); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("failover: discarding stale spool: %w", err)
+		}
+	}
 	if err := writePending(pendingPath(dir, rec.Session), rec); err != nil {
 		return nil, err
 	}
-	if stale {
-		_ = os.Remove(spoolPath(dir, rec.Session))
-	}
-	f, err := os.OpenFile(spoolPath(dir, rec.Session), os.O_RDWR|os.O_CREATE, 0o644)
+	s.log, err = wal.Open(dir, wal.Layout{Name: "failover", Log: spoolName(rec.Session)}, wal.Options{},
+		func(r wal.Replayed) {
+			var c Chunk
+			if r.Class == wal.OK && r.Kind == FrameChunk && wal.DecodeGob(r.Payload, &c) == nil {
+				s.chunks[c.ID] = c.Data
+			}
+		})
 	if err != nil {
-		return nil, fmt.Errorf("failover: opening spool: %w", err)
-	}
-	s.f = f
-	if err := s.load(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return s, nil
-}
-
-// load replays the spool file into the chunk map and truncates any torn
-// or corrupt tail so later appends extend a clean prefix.
-func (s *Spool) load() error {
-	data, err := os.ReadFile(spoolPath(s.dir, s.rec.Session))
-	if err != nil {
-		return fmt.Errorf("failover: reading spool: %w", err)
-	}
-	valid := 0
-	for len(data[valid:]) > 0 {
-		f, n, res := DecodeFrame(data[valid:])
-		if res != DecodeOK || f.Type != FrameChunk {
-			break
-		}
-		var c Chunk
-		if DecodePayload(f.Payload, &c) != nil {
-			break
-		}
-		s.chunks[c.ID] = c.Data
-		valid += n
-	}
-	if valid < len(data) {
-		if err := s.f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("failover: truncating torn spool: %w", err)
-		}
-	}
-	if _, err := s.f.Seek(int64(valid), 0); err != nil {
-		return fmt.Errorf("failover: seeking spool: %w", err)
-	}
-	return nil
 }
 
 // Has reports whether the chunk was already received (or satisfied from
@@ -130,19 +108,26 @@ func (s *Spool) Get(id ChunkID) ([]byte, bool) {
 // Count reports how many chunks the spool holds.
 func (s *Spool) Count() int { return len(s.chunks) }
 
-// Put records a chunk received over the wire, appending it durably when
-// the spool is file-backed so a retry after a crash need not re-ship it.
+// Put records a chunk received over the wire, appending it to the spool
+// file when there is one so a retry after a crash need not re-ship it.
 func (s *Spool) Put(id ChunkID, data []byte) error {
 	s.chunks[id] = data
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	frame := EncodeFrame(nil, Frame{Type: FrameChunk, Session: s.rec.Session, Payload: mustEncode(Chunk{ID: id, Data: data})})
-	if _, err := s.f.Write(frame); err != nil {
-		return fmt.Errorf("failover: spooling chunk: %w", err)
+	payload, err := wal.EncodeGob(Chunk{ID: id, Data: data})
+	if err != nil {
+		return err
 	}
-	return nil
+	_, err = s.log.Append(FrameChunk, s.rec.Session, payload)
+	return err
 }
+
+// Drop forgets a chunk that turned out not to match the manifest it is
+// being resumed against; the source will be asked for it again. A stale
+// copy left in the spool file is harmless: the re-sent chunk is appended
+// after it and replay keeps the later record.
+func (s *Spool) Drop(id ChunkID) { delete(s.chunks, id) }
 
 // PutLocal records a chunk satisfied without transfer (dedup-store hit).
 // It is not spooled: the store can satisfy it again after a crash.
@@ -154,10 +139,7 @@ func (s *Spool) PutLocal(id ChunkID, data []byte) {
 // deleted. Call it after the import committed (the journal now owns the
 // session) or when aborting a dead transfer.
 func (s *Spool) Resolve() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
+	s.Close()
 	if s.dir != "" {
 		_ = os.Remove(pendingPath(s.dir, s.rec.Session))
 		_ = os.Remove(spoolPath(s.dir, s.rec.Session))
@@ -168,9 +150,9 @@ func (s *Spool) Resolve() {
 // Close releases the spool file without deleting anything — the pending
 // record survives for a later resume or recovery-time abort.
 func (s *Spool) Close() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
+	if s.log != nil {
+		_ = s.log.Close() // best effort: a lost chunk is simply re-sent
+		s.log = nil
 	}
 }
 
@@ -217,26 +199,9 @@ func readPending(path string) (PendingRecord, error) {
 }
 
 func writePending(path string, rec PendingRecord) error {
-	data, err := json.Marshal(rec)
+	err := wal.WriteFileAtomic(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(rec) })
 	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("failover: writing pending record: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("failover: publishing pending record: %w", err)
 	}
 	return nil
-}
-
-func mustEncode(v any) []byte {
-	b, err := EncodePayload(v)
-	if err != nil {
-		// Chunk payloads are plain structs of bytes and ints; gob
-		// cannot fail on them.
-		panic(err)
-	}
-	return b
 }

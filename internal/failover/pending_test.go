@@ -2,6 +2,7 @@ package failover
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -84,6 +85,35 @@ func TestSpoolDiscardsStaleEpoch(t *testing.T) {
 		t.Fatalf("foreign-owner spool kept %d chunks", s3.Count())
 	}
 	s3.Resolve()
+}
+
+// TestSpoolStaleDiscardPrecedesNewRecord: when the stale-epoch spool
+// cannot be removed, the new-epoch record must not have been published
+// — a new record over old chunks is the one pairing that resumes wrong
+// bytes.
+func TestSpoolStaleDiscardPrecedesNewRecord(t *testing.T) {
+	dir := t.TempDir()
+	old := PendingRecord{Session: 7, Owner: "src", Epoch: 3}
+	s1, err := OpenSpool(dir, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	// Make the removal fail: a non-empty directory where the spool was.
+	path := spoolPath(dir, 7)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := OpenSpool(dir, PendingRecord{Session: 7, Owner: "src", Epoch: 4}); err == nil {
+		t.Fatal("OpenSpool succeeded over an unremovable stale spool")
+	}
+	if ops := PendingOps(dir); len(ops) != 1 || ops[0] != old {
+		t.Fatalf("pending record after failed discard = %+v, want the old epoch's %+v", ops, old)
+	}
 }
 
 func TestSpoolTruncatesTornTail(t *testing.T) {

@@ -1,19 +1,18 @@
 package failover
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"hash/crc32"
 
 	"gvrt/internal/api"
 	"gvrt/internal/memmgr"
+	"gvrt/internal/wal"
 )
 
-// This file defines the migration wire protocol: CRC-framed messages
-// (the ckptlog frame idiom with its own magic) that ship a sealed
-// context image from a source node to a target. The exchange:
+// This file defines the migration wire protocol's messages. They travel
+// as wal frames — the same CRC-framed records the journal and the store
+// write — whose Kind is one of the Frame* constants below, ID the
+// session, and Payload the wal.EncodeGob of the matching message type.
+// The exchange:
 //
 //	source → target  Hello   (entry manifests: per-chunk hash/len/CRC)
 //	target → source  Need    (chunks not satisfiable from the target's
@@ -23,21 +22,15 @@ import (
 //	source → target  Commit
 //	target → source  Result  (imported, or a typed failure)
 //
-// Every frame is individually CRC-protected (split header/payload CRCs,
-// like the journal), so a torn or corrupt frame is detected at the
-// target before any of its bytes can reach an imported image. The
-// decoder never panics on hostile input.
+// Every frame is individually CRC-protected, so a torn or corrupt frame
+// is detected at the target before any of its bytes can reach an
+// imported image; the receiver's dispatch switch rejects unknown kinds.
 
-// FrameType tags a migration frame.
-type FrameType uint8
-
-// Frame types.
+// Frame kinds. Zero is never encoded.
 const (
-	// FrameInvalid is the zero value; never encoded.
-	FrameInvalid FrameType = iota
 	// FrameHello opens a transfer: session metadata plus the chunk
 	// manifest of every entry.
-	FrameHello
+	FrameHello uint8 = iota + 1
 	// FrameNeed is the target's reply to Hello: the chunks it wants.
 	FrameNeed
 	// FrameChunk carries one entry chunk's bytes.
@@ -47,99 +40,6 @@ const (
 	// FrameResult reports the import outcome.
 	FrameResult
 )
-
-// Frame layout (all integers big-endian):
-//
-//	magic(4) type(1) session(8) seq(8) payloadLen(4) headerCRC(4)
-//	payload... payloadCRC(4)
-const (
-	frameMagic   = 0x47564d46 // "GVMF"
-	frameHdrLen  = 4 + 1 + 8 + 8 + 4 + 4
-	frameTailLen = 4
-	// maxPayloadLen bounds a frame so a corrupt length field cannot
-	// drive a huge allocation. Chunks are ChunkSize; Hello manifests
-	// and pending-kernel lists stay far below this.
-	maxPayloadLen = 1 << 28
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Frame is one decoded migration frame.
-type Frame struct {
-	Type    FrameType
-	Session int64
-	Seq     uint64
-	Payload []byte
-}
-
-// EncodeFrame appends the encoded frame to buf and returns it.
-func EncodeFrame(buf []byte, f Frame) []byte {
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[0:], frameMagic)
-	hdr[4] = byte(f.Type)
-	binary.BigEndian.PutUint64(hdr[5:], uint64(f.Session))
-	binary.BigEndian.PutUint64(hdr[13:], f.Seq)
-	binary.BigEndian.PutUint32(hdr[21:], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint32(hdr[25:], crc32.Checksum(hdr[:25], crcTable))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, f.Payload...)
-	var tail [frameTailLen]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.Checksum(f.Payload, crcTable))
-	return append(buf, tail[:]...)
-}
-
-// DecodeResult classifies a decode attempt.
-type DecodeResult int
-
-// Decode outcomes.
-const (
-	// DecodeOK: a whole valid frame was consumed.
-	DecodeOK DecodeResult = iota
-	// DecodeTorn: the data ends mid-frame (short header or payload) —
-	// more bytes may complete it.
-	DecodeTorn
-	// DecodeCorrupt: the frame is structurally invalid (bad magic,
-	// CRC mismatch, impossible length); the stream is poisoned.
-	DecodeCorrupt
-)
-
-// DecodeFrame decodes one frame from the head of data, returning the
-// frame, the bytes consumed, and the classification. It never panics
-// and never allocates based on unverified lengths beyond the checked
-// bound.
-func DecodeFrame(data []byte) (Frame, int, DecodeResult) {
-	if len(data) < frameHdrLen {
-		return Frame{}, 0, DecodeTorn
-	}
-	if binary.BigEndian.Uint32(data[0:]) != frameMagic {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	if binary.BigEndian.Uint32(data[25:]) != crc32.Checksum(data[:25], crcTable) {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	plen := binary.BigEndian.Uint32(data[21:])
-	if plen > maxPayloadLen {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	total := frameHdrLen + int(plen) + frameTailLen
-	if len(data) < total {
-		return Frame{}, 0, DecodeTorn
-	}
-	payload := data[frameHdrLen : frameHdrLen+int(plen)]
-	if binary.BigEndian.Uint32(data[frameHdrLen+int(plen):]) != crc32.Checksum(payload, crcTable) {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	f := Frame{
-		Type:    FrameType(data[4]),
-		Session: int64(binary.BigEndian.Uint64(data[5:])),
-		Seq:     binary.BigEndian.Uint64(data[13:]),
-		Payload: append([]byte(nil), payload...),
-	}
-	if f.Type == FrameInvalid || f.Type > FrameResult {
-		return Frame{}, 0, DecodeCorrupt
-	}
-	return f, total, DecodeOK
-}
 
 // ChunkSize is the migration transfer granularity. It deliberately
 // matches the memory manager's dedup chunking, so a manifest chunk of
@@ -216,7 +116,7 @@ func ManifestOf(data []byte) []ChunkRef {
 		refs = append(refs, ChunkRef{
 			Hash: fnv64a(c),
 			Len:  uint32(len(c)),
-			Sum:  crc32.Checksum(c, crcTable),
+			Sum:  crc32.Checksum(c, wal.Castagnoli),
 		})
 	}
 	return refs
@@ -241,7 +141,7 @@ func ChunkAt(data []byte, i int) []byte {
 func VerifyChunk(ref ChunkRef, data []byte) bool {
 	return uint32(len(data)) == ref.Len &&
 		fnv64a(data) == ref.Hash &&
-		crc32.Checksum(data, crcTable) == ref.Sum
+		crc32.Checksum(data, wal.Castagnoli) == ref.Sum
 }
 
 // fnv64a matches the memory manager's dedup-store hash (FNV-1a 64).
@@ -256,28 +156,4 @@ func fnv64a(b []byte) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// EncodePayload gob-encodes a frame payload.
-func EncodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("failover: encoding payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload gob-decodes a frame payload into v. Hostile bytes that
-// panic the gob decoder are reported as an error wrapping
-// api.ErrInvalidValue, never a crash.
-func DecodePayload(data []byte, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("failover: decoding payload panicked: %v: %w", p, api.ErrInvalidValue)
-		}
-	}()
-	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(v); derr != nil {
-		return fmt.Errorf("failover: decoding payload: %v: %w", derr, api.ErrInvalidValue)
-	}
-	return nil
 }

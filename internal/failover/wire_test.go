@@ -1,88 +1,6 @@
 package failover
 
-import (
-	"bytes"
-	"testing"
-
-	"gvrt/internal/api"
-)
-
-func TestFrameRoundTrip(t *testing.T) {
-	payload, err := EncodePayload(Chunk{ID: ChunkID{Entry: 2, Index: 5}, Data: []byte("chunk bytes")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := Frame{Type: FrameChunk, Session: 42, Seq: 7, Payload: payload}
-	enc := EncodeFrame(nil, in)
-
-	out, n, res := DecodeFrame(enc)
-	if res != DecodeOK || n != len(enc) {
-		t.Fatalf("decode = %v, consumed %d of %d", res, n, len(enc))
-	}
-	if out.Type != in.Type || out.Session != in.Session || out.Seq != in.Seq || !bytes.Equal(out.Payload, in.Payload) {
-		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
-	}
-	var c Chunk
-	if err := DecodePayload(out.Payload, &c); err != nil {
-		t.Fatal(err)
-	}
-	if c.ID != (ChunkID{Entry: 2, Index: 5}) || string(c.Data) != "chunk bytes" {
-		t.Fatalf("payload round trip = %+v", c)
-	}
-
-	// Two concatenated frames decode one at a time.
-	enc2 := EncodeFrame(enc, Frame{Type: FrameCommit, Session: 42, Seq: 8})
-	if _, n1, res := DecodeFrame(enc2); res != DecodeOK || n1 != len(enc) {
-		t.Fatalf("first of two frames: %v, %d", res, n1)
-	}
-	f2, _, res := DecodeFrame(enc2[len(enc):])
-	if res != DecodeOK || f2.Type != FrameCommit {
-		t.Fatalf("second of two frames: %v, %+v", res, f2)
-	}
-}
-
-func TestFrameTornAndCorruptClassification(t *testing.T) {
-	valid := EncodeFrame(nil, Frame{Type: FrameHello, Session: 1, Payload: []byte("abcdef")})
-
-	// Every strict prefix is torn, never corrupt, never OK.
-	for cut := 0; cut < len(valid); cut++ {
-		if _, _, res := DecodeFrame(valid[:cut]); res != DecodeTorn {
-			t.Fatalf("prefix of %d bytes classified %v, want DecodeTorn", cut, res)
-		}
-	}
-	// A flipped byte anywhere makes it corrupt (header magic, header
-	// CRC, payload CRC — every region is covered by some checksum).
-	for i := 0; i < len(valid); i++ {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0xff
-		if _, _, res := DecodeFrame(mut); res == DecodeOK {
-			t.Fatalf("flipping byte %d went undetected", i)
-		}
-	}
-	// An insane payload length is corrupt, not a huge allocation.
-	mut := append([]byte(nil), valid...)
-	mut[21], mut[22], mut[23], mut[24] = 0xff, 0xff, 0xff, 0xff
-	if _, _, res := DecodeFrame(mut); res != DecodeCorrupt {
-		t.Fatalf("oversized length classified %v, want DecodeCorrupt", res)
-	}
-	// An unknown frame type is corrupt.
-	bad := EncodeFrame(nil, Frame{Type: FrameResult + 1, Session: 1})
-	if _, _, res := DecodeFrame(bad); res != DecodeCorrupt {
-		t.Fatalf("unknown frame type classified %v, want DecodeCorrupt", res)
-	}
-}
-
-func TestDecodePayloadHostileBytes(t *testing.T) {
-	var h Hello
-	if err := DecodePayload([]byte("definitely not gob"), &h); err == nil {
-		t.Fatal("hostile payload decoded without error")
-	}
-	// The gob panic-recovery path reports, never crashes.
-	var n Need
-	if err := DecodePayload([]byte{0x07, 0xff, 0x81, 0x01}, &n); err == nil {
-		t.Fatal("truncated gob decoded without error")
-	}
-}
+import "testing"
 
 func TestManifestAndChunks(t *testing.T) {
 	data := make([]byte, ChunkSize*2+100)
@@ -117,66 +35,5 @@ func TestManifestAndChunks(t *testing.T) {
 	}
 	if got := ChunkAt(data, 99); len(got) != 0 {
 		t.Fatalf("out-of-range ChunkAt returned %d bytes", len(got))
-	}
-}
-
-// FuzzDecodeFrame is the migration decoder fuzz target (hostile frames
-// arriving mid-import): for any input, DecodeFrame must not panic, must
-// never consume more bytes than given, and everything it accepts must
-// re-encode to the identical bytes it consumed.
-func FuzzDecodeFrame(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add([]byte("GVMF"))
-	valid := EncodeFrame(nil, Frame{Type: FrameChunk, Session: 3, Seq: 9, Payload: []byte("payload")})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1])
-	mut := append([]byte(nil), valid...)
-	mut[7] ^= 0x10
-	f.Add(mut)
-	hello, _ := EncodePayload(Hello{Session: 1, Owner: "x", Entries: []EntryManifest{{Chunks: []ChunkRef{{Hash: 1, Len: 2, Sum: 3}}}}})
-	f.Add(EncodeFrame(nil, Frame{Type: FrameHello, Session: 1, Payload: hello}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, res := DecodeFrame(data)
-		if n < 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		switch res {
-		case DecodeOK:
-			if n == 0 {
-				t.Fatal("DecodeOK consumed nothing")
-			}
-			// Accepted frames survive a re-encode byte-for-byte: the
-			// decoder accepts no frame the encoder would not produce.
-			if got := EncodeFrame(nil, fr); !bytes.Equal(got, data[:n]) {
-				t.Fatalf("re-encode differs from consumed bytes")
-			}
-			// Payloads of accepted frames must never panic the gob layer,
-			// whatever they hold.
-			var h Hello
-			_ = DecodePayload(fr.Payload, &h)
-			var c Chunk
-			_ = DecodePayload(fr.Payload, &c)
-		case DecodeTorn, DecodeCorrupt:
-			if n != 0 {
-				t.Fatalf("rejected frame consumed %d bytes", n)
-			}
-		default:
-			t.Fatalf("unknown decode result %v", res)
-		}
-	})
-}
-
-// errInvalidIsTyped pins DecodePayload's error contract: hostile bytes
-// wrap api.ErrInvalidValue so the import path maps them to the right
-// wire code.
-func TestDecodePayloadErrorIsTyped(t *testing.T) {
-	var h Hello
-	err := DecodePayload([]byte("junk"), &h)
-	if err == nil {
-		t.Fatal("junk decoded")
-	}
-	if code := api.Code(err); code != api.ErrInvalidValue {
-		t.Fatalf("error code = %v, want ErrInvalidValue", code)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"gvrt/internal/trace"
+	"gvrt/internal/wal"
 )
 
 // This file implements content-addressed swap deduplication with
@@ -280,12 +281,9 @@ func (m *Manager) DedupLookup(hash uint64, length int, sum uint32) ([]byte, bool
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, c := range d.chunks[hash] {
-		if len(c.data) == length && crc32.Checksum(c.data, dedupCRCTable) == sum {
+		if len(c.data) == length && crc32.Checksum(c.data, wal.Castagnoli) == sum {
 			return append([]byte(nil), c.data...), true
 		}
 	}
 	return nil, false
 }
-
-// dedupCRCTable matches the failover wire protocol's chunk checksum.
-var dedupCRCTable = crc32.MakeTable(crc32.Castagnoli)

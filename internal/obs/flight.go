@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"gvrt/internal/api"
 	"gvrt/internal/trace"
+	"gvrt/internal/wal"
 )
 
 // FlightRecord is one entry in the black-box ring: a state transition,
@@ -206,11 +208,8 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(f.path), 0o755); err != nil {
 		return "", err
 	}
-	tmp := f.path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, f.path); err != nil {
+	err = wal.WriteFileAtomic(f.path, func(w io.Writer) error { _, err := w.Write(buf); return err })
+	if err != nil {
 		return "", err
 	}
 	f.dumps.Add(1)
