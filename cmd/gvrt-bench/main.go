@@ -371,7 +371,7 @@ func runMultiDevice(sz sizes, _ int64) (benchfmt.Scenario, error) {
 
 // runMultiNode drives sessions at a head node that offloads its excess
 // to a peer over TCP (the paper's §4.7 path), so the measurement covers
-// the gob codec and the proxy pump as well.
+// the wire codec and the proxy pump as well.
 func runMultiNode(sz sizes, _ int64) (benchfmt.Scenario, error) {
 	peer, err := newNode(benchScale, core.Config{}, gpu.TeslaC2050)
 	if err != nil {

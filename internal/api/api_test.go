@@ -1,8 +1,6 @@
 package api
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 	"time"
@@ -64,63 +62,6 @@ func TestLaunchCallLaunches(t *testing.T) {
 	}
 	if (LaunchCall{Repeat: 17}).Launches() != 17 {
 		t.Error("Repeat=17 should mean 17 launches")
-	}
-}
-
-func TestEnvelopeGobRoundTrip(t *testing.T) {
-	calls := []Call{
-		RegisterFatBinaryCall{Binary: FatBinary{
-			ID:      "bin1",
-			Kernels: []KernelMeta{{Name: "k", BaseTime: 3 * time.Millisecond}},
-		}},
-		MallocCall{Size: 1 << 20},
-		MallocCall{Size: 1 << 20, Kind: AllocPitched},
-		FreeCall{Ptr: 0xdead},
-		MemsetCall{Dst: 0x1000, Value: 7, Size: 64},
-		MemcpyHDCall{Dst: 0x1000, Data: []byte{1, 2, 3}},
-		MemcpyDHCall{Src: 0x1000, Size: 3},
-		MemcpyDDCall{Dst: 1, Src: 2, Size: 3},
-		LaunchCall{Kernel: "k", Grid: Dim3{X: 2}, Block: Dim3{X: 32}, PtrArgs: []DevPtr{0x1000}, Scalars: []uint64{7}, Repeat: 4},
-		SetDeviceCall{Device: 2},
-		GetDeviceCountCall{},
-		SynchronizeCall{},
-		RegisterNestedCall{Parent: 1, Members: []DevPtr{2, 3}, Offsets: []uint64{0, 8}},
-		SetAppIDCall{AppID: "app-1"},
-		GetSessionCall{},
-		ResumeCall{ID: 42},
-		CheckpointCall{},
-		ExitCall{},
-	}
-	for _, c := range calls {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&Envelope{Seq: 9, Call: c}); err != nil {
-			t.Fatalf("encode %s: %v", c.CallName(), err)
-		}
-		var out Envelope
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode %s: %v", c.CallName(), err)
-		}
-		if out.Seq != 9 {
-			t.Errorf("%s: Seq = %d, want 9", c.CallName(), out.Seq)
-		}
-		if out.Call.CallName() != c.CallName() {
-			t.Errorf("round-trip changed call type: %s -> %s", c.CallName(), out.Call.CallName())
-		}
-	}
-}
-
-func TestReplyEnvelopeGob(t *testing.T) {
-	var buf bytes.Buffer
-	in := ReplyEnvelope{Seq: 3, Reply: Reply{Code: ErrInvalidValue, Ptr: 0x42, Data: []byte{9}, Count: 4}}
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-		t.Fatal(err)
-	}
-	var out ReplyEnvelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Seq != 3 || out.Reply.Code != ErrInvalidValue || out.Reply.Ptr != 0x42 || out.Reply.Count != 4 || len(out.Reply.Data) != 1 {
-		t.Errorf("round trip mangled reply: %+v", out)
 	}
 }
 

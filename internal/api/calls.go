@@ -1,9 +1,6 @@
 package api
 
-import (
-	"encoding/gob"
-	"time"
-)
+import "time"
 
 // DevPtr is a device (or, under gvrt, virtual) memory address as seen by
 // an application. 0 is the null pointer.
@@ -62,8 +59,9 @@ type FatBinary struct {
 }
 
 // Call is a single intercepted CUDA call travelling from the frontend to
-// a runtime. Concrete types are registered with encoding/gob so the TCP
-// transport can carry them.
+// a runtime. Every concrete type has a wire kind and a fixed byte layout
+// in wire.go, which is what the TCP transport carries; a new call type
+// needs both (TestWireRoundTripEveryCall fails without them).
 type Call interface {
 	// CallName returns the CUDA-level name of the call, for tracing.
 	CallName() string
@@ -309,52 +307,4 @@ type HDCopy struct {
 type DHCopy struct {
 	Src  DevPtr
 	Size uint64
-}
-
-// Envelope frames a call with a sequence number on the wire.
-type Envelope struct {
-	Seq  uint64
-	Call Call
-}
-
-// ReplyEnvelope frames a reply with the sequence number of its call.
-type ReplyEnvelope struct {
-	Seq   uint64
-	Reply Reply
-}
-
-// Reset clears the envelope for reuse from a pool. gob's Decode merges
-// into whatever non-zero fields a value already holds, so a pooled
-// envelope must be zeroed before every decode.
-func (e *Envelope) Reset() { *e = Envelope{} }
-
-// Reset clears the reply envelope for reuse from a pool. Reply.Data is
-// dropped rather than truncated: decoded data escapes to the caller, so
-// its backing array must never be shared across calls.
-func (e *ReplyEnvelope) Reset() { *e = ReplyEnvelope{} }
-
-func init() {
-	gob.Register(RegisterFatBinaryCall{})
-	gob.Register(MallocCall{})
-	gob.Register(FreeCall{})
-	gob.Register(MemsetCall{})
-	gob.Register(MemcpyHDCall{})
-	gob.Register(MemcpyDHCall{})
-	gob.Register(MemcpyDDCall{})
-	gob.Register(LaunchCall{})
-	gob.Register(SetDeviceCall{})
-	gob.Register(GetDeviceCountCall{})
-	gob.Register(SynchronizeCall{})
-	gob.Register(RegisterNestedCall{})
-	gob.Register(SetAppIDCall{})
-	gob.Register(SetTenantCall{})
-	gob.Register(SetDeadlineCall{})
-	gob.Register(GetSessionCall{})
-	gob.Register(ResumeCall{})
-	gob.Register(CheckpointCall{})
-	gob.Register(PingCall{})
-	gob.Register(MigrateCall{})
-	gob.Register(MigrateFrameCall{})
-	gob.Register(AdoptCall{})
-	gob.Register(ExitCall{})
 }

@@ -1,11 +1,11 @@
 // Package api defines the wire-level vocabulary shared by the frontend
 // (intercept library), the gvrt runtime daemon, and the simulated CUDA
-// runtime: device pointers, CUDA-style error codes, the call/reply
-// envelope that travels over a connection, and the kernel metadata
-// carried by fat binaries.
+// runtime: device pointers, CUDA-style error codes, the calls and
+// replies that travel over a connection, their byte layout on the wire
+// (wire.go), and the kernel metadata carried by fat binaries.
 //
-// Everything in this package is encoding/gob friendly so the same types
-// serve the in-process transport and the TCP transport.
+// The same types serve the in-process transport, which passes them as
+// values, and the TCP transport, which carries their wire form.
 package api
 
 import (

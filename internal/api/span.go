@@ -1,13 +1,15 @@
 package api
 
-import "encoding/gob"
-
 // WithSpan wraps a forwarded call with the forwarder's span ID so the
 // serving node can parent its per-call spans under the hop that sent
 // them — this is how a kernel launch's causal trace crosses an
-// offload boundary (§4.7). The wrapper travels over both the gob TCP
-// transport and the in-process pipe; runtimes unwrap it on receipt,
-// so application frontends never see it.
+// offload boundary (§4.7). The wrapper travels over both the TCP
+// transport (as a flag on the wrapped call's kind plus the frame
+// header's span-parent field, see KindSpan) and the in-process pipe;
+// runtimes unwrap it on receipt, so application frontends never see it.
+// It wraps exactly one call that is not itself a WithSpan — the wire
+// cannot say anything else — so a second forwarding hop replaces the
+// parent instead of nesting.
 type WithSpan struct {
 	// Parent is the forwarder's span ID (trace.SpanID), zero for none.
 	Parent uint64
@@ -21,20 +23,4 @@ func (w WithSpan) CallName() string {
 		return "gvrtWithSpan"
 	}
 	return w.Call.CallName()
-}
-
-// Unwrap returns the innermost call and the outermost parent span ID.
-func (w WithSpan) Unwrap() (Call, uint64) {
-	call, parent := w.Call, w.Parent
-	for {
-		inner, ok := call.(WithSpan)
-		if !ok {
-			return call, parent
-		}
-		call = inner.Call
-	}
-}
-
-func init() {
-	gob.Register(WithSpan{})
 }

@@ -1,10 +1,6 @@
 package api
 
-import (
-	"encoding/gob"
-
-	"gvrt/internal/trace"
-)
+import "gvrt/internal/trace"
 
 // StatsCall asks a runtime daemon for its metrics snapshot — the
 // operator-facing view of what the node is doing (the information §2
@@ -132,8 +128,4 @@ type RuntimeStats struct {
 	// Values are model-time nanoseconds except journal_commit_wall
 	// (wall nanoseconds) and swap_bytes (bytes).
 	Histograms map[string]trace.HistSnapshot `json:"histograms,omitempty"`
-}
-
-func init() {
-	gob.Register(StatsCall{})
 }

@@ -158,6 +158,10 @@ func (rt *Runtime) Serve(sc transport.ServerConn) {
 func (rt *Runtime) ServeLabeled(sc transport.ServerConn, label string) {
 	ctx := rt.newContext(label)
 	defer rt.teardown(ctx)
+	// The dispatcher owns the connection for the session's whole life
+	// and nobody reads it afterwards: close it rather than leave an
+	// accepted socket to the garbage collector's finalizer.
+	defer func() { _ = sc.Close() }()
 	for {
 		call, err := sc.Recv()
 		if err != nil {
@@ -168,12 +172,15 @@ func (rt *Runtime) ServeLabeled(sc transport.ServerConn, label string) {
 		// before dispatch so handlers see the plain call.
 		var remoteParent trace.SpanID
 		if w, ok := call.(api.WithSpan); ok {
-			var p uint64
-			call, p = w.Unwrap()
-			remoteParent = trace.SpanID(p)
+			call, remoteParent = w.Call, trace.SpanID(w.Parent)
 		}
 		served := rt.clock.Now()
-		sp := rt.beginSpan("call."+call.CallName(), ctx.id, remoteParent)
+		// The span's name is built only for a recorder to keep: it is
+		// an allocation, and this is every call of every session.
+		var sp *span
+		if rt.cfg.Trace != nil {
+			sp = rt.beginSpan("call."+call.CallName(), ctx.id, remoteParent)
+		}
 		// Framework overhead: interception, queuing, scheduling (§5:
 		// "all the overheads introduced by our framework").
 		rt.clock.Sleep(rt.cfg.overhead())

@@ -159,7 +159,13 @@ func (rt *Runtime) proxy(sc transport.ServerConn, peer transport.Conn, parent tr
 		if err != nil {
 			return
 		}
+		// A call that an earlier hop already wrapped is forwarded under
+		// this hop's span, or as it came when this hop records none: a
+		// WithSpan never wraps another.
 		out := call
+		if w, ok := call.(api.WithSpan); ok {
+			call = w.Call
+		}
 		if parent != 0 {
 			out = api.WithSpan{Parent: uint64(parent), Call: call}
 		}

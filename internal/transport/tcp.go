@@ -1,32 +1,180 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
 	"gvrt/internal/api"
 )
 
-// Envelope structs are pooled across calls and connections: the codec
-// frames every call and reply, so at daemon scale the per-call envelope
-// garbage is pure overhead. Pooled values are Reset before decode (gob
-// merges into non-zero fields) and before Put (so a pooled reply never
-// pins a caller's Data slice).
-var (
-	envPool      = sync.Pool{New: func() any { return new(api.Envelope) }}
-	replyEnvPool = sync.Pool{New: func() any { return new(api.ReplyEnvelope) }}
+// Every call and reply travels as one frame: a fixed header followed by
+// the body internal/api/wire.go defines for the frame's kind.
+//
+//	offset 0   length   uint32  bytes of body after the header
+//	offset 4   version  uint8   wireVersion
+//	offset 5   kind     uint8   api.Kind of the call (| api.KindSpan), or api.KindReply
+//	offset 6   seq      uint64  call number; a reply repeats its call's
+//	offset 14  parent   uint64  forwarder's span ID; zero unless kind has api.KindSpan
+//	offset 22  body
+//
+// Little-endian, like internal/wal. There is no checksum: TCP and
+// af_unix deliver bytes intact or not at all, and the migration frames
+// riding inside MigrateFrameCall keep their own CRCs. There is no
+// negotiation either — a connection's first frame costs what every
+// later one does, which is what short offloaded sessions (§4.7) need.
+// DESIGN.md "Wire format" is the reference.
+const (
+	wireVersion = 1
+	headerLen   = 22
+
+	// MaxFrame caps a frame's body. A larger length field is a protocol
+	// violation, never a read of that size; a larger call or reply is not
+	// sent.
+	MaxFrame = 1 << 28
+
+	// readBuf is each connection's buffered-reader size. A frame that
+	// fits is decoded in place, with no allocation for the frame itself.
+	readBuf = 1024
+	// readChunk bounds what a length field can make the reader allocate
+	// ahead of the bytes backing it up: a frame too big for the read
+	// buffer gets a buffer of its own, readChunk at first and then at
+	// most doubled each time it has actually been filled.
+	readChunk = 1 << 20
+	// keepWriteBuf is the largest send buffer a connection holds on to
+	// between frames.
+	keepWriteBuf = 64 << 10
 )
 
-// tcpConn is the client side of a TCP connection, carrying gob-encoded
-// envelopes. Calls are serialised by a mutex: a connection belongs to a
-// single application thread and carries one call at a time.
+var le = binary.LittleEndian
+
+// wire is the framing state of one end of a connection. It is used by
+// one goroutine at a time: calls are strictly sequential.
+type wire struct {
+	c  net.Conn
+	br *bufio.Reader
+	// held is the size of the frame last returned by read and still
+	// sitting in br; the next read drops it.
+	held int
+	// wbuf is the reusable send buffer: header and body are assembled in
+	// it and leave in one Write. A payload is not copied into it; it goes
+	// out in the same writev through vec (two Writes on a net.Conn that
+	// has no writev), iov being vec's storage.
+	wbuf []byte
+	iov  [2][]byte
+	vec  net.Buffers
+}
+
+func newWire(c net.Conn) wire {
+	return wire{c: c, br: bufio.NewReaderSize(c, readBuf), wbuf: make([]byte, headerLen, 256)}
+}
+
+func (w *wire) sendCall(seq uint64, call api.Call) error {
+	buf, payload, kind, parent := api.AppendCall(w.wbuf[:headerLen], call)
+	if kind == 0 {
+		return fmt.Errorf("%T has no wire form", call)
+	}
+	return w.send(buf, payload, kind, seq, parent)
+}
+
+func (w *wire) sendReply(seq uint64, r api.Reply) error {
+	buf, payload := api.AppendReply(w.wbuf[:headerLen], r)
+	return w.send(buf, payload, api.KindReply, seq, 0)
+}
+
+// send fills in the header at the front of buf and writes the frame.
+func (w *wire) send(buf, payload []byte, kind api.Kind, seq, parent uint64) error {
+	n := len(buf) - headerLen + len(payload)
+	if n > MaxFrame {
+		return fmt.Errorf("%d-byte frame exceeds the %d-byte cap", n, MaxFrame)
+	}
+	le.PutUint32(buf[0:], uint32(n))
+	buf[4] = wireVersion
+	buf[5] = byte(kind)
+	le.PutUint64(buf[6:], seq)
+	le.PutUint64(buf[14:], parent)
+	if cap(buf) <= keepWriteBuf {
+		w.wbuf = buf
+	}
+	if len(payload) == 0 {
+		_, err := w.c.Write(buf)
+		return err
+	}
+	w.iov = [2][]byte{buf, payload}
+	w.vec = w.iov[:]
+	_, err := w.vec.WriteTo(w.c)
+	w.iov = [2][]byte{}
+	return err
+}
+
+// frame is a received frame's header and body.
+type frame struct {
+	kind        api.Kind
+	seq, parent uint64
+	body        []byte
+	// own reports that body is a buffer of the frame's own, which the
+	// decoded value may keep; otherwise it is a view into the read
+	// buffer, valid until the next read.
+	own bool
+}
+
+// read returns the next frame. Every check on the header comes before
+// the first byte of body is waited for or allocated.
+func (w *wire) read() (frame, error) {
+	if w.held > 0 {
+		_, _ = w.br.Discard(w.held) // buffered bytes: cannot fail
+		w.held = 0
+	}
+	hdr, err := w.br.Peek(headerLen)
+	if err != nil {
+		return frame{}, err
+	}
+	if hdr[4] != wireVersion {
+		return frame{}, fmt.Errorf("transport: wire version %d, this side speaks %d", hdr[4], wireVersion)
+	}
+	n := le.Uint32(hdr[0:])
+	if n > MaxFrame {
+		return frame{}, fmt.Errorf("transport: header announces a %d-byte frame, cap is %d", n, MaxFrame)
+	}
+	f := frame{kind: api.Kind(hdr[5]), seq: le.Uint64(hdr[6:]), parent: le.Uint64(hdr[14:])}
+	if total := headerLen + int(n); total <= w.br.Size() {
+		view, err := w.br.Peek(total)
+		if err != nil {
+			return frame{}, err
+		}
+		w.held = total
+		f.body = view[headerLen:]
+		return f, nil
+	}
+	_, _ = w.br.Discard(headerLen)
+	f.own = true
+	f.body, err = readOwned(w.br, int(n))
+	return f, err
+}
+
+// readOwned reads an n-byte body into a fresh buffer without trusting n
+// for more than readChunk beyond what has arrived.
+func readOwned(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for {
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err != nil || len(buf) == n {
+			return buf, err
+		}
+		buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+	}
+}
+
+// tcpConn is the client side of a stream connection (TCP or af_unix).
+// Calls are serialised by a mutex: a connection belongs to a single
+// application thread and carries one call at a time.
 type tcpConn struct {
 	mu   sync.Mutex
-	c    net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	w    wire
 	seq  uint64
 	dead bool
 }
@@ -43,9 +191,13 @@ func Dial(addr string) (Conn, error) {
 // NewClientConn wraps an established net.Conn as the client side of a
 // connection.
 func NewClientConn(c net.Conn) Conn {
-	return &tcpConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+	return &tcpConn{w: newWire(c)}
 }
 
+// Call sends call and waits for its reply. Any failure — a call with no
+// wire form, a short write, a torn or malformed reply, a reply to a
+// different call — ends the connection: every later Call returns
+// ErrClosed.
 func (t *tcpConn) Call(call api.Call) (api.Reply, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -53,80 +205,83 @@ func (t *tcpConn) Call(call api.Call) (api.Reply, error) {
 		return api.Reply{}, ErrClosed
 	}
 	t.seq++
-	env := envPool.Get().(*api.Envelope)
-	env.Seq, env.Call = t.seq, call
-	err := t.enc.Encode(env)
-	env.Reset()
-	envPool.Put(env)
-	if err != nil {
+	if err := t.w.sendCall(t.seq, call); err != nil {
 		t.dead = true
 		return api.Reply{}, fmt.Errorf("transport: send: %w", err)
 	}
-	re := replyEnvPool.Get().(*api.ReplyEnvelope)
-	re.Reset()
-	if err := t.dec.Decode(re); err != nil {
-		replyEnvPool.Put(re)
+	reply, err := t.recvReply()
+	if err != nil {
 		t.dead = true
 		return api.Reply{}, fmt.Errorf("transport: recv: %w", err)
 	}
-	seq, reply := re.Seq, re.Reply
-	re.Reset()
-	replyEnvPool.Put(re)
-	if seq != t.seq {
-		t.dead = true
-		return api.Reply{}, fmt.Errorf("transport: reply sequence %d for call %d", seq, t.seq)
-	}
 	return reply, nil
+}
+
+func (t *tcpConn) recvReply() (api.Reply, error) {
+	f, err := t.w.read()
+	if err != nil {
+		return api.Reply{}, err
+	}
+	if f.kind != api.KindReply || f.parent != 0 {
+		return api.Reply{}, fmt.Errorf("kind-%d frame (span parent %d) where a reply was due", f.kind, f.parent)
+	}
+	if f.seq != t.seq {
+		return api.Reply{}, fmt.Errorf("reply sequence %d for call %d", f.seq, t.seq)
+	}
+	return api.DecodeReply(f.body, f.own)
 }
 
 func (t *tcpConn) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dead = true
-	return t.c.Close()
+	return t.w.c.Close()
 }
 
-// tcpServerConn is the daemon side of a TCP connection.
+// tcpServerConn is the daemon side of a stream connection.
 type tcpServerConn struct {
-	c       net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	w       wire
 	lastSeq uint64
 }
 
 // NewServerConn wraps an accepted net.Conn as the runtime side of a
 // connection.
 func NewServerConn(c net.Conn) ServerConn {
-	return &tcpServerConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+	return &tcpServerConn{w: newWire(c)}
 }
 
+// Recv is where a peer's bytes become a call, and the only place they
+// are trusted for anything: a frame that is torn, oversized, of another
+// protocol version or an unassigned kind, or whose body does not decode
+// exactly, closes the connection — the peer sees EOF instead of waiting
+// for a reply that cannot come — and is reported as ErrClosed.
 func (t *tcpServerConn) Recv() (api.Call, error) {
-	env := envPool.Get().(*api.Envelope)
-	env.Reset()
-	if err := t.dec.Decode(env); err != nil {
-		envPool.Put(env)
+	f, err := t.w.read()
+	if err == nil {
+		var call api.Call
+		if call, err = api.DecodeCall(f.kind, f.parent, f.body, f.own); err == nil {
+			t.lastSeq = f.seq
+			return call, nil
+		}
+	}
+	_ = t.w.c.Close()
+	if err == io.EOF {
 		return nil, ErrClosed
 	}
-	t.lastSeq = env.Seq
-	call := env.Call
-	env.Reset()
-	envPool.Put(env)
-	return call, nil
+	return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 }
 
+// Reply answers the last call. If it cannot be sent the client would
+// wait forever, so the connection is closed.
 func (t *tcpServerConn) Reply(r api.Reply) error {
-	re := replyEnvPool.Get().(*api.ReplyEnvelope)
-	re.Seq, re.Reply = t.lastSeq, r
-	err := t.enc.Encode(re)
-	re.Reset()
-	replyEnvPool.Put(re)
-	if err != nil {
-		return ErrClosed
+	if err := t.w.sendReply(t.lastSeq, r); err != nil {
+		_ = t.w.c.Close()
+		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	return nil
 }
 
-func (t *tcpServerConn) Close() error { return t.c.Close() }
+func (t *tcpServerConn) Close() error { return t.w.c.Close() }
 
 // Listener accepts runtime connections over TCP.
 type Listener struct {

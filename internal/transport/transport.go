@@ -7,7 +7,9 @@
 // channel in two flavours: an in-process pipe (the af_unix equivalent
 // when application and runtime share a process, used by tests, examples
 // and benchmarks) and a TCP transport (the cross-VM / cross-node
-// equivalent, used by the daemons and by inter-node offloading).
+// equivalent, used by the daemons and by inter-node offloading), which
+// carries each call and reply as one fixed-layout binary frame (tcp.go;
+// the bodies are internal/api/wire.go).
 //
 // A connection corresponds to exactly one application thread, carries
 // one call at a time, and stays open for the thread's lifetime — the
@@ -38,7 +40,13 @@ type Conn interface {
 // ServerConn is the runtime side of a connection.
 type ServerConn interface {
 	// Recv blocks for the next call. It returns ErrClosed once the
-	// client has closed the connection and all calls are drained.
+	// client has closed the connection and all calls are drained. A nil
+	// error guarantees a non-nil call, so a server loop may use what it
+	// receives without checking. Over a stream it guarantees more: an
+	// api.WithSpan wraps a non-nil call that is not another WithSpan,
+	// and anything a peer sends that does not decode into such a call
+	// ends the connection instead (the pipe's sender is code in this
+	// process and is only held to non-nil).
 	Recv() (api.Call, error)
 	// Reply answers the call most recently returned by Recv.
 	Reply(api.Reply) error
@@ -75,6 +83,9 @@ type pipeClient pipe
 
 func (c *pipeClient) Call(call api.Call) (api.Reply, error) {
 	p := (*pipe)(c)
+	if call == nil {
+		return api.Reply{}, errors.New("transport: nil call")
+	}
 	select {
 	case p.calls <- call:
 	case <-p.done:

@@ -7,7 +7,7 @@ import (
 
 // The paper's prototype communicates over af_unix sockets in
 // non-virtualized deployments (§3, via gVirtuS); these helpers provide
-// the same, sharing the gob wire protocol with the TCP transport.
+// the same, sharing the TCP transport's wire format (tcp.go).
 
 // DialUnix connects to a runtime daemon on a unix-domain socket.
 func DialUnix(path string) (Conn, error) {
