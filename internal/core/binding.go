@@ -15,27 +15,27 @@ import (
 // bind attaches the context to a free virtual GPU, blocking on the
 // waiting list when none is available. The scheduling policy chooses
 // both the device (when several have a free vGPU) and, on release, the
-// next waiter.
-func (rt *Runtime) bind(ctx *Context) error {
+// next waiter. It returns the vGPU it bound (see ensureBound).
+func (rt *Runtime) bind(ctx *Context) (*vGPU, error) {
 	sp := rt.beginSpan("bind", ctx.id, ctx.curSpan)
 	start := rt.clock.Now()
-	err := rt.bindWait(ctx)
+	v, err := rt.bindWait(ctx)
 	rt.timings.BindWait.Observe(int64(rt.clock.Now() - start))
 	dev := -1
-	if v := rt.boundVGPU(ctx); err == nil && v != nil {
+	if err == nil {
 		dev = v.ds.index
 	}
 	sp.endIfTimed(dev, "", err)
-	return err
+	return v, err
 }
 
 // bindWait is bind's blocking body.
-func (rt *Runtime) bindWait(ctx *Context) error {
+func (rt *Runtime) bindWait(ctx *Context) (*vGPU, error) {
 	rt.mu.Lock()
 	for {
 		if rt.closed {
 			rt.mu.Unlock()
-			return api.ErrNoDevice
+			return nil, api.ErrNoDevice
 		}
 		if v := rt.pickFreeVGPULocked(ctx); v != nil {
 			// Claim under the device shard's lock: a concurrent device
@@ -46,11 +46,11 @@ func (rt *Runtime) bindWait(ctx *Context) error {
 			}
 			ctx.vgpu.Store(v)
 			rt.mu.Unlock()
-			return rt.onBind(ctx, v)
+			return v, rt.onBind(ctx, v)
 		}
 		if !rt.anyHealthy() {
 			rt.mu.Unlock()
-			return api.ErrNoDevice
+			return nil, api.ErrNoDevice
 		}
 		// Park on the waiting-contexts list until a release grants us a
 		// vGPU (§4.3: "application threads are enqueued in the list of
@@ -78,11 +78,11 @@ func (rt *Runtime) bindWait(ctx *Context) error {
 			if v != nil {
 				v.ds.clearBound(v)
 			}
-			return api.ErrNoDevice
+			return nil, api.ErrNoDevice
 		}
 		ctx.vgpu.Store(v)
 		rt.mu.Unlock()
-		return rt.onBind(ctx, v)
+		return v, rt.onBind(ctx, v)
 	}
 }
 
@@ -91,7 +91,9 @@ func (rt *Runtime) bindWait(ctx *Context) error {
 // issues registration functions before any kernel work, §4.3).
 func (rt *Runtime) onBind(ctx *Context, v *vGPU) error {
 	rt.binds.Add(1)
-	rt.logf("ctx %d (%s) bound to %s", ctx.id, ctx.label, v.name)
+	if rt.cfg.Logf != nil { // the guard keeps the arguments off the heap
+		rt.logf("ctx %d (%s) bound to %s", ctx.id, ctx.label, v.name)
+	}
 	rt.event(trace.KindBind, ctx.id, 0, v.ds.index, v.name)
 	for _, fb := range ctx.binaries {
 		if err := v.cuctx.RegisterFatBinary(fb); err != nil {
@@ -139,8 +141,7 @@ func (rt *Runtime) pickFreeVGPULocked(ctx *Context) *vGPU {
 		}
 		return nil
 	}
-	var loads []sched.DeviceLoad
-	var states []*deviceState
+	loads, states := rt.pickLoads[:0], rt.pickStates[:0]
 	for _, ds := range rt.devs {
 		if !ds.healthy.Load() || ds.freeVGPU() == nil {
 			continue
@@ -155,6 +156,7 @@ func (rt *Runtime) pickFreeVGPULocked(ctx *Context) *vGPU {
 		})
 		states = append(states, ds)
 	}
+	rt.pickLoads, rt.pickStates = loads, states
 	if len(loads) == 0 {
 		return nil
 	}
@@ -244,15 +246,8 @@ func (rt *Runtime) tryMigrateLocked(v *vGPU, depth int) {
 		if !ds.healthy.Load() || ds.dev.Spec().Speed >= speed {
 			continue
 		}
-		ds.mu.Lock()
-		cands := append([]*vGPU(nil), ds.vgpus...)
-		bounds := make([]*Context, len(cands))
-		for i, cand := range cands {
-			bounds[i] = cand.bound
-		}
-		ds.mu.Unlock()
-		for i, cand := range cands {
-			c := bounds[i]
+		for _, cand := range ds.slots() {
+			c := ds.boundTo(cand)
 			// Threads of a multi-threaded application are not migrated
 			// independently (§4.8: they may share device data).
 			if c == nil || c.pinned.Load() || c.exited.Load() || c.appID != "" {
@@ -352,13 +347,7 @@ func (rt *Runtime) AddDevice(d *gpu.Device) (int, error) {
 // bound contexts are checkpointed to swap and unbound, then the device
 // is marked removed. Their next kernel launches re-bind elsewhere.
 func (rt *Runtime) RemoveDevice(index int) error {
-	var ds *deviceState
-	for _, d := range rt.deviceList() {
-		if d.index == index {
-			ds = d
-			break
-		}
-	}
+	ds := rt.deviceAt(index)
 	if ds == nil {
 		return api.ErrInvalidDevice
 	}
@@ -366,9 +355,7 @@ func (rt *Runtime) RemoveDevice(index int) error {
 	vgpus := ds.slots()
 
 	for _, v := range vgpus {
-		ds.mu.Lock()
-		c := v.bound
-		ds.mu.Unlock()
+		c := ds.boundTo(v)
 		if c == nil {
 			v.dead.Store(true)
 			continue

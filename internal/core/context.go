@@ -89,6 +89,8 @@ type Context struct {
 	scratchPTEs []*memmgr.PTE
 	scratchOffs []uint64
 	scratchArgs []api.DevPtr
+	// scratchVictims is intraSwap's table snapshot; parked cleared.
+	scratchVictims []*memmgr.PTE
 	// Predictive-prefetch state (prefetch.go, under mu): for each
 	// observed launch, the working set of the launch that followed it.
 	predictor     map[launchKey][]api.DevPtr

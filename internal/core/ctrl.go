@@ -17,10 +17,8 @@ import (
 // remaining devices. Idempotent: draining an already-removed device
 // succeeds as a no-op.
 func (rt *Runtime) DrainDevice(index int) error {
-	for _, ds := range rt.deviceList() {
-		if ds.index == index && ds.dev.Removed() {
-			return nil // already drained (resume path)
-		}
+	if ds := rt.deviceAt(index); ds != nil && ds.dev.Removed() {
+		return nil // already drained (resume path)
 	}
 	return rt.RemoveDevice(index)
 }
@@ -30,13 +28,7 @@ func (rt *Runtime) DrainDevice(index int) error {
 // rebuilt exactly as health-monitor re-admission does. Idempotent:
 // readmitting a serving device succeeds as a no-op.
 func (rt *Runtime) ReadmitDevice(index int) error {
-	var ds *deviceState
-	for _, d := range rt.deviceList() {
-		if d.index == index {
-			ds = d
-			break
-		}
-	}
+	ds := rt.deviceAt(index)
 	if ds == nil {
 		return api.ErrInvalidDevice
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gvrt/internal/api"
@@ -49,17 +50,11 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 
 	// Resolve the virtual pointer arguments; a bad pointer is rejected
 	// here, before ever reaching the device (§4.5).
-	ptes := ctx.scratchPTEs[:0]
-	offs := ctx.scratchOffs[:0]
-	for _, p := range call.PtrArgs {
-		pte, off, err := rt.mm.Resolve(p)
-		if err != nil || pte.CtxID() != ctx.id {
-			return api.ErrInvalidDevicePointer
-		}
-		ptes = append(ptes, pte)
-		offs = append(offs, off)
+	ptes, offs, err := rt.resolveArgs(ctx, call.PtrArgs, ctx.scratchPTEs[:0], ctx.scratchOffs[:0])
+	ctx.scratchPTEs, ctx.scratchOffs = ptes[:0], offs[:0]
+	if err != nil {
+		return err
 	}
-	ctx.scratchPTEs, ctx.scratchOffs = ptes, offs
 
 	kernelTime := time.Duration(call.Launches()) * meta.BaseTime
 	ctx.nextKernelNS.Store(int64(kernelTime))
@@ -78,18 +73,19 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 		if rt.cfg.MaxBindAttempts > 0 && attempt >= rt.cfg.MaxBindAttempts {
 			return api.ErrMemoryAllocation
 		}
-		if err := rt.ensureBound(ctx); err != nil {
+		v, err := rt.ensureBound(ctx)
+		if err != nil {
 			return err
 		}
-		v := rt.boundVGPU(ctx)
-
-		rsp := rt.beginSpan("swap-in", ctx.id, ctx.curSpan)
-		resErr := rt.ensureResident(ctx, v, ptes)
-		rsp.endIfTimed(v.ds.index, "", resErr)
-		switch err := resErr; {
+		if v == nil {
+			continue // bound, then lost to a device failure: start over
+		}
+		switch err := rt.runKernel(ctx, v, call, ptes, offs); {
 		case err == nil:
-			// Residency achieved; run the kernel.
+			// Residency achieved and the kernel ran.
 		case errors.Is(err, api.ErrDeviceUnavailable):
+			// runKernel has marked the dead device failed, so recovery
+			// re-binds elsewhere instead of spinning on the corpse.
 			if rerr := rt.recover(ctx); rerr != nil {
 				return rerr
 			}
@@ -111,31 +107,6 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 			return err
 		}
 
-		devCall := call
-		devCall.PtrArgs = ctx.scratchArgs[:0]
-		for i, pte := range ptes {
-			devCall.PtrArgs = append(devCall.PtrArgs, pte.Device+api.DevPtr(offs[i]))
-		}
-		ctx.scratchArgs = devCall.PtrArgs
-		esp := rt.beginSpan("launch", ctx.id, ctx.curSpan)
-		err := v.cuctx.Launch(devCall)
-		esp.end(v.ds.index, call.Kernel, err)
-		if errors.Is(err, api.ErrDeviceUnavailable) {
-			// The device died under this kernel. Mark it failed before
-			// recovering: recovery only re-binds once the runtime knows
-			// the vGPU is dead — otherwise the context stays "bound" to
-			// the corpse and recovery spins without making progress.
-			rt.onDeviceFailure(v.ds)
-			if rerr := rt.recover(ctx); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		if err != nil {
-			return err
-		}
-
-		rt.mm.MarkKernelEffects(ptes, call.ReadOnly)
 		ctx.gpuTimeNS.Add(int64(kernelTime))
 		rt.gpuTimeNS.Add(int64(kernelTime))
 		if ctx.tm != nil {
@@ -215,14 +186,63 @@ func (ctx *Context) recordReplayResolved(call api.LaunchCall, ptes []*memmgr.PTE
 	}
 }
 
-// ensureBound binds the context if necessary and clears any pending
-// recovery first. Lock-free on the already-bound fast path.
-func (rt *Runtime) ensureBound(ctx *Context) error {
-	if ctx.needsRecovery.CompareAndSwap(true, false) {
-		return rt.recover(ctx)
+// resolveArgs appends the entry and offset behind each virtual pointer
+// argument to ptes and offs. A pointer that resolves to nothing, or to
+// another context's entry, is rejected before it can reach a device.
+func (rt *Runtime) resolveArgs(ctx *Context, args []api.DevPtr, ptes []*memmgr.PTE, offs []uint64) ([]*memmgr.PTE, []uint64, error) {
+	for _, p := range args {
+		pte, off, err := rt.mm.Resolve(p)
+		if err != nil || pte.CtxID() != ctx.id {
+			return ptes, offs, api.ErrInvalidDevicePointer
+		}
+		ptes = append(ptes, pte)
+		offs = append(offs, off)
 	}
-	if ctx.vgpu.Load() != nil {
-		return nil
+	return ptes, offs, nil
+}
+
+// runKernel is the step launch and replay share: make the resolved
+// working set resident on v, launch there with device addresses, and
+// apply Figure 4's post-launch transition. A device that dies under the
+// kernel is marked failed before the error returns.
+func (rt *Runtime) runKernel(ctx *Context, v *vGPU, call api.LaunchCall, ptes []*memmgr.PTE, offs []uint64) error {
+	rsp := rt.beginSpan("swap-in", ctx.id, ctx.curSpan)
+	err := rt.ensureResident(ctx, v, ptes)
+	rsp.endIfTimed(v.ds.index, "", err)
+	if err != nil {
+		return err
+	}
+	devCall := call
+	devCall.PtrArgs = ctx.scratchArgs[:0]
+	for i, pte := range ptes {
+		devCall.PtrArgs = append(devCall.PtrArgs, pte.Device+api.DevPtr(offs[i]))
+	}
+	ctx.scratchArgs = devCall.PtrArgs
+	esp := rt.beginSpan("launch", ctx.id, ctx.curSpan)
+	err = v.cuctx.Launch(devCall)
+	esp.end(v.ds.index, call.Kernel, err)
+	if errors.Is(err, api.ErrDeviceUnavailable) {
+		rt.onDeviceFailure(v.ds)
+	}
+	if err == nil {
+		rt.mm.MarkKernelEffects(ptes, call.ReadOnly)
+	}
+	return err
+}
+
+// ensureBound returns the vGPU the context is bound to, binding it if
+// necessary and clearing any pending recovery first; nil only when a
+// recovery lost its binding again. Callers use the returned slot rather
+// than load ctx.vgpu a second time: a device failure can clear it at any
+// moment, and a dead slot answers ErrDeviceUnavailable where nil would
+// crash. Lock-free on the already-bound fast path.
+func (rt *Runtime) ensureBound(ctx *Context) (*vGPU, error) {
+	if ctx.needsRecovery.CompareAndSwap(true, false) {
+		err := rt.recover(ctx)
+		return ctx.vgpu.Load(), err
+	}
+	if v := ctx.vgpu.Load(); v != nil {
+		return v, nil
 	}
 	return rt.bind(ctx)
 }
@@ -232,10 +252,9 @@ func (rt *Runtime) ensureBound(ctx *Context) error {
 func (rt *Runtime) checkFits(ptes []*memmgr.PTE) error {
 	var need uint64
 	for i, pte := range ptes {
-		if dupPTE(ptes, i) {
-			continue
+		if !slices.Contains(ptes[:i], pte) {
+			need += pte.Size
 		}
-		need += pte.Size
 	}
 	reservation := rt.crt.ContextReservation()
 	for _, ds := range rt.deviceList() {
@@ -250,18 +269,6 @@ func (rt *Runtime) checkFits(ptes []*memmgr.PTE) error {
 	return api.ErrMemoryAllocation
 }
 
-// dupPTE reports whether ptes[i] already appeared earlier in the
-// argument list. Kernel launches reference a handful of buffers, so a
-// quadratic scan beats allocating a set on every call.
-func dupPTE(ptes []*memmgr.PTE, i int) bool {
-	for _, prev := range ptes[:i] {
-		if prev.Virtual == ptes[i].Virtual {
-			return true
-		}
-	}
-	return false
-}
-
 // ensureResident makes every referenced entry device-resident on the
 // context's bound vGPU, swapping as needed. It returns
 // ErrMemoryAllocation when the device cannot be freed up (caller then
@@ -273,12 +280,11 @@ func dupPTE(ptes []*memmgr.PTE, i int) bool {
 // does it allocate, falling back to the allocator's return code to
 // catch fragmentation.
 func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) error {
+	// An entry behind several arguments counts once; launches reference
+	// a handful of buffers, so a quadratic scan beats allocating a set.
 	var missing uint64
 	for i, pte := range ptes {
-		if dupPTE(ptes, i) {
-			continue
-		}
-		if !pte.IsAllocated {
+		if !pte.IsAllocated && !slices.Contains(ptes[:i], pte) {
 			missing += pte.Size
 		}
 	}
@@ -345,21 +351,13 @@ func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) err
 // displacing a whole working set costs one d2h engine round trip
 // instead of one per entry. Returns true if any entry was swapped.
 func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, needed uint64) bool {
-	excluded := make(map[api.DevPtr]bool, len(exclude))
-	for _, pte := range exclude {
-		excluded[pte.Virtual] = true
-		if pte.Nested != nil {
-			for _, m := range pte.Nested.Members {
-				if mp, _, err := rt.mm.Resolve(m); err == nil {
-					excluded[mp.Virtual] = true
-				}
-			}
-		}
-	}
-	var victims []*memmgr.PTE
+	// Snapshot and victim list share one reusable buffer: victims are
+	// filtered in place, behind the read position.
+	table := rt.mm.AppendEntries(ctx.scratchVictims[:0], ctx.id)
+	victims := table[:0]
 	var freed uint64
-	for _, pte := range rt.mm.EntriesOf(ctx.id) {
-		if !pte.IsAllocated || excluded[pte.Virtual] {
+	for _, pte := range table {
+		if !pte.IsAllocated || referenced(exclude, pte) {
 			continue
 		}
 		victims = append(victims, pte)
@@ -367,9 +365,6 @@ func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, neede
 		if freed >= needed {
 			break
 		}
-	}
-	if len(victims) == 0 {
-		return false
 	}
 	n, err := rt.mm.SwapOutEntries(victims, v.cuctx)
 	rt.intraSwaps.Add(int64(n))
@@ -379,7 +374,28 @@ func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, neede
 			rt.event(trace.KindIntraSwap, ctx.id, 0, v.ds.index, "")
 		}
 	}
+	clear(table) // parked scratch must not pin entries
+	ctx.scratchVictims = table[:0]
 	return err == nil && n > 0
+}
+
+// referenced reports whether pte belongs to the working set: it is one
+// of the set's entries, or a member some nested entry of the set points
+// into (virtual ranges never overlap, so containment identifies it).
+func referenced(set []*memmgr.PTE, pte *memmgr.PTE) bool {
+	for _, e := range set {
+		if e == pte {
+			return true
+		}
+		if e.Nested != nil {
+			for _, m := range e.Nested.Members {
+				if m >= pte.Virtual && m < pte.Virtual+api.DevPtr(pte.Size) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // interSwap asks a context sharing the device to vacate it. The victim
@@ -389,23 +405,15 @@ func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, neede
 // call may not [accept]" (§4.5). On success the victim's whole page
 // table is swapped out and it is unbound from its vGPU.
 func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
-	ds := v.ds
-	ds.mu.Lock()
-	var candidates []*Context
-	var slots []*vGPU
-	for _, cand := range ds.vgpus {
-		c := cand.bound
-		if c == nil || c == ctx || c.pinned.Load() || c.exited.Load() {
-			continue
-		}
-		candidates = append(candidates, c)
-		slots = append(slots, cand)
-	}
-	ds.mu.Unlock()
-
 	now := rt.clock.Now()
 	minIdle := rt.cfg.minVictimIdle()
-	for i, victim := range candidates {
+	// Each slot's occupant is read under the shard lock and re-checked
+	// under the victim's own lock below.
+	for _, slot := range v.ds.slots() {
+		victim := v.ds.boundTo(slot)
+		if victim == nil || victim == ctx || victim.pinned.Load() || victim.exited.Load() {
+			continue
+		}
 		// Only a context genuinely in a CPU phase may honour the
 		// request; one between back-to-back GPU calls may not (§4.5).
 		if now-time.Duration(victim.lastActiveNS.Load()) < minIdle {
@@ -414,7 +422,7 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 		if !victim.mu.TryLock() {
 			continue // mid-call: the request is not honoured
 		}
-		still := victim.vgpu.Load() == slots[i] && !victim.exited.Load()
+		still := victim.vgpu.Load() == slot && !victim.exited.Load()
 		if !still {
 			victim.mu.Unlock()
 			continue
@@ -426,7 +434,7 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 			victim.mu.Unlock()
 			continue
 		}
-		_, err := rt.mm.SwapOutAll(victim.id, slots[i].cuctx)
+		_, err := rt.mm.SwapOutAll(victim.id, slot.cuctx)
 		if err != nil {
 			victim.mu.Unlock()
 			if errors.Is(err, api.ErrDeviceUnavailable) {
@@ -438,11 +446,13 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 		rt.journalSnapshotLogged(victim.id)
 		victim.vgpu.Store(nil)
 		rt.mu.Lock()
-		rt.releaseVGPULocked(slots[i])
+		rt.releaseVGPULocked(slot)
 		rt.mu.Unlock()
 		victim.mu.Unlock()
 		rt.interSwaps.Add(1)
-		rt.logf("ctx %d inter-app swapped out ctx %d", ctx.id, victim.id)
+		if rt.cfg.Logf != nil {
+			rt.logf("ctx %d inter-app swapped out ctx %d", ctx.id, victim.id)
+		}
 		rt.event(trace.KindInterSwap, ctx.id, victim.id, v.ds.index, "")
 		return true
 	}
@@ -521,50 +531,33 @@ func (rt *Runtime) recover(ctx *Context) (err error) {
 
 	if !stillBound {
 		rt.mm.InvalidateResidency(ctx.id)
-		if err := rt.bind(ctx); err != nil {
+		if _, err := rt.bind(ctx); err != nil {
 			return err
 		}
 	}
 	rt.recoveries.Add(1)
 
-	// Replay the logged kernels in order.
+	// Replay the logged kernels in order, resolving into slices of the
+	// replay's own: the interrupted launch still holds ctx.scratchPTEs.
 	replay := append([]api.LaunchCall(nil), ctx.replay...)
+	var ptes []*memmgr.PTE
+	var offs []uint64
 	for _, call := range replay {
 		v := rt.boundVGPU(ctx)
 		if v == nil {
-			if err := rt.bind(ctx); err != nil {
+			if v, err = rt.bind(ctx); err != nil {
 				return err
 			}
-			v = rt.boundVGPU(ctx)
 		}
-		ptes := make([]*memmgr.PTE, len(call.PtrArgs))
-		offs := make([]uint64, len(call.PtrArgs))
-		for i, p := range call.PtrArgs {
-			pte, off, err := rt.mm.Resolve(p)
-			if err != nil {
-				return err
-			}
-			ptes[i], offs[i] = pte, off
+		if ptes, offs, err = rt.resolveArgs(ctx, call.PtrArgs, ptes[:0], offs[:0]); err != nil {
+			return err
 		}
-		if err := rt.ensureResident(ctx, v, ptes); err != nil {
+		if err := rt.runKernel(ctx, v, call, ptes, offs); err != nil {
 			if errors.Is(err, api.ErrDeviceUnavailable) {
 				return rt.recover(ctx)
 			}
 			return err
 		}
-		devCall := call
-		devCall.PtrArgs = make([]api.DevPtr, len(ptes))
-		for i, pte := range ptes {
-			devCall.PtrArgs[i] = pte.Device + api.DevPtr(offs[i])
-		}
-		if err := v.cuctx.Launch(devCall); err != nil {
-			if errors.Is(err, api.ErrDeviceUnavailable) {
-				rt.onDeviceFailure(v.ds)
-				return rt.recover(ctx)
-			}
-			return err
-		}
-		rt.mm.MarkKernelEffects(ptes, call.ReadOnly)
 		rt.replays.Add(1)
 		replayed++
 	}
@@ -577,13 +570,7 @@ func (rt *Runtime) recover(ctx *Context) (err error) {
 // FailDevice injects a device failure (test/experiment hook): the
 // physical device starts erroring and the runtime notices immediately.
 func (rt *Runtime) FailDevice(index int) {
-	var ds *deviceState
-	for _, d := range rt.deviceList() {
-		if d.index == index {
-			ds = d
-			break
-		}
-	}
+	ds := rt.deviceAt(index)
 	if ds == nil {
 		return
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gvrt/internal/api"
 	"gvrt/internal/memmgr"
 )
@@ -169,18 +171,8 @@ func (rt *Runtime) doPrefetch(req prefetchReq) {
 	pending := false
 	for _, p := range req.ptrs {
 		pte, _, err := rt.mm.Resolve(p)
-		if err != nil || pte.CtxID() != ctx.id {
-			continue // freed or reallocated since the prediction
-		}
-		dup := false
-		for _, prev := range ptes {
-			if prev.Virtual == pte.Virtual {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
+		if err != nil || pte.CtxID() != ctx.id || slices.Contains(ptes, pte) {
+			continue // freed or reallocated since the prediction, or a repeat
 		}
 		ptes = append(ptes, pte)
 		if !pte.IsAllocated {

@@ -278,6 +278,13 @@ func (ds *deviceState) tryClaim(v *vGPU, ctx *Context) bool {
 	return true
 }
 
+// boundTo returns the context occupying the slot, nil when free.
+func (ds *deviceState) boundTo(v *vGPU) *Context {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return v.bound
+}
+
 // clearBound unbinds the slot unconditionally.
 func (ds *deviceState) clearBound(v *vGPU) {
 	ds.mu.Lock()
@@ -401,6 +408,9 @@ type Runtime struct {
 	nextCtx       int64
 	closed        bool
 	healthRunning bool
+	// pickFreeVGPULocked's reusable load vector and its devices.
+	pickLoads  []sched.DeviceLoad
+	pickStates []*deviceState
 
 	// devList is a copy-on-write snapshot of devs, refreshed under
 	// rt.mu whenever the device list changes; hot-path readers
@@ -605,6 +615,17 @@ func (rt *Runtime) deviceList() []*deviceState {
 		return nil
 	}
 	return *p
+}
+
+// deviceAt returns the shard of the device with the given ordinal, nil
+// when the node has none.
+func (rt *Runtime) deviceAt(index int) *deviceState {
+	for _, ds := range rt.deviceList() {
+		if ds.index == index {
+			return ds
+		}
+	}
+	return nil
 }
 
 // Clock returns the runtime's model clock.

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"gvrt/internal/core"
+	"gvrt/internal/cudart"
 	"gvrt/internal/gpu"
 	"gvrt/internal/sim"
 	"gvrt/internal/workload"
@@ -62,11 +64,19 @@ func CtxLimit(o Options) (*Table, error) {
 		}
 		return apps
 	}
-	// Bare runtime, 12 concurrent jobs: the ninth and later fail.
-	bare, err := runBareBatch(o, []gpu.Spec{gpu.TeslaC2050}, mk(12))
-	if err != nil {
-		return nil, err
-	}
+	// Bare runtime, 12 concurrent jobs: the ninth and later fail. Each
+	// job waits at the door until all twelve have asked for a context, so
+	// the count does not depend on how the goroutines were scheduled.
+	clock := sim.NewClock(o.scale())
+	crt := cudart.New(clock, gpu.NewDevice(0, gpu.TeslaC2050, clock))
+	var asked sync.WaitGroup
+	asked.Add(12)
+	bare := workload.RunBatch(clock, mk(12), func(int) (workload.CUDA, error) {
+		c, err := workload.NewBareClient(crt, 0)
+		asked.Done()
+		asked.Wait()
+		return c, err
+	})
 	t.Rows = append(t.Rows, []string{"bare CUDA runtime", "12",
 		fmt.Sprintf("%d", 12-bare.Failed()), fmt.Sprintf("%d", bare.Failed())})
 

@@ -1,8 +1,10 @@
 package gpu
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -69,6 +71,8 @@ type allocator struct {
 	chunks map[uint64]*slabChunk
 	// classes[i] serves objects of size allocGranularity<<i.
 	classes [5]slabClass
+	// view is freeBlocks' reusable result; each call overwrites it.
+	view []span
 }
 
 type span struct{ addr, len uint64 }
@@ -161,7 +165,8 @@ func (a *allocator) blockAlloc(order int) (uint64, bool) {
 			continue
 		}
 		off := list[0]
-		a.freeLists[k] = list[1:]
+		// Shift, don't reslice: list[1:] sheds capacity insertBlock needs.
+		a.freeLists[k] = append(list[:0], list[1:]...)
 		// Split down, returning the upper halves. Their buddies are
 		// the halves we keep splitting, so no merge can occur.
 		for j := k; j > order; j-- {
@@ -341,15 +346,18 @@ func (a *allocator) removeBlock(off, size uint64) {
 	a.freeLists[order] = append(list[:i], list[i+1:]...)
 }
 
-// freeBlocks gathers every free buddy block, sorted by offset.
+// freeBlocks gathers every free buddy block, sorted by offset, into
+// a.view: the result is valid until the next call. Offsets are unique,
+// so the order does not depend on the sort being stable.
 func (a *allocator) freeBlocks() []span {
-	var blocks []span
+	blocks := a.view[:0]
 	for k := range a.freeLists {
 		for _, off := range a.freeLists[k] {
 			blocks = append(blocks, span{addr: off, len: 1 << k})
 		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].addr < blocks[j].addr })
+	slices.SortFunc(blocks, func(x, y span) int { return cmp.Compare(x.addr, y.addr) })
+	a.view = blocks
 	return blocks
 }
 
@@ -396,9 +404,12 @@ func (a *allocator) largestFree() uint64 {
 // allocation to (allocation base, offset). ok is false if the address
 // is not inside any live allocation.
 func (a *allocator) resolve(ptr uint64) (base, off uint64, ok bool) {
-	// Linear scan is fine: allocation counts per device are small
-	// (tens), and resolve is not on the per-byte path.
 	p := ptr - a.base
+	// DMA descriptors name allocation bases: try the exact key before
+	// walking the map (tens of entries) for an interior pointer.
+	if _, ok := a.used[p]; ok {
+		return ptr, 0, true
+	}
 	for b, n := range a.used {
 		if p >= b && p < b+n {
 			return a.base + b, p - b, true

@@ -36,6 +36,8 @@ type Device struct {
 	// materialises backing, which keeps multi-gigabyte modeled
 	// workloads cheap in host RAM.
 	bufs map[api.DevPtr][]byte
+	// plans is the batch copies' reusable descriptor scratch (swapPlans).
+	plans []dmaPlan
 
 	// The execution engine and the two copy engines are independent
 	// mutexes, mirroring dual-copy-engine GPUs: an h2d transfer, a d2h
@@ -304,6 +306,26 @@ func (d *Device) CopyIn(dst api.DevPtr, data []byte, size uint64) error {
 	return nil
 }
 
+// dmaPlan is one validated transfer of a batched submission.
+type dmaPlan struct {
+	base    api.DevPtr
+	off     uint64
+	alloc   uint64
+	size    uint64
+	corrupt bool
+}
+
+// swapPlans parks p as the device's descriptor scratch and returns what
+// was parked before. A batch takes the scratch out (parking nil) for its
+// whole submission, so a concurrent batch plans in a slice of its own and
+// nothing is shared while an engine sleeps without d.mu.
+func (d *Device) swapPlans(p []dmaPlan) []dmaPlan {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p, d.plans = d.plans, p
+	return p
+}
+
 // CopyInBatch lands several host→device transfers as one copy-engine
 // submission: the engine is acquired once and occupied for the sum of
 // the per-transfer model times, so timing and accounting stay
@@ -316,14 +338,8 @@ func (d *Device) CopyInBatch(items []api.HDCopy) error {
 	if err := d.usable(); err != nil {
 		return err
 	}
-	type plan struct {
-		base    api.DevPtr
-		off     uint64
-		alloc   uint64
-		size    uint64
-		corrupt bool
-	}
-	plans := make([]plan, len(items))
+	plans := d.swapPlans(nil)[:0]
+	defer func() { d.swapPlans(plans) }()
 	var total time.Duration
 	for i := range items {
 		it := &items[i]
@@ -346,7 +362,7 @@ func (d *Device) CopyInBatch(items []api.HDCopy) error {
 		if off+size > alloc {
 			return api.ErrInvalidValue
 		}
-		plans[i] = plan{base, off, alloc, size, corrupt}
+		plans = append(plans, dmaPlan{base, off, alloc, size, corrupt})
 		total += d.dmaTime(size)
 	}
 	d.h2dMu.Lock()
@@ -420,18 +436,15 @@ func (d *Device) CopyOut(src api.DevPtr, size uint64) ([]byte, error) {
 // once and occupied for the sum of the per-transfer model times, so
 // timing and accounting stay byte-identical to issuing each transfer
 // alone. Every source is validated before the engine is touched; a
-// batch fails as a whole. The returned slice is parallel to items;
-// entries are nil for allocations with no real backing.
+// batch fails as a whole. The returned slice is parallel to items with
+// nil entries for allocations that have no real backing, and nil
+// altogether when none has (synthetic traffic allocates nothing).
 func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 	if err := d.usable(); err != nil {
 		return nil, err
 	}
-	type plan struct {
-		base    api.DevPtr
-		off     uint64
-		corrupt bool
-	}
-	plans := make([]plan, len(items))
+	plans := d.swapPlans(nil)[:0]
+	defer func() { d.swapPlans(plans) }()
 	var total time.Duration
 	for i := range items {
 		it := &items[i]
@@ -450,7 +463,7 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 		if off+it.Size > alloc {
 			return nil, api.ErrInvalidValue
 		}
-		plans[i] = plan{base, off, corrupt}
+		plans = append(plans, dmaPlan{base, off, alloc, it.Size, corrupt})
 		total += d.dmaTime(it.Size)
 	}
 	d.d2hMu.Lock()
@@ -459,19 +472,21 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 	if err := d.usable(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(items))
+	var out [][]byte
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := range items {
 		p := &plans[i]
-		size := items[i].Size
-		d.d2hBytes.Add(int64(size))
+		d.d2hBytes.Add(int64(p.size))
 		d.d2hOps.Add(1)
 		if buf, ok := d.bufs[p.base]; ok {
-			data := make([]byte, size)
+			data := make([]byte, p.size)
 			copy(data, buf[p.off:])
-			if p.corrupt && size > 0 {
+			if p.corrupt && p.size > 0 {
 				data[0] ^= 0xFF
+			}
+			if out == nil {
+				out = make([][]byte, len(items))
 			}
 			out[i] = data
 		}

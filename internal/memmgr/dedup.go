@@ -117,7 +117,7 @@ func (m *Manager) seal(p *PTE) {
 		// summing used+saved never observes the transfer half-done low.
 		p.dedupSaved += saved
 		m.dedupSavedBytes.Add(int64(saved))
-		m.tracer.Attribute(p.ctxID, trace.AttrDedupSaved, int64(saved))
+		m.tracer.Attribute(p.CtxID(), trace.AttrDedupSaved, int64(saved))
 		m.releaseHost(saved)
 		if t := m.tracer; t != nil {
 			t.Observe(t.DedupSaved, int64(saved))
@@ -160,7 +160,7 @@ func (m *Manager) reclaimSaved(p *PTE) {
 	}
 	m.forceReserve(p.dedupSaved)
 	m.dedupSavedBytes.Add(-int64(p.dedupSaved))
-	m.tracer.Attribute(p.ctxID, trace.AttrDedupSaved, -int64(p.dedupSaved))
+	m.tracer.Attribute(p.CtxID(), trace.AttrDedupSaved, -int64(p.dedupSaved))
 	p.dedupSaved = 0
 }
 

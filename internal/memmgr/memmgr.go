@@ -22,11 +22,13 @@
 // runtime guarantees this: a context's own dispatcher goroutine holds it
 // while serving a call, and inter-application swap or migration acquire
 // it via TryLock before touching a victim's entries), so flag
-// transitions never race.
+// transitions never race. The same lock guards each context's reusable
+// swap-path scratch (ctxState).
 package memmgr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,7 +91,8 @@ type PTE struct {
 	// references it consumes the mark as a prefetch hit.
 	Prefetched bool
 
-	ctxID int64
+	// owner is the per-context state the entry belongs to.
+	owner *ctxState
 	// data is the swap-area backing. It is materialised lazily and only
 	// for entries that carry real bytes; synthetic (timing-only)
 	// workloads keep it nil however large Size is. A sealed entry (see
@@ -107,7 +110,7 @@ type PTE struct {
 }
 
 // CtxID returns the owning context's identifier.
-func (p *PTE) CtxID() int64 { return p.ctxID }
+func (p *PTE) CtxID() int64 { return p.owner.id }
 
 // HasData reports whether the entry carries real bytes in swap.
 func (p *PTE) HasData() bool { return p.hasSwapBytes() }
@@ -173,14 +176,43 @@ type BatchDeviceOps interface {
 // keep that probability low for any realistic tenant count.
 const numShards = 64
 
-// shard is one stripe of per-context state. All three maps are keyed
-// by context ID and guarded by the stripe's own mutex; host-swap-area
-// occupancy is global and lives in the Manager as an atomic.
+// shard is one stripe of per-context state, keyed by context ID and
+// guarded by the stripe's own mutex; host-swap-area occupancy is global
+// and lives in the Manager as an atomic.
 type shard struct {
-	mu     sync.Mutex
-	tables map[int64][]*PTE
-	next   map[int64]uint64
-	usage  map[int64]uint64
+	mu   sync.Mutex
+	ctxs map[int64]*ctxState
+}
+
+// ctxState is everything the manager keeps for one context. table, next
+// and usage are guarded by the shard mutex. The scratch slices belong to
+// whoever holds the context's service lock (package comment); they are
+// cleared of pointers before they are parked, so they never pin an entry
+// or a swap image.
+type ctxState struct {
+	id    int64
+	table []*PTE // sorted by Virtual
+	next  uint64 // allocation cursor
+	usage uint64 // the MemUsage map of §4.5
+
+	work []*PTE       // SwapOutEntries' dirty set, FlushDeferred's batch
+	hd   []api.HDCopy // FlushDeferred's DMA descriptors
+	dh   []api.DHCopy // syncBatchToSwap's DMA descriptors
+}
+
+// park returns the work scratch, emptied of the entries it named.
+func (cs *ctxState) park(work []*PTE) {
+	clear(work)
+	cs.work = work[:0]
+}
+
+// tableOf returns the context's page table, nil when it has none.
+// Caller holds s.mu.
+func (s *shard) tableOf(ctxID int64) []*PTE {
+	if cs := s.ctxs[ctxID]; cs != nil {
+		return cs.table
+	}
+	return nil
 }
 
 // Manager is the runtime's memory manager. One instance serves all
@@ -251,10 +283,7 @@ func New(deferTransfers bool, hostLimit uint64) *Manager {
 	}
 	m.dedup.chunks = make(map[uint64][]*swapChunk)
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.tables = make(map[int64][]*PTE)
-		s.next = make(map[int64]uint64)
-		s.usage = make(map[int64]uint64)
+		m.shards[i].ctxs = make(map[int64]*ctxState)
 	}
 	return m
 }
@@ -346,14 +375,19 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 	}
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
-	off := s.next[ctxID]
+	cs := s.ctxs[ctxID]
+	if cs == nil {
+		cs = &ctxState{id: ctxID}
+		s.ctxs[ctxID] = cs
+	}
+	off := cs.next
 	// Align entries to 256 bytes like device allocations.
-	s.next[ctxID] = off + (size+255)&^uint64(255)
-	nextOff := s.next[ctxID]
+	cs.next = off + (size+255)&^uint64(255)
+	nextOff := cs.next
 	v := api.DevPtr(virtTag | uint64(ctxID)<<ctxShift | off)
-	pte := &PTE{Virtual: v, Size: size, Kind: kind, ctxID: ctxID}
-	s.tables[ctxID] = append(s.tables[ctxID], pte)
-	s.usage[ctxID] += size
+	pte := &PTE{Virtual: v, Size: size, Kind: kind, owner: cs}
+	cs.table = append(cs.table, pte)
+	cs.usage += size
 	s.mu.Unlock()
 	if m.obs != nil {
 		m.obs.EntryWritten(ctxID, pte.image(), nextOff)
@@ -377,7 +411,7 @@ func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
 	// The table is sorted by Virtual (the allocation cursor only grows
 	// and Free preserves order), so the owning entry is the last one
 	// starting at or below ptr.
-	tbl := s.tables[ctxID]
+	tbl := s.tableOf(ctxID)
 	i := sort.Search(len(tbl), func(i int) bool { return tbl[i].Virtual > ptr })
 	if i > 0 {
 		pte := tbl[i-1]
@@ -389,12 +423,13 @@ func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
 	return nil, 0, api.ErrInvalidDevicePointer
 }
 
-// EntriesOf returns a snapshot of a context's page table.
-func (m *Manager) EntriesOf(ctxID int64) []*PTE {
+// AppendEntries appends a snapshot of a context's page table to dst (a
+// caller that keeps dst from call to call snapshots without allocating).
+func (m *Manager) AppendEntries(dst []*PTE, ctxID int64) []*PTE {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]*PTE(nil), s.tables[ctxID]...)
+	return append(dst, s.tableOf(ctxID)...)
 }
 
 // UsageOf reports the context's total allocation footprint (the
@@ -403,7 +438,10 @@ func (m *Manager) UsageOf(ctxID int64) uint64 {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.usage[ctxID]
+	if cs := s.ctxs[ctxID]; cs != nil {
+		return cs.usage
+	}
+	return 0
 }
 
 // ResidentBytes reports how much of the context's footprint currently
@@ -413,7 +451,7 @@ func (m *Manager) ResidentBytes(ctxID int64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sum uint64
-	for _, pte := range s.tables[ctxID] {
+	for _, pte := range s.tableOf(ctxID) {
 		if pte.IsAllocated {
 			sum += pte.Size
 		}
@@ -572,7 +610,7 @@ func (m *Manager) syncToSwap(pte *PTE, ops DeviceOps) error {
 		elapsed := t.Start() - start
 		t.Observe(t.D2H, int64(elapsed))
 		if elapsed > 0 && t.Spans() {
-			t.Span("d2h", pte.ctxID, start, -1, fmt.Sprintf("%d bytes", pte.Size))
+			t.Span("d2h", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
 		}
 	}
 	if data != nil {
@@ -601,24 +639,20 @@ func (m *Manager) Free(pte *PTE, ops DeviceOps) error {
 	}
 	pte.IsAllocated = false
 	pte.Device = 0
-	s := m.shardOf(pte.ctxID)
+	s, cs := m.shardOf(pte.CtxID()), pte.owner
 	s.mu.Lock()
-	removed := false
-	tbl := s.tables[pte.ctxID]
-	for i, e := range tbl {
-		if e == pte {
-			s.tables[pte.ctxID] = append(tbl[:i], tbl[i+1:]...)
-			s.usage[pte.ctxID] -= pte.Size
-			removed = true
-			break
-		}
+	i := slices.Index(cs.table, pte)
+	removed := i >= 0
+	if removed {
+		cs.table = slices.Delete(cs.table, i, i+1)
+		cs.usage -= pte.Size
 	}
 	s.mu.Unlock()
 	if removed {
 		// Shared chunk bytes were already released at seal time; only
 		// the entry's private share of host occupancy returns here.
 		m.dedupSavedBytes.Add(-int64(pte.dedupSaved))
-		m.tracer.Attribute(pte.ctxID, trace.AttrDedupSaved, -int64(pte.dedupSaved))
+		m.tracer.Attribute(pte.CtxID(), trace.AttrDedupSaved, -int64(pte.dedupSaved))
 		m.releaseHost(pte.Size - pte.dedupSaved)
 		pte.dedupSaved = 0
 		m.dropChunks(pte)
@@ -628,7 +662,7 @@ func (m *Manager) Free(pte *PTE, ops DeviceOps) error {
 		return api.ErrInvalidDevicePointer
 	}
 	if m.obs != nil {
-		m.obs.EntryFreed(pte.ctxID, pte.Virtual)
+		m.obs.EntryFreed(pte.CtxID(), pte.Virtual)
 	}
 	return nil
 }
@@ -651,7 +685,7 @@ func (m *Manager) RegisterNested(parent *PTE, members []api.DevPtr, offsets []ui
 		if err != nil {
 			return err
 		}
-		if pte.ctxID != parent.ctxID {
+		if pte.CtxID() != parent.CtxID() {
 			m.badOps.Add(1)
 			return api.ErrInvalidDevicePointer
 		}
@@ -701,10 +735,12 @@ func putU64(b []byte, v uint64) {
 // members are made resident first and the parent's device image gets
 // their device addresses patched in.
 func (m *Manager) MakeResident(pte *PTE, ops DeviceOps) error {
-	return m.makeResident(pte, ops, 0)
+	return m.makeResident(pte, ops, 0, true)
 }
 
-func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int) error {
+// makeResident allocates the entry (nested members first) and, when
+// transfer is set, also lands its pending host→device data.
+func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int, transfer bool) error {
 	if depth > 8 {
 		return api.ErrInvalidValue // nested cycle; registration bug
 	}
@@ -714,7 +750,7 @@ func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int) error {
 			if err != nil {
 				return err
 			}
-			if err := m.makeResident(mp, ops, depth+1); err != nil {
+			if err := m.makeResident(mp, ops, depth+1, transfer); err != nil {
 				return err
 			}
 		}
@@ -727,9 +763,10 @@ func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int) error {
 		pte.Device = dev
 		pte.IsAllocated = true
 		// Fresh device memory never holds the entry's data.
-		if pte.ToCopy2Swap {
-			pte.ToCopy2Swap = false
-		}
+		pte.ToCopy2Swap = false
+	}
+	if !transfer {
+		return nil
 	}
 	if pte.ToCopy2Dev {
 		var img []byte
@@ -754,7 +791,7 @@ func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int) error {
 			elapsed := t.Start() - start
 			t.Observe(t.H2D, int64(elapsed))
 			if elapsed > 0 && t.Spans() {
-				t.Span("h2d", pte.ctxID, start, -1, fmt.Sprintf("%d bytes", pte.Size))
+				t.Span("h2d", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
 			}
 		}
 		if pte.writesSinceResident > 1 {
@@ -782,37 +819,7 @@ func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int) error {
 // per-entry allocation failures with swaps — and then flush the
 // deferred transfers in one batch (FlushDeferred).
 func (m *Manager) EnsureAllocated(pte *PTE, ops DeviceOps) error {
-	return m.ensureAllocated(pte, ops, 0)
-}
-
-func (m *Manager) ensureAllocated(pte *PTE, ops DeviceOps, depth int) error {
-	if depth > 8 {
-		return api.ErrInvalidValue // nested cycle; registration bug
-	}
-	if pte.Nested != nil {
-		for _, member := range pte.Nested.Members {
-			mp, _, err := m.Resolve(member)
-			if err != nil {
-				return err
-			}
-			if err := m.ensureAllocated(mp, ops, depth+1); err != nil {
-				return err
-			}
-		}
-	}
-	if !pte.IsAllocated {
-		dev, err := ops.Malloc(pte.Size)
-		if err != nil {
-			return err
-		}
-		pte.Device = dev
-		pte.IsAllocated = true
-		// Fresh device memory never holds the entry's data.
-		if pte.ToCopy2Swap {
-			pte.ToCopy2Swap = false
-		}
-	}
-	return nil
+	return m.makeResident(pte, ops, 0, false)
 }
 
 // FlushDeferred lands the pending host→device transfers of a launch's
@@ -824,14 +831,19 @@ func (m *Manager) ensureAllocated(pte *PTE, ops DeviceOps, depth int) error {
 // (gpu.CopyInBatch documents the equivalence) — batching only cuts the
 // per-transfer engine round trips.
 func (m *Manager) FlushDeferred(ptes []*PTE, ops DeviceOps) error {
+	if len(ptes) == 0 {
+		return nil
+	}
 	bops, canBatch := ops.(BatchDeviceOps)
-	var batch []*PTE
+	cs := ptes[0].owner
+	batch := cs.work[:0]
+	defer func() { cs.park(batch) }()
 	for i, pte := range ptes {
-		if dupEntry(ptes, i) {
-			continue
+		if slices.Contains(ptes[:i], pte) {
+			continue // one entry behind several pointer arguments
 		}
 		if pte.Nested != nil || !canBatch {
-			if err := m.makeResident(pte, ops, 0); err != nil {
+			if err := m.makeResident(pte, ops, 0, true); err != nil {
 				return err
 			}
 			continue
@@ -844,21 +856,24 @@ func (m *Manager) FlushDeferred(ptes []*PTE, ops DeviceOps) error {
 		return nil
 	}
 	if len(batch) == 1 {
-		return m.makeResident(batch[0], ops, 0)
+		return m.makeResident(batch[0], ops, 0, true)
 	}
-	items := make([]api.HDCopy, len(batch))
+	items := cs.hd[:0]
 	var total uint64
-	for i, pte := range batch {
+	for _, pte := range batch {
 		var img []byte
 		if pte.hasSwapBytes() {
 			img = pte.swapView()
 		}
-		items[i] = api.HDCopy{Dst: pte.Device, Data: img, Size: pte.Size}
+		items = append(items, api.HDCopy{Dst: pte.Device, Data: img, Size: pte.Size})
 		total += pte.Size
 	}
 	t := m.tracer
 	start := t.Start()
-	if err := bops.MemcpyHDBatch(items); err != nil {
+	err := bops.MemcpyHDBatch(items)
+	clear(items) // the descriptors held swap images
+	cs.hd = items[:0]
+	if err != nil {
 		// Entries keep ToCopy2Dev set: the swap copy stays authoritative,
 		// a legal Figure 4 state, and the next launch retries the flush.
 		return err
@@ -874,21 +889,10 @@ func (m *Manager) FlushDeferred(ptes []*PTE, ops DeviceOps) error {
 		elapsed := t.Start() - start
 		t.Observe(t.H2D, int64(elapsed))
 		if elapsed > 0 && t.Spans() {
-			t.Span("h2d", batch[0].ctxID, start, -1, fmt.Sprintf("%d bytes in %d batched transfers", total, len(batch)))
+			t.Span("h2d", batch[0].CtxID(), start, -1, fmt.Sprintf("%d bytes in %d batched transfers", total, len(batch)))
 		}
 	}
 	return nil
-}
-
-// dupEntry reports whether ptes[i] already appeared earlier in the
-// slice (same entry referenced by several pointer arguments).
-func dupEntry(ptes []*PTE, i int) bool {
-	for _, prev := range ptes[:i] {
-		if prev == ptes[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // MarkKernelEffects applies Figure 4's post-launch transition to the
@@ -921,7 +925,7 @@ func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
 			return err
 		}
 		m.swapBytes.Add(int64(pte.Size))
-		t.Attribute(pte.ctxID, trace.AttrSwapBytes, int64(pte.Size))
+		t.Attribute(pte.CtxID(), trace.AttrSwapBytes, int64(pte.Size))
 	}
 	if err := ops.Free(pte.Device); err != nil {
 		return err
@@ -930,13 +934,13 @@ func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
 	pte.Device = 0
 	pte.ToCopy2Dev = true
 	m.swapOps.Add(1)
-	t.Attribute(pte.ctxID, trace.AttrSwapOps, 1)
+	t.Attribute(pte.CtxID(), trace.AttrSwapOps, 1)
 	if t != nil {
 		elapsed := t.Start() - start
 		t.Observe(t.SwapDur, int64(elapsed))
 		t.Observe(t.SwapBytes, int64(pte.Size))
 		if elapsed > 0 && t.Spans() {
-			t.Span("swap-out", pte.ctxID, start, -1, fmt.Sprintf("%d bytes", pte.Size))
+			t.Span("swap-out", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
 		}
 	}
 	return nil
@@ -948,7 +952,13 @@ func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
 // swapped") and the implicit checkpoint that precedes unbinding and
 // migration. It returns the number of entries swapped.
 func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (int, error) {
-	return m.SwapOutEntries(m.EntriesOf(ctxID), ops)
+	s := m.shardOf(ctxID)
+	s.mu.Lock()
+	table := s.tableOf(ctxID)
+	s.mu.Unlock()
+	// No snapshot: the table only changes under the context's service
+	// lock (Malloc, Free, import, release), which the caller holds.
+	return m.SwapOutEntries(table, ops)
 }
 
 // SwapOutEntries swaps out the given entries (non-resident ones are
@@ -960,17 +970,9 @@ func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (int, error) {
 // one engine round trip per victim. It returns the number of entries
 // swapped.
 func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
-	if bops, ok := ops.(BatchDeviceOps); ok {
-		var dirty []*PTE
-		for _, pte := range entries {
-			if pte.IsAllocated && pte.ToCopy2Swap {
-				dirty = append(dirty, pte)
-			}
-		}
-		if len(dirty) >= 2 {
-			if err := m.syncBatchToSwap(dirty, bops); err != nil {
-				return 0, err
-			}
+	if bops, ok := ops.(BatchDeviceOps); ok && len(entries) >= 2 {
+		if err := m.syncBatchToSwap(entries, bops); err != nil {
+			return 0, err
 		}
 	}
 	n := 0
@@ -986,25 +988,37 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
 	return n, nil
 }
 
-// syncBatchToSwap pulls several dirty entries device→swap as one
-// copy-engine submission — the unbind fast path: an inter-application
-// swap spills a whole working set at once. Timing, byte accounting and
-// fault-hook consultation match the per-entry syncToSwap path exactly
-// (one hook check and one SwapBytes credit per entry; the engine hold
-// is the sum of the per-item modeled times); only per-transfer engine
-// round trips are saved.
-func (m *Manager) syncBatchToSwap(dirty []*PTE, ops BatchDeviceOps) error {
+// syncBatchToSwap pulls the dirty ones among entries (when there are at
+// least two) device→swap as one copy-engine submission — the unbind
+// fast path: an inter-application swap spills a whole working set at
+// once. Timing, byte accounting and fault-hook consultation match the
+// per-entry syncToSwap path exactly (one hook check and one SwapBytes
+// credit per entry; the engine hold is the sum of the per-item modeled
+// times); only per-transfer engine round trips are saved.
+func (m *Manager) syncBatchToSwap(entries []*PTE, ops BatchDeviceOps) error {
+	cs := entries[0].owner
+	dirty := cs.work[:0]
+	defer func() { cs.park(dirty) }()
+	for _, pte := range entries {
+		if pte.IsAllocated && pte.ToCopy2Swap {
+			dirty = append(dirty, pte)
+		}
+	}
+	if len(dirty) < 2 {
+		return nil
+	}
 	for range dirty {
 		if err := m.swapWriteFault(); err != nil {
 			return err
 		}
 	}
-	items := make([]api.DHCopy, len(dirty))
+	items := cs.dh[:0]
 	var total uint64
-	for i, pte := range dirty {
-		items[i] = api.DHCopy{Src: pte.Device, Size: pte.Size}
+	for _, pte := range dirty {
+		items = append(items, api.DHCopy{Src: pte.Device, Size: pte.Size})
 		total += pte.Size
 	}
+	cs.dh = items[:0] // no pointers to clear
 	t := m.tracer
 	start := t.Start()
 	datas, err := ops.MemcpyDHBatch(items)
@@ -1018,13 +1032,14 @@ func (m *Manager) syncBatchToSwap(dirty []*PTE, ops BatchDeviceOps) error {
 		elapsed := t.Start() - start
 		t.Observe(t.D2H, int64(elapsed))
 		if elapsed > 0 && t.Spans() {
-			t.Span("d2h", dirty[0].ctxID, start, -1, fmt.Sprintf("%d bytes in %d batched transfers", total, len(dirty)))
+			t.Span("d2h", dirty[0].CtxID(), start, -1, fmt.Sprintf("%d bytes in %d batched transfers", total, len(dirty)))
 		}
 	}
 	for i, pte := range dirty {
-		if data := datas[i]; data != nil {
+		// datas is nil altogether when no entry carries real bytes.
+		if datas != nil && datas[i] != nil {
 			m.discardSeal(pte)
-			copy(pte.swapData(), data)
+			copy(pte.swapData(), datas[i])
 			if pte.Nested != nil {
 				m.patchPointers(pte, pte.swapData(), true)
 			}
@@ -1032,7 +1047,7 @@ func (m *Manager) syncBatchToSwap(dirty []*PTE, ops BatchDeviceOps) error {
 		}
 		pte.ToCopy2Swap = false
 		m.swapBytes.Add(int64(pte.Size))
-		m.tracer.Attribute(pte.ctxID, trace.AttrSwapBytes, int64(pte.Size))
+		m.tracer.Attribute(pte.CtxID(), trace.AttrSwapBytes, int64(pte.Size))
 		m.noteWrite(pte)
 	}
 	return nil
@@ -1044,7 +1059,7 @@ func (m *Manager) syncBatchToSwap(dirty []*PTE, ops BatchDeviceOps) error {
 // on another GPU at the cost of replaying only not-yet-executed work.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
 	n := 0
-	for _, pte := range m.EntriesOf(ctxID) {
+	for _, pte := range m.AppendEntries(nil, ctxID) {
 		if !pte.IsAllocated || !pte.ToCopy2Swap {
 			continue
 		}
@@ -1052,7 +1067,7 @@ func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
 			return n, err
 		}
 		m.checkpointBytes.Add(int64(pte.Size))
-		m.tracer.Attribute(pte.ctxID, trace.AttrCheckpointBytes, int64(pte.Size))
+		m.tracer.Attribute(pte.CtxID(), trace.AttrCheckpointBytes, int64(pte.Size))
 		n++
 	}
 	m.checkpoint.Add(1)
@@ -1066,7 +1081,7 @@ func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
 // number of entries that lost dirty data.
 func (m *Manager) InvalidateResidency(ctxID int64) int {
 	lost := 0
-	for _, pte := range m.EntriesOf(ctxID) {
+	for _, pte := range m.AppendEntries(nil, ctxID) {
 		if !pte.IsAllocated {
 			continue
 		}
@@ -1084,7 +1099,7 @@ func (m *Manager) InvalidateResidency(ctxID int64) int {
 
 // ClearLost clears the LostDirty marks after a successful replay.
 func (m *Manager) ClearLost(ctxID int64) {
-	for _, pte := range m.EntriesOf(ctxID) {
+	for _, pte := range m.AppendEntries(nil, ctxID) {
 		pte.LostDirty = false
 	}
 }
@@ -1092,7 +1107,7 @@ func (m *Manager) ClearLost(ctxID int64) {
 // ReleaseContext drops the whole page table and swap area of a context
 // (application exit), freeing any device memory it still holds.
 func (m *Manager) ReleaseContext(ctxID int64, ops DeviceOps) {
-	entries := m.EntriesOf(ctxID)
+	entries := m.AppendEntries(nil, ctxID)
 	for _, pte := range entries {
 		if pte.IsAllocated && ops != nil {
 			_ = ops.Free(pte.Device)
@@ -1100,10 +1115,13 @@ func (m *Manager) ReleaseContext(ctxID int64, ops DeviceOps) {
 	}
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
-	released := s.usage[ctxID]
-	delete(s.tables, ctxID)
-	delete(s.usage, ctxID)
-	delete(s.next, ctxID)
+	var released uint64
+	if cs := s.ctxs[ctxID]; cs != nil {
+		// Empty the state as well as dropping it: entries still point at
+		// it, and a late Free of one must find nothing to remove.
+		released, cs.table, cs.usage = cs.usage, nil, 0
+		delete(s.ctxs, ctxID)
+	}
 	s.mu.Unlock()
 	for _, pte := range entries {
 		// Shared chunk bytes were released at seal time; the bulk

@@ -630,7 +630,7 @@ func TestReleaseContext(t *testing.T) {
 	if ops.used != 0 {
 		t.Error("ReleaseContext leaked device memory")
 	}
-	if m.UsageOf(9) != 0 || len(m.EntriesOf(9)) != 0 {
+	if m.UsageOf(9) != 0 || len(m.AppendEntries(nil, 9)) != 0 {
 		t.Error("ReleaseContext left table state")
 	}
 	if m.Stats().HostBytesInUse != 0 {

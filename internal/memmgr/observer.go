@@ -49,6 +49,6 @@ func (p *PTE) image() EntryImage {
 // noteWrite notifies the observer of an entry mutation.
 func (m *Manager) noteWrite(p *PTE) {
 	if m.obs != nil {
-		m.obs.EntryWritten(p.ctxID, p.image(), 0)
+		m.obs.EntryWritten(p.CtxID(), p.image(), 0)
 	}
 }

@@ -44,8 +44,11 @@ type ContextImage struct {
 func (m *Manager) ExportContext(ctxID int64) (*ContextImage, error) {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
-	entries := append([]*PTE(nil), s.tables[ctxID]...)
-	next := s.next[ctxID]
+	var entries []*PTE
+	var next uint64
+	if cs := s.ctxs[ctxID]; cs != nil {
+		entries, next = append(entries, cs.table...), cs.next
+	}
 	s.mu.Unlock()
 
 	img := &ContextImage{CtxID: ctxID, NextOff: next}
@@ -67,7 +70,7 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	s := m.shardOf(img.CtxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tables[img.CtxID]) > 0 {
+	if len(s.tableOf(img.CtxID)) > 0 {
 		return fmt.Errorf("memmgr: context %d already present", img.CtxID)
 	}
 	var total uint64
@@ -79,13 +82,14 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	if !m.reserveHost(total) {
 		return api.ErrSwapAllocation
 	}
+	cs := &ctxState{id: img.CtxID, next: img.NextOff, usage: total}
 	var entries []*PTE
 	for _, e := range img.Entries {
 		pte := &PTE{
 			Virtual: e.Virtual,
 			Size:    e.Size,
 			Kind:    e.Kind,
-			ctxID:   img.CtxID,
+			owner:   cs,
 			// Data must return to a device before the next kernel.
 			ToCopy2Dev: true,
 		}
@@ -104,9 +108,8 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	// ExportContext are already ordered, but sort defensively so a
 	// hand-built image cannot break lookups.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Virtual < entries[j].Virtual })
-	s.tables[img.CtxID] = entries
-	s.next[img.CtxID] = img.NextOff
-	s.usage[img.CtxID] = total
+	cs.table = entries
+	s.ctxs[img.CtxID] = cs
 	return nil
 }
 
@@ -116,7 +119,7 @@ func (m *Manager) ContextIDs() []int64 {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		for id := range s.tables {
+		for id := range s.ctxs {
 			ids = append(ids, id)
 		}
 		s.mu.Unlock()

@@ -58,7 +58,8 @@ type Policy interface {
 	Name() string
 	// PickDevice returns the index into devs of the device the context
 	// should bind to, or -1 to decline all candidates. devs is never
-	// empty and every entry has at least one free vGPU.
+	// empty, every entry has at least one free vGPU, and the slice is
+	// the caller's to reuse once the call returns.
 	PickDevice(w Waiter, devs []DeviceLoad) int
 	// PickWaiter returns the index into waiters of the context that
 	// should receive a freed vGPU. waiters is never empty.
