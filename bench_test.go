@@ -1,17 +1,13 @@
 package gvrt_test
 
-// Benchmarks come in two groups:
-//
-//   - Benchmark<component>: conventional micro-benchmarks of the hot
-//     paths (allocator, transport round trip, memory-manager ops,
-//     launch path).
-//
-//   - BenchmarkTable2 / BenchmarkFig5 ... BenchmarkFig11 /
-//     BenchmarkAblation*: one benchmark per table/figure of the paper's
-//     evaluation. Each iteration regenerates the whole table on the
-//     simulated cluster; run with -v to see the regenerated rows, or use
-//     cmd/benchrun for nicer output. The custom metric "model_s/op" is
-//     the headline model-time of the experiment's largest configuration.
+// BenchmarkTable2 / BenchmarkFig5 ... BenchmarkFig11 / BenchmarkAblation*:
+// one benchmark per table/figure of the paper's evaluation. Each
+// iteration regenerates the whole table on the simulated cluster; run
+// with -v to see the regenerated rows, or use cmd/benchrun for nicer
+// output. The custom metric "model_s/op" is the headline model-time of
+// the experiment's largest configuration. Framework overhead in wall
+// time — per call and per layer — is benchmark/'s job (its ladder
+// carries the allocator, pipe, malloc, launch and swap rungs).
 //
 // The full -bench=. run takes a couple of minutes; individual figures
 // can be selected with e.g. -bench=Fig7.
@@ -19,162 +15,9 @@ package gvrt_test
 import (
 	"strconv"
 	"testing"
-	"time"
 
-	"gvrt"
 	"gvrt/internal/exp"
 )
-
-// ---- micro-benchmarks ----
-
-func benchNode(b *testing.B) *gvrt.LocalNode {
-	b.Helper()
-	// A very fast clock so modeled sleeps do not dominate the
-	// measurement of the framework's own costs.
-	node, err := gvrt.NewLocalNode(gvrt.NewClock(1e-9), gvrt.Config{}, gvrt.TeslaC2050)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(node.Close)
-	return node
-}
-
-func BenchmarkDeviceMallocFree(b *testing.B) {
-	clock := gvrt.NewClock(1e-9)
-	dev := gvrt.NewDevice(0, gvrt.TeslaC2050, clock)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := dev.Malloc(1 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := dev.Free(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDeviceMallocFragmented(b *testing.B) {
-	// Allocator performance with many live allocations.
-	clock := gvrt.NewClock(1e-9)
-	dev := gvrt.NewDevice(0, gvrt.TeslaC2050, clock)
-	var live []gvrt.DevPtr
-	for i := 0; i < 256; i++ {
-		p, err := dev.Malloc(1 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		live = append(live, p)
-	}
-	for i := 0; i < len(live); i += 2 {
-		if err := dev.Free(live[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := dev.Malloc(512 << 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := dev.Free(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipeRoundTrip(b *testing.B) {
-	node := benchNode(b)
-	c := node.OpenClient()
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.SetDevice(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMallocThroughRuntime(b *testing.B) {
-	node := benchNode(b)
-	c := node.OpenClient()
-	defer c.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := c.Malloc(4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Free(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLaunchPath(b *testing.B) {
-	node := benchNode(b)
-	c := node.OpenClient()
-	defer c.Close()
-	if err := c.RegisterFatBinary(gvrt.FatBinary{
-		ID:      "bench",
-		Kernels: []gvrt.KernelMeta{{Name: "k", BaseTime: time.Microsecond}},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	p, err := c.Malloc(1 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	call := gvrt.LaunchCall{Kernel: "k", PtrArgs: []gvrt.DevPtr{p}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Launch(call); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSwapRoundTrip(b *testing.B) {
-	// One full inter-application swap cycle: two contexts alternating
-	// over memory that fits only one of them.
-	node, err := gvrt.NewLocalNode(gvrt.NewClock(1e-9),
-		gvrt.Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, gvrt.TeslaC2050)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer node.Close()
-	fb := gvrt.FatBinary{ID: "bench-swap", Kernels: []gvrt.KernelMeta{{Name: "k", BaseTime: time.Microsecond}}}
-	mk := func() (*gvrt.Client, gvrt.DevPtr) {
-		c := node.OpenClient()
-		if err := c.RegisterFatBinary(fb); err != nil {
-			b.Fatal(err)
-		}
-		p, err := c.Malloc(1600 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c, p
-	}
-	c1, p1 := mk()
-	defer c1.Close()
-	c2, p2 := mk()
-	defer c2.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c1.Launch(gvrt.LaunchCall{Kernel: "k", PtrArgs: []gvrt.DevPtr{p1}}); err != nil {
-			b.Fatal(err)
-		}
-		if err := c2.Launch(gvrt.LaunchCall{Kernel: "k", PtrArgs: []gvrt.DevPtr{p2}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- per-table / per-figure benchmarks ----
 
 // benchExp regenerates one experiment per iteration and reports the
 // last row's first numeric cell as model seconds.

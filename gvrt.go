@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"gvrt/internal/api"
-	"gvrt/internal/benchfmt"
 	"gvrt/internal/ckptlog"
 	"gvrt/internal/cluster"
 	"gvrt/internal/core"
@@ -59,7 +58,6 @@ import (
 	"gvrt/internal/memmgr"
 	"gvrt/internal/obs"
 	"gvrt/internal/opserver"
-	"gvrt/internal/resilience"
 	"gvrt/internal/sched"
 	"gvrt/internal/sim"
 	"gvrt/internal/trace"
@@ -84,23 +82,6 @@ type (
 	// RNG is a deterministic random source for workload generation.
 	RNG = sim.RNG
 )
-
-// Benchmark-trajectory types (cmd/gvrt-bench; EXPERIMENTS.md "BENCH
-// reports").
-type (
-	// BenchReport is the schema of a BENCH_<n>.json throughput report.
-	BenchReport = benchfmt.Report
-	// BenchScenario is one scenario's row inside a BenchReport.
-	BenchScenario = benchfmt.Scenario
-)
-
-// ValidateBenchReport checks a decoded BENCH report for schema
-// completeness (every scenario named, rates positive, percentiles
-// ordered).
-func ValidateBenchReport(r *BenchReport) error { return benchfmt.Validate(r) }
-
-// ReadBenchReport loads and validates a BENCH_<n>.json file.
-func ReadBenchReport(path string) (*BenchReport, error) { return benchfmt.ReadFile(path) }
 
 // Hardware and CUDA substrate types.
 type (
@@ -504,62 +485,6 @@ func NewCtrlManager(store *CtrlStore, opts CtrlManagerOptions) *CtrlManager {
 // ErrCorruptCtrlSnapshot reports an unrecoverable control-plane store
 // snapshot header; operators must restore or move the directory aside.
 var ErrCorruptCtrlSnapshot = ctrlplane.ErrCorruptSnapshot
-
-// NewFailoverBackoff builds the decorrelated-jitter backoff used to
-// space promotion retries.
-func NewFailoverBackoff(base, cap time.Duration, rng *RNG) *resilience.Backoff {
-	return resilience.NewBackoff(base, cap, rng)
-}
-
-// Resilience types: the self-healing layer's policy primitives (call
-// deadlines, retry budgets, circuit breakers). Cluster nodes wire these
-// automatically; they are exported for direct transport users and for
-// tuning. See DESIGN.md §8.
-type (
-	// Retrier transparently retries transient failures under a budget.
-	Retrier = resilience.Retrier
-	// RetryPolicy configures a Retrier.
-	RetryPolicy = resilience.RetryPolicy
-	// RetryBudget is a token bucket capping retry amplification.
-	RetryBudget = resilience.Budget
-	// Breaker is a per-link circuit breaker (closed/open/half-open).
-	Breaker = resilience.Breaker
-	// BreakerState is a Breaker's current state.
-	BreakerState = resilience.BreakerState
-)
-
-// Circuit breaker states.
-const (
-	BreakerClosed   = resilience.BreakerClosed
-	BreakerOpen     = resilience.BreakerOpen
-	BreakerHalfOpen = resilience.BreakerHalfOpen
-)
-
-// NewRetrier builds a retrier from a policy (zero fields get defaults).
-func NewRetrier(p RetryPolicy) *Retrier { return resilience.NewRetrier(p) }
-
-// NewRetryBudget builds a token bucket with the given capacity and
-// model-time refill rate; now is typically Clock.Now.
-func NewRetryBudget(capacity int, refillPerSec float64, now func() time.Duration) *RetryBudget {
-	return resilience.NewBudget(capacity, refillPerSec, now)
-}
-
-// NewBreaker builds a circuit breaker tripping after threshold
-// consecutive failures and probing again after cooldown of model time.
-func NewBreaker(name string, threshold int, cooldown time.Duration, now func() time.Duration) *Breaker {
-	return resilience.NewBreaker(name, threshold, cooldown, now)
-}
-
-// IsTransientError reports whether an error carries a code worth
-// retrying (device momentarily gone, node overloaded, deadline, link
-// down).
-func IsTransientError(err error) bool { return resilience.Transient(err) }
-
-// WithCallDeadline bounds every Call on conn to d of model time;
-// expiry closes the connection and returns ErrDeadlineExceeded.
-func WithCallDeadline(conn Conn, clock *Clock, d time.Duration) Conn {
-	return transport.WithDeadline(conn, clock, d)
-}
 
 // Device models from the paper's testbed (§5.1).
 var (

@@ -19,12 +19,8 @@ import (
 // nothing and small-scale tests do not carry a spinning goroutine.
 
 // kickHealthMonitor ensures the monitor goroutine is running; called
-// from onDeviceFailure. A non-positive health interval (negative
-// HealthInterval config) disables re-admission entirely.
+// from onDeviceFailure.
 func (rt *Runtime) kickHealthMonitor() {
-	if rt.cfg.healthInterval() <= 0 {
-		return
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.healthRunning || rt.closed {
@@ -34,13 +30,12 @@ func (rt *Runtime) kickHealthMonitor() {
 	go rt.healthMonitor()
 }
 
-// healthMonitor probes unhealthy devices every health interval and
-// re-admits the ones whose fault has cleared. It exits when none are
-// left (a later failure kicks it again) or the runtime closes.
+// healthMonitor probes unhealthy devices every DefaultHealthInterval
+// and re-admits the ones whose fault has cleared. It exits when none
+// are left (a later failure kicks it again) or the runtime closes.
 func (rt *Runtime) healthMonitor() {
-	interval := rt.cfg.healthInterval()
 	for {
-		rt.clock.Sleep(interval)
+		rt.clock.Sleep(DefaultHealthInterval)
 		rt.mu.Lock()
 		if rt.closed {
 			rt.healthRunning = false

@@ -70,9 +70,6 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 	rt.consumePrefetchMarks(ptes)
 
 	for attempt := 0; ; attempt++ {
-		if rt.cfg.MaxBindAttempts > 0 && attempt >= rt.cfg.MaxBindAttempts {
-			return api.ErrMemoryAllocation
-		}
 		v, err := rt.ensureBound(ctx)
 		if err != nil {
 			return err
@@ -294,7 +291,7 @@ func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) err
 			return api.ErrMemoryAllocation
 		}
 		needed := missing - v.ds.dev.Available()
-		if !rt.cfg.DisableIntraSwap && rt.intraSwap(ctx, v, ptes, needed) {
+		if rt.intraSwap(ctx, v, ptes, needed) {
 			continue
 		}
 		if !rt.cfg.DisableInterSwap && rt.interSwap(ctx, v, needed) {
@@ -321,7 +318,7 @@ func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) err
 			// the accounting already said we fit, so a small hole is
 			// usually enough and over-evicting would churn the swap
 			// area.
-			if !rt.cfg.DisableIntraSwap && rt.intraSwap(ctx, v, ptes, 1) {
+			if rt.intraSwap(ctx, v, ptes, 1) {
 				continue
 			}
 			// Then inter-application swap: ask a co-located context in

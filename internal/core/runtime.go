@@ -67,8 +67,6 @@ type Config struct {
 	// CallOverhead is the modeled per-call framework overhead; 0 means
 	// DefaultCallOverhead, negative means none.
 	CallOverhead time.Duration
-	// DisableIntraSwap turns off intra-application swapping (ablation).
-	DisableIntraSwap bool
 	// DisableInterSwap turns off inter-application swapping (ablation).
 	DisableInterSwap bool
 	// DisablePrefetch turns off the predictive prefetcher (prefetch.go):
@@ -95,9 +93,6 @@ type Config struct {
 	// phase and "may not" accept). 0 means DefaultMinVictimIdle;
 	// negative means no minimum.
 	MinVictimIdle time.Duration
-	// MaxBindAttempts bounds the unbind-and-retry loop; 0 means
-	// unlimited (the paper's behaviour).
-	MaxBindAttempts int
 	// PeerDial, when set together with OffloadThreshold, lets the node
 	// offload incoming application threads to a peer node (§4.7).
 	PeerDial func() (transport.Conn, error)
@@ -115,10 +110,6 @@ type Config struct {
 	// fast with ErrOverloaded instead of queueing forever. 0 disables
 	// admission control (the paper's unbounded behaviour).
 	AdmissionMaxQueue int
-	// HealthInterval is the pause between health-monitor probes of
-	// unhealthy devices for hot re-admission; 0 means
-	// DefaultHealthInterval, negative disables the monitor.
-	HealthInterval time.Duration
 	// Logf, when set, receives debug events.
 	Logf func(format string, args ...any)
 	// Trace, when set, records structured scheduling events (bindings,
@@ -185,17 +176,6 @@ func (c *Config) backoff() time.Duration {
 		return DefaultBindBackoff
 	}
 	return c.BindBackoff
-}
-
-func (c *Config) healthInterval() time.Duration {
-	switch {
-	case c.HealthInterval == 0:
-		return DefaultHealthInterval
-	case c.HealthInterval < 0:
-		return 0
-	default:
-		return c.HealthInterval
-	}
 }
 
 func (c *Config) minVictimIdle() time.Duration {

@@ -35,6 +35,12 @@ func statCounters(s api.RuntimeStats) []counter {
 		{"intra_app_swaps_total", "Intra-application swap-outs (working-set evictions).", s.IntraAppSwaps},
 		{"swap_ops_total", "Swap-area operations.", s.SwapOps},
 		{"swap_bytes_total", "Bytes moved through the swap area.", s.SwapBytes},
+		{"checkpoint_bytes_total", "Device-to-swap bytes moved by checkpoint flushes.", s.CheckpointBytes},
+		{"prefetch_issued_total", "Speculative swap-ins the prefetcher completed.", s.PrefetchIssued},
+		{"prefetch_hits_total", "Launches that found their working set resident because of a prefetch.", s.PrefetchHits},
+		{"prefetch_skipped_total", "Prefetch predictions dropped (context busy, no memory, queue full).", s.PrefetchSkipped},
+		{"dedup_hits_total", "Swap-image chunks found already interned.", s.DedupHits},
+		{"cow_breaks_total", "Sealed swap images privatised by a mutating access.", s.CowBreaks},
 		{"migrations_total", "Inter-device context migrations.", s.Migrations},
 		{"migrations_started_total", "Cross-node session migrations started.", s.MigrationsStarted},
 		{"migrations_completed_total", "Cross-node session migrations committed on the target.", s.MigrationsCompleted},
@@ -65,6 +71,7 @@ func writeMetrics(w io.Writer, s api.RuntimeStats) {
 
 	writeGauge(w, "gvrt_queue_depth", "Contexts waiting for a virtual GPU.", float64(s.QueueDepth))
 	writeGauge(w, "gvrt_live_contexts", "Live application contexts.", float64(s.LiveContexts))
+	writeGauge(w, "gvrt_dedup_saved_bytes", "Host bytes currently saved by swap deduplication.", float64(s.DedupSavedBytes))
 
 	writeDeviceMetrics(w, s.Devices)
 	writeTenantMetrics(w, s.Tenants)
@@ -248,7 +255,7 @@ func histInfo(key string) histMeta {
 	case "migration_bytes":
 		return histMeta{"gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", 1}
 	case "dedup_saved":
-		return histMeta{"gvrt_dedup_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", 1}
+		return histMeta{"gvrt_dedup_seal_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", 1}
 	case "prefetch":
 		return histMeta{"gvrt_prefetch_seconds", "Predictive swap-in prefetch duration (model seconds).", 1e9}
 	default:

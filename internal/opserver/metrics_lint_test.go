@@ -7,10 +7,14 @@ package opserver
 // goldenFamilies below — that diff IS the review surface.
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"gvrt/internal/api"
 )
 
 // family is one parsed metric family from the exposition.
@@ -49,6 +53,9 @@ func parseExposition(t *testing.T, body string) map[string]*family {
 			if f == nil {
 				f = &family{name: fields[0]}
 				fams[fields[0]] = f
+			}
+			if f.typ != "" {
+				t.Errorf("family %s has two # TYPE lines", fields[0])
 			}
 			f.typ = fields[1]
 		case line == "" || strings.HasPrefix(line, "#"):
@@ -141,6 +148,12 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_intra_app_swaps_total":      true,
 	"gvrt_swap_ops_total":             true,
 	"gvrt_swap_bytes_total":           true,
+	"gvrt_checkpoint_bytes_total":     true,
+	"gvrt_prefetch_issued_total":      true,
+	"gvrt_prefetch_hits_total":        true,
+	"gvrt_prefetch_skipped_total":     true,
+	"gvrt_dedup_hits_total":           true,
+	"gvrt_cow_breaks_total":           true,
 	"gvrt_migrations_total":           true,
 	"gvrt_migrations_started_total":   true,
 	"gvrt_migrations_completed_total": true,
@@ -158,8 +171,9 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_sheds_total":                true,
 	"gvrt_gpu_seconds_total":          true,
 	// Node gauges.
-	"gvrt_queue_depth":   true,
-	"gvrt_live_contexts": true,
+	"gvrt_queue_depth":       true,
+	"gvrt_live_contexts":     true,
+	"gvrt_dedup_saved_bytes": true,
 	// Per-device series.
 	"gvrt_device_healthy":             true,
 	"gvrt_device_busy_seconds_total":  true,
@@ -199,7 +213,7 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_journal_commit_wall_seconds": false,
 	"gvrt_peer_call_seconds":           false,
 	"gvrt_prefetch_seconds":            false,
-	"gvrt_dedup_saved_bytes":           false,
+	"gvrt_dedup_seal_saved_bytes":      false,
 	"gvrt_migration_duration_seconds":  false,
 	"gvrt_migration_size_bytes":        false,
 	// Control-plane series (Ctrl attached) and cluster-scope gauges
@@ -252,5 +266,28 @@ func TestMetricsGoldenInventory(t *testing.T) {
 		}
 		sort.Strings(got)
 		t.Logf("exposition families:\n  %s", strings.Join(got, "\n  "))
+	}
+}
+
+// TestEveryStatsFieldIsExposed walks api.RuntimeStats' integer fields
+// and fails when setting one leaves the exposition unchanged: a counter
+// added to the snapshot (and summed by obs.MergeStats) but forgotten in
+// this package's hand-kept lists is invisible to operators.
+func TestEveryStatsFieldIsExposed(t *testing.T) {
+	var zero bytes.Buffer
+	writeMetrics(&zero, api.RuntimeStats{})
+	typ := reflect.TypeOf(api.RuntimeStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		if k := typ.Field(i).Type.Kind(); k != reflect.Int && k != reflect.Int64 {
+			continue
+		}
+		var s api.RuntimeStats
+		reflect.ValueOf(&s).Elem().Field(i).SetInt(7e9)
+		var got bytes.Buffer
+		writeMetrics(&got, s)
+		if got.String() == zero.String() {
+			t.Errorf("RuntimeStats.%s (%s) has no family on /metrics",
+				typ.Field(i).Name, typ.Field(i).Tag.Get("json"))
+		}
 	}
 }

@@ -222,7 +222,8 @@ func writeStatusz(w http.ResponseWriter, src Source) {
 		fmt.Fprintf(w, "model time:    %v\n", src.Now())
 	}
 	fmt.Fprintf(w, "queue depth:   %d\n", s.QueueDepth)
-	fmt.Fprintf(w, "live contexts: %d\n\n", s.LiveContexts)
+	fmt.Fprintf(w, "live contexts: %d\n", s.LiveContexts)
+	fmt.Fprintf(w, "dedup saved:   %d bytes\n\n", s.DedupSavedBytes)
 
 	fmt.Fprintln(w, "devices:")
 	fmt.Fprintf(w, "  %-3s %-12s %-9s %5s/%-5s %9s %10s %12s %12s\n",
