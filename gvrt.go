@@ -237,17 +237,6 @@ type OpsSource = opserver.Source
 // text, /statusz, /tracez, /trace.json, /debug/pprof) from a source.
 func NewOpsHandler(src OpsSource) http.Handler { return opserver.Handler(src) }
 
-// OpsHandlerFor builds the operator plane for a runtime; name labels
-// the process in /trace.json exports.
-func OpsHandlerFor(rt *Runtime, name string) http.Handler {
-	return opserver.Handler(opserver.Source{
-		Stats: rt.StatsSnapshot,
-		Trace: rt.TraceRecorder(),
-		Now:   rt.Clock().Now,
-		Name:  name,
-	})
-}
-
 // Cluster-scoped observability (DESIGN.md §15): per-tenant attribution,
 // fleet-wide metric aggregation, SLO burn-rate evaluation and the
 // crash flight recorder.
@@ -287,11 +276,6 @@ type (
 func NewFleetCollector(self string, local func() RuntimeStats) *FleetCollector {
 	return obs.NewCollector(self, local)
 }
-
-// MergeRuntimeStats folds src's counters, histograms and tenant usage
-// into dst, returning the merge. Per-device rows are dropped — device
-// indexes are node-local and would collide.
-func MergeRuntimeStats(dst, src RuntimeStats) RuntimeStats { return obs.MergeStats(dst, src) }
 
 // NewSLOEngine builds a burn-rate engine; Objectives and Usage are
 // required.
@@ -402,11 +386,6 @@ type (
 	LeaseTable = failover.Table
 	// Lease is one session's ownership record.
 	Lease = failover.Lease
-	// FailoverMonitor promotes a peer for every session whose owner's
-	// lease expired.
-	FailoverMonitor = failover.Monitor
-	// FailoverMonitorConfig tunes a FailoverMonitor.
-	FailoverMonitorConfig = failover.MonitorConfig
 	// MigrationPendingRecord describes one in-flight migration import
 	// (the target's crash-safety sidecar).
 	MigrationPendingRecord = failover.PendingRecord
@@ -416,12 +395,6 @@ type (
 // selects the default) over the cluster's model clock.
 func NewLeaseTable(ttl time.Duration, now func() time.Duration) *LeaseTable {
 	return failover.NewTable(ttl, now)
-}
-
-// StartFailoverMonitor launches a lease-table scanner that steals
-// expired leases and runs cfg.Promote for each deposed session.
-func StartFailoverMonitor(cfg FailoverMonitorConfig) *FailoverMonitor {
-	return failover.StartMonitor(cfg)
 }
 
 // MigrationPendingOps lists the in-flight import records in a migration

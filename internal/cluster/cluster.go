@@ -22,7 +22,6 @@ import (
 
 	"gvrt/internal/api"
 	"gvrt/internal/core"
-	"gvrt/internal/ctrlplane"
 	"gvrt/internal/cudart"
 	"gvrt/internal/failover"
 	"gvrt/internal/faultinject"
@@ -136,42 +135,6 @@ func NewNode(name string, clock *sim.Clock, specs []gpu.Spec, cfg core.Config) (
 		OnRetry: rt.NoteRetrySpent,
 	})
 	return n, nil
-}
-
-// AttachCtrlPlane opens (creating if needed) a control-plane store in
-// dir and builds the pending-operation manager over this node's
-// runtime, running the full boot sequence: operations a previous run
-// left mid-flight are resolved (resumed or rolled back), device
-// membership is synced, stored quotas and drains are re-applied, and
-// the node is registered. The caller closes the returned manager's
-// store (Manager.Store().Close()) on shutdown.
-func (n *Node) AttachCtrlPlane(dir string, opts ctrlplane.Options, mopts ctrlplane.ManagerOptions) (*ctrlplane.Manager, error) {
-	st, err := ctrlplane.Open(dir, opts)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: node %s: opening store: %w", n.Name, err)
-	}
-	mopts.Hooks = n.RT
-	if mopts.Now == nil {
-		mopts.Now = n.clock.Now
-	}
-	m := ctrlplane.NewManager(st, mopts)
-	if err := m.Resume(); err != nil {
-		st.Close()
-		return nil, fmt.Errorf("cluster: node %s: resuming operations: %w", n.Name, err)
-	}
-	if err := m.SyncDevices(); err != nil {
-		st.Close()
-		return nil, fmt.Errorf("cluster: node %s: syncing devices: %w", n.Name, err)
-	}
-	if err := m.ApplyStored(); err != nil {
-		st.Close()
-		return nil, fmt.Errorf("cluster: node %s: re-applying stored state: %w", n.Name, err)
-	}
-	if err := m.RegisterNode(n.Name, n.RT.DeviceCount()); err != nil {
-		st.Close()
-		return nil, fmt.Errorf("cluster: node %s: registering: %w", n.Name, err)
-	}
-	return m, nil
 }
 
 // SetPeer wires the offload target (§4.7). A node with no peer serves

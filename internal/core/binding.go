@@ -274,8 +274,7 @@ func (rt *Runtime) tryMigrateLocked(v *vGPU, depth int) {
 		return
 	}
 	// Reserve the destination slot and commit intent before unlocking
-	// the runtime for the slow swap work. The victim's own slot stays
-	// claimed (oldV.bound == victim) until the migration resolves.
+	// the runtime for the slow swap work.
 	claimed := v.ds.tryClaim(v, victim)
 	if !claimed || victim.vgpu.Load() != oldV {
 		// The destination died/got taken, or the victim moved on its
@@ -288,41 +287,31 @@ func (rt *Runtime) tryMigrateLocked(v *vGPU, depth int) {
 	}
 	rt.mu.Unlock()
 
-	err := func() error {
-		if _, err := rt.mm.SwapOutAll(victim.id, oldV.cuctx); err != nil {
-			return err
-		}
-		victim.clearReplay() // swap-out flushed everything: checkpoint
+	// vacate checkpoints the victim off oldV and frees the slot, which
+	// cascades to whoever waits for it or sits on a slower device still.
+	err := rt.vacate(victim, oldV)
+	if err == nil {
 		for _, fb := range victim.binaries {
-			if err := v.cuctx.RegisterFatBinary(fb); err != nil {
-				return err
+			if err = v.cuctx.RegisterFatBinary(fb); err != nil {
+				break
 			}
 		}
-		return nil
-	}()
+	}
 
 	rt.mu.Lock()
 	if err != nil {
-		// Migration failed (e.g. source device died mid-swap); leave
-		// the victim unbound so its own recovery path kicks in.
+		// The victim carries on from wherever the failure left it: on
+		// oldV, flagged for recovery if oldV died, or cleanly unbound.
 		rt.logf("migration of ctx %d failed: %v", victim.id, err)
 		v.ds.clearBoundIf(v, victim)
-		if victim.vgpu.Load() == oldV {
-			victim.vgpu.Store(nil)
-			victim.needsRecovery.Store(true)
-			oldV.ds.clearBoundIf(oldV, victim)
-		}
 		victim.mu.Unlock()
 		return
 	}
 	victim.vgpu.Store(v)
-	oldV.ds.clearBoundIf(oldV, victim)
 	rt.migrations.Add(1)
 	rt.logf("migrated ctx %d from %s to %s", victim.id, oldV.name, v.name)
 	rt.event(trace.KindMigration, victim.id, 0, v.ds.index, oldV.name+" -> "+v.name)
 	victim.mu.Unlock()
-	// The old (slower) slot is now free; cascade.
-	rt.releaseVGPULocked(oldV)
 	_ = depth
 }
 
@@ -337,7 +326,12 @@ func (rt *Runtime) AddDevice(d *gpu.Device) (int, error) {
 	rt.mu.Lock()
 	ds := rt.devs[len(rt.devs)-1]
 	for _, v := range ds.slots() {
-		rt.releaseVGPULocked(v)
+		// A binder may have claimed the slot since addDeviceState
+		// published the device; releasing it would take it from under
+		// that context and book it twice.
+		if ds.boundTo(v) == nil {
+			rt.releaseVGPULocked(v)
+		}
 	}
 	rt.mu.Unlock()
 	return idx, nil
@@ -352,33 +346,20 @@ func (rt *Runtime) RemoveDevice(index int) error {
 		return api.ErrInvalidDevice
 	}
 	ds.healthy.Store(false) // no new binds
-	vgpus := ds.slots()
-
-	for _, v := range vgpus {
-		c := ds.boundTo(v)
-		if c == nil {
-			v.dead.Store(true)
-			continue
-		}
-		// Blocking acquisition is safe here: this is an administrative
-		// goroutine holding no other locks.
-		c.mu.Lock()
-		if c.vgpu.Load() == v {
-			if _, err := rt.mm.SwapOutAll(c.id, v.cuctx); err != nil {
-				// Device died during graceful removal; fall back to the
-				// failure path.
-				rt.mm.InvalidateResidency(c.id)
+	for _, v := range ds.slots() {
+		if c := ds.boundTo(v); c != nil {
+			// Blocking acquisition is safe here: this is an administrative
+			// goroutine holding no other locks.
+			c.mu.Lock()
+			if c.vgpu.Load() == v && rt.vacate(c, v) != nil {
+				// What could not be flushed leaves with the device; replay
+				// regenerates it, as after a failure (§4.6).
+				c.needsRecovery.Store(true)
 			}
-			c.clearReplay()
-			c.vgpu.Store(nil)
-			ds.mu.Lock()
-			v.bound = nil
-			v.dead.Store(true)
-			ds.mu.Unlock()
-		} else {
-			v.dead.Store(true)
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
+		v.dead.Store(true)
+		ds.clearBound(v)
 	}
 	ds.dev.MarkRemoved()
 	return nil

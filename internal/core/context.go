@@ -53,6 +53,9 @@ type Context struct {
 	binaries   map[string]api.FatBinary
 	replay     []api.LaunchCall
 	replayRefs map[api.DevPtr]bool
+	// unreplayed counts the log's trailing kernels the device state does
+	// not reflect yet: zero except while a recovery is replaying.
+	unreplayed int
 	// tenant is the announced tenant membership (SetTenantCall);
 	// tenantCharged is how many bytes this context currently holds
 	// against the tenant's byte quota (tenant.go).
@@ -301,16 +304,9 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: api.Code(err), Ptr: ptr}
 
 	case api.FreeCall:
-		pte, off, err := rt.mm.Resolve(c.Ptr)
-		if err != nil || off != 0 || pte.CtxID() != ctx.id {
-			return api.Reply{Code: api.ErrInvalidDevicePointer}
-		}
-		// Freeing a buffer referenced by the replay log would make a
-		// later replay unresolvable; checkpoint first so the log empties.
-		if ctx.replayRefs[pte.Virtual] {
-			if cerr := rt.checkpoint(ctx); cerr != nil {
-				return api.Reply{Code: api.Code(cerr)}
-			}
+		pte, _, err := rt.resolveSettled(ctx, c.Ptr, true)
+		if err != nil {
+			return api.Reply{Code: api.Code(err)}
 		}
 		err = rt.deviceOp(ctx, func() error {
 			return rt.mm.Free(pte, rt.boundOps(ctx))
@@ -321,14 +317,9 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: api.Code(err)}
 
 	case api.MemsetCall:
-		pte, off, err := rt.mm.Resolve(c.Dst)
-		if err != nil || pte.CtxID() != ctx.id {
-			return api.Reply{Code: api.ErrInvalidDevicePointer}
-		}
-		if ctx.replayRefs[pte.Virtual] {
-			if cerr := rt.checkpoint(ctx); cerr != nil {
-				return api.Reply{Code: api.Code(cerr)}
-			}
+		pte, off, err := rt.resolveSettled(ctx, c.Dst, false)
+		if err != nil {
+			return api.Reply{Code: api.Code(err)}
 		}
 		err = rt.deviceOp(ctx, func() error {
 			return rt.mm.Memset(pte, off, c.Value, c.Size, rt.boundOps(ctx))
@@ -336,17 +327,9 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: api.Code(err)}
 
 	case api.MemcpyHDCall:
-		pte, off, err := rt.mm.Resolve(c.Dst)
-		if err != nil || pte.CtxID() != ctx.id {
-			return api.Reply{Code: api.ErrInvalidDevicePointer}
-		}
-		// A host write over a buffer referenced by the replay log
-		// would corrupt a later replay; checkpoint first so the log
-		// empties (§4.6).
-		if ctx.replayRefs[pte.Virtual] {
-			if cerr := rt.checkpoint(ctx); cerr != nil {
-				return api.Reply{Code: api.Code(cerr)}
-			}
+		pte, off, err := rt.resolveSettled(ctx, c.Dst, false)
+		if err != nil {
+			return api.Reply{Code: api.Code(err)}
 		}
 		err = rt.deviceOp(ctx, func() error {
 			return rt.mm.CopyHD(pte, off, c.Data, c.Size, rt.boundOps(ctx))
@@ -354,19 +337,9 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: api.Code(err)}
 
 	case api.MemcpyDHCall:
-		pte, off, err := rt.mm.Resolve(c.Src)
-		if err != nil || pte.CtxID() != ctx.id {
-			return api.Reply{Code: api.ErrInvalidDevicePointer}
-		}
-		// Reading a buffer a logged kernel references must checkpoint
-		// first: it regenerates lost device state on a resumed session
-		// (so the read cannot serve pre-kernel swap data) and empties
-		// the log before post-kernel bytes reach the swap area (so a
-		// later replay cannot re-apply the kernel to its own output).
-		if ctx.replayRefs[pte.Virtual] {
-			if cerr := rt.checkpoint(ctx); cerr != nil {
-				return api.Reply{Code: api.Code(cerr)}
-			}
+		pte, off, err := rt.resolveSettled(ctx, c.Src, false)
+		if err != nil {
+			return api.Reply{Code: api.Code(err)}
 		}
 		var data []byte
 		err = rt.deviceOp(ctx, func() error {
@@ -427,9 +400,9 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: rt.joinTenant(ctx, c.Tenant)}
 
 	case api.RegisterNestedCall:
-		parent, off, err := rt.mm.Resolve(c.Parent)
-		if err != nil || off != 0 || parent.CtxID() != ctx.id {
-			return api.Reply{Code: api.ErrInvalidDevicePointer}
+		parent, _, err := rt.mm.ResolveFor(ctx.id, c.Parent, true)
+		if err != nil {
+			return api.Reply{Code: api.Code(err)}
 		}
 		return api.Reply{Code: api.Code(rt.mm.RegisterNested(parent, c.Members, c.Offsets))}
 
@@ -475,21 +448,13 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 // memcpyDD routes a device-to-device copy through the swap area so it
 // works across residency states.
 func (rt *Runtime) memcpyDD(ctx *Context, c api.MemcpyDDCall) error {
-	src, soff, err := rt.mm.Resolve(c.Src)
-	if err != nil || src.CtxID() != ctx.id {
-		return api.ErrInvalidDevicePointer
+	src, soff, err := rt.resolveSettled(ctx, c.Src, false)
+	if err != nil {
+		return err
 	}
-	dst, doff, err := rt.mm.Resolve(c.Dst)
-	if err != nil || dst.CtxID() != ctx.id {
-		return api.ErrInvalidDevicePointer
-	}
-	// Same checkpoint-first guards as MemcpyHD/MemcpyDH: reading src
-	// must not surface stale or double-replayable data, and writing dst
-	// must not corrupt a later replay.
-	if ctx.replayRefs[src.Virtual] || ctx.replayRefs[dst.Virtual] {
-		if cerr := rt.checkpoint(ctx); cerr != nil {
-			return cerr
-		}
+	dst, doff, err := rt.resolveSettled(ctx, c.Dst, false)
+	if err != nil {
+		return err
 	}
 	var data []byte
 	if err := rt.deviceOp(ctx, func() error {
@@ -502,6 +467,23 @@ func (rt *Runtime) memcpyDD(ctx *Context, c api.MemcpyDDCall) error {
 	return rt.deviceOp(ctx, func() error {
 		return rt.mm.CopyHD(dst, doff, data, c.Size, rt.boundOps(ctx))
 	})
+}
+
+// resolveSettled is the door for calls that touch an entry's bytes from
+// the host (free, memset and the three copies): memmgr refuses a
+// pointer that is not ctx's own live allocation — its base, where base
+// is set — before anything else looks at it (§4.5), and an entry some
+// logged kernel references is checkpointed first, so the log empties
+// (§4.6). Without that a host write or a free would corrupt or strand a
+// later replay; a read would serve pre-kernel swap data on a session
+// whose device state is gone, and would put post-kernel bytes into the
+// swap area under a log that re-applies the kernel to its own output.
+func (rt *Runtime) resolveSettled(ctx *Context, ptr api.DevPtr, base bool) (*memmgr.PTE, uint64, error) {
+	pte, off, err := rt.mm.ResolveFor(ctx.id, ptr, base)
+	if err == nil && ctx.replayRefs[pte.Virtual] {
+		err = rt.checkpoint(ctx)
+	}
+	return pte, off, err
 }
 
 // boundVGPU returns the context's vGPU. A lock-free atomic load: this
@@ -548,14 +530,18 @@ func (rt *Runtime) checkpoint(ctx *Context) (err error) {
 		}
 		rt.event(trace.KindCheckpoint, ctx.id, 0, v.ds.index, "")
 	}
-	ctx.clearReplay()
-	return rt.journalSnapshot(ctx.id)
+	ctx.trimReplay(len(ctx.replay))
+	return rt.journalSnapshot(ctx)
 }
 
-func (ctx *Context) clearReplay() {
+// trimReplay drops the log's first k kernels — the ones the swap image
+// has just come to reflect — and rebuilds replayRefs from what is left.
+func (ctx *Context) trimReplay(k int) {
+	rest := ctx.replay[k:]
 	ctx.replay = ctx.replay[:0]
-	for k := range ctx.replayRefs {
-		delete(ctx.replayRefs, k)
+	clear(ctx.replayRefs)
+	for _, call := range rest { // appends behind the read position
+		ctx.recordReplay(call)
 	}
 }
 

@@ -77,6 +77,3 @@ func (rt *Runtime) BeginDrain() {
 		rt.logf("drain: revoked %d session leases", len(ids))
 	}
 }
-
-// Draining reports whether a graceful shutdown is in progress.
-func (rt *Runtime) Draining() bool { return rt.draining.Load() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gvrt/internal/api"
@@ -136,26 +137,27 @@ func (rt *Runtime) journalCommit(ctx *Context, call api.LaunchCall) error {
 }
 
 // journalSnapshot records a context's full, flushed state as one atomic
-// image record, resetting its pending-kernel list. Callers hold the
-// context's service lock and guarantee no entry is device-dirty (a
-// checkpoint or full swap-out just completed).
-func (rt *Runtime) journalSnapshot(ctxID int64) error {
+// image record, resetting its pending-kernel list to what the replay log
+// still holds (nothing, unless a recovery vacated in mid-replay). Callers
+// hold the context's service lock and guarantee no entry is device-dirty
+// (a checkpoint or full swap-out just completed).
+func (rt *Runtime) journalSnapshot(ctx *Context) error {
 	if rt.journal == nil {
 		return nil
 	}
-	img, err := rt.mm.ExportContext(ctxID)
+	img, err := rt.mm.ExportContext(ctx.id)
 	if err != nil {
-		return fmt.Errorf("core: exporting ctx %d for journal: %w", ctxID, err)
+		return fmt.Errorf("core: exporting ctx %d for journal: %w", ctx.id, err)
 	}
-	return rt.journal.SnapshotContext(img, nil)
+	return rt.journal.SnapshotContext(img, slices.Clone(ctx.replay))
 }
 
 // journalSnapshotLogged is journalSnapshot for call sites that cannot
 // propagate an error (swap-out of a victim context); a failure is loud
 // but not fatal — the journal keeps the context's previous image plus
 // its pending kernels, which still recovers to the correct state.
-func (rt *Runtime) journalSnapshotLogged(ctxID int64) {
-	if err := rt.journalSnapshot(ctxID); err != nil {
-		rt.logf("ctx %d: journal snapshot failed: %v", ctxID, err)
+func (rt *Runtime) journalSnapshotLogged(ctx *Context) {
+	if err := rt.journalSnapshot(ctx); err != nil {
+		rt.logf("ctx %d: journal snapshot failed: %v", ctx.id, err)
 	}
 }

@@ -69,75 +69,49 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 	// fully resident, before the residency work below consumes the win.
 	rt.consumePrefetchMarks(ptes)
 
-	for attempt := 0; ; attempt++ {
-		v, err := rt.ensureBound(ctx)
+	for n := 0; ; n++ {
+		ran, err := rt.attemptKernel(ctx, call, ptes, offs, n)
 		if err != nil {
 			return err
 		}
-		if v == nil {
-			continue // bound, then lost to a device failure: start over
+		if ran {
+			break
 		}
-		switch err := rt.runKernel(ctx, v, call, ptes, offs); {
-		case err == nil:
-			// Residency achieved and the kernel ran.
-		case errors.Is(err, api.ErrDeviceUnavailable):
-			// runKernel has marked the dead device failed, so recovery
-			// re-binds elsewhere instead of spinning on the corpse.
-			if rerr := rt.recover(ctx); rerr != nil {
-				return rerr
-			}
-			continue
-		case errors.Is(err, api.ErrMemoryAllocation):
-			// Could not acquire memory on this device even after
-			// swapping: unbind and retry later, possibly on another
-			// device (§4.5). Backoff grows with consecutive failures
-			// so conflicting applications do not thrash the swap area.
-			rt.unbindSelf(ctx, v)
-			rt.unbindRetries.Add(1)
-			mult := attempt + 1
-			if mult > 8 {
-				mult = 8
-			}
-			rt.clock.Sleep(rt.cfg.backoff() * time.Duration(mult))
-			continue
-		default:
-			return err
-		}
-
-		ctx.gpuTimeNS.Add(int64(kernelTime))
-		rt.gpuTimeNS.Add(int64(kernelTime))
-		if ctx.tm != nil {
-			ctx.tm.AddGPUTime(int64(kernelTime))
-		}
-		ctx.recordReplayResolved(call, ptes)
-
-		// Re-fence immediately before the commit: the kernel took model
-		// time, and ownership may have moved while it ran. A deposed
-		// owner's launch must not reach the journal — the new owner
-		// replays from the last durable commit, and a late write
-		// slipping in here would fork the session's history.
-		if err := rt.fence(ctx); err != nil {
-			return err
-		}
-
-		// Write-ahead commit: the launch is only acknowledged once the
-		// journal has it durably; a failure here surfaces to the client
-		// instead of a success it could lose to a crash.
-		if err := rt.journalCommit(ctx, call); err != nil {
-			return err
-		}
-
-		if rt.cfg.AutoCheckpoint > 0 && kernelTime >= rt.cfg.AutoCheckpoint {
-			if err := rt.checkpoint(ctx); err != nil {
-				return err
-			}
-		}
-		// Teach the predictor this transition and, if it already knows
-		// what follows, start restoring that working set in the
-		// background while the application runs its CPU phase.
-		rt.notePrediction(ctx, call)
-		return nil
 	}
+
+	ctx.gpuTimeNS.Add(int64(kernelTime))
+	rt.gpuTimeNS.Add(int64(kernelTime))
+	if ctx.tm != nil {
+		ctx.tm.AddGPUTime(int64(kernelTime))
+	}
+	ctx.recordReplayResolved(call, ptes)
+
+	// Re-fence immediately before the commit: the kernel took model
+	// time, and ownership may have moved while it ran. A deposed
+	// owner's launch must not reach the journal — the new owner
+	// replays from the last durable commit, and a late write
+	// slipping in here would fork the session's history.
+	if err := rt.fence(ctx); err != nil {
+		return err
+	}
+
+	// Write-ahead commit: the launch is only acknowledged once the
+	// journal has it durably; a failure here surfaces to the client
+	// instead of a success it could lose to a crash.
+	if err := rt.journalCommit(ctx, call); err != nil {
+		return err
+	}
+
+	if rt.cfg.AutoCheckpoint > 0 && kernelTime >= rt.cfg.AutoCheckpoint {
+		if err := rt.checkpoint(ctx); err != nil {
+			return err
+		}
+	}
+	// Teach the predictor this transition and, if it already knows
+	// what follows, start restoring that working set in the
+	// background while the application runs its CPU phase.
+	rt.notePrediction(ctx, call)
+	return nil
 }
 
 // findKernel locates kernel metadata in the context's registered
@@ -155,7 +129,7 @@ func (ctx *Context) findKernel(name string) (api.KernelMeta, string, error) {
 // has a registered nested structure.
 func (ctx *Context) hasNestedRegistration(args []api.DevPtr) bool {
 	for _, p := range args {
-		pte, _, err := ctx.rt.mm.Resolve(p)
+		pte, _, err := ctx.rt.mm.ResolveFor(ctx.id, p, false)
 		if err == nil && pte.Nested != nil {
 			return true
 		}
@@ -167,7 +141,7 @@ func (ctx *Context) hasNestedRegistration(args []api.DevPtr) bool {
 func (ctx *Context) recordReplay(call api.LaunchCall) {
 	ctx.replay = append(ctx.replay, call)
 	for _, p := range call.PtrArgs {
-		if pte, _, err := ctx.rt.mm.Resolve(p); err == nil {
+		if pte, _, err := ctx.rt.mm.ResolveFor(ctx.id, p, false); err == nil {
 			ctx.replayRefs[pte.Virtual] = true
 		}
 	}
@@ -188,9 +162,9 @@ func (ctx *Context) recordReplayResolved(call api.LaunchCall, ptes []*memmgr.PTE
 // another context's entry, is rejected before it can reach a device.
 func (rt *Runtime) resolveArgs(ctx *Context, args []api.DevPtr, ptes []*memmgr.PTE, offs []uint64) ([]*memmgr.PTE, []uint64, error) {
 	for _, p := range args {
-		pte, off, err := rt.mm.Resolve(p)
-		if err != nil || pte.CtxID() != ctx.id {
-			return ptes, offs, api.ErrInvalidDevicePointer
+		pte, off, err := rt.mm.ResolveFor(ctx.id, p, false)
+		if err != nil {
+			return ptes, offs, err
 		}
 		ptes = append(ptes, pte)
 		offs = append(offs, off)
@@ -198,10 +172,57 @@ func (rt *Runtime) resolveArgs(ctx *Context, args []api.DevPtr, ptes []*memmgr.P
 	return ptes, offs, nil
 }
 
-// runKernel is the step launch and replay share: make the resolved
-// working set resident on v, launch there with device addresses, and
-// apply Figure 4's post-launch transition. A device that dies under the
-// kernel is marked failed before the error returns.
+// attemptKernel is the one step a kernel takes toward a device, for a
+// fresh launch and a replayed one alike: recover or bind if the context
+// has no live device, make the working set resident and run. It reports
+// whether the kernel ran. false with a nil error means come round again —
+// a recovery just ran (a replay's caller must re-read what is left of
+// its log), the device died under the attempt (the context is flagged,
+// so the next attempt recovers), or memory could not be had even after
+// swapping, and the context has
+// vacated its device and backed off to retry later, possibly elsewhere
+// (§4.5). n counts the caller's consecutive attempts: the backoff grows
+// with it so conflicting applications do not thrash the swap area.
+func (rt *Runtime) attemptKernel(ctx *Context, call api.LaunchCall, ptes []*memmgr.PTE, offs []uint64, n int) (bool, error) {
+	if ctx.needsRecovery.CompareAndSwap(true, false) {
+		return false, rt.recover(ctx)
+	}
+	// The slot is loaded once and used from here on: a device failure
+	// can clear ctx.vgpu at any moment, and a dead slot answers
+	// ErrDeviceUnavailable where nil would crash.
+	v := ctx.vgpu.Load()
+	if v == nil {
+		var err error
+		if v, err = rt.bind(ctx); err != nil {
+			return false, err
+		}
+	}
+	err := rt.runKernel(ctx, v, call, ptes, offs)
+	if err == nil {
+		return true, nil
+	}
+	if errors.Is(err, api.ErrMemoryAllocation) {
+		if err = rt.vacate(ctx, v); err == nil {
+			rt.unbindRetries.Add(1)
+			rt.event(trace.KindUnbind, ctx.id, 0, v.ds.index, "memory retry")
+			rt.clock.Sleep(rt.cfg.backoff() * time.Duration(min(n+1, 8)))
+			return false, nil
+		}
+	}
+	if errors.Is(err, api.ErrDeviceUnavailable) {
+		// Whoever saw the device die has marked it failed. Flag the
+		// context here too, so the next attempt recovers even if the
+		// failure did not find it on the slot.
+		ctx.needsRecovery.Store(true)
+		return false, nil
+	}
+	return false, err
+}
+
+// runKernel makes the resolved working set resident on v, launches
+// there with device addresses, and applies Figure 4's post-launch
+// transition. A device that dies under the kernel is marked failed
+// before the error returns.
 func (rt *Runtime) runKernel(ctx *Context, v *vGPU, call api.LaunchCall, ptes []*memmgr.PTE, offs []uint64) error {
 	rsp := rt.beginSpan("swap-in", ctx.id, ctx.curSpan)
 	err := rt.ensureResident(ctx, v, ptes)
@@ -225,23 +246,6 @@ func (rt *Runtime) runKernel(ctx *Context, v *vGPU, call api.LaunchCall, ptes []
 		rt.mm.MarkKernelEffects(ptes, call.ReadOnly)
 	}
 	return err
-}
-
-// ensureBound returns the vGPU the context is bound to, binding it if
-// necessary and clearing any pending recovery first; nil only when a
-// recovery lost its binding again. Callers use the returned slot rather
-// than load ctx.vgpu a second time: a device failure can clear it at any
-// moment, and a dead slot answers ErrDeviceUnavailable where nil would
-// crash. Lock-free on the already-bound fast path.
-func (rt *Runtime) ensureBound(ctx *Context) (*vGPU, error) {
-	if ctx.needsRecovery.CompareAndSwap(true, false) {
-		err := rt.recover(ctx)
-		return ctx.vgpu.Load(), err
-	}
-	if v := ctx.vgpu.Load(); v != nil {
-		return v, nil
-	}
-	return rt.bind(ctx)
 }
 
 // checkFits rejects launches whose working set cannot fit any healthy
@@ -431,21 +435,11 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 			victim.mu.Unlock()
 			continue
 		}
-		_, err := rt.mm.SwapOutAll(victim.id, slot.cuctx)
+		err := rt.vacate(victim, slot)
+		victim.mu.Unlock()
 		if err != nil {
-			victim.mu.Unlock()
-			if errors.Is(err, api.ErrDeviceUnavailable) {
-				rt.onDeviceFailure(v.ds)
-			}
 			return false
 		}
-		victim.clearReplay() // fully swapped out == checkpointed
-		rt.journalSnapshotLogged(victim.id)
-		victim.vgpu.Store(nil)
-		rt.mu.Lock()
-		rt.releaseVGPULocked(slot)
-		rt.mu.Unlock()
-		victim.mu.Unlock()
 		rt.interSwaps.Add(1)
 		if rt.cfg.Logf != nil {
 			rt.logf("ctx %d inter-app swapped out ctx %d", ctx.id, victim.id)
@@ -456,28 +450,36 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 	return false
 }
 
-// unbindSelf swaps out the context's own entries and releases its vGPU
-// so it can retry later, possibly on a different device.
-func (rt *Runtime) unbindSelf(ctx *Context, v *vGPU) {
-	if v == nil {
-		return
-	}
+// vacate is the one way a context leaves a device with its state
+// (§4.5's unbind, §4.6's implicit checkpoint): everything resident is
+// flushed to swap and — only once that has succeeded — the swap image
+// is treated as the checkpoint it now is: the kernels it reflects leave
+// the replay log (all of them, except that a recovery in progress has
+// re-run only the log's head; the unreplayed tail stays), the journal is
+// told, and the slot goes back to the scheduler. The caller holds
+// ctx.mu, with v the slot ctx is bound to, and no scheduler lock.
+//
+// One failure policy: on a dead device the context is flagged for
+// recovery with its log intact; on any other error nothing is dropped
+// and nothing a live device holds is invalidated — the context stays
+// bound, entries the flush had not reached stay resident — and the
+// error goes back to the caller.
+func (rt *Runtime) vacate(ctx *Context, v *vGPU) error {
 	if _, err := rt.mm.SwapOutAll(ctx.id, v.cuctx); err != nil {
 		if errors.Is(err, api.ErrDeviceUnavailable) {
 			rt.onDeviceFailure(v.ds)
 			ctx.needsRecovery.Store(true)
-			return
 		}
-		rt.mm.InvalidateResidency(ctx.id)
+		return err
 	}
-	ctx.clearReplay()
-	rt.journalSnapshotLogged(ctx.id)
+	ctx.trimReplay(len(ctx.replay) - ctx.unreplayed)
+	rt.journalSnapshotLogged(ctx)
 	if ctx.vgpu.CompareAndSwap(v, nil) {
 		rt.mu.Lock()
 		rt.releaseVGPULocked(v)
 		rt.mu.Unlock()
 	}
-	rt.event(trace.KindUnbind, ctx.id, 0, v.ds.index, "memory retry")
+	return nil
 }
 
 // onDeviceFailure marks a device failed and detaches every context
@@ -509,57 +511,62 @@ func (rt *Runtime) onDeviceFailure(ds *deviceState) {
 
 // recover restores a context after its device failed or was removed:
 // residency is invalidated (dirty device-only entries are marked lost),
-// the context re-binds to a healthy device, and the kernels logged
-// since the last checkpoint are replayed to regenerate the lost state
-// (§4.6; the page table + swap area are the implicit checkpoint, and —
-// unlike NVCR — only the memory operations required by not-yet-executed
-// kernels are replayed, lazily via the ToCopy2Dev flags).
+// and the kernels logged since the last checkpoint are replayed on a
+// healthy device to regenerate the lost state (§4.6; the page table +
+// swap area are the implicit checkpoint, and — unlike NVCR — only the
+// memory operations required by not-yet-executed kernels are replayed,
+// lazily via the ToCopy2Dev flags). ctx.unreplayed is the progress: a
+// replay that has to vacate a full device keeps exactly that tail, one
+// cut short by an error is resumed by the next call, and one whose
+// device dies again starts over from the swap image.
 func (rt *Runtime) recover(ctx *Context) (err error) {
 	sp := rt.beginSpan("recovery", ctx.id, ctx.curSpan)
 	replayed := 0
 	defer func() {
+		if err != nil {
+			ctx.needsRecovery.Store(true)
+		}
 		sp.end(-1, fmt.Sprintf("%d kernels replayed", replayed), err)
 	}()
-	if v := ctx.vgpu.Load(); v != nil && (v.dead.Load() || !v.ds.healthy.Load()) {
+	v := ctx.vgpu.Load()
+	if v != nil && !v.dead.Load() && v.ds.dev.Failed() {
+		rt.onDeviceFailure(v.ds) // a copy can meet the corpse before any launch has marked it
+	}
+	if v != nil && (v.dead.Load() || !v.ds.healthy.Load()) {
 		ctx.vgpu.Store(nil)
 	}
 	ctx.needsRecovery.Store(false)
-	stillBound := ctx.vgpu.Load() != nil
-
-	if !stillBound {
+	if ctx.vgpu.Load() == nil {
 		rt.mm.InvalidateResidency(ctx.id)
-		if _, err := rt.bind(ctx); err != nil {
-			return err
-		}
+		ctx.unreplayed = len(ctx.replay)
 	}
 	rt.recoveries.Add(1)
 
-	// Replay the logged kernels in order, resolving into slices of the
-	// replay's own: the interrupted launch still holds ctx.scratchPTEs.
-	replay := append([]api.LaunchCall(nil), ctx.replay...)
+	// Replay in log order, resolving into slices of the replay's own: the
+	// interrupted launch still holds ctx.scratchPTEs. The next kernel is
+	// found from the log's end, so the loop stays right when an attempt
+	// trims the head (vacate) or a nested recovery finishes the job.
 	var ptes []*memmgr.PTE
 	var offs []uint64
-	for _, call := range replay {
-		v := rt.boundVGPU(ctx)
-		if v == nil {
-			if v, err = rt.bind(ctx); err != nil {
-				return err
-			}
-		}
+	for tries := 0; ctx.unreplayed > 0; {
+		call := ctx.replay[len(ctx.replay)-ctx.unreplayed]
 		if ptes, offs, err = rt.resolveArgs(ctx, call.PtrArgs, ptes[:0], offs[:0]); err != nil {
 			return err
 		}
-		if err := rt.runKernel(ctx, v, call, ptes, offs); err != nil {
-			if errors.Is(err, api.ErrDeviceUnavailable) {
-				return rt.recover(ctx)
-			}
+		var ran bool
+		if ran, err = rt.attemptKernel(ctx, call, ptes, offs, tries); err != nil {
 			return err
 		}
-		rt.replays.Add(1)
-		replayed++
+		tries++
+		if ran {
+			ctx.unreplayed--
+			rt.replays.Add(1)
+			replayed++
+			tries = 0 // the next kernel counts its own attempts
+		}
 	}
 	rt.mm.ClearLost(ctx.id)
-	rt.logf("ctx %d recovered (%d kernels replayed)", ctx.id, len(replay))
+	rt.logf("ctx %d recovered (%d kernels replayed)", ctx.id, replayed)
 	rt.event(trace.KindRecovery, ctx.id, 0, -1, "")
 	return nil
 }

@@ -88,8 +88,8 @@ func (rt *Runtime) notePrediction(ctx *Context, call api.LaunchCall) {
 	// residency work.
 	need := false
 	for _, p := range next {
-		pte, _, err := rt.mm.Resolve(p)
-		if err != nil || pte.CtxID() != ctx.id {
+		pte, _, err := rt.mm.ResolveFor(ctx.id, p, false)
+		if err != nil {
 			continue
 		}
 		if !pte.IsAllocated || pte.ToCopy2Dev {
@@ -170,8 +170,8 @@ func (rt *Runtime) doPrefetch(req prefetchReq) {
 	var missing uint64
 	pending := false
 	for _, p := range req.ptrs {
-		pte, _, err := rt.mm.Resolve(p)
-		if err != nil || pte.CtxID() != ctx.id || slices.Contains(ptes, pte) {
+		pte, _, err := rt.mm.ResolveFor(ctx.id, p, false)
+		if err != nil || slices.Contains(ptes, pte) {
 			continue // freed or reallocated since the prediction, or a repeat
 		}
 		ptes = append(ptes, pte)

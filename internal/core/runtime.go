@@ -615,10 +615,6 @@ func (rt *Runtime) Clock() *sim.Clock { return rt.clock }
 // migration protocol ("local" when unconfigured).
 func (rt *Runtime) NodeName() string { return rt.cfg.node() }
 
-// MemoryManager exposes the memory manager (read-mostly; used by tests
-// and the experiment harness).
-func (rt *Runtime) MemoryManager() *memmgr.Manager { return rt.mm }
-
 // Metrics returns a snapshot of all counters.
 func (rt *Runtime) Metrics() Metrics {
 	list := rt.deviceList()

@@ -104,14 +104,21 @@ func (c *Context) Free(p api.DevPtr) error {
 	c.mu.Lock()
 	i := c.allocIndex(p)
 	mine := i >= 0 && c.allocs[i].base == p
-	if mine {
-		c.allocs = append(c.allocs[:i], c.allocs[i+1:]...)
-	}
 	c.mu.Unlock()
 	if !mine {
 		return api.ErrInvalidDevicePointer
 	}
-	return c.dev.Free(p)
+	// Forget the span only once the device has let go of it: what a
+	// failed device could not free is Destroy's to free when it is back.
+	if err := c.dev.Free(p); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	if i := c.allocIndex(p); i >= 0 && c.allocs[i].base == p {
+		c.allocs = append(c.allocs[:i], c.allocs[i+1:]...)
+	}
+	c.mu.Unlock()
+	return nil
 }
 
 // owns reports whether ptr falls inside one of this context's

@@ -256,11 +256,22 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	rt := newTestRuntime()
 	before := rt.Device(0).Available()
 	ctx, _ := rt.CreateContext(0)
+	var last api.DevPtr
 	for i := 0; i < 5; i++ {
-		if _, err := ctx.Malloc(1 << 20); err != nil {
+		p, err := ctx.Malloc(1 << 20)
+		if err != nil {
 			t.Fatal(err)
 		}
+		last = p
 	}
+	// A free the failed device refused must leave the span with the
+	// context: the device comes back with the block still allocated, and
+	// nothing but Destroy can return it (the soak's stranded 600 KiB).
+	rt.Device(0).Fail()
+	if err := ctx.Free(last); !errors.Is(err, api.ErrDeviceUnavailable) {
+		t.Fatalf("Free on a failed device: %v", err)
+	}
+	rt.Device(0).Restore()
 	ctx.Destroy()
 	ctx.Destroy() // idempotent
 	if got := rt.Device(0).Available(); got != before {

@@ -64,9 +64,6 @@ func NewTable(ttl time.Duration, now func() time.Duration) *Table {
 	return &Table{ttl: ttl, now: now, leases: make(map[int64]*Lease)}
 }
 
-// TTL reports the configured lease lifetime.
-func (t *Table) TTL() time.Duration { return t.ttl }
-
 // Acquire takes (or retakes) the session's lease for owner. A fresh
 // session starts at epoch 1; re-acquiring one's own lease renews it at
 // the same epoch; an expired or revoked lease is taken over at epoch+1.

@@ -17,7 +17,6 @@ import (
 
 	"gvrt/internal/api"
 	"gvrt/internal/resilience"
-	"gvrt/internal/trace"
 	"gvrt/internal/transport"
 )
 
@@ -36,7 +35,6 @@ type Client struct {
 	conn   transport.Conn
 	closed bool
 	retry  *resilience.Retrier
-	tracer *trace.Tracer
 }
 
 // Connect wraps an established connection. Use transport.Pipe for an
@@ -56,23 +54,10 @@ func (c *Client) WithRetry(r *resilience.Retrier) *Client {
 	return c
 }
 
-// WithTrace records a client-side span per call (phase
-// "client.<call>", the application's view of the round trip,
-// including any transparent retries) into rec, stamped with now()'s
-// model time. Returns c.
-func (c *Client) WithTrace(rec *trace.Recorder, now func() time.Duration) *Client {
-	c.tracer = &trace.Tracer{Rec: rec, Now: now}
-	return c
-}
-
 // call performs one RPC and folds transport errors into CUDA codes.
 func (c *Client) call(call api.Call) (api.Reply, error) {
 	if c.closed {
 		return api.Reply{}, api.ErrConnectionClosed
-	}
-	if t := c.tracer; t != nil {
-		start := t.Start()
-		defer func() { t.Span("client."+call.CallName(), 0, start, -1, "") }()
 	}
 	if c.retry == nil {
 		r, err := c.conn.Call(call)

@@ -423,6 +423,3 @@ func (a *allocator) sizeOf(addr uint64) (uint64, bool) {
 	n, ok := a.used[addr-a.base]
 	return n, ok
 }
-
-// allocCount returns the number of live allocations.
-func (a *allocator) allocCount() int { return len(a.used) }

@@ -113,21 +113,6 @@ func (d *Device) Available() uint64 {
 	return d.alloc.available()
 }
 
-// LargestFree returns the largest single allocatable block; because of
-// fragmentation it can be smaller than Available.
-func (d *Device) LargestFree() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.alloc.largestFree()
-}
-
-// AllocCount returns the number of live allocations.
-func (d *Device) AllocCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.alloc.allocCount()
-}
-
 // Stats returns a snapshot of the activity counters.
 func (d *Device) Stats() Stats {
 	return Stats{
@@ -235,6 +220,11 @@ func (d *Device) Free(p api.DevPtr) error {
 	return nil
 }
 
+// inRange reports whether [off, off+size) lies within limit bytes. off
+// and size come from the caller, so their sum is never formed: it can
+// wrap.
+func inRange(off, size, limit uint64) bool { return size <= limit && off <= limit-size }
+
 // resolve maps ptr to (allocation base, offset, allocation size).
 func (d *Device) resolve(ptr api.DevPtr) (base api.DevPtr, off, size uint64, err error) {
 	d.mu.Lock()
@@ -282,7 +272,7 @@ func (d *Device) CopyIn(dst api.DevPtr, data []byte, size uint64) error {
 	if err != nil {
 		return err
 	}
-	if off+size > alloc {
+	if !inRange(off, size, alloc) {
 		return api.ErrInvalidValue
 	}
 	d.h2dMu.Lock()
@@ -359,7 +349,7 @@ func (d *Device) CopyInBatch(items []api.HDCopy) error {
 		if err != nil {
 			return err
 		}
-		if off+size > alloc {
+		if !inRange(off, size, alloc) {
 			return api.ErrInvalidValue
 		}
 		plans = append(plans, dmaPlan{base, off, alloc, size, corrupt})
@@ -407,7 +397,7 @@ func (d *Device) CopyOut(src api.DevPtr, size uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off+size > alloc {
+	if !inRange(off, size, alloc) {
 		return nil, api.ErrInvalidValue
 	}
 	d.d2hMu.Lock()
@@ -460,7 +450,7 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if off+it.Size > alloc {
+		if !inRange(off, it.Size, alloc) {
 			return nil, api.ErrInvalidValue
 		}
 		plans = append(plans, dmaPlan{base, off, alloc, it.Size, corrupt})
@@ -507,7 +497,7 @@ func (d *Device) CopyDD(dst, src api.DevPtr, size uint64) error {
 	if err != nil {
 		return err
 	}
-	if doff+size > dalloc || soff+size > salloc {
+	if !inRange(doff, size, dalloc) || !inRange(soff, size, salloc) {
 		return api.ErrInvalidValue
 	}
 	// On-device copies ride the h2d engine (one engine is enough for a

@@ -30,9 +30,6 @@ type Spec struct {
 	BandwidthBps uint64
 }
 
-// Cores returns the total CUDA core count.
-func (s Spec) Cores() int { return s.SMs * s.CoresPerSM }
-
 // Predefined device models, matching §5.1 of the paper. Relative speeds
 // follow the paper's qualitative ranking (C2050 fastest, C1060 mid,
 // Quadro 2000 "less powerful"); see DESIGN.md §6.

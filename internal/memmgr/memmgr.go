@@ -27,6 +27,7 @@
 package memmgr
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -395,16 +396,19 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 	return v, nil
 }
 
-// Resolve maps a virtual pointer (possibly mid-entry) to its entry and
-// offset. Table 1's "check valid PTE": failures are counted as bad
-// operations and reported as ErrInvalidDevicePointer without reaching
-// the device.
-func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
-	if uint64(ptr)&virtTag == 0 {
+// ResolveFor is the one door a tenant-supplied pointer enters through
+// (Table 1's "check valid PTE"): it maps ptr — possibly mid-entry, unless
+// base demands the allocation's own address (free, nested parent) — to
+// ctxID's entry and offset. The owner is in the pointer's bits, so a
+// foreign pointer is refused before another tenant's shard lock is
+// taken, and whatever is found in ctxID's table is ctxID's. Every refusal
+// is counted as a bad operation and reported as ErrInvalidDevicePointer
+// without reaching a device.
+func (m *Manager) ResolveFor(ctxID int64, ptr api.DevPtr, base bool) (*PTE, uint64, error) {
+	if uint64(ptr)&virtTag == 0 || ptrCtx(ptr) != ctxID {
 		m.badOps.Add(1)
 		return nil, 0, api.ErrInvalidDevicePointer
 	}
-	ctxID := int64(uint64(ptr) &^ virtTag >> ctxShift)
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -415,13 +419,27 @@ func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
 	i := sort.Search(len(tbl), func(i int) bool { return tbl[i].Virtual > ptr })
 	if i > 0 {
 		pte := tbl[i-1]
-		if ptr < pte.Virtual+api.DevPtr(pte.Size) {
-			return pte, uint64(ptr - pte.Virtual), nil
+		if off := uint64(ptr - pte.Virtual); off < pte.Size && (off == 0 || !base) {
+			return pte, off, nil
 		}
 	}
 	m.badOps.Add(1)
 	return nil, 0, api.ErrInvalidDevicePointer
 }
+
+// Resolve is ResolveFor on behalf of whichever context the pointer itself
+// names: for the manager's own lookups of registered nested members, and
+// for callers that hold no context (tests, benchmarks).
+func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
+	return m.ResolveFor(ptrCtx(ptr), ptr, false)
+}
+
+// ptrCtx extracts the owning context's ID from a virtual pointer's bits.
+func ptrCtx(ptr api.DevPtr) int64 { return int64(uint64(ptr) &^ virtTag >> ctxShift) }
+
+// inRange reports whether [off, off+size) lies within limit bytes. off
+// and size are client-chosen, so their sum is never formed: it can wrap.
+func inRange(off, size, limit uint64) bool { return size <= limit && off <= limit-size }
 
 // AppendEntries appends a snapshot of a context's page table to dst (a
 // caller that keeps dst from call to call snapshots without allocating).
@@ -478,7 +496,7 @@ func (m *Manager) CopyHD(pte *PTE, off uint64, data []byte, size uint64, ops Dev
 	if data != nil {
 		size = uint64(len(data))
 	}
-	if off+size > pte.Size {
+	if !inRange(off, size, pte.Size) {
 		m.badOps.Add(1)
 		return api.ErrSizeMismatch
 	}
@@ -519,7 +537,7 @@ func (m *Manager) CopyHD(pte *PTE, off uint64, data []byte, size uint64, ops Dev
 // device like any host write. Real bytes are materialised only when the
 // entry already carries data.
 func (m *Manager) Memset(pte *PTE, off uint64, value byte, size uint64, ops DeviceOps) error {
-	if off+size > pte.Size {
+	if !inRange(off, size, pte.Size) {
 		m.badOps.Add(1)
 		return api.ErrInvalidValue
 	}
@@ -530,9 +548,9 @@ func (m *Manager) Memset(pte *PTE, off uint64, value byte, size uint64, ops Devi
 		return err
 	}
 	if pte.hasSwapBytes() || value != 0 {
-		buf := m.mutableSwap(pte)
-		for i := off; i < off+size; i++ {
-			buf[i] = value
+		fill := m.mutableSwap(pte)[off:][:size]
+		for i := range fill {
+			fill[i] = value
 		}
 	}
 	pte.ToCopy2Swap = false
@@ -559,7 +577,7 @@ func (m *Manager) Memset(pte *PTE, off uint64, value byte, size uint64, ops Devi
 // the returned bytes come from the swap area (nil for synthetic
 // entries). The entry ends in the "host and device in sync" state.
 func (m *Manager) CopyDH(pte *PTE, off, size uint64, ops DeviceOps) ([]byte, error) {
-	if off+size > pte.Size {
+	if !inRange(off, size, pte.Size) {
 		m.badOps.Add(1)
 		return nil, api.ErrInvalidValue
 	}
@@ -677,17 +695,12 @@ func (m *Manager) RegisterNested(parent *PTE, members []api.DevPtr, offsets []ui
 		return api.ErrInvalidValue
 	}
 	for i, off := range offsets {
-		if off+8 > parent.Size {
+		if !inRange(off, 8, parent.Size) {
 			m.badOps.Add(1)
 			return api.ErrInvalidValue
 		}
-		pte, _, err := m.Resolve(members[i])
-		if err != nil {
+		if _, _, err := m.ResolveFor(parent.CtxID(), members[i], false); err != nil {
 			return err
-		}
-		if pte.CtxID() != parent.CtxID() {
-			m.badOps.Add(1)
-			return api.ErrInvalidDevicePointer
 		}
 	}
 	parent.Nested = &Nested{
@@ -927,7 +940,10 @@ func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
 		m.swapBytes.Add(int64(pte.Size))
 		t.Attribute(pte.CtxID(), trace.AttrSwapBytes, int64(pte.Size))
 	}
-	if err := ops.Free(pte.Device); err != nil {
+	// The data is safe in swap by now. A device that died before the free
+	// took its memory with it: the entry is swapped out all the same, and
+	// the swap image is as complete as if the free had succeeded.
+	if err := ops.Free(pte.Device); err != nil && !errors.Is(err, api.ErrDeviceUnavailable) {
 		return err
 	}
 	pte.IsAllocated = false

@@ -685,3 +685,38 @@ func TestIntraAppSwapMatmul(t *testing.T) {
 		t.Errorf("SwapOps = %d, want 1", m.Stats().SwapOps)
 	}
 }
+
+// diesBeforeFree is a device that fails between a swap-out's copy and
+// its free.
+type diesBeforeFree struct{ *fakeOps }
+
+func (diesBeforeFree) Free(api.DevPtr) error { return api.ErrDeviceUnavailable }
+
+// TestSwapOutCompleteWhenDeviceDiesBeforeFree: once the dirty data has
+// reached swap, a device that dies before the free has only taken its
+// own memory with it. The entry must end swapped out and SwapOutAll
+// must succeed — reporting a failure made the runtime keep a replay log
+// over a swap image that already reflected it, and every logged kernel
+// was applied twice (the soak's "byte 0 = N+1").
+func TestSwapOutCompleteWhenDeviceDiesBeforeFree(t *testing.T) {
+	m := New(true, 0)
+	ops := newFakeOps(1 << 20)
+	pte := mustMalloc(t, m, 1, 64)
+	if err := m.CopyHD(pte, 0, []byte{1}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MakeResident(pte, ops); err != nil {
+		t.Fatal(err)
+	}
+	ops.poke(pte.Device, []byte{2}) // a kernel's output, on the device only
+	m.MarkKernelEffects([]*PTE{pte}, nil)
+	if n, err := m.SwapOutAll(1, diesBeforeFree{ops}); n != 1 || err != nil {
+		t.Fatalf("SwapOutAll over a device that died before the free = %d, %v; want 1, nil", n, err)
+	}
+	if pte.IsAllocated || pte.ToCopy2Swap || !pte.ToCopy2Dev {
+		t.Errorf("entry after the swap-out: %+v", pte)
+	}
+	if out, err := m.CopyDH(pte, 0, 1, nil); err != nil || out[0] != 2 {
+		t.Errorf("swap image = %v, %v; want the kernel's output", out, err)
+	}
+}

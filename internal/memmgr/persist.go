@@ -112,17 +112,3 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	s.ctxs[img.CtxID] = cs
 	return nil
 }
-
-// ContextIDs lists the contexts with live page tables.
-func (m *Manager) ContextIDs() []int64 {
-	var ids []int64
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id := range s.ctxs {
-			ids = append(ids, id)
-		}
-		s.mu.Unlock()
-	}
-	return ids
-}
