@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"gvrt"
-	"gvrt/internal/wal"
 )
 
 // parseGPUs maps comma-separated model names to device specs.
@@ -66,8 +64,7 @@ func main() {
 		threshold = flag.Int("threshold", 0, "queue length beyond which new threads are offloaded (0 = off)")
 		migrate   = flag.Bool("migrate", false, "enable load balancing through dynamic binding")
 		autoCkpt  = flag.Duration("auto-checkpoint", 0, "checkpoint after kernels at least this long (model time; 0 = off)")
-		stateFile = flag.String("state", "", "persist runtime state here on SIGINT/SIGTERM and restore it at startup (node-restart support)")
-		journal   = flag.String("journal", "", "crash-consistent checkpoint journal directory: committed sessions survive even a SIGKILL")
+		journal   = flag.String("journal", "", "crash-consistent checkpoint journal directory: committed sessions survive a restart of the node, even a SIGKILL; clients re-attach with Resume")
 		storeDir  = flag.String("store", "", "control-plane store directory: tenants, quotas and device membership survive crashes; mutations resume or roll back at boot (REST surface needs -http)")
 		nodeName  = flag.String("node", "", "node name registered in the control-plane store (default the listen address)")
 		httpAddr  = flag.String("http", "", "HTTP operator plane address (/metrics, /statusz, /tracez, /trace.json, /debug/pprof); empty = off")
@@ -179,29 +176,8 @@ func main() {
 		}
 	}
 
-	// Node-restart support (§4.6): restore persisted sessions, and save
-	// them again on shutdown. Clients re-attach with Client.Resume. A
-	// missing file is a fresh start; an unreadable or corrupt one is
-	// fatal — starting empty would silently discard saved sessions.
-	if *stateFile != "" {
-		f, err := os.Open(*stateFile)
-		switch {
-		case err == nil:
-			if err := node.RT.RestoreState(f); err != nil {
-				log.Fatalf("gvrtd: restoring %s: %v (move the file aside to start fresh)", *stateFile, err)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "gvrtd: restored sessions %v from %s\n",
-				node.RT.OrphanSessions(), *stateFile)
-		case errors.Is(err, fs.ErrNotExist):
-			// First boot: nothing to restore.
-		default:
-			log.Fatalf("gvrtd: reading state file %s: %v", *stateFile, err)
-		}
-	}
-
-	// Attach last: everything recovered or restored above is seeded into
-	// the journal, and all mutations from here on are shadowed to it.
+	// Attach after recovery: all mutations from here on are shadowed to
+	// the journal.
 	if jnl != nil {
 		if err := node.RT.AttachJournal(jnl); err != nil {
 			log.Fatalf("gvrtd: attaching journal: %v", err)
@@ -337,9 +313,9 @@ func main() {
 
 	// Graceful shutdown: SIGTERM/SIGINT stops admitting (new connections
 	// are shed, live session leases revoked so peers can steal them),
-	// closes the listener, persists what was asked for, flushes the
-	// journal and the store, then exits 0. SIGKILL remains the
-	// crash-consistency path the torture harnesses exercise.
+	// closes the listener, compacts and closes the journal and the
+	// store, then exits 0. SIGKILL remains the crash-consistency path
+	// the torture harnesses exercise.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	var draining atomic.Bool
@@ -400,16 +376,6 @@ func main() {
 		return
 	}
 	code := 0
-	if *stateFile != "" {
-		// Write-then-rename so a kill mid-save can never leave a
-		// truncated state file where a good one was.
-		if err := wal.WriteFileAtomic(*stateFile, node.RT.SaveState); err != nil {
-			log.Printf("gvrtd: SAVING STATE FAILED, sessions not persisted to %s: %v", *stateFile, err)
-			code = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "gvrtd: state saved to %s\n", *stateFile)
-		}
-	}
 	if jnl != nil {
 		// Fold the journal into a fresh snapshot so the next boot
 		// recovers fast, then close it cleanly.

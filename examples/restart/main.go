@@ -1,20 +1,23 @@
 // Node restart: an application survives a full restart of its node
-// (the paper's §4.6 combines its runtime with BLCR for this; gvrt
-// serialises its own state).
+// (the paper's §4.6 combines its runtime with BLCR for this; gvrt keeps
+// its page tables and swap areas in a crash-consistent journal).
 //
-// An iterative application runs half its kernels on node 1. The node
-// saves its runtime state and goes away — hardware and all. A brand-new
-// node restores the state; the application reconnects, resumes its
-// session, and finishes the remaining kernels using the same virtual
-// pointers. The final result is bit-exact, as if nothing happened.
+// An iterative application runs half its kernels on node 1, which
+// journals every acknowledged launch. The node shuts down — compacting
+// and closing its journal — and goes away, hardware and all. A brand-new
+// node recovers the journal directory; the application reconnects,
+// resumes its session, and finishes the remaining kernels using the same
+// virtual pointers. The final result is bit-exact, as if nothing
+// happened. (Killing node 1 instead of shutting it down ends the same
+// way: gvrt-chaos -torture proves that half.)
 //
 // Run with: go run ./examples/restart
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"gvrt"
@@ -50,10 +53,22 @@ const (
 
 func main() {
 	clock := gvrt.NewClock(0.001)
+	dir, err := os.MkdirTemp("", "gvrt-restart-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
 
 	// ---- life on node 1 ----
 	node1, err := gvrt.NewLocalNode(clock, gvrt.Config{}, gvrt.TeslaC2050)
 	if err != nil {
+		log.Fatal(err)
+	}
+	journal1, _, err := gvrt.OpenJournal(dir, gvrt.JournalOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := node1.RT.AttachJournal(journal1); err != nil {
 		log.Fatal(err)
 	}
 	c1 := node1.OpenClient()
@@ -78,13 +93,18 @@ func main() {
 	}
 	fmt.Printf("node 1: ran %d/%d kernels; session %d\n", iters/2, iters, session)
 
-	var snapshot bytes.Buffer
-	if err := node1.RT.SaveState(&snapshot); err != nil {
+	// Graceful shutdown, the application still connected: fold the
+	// journal into one snapshot and close it. Nothing after this reaches
+	// the disk, so the connection's teardown cannot retire the session.
+	if err := journal1.Compact(); err != nil {
+		log.Fatal(err)
+	}
+	if err := journal1.Close(); err != nil {
 		log.Fatal(err)
 	}
 	c1.Close()
 	node1.Close()
-	fmt.Printf("node 1: state saved (%d bytes) — node goes down\n", snapshot.Len())
+	fmt.Printf("node 1: journal compacted and closed in %s — node goes down\n", dir)
 
 	// ---- a brand-new node comes up ----
 	node2, err := gvrt.NewLocalNode(clock, gvrt.Config{}, gvrt.TeslaC2050)
@@ -92,10 +112,18 @@ func main() {
 		log.Fatal(err)
 	}
 	defer node2.Close()
-	if err := node2.RT.RestoreState(&snapshot); err != nil {
+	journal2, recovered, err := gvrt.OpenJournal(dir, gvrt.JournalOptions{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("node 2: restored sessions %v\n", node2.RT.OrphanSessions())
+	defer journal2.Close()
+	if err := node2.RT.RecoverFromJournal(recovered); err != nil {
+		log.Fatal(err)
+	}
+	if err := node2.RT.AttachJournal(journal2); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("node 2: recovered sessions %v\n", node2.RT.OrphanSessions())
 
 	c2 := node2.OpenClient()
 	defer c2.Close()

@@ -43,11 +43,10 @@ const (
 	// RecSnapshotHeader opens a snapshot file; wal owns its payload (the
 	// sequence fence).
 	RecSnapshotHeader
-	// RecImage is a full per-context image: the serialised ContextImage
-	// plus the kernels committed since its last checkpoint. It appears
+	// RecImage is a full per-context image (an ImageRecord). It appears
 	// in snapshot files (one per context) and in the journal when a
-	// whole context's state is installed at once (journal attach,
-	// RestoreState import).
+	// whole context's state is installed at once (a checkpoint, journal
+	// attach, an adopted session).
 	RecImage
 	// RecContextCreated records a context coming into existence.
 	RecContextCreated
@@ -65,7 +64,8 @@ const (
 	RecKernelCommitted
 	// RecCheckpoint records a checkpoint boundary: the entry-written
 	// records before it capture the full device state, so the pending
-	// kernel list resets.
+	// kernel list resets. Nothing writes it any more (a checkpoint is a
+	// RecImage); recovery still reads it out of older journals.
 	RecCheckpoint
 )
 
@@ -89,9 +89,12 @@ func (t RecType) String() string {
 	return fmt.Sprintf("rectype(%d)", int(t))
 }
 
-// imageRecord is the payload of RecImage: one context's complete
-// durable state.
-type imageRecord struct {
+// ImageRecord is the durable form of a session: its page table and
+// swap copies, plus the kernels committed since that image was taken,
+// which a resume replays over it (§4.6). It is the payload of RecImage,
+// what recovery hands the runtime per context, and — entry data carried
+// separately as chunks — what a migration ships (failover.Hello).
+type ImageRecord struct {
 	Image   memmgr.ContextImage
 	Pending []api.LaunchCall
 }

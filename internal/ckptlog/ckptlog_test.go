@@ -52,8 +52,9 @@ func populate(t *testing.T, j *Journal) {
 	if err := j.KernelCommitted(1, launch("inc", 0x100)); err != nil {
 		t.Fatalf("KernelCommitted: %v", err)
 	}
-	if err := j.CheckpointMark(2); err != nil {
-		t.Fatalf("CheckpointMark: %v", err)
+	img := &memmgr.ContextImage{CtxID: 2, NextOff: 256, Entries: []memmgr.EntryImage{entry(0x300, "gamma")}}
+	if err := j.SnapshotContext(img, nil); err != nil {
+		t.Fatalf("SnapshotContext: %v", err)
 	}
 }
 
@@ -450,8 +451,9 @@ func TestAutoCompaction(t *testing.T) {
 	j.ContextCreated(1)
 	for i := 0; i < 64; i++ {
 		j.EntryWritten(1, entry(api.DevPtr(0x100+i*0x100), "payload-data"), uint64(256*(i+1)))
-		if err := j.CheckpointMark(1); err != nil {
-			t.Fatalf("CheckpointMark: %v", err)
+		// A kernel commit is the synced record that checks the threshold.
+		if err := j.KernelCommitted(1, launch("inc", 0x100)); err != nil {
+			t.Fatalf("KernelCommitted: %v", err)
 		}
 	}
 	if got := j.Stats().Compactions; got == 0 {

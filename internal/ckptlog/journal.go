@@ -241,26 +241,11 @@ func (j *Journal) KernelCommitted(ctxID int64, call api.LaunchCall) error {
 	return nil
 }
 
-// CheckpointMark records a checkpoint boundary: the entry-written
-// records appended before it capture the context's full device state,
-// so the pending kernel list resets. Synced — a checkpoint the client
-// saw succeed must hold after a crash.
-func (j *Journal) CheckpointMark(ctxID int64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	mc := j.ctx(ctxID)
-	if err := j.commit(RecCheckpoint, ctxID, nil); err != nil {
-		return err
-	}
-	mc.pending = mc.pending[:0]
-	j.maybeCompact()
-	return nil
-}
-
-// SnapshotContext installs a context's complete state at once (journal
-// attach over a live runtime, RestoreState import). Synced.
+// SnapshotContext installs a context's complete state at once (a
+// checkpoint, journal attach over a live runtime, an adopted session).
+// Synced.
 func (j *Journal) SnapshotContext(img *memmgr.ContextImage, pending []api.LaunchCall) error {
-	rec := imageRecord{Image: *img, Pending: pending}
+	rec := ImageRecord{Image: *img, Pending: pending}
 	payload, err := wal.EncodeGob(rec)
 	if err != nil {
 		return err
@@ -275,7 +260,7 @@ func (j *Journal) SnapshotContext(img *memmgr.ContextImage, pending []api.Launch
 }
 
 // applyImage replaces a context's mirror state with a full image.
-func (j *Journal) applyImage(ctxID int64, rec imageRecord) {
+func (j *Journal) applyImage(ctxID int64, rec ImageRecord) {
 	mc := &mirrorCtx{
 		nextOff: rec.Image.NextOff,
 		entries: make(map[api.DevPtr]memmgr.EntryImage, len(rec.Image.Entries)),
@@ -334,7 +319,7 @@ func (j *Journal) compactLocked() error {
 	return j.log.Compact(func(add func(kind uint8, id int64, payload []byte)) error {
 		for _, id := range ids {
 			mc := j.mirror[id]
-			payload, err := wal.EncodeGob(imageRecord{Image: *mc.imageOf(id), Pending: mc.pending})
+			payload, err := wal.EncodeGob(ImageRecord{Image: *mc.imageOf(id), Pending: mc.pending})
 			if err != nil {
 				return err
 			}

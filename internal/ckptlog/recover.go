@@ -136,7 +136,7 @@ func (j *Journal) replay(rec *Recovered, quarantined map[int64]bool, r wal.Repla
 func (j *Journal) applyRecord(f wal.Frame) error {
 	switch RecType(f.Kind) {
 	case RecImage:
-		var ir imageRecord
+		var ir ImageRecord
 		if err := wal.DecodeGob(f.Payload, &ir); err != nil {
 			return err
 		}

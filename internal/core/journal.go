@@ -13,9 +13,9 @@ import (
 // journal (internal/ckptlog). The journal shadows the durable state of
 // §4.6 — the page table + swap area checkpoint plus the replay log — on
 // disk, so the checkpoint survives not just device failures but daemon
-// kills: RecoverFromJournal rebuilds every committed session as an
-// orphan a reconnecting client can Resume, with the kernels committed
-// since its last checkpoint replayed on first use.
+// kills: RecoverFromJournal (session.go) rebuilds every committed
+// session as an orphan a reconnecting client can Resume, with the
+// kernels committed since its last checkpoint replayed on first use.
 //
 // Consistency invariant: for every context the journal mirrors a pair
 // (entries E, pending kernels P) such that replaying P over E yields
@@ -28,11 +28,11 @@ import (
 
 // AttachJournal installs j as the runtime's durability journal: the
 // memory manager's mutations, kernel commits and checkpoints are
-// shadowed to it from now on. State the runtime already holds (live
-// contexts, restored orphans) that the journal does not — e.g. on first
-// enablement over a pre-journal state file — is checkpoint-flushed and
-// seeded into it. Call it at boot, after RecoverFromJournal and
-// RestoreState, before serving connections.
+// shadowed to it from now on. Live contexts the journal does not hold —
+// it is being enabled over a running node — are checkpoint-flushed and
+// seeded into it; the orphans RecoverFromJournal installed came out of
+// it. Call it at boot, after RecoverFromJournal, before serving
+// connections.
 func (rt *Runtime) AttachJournal(j *ckptlog.Journal) error {
 	rt.mu.Lock()
 	rt.journal = j
@@ -40,79 +40,23 @@ func (rt *Runtime) AttachJournal(j *ckptlog.Journal) error {
 	for _, c := range rt.ctxs {
 		ctxs = append(ctxs, c)
 	}
-	orphans := make([]int64, 0, len(rt.orphans))
-	for id := range rt.orphans {
-		orphans = append(orphans, id)
-	}
 	rt.mu.Unlock()
 	rt.mm.SetObserver(j)
 
 	for _, ctx := range ctxs {
+		var err error
 		ctx.mu.Lock()
-		err := func() error {
-			if j.HasContext(ctx.id) {
-				return nil
-			}
+		if !j.HasContext(ctx.id) {
 			// checkpoint flushes device-dirty entries first, so the seeded
 			// image can never capture stale swap data, and — with
 			// rt.journal now set — writes the image record itself.
-			return rt.checkpoint(ctx)
-		}()
+			err = rt.checkpoint(ctx)
+		}
 		ctx.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("core: seeding journal with ctx %d: %w", ctx.id, err)
 		}
 	}
-	for _, id := range orphans {
-		if j.HasContext(id) {
-			continue
-		}
-		img, err := rt.mm.ExportContext(id)
-		if err != nil {
-			return fmt.Errorf("core: seeding journal with orphan %d: %w", id, err)
-		}
-		rt.mu.Lock()
-		pending := rt.orphanReplay[id]
-		rt.mu.Unlock()
-		if err := j.SnapshotContext(img, pending); err != nil {
-			return fmt.Errorf("core: seeding journal with orphan %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// RecoverFromJournal installs the state a ckptlog.Open recovered into
-// this (fresh) runtime: every recovered context becomes an unclaimed
-// orphan session, and its pending kernels are kept aside so the first
-// operation after a Resume replays them (§4.6's bounded replay, now
-// across a daemon restart). Call it before AttachJournal.
-func (rt *Runtime) RecoverFromJournal(rec *ckptlog.Recovered) error {
-	for _, img := range rec.Images {
-		if err := rt.mm.ImportContext(img); err != nil {
-			return fmt.Errorf("core: recovering ctx %d from journal: %w", img.CtxID, err)
-		}
-		rt.mu.Lock()
-		if rt.orphans == nil {
-			rt.orphans = make(map[int64]bool)
-		}
-		rt.orphans[img.CtxID] = true
-		if p := rec.Pending[img.CtxID]; len(p) > 0 {
-			if rt.orphanReplay == nil {
-				rt.orphanReplay = make(map[int64][]api.LaunchCall)
-			}
-			rt.orphanReplay[img.CtxID] = p
-		}
-		rt.mu.Unlock()
-		rt.logf("recovered session %d from journal (%d entries, %d pending kernels)",
-			img.CtxID, len(img.Entries), len(rec.Pending[img.CtxID]))
-	}
-	rt.mu.Lock()
-	// Never re-issue any context ID the journal has ever seen — including
-	// quarantined and destroyed ones.
-	if rec.MaxCtxID > rt.nextCtx {
-		rt.nextCtx = rec.MaxCtxID
-	}
-	rt.mu.Unlock()
 	return nil
 }
 

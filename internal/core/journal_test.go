@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"gvrt/internal/api"
 	"gvrt/internal/ckptlog"
 	"gvrt/internal/frontend"
-	"gvrt/internal/memmgr"
 )
 
 // openJournal opens (or re-opens) the journal directory and fails the
@@ -23,6 +21,63 @@ func openJournal(t *testing.T, dir string) (*ckptlog.Journal, *ckptlog.Recovered
 		t.Fatalf("ckptlog.Open: %v", err)
 	}
 	return j, rec
+}
+
+// bootJournaled boots a runtime over the journal in dir the way gvrtd
+// does: open, recover, attach.
+func bootJournaled(t *testing.T, dir string, cfg Config) (*testEnv, *ckptlog.Journal) {
+	t.Helper()
+	j, rec := openJournal(t, dir)
+	env := newEnv(t, cfg, smallSpec(1<<20, 1))
+	if err := env.rt.RecoverFromJournal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.rt.AttachJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	return env, j
+}
+
+// shutDown is gvrtd's graceful exit: with the clients still connected,
+// fold the journal into one snapshot and close it, then let everything
+// else go. Nothing after the close reaches the disk, so the
+// connections' teardown cannot retire their sessions.
+func shutDown(t *testing.T, env *testEnv, j *ckptlog.Journal, clients ...*frontend.Client) {
+	t.Helper()
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	env.rt.Close()
+}
+
+// restartedWithOrphan runs one session that writes data to a 16-byte
+// buffer on a journaled node, restarts the node gracefully and returns
+// the fresh runtime holding that session as an unclaimed orphan.
+func restartedWithOrphan(t *testing.T, data []byte) (*testEnv, int64) {
+	t.Helper()
+	dir := t.TempDir()
+	env1, j1 := bootJournaled(t, dir, Config{})
+	c := env1.client()
+	p, err := c.Malloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MemcpyHD(p, data); err != nil {
+		t.Fatal(err)
+	}
+	session, err := c.SessionID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutDown(t, env1, j1, c)
+	env2, _ := bootJournaled(t, dir, Config{})
+	return env2, session
 }
 
 // TestJournalCrashRecoveryResume is the tentpole scenario end to end: a
@@ -214,30 +269,7 @@ func TestAttachJournalSeedsLiveState(t *testing.T) {
 // persisted session: exactly one must win; every loser must see the
 // typed ErrSessionClaimed, not a generic failure. Run under -race.
 func TestConcurrentResumeSingleWinner(t *testing.T) {
-	env1 := newEnv(t, Config{}, smallSpec(1<<20, 1))
-	c := env1.client()
-	p, err := c.Malloc(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MemcpyHD(p, []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	session, err := c.SessionID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var state bytes.Buffer
-	if err := env1.rt.SaveState(&state); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	env1.rt.Close()
-
-	env2 := newEnv(t, Config{}, smallSpec(1<<20, 1))
-	if err := env2.rt.RestoreState(bytes.NewReader(state.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	env2, session := restartedWithOrphan(t, []byte{7})
 	const claimants = 8
 	clients := make([]*frontend.Client, claimants)
 	errs := make([]error, claimants)
@@ -279,10 +311,12 @@ func TestConcurrentResumeSingleWinner(t *testing.T) {
 
 // TestExportRefusesDirtyEntries pins the invariant the journal depends
 // on: a context image can never capture stale swap data. A direct export
-// of a device-dirty context fails loudly; SaveState — which checkpoints
-// first — succeeds on the very same state and round-trips the bytes.
+// of a device-dirty context fails loudly; a node restart over the very
+// same state — the journal holds the pre-kernel image plus the kernel,
+// never the stale copy — round-trips the bytes.
 func TestExportRefusesDirtyEntries(t *testing.T) {
-	env1 := newEnv(t, Config{}, smallSpec(1<<20, 1))
+	dir := t.TempDir()
+	env1, j1 := bootJournaled(t, dir, Config{})
 	c := env1.client()
 	if err := c.RegisterFatBinary(testBinary()); err != nil {
 		t.Fatal(err)
@@ -306,20 +340,15 @@ func TestExportRefusesDirtyEntries(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "checkpoint before export") {
 		t.Fatalf("dirty export error = %v", err)
 	}
-	var state bytes.Buffer
-	if err := env1.rt.SaveState(&state); err != nil {
-		t.Fatalf("SaveState over dirty context: %v", err)
-	}
-	c.Close()
-	env1.rt.Close()
+	shutDown(t, env1, j1, c)
 
-	env2 := newEnv(t, Config{}, smallSpec(1<<20, 1))
-	if err := env2.rt.RestoreState(bytes.NewReader(state.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	env2, _ := bootJournaled(t, dir, Config{})
 	c2 := env2.client()
 	defer c2.Close()
 	if err := c2.Resume(session); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.RegisterFatBinary(testBinary()); err != nil {
 		t.Fatal(err)
 	}
 	out, err := c2.MemcpyDH(p, 3)
@@ -329,40 +358,4 @@ func TestExportRefusesDirtyEntries(t *testing.T) {
 	if want := []byte{2, 3, 4}; !bytes.Equal(out, want) {
 		t.Fatalf("restored data = %v, want %v", out, want)
 	}
-}
-
-// FuzzRestoreState feeds mutated state files to RestoreState: whatever
-// the bytes, it must return a typed api error (or succeed), never panic.
-func FuzzRestoreState(f *testing.F) {
-	valid := func(ctxID int64) []byte {
-		img := &memmgr.ContextImage{
-			CtxID:   ctxID,
-			NextOff: 4096,
-			Entries: []memmgr.EntryImage{
-				{Virtual: api.DevPtr(uint64(1)<<63 | uint64(ctxID)<<40), Size: 16, HasData: true,
-					Data: []byte{1, 2, 3, 4}},
-				{Virtual: api.DevPtr(uint64(1)<<63 | uint64(ctxID)<<40 | 512), Size: 8},
-			},
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&stateFile{Images: []*memmgr.ContextImage{img}}); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(valid(1))
-	f.Add(valid(7))
-	f.Add([]byte("junk"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		env := newEnv(t, Config{}, smallSpec(1<<20, 1))
-		err := env.rt.RestoreState(bytes.NewReader(data))
-		if err == nil {
-			return
-		}
-		var code api.Error
-		if !errors.As(err, &code) {
-			t.Fatalf("RestoreState returned an untyped error: %v", err)
-		}
-	})
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gvrt/internal/api"
 	"gvrt/internal/ckptlog"
 	"gvrt/internal/failover"
-	"gvrt/internal/memmgr"
 	"gvrt/internal/trace"
 	"gvrt/internal/transport"
 	"gvrt/internal/wal"
@@ -56,20 +56,8 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 	if err != nil {
 		return err
 	}
-	hello := failover.Hello{
-		Session: ctx.id,
-		Owner:   rt.cfg.node(),
-		Epoch:   ctx.leaseEpoch.Load(),
-		NextOff: img.NextOff,
-		Pending: append([]api.LaunchCall(nil), ctx.replay...),
-	}
-	for _, e := range img.Entries {
-		em := failover.EntryManifest{Meta: e, Chunks: failover.ManifestOf(e.Data)}
-		// The chunks carry the bytes; stripping Data keeps Hello small.
-		em.Meta.Data = nil
-		hello.TotalBytes += int64(len(e.Data))
-		hello.Entries = append(hello.Entries, em)
-	}
+	hello := failover.NewHello(rt.cfg.node(), ctx.leaseEpoch.Load(),
+		ckptlog.ImageRecord{Image: *img, Pending: slices.Clone(ctx.replay)})
 
 	conn, err := transport.Dial(target)
 	if err != nil {
@@ -242,7 +230,11 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 	if err := wal.DecodeGob(f.Payload, &hello); err != nil {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
-	if rt.hasSession(hello.Session) {
+	session := hello.Record.Image.CtxID
+	if session != f.ID || len(hello.Chunks) != len(hello.Record.Image.Entries) {
+		return api.Reply{Code: api.ErrInvalidValue}
+	}
+	if rt.hasSession(session) {
 		return api.Reply{Code: api.ErrSessionClaimed}
 	}
 	if mi := ctx.migrate; mi != nil && mi.spool != nil {
@@ -251,11 +243,11 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 		mi.spool.Close()
 	}
 	total := 0
-	for _, em := range hello.Entries {
-		total += len(em.Chunks)
+	for _, refs := range hello.Chunks {
+		total += len(refs)
 	}
 	spool, err := failover.OpenSpool(rt.cfg.MigrateDir, failover.PendingRecord{
-		Session: hello.Session,
+		Session: session,
 		Owner:   hello.Owner,
 		Epoch:   hello.Epoch,
 		Total:   total,
@@ -270,8 +262,8 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 	}
 	var need failover.Need
 	reused := 0
-	for i, em := range hello.Entries {
-		for k, ref := range em.Chunks {
+	for i, refs := range hello.Chunks {
+		for k, ref := range refs {
 			id := failover.ChunkID{Entry: int32(i), Index: int32(k)}
 			mi.need[id] = ref
 			if data, ok := spool.Get(id); ok {
@@ -296,13 +288,13 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 	}
 	ctx.migrate = mi
 	rt.logf("import of session %d from %s: need %d of %d chunks (%d spooled, %d dedup-reused)",
-		hello.Session, hello.Owner, len(need.Chunks), total, total-len(need.Chunks)-reused, reused)
-	return frameReply(hello.Session, failover.FrameNeed, need)
+		session, hello.Owner, len(need.Chunks), total, total-len(need.Chunks)-reused, reused)
+	return frameReply(session, failover.FrameNeed, need)
 }
 
 func (rt *Runtime) migrateChunk(ctx *Context, f wal.Frame) api.Reply {
 	mi := ctx.migrate
-	if mi == nil || f.ID != mi.hello.Session {
+	if mi == nil || f.ID != mi.hello.Record.Image.CtxID {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
 	var c failover.Chunk
@@ -323,128 +315,25 @@ func (rt *Runtime) migrateChunk(ctx *Context, f wal.Frame) api.Reply {
 
 func (rt *Runtime) migrateCommit(ctx *Context, f wal.Frame) api.Reply {
 	mi := ctx.migrate
-	if mi == nil || f.ID != mi.hello.Session {
+	if mi == nil || f.ID != mi.hello.Record.Image.CtxID {
 		return api.Reply{Code: api.ErrInvalidValue}
 	}
 	refuse := func(err error, detail string) api.Reply {
 		rt.migAborted.Add(1)
-		rt.logf("import of session %d refused: %s: %v", mi.hello.Session, detail, err)
+		rt.logf("import of session %d refused: %s: %v", f.ID, detail, err)
 		return frameReply(f.ID, failover.FrameResult, failover.Result{
 			Code:   int32(api.Code(err)),
 			Detail: detail,
 		})
 	}
-	img := &memmgr.ContextImage{CtxID: mi.hello.Session, NextOff: mi.hello.NextOff}
-	for i, em := range mi.hello.Entries {
-		e := em.Meta
-		if e.HasData {
-			var size int
-			for _, ref := range em.Chunks {
-				size += int(ref.Len)
-			}
-			data := make([]byte, 0, size)
-			for k := range em.Chunks {
-				b, ok := mi.spool.Get(failover.ChunkID{Entry: int32(i), Index: int32(k)})
-				if !ok {
-					return refuse(api.ErrInvalidValue, fmt.Sprintf("chunk %d.%d never arrived", i, k))
-				}
-				data = append(data, b...)
-			}
-			e.Data = data
-		}
-		img.Entries = append(img.Entries, e)
+	rec, err := mi.hello.Assemble(mi.spool.Get)
+	if err != nil {
+		return refuse(err, "image incomplete")
 	}
-	if err := rt.adoptImage(img, mi.hello.Pending, "migrated in from "+mi.hello.Owner); err != nil {
+	if err := rt.adoptImage(rec, "migrated in from "+mi.hello.Owner); err != nil {
 		return refuse(err, "import failed")
 	}
 	mi.spool.Resolve()
 	ctx.migrate = nil
 	return frameReply(f.ID, failover.FrameResult, failover.Result{})
-}
-
-// adoptImage installs an imported context image as an orphan session a
-// reconnecting client can Resume: page table and swap copies into the
-// memory manager, pending kernels set aside for replay, the image
-// journaled so it survives this node too, and — when the lease table
-// allows — ownership taken for this node.
-func (rt *Runtime) adoptImage(img *memmgr.ContextImage, pending []api.LaunchCall, detail string) error {
-	if rt.hasSession(img.CtxID) {
-		return api.ErrSessionClaimed
-	}
-	if err := rt.mm.ImportContext(img); err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	if rt.orphans == nil {
-		rt.orphans = make(map[int64]bool)
-	}
-	rt.orphans[img.CtxID] = true
-	if len(pending) > 0 {
-		if rt.orphanReplay == nil {
-			rt.orphanReplay = make(map[int64][]api.LaunchCall)
-		}
-		rt.orphanReplay[img.CtxID] = append([]api.LaunchCall(nil), pending...)
-	}
-	if img.CtxID > rt.nextCtx {
-		rt.nextCtx = img.CtxID
-	}
-	rt.mu.Unlock()
-	if j := rt.journal; j != nil {
-		if err := j.SnapshotContext(img, pending); err != nil {
-			return err
-		}
-	}
-	if t := rt.cfg.Leases; t != nil {
-		// Best effort: a failover steal already moved ownership here and
-		// this renews it; after a cooperative migration the source
-		// released and this takes it fresh. A still-live source lease
-		// (source crashed after commit, before release) is left alone —
-		// the resuming client's Acquire settles ownership after expiry.
-		_, _ = t.Acquire(img.CtxID, rt.cfg.node())
-	}
-	rt.event(trace.KindCrossMigration, img.CtxID, 0, -1, detail)
-	rt.logf("adopted session %d (%d entries, %d pending kernels): %s",
-		img.CtxID, len(img.Entries), len(pending), detail)
-	return nil
-}
-
-// AdoptJournalDir recovers every session committed in a dead peer's
-// journal directory into this runtime — the failover promotion step. The
-// caller must have fenced the old owner first (the monitor's Steal, or
-// lease expiry). Sessions this node already knows are skipped, so a
-// promotion racing a completed migration is idempotent.
-func (rt *Runtime) AdoptJournalDir(dir string) (int, error) {
-	j, rec, err := ckptlog.Open(dir, ckptlog.Options{Logf: rt.cfg.Logf})
-	if err != nil {
-		return 0, err
-	}
-	defer j.Close()
-	n := 0
-	for _, img := range rec.Images {
-		if rt.hasSession(img.CtxID) {
-			continue
-		}
-		if err := rt.adoptImage(img, rec.Pending[img.CtxID], "promoted from journal "+dir); err != nil {
-			return n, err
-		}
-		n++
-	}
-	rt.mu.Lock()
-	// Never re-issue a context ID the dead peer's journal has seen.
-	if rec.MaxCtxID > rt.nextCtx {
-		rt.nextCtx = rec.MaxCtxID
-	}
-	rt.mu.Unlock()
-	return n, nil
-}
-
-// hasSession reports whether this runtime already knows the session —
-// live, orphaned, or claimed.
-func (rt *Runtime) hasSession(id int64) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.ctxs[id]; ok {
-		return true
-	}
-	return rt.orphans[id] || rt.claimed[id]
 }

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
 	"gvrt/internal/failover"
 	"gvrt/internal/faultinject"
+	"gvrt/internal/memmgr"
 	"gvrt/internal/sim"
 	"gvrt/internal/transport"
 	"gvrt/internal/wal"
@@ -364,7 +366,7 @@ func TestMigrateFrameRejectsTornAndCorrupt(t *testing.T) {
 	conn := dst.clientConn()
 	defer conn.Close()
 
-	hello, err := wal.EncodeGob(failover.Hello{Session: 7, Owner: "src"})
+	hello, err := wal.EncodeGob(failover.NewHello("src", 0, ckptlog.ImageRecord{Image: memmgr.ContextImage{CtxID: 7}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,10 +429,10 @@ func TestMigrateHelloReverifiesSpooledChunks(t *testing.T) {
 	dst.rt.cfg.MigrateDir = dir // set after boot: boot aborts every pending import
 	conn := dst.clientConn()
 	defer conn.Close()
-	hello, err := wal.EncodeGob(failover.Hello{
-		Session: rec.Session, Owner: rec.Owner, Epoch: rec.Epoch,
-		Entries: []failover.EntryManifest{{Chunks: failover.ManifestOf(data)}},
-	})
+	hello, err := wal.EncodeGob(failover.NewHello(rec.Owner, rec.Epoch, ckptlog.ImageRecord{Image: memmgr.ContextImage{
+		CtxID:   rec.Session,
+		Entries: []memmgr.EntryImage{{Size: uint64(len(data)), HasData: true, Data: data}},
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -23,8 +26,9 @@ import (
 
 // This file holds one deterministic test per rule core keeps in one
 // place (DESIGN.md "Where each rule lives"): vacate, the kernel attempt
-// step, the pointer door and the range predicate. Each fails — or takes
-// the process down — at the commit before the rule had a single home.
+// step, the pointer door, the range predicate and the install door. Each
+// fails — or takes the process down — at the commit before the rule had
+// a single home.
 
 // session is a client whose dispatcher the test can wait out, with the
 // runtime-side context it is served by.
@@ -533,5 +537,37 @@ func TestWrappedRangesRefused(t *testing.T) {
 	s.inc(t, x)
 	if got := s.byte0(t, x); got != 2 {
 		t.Fatalf("session after the hostile sizes: byte 0 = %d, want 2", got)
+	}
+}
+
+// TestOneInstallDoor: an image supplied by a disk or a peer is admitted
+// in one place. In non-test core, the call that imports a page table and
+// the assignment that marks a session orphaned each occur once, in
+// session.go (adoptImage).
+func TestOneInstallDoor(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, re := range []*regexp.Regexp{
+		regexp.MustCompile(`\bImportContext\(`),
+		regexp.MustCompile(`\borphans\[\w+\] = `),
+	} {
+		var where []string
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range re.FindAll(src, -1) {
+				where = append(where, f)
+			}
+		}
+		if !slices.Equal(where, []string{"session.go"}) {
+			t.Errorf("%v occurs in %v, want once, in session.go", re, where)
+		}
 	}
 }

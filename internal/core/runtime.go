@@ -377,11 +377,10 @@ type Runtime struct {
 	devs    []*deviceState
 	waiting []*Context
 	ctxs    map[int64]*Context
-	orphans map[int64]bool
-	// orphanReplay holds, per orphan session, the kernels committed
-	// after its last checkpoint; a Resume turns them back into the
-	// context's replay log.
-	orphanReplay map[int64][]api.LaunchCall
+	// orphans holds the sessions installed here and not yet resumed
+	// (adoptImage), each with the kernels committed after its last
+	// checkpoint; a Resume turns them back into the context's replay log.
+	orphans map[int64][]api.LaunchCall
 	// claimed remembers sessions already resumed, so a second claimant
 	// gets the typed ErrSessionClaimed instead of "no such session".
 	claimed       map[int64]bool
@@ -469,6 +468,8 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		mm:         memmgr.New(!cfg.WriteThrough, cfg.HostMemory),
 		policy:     cfg.Policy,
 		ctxs:       make(map[int64]*Context),
+		orphans:    make(map[int64][]api.LaunchCall),
+		claimed:    make(map[int64]bool),
 		tenants:    make(map[string]*tenantState),
 		obsTenants: obs.NewRegistry(),
 		prefetchCh: make(chan prefetchReq, 64),

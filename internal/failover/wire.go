@@ -1,10 +1,12 @@
 package failover
 
 import (
+	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"gvrt/internal/api"
-	"gvrt/internal/memmgr"
+	"gvrt/internal/ckptlog"
 	"gvrt/internal/wal"
 )
 
@@ -14,7 +16,8 @@ import (
 // session, and Payload the wal.EncodeGob of the matching message type.
 // The exchange:
 //
-//	source → target  Hello   (entry manifests: per-chunk hash/len/CRC)
+//	source → target  Hello   (the image record, entry data replaced by
+//	                          manifests: per-chunk hash/len/CRC)
 //	target → source  Need    (chunks not satisfiable from the target's
 //	                          dedup store or a prior partial transfer —
 //	                          the resumable offsets)
@@ -64,27 +67,57 @@ type ChunkID struct {
 	Index int32
 }
 
-// Hello is the FrameHello payload: everything about the image except
+// Hello is the FrameHello payload: everything about the session except
 // the chunk bytes.
 type Hello struct {
-	Session int64
-	Owner   string
-	Epoch   uint64
-	NextOff uint64
-	// Pending are the kernels committed after the image's last
-	// checkpoint; the target replays them on resume (§4.6).
-	Pending []api.LaunchCall
-	Entries []EntryManifest
+	Owner string
+	Epoch uint64
+	// Record is the session's durable form — the record the journal
+	// writes — with every entry's Data stripped: the chunks carry it.
+	Record ckptlog.ImageRecord
+	// Chunks[i] is the chunk manifest of Record.Image.Entries[i]'s data.
+	Chunks [][]ChunkRef
 	// TotalBytes is the summed data length across entries — what a
 	// dedup-blind transfer would ship.
 	TotalBytes int64
 }
 
-// EntryManifest is one entry's metadata plus its chunk manifest. Meta
-// is the EntryImage with Data stripped (the chunks carry the bytes).
-type EntryManifest struct {
-	Meta   memmgr.EntryImage
-	Chunks []ChunkRef
+// NewHello splits rec into the Hello that announces it: entry data is
+// replaced by its chunk manifest. rec itself is left intact — the
+// source serves the target's Need out of it.
+func NewHello(owner string, epoch uint64, rec ckptlog.ImageRecord) Hello {
+	h := Hello{Owner: owner, Epoch: epoch, Record: rec}
+	h.Record.Image.Entries = slices.Clone(rec.Image.Entries)
+	for i := range h.Record.Image.Entries {
+		e := &h.Record.Image.Entries[i]
+		h.Chunks = append(h.Chunks, ManifestOf(e.Data))
+		h.TotalBytes += int64(len(e.Data))
+		e.Data = nil
+	}
+	return h
+}
+
+// Assemble is NewHello's inverse on the target: the record with every
+// entry's data re-joined from its chunks, which chunk fetches (already
+// verified against the manifest) by ID.
+func (h *Hello) Assemble(chunk func(ChunkID) ([]byte, bool)) (*ckptlog.ImageRecord, error) {
+	rec := h.Record
+	rec.Image.Entries = slices.Clone(h.Record.Image.Entries)
+	for i := range rec.Image.Entries {
+		e := &rec.Image.Entries[i]
+		if !e.HasData {
+			continue
+		}
+		parts := make([][]byte, len(h.Chunks[i]))
+		for k := range parts {
+			var ok bool
+			if parts[k], ok = chunk(ChunkID{Entry: int32(i), Index: int32(k)}); !ok {
+				return nil, fmt.Errorf("chunk %d.%d never arrived: %w", i, k, api.ErrInvalidValue)
+			}
+		}
+		e.Data = slices.Concat(parts...)
+	}
+	return &rec, nil
 }
 
 // Need is the FrameNeed payload: the chunks the target cannot satisfy

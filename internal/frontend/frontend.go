@@ -231,9 +231,10 @@ func (c *Client) SetDeadline(d time.Duration) error {
 	return err
 }
 
-// SessionID returns the identifier under which this thread's memory
-// state is persisted by Runtime.SaveState; after a node restart, a new
-// connection can Resume it (§4.6's full-restart capability).
+// SessionID returns the identifier under which the node's journal keeps
+// this thread's memory state; after a node restart, failover or
+// migration, a new connection can Resume it (§4.6's full-restart
+// capability).
 func (c *Client) SessionID() (int64, error) {
 	r, err := c.call(api.GetSessionCall{})
 	return r.ID, err

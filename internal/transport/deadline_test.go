@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -109,5 +111,49 @@ func TestServerDeadlineBoundsReply(t *testing.T) {
 	// Expiry closed the connection underneath.
 	if _, err := c.Call(api.PingCall{}); err == nil {
 		t.Fatal("client side still usable after server deadline expiry")
+	}
+}
+
+// TestDeadlineTearsDownHungTCPCall: the same expiry over a socket. The
+// peer accepts and never replies, so the Call in flight is blocked in a
+// read while holding the connection's mutex; tearing it down must not
+// wait for that mutex.
+func TestDeadlineTearsDownHungTCPCall(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		peer, _ := l.Accept() // held open, never read, never answered
+		accepted <- peer
+	}()
+	defer func() {
+		if peer := <-accepted; peer != nil {
+			peer.Close()
+		}
+	}()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := WithDeadline(c, sim.NewClock(deadlineTestScale), 50*time.Millisecond)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := dc.Call(api.PingCall{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if api.Code(err) != api.ErrDeadlineExceeded {
+			t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadline expiry never returned: Close is waiting for the mutex the hung Call holds")
+	}
+	if _, err := dc.Call(api.PingCall{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after teardown: err = %v, want ErrClosed", err)
 	}
 }

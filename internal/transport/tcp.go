@@ -231,11 +231,15 @@ func (t *tcpConn) recvReply() (api.Reply, error) {
 	return api.DecodeReply(f.body, f.own)
 }
 
+// Close may be called while a Call is in flight (a deadline tearing
+// down a peer that stopped replying): the socket closes before the lock
+// is taken, so the blocked read fails and the hung Call lets go of it.
 func (t *tcpConn) Close() error {
+	err := t.w.c.Close()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dead = true
-	return t.w.c.Close()
+	return err
 }
 
 // tcpServerConn is the daemon side of a stream connection.
