@@ -29,7 +29,14 @@ import (
 	"strconv"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/ckptlog"
+	"gvrt/internal/core"
+	"gvrt/internal/ctrlplane"
+	"gvrt/internal/cudart"
+	"gvrt/internal/faultinject"
+	"gvrt/internal/gpu"
+	"gvrt/internal/opserver"
+	"gvrt/internal/sim"
 )
 
 // Environment contract between the ctrlplane-torture parent and its
@@ -59,23 +66,23 @@ func ctrlChild() {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ctrl child: "+format+"\n", args...)
 	}
-	var plane *gvrt.FaultPlane
+	var plane *faultinject.Plane
 	if point := os.Getenv(envCtrlPoint); point != "" {
 		nth, err := strconv.ParseUint(os.Getenv(envCtrlNth), 10, 64)
 		if err != nil || nth == 0 {
 			logf("bad %s: %v", envCtrlNth, err)
 			os.Exit(2)
 		}
-		plane = gvrt.NewFaultPlane(gvrt.FaultPlan{
+		plane = faultinject.New(faultinject.Plan{
 			Name: "ctrl-torture",
-			Rules: []gvrt.FaultRule{
-				{Point: gvrt.FaultPoint(point), AtNth: nth, Action: gvrt.FaultActCrash},
+			Rules: []faultinject.Rule{
+				{Point: faultinject.Point(point), AtNth: nth, Action: faultinject.ActCrash},
 			},
 		})
 	}
-	store, err := gvrt.OpenCtrlStore(dir, gvrt.CtrlStoreOptions{
+	store, err := ctrlplane.Open(dir, ctrlplane.Options{
 		Faults:  plane,
-		OnCrash: gvrt.JournalDie,
+		OnCrash: ckptlog.Die,
 		// Compact early so mid-compaction crash points are reachable
 		// within a short mutation script.
 		CompactBytes: 2 << 10,
@@ -86,13 +93,13 @@ func ctrlChild() {
 		os.Exit(2)
 	}
 
-	clock := gvrt.NewClock(1e-7)
-	spec := gvrt.DeviceSpec{Name: "ctrl-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
+	clock := sim.NewClock(1e-7)
+	spec := gpu.Spec{Name: "ctrl-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
 		MemBytes: 1 << 20, Speed: 1, BandwidthBps: 1 << 40}
-	devs := []*gvrt.Device{gvrt.NewDevice(0, spec, clock), gvrt.NewDevice(1, spec, clock)}
-	crt := gvrt.NewCUDARuntime(clock, devs...)
+	devs := []*gpu.Device{gpu.NewDevice(0, spec, clock), gpu.NewDevice(1, spec, clock)}
+	crt := cudart.New(clock, devs...)
 	crt.SetLimits(1024, 0, 0)
-	rt, err := gvrt.NewRuntime(crt, gvrt.Config{
+	rt, err := core.New(crt, core.Config{
 		VGPUsPerDevice: 2,
 		CallOverhead:   -1,
 		BindBackoff:    time.Millisecond,
@@ -102,10 +109,10 @@ func ctrlChild() {
 		logf("runtime: %v", err)
 		os.Exit(2)
 	}
-	mgr := gvrt.NewCtrlManager(store, gvrt.CtrlManagerOptions{
+	mgr := ctrlplane.NewManager(store, ctrlplane.ManagerOptions{
 		Hooks:         rt,
 		Faults:        plane,
-		OnCrash:       gvrt.JournalDie,
+		OnCrash:       ckptlog.Die,
 		Now:           clock.Now,
 		DisableResume: os.Getenv(envCtrlNoResume) == "1",
 		Logf:          func(f string, a ...any) { logf("ctrl: "+f, a...) },
@@ -133,7 +140,7 @@ func ctrlChild() {
 	}
 	// The handshake line the parent blocks on.
 	fmt.Printf("CTRL_READY %s\n", l.Addr())
-	http.Serve(l, gvrt.NewOpsHandler(gvrt.OpsSource{
+	http.Serve(l, opserver.Handler(opserver.Source{
 		Stats: rt.StatsSnapshot,
 		Now:   clock.Now,
 		Name:  "ctrl-torture",
@@ -229,11 +236,11 @@ var ctrlScenarios = []struct {
 	point    string
 	noResume bool
 }{
-	{name: "mid-op-step crash", point: string(gvrt.FaultCtrlOpStep)},
-	{name: "pre-fsync crash", point: string(gvrt.FaultStorePreSync)},
-	{name: "post-fsync crash", point: string(gvrt.FaultStorePostSync)},
-	{name: "mid-compaction crash", point: string(gvrt.FaultStoreCompact)},
-	{name: "stuck ops + REST cleanup", point: string(gvrt.FaultCtrlOpStep), noResume: true},
+	{name: "mid-op-step crash", point: string(faultinject.PointCtrlOpStep)},
+	{name: "pre-fsync crash", point: string(faultinject.PointStorePreSync)},
+	{name: "post-fsync crash", point: string(faultinject.PointStorePostSync)},
+	{name: "mid-compaction crash", point: string(faultinject.PointStoreCompact)},
+	{name: "stuck ops + REST cleanup", point: string(faultinject.PointCtrlOpStep), noResume: true},
 }
 
 // runCtrlTorture executes rounds control-plane torture rounds and
@@ -252,7 +259,7 @@ func runCtrlTorture(seed int64, rounds int, timeout time.Duration) int {
 	}
 	defer os.RemoveAll(root)
 
-	rng := gvrt.NewRNG(seed)
+	rng := sim.NewRNG(seed)
 	fmt.Printf("=== gvrt-chaos control-plane torture: seed %d, %d rounds ===\n", seed, rounds)
 	failures, interrupted := 0, 0
 	for r := 0; r < rounds; r++ {
@@ -262,11 +269,11 @@ func runCtrlTorture(seed int64, rounds int, timeout time.Duration) int {
 		// lands inside it.
 		var nth uint64
 		switch sc.point {
-		case string(gvrt.FaultStoreCompact):
+		case string(faultinject.PointStoreCompact):
 			// Two crash points per compaction: 1 = snapshot durable but
 			// not renamed, 2 = renamed but WAL not truncated.
 			nth = uint64(1 + rng.Intn(2))
-		case string(gvrt.FaultCtrlOpStep):
+		case string(faultinject.PointCtrlOpStep):
 			nth = uint64(1 + rng.Intn(36))
 		default:
 			nth = uint64(4 + rng.Intn(36))
@@ -414,8 +421,8 @@ func ctrlDo(client *http.Client, tr *ctrlTruth, method, url string, body any, wa
 
 // ctrlOpsResp mirrors the GET /ops envelope.
 type ctrlOpsResp struct {
-	Ops      []gvrt.CtrlOp     `json:"ops"`
-	Counters gvrt.CtrlCounters `json:"counters"`
+	Ops      []ctrlplane.Op     `json:"ops"`
+	Counters ctrlplane.Counters `json:"counters"`
 }
 
 // ctrlVerify audits the recovered store over REST, field by field,
@@ -467,7 +474,7 @@ func ctrlVerify(base string, tr *ctrlTruth, noResume bool) error {
 	}
 
 	// Tenants: all-or-nothing per the ack ledger.
-	var tenants []gvrt.CtrlTenant
+	var tenants []ctrlplane.Tenant
 	if err := ctrlGet(client, base+"/tenants", &tenants); err != nil {
 		return err
 	}
@@ -496,11 +503,11 @@ func ctrlVerify(base string, tr *ctrlTruth, noResume bool) error {
 	// (HostBytes derived from the same update as MaxSessions — the
 	// no-half-applied-quota invariant), must match an update the parent
 	// actually issued, and must be at least as new as the last ack.
-	var quotas []gvrt.CtrlQuota
+	var quotas []ctrlplane.Quota
 	if err := ctrlGet(client, base+"/quotas", &quotas); err != nil {
 		return err
 	}
-	quotaOf := make(map[string]gvrt.CtrlQuota)
+	quotaOf := make(map[string]ctrlplane.Quota)
 	for _, q := range quotas {
 		quotaOf[q.Tenant] = q
 		if q.HostBytes != uint64(q.MaxSessions)<<20 {
@@ -539,7 +546,7 @@ func ctrlVerify(base string, tr *ctrlTruth, noResume bool) error {
 
 	// Devices: after boot resolution no device may be stranded
 	// "draining", and acknowledged transitions must hold.
-	var devs []gvrt.CtrlDeviceRec
+	var devs []ctrlplane.DeviceRec
 	if err := ctrlGet(client, base+"/devices", &devs); err != nil {
 		return err
 	}

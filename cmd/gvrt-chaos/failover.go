@@ -29,7 +29,13 @@ import (
 	"path/filepath"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/failover"
+	"gvrt/internal/faultinject"
+	"gvrt/internal/frontend"
+	"gvrt/internal/obs"
+	"gvrt/internal/sim"
+	"gvrt/internal/transport"
 )
 
 // failoverSessionBase keeps the target's locally-created context IDs
@@ -44,9 +50,9 @@ var failoverScenarios = []struct {
 	srcPoint string // crash point armed on the source child
 	dstPoint string // crash point armed on the target child
 }{
-	{name: "source SIGKILL mid-launch, journal promotion", srcPoint: string(gvrt.FaultJournalPreSync)},
-	{name: "source SIGKILL mid-transfer, resumable retry", srcPoint: string(gvrt.FaultMigrateTransfer)},
-	{name: "target SIGKILL mid-import, boot abort + retry", dstPoint: string(gvrt.FaultMigrateImport)},
+	{name: "source SIGKILL mid-launch, journal promotion", srcPoint: string(faultinject.PointJournalPreSync)},
+	{name: "source SIGKILL mid-transfer, resumable retry", srcPoint: string(faultinject.PointMigrateTransfer)},
+	{name: "target SIGKILL mid-import, boot abort + retry", dstPoint: string(faultinject.PointMigrateImport)},
 }
 
 // runFailover executes rounds failover-torture rounds and reports
@@ -64,13 +70,13 @@ func runFailover(seed int64, rounds, sessions, launches int, timeout time.Durati
 	}
 	defer os.RemoveAll(root)
 
-	rng := gvrt.NewRNG(seed)
+	rng := sim.NewRNG(seed)
 	fmt.Printf("=== gvrt-chaos failover torture: seed %d, %d rounds ===\n", seed, rounds)
 	failures := 0
 	for r := 0; r < rounds; r++ {
 		sc := failoverScenarios[r%len(failoverScenarios)]
 		var nth uint64
-		if sc.srcPoint == string(gvrt.FaultJournalPreSync) {
+		if sc.srcPoint == string(faultinject.PointJournalPreSync) {
 			nth = uint64(3 + rng.Intn(4*launches))
 		} else {
 			// Hello is frame 1 and every session ships at least three
@@ -98,7 +104,7 @@ func runFailover(seed int64, rounds, sessions, launches int, timeout time.Durati
 // failoverRound runs one kill → take over → verify cycle with a fresh
 // source/target pair over fresh directories.
 func failoverRound(exe, root string, r int, srcPoint, dstPoint string, nth uint64,
-	rng *gvrt.RNG, sessions, launches int, timeout time.Duration) error {
+	rng *sim.RNG, sessions, launches int, timeout time.Duration) error {
 	srcDir := filepath.Join(root, fmt.Sprintf("round%d-src", r))
 	dstDir := filepath.Join(root, fmt.Sprintf("round%d-dst", r))
 
@@ -129,7 +135,7 @@ func failoverRound(exe, root string, r int, srcPoint, dstPoint string, nth uint6
 
 	recs := runWorkload(source.addr, rng, sessions, launches)
 
-	if srcPoint == string(gvrt.FaultJournalPreSync) {
+	if srcPoint == string(faultinject.PointJournalPreSync) {
 		if err := failoverPromotion(srcDir, source, target, recs, timeout); err != nil {
 			return err
 		}
@@ -166,7 +172,7 @@ func failoverRound(exe, root string, r int, srcPoint, dstPoint string, nth uint6
 // killed node, with at least minCalls served at crash time.
 func verifyFlightDump(dir, node string, minCalls int64) error {
 	path := filepath.Join(dir, "flight-"+node+".json")
-	d, err := gvrt.ReadFlightDump(path)
+	d, err := obs.ReadFlightDump(path)
 	if err != nil {
 		return fmt.Errorf("flight post-mortem: %v", err)
 	}
@@ -201,11 +207,11 @@ func failoverPromotion(srcDir string, source, target *child, recs []*tortureSess
 		}
 	}
 
-	conn, err := gvrt.Dial(target.addr)
+	conn, err := transport.Dial(target.addr)
 	if err != nil {
 		return fmt.Errorf("dialing target: %v", err)
 	}
-	c := gvrt.Connect(conn)
+	c := frontend.Connect(conn)
 	adopted, err := c.Adopt(srcDir)
 	c.Close()
 	if err != nil {
@@ -266,11 +272,11 @@ func failoverMidTransfer(exe, srcDir string, source, target *child, recs []*tort
 		if migrated[s.id] {
 			continue
 		}
-		conn, err := gvrt.Dial(doctor.addr)
+		conn, err := transport.Dial(doctor.addr)
 		if err != nil {
 			return fmt.Errorf("dialing recovery source: %v", err)
 		}
-		c := gvrt.Connect(conn)
+		c := frontend.Connect(conn)
 		err = c.Resume(s.id)
 		if err == nil {
 			// Migration checkpoints first, which replays the session's
@@ -318,7 +324,7 @@ func failoverMidImport(exe, dstDir string, target *child, recs []*tortureSession
 		return fmt.Errorf("restarting target: %v", err)
 	}
 	defer doctor.kill()
-	if ops := gvrt.MigrationPendingOps(dstDir); len(ops) != 0 {
+	if ops := failover.PendingOps(dstDir); len(ops) != 0 {
 		return fmt.Errorf("pending import records survived the target's boot abort: %+v", ops)
 	}
 	for i, s := range recs {
@@ -338,9 +344,9 @@ func failoverMidImport(exe, dstDir string, target *child, recs []*tortureSession
 // fenceCheck issues a late write on a connection whose session just
 // migrated away: the deposed owner must reject it with ErrFenced — the
 // write must never execute, no matter how soon after takeover it lands.
-func fenceCheck(c *gvrt.Client, s *tortureSession) error {
-	err := c.Launch(gvrt.LaunchCall{Kernel: "inc", PtrArgs: []gvrt.DevPtr{s.ptr}, Scalars: []uint64{4}})
-	if gvrt.ErrorCode(err) != gvrt.ErrFenced {
+func fenceCheck(c *frontend.Client, s *tortureSession) error {
+	err := c.Launch(api.LaunchCall{Kernel: "inc", PtrArgs: []api.DevPtr{s.ptr}, Scalars: []uint64{4}})
+	if api.Code(err) != api.ErrFenced {
 		return fmt.Errorf("late write on deposed owner = %v, want ErrFenced", err)
 	}
 	return nil

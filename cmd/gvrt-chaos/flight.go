@@ -11,7 +11,7 @@ import (
 	"sort"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/obs"
 )
 
 // readFlight loads, validates and prints one dump. Returns an exit
@@ -19,7 +19,7 @@ import (
 // assert "the SIGKILL'd node left a parseable black box" with a single
 // invocation.
 func readFlight(path string) int {
-	d, err := gvrt.ReadFlightDump(path)
+	d, err := obs.ReadFlightDump(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gvrt-chaos: %v\n", err)
 		return 1

@@ -25,13 +25,21 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/core"
+	"gvrt/internal/cudart"
+	"gvrt/internal/faultinject"
+	"gvrt/internal/frontend"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
+	"gvrt/internal/trace"
+	"gvrt/internal/transport"
 )
 
 const chaosBinID = "gvrt-chaos-bin"
 
 func init() {
-	gvrt.RegisterKernelImpl(chaosBinID, "inc", func(mem gvrt.KernelMemory, scalars []uint64) error {
+	api.RegisterKernelImpl(chaosBinID, "inc", func(mem api.KernelMemory, scalars []uint64) error {
 		buf, err := mem.Arg(0)
 		if err != nil {
 			return err
@@ -45,28 +53,28 @@ func init() {
 
 // plans maps -plan names to rule sets. The storm plan mirrors the
 // TestChaos storm; the memory plan starves the swap area instead.
-func plans(seed int64) map[string]gvrt.FaultPlan {
-	return map[string]gvrt.FaultPlan{
+func plans(seed int64) map[string]faultinject.Plan {
+	return map[string]faultinject.Plan{
 		"storm": {
 			Name: "storm",
 			Seed: seed,
-			Rules: []gvrt.FaultRule{
-				{Point: gvrt.FaultDeviceExec, Label: "gpu0", AtNth: 8, Action: gvrt.FaultActFailDevice},
-				{Point: gvrt.FaultDeviceExec, Label: "gpu1", AtNth: 20, Action: gvrt.FaultActFailDevice},
-				{Point: gvrt.FaultDeviceDMA, Prob: 0.05, Action: gvrt.FaultActDelay, Delay: 2 * time.Millisecond},
-				{Point: gvrt.FaultDeviceMalloc, Prob: 0.02, After: 8, MaxFires: 3, Action: gvrt.FaultActError},
-				{Point: gvrt.FaultDispatch, Prob: 0.02, Action: gvrt.FaultActDelay, Delay: time.Millisecond},
+			Rules: []faultinject.Rule{
+				{Point: faultinject.PointDeviceExec, Label: "gpu0", AtNth: 8, Action: faultinject.ActFailDevice},
+				{Point: faultinject.PointDeviceExec, Label: "gpu1", AtNth: 20, Action: faultinject.ActFailDevice},
+				{Point: faultinject.PointDeviceDMA, Prob: 0.05, Action: faultinject.ActDelay, Delay: 2 * time.Millisecond},
+				{Point: faultinject.PointDeviceMalloc, Prob: 0.02, After: 8, MaxFires: 3, Action: faultinject.ActError},
+				{Point: faultinject.PointDispatch, Prob: 0.02, Action: faultinject.ActDelay, Delay: time.Millisecond},
 			},
 		},
 		"memory": {
 			Name: "memory",
 			Seed: seed,
-			Rules: []gvrt.FaultRule{
-				{Point: gvrt.FaultSwapWrite, Prob: 0.1, Action: gvrt.FaultActError},
-				{Point: gvrt.FaultSwapAlloc, Prob: 0.05, Action: gvrt.FaultActError},
+			Rules: []faultinject.Rule{
+				{Point: faultinject.PointSwapWrite, Prob: 0.1, Action: faultinject.ActError},
+				{Point: faultinject.PointSwapAlloc, Prob: 0.05, Action: faultinject.ActError},
 				// After skips the vGPU reservation allocations made while
 				// the runtime boots, so the storm hits jobs, not startup.
-				{Point: gvrt.FaultDeviceMalloc, Prob: 0.05, After: 8, Action: gvrt.FaultActError},
+				{Point: faultinject.PointDeviceMalloc, Prob: 0.05, After: 8, Action: faultinject.ActError},
 			},
 		},
 		"none": {Name: "none", Seed: seed},
@@ -128,25 +136,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gvrt-chaos: unknown plan %q (storm | memory | none)\n", *planName)
 		os.Exit(2)
 	}
-	plane := gvrt.NewFaultPlane(plan)
-	rec := gvrt.NewTraceRecorder(4096)
+	plane := faultinject.New(plan)
+	rec := trace.NewRecorder(4096)
 
-	clock := gvrt.NewClock(*scale)
+	clock := sim.NewClock(*scale)
 	// Record each fired fault as a zero-length span, so a Perfetto
 	// export of a replayed seed lines the injected faults up against
 	// the recovery spans they triggered.
 	plane.SetTrace(rec, clock.Now)
-	spec := gvrt.DeviceSpec{Name: "chaos-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
+	spec := gpu.Spec{Name: "chaos-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
 		MemBytes: 1 << 20, Speed: 1, BandwidthBps: 1 << 40}
-	devs := make([]*gvrt.Device, *devices)
+	devs := make([]*gpu.Device, *devices)
 	for i := range devs {
-		devs[i] = gvrt.NewDevice(i, spec, clock)
+		devs[i] = gpu.NewDevice(i, spec, clock)
 	}
-	crt := gvrt.NewCUDARuntime(clock, devs...)
+	crt := cudart.New(clock, devs...)
 	// Tiny 1 MiB devices keep the storm under memory pressure; shrink the
 	// per-context reservation accordingly, before the runtime carves vGPUs.
 	crt.SetLimits(1024, 0, 0)
-	rt, err := gvrt.NewRuntime(crt, gvrt.Config{
+	rt, err := core.New(crt, core.Config{
 		VGPUsPerDevice: *vgpus,
 		CallOverhead:   -1,
 		BindBackoff:    time.Millisecond,
@@ -162,17 +170,16 @@ func main() {
 			plan.Name, *seed, err, plane)
 		os.Exit(1)
 	}
-	node := &gvrt.LocalNode{ClockV: clock, CRT: crt, RT: rt}
-	defer node.Close()
+	defer rt.Close()
 
 	var completed, failedClean, failedDirty atomic.Int64
-	rng := gvrt.NewRNG(*seed)
+	rng := sim.NewRNG(*seed)
 	var wg sync.WaitGroup
 	for j := 0; j < *jobs; j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			if err := runJob(node, rng.Fork(fmt.Sprintf("job%d", j)), j, *kernels); err != nil {
+			if err := runJob(rt, rng.Fork(fmt.Sprintf("job%d", j)), j, *kernels); err != nil {
 				if cleanResourceError(err) {
 					failedClean.Add(1)
 				} else {
@@ -202,7 +209,7 @@ func main() {
 	if replayed {
 		fmt.Printf("schedule replay: verified pure against seed %d\n", *seed)
 	}
-	m := node.RT.Metrics()
+	m := rt.Metrics()
 	fmt.Printf("\n--- runtime metrics ---\n")
 	fmt.Printf("calls=%d binds=%d swaps=%d/%d migrations=%d failures=%d recoveries=%d replays=%d\n",
 		m.CallsServed, m.Binds, m.InterAppSwaps, m.IntraAppSwaps,
@@ -219,7 +226,7 @@ func main() {
 	}
 	recovered := true
 	if !hung {
-		recovered = recoveryVerdict(node, devs, rec)
+		recovered = recoveryVerdict(rt, devs, rec)
 	}
 
 	exported := true
@@ -243,12 +250,12 @@ func main() {
 
 // writePerfetto renders the trace ring — phase spans, fault spans and
 // instant events — as Chrome trace-event JSON.
-func writePerfetto(path, planName string, seed int64, rec *gvrt.TraceRecorder) error {
+func writePerfetto(path, planName string, seed int64, rec *trace.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := gvrt.WriteChromeTrace(f, gvrt.ChromeProcess{
+	werr := trace.WriteChromeTrace(f, trace.ChromeProcess{
 		Name:   fmt.Sprintf("gvrt-chaos plan %s seed %d", planName, seed),
 		Spans:  rec.Spans(),
 		Events: rec.Snapshot(),
@@ -268,11 +275,11 @@ func writePerfetto(path, planName string, seed int64, rec *gvrt.TraceRecorder) e
 // its load redistributes, another device's tally can differ between
 // runs of the same seed — but the decision table never does, which is
 // what makes a CI failure reproducible from its seed line.
-func replayVerified(plan gvrt.FaultPlan, ran *gvrt.FaultPlane) bool {
-	replay := gvrt.NewFaultPlane(plan)
+func replayVerified(plan faultinject.Plan, ran *faultinject.Plane) bool {
+	replay := faultinject.New(plan)
 	for key, n := range ran.Occurrences() {
 		point, label, _ := strings.Cut(key, "/")
-		h := replay.Hook(gvrt.FaultPoint(point), label)
+		h := replay.Hook(faultinject.Point(point), label)
 		if h == nil {
 			fmt.Printf("schedule replay: hook %q missing from a fresh plane\n", key)
 			return false
@@ -281,8 +288,8 @@ func replayVerified(plan gvrt.FaultPlan, ran *gvrt.FaultPlane) bool {
 			h.Check()
 		}
 	}
-	group := func(p *gvrt.FaultPlane) map[string][]gvrt.FaultFired {
-		out := make(map[string][]gvrt.FaultFired)
+	group := func(p *faultinject.Plane) map[string][]faultinject.Fired {
+		out := make(map[string][]faultinject.Fired)
 		for _, f := range p.Schedule() {
 			k := string(f.Point) + "/" + f.Label
 			out[k] = append(out[k], f)
@@ -315,9 +322,9 @@ func replayVerified(plan gvrt.FaultPlan, ran *gvrt.FaultPlane) bool {
 // time-to-recovery in model time measured from the failure event to the
 // matching re-admission event in the trace ring. The run fails if a
 // healthy-again device is never handed back to the waiting list.
-func recoveryVerdict(node *gvrt.LocalNode, devs []*gvrt.Device, rec *gvrt.TraceRecorder) bool {
+func recoveryVerdict(rt *core.Runtime, devs []*gpu.Device, rec *trace.Recorder) bool {
 	fmt.Printf("\n--- recovery verdict ---\n")
-	var failed []*gvrt.Device
+	var failed []*gpu.Device
 	for _, d := range devs {
 		if d.Failed() {
 			failed = append(failed, d)
@@ -327,14 +334,14 @@ func recoveryVerdict(node *gvrt.LocalNode, devs []*gvrt.Device, rec *gvrt.TraceR
 		fmt.Printf("no device left failed; nothing to recover\n")
 		return true
 	}
-	base := node.RT.Metrics().Readmissions
+	base := rt.Metrics().Readmissions
 	for _, d := range failed {
 		d.Restore()
 	}
 	// The health monitor probes on its own model-time cadence; give it a
 	// generous wall-time allowance before declaring recovery broken.
 	deadline := time.Now().Add(10 * time.Second)
-	for node.RT.Metrics().Readmissions-base < int64(len(failed)) {
+	for rt.Metrics().Readmissions-base < int64(len(failed)) {
 		if time.Now().After(deadline) {
 			break
 		}
@@ -352,9 +359,9 @@ func recoveryVerdict(node *gvrt.LocalNode, devs []*gvrt.Device, rec *gvrt.TraceR
 				continue
 			}
 			switch {
-			case e.Kind == gvrt.TraceFailure && failT < 0:
+			case e.Kind == trace.KindFailure && failT < 0:
 				failT = e.Time
-			case e.Kind == gvrt.TraceRecovery && e.Detail == "device re-admitted":
+			case e.Kind == trace.KindRecovery && e.Detail == "device re-admitted":
 				recT = e.Time
 			}
 		}
@@ -388,12 +395,14 @@ func defaultSeed() int64 {
 
 // runJob pushes 4 data-checked bytes plus a randomized pressure
 // allocation through kernels increments, verifying the result.
-func runJob(node *gvrt.LocalNode, rng *gvrt.RNG, j, kernels int) error {
-	c := node.OpenClient()
+func runJob(rt *core.Runtime, rng *sim.RNG, j, kernels int) error {
+	conn, sc := transport.Pipe()
+	go rt.HandleConn(sc)
+	c := frontend.Connect(conn)
 	defer c.Close()
-	if err := c.RegisterFatBinary(gvrt.FatBinary{
+	if err := c.RegisterFatBinary(api.FatBinary{
 		ID:      chaosBinID,
-		Kernels: []gvrt.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
+		Kernels: []api.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
 	}); err != nil {
 		return err
 	}
@@ -406,7 +415,7 @@ func runJob(node *gvrt.LocalNode, rng *gvrt.RNG, j, kernels int) error {
 		return err
 	}
 	for k := 0; k < kernels; k++ {
-		if err := c.Launch(gvrt.LaunchCall{Kernel: "inc", PtrArgs: []gvrt.DevPtr{p}, Scalars: []uint64{4}}); err != nil {
+		if err := c.Launch(api.LaunchCall{Kernel: "inc", PtrArgs: []api.DevPtr{p}, Scalars: []uint64{4}}); err != nil {
 			return err
 		}
 	}
@@ -427,9 +436,9 @@ func runJob(node *gvrt.LocalNode, rng *gvrt.RNG, j, kernels int) error {
 // to die under chaos: a resource exhausted or torn down, never an
 // internal inconsistency.
 func cleanResourceError(err error) bool {
-	switch gvrt.ErrorCode(err) {
-	case gvrt.ErrMemoryAllocation, gvrt.ErrNoDevice, gvrt.ErrDeviceUnavailable,
-		gvrt.ErrSwapAllocation, gvrt.ErrConnectionClosed:
+	switch api.Code(err) {
+	case api.ErrMemoryAllocation, api.ErrNoDevice, api.ErrDeviceUnavailable,
+		api.ErrSwapAllocation, api.ErrConnectionClosed:
 		return true
 	}
 	return false

@@ -24,7 +24,17 @@ import (
 	"strconv"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
+	"gvrt/internal/core"
+	"gvrt/internal/cudart"
+	"gvrt/internal/failover"
+	"gvrt/internal/faultinject"
+	"gvrt/internal/frontend"
+	"gvrt/internal/gpu"
+	"gvrt/internal/obs"
+	"gvrt/internal/sim"
+	"gvrt/internal/transport"
 )
 
 // Environment contract between the torture parent and its daemon child.
@@ -46,33 +56,33 @@ const (
 // the listen address for the parent, serve until killed.
 func tortureChild() {
 	dir := os.Getenv(envTortureDir)
-	var plane *gvrt.FaultPlane
+	var plane *faultinject.Plane
 	if point := os.Getenv(envTorturePoint); point != "" {
 		nth, err := strconv.ParseUint(os.Getenv(envTortureNth), 10, 64)
 		if err != nil || nth == 0 {
 			fmt.Fprintf(os.Stderr, "torture child: bad %s: %v\n", envTortureNth, err)
 			os.Exit(2)
 		}
-		plane = gvrt.NewFaultPlane(gvrt.FaultPlan{
+		plane = faultinject.New(faultinject.Plan{
 			Name: "torture",
-			Rules: []gvrt.FaultRule{
-				{Point: gvrt.FaultPoint(point), AtNth: nth, Action: gvrt.FaultActCrash},
+			Rules: []faultinject.Rule{
+				{Point: faultinject.Point(point), AtNth: nth, Action: faultinject.ActCrash},
 			},
 		})
 	}
 	// The flight recorder makes every armed SIGKILL leave a post-mortem:
 	// WrapCrash dumps the black box to disk before the process dies.
-	var flight *gvrt.FlightRecorder
-	onCrash := gvrt.JournalDie
+	var flight *obs.FlightRecorder
+	onCrash := ckptlog.Die
 	if fdir := os.Getenv(envTortureFlight); fdir != "" {
 		node := os.Getenv(envTortureNode)
 		if node == "" {
 			node = "torture"
 		}
-		flight = gvrt.NewFlightRecorder(node, fdir, 0)
-		onCrash = flight.WrapCrash(gvrt.JournalDie)
+		flight = obs.NewFlightRecorder(node, fdir, 0)
+		onCrash = flight.WrapCrash(ckptlog.Die)
 	}
-	jnl, rec, err := gvrt.OpenJournal(dir, gvrt.JournalOptions{
+	jnl, rec, err := ckptlog.Open(dir, ckptlog.Options{
 		Faults:  plane,
 		OnCrash: onCrash,
 		// Compact early and often so mid-compaction crash points are
@@ -87,13 +97,13 @@ func tortureChild() {
 		os.Exit(2)
 	}
 
-	clock := gvrt.NewClock(1e-7)
-	spec := gvrt.DeviceSpec{Name: "torture-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
+	clock := sim.NewClock(1e-7)
+	spec := gpu.Spec{Name: "torture-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
 		MemBytes: 1 << 20, Speed: 1, BandwidthBps: 1 << 40}
-	dev := gvrt.NewDevice(0, spec, clock)
-	crt := gvrt.NewCUDARuntime(clock, dev)
+	dev := gpu.NewDevice(0, spec, clock)
+	crt := cudart.New(clock, dev)
 	crt.SetLimits(1024, 0, 0)
-	cfg := gvrt.Config{
+	cfg := core.Config{
 		VGPUsPerDevice: 4,
 		CallOverhead:   -1,
 		BindBackoff:    time.Millisecond,
@@ -112,9 +122,9 @@ func tortureChild() {
 		// Failover-torture children fence mutating calls against a local
 		// lease table; the epoch bump that deposes a migrated-away session
 		// happens in-process, so no cross-process table is needed.
-		cfg.Leases = gvrt.NewLeaseTable(time.Hour, clock.Now)
+		cfg.Leases = failover.NewTable(time.Hour, clock.Now)
 	}
-	rt, err := gvrt.NewRuntime(crt, cfg)
+	rt, err := core.New(crt, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "torture child: runtime: %v\n", err)
 		os.Exit(2)
@@ -127,7 +137,7 @@ func tortureChild() {
 		fmt.Fprintf(os.Stderr, "torture child: attaching journal: %v\n", err)
 		os.Exit(2)
 	}
-	l, err := gvrt.Listen("127.0.0.1:0")
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "torture child: listen: %v\n", err)
 		os.Exit(2)
@@ -227,7 +237,7 @@ func (c *child) awaitExit(timeout time.Duration) {
 // ground truth recovery is judged against.
 type tortureSession struct {
 	id    int64
-	ptr   gvrt.DevPtr
+	ptr   api.DevPtr
 	seed  byte
 	wrote bool // the seed MemcpyHD was acknowledged
 	acked int  // launches the daemon acknowledged
@@ -235,7 +245,7 @@ type tortureSession struct {
 	// client stays open until the victim daemon is dead: an orderly
 	// Close would be served as a context release, retiring the session
 	// from the journal — the opposite of what a crash test wants.
-	client *gvrt.Client
+	client *frontend.Client
 }
 
 // tortureScenarios is the schedule rounds cycle through.
@@ -244,9 +254,9 @@ var tortureScenarios = []struct {
 	point string // "" = kill after the workload completes
 	torn  bool   // append garbage to the journal before recovery
 }{
-	{name: "pre-fsync crash", point: string(gvrt.FaultJournalPreSync)},
-	{name: "post-fsync crash", point: string(gvrt.FaultJournalPostSync)},
-	{name: "mid-compaction crash", point: string(gvrt.FaultJournalCompact)},
+	{name: "pre-fsync crash", point: string(faultinject.PointJournalPreSync)},
+	{name: "post-fsync crash", point: string(faultinject.PointJournalPostSync)},
+	{name: "mid-compaction crash", point: string(faultinject.PointJournalCompact)},
 	{name: "kill + torn tail", torn: true},
 }
 
@@ -266,14 +276,14 @@ func runTorture(seed int64, rounds, sessions, launches int, timeout time.Duratio
 	}
 	defer os.RemoveAll(root)
 
-	rng := gvrt.NewRNG(seed)
+	rng := sim.NewRNG(seed)
 	fmt.Printf("=== gvrt-chaos crash torture: seed %d, %d rounds ===\n", seed, rounds)
 	failures := 0
 	for r := 0; r < rounds; r++ {
 		sc := tortureScenarios[r%len(tortureScenarios)]
 		var nth uint64
 		switch sc.point {
-		case string(gvrt.FaultJournalCompact):
+		case string(faultinject.PointJournalCompact):
 			// Two crash points per compaction: 1 = temp written but not
 			// renamed (old state must recover), 2 = renamed but journal not
 			// truncated (new state must recover, fence makes stale records
@@ -306,7 +316,7 @@ func runTorture(seed int64, rounds, sessions, launches int, timeout time.Duratio
 }
 
 // tortureRound runs one crash → recover → verify cycle.
-func tortureRound(exe, dir, point string, nth uint64, torn bool, rng *gvrt.RNG,
+func tortureRound(exe, dir, point string, nth uint64, torn bool, rng *sim.RNG,
 	sessions, launches int, timeout time.Duration) error {
 	victim, err := startChild(exe, childOpts{dir: dir, point: point, nth: nth}, timeout)
 	if err != nil {
@@ -381,19 +391,19 @@ func tortureRound(exe, dir, point string, nth uint64, torn bool, rng *gvrt.RNG,
 // count — that is exactly the durability contract under test. Clients
 // are left open (an orderly Close would retire the session); the caller
 // closes them once the victim is dead.
-func runWorkload(addr string, rng *gvrt.RNG, sessions, launches int) []*tortureSession {
+func runWorkload(addr string, rng *sim.RNG, sessions, launches int) []*tortureSession {
 	recs := make([]*tortureSession, sessions)
 	done := make(chan struct{})
 	for i := range recs {
 		recs[i] = &tortureSession{seed: byte(64 + i)}
 		go func(s *tortureSession, pressure uint64) {
 			defer func() { done <- struct{}{} }()
-			conn, err := gvrt.Dial(addr)
+			conn, err := transport.Dial(addr)
 			if err != nil {
 				s.err = err
 				return
 			}
-			c := gvrt.Connect(conn)
+			c := frontend.Connect(conn)
 			s.client = c
 			if s.err = c.RegisterFatBinary(tortureBinary()); s.err != nil {
 				return
@@ -409,8 +419,8 @@ func runWorkload(addr string, rng *gvrt.RNG, sessions, launches int) []*tortureS
 			}
 			s.wrote = true
 			for k := 0; k < launches; k++ {
-				if err := c.Launch(gvrt.LaunchCall{
-					Kernel: "inc", PtrArgs: []gvrt.DevPtr{s.ptr}, Scalars: []uint64{4},
+				if err := c.Launch(api.LaunchCall{
+					Kernel: "inc", PtrArgs: []api.DevPtr{s.ptr}, Scalars: []uint64{4},
 				}); err != nil {
 					s.err = err
 					return
@@ -434,14 +444,14 @@ func runWorkload(addr string, rng *gvrt.RNG, sessions, launches int) []*tortureS
 // durability promise: they may legitimately be gone (Resume rejected),
 // but if they did survive their bytes must still be consistent.
 func verifySession(addr string, s *tortureSession, exact bool) error {
-	conn, err := gvrt.Dial(addr)
+	conn, err := transport.Dial(addr)
 	if err != nil {
 		return fmt.Errorf("dialing recovery daemon: %v", err)
 	}
-	c := gvrt.Connect(conn)
+	c := frontend.Connect(conn)
 	defer c.Close()
 	if err := c.Resume(s.id); err != nil {
-		if s.acked == 0 && gvrt.ErrorCode(err) == gvrt.ErrInvalidValue {
+		if s.acked == 0 && api.Code(err) == api.ErrInvalidValue {
 			return nil // never became durable; an allowed outcome
 		}
 		return fmt.Errorf("resume: %v", err)
@@ -489,8 +499,8 @@ func verifySession(addr string, s *tortureSession, exact bool) error {
 			return fmt.Errorf("recovered data not uniform: %v", out)
 		}
 	}
-	if err := c.Launch(gvrt.LaunchCall{
-		Kernel: "inc", PtrArgs: []gvrt.DevPtr{s.ptr}, Scalars: []uint64{4},
+	if err := c.Launch(api.LaunchCall{
+		Kernel: "inc", PtrArgs: []api.DevPtr{s.ptr}, Scalars: []uint64{4},
 	}); err != nil {
 		return fmt.Errorf("post-recovery launch: %v", err)
 	}
@@ -504,9 +514,9 @@ func verifySession(addr string, s *tortureSession, exact bool) error {
 	return nil
 }
 
-func tortureBinary() gvrt.FatBinary {
-	return gvrt.FatBinary{
+func tortureBinary() api.FatBinary {
+	return api.FatBinary{
 		ID:      chaosBinID,
-		Kernels: []gvrt.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
+		Kernels: []api.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
 	}
 }

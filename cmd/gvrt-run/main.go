@@ -20,12 +20,11 @@ import (
 	"sort"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/frontend"
+	"gvrt/internal/sim"
+	"gvrt/internal/transport"
+	"gvrt/internal/workload"
 )
-
-func appByName(name string, cpuFrac float64) (gvrt.App, bool) {
-	return gvrt.BenchmarkByName(name, cpuFrac)
-}
 
 func main() {
 	var (
@@ -43,18 +42,18 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, app := range gvrt.Benchmarks() {
+		for _, app := range workload.AllApps() {
 			fmt.Printf("%-6s kernels=%-5d mem=%dMB\n", app.Name, app.KernelCalls, app.MemBytes>>20)
 		}
 		return
 	}
 
 	if *stats {
-		conn, err := gvrt.Dial(*addr)
+		conn, err := transport.Dial(*addr)
 		if err != nil {
 			log.Fatalf("gvrt-run: %v", err)
 		}
-		c := gvrt.Connect(conn)
+		c := frontend.Connect(conn)
 		defer c.Close()
 		st, err := c.Stats()
 		if err != nil {
@@ -88,13 +87,13 @@ func main() {
 		return
 	}
 
-	clock := gvrt.NewClock(*scale)
-	var apps []gvrt.App
+	clock := sim.NewClock(*scale)
+	var apps []workload.App
 	switch {
 	case *random > 0:
-		apps = gvrt.RandomShortBatch(gvrt.NewRNG(*seed), *random)
+		apps = workload.RandomShortBatch(sim.NewRNG(*seed), *random)
 	case *appName != "":
-		app, ok := appByName(*appName, *cpuFrac)
+		app, ok := workload.ByName(*appName, *cpuFrac)
 		if !ok {
 			log.Fatalf("gvrt-run: unknown application %q (use -list)", *appName)
 		}
@@ -106,12 +105,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := gvrt.RunBatch(clock, apps, func(i int) (gvrt.CUDAClient, error) {
-		conn, err := gvrt.Dial(*addr)
+	res := workload.RunBatch(clock, apps, func(i int) (workload.CUDA, error) {
+		conn, err := transport.Dial(*addr)
 		if err != nil {
 			return nil, err
 		}
-		c := gvrt.Connect(conn)
+		c := frontend.Connect(conn)
 		if *tenant != "" {
 			if err := c.SetTenant(*tenant); err != nil {
 				c.Close()

@@ -28,7 +28,10 @@ import (
 	"strings"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/frontend"
+	"gvrt/internal/obs"
+	"gvrt/internal/transport"
 )
 
 func main() {
@@ -47,11 +50,11 @@ func main() {
 		return
 	}
 
-	conn, err := gvrt.Dial(*addr)
+	conn, err := transport.Dial(*addr)
 	if err != nil {
 		log.Fatalf("gvrt-top: %v", err)
 	}
-	c := gvrt.Connect(conn)
+	c := frontend.Connect(conn)
 	defer c.Close()
 
 	// Control-plane reactivity: store commits arrive on evCh and cut the
@@ -62,7 +65,7 @@ func main() {
 		go watchEvents(strings.TrimRight(*events, "/")+"/events", evCh)
 	}
 
-	var prev gvrt.RuntimeStats
+	var prev api.RuntimeStats
 	havePrev := false
 	frames := 0
 	lastEvent := ""
@@ -102,7 +105,7 @@ func main() {
 // base/slo for burn-rate rows), render per-node and per-tenant rollups
 // with interval rates from the previous frame.
 func runCluster(base string, interval time.Duration, once bool, count int) {
-	var prev gvrt.ClusterStats
+	var prev obs.ClusterStats
 	havePrev := false
 	frames := 0
 	for {
@@ -126,8 +129,8 @@ func runCluster(base string, interval time.Duration, once bool, count int) {
 }
 
 // fetchCluster pulls one fleet rollup from the operator plane.
-func fetchCluster(base string) (gvrt.ClusterStats, error) {
-	var cs gvrt.ClusterStats
+func fetchCluster(base string) (obs.ClusterStats, error) {
+	var cs obs.ClusterStats
 	resp, err := http.Get(base + "/cluster")
 	if err != nil {
 		return cs, err
@@ -141,7 +144,7 @@ func fetchCluster(base string) (gvrt.ClusterStats, error) {
 
 // fetchSLO pulls the evaluated SLO status rows, if the daemon runs an
 // engine (-store): an empty slice otherwise.
-func fetchSLO(base string) ([]gvrt.SLOStatus, error) {
+func fetchSLO(base string) ([]obs.SLOStatus, error) {
 	resp, err := http.Get(base + "/slo")
 	if err != nil {
 		return nil, err
@@ -150,14 +153,14 @@ func fetchSLO(base string) ([]gvrt.SLOStatus, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}
-	var rows []gvrt.SLOStatus
+	var rows []obs.SLOStatus
 	return rows, json.NewDecoder(resp.Body).Decode(&rows)
 }
 
 // renderCluster draws one fleet frame: node rows, merged tenant rows
 // with interval rates, and any evaluated SLO status. Pure function of
 // two snapshots, like render.
-func renderCluster(base string, cs, prev gvrt.ClusterStats, havePrev bool, slo []gvrt.SLOStatus, interval time.Duration) string {
+func renderCluster(base string, cs, prev obs.ClusterStats, havePrev bool, slo []obs.SLOStatus, interval time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gvrt-top — cluster via %s — %s\n\n", base, time.Now().Format("15:04:05"))
 	fmt.Fprintf(&b, "nodes: %d reachable, %d unreachable\n", len(cs.Nodes), len(cs.Unreachable))
@@ -270,7 +273,7 @@ func watchEvents(url string, ch chan<- string) {
 
 // render draws one frame. It is a pure function of two snapshots so
 // the layout is unit-testable without a daemon.
-func render(addr string, st, prev gvrt.RuntimeStats, havePrev bool, interval time.Duration) string {
+func render(addr string, st, prev api.RuntimeStats, havePrev bool, interval time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gvrt-top — %s — %s\n\n", addr, time.Now().Format("15:04:05"))
 	fmt.Fprintf(&b, "queue %d  contexts %d  calls %d  binds %d  swaps %d  migrations %d  recoveries %d  offloaded %d  sheds %d\n",
@@ -344,7 +347,7 @@ func render(addr string, st, prev gvrt.RuntimeStats, havePrev bool, interval tim
 }
 
 // launches sums per-device launch counters.
-func launches(st gvrt.RuntimeStats) int64 {
+func launches(st api.RuntimeStats) int64 {
 	var n int64
 	for _, d := range st.Devices {
 		n += d.Launches

@@ -5,17 +5,18 @@ import (
 	"testing"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/trace"
 )
 
 // frame builds a plausible snapshot for layout tests.
-func frame(calls, busyNS, launchN int64, hist map[string]gvrt.HistSnapshot) gvrt.RuntimeStats {
-	return gvrt.RuntimeStats{
+func frame(calls, busyNS, launchN int64, hist map[string]trace.HistSnapshot) api.RuntimeStats {
+	return api.RuntimeStats{
 		CallsServed:  calls,
 		QueueDepth:   2,
 		LiveContexts: 3,
 		SwapBytes:    calls * 1000,
-		Devices: []gvrt.DeviceWireStats{{
+		Devices: []api.DeviceStats{{
 			Index: 0, Name: "Tesla C2050", Healthy: true,
 			BusyNS: busyNS, Launches: launchN,
 			ActiveVGPUs: 2, VGPUs: 4,
@@ -25,12 +26,12 @@ func frame(calls, busyNS, launchN int64, hist map[string]gvrt.HistSnapshot) gvrt
 	}
 }
 
-func hist(values ...int64) gvrt.HistSnapshot {
-	var out gvrt.HistSnapshot
+func hist(values ...int64) trace.HistSnapshot {
+	var out trace.HistSnapshot
 	for _, v := range values {
 		bucket := 0
 		for b := 0; b < 63; b++ {
-			if v < gvrt.HistogramBucketBound(b) {
+			if v < trace.BucketBound(b) {
 				bucket = b
 				break
 			}
@@ -46,10 +47,10 @@ func hist(values ...int64) gvrt.HistSnapshot {
 }
 
 func TestRenderFirstFrame(t *testing.T) {
-	st := frame(100, int64(time.Second), 40, map[string]gvrt.HistSnapshot{
+	st := frame(100, int64(time.Second), 40, map[string]trace.HistSnapshot{
 		"launch_latency": hist(1000, 2000, 1e6),
 	})
-	out := render("host:7070", st, gvrt.RuntimeStats{}, false, 2*time.Second)
+	out := render("host:7070", st, api.RuntimeStats{}, false, 2*time.Second)
 	for _, want := range []string{"Tesla C2050", "healthy", "2/4", "launch_latency", "queue 2", "contexts 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("first frame missing %q:\n%s", want, out)
@@ -61,10 +62,10 @@ func TestRenderFirstFrame(t *testing.T) {
 }
 
 func TestRenderInterval(t *testing.T) {
-	prev := frame(100, int64(time.Second), 40, map[string]gvrt.HistSnapshot{
+	prev := frame(100, int64(time.Second), 40, map[string]trace.HistSnapshot{
 		"launch_latency": hist(1000),
 	})
-	st := frame(150, int64(3*time.Second), 90, map[string]gvrt.HistSnapshot{
+	st := frame(150, int64(3*time.Second), 90, map[string]trace.HistSnapshot{
 		"launch_latency": hist(1000, 1e6, 1e6),
 	})
 	out := render("host:7070", st, prev, true, 2*time.Second)
@@ -89,7 +90,7 @@ func TestRenderInterval(t *testing.T) {
 func TestRenderFailedDevice(t *testing.T) {
 	st := frame(1, 0, 0, nil)
 	st.Devices[0].Healthy = false
-	out := render("x", st, gvrt.RuntimeStats{}, false, time.Second)
+	out := render("x", st, api.RuntimeStats{}, false, time.Second)
 	if !strings.Contains(out, "FAILED") {
 		t.Errorf("failed device not flagged:\n%s", out)
 	}

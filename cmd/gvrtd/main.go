@@ -11,7 +11,8 @@
 // once more application threads are queued than the threshold allows,
 // new connections are proxied to the peer daemon.
 //
-// Clients connect with cmd/gvrt-run or the gvrt.Dial API.
+// Clients connect with cmd/gvrt-run, or with internal/frontend over
+// transport.Dial.
 package main
 
 import (
@@ -28,20 +29,32 @@ import (
 	"syscall"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
+	"gvrt/internal/core"
+	"gvrt/internal/ctrlplane"
+	"gvrt/internal/cudart"
+	"gvrt/internal/frontend"
+	"gvrt/internal/gpu"
+	"gvrt/internal/obs"
+	"gvrt/internal/opserver"
+	"gvrt/internal/sched"
+	"gvrt/internal/sim"
+	"gvrt/internal/trace"
+	"gvrt/internal/transport"
 )
 
 // parseGPUs maps comma-separated model names to device specs.
-func parseGPUs(s string) ([]gvrt.DeviceSpec, error) {
-	var specs []gvrt.DeviceSpec
+func parseGPUs(s string) ([]gpu.Spec, error) {
+	var specs []gpu.Spec
 	for _, name := range strings.Split(s, ",") {
 		switch strings.ToLower(strings.TrimSpace(name)) {
 		case "c2050", "teslac2050":
-			specs = append(specs, gvrt.TeslaC2050)
+			specs = append(specs, gpu.TeslaC2050)
 		case "c1060", "teslac1060":
-			specs = append(specs, gvrt.TeslaC1060)
+			specs = append(specs, gpu.TeslaC1060)
 		case "quadro2000", "q2000":
-			specs = append(specs, gvrt.Quadro2000)
+			specs = append(specs, gpu.Quadro2000)
 		case "":
 		default:
 			return nil, fmt.Errorf("unknown GPU model %q (want c2050, c1060 or quadro2000)", name)
@@ -82,25 +95,25 @@ func main() {
 		log.Fatalf("gvrtd: %v", err)
 	}
 
-	cfg := gvrt.Config{
+	cfg := core.Config{
 		VGPUsPerDevice:  *vgpus,
 		EnableMigration: *migrate,
 		AutoCheckpoint:  *autoCkpt,
 	}
 	switch strings.ToLower(*policy) {
 	case "fcfs":
-		cfg.Policy = gvrt.FCFS{}
+		cfg.Policy = sched.FCFS{}
 	case "sjf":
-		cfg.Policy = gvrt.ShortestJobFirst{}
+		cfg.Policy = sched.ShortestJobFirst{}
 	case "credit":
-		cfg.Policy = gvrt.CreditBased{}
+		cfg.Policy = sched.CreditBased{}
 	default:
 		log.Fatalf("gvrtd: unknown policy %q", *policy)
 	}
 	if *peer != "" && *threshold > 0 {
 		addr := *peer
 		cfg.OffloadThreshold = *threshold
-		cfg.PeerDial = func() (gvrt.Conn, error) { return gvrt.Dial(addr) }
+		cfg.PeerDial = func() (transport.Conn, error) { return transport.Dial(addr) }
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
@@ -110,7 +123,7 @@ func main() {
 	// The operator plane's /tracez and /trace.json need a recorder;
 	// arming it only with -http keeps the zero-observer fast path.
 	if *httpAddr != "" {
-		cfg.Trace = gvrt.NewTraceRecorder(*traceCap)
+		cfg.Trace = trace.NewRecorder(*traceCap)
 	}
 
 	name := *nodeName
@@ -122,12 +135,12 @@ func main() {
 	// even the first cold-path event lands in the ring, and chained in
 	// front of the crash handler so an armed SIGKILL writes the black
 	// box to disk first.
-	var flight *gvrt.FlightRecorder
-	onCrash := gvrt.JournalDie
+	var flight *obs.FlightRecorder
+	onCrash := ckptlog.Die
 	if *flightDir != "" {
-		flight = gvrt.NewFlightRecorder(name, *flightDir, 0)
+		flight = obs.NewFlightRecorder(name, *flightDir, 0)
 		cfg.Flight = flight
-		onCrash = flight.WrapCrash(gvrt.JournalDie)
+		onCrash = flight.WrapCrash(ckptlog.Die)
 		defer func() {
 			if r := recover(); r != nil {
 				flight.Dump(fmt.Sprintf("panic: %v", r))
@@ -136,28 +149,33 @@ func main() {
 		}()
 	}
 
-	node, err := gvrt.NewLocalNode(gvrt.NewClock(*scale), cfg, specs...)
+	clock := sim.NewClock(*scale)
+	devs := make([]*gpu.Device, len(specs))
+	for i, s := range specs {
+		devs[i] = gpu.NewDevice(i, s, clock)
+	}
+	rt, err := core.New(cudart.New(clock, devs...), cfg)
 	if err != nil {
 		log.Fatalf("gvrtd: %v", err)
 	}
-	defer node.Close()
+	defer rt.Close()
 
 	// Crash-consistent durability (DESIGN.md §9): recover the journal
 	// first, so sessions committed before a daemon kill come back as
 	// resumable orphans. A corrupt snapshot header is fatal — starting
 	// empty would silently discard every committed session — while torn
 	// tails and individually corrupt context images are repaired loudly.
-	var jnl *gvrt.Journal
+	var jnl *ckptlog.Journal
 	if *journal != "" {
-		var rec *gvrt.JournalRecovered
-		jnl, rec, err = gvrt.OpenJournal(*journal, gvrt.JournalOptions{
+		var rec *ckptlog.Recovered
+		jnl, rec, err = ckptlog.Open(*journal, ckptlog.Options{
 			OnCrash: onCrash,
 			Logf: func(format string, args ...any) {
 				log.Printf("gvrtd: journal: "+format, args...)
 			},
 		})
 		if err != nil {
-			if errors.Is(err, gvrt.ErrCorruptJournalSnapshot) {
+			if errors.Is(err, ckptlog.ErrCorruptSnapshot) {
 				log.Fatalf("gvrtd: journal %s is unrecoverable (%v); refusing to discard committed sessions — restore the directory or move it aside", *journal, err)
 			}
 			log.Fatalf("gvrtd: opening journal %s: %v", *journal, err)
@@ -168,7 +186,7 @@ func main() {
 		for _, q := range rec.Quarantined {
 			log.Printf("gvrtd: journal: QUARANTINED %v — that session is lost, others recovered", q)
 		}
-		if err := node.RT.RecoverFromJournal(rec); err != nil {
+		if err := rt.RecoverFromJournal(rec); err != nil {
 			log.Fatalf("gvrtd: recovering journal state: %v", err)
 		}
 		if n := len(rec.Images); n > 0 {
@@ -179,7 +197,7 @@ func main() {
 	// Attach after recovery: all mutations from here on are shadowed to
 	// the journal.
 	if jnl != nil {
-		if err := node.RT.AttachJournal(jnl); err != nil {
+		if err := rt.AttachJournal(jnl); err != nil {
 			log.Fatalf("gvrtd: attaching journal: %v", err)
 		}
 	}
@@ -189,26 +207,26 @@ func main() {
 	// forward-safe ones, roll back the rest), then reconcile the runtime
 	// with the committed state — quotas re-applied, drained devices
 	// re-drained.
-	var ctrl *gvrt.CtrlManager
-	var ctrlStore *gvrt.CtrlStore
+	var ctrl *ctrlplane.Manager
+	var ctrlStore *ctrlplane.Store
 	if *storeDir != "" {
-		ctrlStore, err = gvrt.OpenCtrlStore(*storeDir, gvrt.CtrlStoreOptions{
+		ctrlStore, err = ctrlplane.Open(*storeDir, ctrlplane.Options{
 			OnCrash: onCrash,
 			Logf: func(format string, args ...any) {
 				log.Printf("gvrtd: store: "+format, args...)
 			},
 		})
 		if err != nil {
-			if errors.Is(err, gvrt.ErrCorruptCtrlSnapshot) {
+			if errors.Is(err, ctrlplane.ErrCorruptSnapshot) {
 				log.Fatalf("gvrtd: control-plane store %s is unrecoverable (%v); restore the directory or move it aside", *storeDir, err)
 			}
 			log.Fatalf("gvrtd: opening control-plane store %s: %v", *storeDir, err)
 		}
-		ctrl = gvrt.NewCtrlManager(ctrlStore, gvrt.CtrlManagerOptions{
-			Hooks:   node.RT,
+		ctrl = ctrlplane.NewManager(ctrlStore, ctrlplane.ManagerOptions{
+			Hooks:   rt,
 			OnCrash: onCrash,
 			Trace:   cfg.Trace,
-			Now:     node.RT.Clock().Now,
+			Now:     rt.Clock().Now,
 			Logf: func(format string, args ...any) {
 				log.Printf("gvrtd: ctrl: "+format, args...)
 			},
@@ -222,7 +240,7 @@ func main() {
 		if err := ctrl.ApplyStored(); err != nil {
 			log.Printf("gvrtd: re-applying stored control-plane state: %v", err)
 		}
-		if err := ctrl.RegisterNode(name, node.RT.DeviceCount()); err != nil {
+		if err := ctrl.RegisterNode(name, rt.DeviceCount()); err != nil {
 			log.Printf("gvrtd: registering node: %v", err)
 		}
 		if ops := ctrl.Ops(); len(ops) > 0 {
@@ -242,9 +260,9 @@ func main() {
 	// Fleet aggregation (DESIGN.md §15): a head-node collector over the
 	// local snapshot plus each -fleet peer, pulled on demand by
 	// /metrics?scope=cluster, /cluster and the cluster SLO rollup.
-	var collector *gvrt.FleetCollector
+	var collector *obs.Collector
 	if *fleet != "" {
-		collector = gvrt.NewFleetCollector(name, node.RT.StatsSnapshot)
+		collector = obs.NewCollector(name, rt.StatsSnapshot)
 		for _, p := range strings.Split(*fleet, ",") {
 			p = strings.TrimSpace(p)
 			if p == "" {
@@ -254,12 +272,12 @@ func main() {
 			if !ok {
 				peerName, addr = p, p
 			}
-			collector.AddPeer(peerName, func() (gvrt.RuntimeStats, error) {
-				conn, err := gvrt.Dial(addr)
+			collector.AddPeer(peerName, func() (api.RuntimeStats, error) {
+				conn, err := transport.Dial(addr)
 				if err != nil {
-					return gvrt.RuntimeStats{}, err
+					return api.RuntimeStats{}, err
 				}
-				c := gvrt.Connect(conn)
+				c := frontend.Connect(conn)
 				defer c.Close()
 				return c.Stats()
 			})
@@ -271,18 +289,18 @@ func main() {
 	// (PUT /slos/{tenant}); usage is the cluster rollup when a fleet is
 	// configured, node-local otherwise. Alert-state transitions ride the
 	// /events SSE stream as kind "slo" events.
-	var slo *gvrt.SLOEngine
+	var slo *obs.SLOEngine
 	if ctrl != nil {
-		usage := func() map[string]gvrt.TenantUsage { return node.RT.TenantAttribution() }
+		usage := func() map[string]api.TenantUsage { return rt.TenantAttribution() }
 		if collector != nil {
-			usage = func() map[string]gvrt.TenantUsage { return collector.Collect().Merged.Tenants }
+			usage = func() map[string]api.TenantUsage { return collector.Collect().Merged.Tenants }
 		}
-		slo = gvrt.NewSLOEngine(gvrt.SLOEngineOptions{
-			Objectives: func() []gvrt.SLOObjective {
+		slo = obs.NewSLOEngine(obs.SLOEngineOptions{
+			Objectives: func() []obs.Objective {
 				recs := ctrl.SLOs()
-				objs := make([]gvrt.SLOObjective, len(recs))
+				objs := make([]obs.Objective, len(recs))
 				for i, r := range recs {
-					objs[i] = gvrt.SLOObjective{
+					objs[i] = obs.Objective{
 						Tenant:        r.Tenant,
 						LaunchP99NS:   r.LaunchP99NS,
 						MaxErrorRatio: r.MaxErrorRatio,
@@ -291,12 +309,12 @@ func main() {
 				return objs
 			},
 			Usage: usage,
-			Publish: func(ev gvrt.SLOEvent) {
+			Publish: func(ev obs.SLOEvent) {
 				detail, err := json.Marshal(ev)
 				if err != nil {
 					return
 				}
-				ctrlStore.Inject(gvrt.CtrlEvent{Kind: "slo", Detail: detail})
+				ctrlStore.Inject(ctrlplane.Event{Kind: "slo", Detail: detail})
 				log.Printf("gvrtd: slo: tenant %s %s breaching=%v short=%.2f long=%.2f",
 					ev.Status.Tenant, ev.Status.Kind, ev.Status.Breaching,
 					ev.Status.ShortBurn, ev.Status.LongBurn)
@@ -305,7 +323,7 @@ func main() {
 		go slo.Run(*sloTick, stop)
 	}
 
-	l, err := gvrt.Listen(*listen)
+	l, err := transport.Listen(*listen)
 	if err != nil {
 		log.Fatalf("gvrtd: %v", err)
 	}
@@ -322,16 +340,16 @@ func main() {
 	go func() {
 		<-sig
 		draining.Store(true)
-		node.RT.BeginDrain()
+		rt.BeginDrain()
 		l.Close() // unblocks ServeListener; no new connections
 	}()
 
 	if *httpAddr != "" {
 		addr := *httpAddr
-		src := gvrt.OpsSource{
-			Stats: node.RT.StatsSnapshot,
-			Trace: node.RT.TraceRecorder(),
-			Now:   node.RT.Clock().Now,
+		src := opserver.Source{
+			Stats: rt.StatsSnapshot,
+			Trace: rt.TraceRecorder(),
+			Now:   rt.Clock().Now,
 			Name:  "gvrtd " + *listen,
 			Ctrl:  ctrl,
 			Fleet: collector,
@@ -341,7 +359,7 @@ func main() {
 			src.JournalHealthy = jnl.Healthy
 		}
 		go func() {
-			if err := http.ListenAndServe(addr, gvrt.NewOpsHandler(src)); err != nil {
+			if err := http.ListenAndServe(addr, opserver.Handler(src)); err != nil {
 				log.Printf("gvrtd: operator plane on %s: %v", addr, err)
 			}
 		}()
@@ -359,14 +377,14 @@ func main() {
 		go func() {
 			for {
 				time.Sleep(5 * time.Second)
-				m := node.RT.Metrics()
+				m := rt.Metrics()
 				log.Printf("gvrtd: calls=%d binds=%d swaps=%d migrations=%d offloaded=%d",
 					m.CallsServed, m.Binds, m.Memory.SwapOps, m.Migrations, m.Offloaded)
 			}
 		}()
 	}
 
-	node.RT.ServeListener(l)
+	rt.ServeListener(l)
 
 	// ServeListener returns once the listener closes. If that was the
 	// drain goroutine's doing, finish the shutdown here on the main

@@ -15,25 +15,29 @@ import (
 	"fmt"
 	"log"
 
-	"gvrt"
+	"gvrt/internal/cluster"
+	"gvrt/internal/core"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
+	"gvrt/internal/workload"
 )
 
 func runConfig(name string, vgpus int, offload bool) error {
-	clock := gvrt.NewClock(0.001)
-	cfg := func(gpus int) gvrt.Config {
-		c := gvrt.Config{VGPUsPerDevice: vgpus}
+	clock := sim.NewClock(0.001)
+	cfg := func(gpus int) core.Config {
+		c := core.Config{VGPUsPerDevice: vgpus}
 		if offload {
 			c.OffloadThreshold = 2 * vgpus * gpus
 		}
 		return c
 	}
-	a, err := gvrt.NewClusterNode("node-a", clock,
-		[]gvrt.DeviceSpec{gvrt.TeslaC2050, gvrt.TeslaC2050, gvrt.TeslaC1060}, cfg(3))
+	a, err := cluster.NewNode("node-a", clock,
+		[]gpu.Spec{gpu.TeslaC2050, gpu.TeslaC2050, gpu.TeslaC1060}, cfg(3))
 	if err != nil {
 		return err
 	}
-	b, err := gvrt.NewClusterNode("node-b", clock,
-		[]gvrt.DeviceSpec{gvrt.TeslaC1060}, cfg(1))
+	b, err := cluster.NewNode("node-b", clock,
+		[]gpu.Spec{gpu.TeslaC1060}, cfg(1))
 	if err != nil {
 		return err
 	}
@@ -42,8 +46,8 @@ func runConfig(name string, vgpus int, offload bool) error {
 	defer a.Close()
 	defer b.Close()
 
-	head := gvrt.NewClusterHead(clock, a, b)
-	res := head.RunOblivious(gvrt.RandomShortBatch(gvrt.NewRNG(7), 32))
+	head := cluster.NewHead(clock, a, b)
+	res := head.RunOblivious(workload.RandomShortBatch(sim.NewRNG(7), 32))
 	if res.Failed() > 0 {
 		return fmt.Errorf("%s: %d jobs failed", name, res.Failed())
 	}

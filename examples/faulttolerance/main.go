@@ -17,10 +17,15 @@ package main
 
 import (
 	"fmt"
+	"gvrt/internal/cluster"
+	"gvrt/internal/frontend"
 	"log"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/core"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
 )
 
 const binID = "examples/faulttolerance"
@@ -28,7 +33,7 @@ const binID = "examples/faulttolerance"
 func init() {
 	// step: state[i] = state[i]*2 + 1 — order-sensitive, so a missed or
 	// doubled replay would corrupt the result visibly.
-	gvrt.RegisterKernelImpl(binID, "step", func(mem gvrt.KernelMemory, scalars []uint64) error {
+	api.RegisterKernelImpl(binID, "step", func(mem api.KernelMemory, scalars []uint64) error {
 		buf, err := mem.Arg(0)
 		if err != nil {
 			return err
@@ -49,19 +54,19 @@ const (
 // scenario runs the iterative job, kills its GPU halfway, and verifies
 // the final state.
 func scenario(autoCheckpoint time.Duration) error {
-	clock := gvrt.NewClock(0.001)
-	node, err := gvrt.NewLocalNode(clock, gvrt.Config{AutoCheckpoint: autoCheckpoint},
-		gvrt.TeslaC2050, gvrt.TeslaC2050)
+	clock := sim.NewClock(0.001)
+	node, err := cluster.NewNode("node", clock, []gpu.Spec{gpu.TeslaC2050, gpu.TeslaC2050},
+		core.Config{AutoCheckpoint: autoCheckpoint})
 	if err != nil {
 		return err
 	}
 	defer node.Close()
 
-	c := node.OpenClient()
+	c := frontend.Connect(node.Dial())
 	defer c.Close()
-	if err := c.RegisterFatBinary(gvrt.FatBinary{
+	if err := c.RegisterFatBinary(api.FatBinary{
 		ID:      binID,
-		Kernels: []gvrt.KernelMeta{{Name: "step", BaseTime: kernelTime}},
+		Kernels: []api.KernelMeta{{Name: "step", BaseTime: kernelTime}},
 	}); err != nil {
 		return err
 	}
@@ -81,9 +86,9 @@ func scenario(autoCheckpoint time.Duration) error {
 			// policy fills the first device first).
 			node.RT.FailDevice(0)
 		}
-		if err := c.Launch(gvrt.LaunchCall{
+		if err := c.Launch(api.LaunchCall{
 			Kernel:  "step",
-			PtrArgs: []gvrt.DevPtr{state},
+			PtrArgs: []api.DevPtr{state},
 			Scalars: []uint64{n},
 		}); err != nil {
 			return fmt.Errorf("kernel %d: %w", i, err)

@@ -12,26 +12,31 @@ package main
 
 import (
 	"fmt"
+	"gvrt/internal/cluster"
+	"gvrt/internal/frontend"
 	"log"
 	"sync"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/core"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
 )
 
 const binID = "examples/heterogeneous"
 
-func fatBinary() gvrt.FatBinary {
-	return gvrt.FatBinary{
+func fatBinary() api.FatBinary {
+	return api.FatBinary{
 		ID:      binID,
-		Kernels: []gvrt.KernelMeta{{Name: "iterate", BaseTime: time.Second}},
+		Kernels: []api.KernelMeta{{Name: "iterate", BaseTime: time.Second}},
 	}
 }
 
 // job runs iterations of a 1 s (reference-device) kernel with CPU
 // phases between them, reporting its total model time.
-func job(name string, node *gvrt.LocalNode, iters int) (time.Duration, error) {
-	c := node.OpenClient()
+func job(name string, node *cluster.Node, iters int) (time.Duration, error) {
+	c := frontend.Connect(node.Dial())
 	defer c.Close()
 	if err := c.RegisterFatBinary(fatBinary()); err != nil {
 		return 0, err
@@ -43,22 +48,22 @@ func job(name string, node *gvrt.LocalNode, iters int) (time.Duration, error) {
 	if err := c.MemcpyHDSynthetic(buf, 64<<20); err != nil {
 		return 0, err
 	}
-	start := node.Clock().Now()
+	start := node.RT.Clock().Now()
 	for i := 0; i < iters; i++ {
-		if err := c.Launch(gvrt.LaunchCall{Kernel: "iterate", PtrArgs: []gvrt.DevPtr{buf}}); err != nil {
+		if err := c.Launch(api.LaunchCall{Kernel: "iterate", PtrArgs: []api.DevPtr{buf}}); err != nil {
 			return 0, err
 		}
-		node.Clock().Sleep(400 * time.Millisecond) // CPU phase
+		node.RT.Clock().Sleep(400 * time.Millisecond) // CPU phase
 	}
-	return node.Clock().Now() - start, nil
+	return node.RT.Clock().Now() - start, nil
 }
 
 func main() {
-	clock := gvrt.NewClock(0.001)
-	node, err := gvrt.NewLocalNode(clock, gvrt.Config{
+	clock := sim.NewClock(0.001)
+	node, err := cluster.NewNode("node", clock, []gpu.Spec{gpu.TeslaC2050, gpu.Quadro2000}, core.Config{
 		VGPUsPerDevice:  1,
 		EnableMigration: true,
-	}, gvrt.TeslaC2050, gvrt.Quadro2000)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,22 +13,28 @@ package main
 
 import (
 	"fmt"
+	"gvrt/internal/cluster"
 	"log"
 
-	"gvrt"
+	"gvrt/internal/core"
+	"gvrt/internal/frontend"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
+	"gvrt/internal/transport"
+	"gvrt/internal/workload"
 )
 
 func main() {
-	clock := gvrt.NewClock(0.001)
-	node, err := gvrt.NewLocalNode(clock, gvrt.Config{VGPUsPerDevice: 4},
-		gvrt.TeslaC2050, gvrt.TeslaC2050, gvrt.TeslaC1060)
+	clock := sim.NewClock(0.001)
+	node, err := cluster.NewNode("node", clock,
+		[]gpu.Spec{gpu.TeslaC2050, gpu.TeslaC2050, gpu.TeslaC1060}, core.Config{VGPUsPerDevice: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer node.Close()
 
 	// The daemon side: listen and serve, as cmd/gvrtd does.
-	l, err := gvrt.Listen("127.0.0.1:0")
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,13 +44,13 @@ func main() {
 
 	// The tenant side: 20 concurrent jobs over TCP.
 	const tenants = 20
-	apps := gvrt.RandomShortBatch(gvrt.NewRNG(42), tenants)
-	res := gvrt.RunBatch(clock, apps, func(i int) (gvrt.CUDAClient, error) {
-		conn, err := gvrt.Dial(l.Addr())
+	apps := workload.RandomShortBatch(sim.NewRNG(42), tenants)
+	res := workload.RunBatch(clock, apps, func(i int) (workload.CUDA, error) {
+		conn, err := transport.Dial(l.Addr())
 		if err != nil {
 			return nil, err
 		}
-		return gvrt.Connect(conn), nil
+		return frontend.Connect(conn), nil
 	})
 
 	fmt.Printf("\n%-3s %-6s %8s\n", "#", "app", "time (s)")

@@ -19,10 +19,15 @@ package main
 
 import (
 	"fmt"
+	"gvrt/internal/cluster"
+	"gvrt/internal/frontend"
 	"log"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/core"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
 )
 
 const binID = "examples/quickstart"
@@ -31,7 +36,7 @@ func init() {
 	// The host-side implementation of our kernel: y[i] += x[i]. It
 	// stands in for the device code inside the fat binary; the
 	// workspace argument is touched only by the modeled timing.
-	gvrt.RegisterKernelImpl(binID, "axpy", func(mem gvrt.KernelMemory, scalars []uint64) error {
+	api.RegisterKernelImpl(binID, "axpy", func(mem api.KernelMemory, scalars []uint64) error {
 		x, err := mem.Arg(0)
 		if err != nil {
 			return err
@@ -47,10 +52,10 @@ func init() {
 	})
 }
 
-func fatBinary() gvrt.FatBinary {
-	return gvrt.FatBinary{
+func fatBinary() api.FatBinary {
+	return api.FatBinary{
 		ID: binID,
-		Kernels: []gvrt.KernelMeta{
+		Kernels: []api.KernelMeta{
 			{Name: "axpy", BaseTime: 200 * time.Millisecond},
 		},
 	}
@@ -59,8 +64,8 @@ func fatBinary() gvrt.FatBinary {
 // app uploads real data into small x/y buffers, allocates a large
 // modeled workspace, and runs three axpy kernels with CPU phases
 // between them, verifying y == 3x at the end.
-func app(name string, node *gvrt.LocalNode, wsBytes uint64, done chan<- error) {
-	c := node.OpenClient()
+func app(name string, node *cluster.Node, wsBytes uint64, done chan<- error) {
+	c := frontend.Connect(node.Dial())
 	defer c.Close()
 
 	fail := func(err error) { done <- fmt.Errorf("%s: %w", name, err) }
@@ -104,11 +109,11 @@ func app(name string, node *gvrt.LocalNode, wsBytes uint64, done chan<- error) {
 	}
 
 	for iter := 0; iter < 3; iter++ {
-		if err := c.Launch(gvrt.LaunchCall{
+		if err := c.Launch(api.LaunchCall{
 			Kernel:   "axpy",
-			Grid:     gvrt.Dim3{X: 1024},
-			Block:    gvrt.Dim3{X: 256},
-			PtrArgs:  []gvrt.DevPtr{x, y, ws},
+			Grid:     api.Dim3{X: 1024},
+			Block:    api.Dim3{X: 256},
+			PtrArgs:  []api.DevPtr{x, y, ws},
 			Scalars:  []uint64{n},
 			ReadOnly: []bool{true, false, false},
 		}); err != nil {
@@ -117,7 +122,7 @@ func app(name string, node *gvrt.LocalNode, wsBytes uint64, done chan<- error) {
 		}
 		// A CPU phase: while this tenant post-processes, the other one
 		// can claim the GPU (this is when swap requests are honoured).
-		node.Clock().Sleep(500 * time.Millisecond)
+		node.RT.Clock().Sleep(500 * time.Millisecond)
 	}
 
 	out, err := c.MemcpyDH(y, n)
@@ -136,8 +141,8 @@ func app(name string, node *gvrt.LocalNode, wsBytes uint64, done chan<- error) {
 }
 
 func main() {
-	clock := gvrt.NewClock(0.001) // 1 model second = 1 wall millisecond
-	node, err := gvrt.NewLocalNode(clock, gvrt.Config{VGPUsPerDevice: 2}, gvrt.TeslaC2050)
+	clock := sim.NewClock(0.001) // 1 model second = 1 wall millisecond
+	node, err := cluster.NewNode("node", clock, []gpu.Spec{gpu.TeslaC2050}, core.Config{VGPUsPerDevice: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

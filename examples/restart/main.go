@@ -16,18 +16,24 @@ package main
 
 import (
 	"fmt"
+	"gvrt/internal/cluster"
+	"gvrt/internal/frontend"
 	"log"
 	"os"
 	"time"
 
-	"gvrt"
+	"gvrt/internal/api"
+	"gvrt/internal/ckptlog"
+	"gvrt/internal/core"
+	"gvrt/internal/gpu"
+	"gvrt/internal/sim"
 )
 
 const binID = "examples/restart"
 
 func init() {
 	// state[i] = state[i]*3 + 1 — order-sensitive.
-	gvrt.RegisterKernelImpl(binID, "step", func(mem gvrt.KernelMemory, scalars []uint64) error {
+	api.RegisterKernelImpl(binID, "step", func(mem api.KernelMemory, scalars []uint64) error {
 		buf, err := mem.Arg(0)
 		if err != nil {
 			return err
@@ -39,10 +45,10 @@ func init() {
 	})
 }
 
-func fatBinary() gvrt.FatBinary {
-	return gvrt.FatBinary{
+func fatBinary() api.FatBinary {
+	return api.FatBinary{
 		ID:      binID,
-		Kernels: []gvrt.KernelMeta{{Name: "step", BaseTime: time.Second}},
+		Kernels: []api.KernelMeta{{Name: "step", BaseTime: time.Second}},
 	}
 }
 
@@ -52,7 +58,7 @@ const (
 )
 
 func main() {
-	clock := gvrt.NewClock(0.001)
+	clock := sim.NewClock(0.001)
 	dir, err := os.MkdirTemp("", "gvrt-restart-")
 	if err != nil {
 		log.Fatal(err)
@@ -60,18 +66,18 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// ---- life on node 1 ----
-	node1, err := gvrt.NewLocalNode(clock, gvrt.Config{}, gvrt.TeslaC2050)
+	node1, err := cluster.NewNode("node-1", clock, []gpu.Spec{gpu.TeslaC2050}, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	journal1, _, err := gvrt.OpenJournal(dir, gvrt.JournalOptions{})
+	journal1, _, err := ckptlog.Open(dir, ckptlog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := node1.RT.AttachJournal(journal1); err != nil {
 		log.Fatal(err)
 	}
-	c1 := node1.OpenClient()
+	c1 := frontend.Connect(node1.Dial())
 	if err := c1.RegisterFatBinary(fatBinary()); err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i := 0; i < iters/2; i++ {
-		if err := c1.Launch(gvrt.LaunchCall{Kernel: "step", PtrArgs: []gvrt.DevPtr{state}, Scalars: []uint64{n}}); err != nil {
+		if err := c1.Launch(api.LaunchCall{Kernel: "step", PtrArgs: []api.DevPtr{state}, Scalars: []uint64{n}}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -107,12 +113,12 @@ func main() {
 	fmt.Printf("node 1: journal compacted and closed in %s — node goes down\n", dir)
 
 	// ---- a brand-new node comes up ----
-	node2, err := gvrt.NewLocalNode(clock, gvrt.Config{}, gvrt.TeslaC2050)
+	node2, err := cluster.NewNode("node-2", clock, []gpu.Spec{gpu.TeslaC2050}, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer node2.Close()
-	journal2, recovered, err := gvrt.OpenJournal(dir, gvrt.JournalOptions{})
+	journal2, recovered, err := ckptlog.Open(dir, ckptlog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func main() {
 	}
 	fmt.Printf("node 2: recovered sessions %v\n", node2.RT.OrphanSessions())
 
-	c2 := node2.OpenClient()
+	c2 := frontend.Connect(node2.Dial())
 	defer c2.Close()
 	if err := c2.Resume(session); err != nil {
 		log.Fatal(err)
@@ -135,7 +141,7 @@ func main() {
 	}
 	for i := iters / 2; i < iters; i++ {
 		// The SAME virtual pointer from node 1 keeps working.
-		if err := c2.Launch(gvrt.LaunchCall{Kernel: "step", PtrArgs: []gvrt.DevPtr{state}, Scalars: []uint64{n}}); err != nil {
+		if err := c2.Launch(api.LaunchCall{Kernel: "step", PtrArgs: []api.DevPtr{state}, Scalars: []uint64{n}}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -1,18 +1,14 @@
 // Package cluster implements the cluster-level substrate of the
 // paper's evaluation (§2, §5.4): a TORQUE-like batch resource manager
 // (the head node) dispatching jobs to compute nodes, each of which runs
-// its own CUDA runtime and — optionally — a gvrt runtime daemon.
+// its own CUDA runtime and gvrt runtime daemon.
 //
-// Two dispatch modes reproduce the paper's configurations:
-//
-//   - GPU-aware (native TORQUE + bare CUDA runtime): the head knows the
-//     number of GPUs per node and "serializes the execution of
-//     concurrent jobs by enqueuing them on the head node and submitting
-//     them to the compute nodes only when a GPU becomes available";
-//   - GPU-oblivious (TORQUE + gvrt): the GPUs are hidden from the head,
-//     which "divides the workload equally between the nodes"; sharing,
-//     queuing and (when enabled) inter-node offloading happen inside
-//     the per-node gvrt runtimes.
+// The head runs in the paper's GPU-oblivious mode (TORQUE + gvrt): the
+// GPUs are hidden from it, and it "divides the workload equally between
+// the nodes"; sharing, queuing and (when enabled) inter-node offloading
+// happen inside the per-node gvrt runtimes. The GPU-serializing
+// configuration of §5.4 is the same head over nodes with one vGPU per
+// device.
 package cluster
 
 import (
@@ -350,15 +346,6 @@ func (n *Node) StartFailover(table *failover.Table, journalDirFor func(session i
 	})
 }
 
-// ConnectBare opens a bare CUDA runtime client on the given local
-// device (the native-TORQUE baseline path).
-func (n *Node) ConnectBare(device int) (workload.CUDA, error) {
-	return workload.NewBareClient(n.CRT, device)
-}
-
-// GPUs reports the node's physical device count.
-func (n *Node) GPUs() int { return n.CRT.DeviceCount() }
-
 // Close shuts the node down after all in-flight connections drain.
 func (n *Node) Close() {
 	n.stopOnce.Do(func() { close(n.stop) })
@@ -418,53 +405,4 @@ func (h *Head) RunOblivious(apps []workload.App) workload.BatchResult {
 	return workload.RunBatch(h.clock, apps, func(i int) (workload.CUDA, error) {
 		return h.nodes[i%len(h.nodes)].Connect()
 	})
-}
-
-// RunGPUAware dispatches a batch in the native-TORQUE mode: the head
-// holds jobs in its queue and releases each to a compute node only when
-// one of that node's GPUs is free, running it on the bare CUDA runtime.
-func (h *Head) RunGPUAware(apps []workload.App) workload.BatchResult {
-	type slot struct {
-		node   *Node
-		device int
-	}
-	// Size the pool to the cluster's actual GPU count: a fixed buffer
-	// would block the filler loop on clusters with more GPUs than the
-	// buffer, deadlocking dispatch before the first job ran.
-	total := 0
-	for _, n := range h.nodes {
-		total += n.GPUs()
-	}
-	if total < 1 {
-		total = 1
-	}
-	slots := make(chan slot, total)
-	for _, n := range h.nodes {
-		for d := 0; d < n.GPUs(); d++ {
-			slots <- slot{node: n, device: d}
-		}
-	}
-	return workload.RunBatch(h.clock, apps, func(i int) (workload.CUDA, error) {
-		s := <-slots
-		c, err := s.node.ConnectBare(s.device)
-		if err != nil {
-			slots <- s
-			return nil, err
-		}
-		return &releasing{CUDA: c, release: func() { slots <- s }}, nil
-	})
-}
-
-// releasing wraps a client to return its GPU slot to the head's pool
-// when the job completes.
-type releasing struct {
-	workload.CUDA
-	release func()
-	once    sync.Once
-}
-
-func (r *releasing) Close() error {
-	err := r.CUDA.Close()
-	r.once.Do(r.release)
-	return err
 }

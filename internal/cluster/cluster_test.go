@@ -59,24 +59,6 @@ func TestObliviousSplitsJobsEvenly(t *testing.T) {
 	}
 }
 
-func TestGPUAwareSerializesPerGPU(t *testing.T) {
-	cfg := core.Config{CallOverhead: -1}
-	head, a, b, _ := newTestCluster(t, cfg, cfg)
-	res := head.RunGPUAware(fastApps(12))
-	if res.Failed() != 0 {
-		t.Fatalf("failures: %v", res.Errors)
-	}
-	// The bare path bypasses gvrt entirely.
-	if a.RT.Metrics().Binds != 0 || b.RT.Metrics().Binds != 0 {
-		t.Error("GPU-aware mode should not touch the gvrt runtimes")
-	}
-	// The cluster has 4 GPUs; the bare runtime never saw more than 4
-	// concurrent contexts, i.e. no stability failures.
-	if a.CRT.AttachedProcesses() != 0 || b.CRT.AttachedProcesses() != 0 {
-		t.Error("processes leaked")
-	}
-}
-
 func TestOffloadRebalancesUnbalancedCluster(t *testing.T) {
 	// Node B has 1 GPU and 1 vGPU per device, and offloads to node A
 	// (3 GPUs) as soon as 2 contexts are queued beyond its capacity.

@@ -200,6 +200,32 @@ func TestBadPointersRejectedBeforeDevice(t *testing.T) {
 	}
 }
 
+// TestTenantQuotaRefusesWrappingSize: a size that wraps bytes+size
+// below the quota is refused, and the tenant's earlier charge stands.
+func TestTenantQuotaRefusesWrappingSize(t *testing.T) {
+	env := newEnv(t, Config{}, smallSpec(1<<20, 1))
+	if err := env.rt.ApplyQuota("t", 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	c := env.client()
+	defer c.Close()
+	if err := c.SetTenant("t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Malloc(900); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Malloc(1<<64 - 50); !errors.Is(err, api.ErrQuotaExceeded) {
+		t.Errorf("Malloc(2^64-50) err = %v, want ErrQuotaExceeded", err)
+	}
+	if _, bytes := env.rt.TenantUsage("t"); bytes != 900 {
+		t.Errorf("tenant bytes = %d after the refusal, want 900", bytes)
+	}
+	if _, err := c.Malloc(200); !errors.Is(err, api.ErrQuotaExceeded) {
+		t.Errorf("Malloc(200) over a 1000-byte quota holding 900 err = %v, want ErrQuotaExceeded", err)
+	}
+}
+
 func TestUnknownKernel(t *testing.T) {
 	env := newEnv(t, Config{}, smallSpec(1<<20, 1))
 	c := env.client()

@@ -164,7 +164,8 @@ func (rt *Runtime) tenantCharge(ctx *Context, size uint64) api.Error {
 	if ts == nil {
 		return api.Success
 	}
-	if ts.hostBytes > 0 && ts.bytes+size > ts.hostBytes {
+	// size is client-chosen: compare without forming ts.bytes+size.
+	if ts.hostBytes > 0 && (size > ts.hostBytes || ts.bytes > ts.hostBytes-size) {
 		rt.quotaRejects.Add(1)
 		if ctx.tm != nil {
 			ctx.tm.AddQuotaReject()

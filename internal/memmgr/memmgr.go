@@ -274,6 +274,12 @@ const virtTag = uint64(1) << 63
 // 40 bits (1 TiB) of per-context offset space.
 const ctxShift = 40
 
+// maxEntry bounds one context's allocations: an entry must end by
+// maxEntry, so its cursor, which advances by the size rounded up to 256
+// bytes, stays below 1<<ctxShift; past it, the context's pointers would
+// carry another context's ID in their owner bits.
+const maxEntry = 1<<ctxShift - 256
+
 // New creates a manager whose swap area is capped at hostLimit bytes of
 // modeled occupancy (0 means unlimited). The paper's node has 48 GB of
 // host memory backing the swap area.
@@ -305,7 +311,7 @@ func (m *Manager) reserveHost(n uint64) bool {
 	}
 	for {
 		cur := m.hostUsed.Load()
-		if cur+n > m.hostLimit {
+		if !inRange(cur, n, m.hostLimit) {
 			return false
 		}
 		if m.hostUsed.CompareAndSwap(cur, cur+n) {
@@ -366,6 +372,9 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 		m.badOps.Add(1)
 		return 0, api.ErrInvalidValue
 	}
+	if size > maxEntry {
+		return 0, api.ErrMemoryAllocation
+	}
 	if h := m.swapAllocHook; h != nil {
 		if err := h.Check().Err; err != nil {
 			return 0, err
@@ -382,6 +391,11 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 		s.ctxs[ctxID] = cs
 	}
 	off := cs.next
+	if !inRange(off, size, maxEntry) {
+		s.mu.Unlock()
+		m.releaseHost(size)
+		return 0, api.ErrMemoryAllocation
+	}
 	// Align entries to 256 bytes like device allocations.
 	cs.next = off + (size+255)&^uint64(255)
 	nextOff := cs.next

@@ -168,6 +168,39 @@ func TestMallocHostLimit(t *testing.T) {
 	}
 }
 
+// TestMallocSizeBounds: a client-chosen size can neither wrap the
+// 256-byte rounding or the host reservation, nor push a context's
+// cursor out of its 40-bit offset space into the next context's
+// addresses. Each refusal is ErrMemoryAllocation and reserves nothing.
+func TestMallocSizeBounds(t *testing.T) {
+	for _, limit := range []uint64{0, 1 << 50} {
+		m := New(true, limit)
+		for _, size := range []uint64{1<<64 - 1, 1<<64 - 200, 1 << 40} {
+			if _, err := m.Malloc(1, size, KindLinear); !errors.Is(err, api.ErrMemoryAllocation) {
+				t.Errorf("limit %d: Malloc(%#x) err = %v, want ErrMemoryAllocation", limit, size, err)
+			}
+		}
+		if used := m.Stats().HostBytesInUse; used != 0 {
+			t.Errorf("limit %d: refused allocations left %d host bytes in use", limit, used)
+		}
+		// Two allocations whose sum crosses the offset space: the second
+		// is refused and refunded.
+		first := mustMalloc(t, m, 1, 1<<39)
+		if _, err := m.Malloc(1, 1<<39, KindLinear); !errors.Is(err, api.ErrMemoryAllocation) {
+			t.Errorf("limit %d: Malloc crossing 1<<40 err = %v, want ErrMemoryAllocation", limit, err)
+		}
+		if err := m.Free(first, nil); err != nil {
+			t.Fatal(err)
+		}
+		if used := m.Stats().HostBytesInUse; used != 0 {
+			t.Errorf("limit %d: %d host bytes in use after the refusal and a Free", limit, used)
+		}
+		if v, err := m.Malloc(1, 64, KindLinear); err != nil || ptrCtx(v) != 1 {
+			t.Errorf("limit %d: next Malloc = %#x (owner bits name context %d), %v; want context 1", limit, v, ptrCtx(v), err)
+		}
+	}
+}
+
 func TestResolveMidEntryAndInvalid(t *testing.T) {
 	m := New(true, 0)
 	v, _ := m.Malloc(7, 100, KindLinear)

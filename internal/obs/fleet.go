@@ -141,13 +141,6 @@ func (c *Collector) AddPeer(name string, fetch func() (api.RuntimeStats, error))
 	c.peers[name] = fetch
 }
 
-// RemovePeer forgets a peer.
-func (c *Collector) RemovePeer(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.peers, name)
-}
-
 // Peers returns the registered peer names, sorted.
 func (c *Collector) Peers() []string {
 	c.mu.Lock()

@@ -147,10 +147,6 @@ func TestCollector(t *testing.T) {
 	if got := cs.NodeNames(); len(got) != 2 || got[0] != "head" || got[1] != "n2" {
 		t.Errorf("NodeNames = %v", got)
 	}
-	c.RemovePeer("n3")
-	if cs := c.Collect(); len(cs.Unreachable) != 0 {
-		t.Errorf("unreachable after RemovePeer: %v", cs.Unreachable)
-	}
 }
 
 // sloHarness drives an engine with a fake wall clock and mutable usage.

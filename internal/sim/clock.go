@@ -16,7 +16,6 @@ package sim
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,11 +26,8 @@ const DefaultScale = 1e-3
 // Clock converts model time to scaled wall time. The zero value is not
 // usable; construct with NewClock. A Clock is safe for concurrent use.
 type Clock struct {
-	scale   float64
-	start   time.Time
-	sleeps  atomic.Int64 // number of Sleep calls, for tests/metrics
-	slept   atomic.Int64 // total model time slept, in nanoseconds
-	stopped atomic.Bool
+	scale float64
+	start time.Time
 }
 
 // NewClock returns a Clock that executes one model second in scale wall
@@ -73,8 +69,6 @@ func (c *Clock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.sleeps.Add(1)
-	c.slept.Add(int64(d))
 	sleepWall(c.wall(d))
 }
 
@@ -112,13 +106,6 @@ func (c *Clock) After(d time.Duration) <-chan time.Duration {
 	return ch
 }
 
-// SleepCount reports how many Sleep calls have executed. Useful for
-// asserting that a code path really paid a modeled latency.
-func (c *Clock) SleepCount() int64 { return c.sleeps.Load() }
-
-// TotalSlept reports the cumulative model time passed to Sleep.
-func (c *Clock) TotalSlept() time.Duration { return time.Duration(c.slept.Load()) }
-
 // wall converts a model duration to a wall duration.
 func (c *Clock) wall(d time.Duration) time.Duration {
 	w := time.Duration(float64(d) * c.scale)
@@ -127,20 +114,3 @@ func (c *Clock) wall(d time.Duration) time.Duration {
 	}
 	return w
 }
-
-// Stopwatch measures elapsed model time against a Clock.
-type Stopwatch struct {
-	clock *Clock
-	begin time.Duration
-}
-
-// NewStopwatch starts a stopwatch at the clock's current model time.
-func NewStopwatch(c *Clock) *Stopwatch {
-	return &Stopwatch{clock: c, begin: c.Now()}
-}
-
-// Elapsed returns the model time since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.begin }
-
-// Restart resets the stopwatch to the current model time.
-func (s *Stopwatch) Restart() { s.begin = s.clock.Now() }

@@ -35,26 +35,12 @@ func TestClockSleepAdvancesModelTime(t *testing.T) {
 }
 
 func TestClockSleepZeroAndNegative(t *testing.T) {
-	c := NewClock(1)
+	c := NewClock(1) // 1 model s = 1 wall s: a real sleep would show
+	start := time.Now()
 	c.Sleep(0)
 	c.Sleep(-time.Second)
-	if n := c.SleepCount(); n != 0 {
-		t.Errorf("SleepCount() = %d after only no-op sleeps, want 0", n)
-	}
-	if s := c.TotalSlept(); s != 0 {
-		t.Errorf("TotalSlept() = %v, want 0", s)
-	}
-}
-
-func TestClockAccounting(t *testing.T) {
-	c := NewClock(1e-6)
-	c.Sleep(time.Second)
-	c.Sleep(3 * time.Second)
-	if n := c.SleepCount(); n != 2 {
-		t.Errorf("SleepCount() = %d, want 2", n)
-	}
-	if s := c.TotalSlept(); s != 4*time.Second {
-		t.Errorf("TotalSlept() = %v, want 4s", s)
+	if w := time.Since(start); w > 100*time.Millisecond {
+		t.Errorf("no-op sleeps took %v of wall time, want an immediate return", w)
 	}
 }
 
@@ -82,21 +68,8 @@ func TestClockConcurrentSleeps(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := c.SleepCount(); n != 50 {
-		t.Errorf("SleepCount() = %d, want 50", n)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	c := NewClock(1e-5)
-	sw := NewStopwatch(c)
-	c.Sleep(time.Second)
-	if e := sw.Elapsed(); e < time.Second {
-		t.Errorf("Elapsed() = %v after 1s model sleep, want >= 1s", e)
-	}
-	sw.Restart()
-	if e := sw.Elapsed(); e > 30*time.Second {
-		t.Errorf("Elapsed() = %v right after Restart, want small", e)
+	if now := c.Now(); now < time.Second {
+		t.Errorf("Now() = %v after 50 concurrent 1s sleeps, want >= 1s", now)
 	}
 }
 

@@ -81,47 +81,3 @@ func (c *deadlineConn) Call(call api.Call) (api.Reply, error) {
 }
 
 func (c *deadlineConn) Close() error { return c.inner.Close() }
-
-// deadlineServerConn bounds Recv and Reply; see WithServerDeadline.
-type deadlineServerConn struct {
-	inner ServerConn
-	clock *sim.Clock
-	d     time.Duration
-}
-
-// WithServerDeadline wraps sc so every Reply completes within d of
-// model time or fails with api.ErrDeadlineExceeded, closing the
-// connection. Recv stays unbounded: a server legitimately idles in Recv
-// between an application's CPU phases; it is the reply hand-off — where
-// a stuck client would wedge the dispatcher goroutine — that the
-// deadline bounds. A nil clock or non-positive d returns sc unchanged.
-func WithServerDeadline(sc ServerConn, clock *sim.Clock, d time.Duration) ServerConn {
-	if clock == nil || d <= 0 {
-		return sc
-	}
-	return &deadlineServerConn{inner: sc, clock: clock, d: d}
-}
-
-func (s *deadlineServerConn) Recv() (api.Call, error) { return s.inner.Recv() }
-
-func (s *deadlineServerConn) Reply(r api.Reply) error {
-	ch := make(chan error, 1)
-	start := time.Now()
-	go func() { ch <- s.inner.Reply(r) }()
-	select {
-	case err := <-ch:
-		return err
-	case <-s.clock.After(s.d):
-	}
-	if rem := deadlineWallGrace - time.Since(start); rem > 0 {
-		select {
-		case err := <-ch:
-			return err
-		case <-time.After(rem):
-		}
-	}
-	_ = s.inner.Close()
-	return api.ErrDeadlineExceeded
-}
-
-func (s *deadlineServerConn) Close() error { return s.inner.Close() }

@@ -76,44 +76,6 @@ func TestDeadlineDisabled(t *testing.T) {
 	}
 }
 
-func TestServerDeadlineFastReplyUnaffected(t *testing.T) {
-	clock := sim.NewClock(deadlineTestScale)
-	c, s := Pipe()
-	ds := WithServerDeadline(s, clock, time.Hour)
-
-	got := make(chan error, 1)
-	go func() {
-		_, err := c.Call(api.PingCall{})
-		got <- err
-	}()
-	if _, err := ds.Recv(); err != nil {
-		t.Fatalf("Recv failed: %v", err)
-	}
-	if err := ds.Reply(api.Reply{}); err != nil {
-		t.Fatalf("reply to a waiting client failed: %v", err)
-	}
-	if err := <-got; err != nil {
-		t.Fatalf("client call failed: %v", err)
-	}
-}
-
-func TestServerDeadlineBoundsReply(t *testing.T) {
-	clock := sim.NewClock(deadlineTestScale)
-	c, s := Pipe()
-	ds := WithServerDeadline(s, clock, 50*time.Millisecond)
-
-	// Nobody is waiting on the client side: the rendezvous reply can
-	// never be collected, so the hand-off must expire, not wedge the
-	// serving goroutine forever.
-	if err := ds.Reply(api.Reply{}); api.Code(err) != api.ErrDeadlineExceeded {
-		t.Fatalf("abandoned reply err = %v, want ErrDeadlineExceeded", err)
-	}
-	// Expiry closed the connection underneath.
-	if _, err := c.Call(api.PingCall{}); err == nil {
-		t.Fatal("client side still usable after server deadline expiry")
-	}
-}
-
 // TestDeadlineTearsDownHungTCPCall: the same expiry over a socket. The
 // peer accepts and never replies, so the Call in flight is blocked in a
 // read while holding the connection's mutex; tearing it down must not

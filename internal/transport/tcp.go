@@ -21,8 +21,8 @@ import (
 //	offset 14  parent   uint64  forwarder's span ID; zero unless kind has api.KindSpan
 //	offset 22  body
 //
-// Little-endian, like internal/wal. There is no checksum: TCP and
-// af_unix deliver bytes intact or not at all, and the migration frames
+// Little-endian, like internal/wal. There is no checksum: TCP
+// delivers bytes intact or not at all, and the migration frames
 // riding inside MigrateFrameCall keep their own CRCs. There is no
 // negotiation either — a connection's first frame costs what every
 // later one does, which is what short offloaded sessions (§4.7) need.
@@ -169,7 +169,7 @@ func readOwned(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// tcpConn is the client side of a stream connection (TCP or af_unix).
+// tcpConn is the client side of a TCP connection.
 // Calls are serialised by a mutex: a connection belongs to a single
 // application thread and carries one call at a time.
 type tcpConn struct {

@@ -210,33 +210,3 @@ func TestPipeManySequentialCalls(t *testing.T) {
 		}
 	}
 }
-
-func TestUnixConn(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/gvrt.sock"
-	l, err := ListenUnix(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	accepted := make(chan ServerConn, 1)
-	go func() {
-		s, err := l.Accept()
-		if err != nil {
-			close(accepted)
-			return
-		}
-		accepted <- s
-	}()
-
-	c, err := DialUnix(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, ok := <-accepted
-	if !ok {
-		t.Fatal("accept failed")
-	}
-	testConnBehaviour(t, c, srv)
-}

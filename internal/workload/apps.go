@@ -346,3 +346,21 @@ func AllApps() []App {
 	apps = append(apps, MMS(1), MML(1), BSL())
 	return apps
 }
+
+// ByName builds one Table 2 program by name; cpuFraction applies to the
+// parameterised matrix multiplications (MM-S, MM-L) and is ignored for
+// the rest. ok is false for an unknown name.
+func ByName(name string, cpuFraction float64) (App, bool) {
+	switch name {
+	case "MM-S":
+		return MMS(cpuFraction), true
+	case "MM-L":
+		return MML(cpuFraction), true
+	}
+	for _, app := range AllApps() {
+		if app.Name == name {
+			return app, true
+		}
+	}
+	return App{}, false
+}

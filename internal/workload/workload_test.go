@@ -9,6 +9,7 @@ import (
 	"gvrt/internal/cudart"
 	"gvrt/internal/gpu"
 	"gvrt/internal/sim"
+	"gvrt/internal/trace"
 )
 
 func testRuntime(nDevices int) *cudart.Runtime {
@@ -303,5 +304,45 @@ func TestFigure1AppsShape(t *testing.T) {
 	}
 	if countMidDH(b) != 1 {
 		t.Error("app2 should have exactly one mid-stream copyDH")
+	}
+}
+
+func TestPublicAPIBareBaseline(t *testing.T) {
+	clock := sim.NewClock(1e-6)
+	crt := cudart.New(clock, gpu.NewDevice(0, gpu.TeslaC2050, clock))
+	apps := RandomShortBatch(sim.NewRNG(1), 2)
+	res := RunBatch(clock, apps, func(i int) (CUDA, error) {
+		return NewBareClient(crt, 0)
+	})
+	if res.Failed() != 0 {
+		t.Fatalf("bare batch failed: %v", res.Errors)
+	}
+}
+
+func TestFacadeHelpers(t *testing.T) {
+	if rec := trace.NewRecorder(32); rec == nil || rec.Len() != 0 {
+		t.Error("NewTraceRecorder broken")
+	}
+	batch := MixedBatch(8, 50, 1)
+	if len(batch) != 8 {
+		t.Errorf("MixedLongBatch len = %d", len(batch))
+	}
+	nBSL := 0
+	for _, app := range batch {
+		if app.Name == "BS-L" {
+			nBSL++
+		}
+	}
+	if nBSL != 4 {
+		t.Errorf("MixedLongBatch BS-L count = %d, want 4", nBSL)
+	}
+	for _, name := range []string{"BP", "BFS", "HS", "NW", "SP", "MT", "PR", "SC", "BS-S", "VA", "MM-S", "MM-L", "BS-L"} {
+		app, ok := ByName(name, 1.5)
+		if !ok || app.Name != name {
+			t.Errorf("BenchmarkByName(%q) = %v, %v", name, app.Name, ok)
+		}
+	}
+	if _, ok := ByName("nope", 1); ok {
+		t.Error("BenchmarkByName accepted an unknown name")
 	}
 }
