@@ -141,7 +141,7 @@ func ctrlChild() {
 	// The handshake line the parent blocks on.
 	fmt.Printf("CTRL_READY %s\n", l.Addr())
 	http.Serve(l, opserver.Handler(opserver.Source{
-		Stats: rt.StatsSnapshot,
+		Stats: rt.Metrics,
 		Now:   clock.Now,
 		Name:  "ctrl-torture",
 		Ctrl:  mgr,

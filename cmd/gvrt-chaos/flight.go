@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gvrt/internal/obs"
+	"gvrt/internal/trace"
 )
 
 // readFlight loads, validates and prints one dump. Returns an exit
@@ -48,19 +49,14 @@ func readFlight(path string) int {
 
 	if len(d.Hists) > 0 {
 		fmt.Printf("\n--- histogram deltas since previous dump ---\n")
-		keys := make([]string, 0, len(d.Hists))
-		for k := range d.Hists {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Printf("  %-26s %9s %12s %12s\n", "FAMILY", "count", "p50", "p99")
-		for _, k := range keys {
+		for _, k := range trace.SortedKeys(d.Hists) {
 			h := d.Hists[k]
 			if h.Count == 0 {
 				continue
 			}
 			fmt.Printf("  %-26s %9d %12s %12s\n", k, h.Count,
-				fmtFlightVal(k, h.Quantile(0.5)), fmtFlightVal(k, h.Quantile(0.99)))
+				trace.FormatValue(k, h.Quantile(0.5)), trace.FormatValue(k, h.Quantile(0.99)))
 		}
 	}
 
@@ -85,14 +81,4 @@ func readFlight(path string) int {
 		}
 	}
 	return 0
-}
-
-// fmtFlightVal renders a histogram value in its family's unit, the
-// same convention as gvrt-top.
-func fmtFlightVal(key string, v int64) string {
-	switch key {
-	case "swap_bytes", "migration_bytes", "dedup_saved":
-		return fmt.Sprintf("%dB", v)
-	}
-	return time.Duration(v).String()
 }

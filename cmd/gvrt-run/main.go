@@ -17,11 +17,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
-	"time"
 
 	"gvrt/internal/frontend"
 	"gvrt/internal/sim"
+	"gvrt/internal/trace"
 	"gvrt/internal/transport"
 	"gvrt/internal/workload"
 )
@@ -68,20 +67,11 @@ func main() {
 				float64(d.BusyNS)/1e9, d.MemAvailable>>20, d.Capacity>>20, d.Launches)
 		}
 		if len(st.Histograms) > 0 {
-			keys := make([]string, 0, len(st.Histograms))
-			for k := range st.Histograms {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
 			fmt.Printf("  %-26s %9s %12s %12s\n", "histogram", "count", "p50", "p99")
-			for _, k := range keys {
+			for _, k := range trace.SortedKeys(st.Histograms) {
 				h := st.Histograms[k]
-				if k == "swap_bytes" {
-					fmt.Printf("  %-26s %9d %12d %12d (bytes)\n", k, h.Count, h.Quantile(0.5), h.Quantile(0.99))
-					continue
-				}
-				fmt.Printf("  %-26s %9d %12v %12v\n", k, h.Count,
-					time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)))
+				fmt.Printf("  %-26s %9d %12s %12s\n", k, h.Count,
+					trace.FormatValue(k, h.Quantile(0.5)), trace.FormatValue(k, h.Quantile(0.99)))
 			}
 		}
 		return

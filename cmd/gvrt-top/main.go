@@ -31,6 +31,7 @@ import (
 	"gvrt/internal/api"
 	"gvrt/internal/frontend"
 	"gvrt/internal/obs"
+	"gvrt/internal/trace"
 	"gvrt/internal/transport"
 )
 
@@ -324,20 +325,15 @@ func render(addr string, st, prev api.RuntimeStats, havePrev bool, interval time
 			fmt.Fprintf(&b, "   %9s %12s %12s", "Δcount", "Δp50", "Δp99")
 		}
 		b.WriteByte('\n')
-		keys := make([]string, 0, len(st.Histograms))
-		for k := range st.Histograms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range trace.SortedKeys(st.Histograms) {
 			h := st.Histograms[k]
 			fmt.Fprintf(&b, "%-26s %9d %12s %12s", k, h.Count,
-				fmtVal(k, h.Quantile(0.5)), fmtVal(k, h.Quantile(0.99)))
+				trace.FormatValue(k, h.Quantile(0.5)), trace.FormatValue(k, h.Quantile(0.99)))
 			if havePrev {
 				d := h.Delta(prev.Histograms[k])
 				if d.Count > 0 {
 					fmt.Fprintf(&b, "   %9d %12s %12s", d.Count,
-						fmtVal(k, d.Quantile(0.5)), fmtVal(k, d.Quantile(0.99)))
+						trace.FormatValue(k, d.Quantile(0.5)), trace.FormatValue(k, d.Quantile(0.99)))
 				}
 			}
 			b.WriteByte('\n')
@@ -353,15 +349,6 @@ func launches(st api.RuntimeStats) int64 {
 		n += d.Launches
 	}
 	return n
-}
-
-// fmtVal renders a histogram value in its unit: bytes for byte-sized
-// histograms, model-time duration otherwise.
-func fmtVal(key string, v int64) string {
-	if key == "swap_bytes" || key == "migration_bytes" {
-		return fmt.Sprintf("%dB", v)
-	}
-	return time.Duration(v).String()
 }
 
 // bar renders a width-cell utilization bar.

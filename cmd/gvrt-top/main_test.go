@@ -15,7 +15,7 @@ func frame(calls, busyNS, launchN int64, hist map[string]trace.HistSnapshot) api
 		CallsServed:  calls,
 		QueueDepth:   2,
 		LiveContexts: 3,
-		SwapBytes:    calls * 1000,
+		Memory:       api.Memory{SwapBytes: calls * 1000},
 		Devices: []api.DeviceStats{{
 			Index: 0, Name: "Tesla C2050", Healthy: true,
 			BusyNS: busyNS, Launches: launchN,
@@ -48,12 +48,22 @@ func hist(values ...int64) trace.HistSnapshot {
 
 func TestRenderFirstFrame(t *testing.T) {
 	st := frame(100, int64(time.Second), 40, map[string]trace.HistSnapshot{
-		"launch_latency": hist(1000, 2000, 1e6),
+		"launch_latency":  hist(1000, 2000, 1e6),
+		"dedup_saved":     hist(64 << 10),
+		"migration_bytes": hist(64 << 10),
 	})
 	out := render("host:7070", st, api.RuntimeStats{}, false, 2*time.Second)
-	for _, want := range []string{"Tesla C2050", "healthy", "2/4", "launch_latency", "queue 2", "contexts 3"} {
+	for _, want := range []string{"Tesla C2050", "healthy", "2/4", "launch_latency", "dedup_saved", "migration_bytes", "queue 2", "contexts 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("first frame missing %q:\n%s", want, out)
+		}
+	}
+	// Byte families print bytes: 64 KiB lands in the log2 bucket whose
+	// upper bound is 128 KiB.
+	for _, line := range strings.Split(out, "\n") {
+		if (strings.HasPrefix(line, "dedup_saved ") || strings.HasPrefix(line, "migration_bytes ")) &&
+			!strings.Contains(line, " 131072B ") {
+			t.Errorf("byte histogram not rendered in bytes: %q", line)
 		}
 	}
 	if strings.Contains(out, "rates:") || strings.Contains(out, "Δcount") {

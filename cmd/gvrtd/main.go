@@ -262,7 +262,7 @@ func main() {
 	// /metrics?scope=cluster, /cluster and the cluster SLO rollup.
 	var collector *obs.Collector
 	if *fleet != "" {
-		collector = obs.NewCollector(name, rt.StatsSnapshot)
+		collector = obs.NewCollector(name, rt.Metrics)
 		for _, p := range strings.Split(*fleet, ",") {
 			p = strings.TrimSpace(p)
 			if p == "" {
@@ -347,7 +347,7 @@ func main() {
 	if *httpAddr != "" {
 		addr := *httpAddr
 		src := opserver.Source{
-			Stats: rt.StatsSnapshot,
+			Stats: rt.Metrics,
 			Trace: rt.TraceRecorder(),
 			Now:   rt.Clock().Now,
 			Name:  "gvrtd " + *listen,

@@ -360,7 +360,7 @@ func (n *Node) Close() {
 // so aggregation needs no new wire protocol. Mount the result as the
 // opserver Source.Fleet on the head node to enable /metrics?scope=cluster.
 func FleetCollector(self *Node, peers ...*Node) *obs.Collector {
-	c := obs.NewCollector(self.Name, self.RT.StatsSnapshot)
+	c := obs.NewCollector(self.Name, self.RT.Metrics)
 	for _, p := range peers {
 		if p == self {
 			continue

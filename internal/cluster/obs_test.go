@@ -143,7 +143,7 @@ func TestClusterAttributionConservation(t *testing.T) {
 	// The operator surfaces must tell the same story: per-tenant usage
 	// endpoint (local and cluster scope) and the cluster exposition.
 	h := opserver.Handler(opserver.Source{
-		Stats: n1.RT.StatsSnapshot,
+		Stats: n1.RT.Metrics,
 		Now:   clock.Now,
 		Name:  n1.Name,
 		Fleet: fleet,

@@ -115,8 +115,8 @@ func TestPitchedAndArrayAllocations(t *testing.T) {
 	}
 }
 
-// TestDeviceUtilizationMetrics checks the per-device metrics slice.
-func TestDeviceUtilizationMetrics(t *testing.T) {
+// TestDeviceMetrics checks the per-device slice of the stats snapshot.
+func TestDeviceMetrics(t *testing.T) {
 	env := newEnv(t, Config{VGPUsPerDevice: 2}, smallSpec(1<<20, 1), smallSpec(1<<20, 0.5))
 	c := env.client()
 	defer c.Close()

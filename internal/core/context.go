@@ -407,7 +407,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: api.Code(rt.mm.RegisterNested(parent, c.Members, c.Offsets))}
 
 	case api.StatsCall:
-		data, err := json.Marshal(rt.wireStats())
+		data, err := json.Marshal(rt.Metrics())
 		if err != nil {
 			return api.Reply{Code: api.ErrInvalidValue}
 		}

@@ -294,56 +294,8 @@ func (ds *deviceState) activeVGPUs() int {
 	return n
 }
 
-// DeviceUtilization is the per-device slice of a metrics snapshot.
-type DeviceUtilization struct {
-	Index   int
-	Name    string
-	Healthy bool
-	// Busy is the cumulative model time the device's execution engine
-	// was occupied by kernels.
-	Busy     time.Duration
-	Launches int64
-	H2DBytes int64
-	D2HBytes int64
-	// ActiveVGPUs / VGPUs are the bound and total sharing slots.
-	ActiveVGPUs  int
-	VGPUs        int
-	MemAvailable uint64
-	Capacity     uint64
-}
-
-// Metrics is a snapshot of the runtime's counters plus the memory
-// manager's statistics and per-device utilization.
-type Metrics struct {
-	CallsServed    int64
-	Binds          int64
-	InterAppSwaps  int64
-	IntraAppSwaps  int64
-	Migrations     int64
-	Recoveries     int64
-	Replays        int64
-	DeviceFailures int64
-	Offloaded      int64
-	UnbindRetries  int64
-	BreakerTrips   int64
-	Readmissions   int64
-	RetriesSpent   int64
-	Sheds          int64
-	// PrefetchIssued / PrefetchHits / PrefetchSkipped describe the
-	// predictive prefetcher (prefetch.go).
-	PrefetchIssued  int64
-	PrefetchHits    int64
-	PrefetchSkipped int64
-	// Cross-node failover-plane counters (distinct from Migrations,
-	// which counts intra-node device rebinds).
-	MigrationsStarted   int64
-	MigrationsCompleted int64
-	MigrationsAborted   int64
-	FenceRejections     int64
-	LeaseRenewals       int64
-	Memory              memmgr.Stats
-	Devices             []DeviceUtilization
-}
+// Metrics is the runtime's stats snapshot (Runtime.Metrics).
+type Metrics = api.RuntimeStats
 
 // Runtime is the gvrt node-level runtime daemon.
 type Runtime struct {
@@ -491,7 +443,7 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		Attr:       rt.obsTenants.ObserveCtx,
 	})
 	if cfg.Flight != nil {
-		cfg.Flight.SetSources(rt.clock.Now, rt.timings.Snapshot, rt.wireStats)
+		cfg.Flight.SetSources(rt.clock.Now, rt.timings.Snapshot, rt.Metrics)
 	}
 	rt.dispatchHook = cfg.Faults.Hook(faultinject.PointDispatch, "")
 	rt.leaseHook = cfg.Faults.Hook(faultinject.PointLeaseCheck, "")
@@ -616,17 +568,52 @@ func (rt *Runtime) Clock() *sim.Clock { return rt.clock }
 // migration protocol ("local" when unconfigured).
 func (rt *Runtime) NodeName() string { return rt.cfg.node() }
 
-// Metrics returns a snapshot of all counters.
+// Metrics returns the node's stats snapshot — the one served for a
+// StatsCall, on the operator plane, to the fleet collector and into
+// flight dumps. It takes rt.mu briefly, so callers must not hold it.
 func (rt *Runtime) Metrics() Metrics {
-	list := rt.deviceList()
-	devs := make([]DeviceUtilization, 0, len(list))
-	for _, ds := range list {
+	rt.mu.Lock()
+	depth, live := len(rt.waiting), len(rt.ctxs)
+	rt.mu.Unlock()
+	m := Metrics{
+		CallsServed:     rt.calls.Load(),
+		Binds:           rt.binds.Load(),
+		InterAppSwaps:   rt.interSwaps.Load(),
+		IntraAppSwaps:   rt.intraSwaps.Load(),
+		Memory:          rt.mm.Stats(),
+		PrefetchIssued:  rt.prefetchIssued.Load(),
+		PrefetchHits:    rt.prefetchHits.Load(),
+		PrefetchSkipped: rt.prefetchSkipped.Load(),
+		Migrations:      rt.migrations.Load(),
+
+		MigrationsStarted:   rt.migStarted.Load(),
+		MigrationsCompleted: rt.migCompleted.Load(),
+		MigrationsAborted:   rt.migAborted.Load(),
+		FenceRejections:     rt.fenceRejections.Load(),
+		LeaseRenewals:       rt.leaseRenewals.Load(),
+
+		Recoveries:     rt.recoveries.Load(),
+		Replays:        rt.replays.Load(),
+		DeviceFailures: rt.deviceFailures.Load(),
+		Offloaded:      rt.offloaded.Load(),
+		UnbindRetries:  rt.unbindRetries.Load(),
+		BreakerTrips:   rt.breakerTrips.Load(),
+		Readmissions:   rt.readmissions.Load(),
+		RetriesSpent:   rt.retriesSpent.Load(),
+		Sheds:          rt.sheds.Load(),
+		GPUTimeNS:      rt.gpuTimeNS.Load(),
+		QueueDepth:     depth,
+		LiveContexts:   live,
+		Tenants:        rt.obsTenants.Snapshot(),
+		Histograms:     rt.timings.Snapshot(),
+	}
+	for _, ds := range rt.deviceList() {
 		st := ds.dev.Stats()
-		devs = append(devs, DeviceUtilization{
+		m.Devices = append(m.Devices, api.DeviceStats{
 			Index:        ds.index,
 			Name:         ds.dev.Spec().Name,
 			Healthy:      ds.healthy.Load(),
-			Busy:         st.Busy,
+			BusyNS:       int64(st.Busy),
 			Launches:     st.Launches,
 			H2DBytes:     st.H2DBytes,
 			D2HBytes:     st.D2HBytes,
@@ -636,96 +623,7 @@ func (rt *Runtime) Metrics() Metrics {
 			Capacity:     ds.dev.Capacity(),
 		})
 	}
-	return Metrics{
-		Devices:         devs,
-		CallsServed:     rt.calls.Load(),
-		Binds:           rt.binds.Load(),
-		InterAppSwaps:   rt.interSwaps.Load(),
-		IntraAppSwaps:   rt.intraSwaps.Load(),
-		Migrations:      rt.migrations.Load(),
-		Recoveries:      rt.recoveries.Load(),
-		Replays:         rt.replays.Load(),
-		DeviceFailures:  rt.deviceFailures.Load(),
-		Offloaded:       rt.offloaded.Load(),
-		UnbindRetries:   rt.unbindRetries.Load(),
-		BreakerTrips:    rt.breakerTrips.Load(),
-		Readmissions:    rt.readmissions.Load(),
-		RetriesSpent:    rt.retriesSpent.Load(),
-		Sheds:           rt.sheds.Load(),
-		PrefetchIssued:  rt.prefetchIssued.Load(),
-		PrefetchHits:    rt.prefetchHits.Load(),
-		PrefetchSkipped: rt.prefetchSkipped.Load(),
-
-		MigrationsStarted:   rt.migStarted.Load(),
-		MigrationsCompleted: rt.migCompleted.Load(),
-		MigrationsAborted:   rt.migAborted.Load(),
-		FenceRejections:     rt.fenceRejections.Load(),
-		LeaseRenewals:       rt.leaseRenewals.Load(),
-
-		Memory: rt.mm.Stats(),
-	}
-}
-
-// wireStats builds the operator-facing metrics snapshot served for a
-// StatsCall.
-func (rt *Runtime) wireStats() api.RuntimeStats {
-	m := rt.Metrics()
-	rt.mu.Lock()
-	depth := len(rt.waiting)
-	live := len(rt.ctxs)
-	rt.mu.Unlock()
-	out := api.RuntimeStats{
-		CallsServed:         m.CallsServed,
-		Binds:               m.Binds,
-		InterAppSwaps:       m.InterAppSwaps,
-		IntraAppSwaps:       m.IntraAppSwaps,
-		SwapOps:             m.Memory.SwapOps,
-		SwapBytes:           m.Memory.SwapBytes,
-		CheckpointBytes:     m.Memory.CheckpointBytes,
-		PrefetchIssued:      m.PrefetchIssued,
-		PrefetchHits:        m.PrefetchHits,
-		PrefetchSkipped:     m.PrefetchSkipped,
-		DedupHits:           m.Memory.DedupHits,
-		DedupSavedBytes:     m.Memory.DedupSavedBytes,
-		CowBreaks:           m.Memory.CowBreaks,
-		Migrations:          m.Migrations,
-		MigrationsStarted:   m.MigrationsStarted,
-		MigrationsCompleted: m.MigrationsCompleted,
-		MigrationsAborted:   m.MigrationsAborted,
-		FenceRejections:     m.FenceRejections,
-		LeaseRenewals:       m.LeaseRenewals,
-
-		Recoveries:     m.Recoveries,
-		Replays:        m.Replays,
-		DeviceFailures: m.DeviceFailures,
-		Offloaded:      m.Offloaded,
-		UnbindRetries:  m.UnbindRetries,
-		BreakerTrips:   m.BreakerTrips,
-		Readmissions:   m.Readmissions,
-		RetriesSpent:   m.RetriesSpent,
-		Sheds:          m.Sheds,
-		GPUTimeNS:      rt.gpuTimeNS.Load(),
-		QueueDepth:     depth,
-		LiveContexts:   live,
-		Histograms:     rt.timings.Snapshot(),
-		Tenants:        rt.obsTenants.Snapshot(),
-	}
-	for _, d := range m.Devices {
-		out.Devices = append(out.Devices, api.DeviceStats{
-			Index:        d.Index,
-			Name:         d.Name,
-			Healthy:      d.Healthy,
-			BusyNS:       int64(d.Busy),
-			Launches:     d.Launches,
-			H2DBytes:     d.H2DBytes,
-			D2HBytes:     d.D2HBytes,
-			ActiveVGPUs:  d.ActiveVGPUs,
-			VGPUs:        d.VGPUs,
-			MemAvailable: d.MemAvailable,
-			Capacity:     d.Capacity,
-		})
-	}
-	return out
+	return m
 }
 
 // VGPUCount reports the number of live (healthy-device) virtual GPUs —
@@ -878,11 +776,6 @@ func (rt *Runtime) Timings() *trace.Timings { return &rt.timings }
 // TraceRecorder returns the configured trace recorder, nil when
 // tracing is off.
 func (rt *Runtime) TraceRecorder() *trace.Recorder { return rt.cfg.Trace }
-
-// StatsSnapshot returns the operator-facing metrics snapshot — the
-// same structure served over the wire for a StatsCall, reused by the
-// HTTP operator plane.
-func (rt *Runtime) StatsSnapshot() api.RuntimeStats { return rt.wireStats() }
 
 // NotePeerCall records one peer RPC round trip; the cluster layer's
 // link wrapper feeds it.

@@ -9,13 +9,13 @@ import (
 	"gvrt/internal/trace"
 )
 
-// TestWireStatsConcurrent hammers the stats snapshot path while
+// TestStatsConcurrent hammers the stats snapshot path while
 // launches, device failures and restores are in flight. Run under
 // -race it proves the exposition path (StatsCall, /metrics, gvrt-top)
 // never tears the counters it reads; the assertions pin the snapshot
 // invariants operators rely on: per-device vGPU occupancy within
 // bounds and monotone counters/histograms between polls.
-func TestWireStatsConcurrent(t *testing.T) {
+func TestStatsConcurrent(t *testing.T) {
 	env := newEnv(t, Config{Trace: trace.NewRecorder(512)},
 		smallSpec(1<<20, 1), smallSpec(1<<20, 1))
 
@@ -74,7 +74,7 @@ func TestWireStatsConcurrent(t *testing.T) {
 	var prev api.RuntimeStats
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {
-		st := env.rt.StatsSnapshot()
+		st := env.rt.Metrics()
 		for _, d := range st.Devices {
 			if d.ActiveVGPUs < 0 || d.ActiveVGPUs > d.VGPUs {
 				t.Fatalf("poll %d: device %d ActiveVGPUs = %d, want within [0,%d]",
@@ -106,7 +106,7 @@ func TestWireStatsConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := env.rt.StatsSnapshot()
+	st := env.rt.Metrics()
 	if st.CallsServed == 0 {
 		t.Error("no calls served under load")
 	}

@@ -116,40 +116,6 @@ func (p *PTE) CtxID() int64 { return p.owner.id }
 // HasData reports whether the entry carries real bytes in swap.
 func (p *PTE) HasData() bool { return p.hasSwapBytes() }
 
-// Stats is a snapshot of the manager's counters.
-type Stats struct {
-	// SwapOps counts page-table entries swapped out (device→swap spill
-	// plus device free), the quantity reported on top of the bars in
-	// Figures 7 and 8.
-	SwapOps int64
-	// SwapBytes counts bytes moved device→swap by swap operations.
-	SwapBytes int64
-	// CoalescedWrites counts host→device transfers avoided because
-	// several deferred writes to one entry were folded into a single
-	// bulk transfer.
-	CoalescedWrites int64
-	// BadOpsRejected counts out-of-bounds or invalid-pointer operations
-	// rejected before reaching the CUDA runtime (§4.5: bad memory
-	// operations are detected without overloading the CUDA runtime).
-	BadOpsRejected int64
-	// Checkpoints counts explicit and automatic checkpoint flushes.
-	Checkpoints int64
-	// CheckpointBytes counts bytes flushed device→swap by checkpoints
-	// (kept apart from SwapBytes, which measures only real swap-out
-	// spills — the quantity the evaluation plots).
-	CheckpointBytes int64
-	// DedupHits counts swap chunks found already interned at seal time.
-	DedupHits int64
-	// DedupSavedBytes is the swap occupancy currently avoided by chunk
-	// sharing (rises at seal, falls at COW break or free).
-	DedupSavedBytes int64
-	// CowBreaks counts sealed entries rematerialised by a mutating
-	// access.
-	CowBreaks int64
-	// HostBytesInUse is the current swap-area occupancy (modeled).
-	HostBytesInUse uint64
-}
-
 // DeviceOps is the slice of a bound virtual GPU's CUDA context that the
 // manager drives: real allocation, de-allocation and transfers on the
 // physical device.
@@ -348,19 +314,18 @@ func (m *Manager) swapWriteFault() error {
 func (m *Manager) SetTracer(t *trace.Tracer) { m.tracer = t }
 
 // Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	used := m.hostUsed.Load()
-	return Stats{
+func (m *Manager) Stats() api.Memory {
+	return api.Memory{
 		SwapOps:         m.swapOps.Load(),
 		SwapBytes:       m.swapBytes.Load(),
-		CoalescedWrites: m.coalesced.Load(),
-		BadOpsRejected:  m.badOps.Load(),
-		Checkpoints:     m.checkpoint.Load(),
 		CheckpointBytes: m.checkpointBytes.Load(),
 		DedupHits:       m.dedupHits.Load(),
 		DedupSavedBytes: m.dedupSavedBytes.Load(),
 		CowBreaks:       m.cowBreaks.Load(),
-		HostBytesInUse:  used,
+		CoalescedWrites: m.coalesced.Load(),
+		BadOpsRejected:  m.badOps.Load(),
+		Checkpoints:     m.checkpoint.Load(),
+		HostBytesInUse:  m.hostUsed.Load(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sort"
 	"sync"
 
@@ -9,10 +10,11 @@ import (
 )
 
 // ClusterStats is the head-node rollup: each node's snapshot plus the
-// merged cluster-wide view. Merging rides the PR-4 design — counters
-// sum, histograms merge bucket-wise, per-tenant bundles merge
-// field-wise — so the cluster view has exactly the same shape as a
-// node view and every consumer (gvrt-top, /metrics) works unchanged.
+// merged cluster-wide view. Merging is one walk over the snapshot's
+// fields — counters sum, histograms merge bucket-wise, per-tenant
+// bundles merge field-wise — so the cluster view has exactly the same
+// shape as a node view and every consumer (gvrt-top, /metrics) works
+// unchanged.
 type ClusterStats struct {
 	// Nodes holds each reachable node's snapshot, keyed by node name.
 	Nodes map[string]api.RuntimeStats `json:"nodes"`
@@ -35,87 +37,50 @@ func (c ClusterStats) NodeNames() []string {
 	return out
 }
 
-// MergeTenantUsage sums two per-tenant bundles.
-func MergeTenantUsage(a, b api.TenantUsage) api.TenantUsage {
-	return api.TenantUsage{
-		Sessions:        a.Sessions + b.Sessions,
-		Calls:           a.Calls + b.Calls,
-		Errors:          a.Errors + b.Errors,
-		Launches:        a.Launches + b.Launches,
-		GPUTimeNS:       a.GPUTimeNS + b.GPUTimeNS,
-		QueueWaitNS:     a.QueueWaitNS + b.QueueWaitNS,
-		SwapBytes:       a.SwapBytes + b.SwapBytes,
-		SwapOps:         a.SwapOps + b.SwapOps,
-		CheckpointBytes: a.CheckpointBytes + b.CheckpointBytes,
-		MigrationBytes:  a.MigrationBytes + b.MigrationBytes,
-		DedupSavedBytes: a.DedupSavedBytes + b.DedupSavedBytes,
-		FenceRejections: a.FenceRejections + b.FenceRejections,
-		QuotaRejects:    a.QuotaRejects + b.QuotaRejects,
-		Launch:          a.Launch.Merge(b.Launch),
-		QueueWait:       a.QueueWait.Merge(b.QueueWait),
-	}
-}
-
-// MergeStats folds src into dst and returns the sum: counters add,
-// histograms merge, tenants merge by name. Devices are deliberately
-// not concatenated — a merged stats view reports cluster totals, and
-// per-device detail stays with the per-node snapshots.
+// MergeStats folds src into dst and returns the sum: every numeric
+// field adds, histograms merge bucket-wise, tenants merge by name.
+// Devices are deliberately not concatenated — a merged stats view
+// reports cluster totals, and per-device detail stays with the
+// per-node snapshots.
 func MergeStats(dst, src api.RuntimeStats) api.RuntimeStats {
 	out := dst
-	out.CallsServed += src.CallsServed
-	out.Binds += src.Binds
-	out.InterAppSwaps += src.InterAppSwaps
-	out.IntraAppSwaps += src.IntraAppSwaps
-	out.SwapOps += src.SwapOps
-	out.SwapBytes += src.SwapBytes
-	out.CheckpointBytes += src.CheckpointBytes
-	out.PrefetchIssued += src.PrefetchIssued
-	out.PrefetchHits += src.PrefetchHits
-	out.PrefetchSkipped += src.PrefetchSkipped
-	out.DedupHits += src.DedupHits
-	out.DedupSavedBytes += src.DedupSavedBytes
-	out.CowBreaks += src.CowBreaks
-	out.Migrations += src.Migrations
-	out.MigrationsStarted += src.MigrationsStarted
-	out.MigrationsCompleted += src.MigrationsCompleted
-	out.MigrationsAborted += src.MigrationsAborted
-	out.FenceRejections += src.FenceRejections
-	out.LeaseRenewals += src.LeaseRenewals
-	out.Recoveries += src.Recoveries
-	out.Replays += src.Replays
-	out.DeviceFailures += src.DeviceFailures
-	out.Offloaded += src.Offloaded
-	out.UnbindRetries += src.UnbindRetries
-	out.BreakerTrips += src.BreakerTrips
-	out.Readmissions += src.Readmissions
-	out.RetriesSpent += src.RetriesSpent
-	out.Sheds += src.Sheds
-	out.GPUTimeNS += src.GPUTimeNS
-	out.QueueDepth += src.QueueDepth
-	out.LiveContexts += src.LiveContexts
+	add(reflect.ValueOf(&out).Elem(), reflect.ValueOf(src))
 	out.Devices = nil
-
-	if len(dst.Histograms) > 0 || len(src.Histograms) > 0 {
-		h := make(map[string]trace.HistSnapshot, len(dst.Histograms)+len(src.Histograms))
-		for k, v := range dst.Histograms {
-			h[k] = v
-		}
-		for k, v := range src.Histograms {
-			h[k] = h[k].Merge(v)
-		}
-		out.Histograms = h
-	}
-	if len(dst.Tenants) > 0 || len(src.Tenants) > 0 {
-		t := make(map[string]api.TenantUsage, len(dst.Tenants)+len(src.Tenants))
-		for k, v := range dst.Tenants {
-			t[k] = v
-		}
-		for k, v := range src.Tenants {
-			t[k] = MergeTenantUsage(t[k], v)
-		}
-		out.Tenants = t
-	}
 	return out
+}
+
+var histType = reflect.TypeOf(trace.HistSnapshot{})
+
+// add sums src into dst: numbers add, histograms merge, maps merge by
+// key into a fresh map (dst's may be shared with a node snapshot), and
+// structs, embedded ones included, recurse. Slices are left alone.
+func add(dst, src reflect.Value) {
+	switch {
+	case dst.Type() == histType:
+		dst.Set(reflect.ValueOf(dst.Interface().(trace.HistSnapshot).Merge(src.Interface().(trace.HistSnapshot))))
+	case dst.CanInt():
+		dst.SetInt(dst.Int() + src.Int())
+	case dst.CanUint():
+		dst.SetUint(dst.Uint() + src.Uint())
+	case dst.Kind() == reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			add(dst.Field(i), src.Field(i))
+		}
+	case dst.Kind() == reflect.Map && src.Len() > 0:
+		m := reflect.MakeMapWithSize(dst.Type(), dst.Len()+src.Len())
+		for it := dst.MapRange(); it.Next(); {
+			m.SetMapIndex(it.Key(), it.Value())
+		}
+		for it := src.MapRange(); it.Next(); {
+			sum := reflect.New(dst.Type().Elem()).Elem()
+			if v := m.MapIndex(it.Key()); v.IsValid() {
+				sum.Set(v)
+			}
+			add(sum, it.Value())
+			m.SetMapIndex(it.Key(), sum)
+		}
+		dst.Set(m)
+	}
 }
 
 // Collector is the head-node fleet aggregator. The local node's stats

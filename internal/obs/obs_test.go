@@ -89,7 +89,7 @@ func nodeStats(calls int64, tenant string, gpu int64) api.RuntimeStats {
 	return api.RuntimeStats{
 		CallsServed: calls,
 		GPUTimeNS:   gpu,
-		SwapBytes:   calls * 10,
+		Memory:      api.Memory{SwapBytes: calls * 10},
 		Tenants: map[string]api.TenantUsage{
 			tenant: {Calls: calls, GPUTimeNS: gpu, Launch: h.Snapshot()},
 		},
@@ -126,6 +126,73 @@ func TestMergeTenantUsageSameTenant(t *testing.T) {
 	u := m.Tenants["alpha"]
 	if u.Calls != 15 || u.GPUTimeNS != 1500 || u.Launch.Count != 2 {
 		t.Errorf("same-tenant merge wrong: %+v", u)
+	}
+}
+
+// TestMergeSumsEveryField gives every numeric field of two snapshots —
+// the embedded Memory and two tenant bundles included — a distinct
+// value and checks the merge is the field-wise sum, so a counter added
+// to the snapshot can never go missing from the fleet view.
+func TestMergeSumsEveryField(t *testing.T) {
+	next := int64(0)
+	fill := func(v reflect.Value) {
+		for _, f := range reflect.VisibleFields(v.Type()) {
+			next++
+			switch fv := v.FieldByIndex(f.Index); {
+			case fv.CanInt():
+				fv.SetInt(next)
+			case fv.CanUint():
+				fv.SetUint(uint64(next))
+			}
+		}
+	}
+	var a, b api.RuntimeStats
+	var ua, ub api.TenantUsage
+	for _, p := range []any{&a, &b, &ua, &ub} {
+		fill(reflect.ValueOf(p).Elem())
+	}
+	var small, large trace.Histogram
+	small.Observe(10)      // bucket 4
+	large.Observe(1 << 20) // bucket 21
+	ua.Launch, ub.Launch = small.Snapshot(), large.Snapshot()
+	a.Tenants = map[string]api.TenantUsage{"t": ua}
+	b.Tenants = map[string]api.TenantUsage{"t": ub, "only-b": ub}
+	a.Histograms = map[string]trace.HistSnapshot{"launch_latency": small.Snapshot()}
+	b.Histograms = map[string]trace.HistSnapshot{"launch_latency": large.Snapshot(), "swap_bytes": large.Snapshot()}
+	a.Devices = []api.DeviceStats{{Index: 0, Launches: 1}}
+
+	m := MergeStats(a, b)
+	sums := func(what string, got, x, y reflect.Value) {
+		for _, f := range reflect.VisibleFields(got.Type()) {
+			g, p, q := got.FieldByIndex(f.Index), x.FieldByIndex(f.Index), y.FieldByIndex(f.Index)
+			switch {
+			case g.CanInt() && g.Int() != p.Int()+q.Int():
+				t.Errorf("%s.%s = %d, want %d + %d", what, f.Name, g.Int(), p.Int(), q.Int())
+			case g.CanUint() && g.Uint() != p.Uint()+q.Uint():
+				t.Errorf("%s.%s = %d, want %d + %d", what, f.Name, g.Uint(), p.Uint(), q.Uint())
+			}
+		}
+	}
+	sums("RuntimeStats", reflect.ValueOf(m), reflect.ValueOf(a), reflect.ValueOf(b))
+	sums("TenantUsage", reflect.ValueOf(m.Tenants["t"]), reflect.ValueOf(ua), reflect.ValueOf(ub))
+	if !reflect.DeepEqual(m.Tenants["only-b"], ub) {
+		t.Errorf("tenant only one side has = %+v, want %+v", m.Tenants["only-b"], ub)
+	}
+	if m.Devices != nil {
+		t.Errorf("merged stats carry per-device detail: %+v", m.Devices)
+	}
+	bucketWise := func(what string, h trace.HistSnapshot) {
+		if h.Count != 2 || h.Sum != 10+1<<20 || len(h.Buckets) != 22 || h.Buckets[4] != 1 || h.Buckets[21] != 1 {
+			t.Errorf("%s not merged bucket-wise: %+v", what, h)
+		}
+	}
+	bucketWise("histogram launch_latency", m.Histograms["launch_latency"])
+	bucketWise("tenant launch histogram", m.Tenants["t"].Launch)
+	if m.Histograms["swap_bytes"].Count != 1 {
+		t.Errorf("histogram only one side has: %+v", m.Histograms["swap_bytes"])
+	}
+	if !reflect.DeepEqual(a.Tenants["t"], ua) || a.Histograms["launch_latency"].Count != 1 {
+		t.Error("merge wrote through to an input snapshot's maps")
 	}
 }
 

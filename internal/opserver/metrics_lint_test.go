@@ -141,7 +141,7 @@ func TestMetricsPromlint(t *testing.T) {
 // data-dependent histograms that appear once their subsystem observes
 // a value.
 var goldenFamilies = map[string]bool{ // name -> required
-	// Node counters (statCounters order).
+	// Node counters (api.RuntimeStats field order).
 	"gvrt_calls_served_total":         true,
 	"gvrt_binds_total":                true,
 	"gvrt_inter_app_swaps_total":      true,
@@ -149,6 +149,9 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_swap_ops_total":             true,
 	"gvrt_swap_bytes_total":           true,
 	"gvrt_checkpoint_bytes_total":     true,
+	"gvrt_coalesced_writes_total":     true,
+	"gvrt_bad_ops_rejected_total":     true,
+	"gvrt_checkpoints_total":          true,
 	"gvrt_prefetch_issued_total":      true,
 	"gvrt_prefetch_hits_total":        true,
 	"gvrt_prefetch_skipped_total":     true,
@@ -174,6 +177,7 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_queue_depth":       true,
 	"gvrt_live_contexts":     true,
 	"gvrt_dedup_saved_bytes": true,
+	"gvrt_host_bytes_in_use": true,
 	// Per-device series.
 	"gvrt_device_healthy":             true,
 	"gvrt_device_busy_seconds_total":  true,
@@ -269,25 +273,41 @@ func TestMetricsGoldenInventory(t *testing.T) {
 	}
 }
 
-// TestEveryStatsFieldIsExposed walks api.RuntimeStats' integer fields
-// and fails when setting one leaves the exposition unchanged: a counter
-// added to the snapshot (and summed by obs.MergeStats) but forgotten in
-// this package's hand-kept lists is invisible to operators.
+// TestEveryStatsFieldIsExposed walks the integer fields of
+// api.RuntimeStats (embedded structs included), api.TenantUsage and
+// api.DeviceStats, and fails when setting one leaves the exposition
+// unchanged: a field in the snapshot (and summed by obs.MergeStats)
+// without a family is invisible to operators.
 func TestEveryStatsFieldIsExposed(t *testing.T) {
-	var zero bytes.Buffer
-	writeMetrics(&zero, api.RuntimeStats{})
-	typ := reflect.TypeOf(api.RuntimeStats{})
-	for i := 0; i < typ.NumField(); i++ {
-		if k := typ.Field(i).Type.Kind(); k != reflect.Int && k != reflect.Int64 {
-			continue
+	check := func(typ reflect.Type, snapshot func(reflect.Value) api.RuntimeStats) {
+		render := func(v reflect.Value) string {
+			var b bytes.Buffer
+			writeMetrics(&b, snapshot(v))
+			return b.String()
 		}
-		var s api.RuntimeStats
-		reflect.ValueOf(&s).Elem().Field(i).SetInt(7e9)
-		var got bytes.Buffer
-		writeMetrics(&got, s)
-		if got.String() == zero.String() {
-			t.Errorf("RuntimeStats.%s (%s) has no family on /metrics",
-				typ.Field(i).Name, typ.Field(i).Tag.Get("json"))
+		zero := render(reflect.New(typ).Elem())
+		for _, f := range reflect.VisibleFields(typ) {
+			v := reflect.New(typ).Elem()
+			switch fv := v.FieldByIndex(f.Index); {
+			case fv.CanInt():
+				fv.SetInt(7e9)
+			case fv.CanUint():
+				fv.SetUint(7e9)
+			default:
+				continue
+			}
+			if render(v) == zero {
+				t.Errorf("%s.%s (%s) has no family on /metrics", typ.Name(), f.Name, f.Tag.Get("json"))
+			}
 		}
 	}
+	check(reflect.TypeOf(api.RuntimeStats{}), func(v reflect.Value) api.RuntimeStats {
+		return v.Interface().(api.RuntimeStats)
+	})
+	check(reflect.TypeOf(api.TenantUsage{}), func(v reflect.Value) api.RuntimeStats {
+		return api.RuntimeStats{Tenants: map[string]api.TenantUsage{"t": v.Interface().(api.TenantUsage)}}
+	})
+	check(reflect.TypeOf(api.DeviceStats{}), func(v reflect.Value) api.RuntimeStats {
+		return api.RuntimeStats{Devices: []api.DeviceStats{v.Interface().(api.DeviceStats)}}
+	})
 }

@@ -3,7 +3,7 @@
 // human-readable node status page (/statusz), the slowest recent spans
 // (/tracez), a Perfetto-loadable Chrome trace-event export
 // (/trace.json), and the Go profiler (/debug/pprof). It reads only
-// snapshot APIs — the runtime's StatsCall structure and the trace
+// snapshot APIs — the runtime's Metrics snapshot and the trace
 // recorder — so scraping never contends with the dispatch path beyond
 // what a StatsCall already costs.
 package opserver
@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -28,7 +28,7 @@ import (
 // /tracez and /trace.json, nil Now omits model uptime, nil Ctrl omits
 // the control-plane REST resources).
 type Source struct {
-	// Stats returns the node's metrics snapshot (Runtime.StatsSnapshot).
+	// Stats returns the node's metrics snapshot (Runtime.Metrics).
 	Stats func() api.RuntimeStats
 	// Trace is the node's trace recorder; nil when tracing is off.
 	Trace *trace.Recorder
@@ -222,8 +222,7 @@ func writeStatusz(w http.ResponseWriter, src Source) {
 		fmt.Fprintf(w, "model time:    %v\n", src.Now())
 	}
 	fmt.Fprintf(w, "queue depth:   %d\n", s.QueueDepth)
-	fmt.Fprintf(w, "live contexts: %d\n", s.LiveContexts)
-	fmt.Fprintf(w, "dedup saved:   %d bytes\n\n", s.DedupSavedBytes)
+	fmt.Fprintf(w, "live contexts: %d\n\n", s.LiveContexts)
 
 	fmt.Fprintln(w, "devices:")
 	fmt.Fprintf(w, "  %-3s %-12s %-9s %5s/%-5s %9s %10s %12s %12s\n",
@@ -240,29 +239,19 @@ func writeStatusz(w http.ResponseWriter, src Source) {
 	}
 
 	fmt.Fprintln(w, "\ncounters:")
-	for _, c := range statCounters(s) {
-		fmt.Fprintf(w, "  %-22s %d\n", c.name, c.value)
+	v := reflect.ValueOf(s)
+	for _, c := range seriesOf(v.Type(), "") {
+		fmt.Fprintf(w, "  %-28s %s\n", c.name, c.value(v.FieldByIndex(c.index)))
 	}
 
 	if len(s.Histograms) > 0 {
-		keys := make([]string, 0, len(s.Histograms))
-		for k := range s.Histograms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintln(w, "\nlatency (model time unless noted):")
+		fmt.Fprintln(w, "\nhistograms (model time unless noted, B = bytes):")
 		fmt.Fprintf(w, "  %-26s %9s %12s %12s %12s\n", "histogram", "count", "p50", "p99", "mean")
-		for _, k := range keys {
+		for _, k := range trace.SortedKeys(s.Histograms) {
 			h := s.Histograms[k]
-			if k == "swap_bytes" {
-				fmt.Fprintf(w, "  %-26s %9d %12d %12d %12.0f (bytes)\n",
-					k, h.Count, h.Quantile(0.5), h.Quantile(0.99), h.Mean())
-				continue
-			}
-			fmt.Fprintf(w, "  %-26s %9d %12v %12v %12v\n",
-				k, h.Count,
-				time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)),
-				time.Duration(h.Mean()))
+			fmt.Fprintf(w, "  %-26s %9d %12s %12s %12s\n", k, h.Count,
+				trace.FormatValue(k, h.Quantile(0.5)), trace.FormatValue(k, h.Quantile(0.99)),
+				trace.FormatValue(k, int64(h.Mean())))
 		}
 	}
 	if src.Trace != nil {

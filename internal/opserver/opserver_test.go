@@ -77,7 +77,7 @@ func newNode(t *testing.T) (http.Handler, *core.Runtime) {
 	c.Close()
 
 	h := Handler(Source{
-		Stats: rt.StatsSnapshot,
+		Stats: rt.Metrics,
 		Trace: rt.TraceRecorder(),
 		Now:   rt.Clock().Now,
 		Name:  "gvrtd test-node",
@@ -172,11 +172,21 @@ func TestMetricsBucketsCumulative(t *testing.T) {
 }
 
 func TestStatusz(t *testing.T) {
-	h, _ := newNode(t)
+	h, rt := newNode(t)
+	rt.Timings().DedupSaved.Observe(64 << 10)
+	rt.Timings().MigrationBytes.Observe(64 << 10)
 	body := get(t, h, "/statusz").Body.String()
 	for _, want := range []string{"devices:", "Tesla C2050", "healthy", "counters:", "launch_latency", "spans recorded:"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/statusz missing %q\n%s", want, body)
+		}
+	}
+	// Byte families print bytes: 64 KiB lands in the log2 bucket whose
+	// upper bound is 128 KiB, and the mean is exact.
+	for _, k := range []string{"dedup_saved", "migration_bytes"} {
+		re := regexp.MustCompile(`(?m)^  ` + k + ` +1 +131072B +131072B +65536B$`)
+		if !re.MatchString(body) {
+			t.Errorf("/statusz does not print %s in bytes:\n%s", k, body)
 		}
 	}
 }
@@ -237,7 +247,7 @@ func TestTracingOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	h := Handler(Source{Stats: rt.StatsSnapshot})
+	h := Handler(Source{Stats: rt.Metrics})
 	if body := get(t, h, "/tracez").Body.String(); !strings.Contains(body, "tracing off") {
 		t.Errorf("/tracez without recorder: %q", body)
 	}

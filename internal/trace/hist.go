@@ -3,8 +3,10 @@ package trace
 import (
 	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // histBuckets is the number of log2 buckets. Bucket i holds values v
@@ -278,33 +280,79 @@ type Timings struct {
 	MigrationBytes Histogram
 }
 
+// Family declares one histogram family: the key its snapshot carries,
+// its exposition name and help, and its unit — bytes, or nanoseconds
+// exposed as seconds.
+type Family struct {
+	Key, Metric, Help string
+	Bytes             bool
+	hist              func(*Timings) *Histogram
+}
+
+// Families is the one declaration of the named Timings histograms,
+// sorted by key (the order /metrics renders them in).
+var Families = []Family{
+	{"bind_wait", "gvrt_bind_wait_seconds", "Time from first bind attempt to bound (model seconds).", false, func(t *Timings) *Histogram { return &t.BindWait }},
+	{"d2h", "gvrt_d2h_transfer_seconds", "Per-transfer device-to-host copy duration (model seconds).", false, func(t *Timings) *Histogram { return &t.D2H }},
+	{"dedup_saved", "gvrt_dedup_seal_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", true, func(t *Timings) *Histogram { return &t.DedupSaved }},
+	{"h2d", "gvrt_h2d_transfer_seconds", "Per-transfer host-to-device copy duration (model seconds).", false, func(t *Timings) *Histogram { return &t.H2D }},
+	{"journal_commit_wall", "gvrt_journal_commit_wall_seconds", "Durable kernel commit cost (WALL seconds, dominated by fsync).", false, func(t *Timings) *Histogram { return &t.JournalCommitWall }},
+	{"launch_latency", "gvrt_launch_latency_seconds", "End-to-end kernel launch service time (model seconds).", false, func(t *Timings) *Histogram { return &t.Launch }},
+	{"migration_bytes", "gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", true, func(t *Timings) *Histogram { return &t.MigrationBytes }},
+	{"migration_duration", "gvrt_migration_duration_seconds", "Cross-node session migration duration (model seconds).", false, func(t *Timings) *Histogram { return &t.MigrationDur }},
+	{"peer_call", "gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", false, func(t *Timings) *Histogram { return &t.PeerCall }},
+	{"prefetch", "gvrt_prefetch_seconds", "Predictive swap-in prefetch duration (model seconds).", false, func(t *Timings) *Histogram { return &t.Prefetch }},
+	{"queue_wait", "gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", false, func(t *Timings) *Histogram { return &t.QueueWait }},
+	{"swap_bytes", "gvrt_swap_size_bytes", "Per-swap-operation size (bytes).", true, func(t *Timings) *Histogram { return &t.SwapBytes }},
+	{"swap_duration", "gvrt_swap_duration_seconds", "Per-swap-operation duration (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},
+}
+
+// CallFamily declares the per-call-kind histograms (Timings.Call),
+// keyed "call.<kind>" in a snapshot and labelled by kind on /metrics.
+var CallFamily = Family{Key: "call.", Metric: "gvrt_call_duration_seconds", Help: "Service time per CUDA call kind (model seconds)."}
+
+// Scale is the number of recorded units per exposed unit: 1 for bytes,
+// 1e9 for nanoseconds exposed as seconds.
+func (f Family) Scale() float64 {
+	if f.Bytes {
+		return 1
+	}
+	return 1e9
+}
+
+// FormatValue renders a value of the histogram keyed key in its
+// family's unit: "65536B" for bytes, a duration otherwise.
+func FormatValue(key string, v int64) string {
+	for _, f := range Families {
+		if f.Key == key && f.Bytes {
+			return strconv.FormatInt(v, 10) + "B"
+		}
+	}
+	return time.Duration(v).String()
+}
+
+// SortedKeys returns a snapshot map's keys in order.
+func SortedKeys(m map[string]HistSnapshot) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Snapshot renders every histogram with a non-zero count, keyed by
-// metric name. Per-call-kind histograms are keyed "call.<name>".
+// family key.
 func (t *Timings) Snapshot() map[string]HistSnapshot {
 	out := make(map[string]HistSnapshot)
 	for k, s := range t.Call.Snapshot() {
 		if s.Count > 0 {
-			out["call."+k] = s
+			out[CallFamily.Key+k] = s
 		}
 	}
-	named := map[string]*Histogram{
-		"launch_latency":      &t.Launch,
-		"queue_wait":          &t.QueueWait,
-		"bind_wait":           &t.BindWait,
-		"swap_duration":       &t.SwapDur,
-		"swap_bytes":          &t.SwapBytes,
-		"h2d":                 &t.H2D,
-		"d2h":                 &t.D2H,
-		"journal_commit_wall": &t.JournalCommitWall,
-		"peer_call":           &t.PeerCall,
-		"prefetch":            &t.Prefetch,
-		"dedup_saved":         &t.DedupSaved,
-		"migration_duration":  &t.MigrationDur,
-		"migration_bytes":     &t.MigrationBytes,
-	}
-	for name, h := range named {
-		if s := h.Snapshot(); s.Count > 0 {
-			out[name] = s
+	for _, f := range Families {
+		if s := f.hist(t).Snapshot(); s.Count > 0 {
+			out[f.Key] = s
 		}
 	}
 	return out

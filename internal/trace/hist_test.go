@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -193,5 +194,36 @@ func TestMergeDeltaRoundTrip(t *testing.T) {
 	got := a.Merge(b).Delta(a)
 	if got.Count != b.Count || got.Sum != b.Sum {
 		t.Fatalf("round trip = %+v, want %+v", got, b)
+	}
+}
+
+// TestFamiliesDeclareEveryTiming: each named Timings histogram has
+// exactly one family, and Families stays sorted by key, the order the
+// exposition renders it in.
+func TestFamiliesDeclareEveryTiming(t *testing.T) {
+	var tm Timings
+	owner := map[*Histogram]string{}
+	for i, f := range Families {
+		if i > 0 && Families[i-1].Key >= f.Key {
+			t.Errorf("Families not sorted by key: %q after %q", f.Key, Families[i-1].Key)
+		}
+		h := f.hist(&tm)
+		if prev, ok := owner[h]; ok {
+			t.Errorf("families %q and %q declare the same histogram", prev, f.Key)
+		}
+		owner[h] = f.Key
+	}
+	v := reflect.ValueOf(&tm).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		h, ok := v.Field(i).Addr().Interface().(*Histogram)
+		if ok && owner[h] == "" {
+			t.Errorf("Timings.%s has no family", v.Type().Field(i).Name)
+		}
+	}
+	if got := FormatValue("dedup_saved", 65536); got != "65536B" {
+		t.Errorf("FormatValue(dedup_saved) = %q, want 65536B", got)
+	}
+	if got := FormatValue("call.cudaLaunch", 1500); got != "1.5µs" {
+		t.Errorf("FormatValue(call.cudaLaunch) = %q, want 1.5µs", got)
 	}
 }
