@@ -1,52 +1,28 @@
-// Control-plane torture mode: gvrt-chaos re-execs itself as a daemon
-// child that owns a transactional control-plane store and serves the
-// operator REST surface, then SIGKILLs it mid-mutation at an armed
-// crash point (between op steps, pre-fsync, post-fsync, mid-store-
-// compaction). A fresh child recovers the store directory and the
-// parent audits it field by field over REST: every mutation must be
-// fully applied or fully rolled back — no quota with mismatched
-// fields, no tenant half-deleted, no device stranded "draining" after
-// boot resolution ran. A resume-disabled scenario proves the stuck-op
-// path: pending operations surface under /ops as "stuck" and the REST
-// cleanup endpoint rolls every one back.
+// Control-plane torture mode: a daemon child that owns a transactional
+// control-plane store and serves the operator REST surface is SIGKILLed
+// mid-mutation at an armed crash point (between op steps, pre-fsync,
+// post-fsync, mid-store-compaction). A fresh child recovers the store
+// directory and the parent audits it field by field over REST: every
+// mutation must be fully applied or fully rolled back — no quota with
+// mismatched fields, no tenant half-deleted, no device stranded
+// "draining" after boot resolution ran. A resume-disabled scenario
+// proves the stuck-op path: pending operations surface under /ops as
+// "stuck" and the REST cleanup endpoint rolls every one back.
 //
 //	gvrt-chaos -ctrlplane                     # default 5 rounds
-//	gvrt-chaos -ctrlplane -ctrlplane-rounds 3 # CI smoke
 //	GVRT_CHAOS_SEED=7 gvrt-chaos -ctrlplane   # replay a seeded schedule
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"time"
 
-	"gvrt/internal/ckptlog"
-	"gvrt/internal/core"
 	"gvrt/internal/ctrlplane"
-	"gvrt/internal/cudart"
 	"gvrt/internal/faultinject"
-	"gvrt/internal/gpu"
-	"gvrt/internal/opserver"
-	"gvrt/internal/sim"
-)
-
-// Environment contract between the ctrlplane-torture parent and its
-// daemon child.
-const (
-	envCtrlChild    = "GVRT_CTRL_CHILD"    // "1": run as control-plane child
-	envCtrlDir      = "GVRT_CTRL_DIR"      // store directory
-	envCtrlPoint    = "GVRT_CTRL_POINT"    // armed crash point ("" = none)
-	envCtrlNth      = "GVRT_CTRL_NTH"      // 1-based occurrence to crash at
-	envCtrlNoResume = "GVRT_CTRL_NORESUME" // "1": mark pending ops stuck at boot
 )
 
 // ctrlTenants is the tenant set every round's mutation script creates.
@@ -56,151 +32,6 @@ var ctrlTenants = []string{"t0", "t1", "t2"}
 // update k sets MaxSessions=k, HostBytes=k<<20 so a recovered quota's
 // internal consistency is checkable from the record alone.
 const ctrlQuotaUpdates = 9
-
-// ctrlChild is the daemon half: open (and recover) the control-plane
-// store, resolve pending operations, arm the requested crash point with
-// the production SIGKILL handler, serve the operator REST plane, print
-// the listen address for the parent, run until killed.
-func ctrlChild() {
-	dir := os.Getenv(envCtrlDir)
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ctrl child: "+format+"\n", args...)
-	}
-	var plane *faultinject.Plane
-	if point := os.Getenv(envCtrlPoint); point != "" {
-		nth, err := strconv.ParseUint(os.Getenv(envCtrlNth), 10, 64)
-		if err != nil || nth == 0 {
-			logf("bad %s: %v", envCtrlNth, err)
-			os.Exit(2)
-		}
-		plane = faultinject.New(faultinject.Plan{
-			Name: "ctrl-torture",
-			Rules: []faultinject.Rule{
-				{Point: faultinject.Point(point), AtNth: nth, Action: faultinject.ActCrash},
-			},
-		})
-	}
-	store, err := ctrlplane.Open(dir, ctrlplane.Options{
-		Faults:  plane,
-		OnCrash: ckptlog.Die,
-		// Compact early so mid-compaction crash points are reachable
-		// within a short mutation script.
-		CompactBytes: 2 << 10,
-		Logf:         func(f string, a ...any) { logf("store: "+f, a...) },
-	})
-	if err != nil {
-		logf("opening store: %v", err)
-		os.Exit(2)
-	}
-
-	clock := sim.NewClock(1e-7)
-	spec := gpu.Spec{Name: "ctrl-gpu", SMs: 4, CoresPerSM: 8, ClockMHz: 1000,
-		MemBytes: 1 << 20, Speed: 1, BandwidthBps: 1 << 40}
-	devs := []*gpu.Device{gpu.NewDevice(0, spec, clock), gpu.NewDevice(1, spec, clock)}
-	crt := cudart.New(clock, devs...)
-	crt.SetLimits(1024, 0, 0)
-	rt, err := core.New(crt, core.Config{
-		VGPUsPerDevice: 2,
-		CallOverhead:   -1,
-		BindBackoff:    time.Millisecond,
-		Faults:         plane,
-	})
-	if err != nil {
-		logf("runtime: %v", err)
-		os.Exit(2)
-	}
-	mgr := ctrlplane.NewManager(store, ctrlplane.ManagerOptions{
-		Hooks:         rt,
-		Faults:        plane,
-		OnCrash:       ckptlog.Die,
-		Now:           clock.Now,
-		DisableResume: os.Getenv(envCtrlNoResume) == "1",
-		Logf:          func(f string, a ...any) { logf("ctrl: "+f, a...) },
-	})
-	if err := mgr.Resume(); err != nil {
-		logf("resuming pending operations: %v", err)
-		os.Exit(2)
-	}
-	if err := mgr.SyncDevices(); err != nil {
-		logf("syncing device records: %v", err)
-		os.Exit(2)
-	}
-	if err := mgr.ApplyStored(); err != nil {
-		logf("re-applying stored state: %v", err)
-	}
-	if err := mgr.RegisterNode("ctrl-torture", rt.DeviceCount()); err != nil {
-		logf("registering node: %v", err)
-		os.Exit(2)
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		logf("listen: %v", err)
-		os.Exit(2)
-	}
-	// The handshake line the parent blocks on.
-	fmt.Printf("CTRL_READY %s\n", l.Addr())
-	http.Serve(l, opserver.Handler(opserver.Source{
-		Stats: rt.Metrics,
-		Now:   clock.Now,
-		Name:  "ctrl-torture",
-		Ctrl:  mgr,
-	}))
-}
-
-// ctrlChildOpts configures one control-plane child spawn.
-type ctrlChildOpts struct {
-	dir      string // store directory
-	point    string // armed crash point ("" = none)
-	nth      uint64 // 1-based occurrence to crash at
-	noResume bool   // mark pending ops stuck at boot instead of resolving
-}
-
-// startCtrlChild re-execs this binary as a control-plane child and
-// waits for its handshake.
-func startCtrlChild(exe string, o ctrlChildOpts, timeout time.Duration) (*child, error) {
-	cmd := exec.Command(exe)
-	noResume := "0"
-	if o.noResume {
-		noResume = "1"
-	}
-	cmd.Env = append(os.Environ(),
-		envCtrlChild+"=1",
-		envCtrlDir+"="+o.dir,
-		envCtrlPoint+"="+o.point,
-		envCtrlNth+"="+strconv.FormatUint(o.nth, 10),
-		envCtrlNoResume+"="+noResume,
-	)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	c := &child{cmd: cmd, exited: make(chan error, 1)}
-	ready := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			var addr string
-			if n, _ := fmt.Sscanf(sc.Text(), "CTRL_READY %s", &addr); n == 1 {
-				ready <- addr
-			}
-		}
-	}()
-	go func() { c.exited <- cmd.Wait() }()
-	select {
-	case c.addr = <-ready:
-		return c, nil
-	case <-c.exited:
-		return nil, fmt.Errorf("child died before handshake")
-	case <-time.After(timeout):
-		cmd.Process.Kill()
-		return nil, fmt.Errorf("child handshake timed out")
-	}
-}
 
 // ctrlTruth is the parent-side ground truth one round's recovery is
 // judged against: which mutations the daemon acknowledged (the HTTP
@@ -228,112 +59,51 @@ func newCtrlTruth() *ctrlTruth {
 	}
 }
 
-// ctrlScenarios is the schedule rounds cycle through. The final
-// scenario restarts with resume disabled so the crash's pending ops
-// surface as stuck and must be cleaned over REST.
-var ctrlScenarios = []struct {
-	name     string
-	point    string
-	noResume bool
-}{
-	{name: "mid-op-step crash", point: string(faultinject.PointCtrlOpStep)},
-	{name: "pre-fsync crash", point: string(faultinject.PointStorePreSync)},
-	{name: "post-fsync crash", point: string(faultinject.PointStorePostSync)},
-	{name: "mid-compaction crash", point: string(faultinject.PointStoreCompact)},
-	{name: "stuck ops + REST cleanup", point: string(faultinject.PointCtrlOpStep), noResume: true},
+// ctrlTorture SIGKILLs a store-backed daemon mid-mutation and requires
+// every REST mutation to be fully applied or fully rolled back. The
+// mutation script's 15 operations cross 42 op-step boundaries and 47
+// commits after 3 boot commits; each draw starts past the first
+// acknowledged mutation (op step 2, commit 4) and ends inside the
+// script. The final scenario recovers with resume disabled so the
+// crash's pending ops surface as stuck and must be cleaned over REST.
+var ctrlTorture = mode{
+	name: "control-plane", flag: "-ctrlplane", rounds: 5,
+	survived: "every mutation fully applied or fully rolled back",
+	scenarios: []scenario{
+		{name: "mid-op-step crash", point: faultinject.PointCtrlOpStep, first: 3, span: 36},
+		{name: "pre-fsync crash", point: faultinject.PointStorePreSync, first: 5, span: 36},
+		{name: "post-fsync crash", point: faultinject.PointStorePostSync, first: 5, span: 36},
+		// Two crash points per compaction: odd = snapshot durable but not
+		// renamed, even = renamed but WAL not truncated.
+		{name: "mid-compaction crash", point: faultinject.PointStoreCompact, first: 1, span: 2},
+		{name: "stuck ops + REST cleanup", point: faultinject.PointCtrlOpStep, first: 3, span: 36, noResume: true},
+	},
+	round: ctrlRound,
 }
 
-// runCtrlTorture executes rounds control-plane torture rounds and
-// reports failures. Each round gets a fresh store directory; the
-// scenario schedule and every randomized choice derive from the seed.
-func runCtrlTorture(seed int64, rounds int, timeout time.Duration) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gvrt-chaos: %v\n", err)
-		return 1
-	}
-	root, err := os.MkdirTemp("", "gvrt-ctrl-torture-*")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gvrt-chaos: %v\n", err)
-		return 1
-	}
-	defer os.RemoveAll(root)
-
-	rng := sim.NewRNG(seed)
-	fmt.Printf("=== gvrt-chaos control-plane torture: seed %d, %d rounds ===\n", seed, rounds)
-	failures, interrupted := 0, 0
-	for r := 0; r < rounds; r++ {
-		sc := ctrlScenarios[r%len(ctrlScenarios)]
-		// The mutation script issues ~15 operations (~42 step boundaries,
-		// ~42 commits after ~3 boot commits); pick an occurrence that
-		// lands inside it.
-		var nth uint64
-		switch sc.point {
-		case string(faultinject.PointStoreCompact):
-			// Two crash points per compaction: 1 = snapshot durable but
-			// not renamed, 2 = renamed but WAL not truncated.
-			nth = uint64(1 + rng.Intn(2))
-		case string(faultinject.PointCtrlOpStep):
-			nth = uint64(1 + rng.Intn(36))
-		default:
-			nth = uint64(4 + rng.Intn(36))
-		}
-		dir := filepath.Join(root, fmt.Sprintf("round%d", r))
-		label := fmt.Sprintf("%s (occurrence %d)", sc.name, nth)
-		hit, err := ctrlRound(exe, dir, sc.point, nth, sc.noResume, timeout)
-		if hit {
-			interrupted++
-		}
-		if err != nil {
-			fmt.Printf("round %d [%s]: FAIL: %v\n", r, label, err)
-			failures++
-		} else {
-			fmt.Printf("round %d [%s]: ok\n", r, label)
-		}
-	}
-	if interrupted == 0 && failures == 0 {
-		fmt.Printf("verdict vacuous: no round's crash point interrupted a mutation; nothing was verified\n")
-		failures++
-	}
-	if failures > 0 {
-		fmt.Printf("control-plane torture: %d/%d rounds FAILED\n", failures, rounds)
-		fmt.Printf("reproduce: gvrt-chaos -ctrlplane -seed %d (or GVRT_CHAOS_SEED=%d)\n", seed, seed)
-		return 1
-	}
-	fmt.Printf("control-plane torture: all %d rounds survived; every mutation fully applied or fully rolled back\n", rounds)
-	return 0
-}
-
-// ctrlRound runs one crash → recover → audit cycle. It reports whether
-// the crash actually interrupted a mutation (the interesting case) and
-// any verdict violation.
-func ctrlRound(exe, dir, point string, nth uint64, noResume bool, timeout time.Duration) (bool, error) {
-	victim, err := startCtrlChild(exe, ctrlChildOpts{dir: dir, point: point, nth: nth}, timeout)
+// ctrlRound runs one crash → recover → audit cycle.
+func ctrlRound(r *round) (bool, error) {
+	victim, err := r.spawn(childOpts{Store: r.dir, Point: r.point, Nth: r.nth})
 	if err != nil {
 		return false, fmt.Errorf("starting victim daemon: %v", err)
 	}
 	defer victim.kill()
 
 	tr := newCtrlTruth()
-	if err := runCtrlScript("http://"+victim.addr, tr); err != nil {
-		return tr.interrupted, fmt.Errorf("mutation script: %v", err)
+	if err := runCtrlScript("http://"+victim.http, tr); err != nil {
+		return false, fmt.Errorf("mutation script: %v", err)
 	}
-	if tr.interrupted {
-		victim.awaitExit(timeout) // the armed point killed it; reap
-	} else {
-		victim.kill() // point never fired; a hard kill after full ack
+	if err := r.crashed(victim); err != nil {
+		return false, err
 	}
 
 	// Recovery: a fresh daemon over the same directory, nothing armed.
-	doctor, err := startCtrlChild(exe, ctrlChildOpts{dir: dir, noResume: noResume}, timeout)
+	doctor, err := r.spawn(childOpts{Store: r.dir, NoResume: r.noResume})
 	if err != nil {
-		return tr.interrupted, fmt.Errorf("starting recovery daemon: %v", err)
+		return false, fmt.Errorf("starting recovery daemon: %v", err)
 	}
 	defer doctor.kill()
-	if err := ctrlVerify("http://"+doctor.addr, tr, noResume); err != nil {
-		return tr.interrupted, err
-	}
-	return tr.interrupted, nil
+	return len(tr.createAcked) > 0, ctrlVerify("http://"+doctor.http, tr, r.noResume)
 }
 
 // runCtrlScript drives the round's deterministic mutation script

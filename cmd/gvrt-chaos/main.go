@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,14 @@ func init() {
 		}
 		return nil
 	})
+}
+
+// chaosBinary is the fat binary every chaos session registers.
+func chaosBinary() api.FatBinary {
+	return api.FatBinary{
+		ID:      chaosBinID,
+		Kernels: []api.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
+	}
 }
 
 // plans maps -plan names to rule sets. The storm plan mirrors the
@@ -95,40 +102,38 @@ func main() {
 		timeout  = flag.Duration("timeout", 60*time.Second, "wall-time watchdog before declaring a hang")
 
 		torture         = flag.Bool("torture", false, "crash-torture mode: SIGKILL a journal-backed daemon at armed crash points and verify every committed session recovers")
-		tortureRounds   = flag.Int("torture-rounds", 8, "crash-torture rounds (scenarios cycle: pre-fsync, post-fsync, mid-compaction, torn tail)")
+		tortureRounds   = flag.Int("torture-rounds", tortureMode.rounds, "crash-torture rounds (scenarios cycle: pre-fsync, post-fsync, mid-compaction, torn tail)")
 		tortureSessions = flag.Int("torture-sessions", 3, "concurrent sessions per torture round")
 		tortureLaunches = flag.Int("torture-launches", 12, "kernel launches per torture session")
 
 		failoverMode   = flag.Bool("failover", false, "failover-torture mode: SIGKILL a source/target node pair at armed failover crash points and verify every acked kernel is observable after takeover, with deposed writes fenced")
-		failoverRounds = flag.Int("failover-rounds", 6, "failover-torture rounds (scenarios cycle: source kill mid-launch, source kill mid-transfer, target kill mid-import); sessions/launches reuse the -torture-* flags")
+		failoverRounds = flag.Int("failover-rounds", failoverTorture.rounds, "failover-torture rounds (scenarios cycle: source kill mid-launch, source kill mid-transfer, target kill mid-import); sessions/launches reuse the -torture-* flags")
 
 		ctrlMode   = flag.Bool("ctrlplane", false, "control-plane torture mode: SIGKILL a store-backed daemon mid-mutation at armed crash points and verify every REST mutation is fully applied or fully rolled back after restart")
-		ctrlRounds = flag.Int("ctrlplane-rounds", 5, "control-plane torture rounds (scenarios cycle: mid-op-step, pre-fsync, post-fsync, mid-compaction, stuck-ops + REST cleanup)")
+		ctrlRounds = flag.Int("ctrlplane-rounds", ctrlTorture.rounds, "control-plane torture rounds (scenarios cycle: mid-op-step, pre-fsync, post-fsync, mid-compaction, stuck-ops + REST cleanup)")
 
 		flightRead = flag.String("flight-read", "", "post-mortem mode: read a flight-recorder dump (flight-<node>.json) and print the black-box ring, histogram deltas and final stats, then exit")
 	)
 	flag.Parse()
 
-	// Re-exec'd as the torture daemon child?
-	if os.Getenv(envTortureChild) == "1" {
-		tortureChild()
-		return
-	}
-	if os.Getenv(envCtrlChild) == "1" {
-		ctrlChild()
+	// Re-exec'd as a torture daemon child?
+	if spec := os.Getenv(envChild); spec != "" {
+		runChild(spec)
 		return
 	}
 	if *flightRead != "" {
 		os.Exit(readFlight(*flightRead))
 	}
-	if *torture {
-		os.Exit(runTorture(*seed, *tortureRounds, *tortureSessions, *tortureLaunches, *timeout))
+	run := func(m mode, rounds int) {
+		os.Exit(m.run(*seed, rounds, *tortureSessions, *tortureLaunches, *timeout))
 	}
-	if *failoverMode {
-		os.Exit(runFailover(*seed, *failoverRounds, *tortureSessions, *tortureLaunches, *timeout))
-	}
-	if *ctrlMode {
-		os.Exit(runCtrlTorture(*seed, *ctrlRounds, *timeout))
+	switch {
+	case *torture:
+		run(tortureMode, *tortureRounds)
+	case *failoverMode:
+		run(failoverTorture, *failoverRounds)
+	case *ctrlMode:
+		run(ctrlTorture, *ctrlRounds)
 	}
 
 	plan, ok := plans(*seed)[*planName]
@@ -205,8 +210,10 @@ func main() {
 	fmt.Printf("jobs: %d completed, %d failed clean, %d failed UNCLEAN, hung=%v\n",
 		completed.Load(), failedClean.Load(), failedDirty.Load(), hung)
 	fmt.Printf("\n--- fired fault schedule ---\n%s", plane)
-	replayed := replayVerified(plan, plane)
-	if replayed {
+	replayErr := plane.Replay()
+	if replayErr != nil {
+		fmt.Println(replayErr)
+	} else {
 		fmt.Printf("schedule replay: verified pure against seed %d\n", *seed)
 	}
 	m := rt.Metrics()
@@ -243,7 +250,7 @@ func main() {
 	fmt.Printf("\nreproduce this exact run: gvrt-chaos -plan %s -seed %d (or GVRT_CHAOS_SEED=%d)\n",
 		plan.Name, *seed, *seed)
 
-	if hung || failedDirty.Load() > 0 || !recovered || !replayed || !exported {
+	if hung || failedDirty.Load() > 0 || !recovered || replayErr != nil || !exported {
 		os.Exit(1)
 	}
 }
@@ -264,55 +271,6 @@ func writePerfetto(path, planName string, seed int64, rec *trace.Recorder) error
 		werr = cerr
 	}
 	return werr
-}
-
-// replayVerified checks the determinism invariant behind seed replay:
-// whether the n-th occurrence at a hook fires is a pure function of
-// (seed, point, label, n). It rebuilds a fresh plane from the plan,
-// feeds it the per-hook occurrence counts this run observed, and
-// requires the identical faults to fire at the identical occurrences.
-// The counts themselves are runtime dynamics — once a device fails and
-// its load redistributes, another device's tally can differ between
-// runs of the same seed — but the decision table never does, which is
-// what makes a CI failure reproducible from its seed line.
-func replayVerified(plan faultinject.Plan, ran *faultinject.Plane) bool {
-	replay := faultinject.New(plan)
-	for key, n := range ran.Occurrences() {
-		point, label, _ := strings.Cut(key, "/")
-		h := replay.Hook(faultinject.Point(point), label)
-		if h == nil {
-			fmt.Printf("schedule replay: hook %q missing from a fresh plane\n", key)
-			return false
-		}
-		for i := uint64(0); i < n; i++ {
-			h.Check()
-		}
-	}
-	group := func(p *faultinject.Plane) map[string][]faultinject.Fired {
-		out := make(map[string][]faultinject.Fired)
-		for _, f := range p.Schedule() {
-			k := string(f.Point) + "/" + f.Label
-			out[k] = append(out[k], f)
-		}
-		return out
-	}
-	ran2, rep := group(ran), group(replay)
-	ok := true
-	for key, fs := range ran2 {
-		rs := rep[key]
-		if len(fs) != len(rs) {
-			fmt.Printf("schedule replay: DIVERGED at %s: %d fired vs %d on replay\n", key, len(fs), len(rs))
-			ok = false
-			continue
-		}
-		for i := range fs {
-			if fs[i] != rs[i] {
-				fmt.Printf("schedule replay: DIVERGED at %s: %s vs %s\n", key, fs[i], rs[i])
-				ok = false
-			}
-		}
-	}
-	return ok
 }
 
 // recoveryVerdict is the self-healing half of the post-mortem: it
@@ -400,10 +358,7 @@ func runJob(rt *core.Runtime, rng *sim.RNG, j, kernels int) error {
 	go rt.HandleConn(sc)
 	c := frontend.Connect(conn)
 	defer c.Close()
-	if err := c.RegisterFatBinary(api.FatBinary{
-		ID:      chaosBinID,
-		Kernels: []api.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
-	}); err != nil {
+	if err := c.RegisterFatBinary(chaosBinary()); err != nil {
 		return err
 	}
 	p, err := c.Malloc(uint64(32+rng.Intn(64)) << 10)

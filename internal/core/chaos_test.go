@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,50 +227,7 @@ func TestChaos(t *testing.T) {
 	// counts and require the identical per-hook fault schedule. This is
 	// the property that makes a CI chaos failure reproducible locally
 	// from nothing but the seed.
-	assertScheduleReplays(t, plan, plane)
-}
-
-// assertScheduleReplays re-runs ran's plan on a fresh plane, driving
-// each hook for exactly the occurrences the live run consumed, and
-// requires the same faults at the same occurrence indices.
-func assertScheduleReplays(t *testing.T, plan faultinject.Plan, ran *faultinject.Plane) {
-	t.Helper()
-	replay := faultinject.New(plan)
-	for key, n := range ran.Occurrences() {
-		point, label, _ := strings.Cut(key, "/")
-		h := replay.Hook(faultinject.Point(point), label)
-		if h == nil {
-			t.Errorf("replay: hook %q vanished", key)
-			continue
-		}
-		for i := uint64(0); i < n; i++ {
-			h.Check()
-		}
-	}
-	group := func(p *faultinject.Plane) map[string][]faultinject.Fired {
-		out := make(map[string][]faultinject.Fired)
-		for _, f := range p.Schedule() {
-			k := string(f.Point) + "/" + f.Label
-			out[k] = append(out[k], f)
-		}
-		return out
-	}
-	a, b := group(ran), group(replay)
-	for key, fs := range a {
-		rs := b[key]
-		if len(rs) != len(fs) {
-			t.Errorf("replay of %s: %d faults, live run had %d", key, len(rs), len(fs))
-			continue
-		}
-		for i := range fs {
-			if fs[i] != rs[i] {
-				t.Errorf("replay of %s diverged at %d: live %v, replay %v", key, i, fs[i], rs[i])
-			}
-		}
-	}
-	for key := range b {
-		if _, ok := a[key]; !ok {
-			t.Errorf("replay fired at %s where the live run did not", key)
-		}
+	if err := plane.Replay(); err != nil {
+		t.Error(err)
 	}
 }

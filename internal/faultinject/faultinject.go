@@ -21,7 +21,9 @@
 package faultinject
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -343,6 +345,45 @@ func (p *Plane) Occurrences() map[string]uint64 {
 		out[key] = h.occurrences()
 	}
 	return out
+}
+
+// Replay checks the determinism invariant behind seed replay: whether
+// the n-th occurrence at a hook fires is a pure function of (seed,
+// point, label, n). It arms a fresh plane from the same plan, drives
+// each hook for exactly the occurrences this plane observed, and
+// requires the identical faults at the identical occurrences — none
+// missing, none extra. The counts themselves are runtime dynamics (once
+// a device fails and its load redistributes, another device's tally can
+// differ between runs of one seed), but the decision table never
+// differs, which is what makes a failure reproducible from its seed.
+func (p *Plane) Replay() error {
+	replay := New(p.plan)
+	for key, n := range p.Occurrences() {
+		point, label, _ := strings.Cut(key, "/")
+		h := replay.Hook(Point(point), label)
+		for i := uint64(0); i < n; i++ {
+			h.Check()
+		}
+	}
+	live, again := p.sortedSchedule(), replay.sortedSchedule()
+	for i := range max(len(live), len(again)) {
+		if i == len(live) || i == len(again) || live[i] != again[i] {
+			return fmt.Errorf("schedule replay diverged from fault %d on: live run fired %v, replay fired %v",
+				i, live[i:], again[i:])
+		}
+	}
+	return nil
+}
+
+// sortedSchedule is Schedule ordered by hook, then occurrence: the
+// interleaving-free form two schedules are compared in.
+func (p *Plane) sortedSchedule() []Fired {
+	s := p.Schedule()
+	slices.SortFunc(s, func(a, b Fired) int {
+		return cmp.Or(cmp.Compare(a.Point, b.Point), cmp.Compare(a.Label, b.Label),
+			cmp.Compare(a.Occurrence, b.Occurrence))
+	})
+	return s
 }
 
 // String renders a post-mortem summary: the plan identity and the fired

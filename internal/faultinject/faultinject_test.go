@@ -214,6 +214,35 @@ func TestScheduleReplaysFromSeed(t *testing.T) {
 	}
 }
 
+// TestReplayFlagsDivergenceBothWays checks Plane.Replay against a
+// schedule it must accept and two it must reject: a live fault the
+// replay does not fire, and a replayed fault the live run lacks.
+func TestReplayFlagsDivergenceBothWays(t *testing.T) {
+	p := New(Plan{Seed: 9, Rules: []Rule{
+		{Point: PointDeviceDMA, Prob: 0.3, Action: ActDelay, Delay: time.Millisecond},
+		{Point: PointDeviceExec, Label: "gpu1", AtNth: 4, Action: ActFailDevice},
+	}})
+	for _, label := range []string{"gpu0", "gpu1"} {
+		dma, exec := p.Hook(PointDeviceDMA, label), p.Hook(PointDeviceExec, label)
+		for i := 0; i < 20; i++ {
+			dma.Check()
+			exec.Check()
+		}
+	}
+	if err := p.Replay(); err != nil {
+		t.Fatalf("pure schedule rejected: %v", err)
+	}
+	live := p.fired
+	p.fired = append(append([]Fired(nil), live...), Fired{Point: PointDeviceExec, Label: "gpu1", Occurrence: 9})
+	if err := p.Replay(); err == nil || !strings.Contains(err.Error(), "replay fired []") {
+		t.Errorf("extra live fault: Replay() = %v, want a divergence", err)
+	}
+	p.fired = live[:len(live)-1]
+	if err := p.Replay(); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Errorf("missing live fault: Replay() = %v, want a divergence", err)
+	}
+}
+
 func TestDifferentSeedsDiverge(t *testing.T) {
 	mk := func(seed int64) []Fired {
 		p := New(Plan{Seed: seed, Rules: []Rule{
