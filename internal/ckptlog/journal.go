@@ -74,7 +74,6 @@ type mirrorCtx struct {
 // A Journal is safe for concurrent use; one mutex serialises appends so
 // records land in a total order.
 type Journal struct {
-	dir  string
 	opts Options
 
 	mu          sync.Mutex
@@ -82,9 +81,6 @@ type Journal struct {
 	mirror      map[int64]*mirrorCtx
 	quarantined int64
 }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Healthy reports whether the journal can still persist commits: false
 // after a persistent write error or Close. The operator plane's

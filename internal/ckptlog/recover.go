@@ -64,7 +64,7 @@ var ErrCorruptSnapshot = fmt.Errorf("ckptlog: %w: %w", wal.ErrCorruptSnapshot, a
 // quarantined while every other context is restored. The one fatal
 // corruption is the snapshot header (see ErrCorruptSnapshot).
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
-	j := &Journal{dir: dir, opts: opts, mirror: make(map[int64]*mirrorCtx)}
+	j := &Journal{opts: opts, mirror: make(map[int64]*mirrorCtx)}
 	rec := &Recovered{Pending: make(map[int64][]api.LaunchCall)}
 	quarantined := make(map[int64]bool)
 	log, err := wal.Open(dir, layout, opts, func(r wal.Replayed) { j.replay(rec, quarantined, r) })

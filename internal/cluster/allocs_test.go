@@ -9,6 +9,7 @@ import (
 	"gvrt/internal/frontend"
 	"gvrt/internal/gpu"
 	"gvrt/internal/sim"
+	"gvrt/internal/transport"
 )
 
 // TestLaunchDispatchAllocs pins the steady-state allocation cost of one
@@ -54,5 +55,109 @@ func TestLaunchDispatchAllocs(t *testing.T) {
 	const budget = 2
 	if avg > budget {
 		t.Errorf("launch dispatch allocates %.1f objects/launch, budget %d", avg, budget)
+	}
+}
+
+// TestSessionAllocs pins what whole sessions allocate, setup and
+// teardown included, which the steady-state launch budget above cannot
+// see: a buffer grown on each session's first transfer costs one object
+// per session and fails here. One session is pipe-dispatch's (register,
+// tenant, two mallocs, 20 × (copy, launch), two frees, exit); the other
+// run is an inter-swap pair, two sessions whose buffers evict each other
+// on every launch. The prefetcher is off: it works on its own goroutine,
+// so its objects would land in whichever run it overlapped. The pins
+// are the counts before every memory-manager transfer became one
+// vectored submission; lower them with the change that earns it.
+func TestSessionAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		pin  float64
+		run  func(t *testing.T, rt *core.Runtime)
+	}{
+		{"dispatch session", core.Config{DisablePrefetch: true}, 96, dispatchSession},
+		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1, DisablePrefetch: true}, 100, interSwapPair},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, err := NewNode("node", sim.NewClock(1e-9), []gpu.Spec{gpu.TeslaC2050}, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			run := func() { tc.run(t, node.RT) }
+			for i := 0; i < 10; i++ {
+				run() // warm the maps, free lists and device scratch
+			}
+			got := testing.AllocsPerRun(100, run)
+			t.Logf("%s: %.0f allocs", tc.name, got)
+			if got > tc.pin {
+				t.Errorf("%s allocates %.0f objects, pinned at %.0f", tc.name, got, tc.pin)
+			}
+		})
+	}
+}
+
+var sessionBinary = api.FatBinary{ID: "sessions", Kernels: []api.KernelMeta{{Name: "k", BaseTime: time.Microsecond}}}
+
+// openSession connects a client to rt over a fresh pipe. The returned
+// exit closes the session and waits until rt has torn its context down,
+// so a measured run holds the whole session.
+func openSession(t *testing.T, rt *core.Runtime) (c *frontend.Client, exit func()) {
+	conn, sc := transport.Pipe()
+	done := make(chan struct{})
+	go func() {
+		rt.HandleConn(sc)
+		close(done)
+	}()
+	c = frontend.Connect(conn)
+	ok(t, c.RegisterFatBinary(sessionBinary))
+	ok(t, c.SetTenant("t"))
+	return c, func() {
+		ok(t, c.Close())
+		<-done
+	}
+}
+
+func dispatchSession(t *testing.T, rt *core.Runtime) {
+	c, exit := openSession(t, rt)
+	a, err := c.Malloc(256 << 10)
+	ok(t, err)
+	b, err := c.Malloc(256 << 10)
+	ok(t, err)
+	launch := api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{a, b}}
+	for i := 0; i < 20; i++ {
+		ok(t, c.MemcpyHDSynthetic(a, 256<<10))
+		ok(t, c.Launch(launch))
+	}
+	ok(t, c.Free(a))
+	ok(t, c.Free(b))
+	exit()
+}
+
+func interSwapPair(t *testing.T, rt *core.Runtime) {
+	var cs [2]*frontend.Client
+	var exits [2]func()
+	var launches [2]api.LaunchCall
+	for k := range cs {
+		cs[k], exits[k] = openSession(t, rt)
+		p, err := cs[k].Malloc(1600 << 20) // two do not fit a C2050
+		ok(t, err)
+		launches[k] = api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}
+	}
+	for i := 0; i < 20; i++ {
+		for k := range cs {
+			ok(t, cs[k].Launch(launches[k]))
+		}
+	}
+	for k := range cs {
+		ok(t, cs[k].Free(launches[k].PtrArgs[0]))
+		exits[k]()
+	}
+}
+
+func ok(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -103,7 +103,7 @@ func NewNode(name string, clock *sim.Clock, specs []gpu.Spec, cfg core.Config) (
 	crt := cudart.New(clock, devs...)
 	n := &Node{Name: name, CRT: crt, clock: clock, stop: make(chan struct{})}
 	n.link = cfg.Faults.Hook(faultinject.PointClusterLink, name)
-	n.breaker = resilience.NewBreaker(name, DefaultBreakerThreshold, DefaultBreakerCooldown, clock.Now)
+	n.breaker = resilience.NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown, clock.Now)
 	if cfg.PeerDial == nil {
 		cfg.PeerDial = n.dialPeer
 		if cfg.PeerAvailable == nil {
@@ -374,15 +374,6 @@ func FleetCollector(self *Node, peers ...*Node) *obs.Collector {
 	return c
 }
 
-// FleetCollector builds the head's cluster-wide collector, anchored on
-// its first node.
-func (h *Head) FleetCollector() *obs.Collector {
-	if len(h.nodes) == 0 {
-		return nil
-	}
-	return FleetCollector(h.nodes[0], h.nodes[1:]...)
-}
-
 // Head is the TORQUE-like cluster resource manager.
 type Head struct {
 	clock *sim.Clock
@@ -393,9 +384,6 @@ type Head struct {
 func NewHead(clock *sim.Clock, nodes ...*Node) *Head {
 	return &Head{clock: clock, nodes: nodes}
 }
-
-// Nodes returns the managed nodes.
-func (h *Head) Nodes() []*Node { return h.nodes }
 
 // RunOblivious dispatches a batch in the GPU-oblivious mode: jobs are
 // split between the nodes round-robin ("TORQUE ... divides the workload

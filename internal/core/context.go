@@ -106,9 +106,6 @@ type Context struct {
 	deadlineNS   atomic.Int64
 }
 
-// ID returns the context identifier.
-func (c *Context) ID() int64 { return c.id }
-
 func (c *Context) gpuTime() time.Duration    { return time.Duration(c.gpuTimeNS.Load()) }
 func (c *Context) nextKernel() time.Duration { return time.Duration(c.nextKernelNS.Load()) }
 

@@ -197,6 +197,3 @@ func (rt *Runtime) tenantUncharge(ctx *Context, size uint64) {
 	}
 	rt.tenantMu.Unlock()
 }
-
-// QuotaRejects reports how many calls quota enforcement rejected.
-func (rt *Runtime) QuotaRejects() int64 { return rt.quotaRejects.Load() }

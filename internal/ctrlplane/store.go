@@ -138,7 +138,6 @@ type Stats struct {
 // concurrent use; one mutex serialises commits so transactions land in a
 // total order.
 type Store struct {
-	dir  string
 	opts Options
 
 	mu          sync.Mutex
@@ -164,7 +163,6 @@ var ErrCorruptSnapshot = fmt.Errorf("ctrlplane: store %w", wal.ErrCorruptSnapsho
 // header is unrecoverable, because it carries the sequence fence.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		dir:      dir,
 		opts:     opts,
 		kv:       make(map[string][]byte),
 		watchers: make(map[int]chan Event),
@@ -217,9 +215,6 @@ func (s *Store) applyLocked(t txnRec) {
 		delete(s.kv, k)
 	}
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Healthy reports whether the store can still commit (no persistent
 // write error, not closed).

@@ -182,25 +182,6 @@ func (c *Context) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
 	return c.dev.CopyOutBatch(items)
 }
 
-// Memset mirrors cudaMemset within the context: the fill is applied to
-// real backing only when the allocation already carries data.
-func (c *Context) Memset(dst api.DevPtr, value byte, size uint64) error {
-	if err := c.live(); err != nil {
-		return err
-	}
-	if !c.owns(dst) {
-		return api.ErrInvalidDevicePointer
-	}
-	data := []byte(nil)
-	if value != 0 {
-		data = make([]byte, size)
-		for i := range data {
-			data[i] = value
-		}
-	}
-	return c.dev.CopyIn(dst, data, size)
-}
-
 // MemcpyDD mirrors cudaMemcpy(DeviceToDevice) within the context.
 func (c *Context) MemcpyDD(dst, src api.DevPtr, size uint64) error {
 	if err := c.live(); err != nil {

@@ -304,41 +304,6 @@ func TestContextMemoryInUse(t *testing.T) {
 	}
 }
 
-func TestContextMemset(t *testing.T) {
-	rt := newTestRuntime()
-	ctx, _ := rt.CreateContext(0)
-	defer ctx.Destroy()
-	p, err := ctx.Malloc(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Memset(p, 9, 8); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ctx.MemcpyDH(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 || out[0] != 9 {
-		t.Errorf("memset result = %v", out)
-	}
-	// Zero fill on an untouched allocation stays synthetic.
-	q, _ := ctx.Malloc(256)
-	if err := ctx.Memset(q, 0, 256); err != nil {
-		t.Fatal(err)
-	}
-	zout, err := ctx.MemcpyDH(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zout != nil {
-		t.Error("zero memset materialised device backing")
-	}
-	if err := ctx.Memset(0xbad, 1, 1); !errors.Is(err, api.ErrInvalidDevicePointer) {
-		t.Errorf("wild memset err = %v", err)
-	}
-}
-
 func TestContextMemcpyDD(t *testing.T) {
 	rt := newTestRuntime()
 	ctx, _ := rt.CreateContext(0)

@@ -50,7 +50,8 @@ const (
 	// PointDeviceExec fires on each kernel execution on a device.
 	// Label is "gpu<N>". ActFailDevice is a sticky device failure.
 	PointDeviceExec Point = "gpu.exec"
-	// PointDeviceDMA fires on each DMA transfer (CopyIn/CopyOut).
+	// PointDeviceDMA fires on each DMA transfer, once per item of a
+	// CopyInBatch/CopyOutBatch submission.
 	// ActDelay models a slow transfer, ActCorrupt an ECC-style
 	// corruption of the payload.
 	PointDeviceDMA Point = "gpu.dma"
@@ -256,9 +257,6 @@ func New(plan Plan) *Plane {
 	}
 }
 
-// Name returns the plan name.
-func (p *Plane) Name() string { return p.plan.Name }
-
 // Seed returns the plan seed — print it with any failure so the run can
 // be reproduced.
 func (p *Plane) Seed() int64 { return p.plan.Seed }
@@ -421,12 +419,6 @@ type Hook struct {
 	rules []activeRule
 	down  bool // sticky: an ActPartition fired
 }
-
-// Point returns the hook's injection point.
-func (h *Hook) Point() Point { return h.point }
-
-// Label returns the hook's instance label.
-func (h *Hook) Label() string { return h.label }
 
 // Check records one occurrence and returns the plan's decision for it.
 // Safe for concurrent use; a nil hook always proceeds.

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +37,6 @@ type Device struct {
 	// materialises backing, which keeps multi-gigabyte modeled
 	// workloads cheap in host RAM.
 	bufs map[api.DevPtr][]byte
-	// plans is the batch copies' reusable descriptor scratch (swapPlans).
-	plans []dmaPlan
 
 	// The execution engine and the two copy engines are independent
 	// mutexes, mirroring dual-copy-engine GPUs: an h2d transfer, a d2h
@@ -247,113 +246,69 @@ func (d *Device) dmaTime(n uint64) time.Duration {
 	return MemcpyOverhead + time.Duration(float64(n)/float64(bw)*float64(time.Second))
 }
 
-// CopyIn transfers size bytes from host to dst. When data is non-nil it
-// carries the real bytes (len(data) == size) and the allocation's
+// CopyIn transfers size bytes from host to dst: a one-item CopyInBatch.
+// When data is non-nil it carries the real bytes and the allocation's
 // backing store is updated; when data is nil the transfer is
-// timing-and-accounting only. The transfer occupies the copy engine for
-// its modeled duration and fails if it would run past the end of the
-// allocation.
+// timing-and-accounting only.
 func (d *Device) CopyIn(dst api.DevPtr, data []byte, size uint64) error {
-	if err := d.usable(); err != nil {
-		return err
+	return d.CopyInBatch([]api.HDCopy{{Dst: dst, Data: data, Size: size}})
+}
+
+// hdSize is a host→device transfer's length: its real bytes', when it
+// carries them.
+func hdSize(it *api.HDCopy) uint64 {
+	if it.Data != nil {
+		return uint64(len(it.Data))
 	}
-	var corrupt bool
-	if h := d.dmaHook; h != nil {
-		dec := h.Check()
-		corrupt = dec.Corrupt
-		if err := d.applyFault(dec); err != nil {
-			return err
+	return it.Size
+}
+
+// admit validates a submission of n transfers before the engine is
+// touched: each consults the DMA fault hook, then must lie inside one
+// allocation. It returns how long the submission holds the engine — the
+// sum of the items' modeled times — and the items the fault plane
+// corrupts.
+func (d *Device) admit(n int, item func(i int) (api.DevPtr, uint64)) (total time.Duration, corrupt []int, err error) {
+	for i := 0; i < n; i++ {
+		if h := d.dmaHook; h != nil {
+			dec := h.Check()
+			if dec.Corrupt {
+				corrupt = append(corrupt, i)
+			}
+			if err := d.applyFault(dec); err != nil {
+				return 0, nil, err
+			}
 		}
-	}
-	if data != nil {
-		size = uint64(len(data))
-	}
-	base, off, alloc, err := d.resolve(dst)
-	if err != nil {
-		return err
-	}
-	if !inRange(off, size, alloc) {
-		return api.ErrInvalidValue
-	}
-	d.h2dMu.Lock()
-	d.clock.Sleep(d.dmaTime(size))
-	d.h2dMu.Unlock()
-	if err := d.usable(); err != nil {
-		return err
-	}
-	d.h2dBytes.Add(int64(size))
-	d.h2dOps.Add(1)
-	if data != nil {
-		d.mu.Lock()
-		buf := d.backing(base, alloc)
-		copy(buf[off:], data)
-		if corrupt && size > 0 {
-			// ECC-style corruption: one flipped byte in the landed data.
-			buf[off] ^= 0xFF
+		ptr, size := item(i)
+		_, off, alloc, err := d.resolve(ptr)
+		if err != nil {
+			return 0, nil, err
 		}
-		d.mu.Unlock()
+		if !inRange(off, size, alloc) {
+			return 0, nil, api.ErrInvalidValue
+		}
+		total += d.dmaTime(size)
 	}
-	return nil
+	return total, corrupt, nil
 }
 
-// dmaPlan is one validated transfer of a batched submission.
-type dmaPlan struct {
-	base    api.DevPtr
-	off     uint64
-	alloc   uint64
-	size    uint64
-	corrupt bool
-}
-
-// swapPlans parks p as the device's descriptor scratch and returns what
-// was parked before. A batch takes the scratch out (parking nil) for its
-// whole submission, so a concurrent batch plans in a slice of its own and
-// nothing is shared while an engine sleeps without d.mu.
-func (d *Device) swapPlans(p []dmaPlan) []dmaPlan {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p, d.plans = d.plans, p
-	return p
-}
-
-// CopyInBatch lands several host→device transfers as one copy-engine
-// submission: the engine is acquired once and occupied for the sum of
-// the per-transfer model times, so timing and accounting stay
-// byte-identical to issuing each transfer alone — batching removes only
-// the per-transfer engine round trips (lock handoff, clock sleep) that
-// dominate small-transfer cost on the host side. Every destination is
-// validated before the engine is touched; a batch fails as a whole
-// without landing any data.
+// CopyInBatch is the host→device copy engine: the items land as one
+// submission, which holds the engine once for the sum of the items'
+// modeled times and accounts bytes and ops per item, so a batch costs
+// the model exactly what its items would cost one by one. Every item is
+// admitted before the engine is touched, so a batch fails as a whole
+// without landing any data. An item's Data, when non-nil, carries its
+// real bytes (and its length overrides Size); a nil Data is a
+// timing-and-accounting-only transfer.
 func (d *Device) CopyInBatch(items []api.HDCopy) error {
 	if err := d.usable(); err != nil {
 		return err
 	}
-	plans := d.swapPlans(nil)[:0]
-	defer func() { d.swapPlans(plans) }()
-	var total time.Duration
-	for i := range items {
-		it := &items[i]
-		var corrupt bool
-		if h := d.dmaHook; h != nil {
-			dec := h.Check()
-			corrupt = dec.Corrupt
-			if err := d.applyFault(dec); err != nil {
-				return err
-			}
-		}
-		size := it.Size
-		if it.Data != nil {
-			size = uint64(len(it.Data))
-		}
-		base, off, alloc, err := d.resolve(it.Dst)
-		if err != nil {
-			return err
-		}
-		if !inRange(off, size, alloc) {
-			return api.ErrInvalidValue
-		}
-		plans = append(plans, dmaPlan{base, off, alloc, size, corrupt})
-		total += d.dmaTime(size)
+	total, corrupt, err := d.admit(len(items), func(i int) (api.DevPtr, uint64) {
+		return items[i].Dst, hdSize(&items[i])
+	})
+	if err != nil {
+		return err
 	}
 	d.h2dMu.Lock()
 	d.clock.Sleep(total)
@@ -362,99 +317,56 @@ func (d *Device) CopyInBatch(items []api.HDCopy) error {
 		return err
 	}
 	for i := range items {
-		p := &plans[i]
-		d.h2dBytes.Add(int64(p.size))
+		it := &items[i]
+		d.h2dBytes.Add(int64(hdSize(it)))
 		d.h2dOps.Add(1)
-		if items[i].Data != nil {
-			d.mu.Lock()
-			buf := d.backing(p.base, p.alloc)
-			copy(buf[p.off:], items[i].Data)
-			if p.corrupt && p.size > 0 {
-				buf[p.off] ^= 0xFF
-			}
-			d.mu.Unlock()
+		if it.Data == nil {
+			continue
 		}
+		d.mu.Lock()
+		// Resolved again, not carried across the sleep: an allocation
+		// freed while the copy was in flight takes no data.
+		if base, off, ok := d.alloc.resolve(uint64(it.Dst)); ok {
+			alloc, _ := d.alloc.sizeOf(base)
+			buf := d.backing(api.DevPtr(base), alloc)
+			copy(buf[off:], it.Data)
+			if slices.Contains(corrupt, i) && len(it.Data) > 0 {
+				// ECC-style corruption: one flipped byte in the landed data.
+				buf[off] ^= 0xFF
+			}
+		}
+		d.mu.Unlock()
 	}
 	return nil
 }
 
-// CopyOut transfers size bytes from src to the host. The returned slice
-// is nil when the allocation has no real backing (synthetic traffic);
-// timing and accounting are identical either way.
+// CopyOut transfers size bytes from src to the host: a one-item
+// CopyOutBatch. The returned slice is nil when the allocation has no
+// real backing (synthetic traffic); timing and accounting are identical
+// either way.
 func (d *Device) CopyOut(src api.DevPtr, size uint64) ([]byte, error) {
-	if err := d.usable(); err != nil {
+	datas, err := d.CopyOutBatch([]api.DHCopy{{Src: src, Size: size}})
+	if datas == nil {
 		return nil, err
 	}
-	var corrupt bool
-	if h := d.dmaHook; h != nil {
-		dec := h.Check()
-		corrupt = dec.Corrupt
-		if err := d.applyFault(dec); err != nil {
-			return nil, err
-		}
-	}
-	base, off, alloc, err := d.resolve(src)
-	if err != nil {
-		return nil, err
-	}
-	if !inRange(off, size, alloc) {
-		return nil, api.ErrInvalidValue
-	}
-	d.d2hMu.Lock()
-	d.clock.Sleep(d.dmaTime(size))
-	d.d2hMu.Unlock()
-	if err := d.usable(); err != nil {
-		return nil, err
-	}
-	d.d2hBytes.Add(int64(size))
-	d.d2hOps.Add(1)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if buf, ok := d.bufs[base]; ok {
-		out := make([]byte, size)
-		copy(out, buf[off:])
-		if corrupt && size > 0 {
-			out[0] ^= 0xFF
-		}
-		return out, nil
-	}
-	return nil, nil
+	return datas[0], nil
 }
 
-// CopyOutBatch lands several device→host transfers as one copy-engine
-// submission, the d2h mirror of CopyInBatch: the engine is acquired
-// once and occupied for the sum of the per-transfer model times, so
-// timing and accounting stay byte-identical to issuing each transfer
-// alone. Every source is validated before the engine is touched; a
-// batch fails as a whole. The returned slice is parallel to items with
-// nil entries for allocations that have no real backing, and nil
-// altogether when none has (synthetic traffic allocates nothing).
+// CopyOutBatch is the device→host copy engine, the mirror of
+// CopyInBatch: one engine hold for the sum of the items' modeled times,
+// per-item accounting, and a batch admitted, so failing, as a whole. The
+// returned slice is parallel to items with nil entries for allocations
+// that have no real backing, and nil altogether when none has
+// (synthetic traffic allocates nothing).
 func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 	if err := d.usable(); err != nil {
 		return nil, err
 	}
-	plans := d.swapPlans(nil)[:0]
-	defer func() { d.swapPlans(plans) }()
-	var total time.Duration
-	for i := range items {
-		it := &items[i]
-		var corrupt bool
-		if h := d.dmaHook; h != nil {
-			dec := h.Check()
-			corrupt = dec.Corrupt
-			if err := d.applyFault(dec); err != nil {
-				return nil, err
-			}
-		}
-		base, off, alloc, err := d.resolve(it.Src)
-		if err != nil {
-			return nil, err
-		}
-		if !inRange(off, it.Size, alloc) {
-			return nil, api.ErrInvalidValue
-		}
-		plans = append(plans, dmaPlan{base, off, alloc, it.Size, corrupt})
-		total += d.dmaTime(it.Size)
+	total, corrupt, err := d.admit(len(items), func(i int) (api.DevPtr, uint64) {
+		return items[i].Src, items[i].Size
+	})
+	if err != nil {
+		return nil, err
 	}
 	d.d2hMu.Lock()
 	d.clock.Sleep(total)
@@ -466,20 +378,23 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := range items {
-		p := &plans[i]
-		d.d2hBytes.Add(int64(p.size))
+		it := &items[i]
+		d.d2hBytes.Add(int64(it.Size))
 		d.d2hOps.Add(1)
-		if buf, ok := d.bufs[p.base]; ok {
-			data := make([]byte, p.size)
-			copy(data, buf[p.off:])
-			if p.corrupt && p.size > 0 {
-				data[0] ^= 0xFF
-			}
-			if out == nil {
-				out = make([][]byte, len(items))
-			}
-			out[i] = data
+		base, off, ok := d.alloc.resolve(uint64(it.Src))
+		buf, real := d.bufs[api.DevPtr(base)]
+		if !ok || !real {
+			continue
 		}
+		data := make([]byte, it.Size)
+		copy(data, buf[off:])
+		if slices.Contains(corrupt, i) && it.Size > 0 {
+			data[0] ^= 0xFF
+		}
+		if out == nil {
+			out = make([][]byte, len(items))
+		}
+		out[i] = data
 	}
 	return out, nil
 }

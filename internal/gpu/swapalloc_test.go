@@ -191,8 +191,8 @@ func TestAllocatorResolveBaseAndInterior(t *testing.T) {
 }
 
 // TestDeviceBatchCopiesAllocateNothing covers the other per-swap cost in
-// this package: a synthetic batched d2h + h2d pair reuses the device's
-// descriptor scratch and returns no per-item result slice.
+// this package: a synthetic batched d2h + h2d pair keeps nothing per
+// item and returns no per-item result slice.
 func TestDeviceBatchCopiesAllocateNothing(t *testing.T) {
 	d := testDevice()
 	var in []api.HDCopy
@@ -230,11 +230,9 @@ func TestDeviceBatchCopiesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestDeviceBatchCopiesConcurrent drives the shared descriptor scratch
-// from several goroutines at once, both engines, with real bytes: a
-// batch that finds the scratch checked out must plan in its own, so
-// every transfer lands in — and comes back from — its own allocation.
-// Run with -race.
+// TestDeviceBatchCopiesConcurrent drives both engines from several
+// goroutines at once with real bytes: every transfer must land in — and
+// come back from — its own allocation. Run with -race.
 func TestDeviceBatchCopiesConcurrent(t *testing.T) {
 	d := testDevice()
 	var wg sync.WaitGroup

@@ -89,7 +89,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // hot cycle of the swap-pressure macro-benchmark.
 func BenchmarkSwapOutEntriesBatch(b *testing.B) {
 	m := New(true, 0)
-	ops := &batchFakeOps{newFakeOps(1 << 30)}
+	ops := newFakeOps(1 << 30)
 	var ptes []*PTE
 	for i := 0; i < 16; i++ {
 		v, err := m.Malloc(1, 1<<20, KindLinear)
@@ -175,13 +175,8 @@ func TestSwapPathAllocBudget(t *testing.T) {
 	ptes = real
 	cycle()
 	cs := real[0].owner
-	for _, pte := range cs.work[:cap(cs.work)] {
-		if pte != nil {
-			t.Fatal("parked scratch still references an entry")
-		}
-	}
-	if cap(cs.hd) == 0 {
-		t.Fatal("the batched flush did not run")
+	if cap(cs.hd) < len(real) {
+		t.Fatal("the flush did not run as one submission")
 	}
 	for _, it := range cs.hd[:cap(cs.hd)] {
 		if it.Data != nil {

@@ -20,7 +20,7 @@ import (
 //
 // Sealing points — the only two places a full, consistent swap image
 // exists — are a full-extent host write (CopyHD over the whole entry)
-// and a device→swap sync (syncToSwap / syncBatchToSwap). Synthetic
+// and a device→swap sync (syncToSwap). Synthetic
 // entries (nil data) are never sealed, so timing-only workloads pay
 // nothing. Memset and ImportContext intentionally do not seal: the
 // first is rarely a stable image, the second restores exactly the

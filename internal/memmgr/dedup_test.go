@@ -9,34 +9,6 @@ import (
 	"gvrt/internal/api"
 )
 
-// batchFakeOps extends fakeOps with the vectored transfer methods, so
-// manager-level tests exercise the same batched swap-out path the
-// runtime uses against real cudart contexts.
-type batchFakeOps struct {
-	*fakeOps
-}
-
-func (b *batchFakeOps) MemcpyHDBatch(items []api.HDCopy) error {
-	for _, it := range items {
-		if err := b.MemcpyHD(it.Dst, it.Data, it.Size); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *batchFakeOps) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
-	out := make([][]byte, len(items))
-	for i, it := range items {
-		data, err := b.MemcpyDH(it.Src, it.Size)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = data
-	}
-	return out, nil
-}
-
 // pagePattern fills a buffer with bytes that differ between pages and
 // between the chunks of one page, so dedup matches exactly the pairs a
 // test intends to match.
@@ -141,10 +113,7 @@ func TestDedupConcurrentSwapOutAll(t *testing.T) {
 		pageSize = 2 * dedupChunkSize
 		pages    = 8
 	)
-	ops := [2]*batchFakeOps{
-		{newFakeOps(1 << 30)},
-		{newFakeOps(1 << 30)},
-	}
+	ops := [2]*fakeOps{newFakeOps(1 << 30), newFakeOps(1 << 30)}
 	ptes := [2][]*PTE{}
 	for c := 0; c < 2; c++ {
 		for i := 0; i < pages; i++ {

@@ -27,6 +27,7 @@
 package memmgr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -117,22 +118,13 @@ func (p *PTE) CtxID() int64 { return p.owner.id }
 func (p *PTE) HasData() bool { return p.hasSwapBytes() }
 
 // DeviceOps is the slice of a bound virtual GPU's CUDA context that the
-// manager drives: real allocation, de-allocation and transfers on the
-// physical device.
+// manager drives: real allocation and de-allocation on the physical
+// device, and vectored transfers — each call is one copy-engine
+// submission. MemcpyDHBatch's result is parallel to items, nil for an
+// item without real bytes and nil altogether when none has.
 type DeviceOps interface {
 	Malloc(size uint64) (api.DevPtr, error)
 	Free(p api.DevPtr) error
-	MemcpyHD(dst api.DevPtr, data []byte, size uint64) error
-	MemcpyDH(src api.DevPtr, size uint64) ([]byte, error)
-}
-
-// BatchDeviceOps is the optional batching extension of DeviceOps: a
-// bound CUDA context that implements it can land several deferred
-// host→device transfers in one copy-engine submission (FlushDeferred
-// batches through it when available) and spill several dirty entries
-// device→host in one submission (SwapOutAll batches through it).
-type BatchDeviceOps interface {
-	DeviceOps
 	MemcpyHDBatch(items []api.HDCopy) error
 	MemcpyDHBatch(items []api.DHCopy) ([][]byte, error)
 }
@@ -152,25 +144,29 @@ type shard struct {
 }
 
 // ctxState is everything the manager keeps for one context. table, next
-// and usage are guarded by the shard mutex. The scratch slices belong to
-// whoever holds the context's service lock (package comment); they are
-// cleared of pointers before they are parked, so they never pin an entry
-// or a swap image.
+// and usage are guarded by the shard mutex. The descriptor scratch
+// belongs to whoever holds the context's service lock (package comment);
+// it is cleared of swap images before it is parked, so it never pins
+// one.
 type ctxState struct {
 	id    int64
 	table []*PTE // sorted by Virtual
 	next  uint64 // allocation cursor
 	usage uint64 // the MemUsage map of §4.5
 
-	work []*PTE       // SwapOutEntries' dirty set, FlushDeferred's batch
-	hd   []api.HDCopy // FlushDeferred's DMA descriptors
-	dh   []api.DHCopy // syncBatchToSwap's DMA descriptors
+	hd []api.HDCopy // toDevice's descriptors
+	dh []api.DHCopy // syncToSwap's descriptors
+	// The first descriptors live inline, so the common small submissions
+	// never grow the scratch: the flush of the one buffer a host
+	// rewrote, the checkpoint of the input and output a kernel dirtied.
+	hdInline [1]api.HDCopy
+	dhInline [2]api.DHCopy
 }
 
-// park returns the work scratch, emptied of the entries it named.
-func (cs *ctxState) park(work []*PTE) {
-	clear(work)
-	cs.work = work[:0]
+func newCtxState(id int64) *ctxState {
+	cs := &ctxState{id: id}
+	cs.hd, cs.dh = cs.hdInline[:0], cs.dhInline[:0]
+	return cs
 }
 
 // tableOf returns the context's page table, nil when it has none.
@@ -352,7 +348,7 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 	s.mu.Lock()
 	cs := s.ctxs[ctxID]
 	if cs == nil {
-		cs = &ctxState{id: ctxID}
+		cs = newCtxState(ctxID)
 		s.ctxs[ctxID] = cs
 	}
 	off := cs.next
@@ -496,19 +492,7 @@ func (m *Manager) CopyHD(pte *PTE, off uint64, data []byte, size uint64, ops Dev
 			copy(m.mutableSwap(pte)[off:], data)
 		}
 	}
-	pte.ToCopy2Swap = false
-	if !m.DeferTransfers && pte.IsAllocated && ops != nil {
-		if err := ops.MemcpyHD(pte.Device+api.DevPtr(off), data, size); err != nil {
-			return err
-		}
-		pte.ToCopy2Dev = false
-		m.noteWrite(pte)
-		return nil
-	}
-	pte.ToCopy2Dev = true
-	pte.writesSinceResident++
-	m.noteWrite(pte)
-	return nil
+	return m.wrote(pte, off, data, size, ops)
 }
 
 // Memset services a cudaMemset (Table 1's copyHD row semantics with a
@@ -532,21 +516,38 @@ func (m *Manager) Memset(pte *PTE, off uint64, value byte, size uint64, ops Devi
 			fill[i] = value
 		}
 	}
+	var data []byte
+	if m.writesThrough(pte, ops) {
+		data = bytes.Repeat([]byte{value}, int(size))
+	}
+	return m.wrote(pte, off, data, size, ops)
+}
+
+// writesThrough reports whether a host write to the entry goes through
+// to the device now: only without deferral, and only while the entry is
+// resident on a bound device.
+func (m *Manager) writesThrough(pte *PTE, ops DeviceOps) bool {
+	return !m.DeferTransfers && pte.IsAllocated && ops != nil
+}
+
+// wrote finishes a host write of [off, off+size) that has landed in swap
+// (CopyHD, Memset): the swap copy is the newer one now. It goes through
+// to the device as a one-item submission when writesThrough; otherwise
+// the device is not touched and the entry waits for the next launch's
+// flush, in Figure 4's "data only on host" state.
+func (m *Manager) wrote(pte *PTE, off uint64, data []byte, size uint64, ops DeviceOps) error {
 	pte.ToCopy2Swap = false
-	if !m.DeferTransfers && pte.IsAllocated && ops != nil {
-		data := make([]byte, size)
-		for i := range data {
-			data[i] = value
-		}
-		if err := ops.MemcpyHD(pte.Device+api.DevPtr(off), data, size); err != nil {
+	if m.writesThrough(pte, ops) {
+		cs := pte.owner
+		item := api.HDCopy{Dst: pte.Device + api.DevPtr(off), Data: data, Size: size}
+		if err := m.toDevice(cs, append(cs.hd[:0], item), ops); err != nil {
 			return err
 		}
 		pte.ToCopy2Dev = false
-		m.noteWrite(pte)
-		return nil
+	} else {
+		pte.ToCopy2Dev = true
+		pte.writesSinceResident++
 	}
-	pte.ToCopy2Dev = true
-	pte.writesSinceResident++
 	m.noteWrite(pte)
 	return nil
 }
@@ -587,42 +588,71 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 	if ops == nil {
 		return api.ErrInvalidValue
 	}
-	return m.syncToSwap(pte, ops)
+	_, _, err := m.syncToSwap([]*PTE{pte}, ops)
+	return err
 }
 
-// syncToSwap pulls the whole entry device→swap and clears ToCopy2Swap.
-// An injected swap-write failure aborts before anything moved: the
-// entry stays in the legal "device copy authoritative" state.
-func (m *Manager) syncToSwap(pte *PTE, ops DeviceOps) error {
-	if err := m.swapWriteFault(); err != nil {
-		return err
+// syncToSwap is the one way bytes move device→swap (§4.5 copyDH and
+// swap-out, §4.6 checkpoint): the dirty ones among entries — resident,
+// device copy newer — are pulled as one submission and ToCopy2Swap is
+// cleared. entries belong to one context and do not repeat. It returns
+// how many entries it pulled and their bytes. An injected swap-write
+// failure (one check per entry) or a failed submission aborts before any
+// entry changed: each stays in the legal "device copy authoritative"
+// state, and the next sync retries.
+func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64, err error) {
+	if len(entries) == 0 {
+		return 0, 0, nil
+	}
+	cs := entries[0].owner
+	items := cs.dh[:0]
+	for _, pte := range entries {
+		if pte.IsAllocated && pte.ToCopy2Swap {
+			items = append(items, api.DHCopy{Src: pte.Device, Size: pte.Size})
+			total += pte.Size
+		}
+	}
+	cs.dh = items[:0] // no pointers to clear
+	if len(items) == 0 {
+		return 0, 0, nil
+	}
+	for range items {
+		if err := m.swapWriteFault(); err != nil {
+			return 0, 0, err
+		}
 	}
 	t := m.tracer
 	start := t.Start()
-	data, err := ops.MemcpyDH(pte.Device, pte.Size)
+	datas, err := ops.MemcpyDHBatch(items)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	if t != nil {
 		elapsed := t.Start() - start
 		t.Observe(t.D2H, int64(elapsed))
 		if elapsed > 0 && t.Spans() {
-			t.Span("d2h", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
+			t.Span("d2h", cs.id, start, -1, fmt.Sprintf("%d bytes in %d transfers", total, len(items)))
 		}
 	}
-	if data != nil {
-		m.discardSeal(pte)
-		copy(pte.swapData(), data)
-		if pte.Nested != nil {
-			m.patchPointers(pte, pte.swapData(), true)
+	for _, pte := range entries {
+		if !pte.IsAllocated || !pte.ToCopy2Swap {
+			continue
 		}
-		// A device→swap sync produces a full consistent image — the
-		// natural point to intern it for cross-context sharing.
-		m.seal(pte)
+		if datas != nil && datas[n] != nil {
+			m.discardSeal(pte)
+			pte.data = datas[n]
+			if pte.Nested != nil {
+				m.patchPointers(pte, pte.data, true)
+			}
+			// A device→swap sync produces a full consistent image — the
+			// natural point to intern it for cross-context sharing.
+			m.seal(pte)
+		}
+		pte.ToCopy2Swap = false
+		m.noteWrite(pte)
+		n++
 	}
-	pte.ToCopy2Swap = false
-	m.noteWrite(pte)
-	return nil
+	return n, total, nil
 }
 
 // Free services a de-allocation (Table 1, free row): swap space is
@@ -721,20 +751,31 @@ func putU64(b []byte, v uint64) {
 }
 
 // MakeResident performs the launch-row actions of Table 1 for one
-// entry: allocate device memory if needed (the caller handles
-// ErrMemoryAllocation by swapping, per §4.5) and perform the deferred
-// bulk host→device transfer if the swap copy is authoritative. Nested
-// members are made resident first and the parent's device image gets
-// their device addresses patched in.
+// entry: EnsureAllocated (the caller handles ErrMemoryAllocation by
+// swapping, per §4.5), then FlushDeferred.
 func (m *Manager) MakeResident(pte *PTE, ops DeviceOps) error {
-	return m.makeResident(pte, ops, 0, true)
+	if err := m.EnsureAllocated(pte, ops); err != nil {
+		return err
+	}
+	return m.FlushDeferred([]*PTE{pte}, ops)
 }
 
-// makeResident allocates the entry (nested members first) and, when
-// transfer is set, also lands its pending host→device data.
-func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int, transfer bool) error {
-	if depth > 8 {
-		return api.ErrInvalidValue // nested cycle; registration bug
+// EnsureAllocated gives one entry, nested members first, device memory
+// without moving any data, so a caller can allocate a launch's whole
+// working set first — retrying per-entry allocation failures with swaps
+// — and then land its deferred transfers in one submission
+// (FlushDeferred).
+func (m *Manager) EnsureAllocated(pte *PTE, ops DeviceOps) error {
+	return m.allocate(pte, ops, 0)
+}
+
+// maxNesting bounds how deep nested structures may point; a deeper
+// chain is a registration cycle.
+const maxNesting = 8
+
+func (m *Manager) allocate(pte *PTE, ops DeviceOps, depth int) error {
+	if depth > maxNesting {
+		return api.ErrInvalidValue
 	}
 	if pte.Nested != nil {
 		for _, member := range pte.Nested.Members {
@@ -742,7 +783,7 @@ func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int, transfer bool
 			if err != nil {
 				return err
 			}
-			if err := m.makeResident(mp, ops, depth+1, transfer); err != nil {
+			if err := m.allocate(mp, ops, depth+1); err != nil {
 				return err
 			}
 		}
@@ -757,134 +798,135 @@ func (m *Manager) makeResident(pte *PTE, ops DeviceOps, depth int, transfer bool
 		// Fresh device memory never holds the entry's data.
 		pte.ToCopy2Swap = false
 	}
-	if !transfer {
-		return nil
-	}
-	if pte.ToCopy2Dev {
-		var img []byte
-		if pte.hasSwapBytes() {
-			if pte.Nested != nil {
-				// Install device addresses in the on-device image; the
-				// swap image keeps virtual addresses.
-				img = pte.swapImageCopy()
-				m.patchPointers(pte, img, false)
-			} else {
-				// Read-only use: a sealed entry hands out a fresh copy,
-				// an unsealed one its private buffer.
-				img = pte.swapView()
-			}
-		}
-		t := m.tracer
-		start := t.Start()
-		if err := ops.MemcpyHD(pte.Device, img, pte.Size); err != nil {
-			return err
-		}
-		if t != nil {
-			elapsed := t.Start() - start
-			t.Observe(t.H2D, int64(elapsed))
-			if elapsed > 0 && t.Spans() {
-				t.Span("h2d", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
-			}
-		}
-		if pte.writesSinceResident > 1 {
-			m.coalesced.Add(int64(pte.writesSinceResident - 1))
-		}
-		pte.writesSinceResident = 0
-		pte.ToCopy2Dev = false
-	} else if pte.Nested != nil && pte.hasSwapBytes() {
-		// Data already on device but member residency may have changed
-		// the embedded addresses; refresh the pointer words only.
-		img := pte.swapImageCopy()
-		m.patchPointers(pte, img, false)
-		for _, o := range pte.Nested.Offsets {
-			if err := ops.MemcpyHD(pte.Device+api.DevPtr(o), img[o:o+8], 8); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-// EnsureAllocated performs only the allocation half of MakeResident for
-// one entry (nested members included) without moving any data, so a
-// caller can allocate a launch's whole working set first — retrying
-// per-entry allocation failures with swaps — and then flush the
-// deferred transfers in one batch (FlushDeferred).
-func (m *Manager) EnsureAllocated(pte *PTE, ops DeviceOps) error {
-	return m.makeResident(pte, ops, 0, false)
-}
-
-// FlushDeferred lands the pending host→device transfers of a launch's
-// already-allocated entries. Two or more pending simple (non-nested)
-// entries go to the device as one batched copy-engine submission when
-// ops supports it; nested parents keep the per-entry path, whose member
-// pointer patching must interleave with the transfer. The modeled
-// timing and byte accounting are identical to per-entry flushes
-// (gpu.CopyInBatch documents the equivalence) — batching only cuts the
-// per-transfer engine round trips.
+// FlushDeferred lands what a launch's already-allocated entries need on
+// the device as one submission (toDevice): the swap image of every entry
+// with ToCopy2Dev, nested members first and a nested parent's with its
+// members' device addresses patched in; and for a nested parent whose
+// data is on the device already, its embedded pointer words, which
+// member residency may have moved. If the submission fails the entries
+// keep ToCopy2Dev: the swap copy stays authoritative, a legal Figure 4
+// state, and the next launch retries the flush.
 func (m *Manager) FlushDeferred(ptes []*PTE, ops DeviceOps) error {
 	if len(ptes) == 0 {
 		return nil
 	}
-	bops, canBatch := ops.(BatchDeviceOps)
 	cs := ptes[0].owner
-	batch := cs.work[:0]
-	defer func() { cs.park(batch) }()
-	for i, pte := range ptes {
-		if slices.Contains(ptes[:i], pte) {
-			continue // one entry behind several pointer arguments
-		}
-		if pte.Nested != nil || !canBatch {
-			if err := m.makeResident(pte, ops, 0, true); err != nil {
-				return err
-			}
-			continue
-		}
-		if pte.ToCopy2Dev {
-			batch = append(batch, pte)
-		}
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	if len(batch) == 1 {
-		return m.makeResident(batch[0], ops, 0, true)
-	}
 	items := cs.hd[:0]
-	var total uint64
-	for _, pte := range batch {
-		var img []byte
-		if pte.hasSwapBytes() {
-			img = pte.swapView()
-		}
-		items = append(items, api.HDCopy{Dst: pte.Device, Data: img, Size: pte.Size})
-		total += pte.Size
+	for _, pte := range ptes {
+		items = m.gatherHD(items, pte, 0)
 	}
-	t := m.tracer
-	start := t.Start()
-	err := bops.MemcpyHDBatch(items)
-	clear(items) // the descriptors held swap images
-	cs.hd = items[:0]
-	if err != nil {
-		// Entries keep ToCopy2Dev set: the swap copy stays authoritative,
-		// a legal Figure 4 state, and the next launch retries the flush.
+	if err := m.toDevice(cs, items, ops); err != nil {
 		return err
 	}
-	for _, pte := range batch {
+	for _, pte := range ptes {
+		m.landed(pte, 0)
+	}
+	return nil
+}
+
+// gatherHD appends pte's share of a flush to items, its nested members'
+// first. An entry some item already lands in — an argument passed
+// twice, a member two parents share — adds nothing.
+func (m *Manager) gatherHD(items []api.HDCopy, pte *PTE, depth int) []api.HDCopy {
+	if depth > maxNesting || !pte.ToCopy2Dev && pte.Nested == nil || lands(items, pte) {
+		return items
+	}
+	if pte.Nested != nil {
+		for _, member := range pte.Nested.Members {
+			if mp, _, err := m.Resolve(member); err == nil {
+				items = m.gatherHD(items, mp, depth+1)
+			}
+		}
+	}
+	if pte.ToCopy2Dev {
+		return append(items, api.HDCopy{Dst: pte.Device, Data: m.deviceImage(pte), Size: pte.Size})
+	}
+	if pte.Nested != nil && pte.hasSwapBytes() {
+		img := m.deviceImage(pte)
+		for _, o := range pte.Nested.Offsets {
+			items = append(items, api.HDCopy{Dst: pte.Device + api.DevPtr(o), Data: img[o : o+8], Size: 8})
+		}
+	}
+	return items
+}
+
+// lands reports whether one of items lands inside the entry's device
+// allocation.
+func lands(items []api.HDCopy, pte *PTE) bool {
+	for _, it := range items {
+		if it.Dst-pte.Device < api.DevPtr(pte.Size) {
+			return true
+		}
+	}
+	return false
+}
+
+// deviceImage returns the bytes the entry's device copy must hold: nil
+// for a synthetic entry, else its swap image — a nested parent's with
+// the members' device addresses installed (the swap image keeps the
+// virtual ones).
+func (m *Manager) deviceImage(pte *PTE) []byte {
+	if pte.Nested == nil || !pte.hasSwapBytes() {
+		// Read-only use: a sealed entry hands out a fresh copy, an
+		// unsealed one its private buffer.
+		return pte.swapView()
+	}
+	img := pte.swapImageCopy()
+	m.patchPointers(pte, img, false)
+	return img
+}
+
+// landed clears ToCopy2Dev on pte and its nested members once their
+// flush has landed, crediting the host writes it coalesced.
+func (m *Manager) landed(pte *PTE, depth int) {
+	if depth > maxNesting {
+		return
+	}
+	if pte.Nested != nil {
+		for _, member := range pte.Nested.Members {
+			if mp, _, err := m.Resolve(member); err == nil {
+				m.landed(mp, depth+1)
+			}
+		}
+	}
+	if pte.ToCopy2Dev {
 		if pte.writesSinceResident > 1 {
 			m.coalesced.Add(int64(pte.writesSinceResident - 1))
 		}
 		pte.writesSinceResident = 0
 		pte.ToCopy2Dev = false
 	}
-	if t != nil {
+}
+
+// toDevice is the one way bytes move swap→device (§4.5's deferred
+// copyHD, and write-through without deferral): items, built in the
+// context's descriptor scratch, land as one submission, traced as one
+// h2d observation. The scratch is parked emptied of the swap images its
+// descriptors held.
+func (m *Manager) toDevice(cs *ctxState, items []api.HDCopy, ops DeviceOps) error {
+	if len(items) == 0 {
+		return nil
+	}
+	t := m.tracer
+	start := t.Start()
+	err := ops.MemcpyHDBatch(items)
+	if err == nil && t != nil {
 		elapsed := t.Start() - start
 		t.Observe(t.H2D, int64(elapsed))
 		if elapsed > 0 && t.Spans() {
-			t.Span("h2d", batch[0].CtxID(), start, -1, fmt.Sprintf("%d bytes in %d batched transfers", total, len(batch)))
+			var total uint64
+			for _, it := range items {
+				total += it.Size
+			}
+			t.Span("h2d", cs.id, start, -1, fmt.Sprintf("%d bytes in %d transfers", total, len(items)))
 		}
 	}
-	return nil
+	clear(items)
+	cs.hd = items[:0]
+	return err
 }
 
 // MarkKernelEffects applies Figure 4's post-launch transition to the
@@ -902,43 +944,11 @@ func (m *Manager) MarkKernelEffects(ptes []*PTE, readOnly []bool) {
 	}
 }
 
-// SwapOut performs the swap row of Table 1 on one entry: spill the
-// device-newer data to swap if needed, then free the device memory.
-// After SwapOut the entry is in the "data only on host" state and can
-// be made resident on any device.
+// SwapOut performs the swap row of Table 1 on one entry (SwapOutEntries
+// of one).
 func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
-	if !pte.IsAllocated {
-		return nil
-	}
-	t := m.tracer
-	start := t.Start()
-	if pte.ToCopy2Swap {
-		if err := m.syncToSwap(pte, ops); err != nil {
-			return err
-		}
-		m.swapBytes.Add(int64(pte.Size))
-		t.Attribute(pte.CtxID(), trace.AttrSwapBytes, int64(pte.Size))
-	}
-	// The data is safe in swap by now. A device that died before the free
-	// took its memory with it: the entry is swapped out all the same, and
-	// the swap image is as complete as if the free had succeeded.
-	if err := ops.Free(pte.Device); err != nil && !errors.Is(err, api.ErrDeviceUnavailable) {
-		return err
-	}
-	pte.IsAllocated = false
-	pte.Device = 0
-	pte.ToCopy2Dev = true
-	m.swapOps.Add(1)
-	t.Attribute(pte.CtxID(), trace.AttrSwapOps, 1)
-	if t != nil {
-		elapsed := t.Start() - start
-		t.Observe(t.SwapDur, int64(elapsed))
-		t.Observe(t.SwapBytes, int64(pte.Size))
-		if elapsed > 0 && t.Spans() {
-			t.Span("swap-out", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
-		}
-	}
-	return nil
+	_, err := m.SwapOutEntries([]*PTE{pte}, ops)
+	return err
 }
 
 // SwapOutAll swaps out every resident entry of a context — the
@@ -956,115 +966,67 @@ func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (int, error) {
 	return m.SwapOutEntries(table, ops)
 }
 
-// SwapOutEntries swaps out the given entries (non-resident ones are
-// skipped), spilling all dirty ones in one copy-engine submission when
-// the bound context supports batching; the per-entry SwapOut pass below
-// then only frees device memory and flips flags. Besides the unbind
-// path, this serves batched intra-application eviction: a launch that
-// must displace a whole working set submits one d2h batch instead of
-// one engine round trip per victim. It returns the number of entries
+// SwapOutEntries performs the swap row of Table 1 on entries (one
+// context's, non-resident ones skipped): the device-newer data of all of
+// them is spilled to swap in one submission (syncToSwap), then each
+// entry's device memory is freed. Afterwards they are in the "data only
+// on host" state and can be made resident on any device. Besides the
+// unbind path, this serves intra-application eviction, which displaces
+// a launch's whole shortfall at once. It returns the number of entries
 // swapped.
 func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
-	if bops, ok := ops.(BatchDeviceOps); ok && len(entries) >= 2 {
-		if err := m.syncBatchToSwap(entries, bops); err != nil {
-			return 0, err
-		}
+	_, spilled, err := m.syncToSwap(entries, ops)
+	if err != nil {
+		return 0, err
+	}
+	t := m.tracer
+	if spilled > 0 {
+		m.swapBytes.Add(int64(spilled))
+		t.Attribute(entries[0].CtxID(), trace.AttrSwapBytes, int64(spilled))
 	}
 	n := 0
 	for _, pte := range entries {
 		if !pte.IsAllocated {
 			continue
 		}
-		if err := m.SwapOut(pte, ops); err != nil {
+		start := t.Start()
+		// The data is safe in swap by now. A device that died before the
+		// free took its memory with it: the entry is swapped out all the
+		// same, and the swap image is as complete as if the free had
+		// succeeded.
+		if err := ops.Free(pte.Device); err != nil && !errors.Is(err, api.ErrDeviceUnavailable) {
 			return n, err
+		}
+		pte.IsAllocated = false
+		pte.Device = 0
+		pte.ToCopy2Dev = true
+		m.swapOps.Add(1)
+		t.Attribute(pte.CtxID(), trace.AttrSwapOps, 1)
+		if t != nil {
+			elapsed := t.Start() - start
+			t.Observe(t.SwapDur, int64(elapsed))
+			t.Observe(t.SwapBytes, int64(pte.Size))
+			if elapsed > 0 && t.Spans() {
+				t.Span("swap-out", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
+			}
 		}
 		n++
 	}
 	return n, nil
 }
 
-// syncBatchToSwap pulls the dirty ones among entries (when there are at
-// least two) device→swap as one copy-engine submission — the unbind
-// fast path: an inter-application swap spills a whole working set at
-// once. Timing, byte accounting and fault-hook consultation match the
-// per-entry syncToSwap path exactly (one hook check and one SwapBytes
-// credit per entry; the engine hold is the sum of the per-item modeled
-// times); only per-transfer engine round trips are saved.
-func (m *Manager) syncBatchToSwap(entries []*PTE, ops BatchDeviceOps) error {
-	cs := entries[0].owner
-	dirty := cs.work[:0]
-	defer func() { cs.park(dirty) }()
-	for _, pte := range entries {
-		if pte.IsAllocated && pte.ToCopy2Swap {
-			dirty = append(dirty, pte)
-		}
-	}
-	if len(dirty) < 2 {
-		return nil
-	}
-	for range dirty {
-		if err := m.swapWriteFault(); err != nil {
-			return err
-		}
-	}
-	items := cs.dh[:0]
-	var total uint64
-	for _, pte := range dirty {
-		items = append(items, api.DHCopy{Src: pte.Device, Size: pte.Size})
-		total += pte.Size
-	}
-	cs.dh = items[:0] // no pointers to clear
-	t := m.tracer
-	start := t.Start()
-	datas, err := ops.MemcpyDHBatch(items)
-	if err != nil {
-		// Entries keep ToCopy2Swap set: the device copy stays
-		// authoritative, a legal Figure 4 state, and the caller's
-		// per-entry pass (or the next unbind) retries the sync.
-		return err
-	}
-	if t != nil {
-		elapsed := t.Start() - start
-		t.Observe(t.D2H, int64(elapsed))
-		if elapsed > 0 && t.Spans() {
-			t.Span("d2h", dirty[0].CtxID(), start, -1, fmt.Sprintf("%d bytes in %d batched transfers", total, len(dirty)))
-		}
-	}
-	for i, pte := range dirty {
-		// datas is nil altogether when no entry carries real bytes.
-		if datas != nil && datas[i] != nil {
-			m.discardSeal(pte)
-			copy(pte.swapData(), datas[i])
-			if pte.Nested != nil {
-				m.patchPointers(pte, pte.swapData(), true)
-			}
-			m.seal(pte)
-		}
-		pte.ToCopy2Swap = false
-		m.swapBytes.Add(int64(pte.Size))
-		m.tracer.Attribute(pte.CtxID(), trace.AttrSwapBytes, int64(pte.Size))
-		m.noteWrite(pte)
-	}
-	return nil
-}
-
-// Checkpoint flushes every device-newer entry of the context to swap
-// without releasing device memory (§4.6): afterwards the page table and
-// swap area hold the full device state, so the context can be restarted
-// on another GPU at the cost of replaying only not-yet-executed work.
+// Checkpoint flushes every device-newer entry of the context to swap in
+// one submission, without releasing device memory (§4.6): afterwards the
+// page table and swap area hold the full device state, so the context
+// can be restarted on another GPU at the cost of replaying only
+// not-yet-executed work. It returns the number of entries flushed.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
-	n := 0
-	for _, pte := range m.AppendEntries(nil, ctxID) {
-		if !pte.IsAllocated || !pte.ToCopy2Swap {
-			continue
-		}
-		if err := m.syncToSwap(pte, ops); err != nil {
-			return n, err
-		}
-		m.checkpointBytes.Add(int64(pte.Size))
-		m.tracer.Attribute(pte.CtxID(), trace.AttrCheckpointBytes, int64(pte.Size))
-		n++
+	n, flushed, err := m.syncToSwap(m.AppendEntries(nil, ctxID), ops)
+	if err != nil {
+		return 0, err
 	}
+	m.checkpointBytes.Add(int64(flushed))
+	m.tracer.Attribute(ctxID, trace.AttrCheckpointBytes, int64(flushed))
 	m.checkpoint.Add(1)
 	return n, nil
 }

@@ -18,12 +18,14 @@ type fakeOps struct {
 	sizes    map[api.DevPtr]uint64
 	// real marks allocations that carry real bytes; like the gpu
 	// package, MemcpyDH returns nil for purely synthetic allocations.
-	real     map[api.DevPtr]bool
-	mallocs  int
-	frees    int
-	hdCopies int
-	dhCopies int
-	failNext error
+	real    map[api.DevPtr]bool
+	mallocs int
+	frees   int
+	// hdCopies and dhCopies count transfers, hdCalls and dhCalls the
+	// submissions that carried them.
+	hdCopies, hdCalls int
+	dhCopies, dhCalls int
+	failNext          error
 }
 
 func newFakeOps(capacity uint64) *fakeOps {
@@ -90,36 +92,50 @@ func (f *fakeOps) resolve(ptr api.DevPtr) (api.DevPtr, uint64, bool) {
 	return 0, 0, false
 }
 
-func (f *fakeOps) MemcpyHD(dst api.DevPtr, data []byte, size uint64) error {
+func (f *fakeOps) MemcpyHDBatch(items []api.HDCopy) error {
 	if err := f.takeErr(); err != nil {
 		return err
 	}
-	f.hdCopies++
-	base, off, ok := f.resolve(dst)
-	if !ok {
-		return api.ErrInvalidDevicePointer
+	for _, it := range items {
+		if _, _, ok := f.resolve(it.Dst); !ok {
+			return api.ErrInvalidDevicePointer
+		}
 	}
-	if data != nil {
-		copy(f.bufs[base][off:], data)
-		f.real[base] = true
+	f.hdCalls++
+	for _, it := range items {
+		f.hdCopies++
+		base, off, _ := f.resolve(it.Dst)
+		if it.Data != nil {
+			copy(f.bufs[base][off:], it.Data)
+			f.real[base] = true
+		}
 	}
 	return nil
 }
 
-func (f *fakeOps) MemcpyDH(src api.DevPtr, size uint64) ([]byte, error) {
+func (f *fakeOps) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
 	if err := f.takeErr(); err != nil {
 		return nil, err
 	}
-	f.dhCopies++
-	base, off, ok := f.resolve(src)
-	if !ok {
-		return nil, api.ErrInvalidDevicePointer
+	for _, it := range items {
+		if _, _, ok := f.resolve(it.Src); !ok {
+			return nil, api.ErrInvalidDevicePointer
+		}
 	}
-	if !f.real[base] {
-		return nil, nil
+	f.dhCalls++
+	var out [][]byte
+	for i, it := range items {
+		f.dhCopies++
+		base, off, _ := f.resolve(it.Src)
+		if !f.real[base] {
+			continue
+		}
+		if out == nil {
+			out = make([][]byte, len(items))
+		}
+		out[i] = make([]byte, it.Size)
+		copy(out[i], f.bufs[base][off:])
 	}
-	out := make([]byte, size)
-	copy(out, f.bufs[base][off:])
 	return out, nil
 }
 
@@ -751,5 +767,93 @@ func TestSwapOutCompleteWhenDeviceDiesBeforeFree(t *testing.T) {
 	}
 	if out, err := m.CopyDH(pte, 0, 1, nil); err != nil || out[0] != 2 {
 		t.Errorf("swap image = %v, %v; want the kernel's output", out, err)
+	}
+}
+
+// TestOneSubmissionPerOperation: every operation that moves bytes issues
+// exactly one vectored submission, however many entries it moves.
+func TestOneSubmissionPerOperation(t *testing.T) {
+	// dirty makes n entries resident, each with real bytes, and marks
+	// them written by a kernel.
+	dirty := func(m *Manager, ops *fakeOps, n int) []*PTE {
+		var ptes []*PTE
+		for i := 0; i < n; i++ {
+			pte := mustMalloc(t, m, 1, 64)
+			if err := m.MakeResident(pte, ops); err != nil {
+				t.Fatal(err)
+			}
+			ops.poke(pte.Device, []byte{byte(i + 1)})
+			ptes = append(ptes, pte)
+		}
+		m.MarkKernelEffects(ptes, nil)
+		return ptes
+	}
+	// Each case sets up and returns the operation whose submissions are
+	// counted, and how many transfers it must carry.
+	for _, tc := range []struct {
+		name   string
+		setup  func(m *Manager, ops *fakeOps) (op func() error, transfers int)
+		hd, dh int
+	}{
+		{"CopyDH of a dirty entry", func(m *Manager, ops *fakeOps) (func() error, int) {
+			pte := dirty(m, ops, 1)[0]
+			return func() error { _, err := m.CopyDH(pte, 0, 64, ops); return err }, 1
+		}, 0, 1},
+		{"flush of three pending entries, one a nested parent", func(m *Manager, ops *fakeOps) (func() error, int) {
+			member := mustMalloc(t, m, 1, 64)
+			parent := mustMalloc(t, m, 1, 64)
+			if err := m.RegisterNested(parent, []api.DevPtr{member.Virtual}, []uint64{8}); err != nil {
+				t.Fatal(err)
+			}
+			ptes := []*PTE{parent, mustMalloc(t, m, 1, 64), mustMalloc(t, m, 1, 64)}
+			for _, pte := range append(ptes, member) {
+				if err := m.CopyHD(pte, 0, []byte{7}, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, pte := range ptes {
+				if err := m.EnsureAllocated(pte, ops); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The member is pending too and lands with its parent.
+			return func() error { return m.FlushDeferred(ptes, ops) }, 4
+		}, 1, 0},
+		{"Checkpoint of three dirty entries", func(m *Manager, ops *fakeOps) (func() error, int) {
+			dirty(m, ops, 3)
+			return func() error { _, err := m.Checkpoint(1, ops); return err }, 3
+		}, 0, 1},
+		{"SwapOutEntries of one", func(m *Manager, ops *fakeOps) (func() error, int) {
+			ptes := dirty(m, ops, 1)
+			return func() error { _, err := m.SwapOutEntries(ptes, ops); return err }, 1
+		}, 0, 1},
+		{"SwapOutEntries of many", func(m *Manager, ops *fakeOps) (func() error, int) {
+			ptes := dirty(m, ops, 5)
+			return func() error { _, err := m.SwapOutEntries(ptes, ops); return err }, 5
+		}, 0, 1},
+		{"write-through CopyHD", func(m *Manager, ops *fakeOps) (func() error, int) {
+			pte := mustMalloc(t, m, 1, 64)
+			if err := m.MakeResident(pte, ops); err != nil {
+				t.Fatal(err)
+			}
+			m.DeferTransfers = false
+			return func() error { return m.CopyHD(pte, 4, []byte{1, 2}, 0, ops) }, 1
+		}, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(true, 0)
+			ops := newFakeOps(1 << 20)
+			op, transfers := tc.setup(m, ops)
+			ops.hdCalls, ops.dhCalls, ops.hdCopies, ops.dhCopies = 0, 0, 0, 0
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+			if ops.hdCalls != tc.hd || ops.dhCalls != tc.dh {
+				t.Errorf("%d h2d and %d d2h submissions, want %d and %d", ops.hdCalls, ops.dhCalls, tc.hd, tc.dh)
+			}
+			if got := ops.hdCopies + ops.dhCopies; got != transfers {
+				t.Errorf("%d transfers, want %d", got, transfers)
+			}
+		})
 	}
 }

@@ -82,7 +82,8 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	if !m.reserveHost(total) {
 		return api.ErrSwapAllocation
 	}
-	cs := &ctxState{id: img.CtxID, next: img.NextOff, usage: total}
+	cs := newCtxState(img.CtxID)
+	cs.next, cs.usage = img.NextOff, total
 	var entries []*PTE
 	for _, e := range img.Entries {
 		pte := &PTE{

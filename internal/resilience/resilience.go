@@ -196,7 +196,6 @@ func (s BreakerState) String() string {
 // as a probe, and its outcome re-closes or re-trips the breaker.
 // Safe for concurrent use.
 type Breaker struct {
-	name      string
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Duration
@@ -215,18 +214,15 @@ type Breaker struct {
 // NewBreaker builds a breaker that opens after threshold consecutive
 // failures and allows a half-open probe cooldown model time later
 // (now is usually sim.Clock.Now).
-func NewBreaker(name string, threshold int, cooldown time.Duration, now func() time.Duration) *Breaker {
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Duration) *Breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
 	if cooldown <= 0 {
 		cooldown = 100 * time.Millisecond
 	}
-	return &Breaker{name: name, threshold: threshold, cooldown: cooldown, now: now}
+	return &Breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
-
-// Name returns the link name the breaker guards.
-func (b *Breaker) Name() string { return b.name }
 
 // OnTransition registers callbacks fired when the breaker trips open
 // (trip) and when it re-closes after having tripped (heal). Either may

@@ -125,7 +125,7 @@ func TestBudgetRefill(t *testing.T) {
 func TestBreakerTransitions(t *testing.T) {
 	var now time.Duration
 	trips, heals := 0, 0
-	b := NewBreaker("peer", 3, 100*time.Millisecond, func() time.Duration { return now })
+	b := NewBreaker(3, 100*time.Millisecond, func() time.Duration { return now })
 	b.OnTransition(func() { trips++ }, func() { heals++ })
 
 	if b.State() != BreakerClosed || !b.Allow() || !b.Ready() {
@@ -176,7 +176,7 @@ func TestBreakerTransitions(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailures(t *testing.T) {
-	b := NewBreaker("peer", 3, time.Second, nil)
+	b := NewBreaker(3, time.Second, nil)
 	b.Failure()
 	b.Failure()
 	b.Success() // consecutive counter must reset

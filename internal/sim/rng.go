@@ -23,9 +23,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
 }
 
-// Seed returns the seed this RNG was created with.
-func (g *RNG) Seed() int64 { return g.seed }
-
 // Fork returns an independently seeded child RNG whose stream is a pure
 // function of the parent's seed and the label — not of how much of the
 // parent's stream has been consumed, nor of the order in which siblings

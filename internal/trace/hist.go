@@ -258,7 +258,8 @@ type Timings struct {
 	SwapDur Histogram
 	// SwapBytes is per-swap-operation size in bytes.
 	SwapBytes Histogram
-	// H2D and D2H are per-transfer durations.
+	// H2D and D2H are per-submission durations: one observation per
+	// vectored copy, however many entries it moves.
 	H2D Histogram
 	D2H Histogram
 	// JournalCommitWall is wall-clock nanoseconds per durable kernel
@@ -293,9 +294,9 @@ type Family struct {
 // sorted by key (the order /metrics renders them in).
 var Families = []Family{
 	{"bind_wait", "gvrt_bind_wait_seconds", "Time from first bind attempt to bound (model seconds).", false, func(t *Timings) *Histogram { return &t.BindWait }},
-	{"d2h", "gvrt_d2h_transfer_seconds", "Per-transfer device-to-host copy duration (model seconds).", false, func(t *Timings) *Histogram { return &t.D2H }},
+	{"d2h", "gvrt_d2h_transfer_seconds", "Device-to-host copy duration per submission (model seconds).", false, func(t *Timings) *Histogram { return &t.D2H }},
 	{"dedup_saved", "gvrt_dedup_seal_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", true, func(t *Timings) *Histogram { return &t.DedupSaved }},
-	{"h2d", "gvrt_h2d_transfer_seconds", "Per-transfer host-to-device copy duration (model seconds).", false, func(t *Timings) *Histogram { return &t.H2D }},
+	{"h2d", "gvrt_h2d_transfer_seconds", "Host-to-device copy duration per submission (model seconds).", false, func(t *Timings) *Histogram { return &t.H2D }},
 	{"journal_commit_wall", "gvrt_journal_commit_wall_seconds", "Durable kernel commit cost (WALL seconds, dominated by fsync).", false, func(t *Timings) *Histogram { return &t.JournalCommitWall }},
 	{"launch_latency", "gvrt_launch_latency_seconds", "End-to-end kernel launch service time (model seconds).", false, func(t *Timings) *Histogram { return &t.Launch }},
 	{"migration_bytes", "gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", true, func(t *Timings) *Histogram { return &t.MigrationBytes }},
