@@ -49,11 +49,11 @@ func hist(values ...int64) trace.HistSnapshot {
 func TestRenderFirstFrame(t *testing.T) {
 	st := frame(100, int64(time.Second), 40, map[string]trace.HistSnapshot{
 		"launch_latency":  hist(1000, 2000, 1e6),
-		"dedup_saved":     hist(64 << 10),
+		"swap_bytes":      hist(64 << 10),
 		"migration_bytes": hist(64 << 10),
 	})
 	out := render("host:7070", st, api.RuntimeStats{}, false, 2*time.Second)
-	for _, want := range []string{"Tesla C2050", "healthy", "2/4", "launch_latency", "dedup_saved", "migration_bytes", "queue 2", "contexts 3"} {
+	for _, want := range []string{"Tesla C2050", "healthy", "2/4", "launch_latency", "swap_bytes", "migration_bytes", "queue 2", "contexts 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("first frame missing %q:\n%s", want, out)
 		}
@@ -61,7 +61,7 @@ func TestRenderFirstFrame(t *testing.T) {
 	// Byte families print bytes: 64 KiB lands in the log2 bucket whose
 	// upper bound is 128 KiB.
 	for _, line := range strings.Split(out, "\n") {
-		if (strings.HasPrefix(line, "dedup_saved ") || strings.HasPrefix(line, "migration_bytes ")) &&
+		if (strings.HasPrefix(line, "swap_bytes ") || strings.HasPrefix(line, "migration_bytes ")) &&
 			!strings.Contains(line, " 131072B ") {
 			t.Errorf("byte histogram not rendered in bytes: %q", line)
 		}

@@ -55,15 +55,13 @@ type TenantUsage struct {
 	// QueueWaitNS is total model time the tenant's calls spent parked
 	// waiting for a free vGPU.
 	QueueWaitNS int64 `json:"queue_wait_ns" metric:"counter,queue_wait_seconds,ns Model seconds the tenant's contexts spent queued for a vGPU."`
-	// SwapBytes / SwapOps / CheckpointBytes / MigrationBytes /
-	// DedupSavedBytes attribute the memory plane: swap-out spills,
-	// checkpoint flushes, cross-node migration wire bytes, and host
-	// bytes avoided by dedup for images the tenant owns.
+	// SwapBytes / SwapOps / CheckpointBytes / MigrationBytes attribute
+	// the memory plane: swap-out spills, checkpoint flushes and
+	// cross-node migration wire bytes.
 	SwapBytes       int64 `json:"swap_bytes" metric:"counter Swap-area bytes moved on behalf of the tenant."`
 	SwapOps         int64 `json:"swap_ops" metric:"counter Swap-area operations attributed to the tenant."`
 	CheckpointBytes int64 `json:"checkpoint_bytes" metric:"counter Checkpoint bytes written for the tenant."`
 	MigrationBytes  int64 `json:"migration_bytes" metric:"counter Migration wire bytes shipped for the tenant."`
-	DedupSavedBytes int64 `json:"dedup_saved_bytes" metric:"gauge Host bytes currently saved for the tenant by swap deduplication."`
 	// FenceRejections counts the tenant's mutating calls rejected with
 	// ErrFenced; QuotaRejects counts admissions and allocations the
 	// tenant's quota refused (the per-tenant face of load shedding).
@@ -88,14 +86,6 @@ type Memory struct {
 	// (kept apart from SwapBytes, which measures only real swap-out
 	// spills — the quantity the evaluation plots).
 	CheckpointBytes int64 `json:"checkpoint_bytes" metric:"counter Device-to-swap bytes moved by checkpoint flushes."`
-	// DedupHits counts swap chunks found already interned at seal time.
-	DedupHits int64 `json:"dedup_hits" metric:"counter Swap-image chunks found already interned."`
-	// DedupSavedBytes is the swap occupancy currently avoided by chunk
-	// sharing (rises at seal, falls at COW break or free).
-	DedupSavedBytes int64 `json:"dedup_saved_bytes" metric:"gauge Host bytes currently saved by swap deduplication."`
-	// CowBreaks counts sealed entries rematerialised by a mutating
-	// access.
-	CowBreaks int64 `json:"cow_breaks" metric:"counter Sealed swap images privatised by a mutating access."`
 	// CoalescedWrites counts host→device transfers avoided because
 	// several deferred writes to one entry were folded into a single
 	// bulk transfer.
@@ -118,14 +108,11 @@ type RuntimeStats struct {
 	InterAppSwaps int64 `json:"inter_app_swaps" metric:"counter Inter-application swap-outs (context evictions)."`
 	IntraAppSwaps int64 `json:"intra_app_swaps" metric:"counter Intra-application swap-outs (working-set evictions)."`
 	Memory
-	// PrefetchIssued / PrefetchHits / PrefetchSkipped describe the
-	// predictive prefetcher: speculative swap-ins completed, launches
-	// that found their working set already resident because of one,
-	// and predictions dropped (context busy, no memory, queue full).
-	PrefetchIssued  int64 `json:"prefetch_issued" metric:"counter Speculative swap-ins the prefetcher completed."`
-	PrefetchHits    int64 `json:"prefetch_hits" metric:"counter Launches that found their working set resident because of a prefetch."`
-	PrefetchSkipped int64 `json:"prefetch_skipped" metric:"counter Prefetch predictions dropped (context busy, no memory, queue full)."`
-	Migrations      int64 `json:"migrations" metric:"counter Inter-device context migrations."`
+	// PrefetchHits is retired with predictive prefetch and is always
+	// zero. It stays only because benchmark/ reads it; delete it when
+	// the benchmark module drops that read.
+	PrefetchHits int64 `json:"prefetch_hits" metric:"counter Launches that found their working set resident because of a prefetch."`
+	Migrations   int64 `json:"migrations" metric:"counter Inter-device context migrations."`
 	// MigrationsStarted / MigrationsCompleted / MigrationsAborted count
 	// cross-node context migrations (journaled image transfers plus
 	// failover promotions), as opposed to Migrations above, which counts

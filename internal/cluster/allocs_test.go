@@ -64,10 +64,8 @@ func TestLaunchDispatchAllocs(t *testing.T) {
 // per session and fails here. One session is pipe-dispatch's (register,
 // tenant, two mallocs, 20 × (copy, launch), two frees, exit); the other
 // run is an inter-swap pair, two sessions whose buffers evict each other
-// on every launch. The prefetcher is off: it works on its own goroutine,
-// so its objects would land in whichever run it overlapped. The pins
-// are the counts before every memory-manager transfer became one
-// vectored submission; lower them with the change that earns it.
+// on every launch. Both run the default configuration, and the pins are
+// their measured counts; lower them with the change that earns it.
 func TestSessionAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -75,8 +73,8 @@ func TestSessionAllocs(t *testing.T) {
 		pin  float64
 		run  func(t *testing.T, rt *core.Runtime)
 	}{
-		{"dispatch session", core.Config{DisablePrefetch: true}, 96, dispatchSession},
-		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1, DisablePrefetch: true}, 100, interSwapPair},
+		{"dispatch session", core.Config{}, 75, dispatchSession},
+		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, 97, interSwapPair},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node, err := NewNode("node", sim.NewClock(1e-9), []gpu.Spec{gpu.TeslaC2050}, tc.cfg)

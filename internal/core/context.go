@@ -94,11 +94,6 @@ type Context struct {
 	scratchArgs []api.DevPtr
 	// scratchVictims is intraSwap's table snapshot; parked cleared.
 	scratchVictims []*memmgr.PTE
-	// Predictive-prefetch state (prefetch.go, under mu): for each
-	// observed launch, the working set of the launch that followed it.
-	predictor     map[launchKey][]api.DevPtr
-	lastLaunch    launchKey
-	hasLastLaunch bool
 
 	gpuTimeNS    atomic.Int64
 	nextKernelNS atomic.Int64

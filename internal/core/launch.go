@@ -65,10 +65,6 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 		return err
 	}
 
-	// Credit the prefetcher for any entry a speculative swap-in left
-	// fully resident, before the residency work below consumes the win.
-	rt.consumePrefetchMarks(ptes)
-
 	for n := 0; ; n++ {
 		ran, err := rt.attemptKernel(ctx, call, ptes, offs, n)
 		if err != nil {
@@ -103,14 +99,8 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 	}
 
 	if rt.cfg.AutoCheckpoint > 0 && kernelTime >= rt.cfg.AutoCheckpoint {
-		if err := rt.checkpoint(ctx); err != nil {
-			return err
-		}
+		return rt.checkpoint(ctx)
 	}
-	// Teach the predictor this transition and, if it already knows
-	// what follows, start restoring that working set in the
-	// background while the application runs its CPU phase.
-	rt.notePrediction(ctx, call)
 	return nil
 }
 

@@ -13,14 +13,14 @@ import (
 )
 
 // This file implements journaled live context migration (DESIGN.md §13):
-// the source checkpoints and exports its session's sealed image, ships
-// it to a peer over the failover wire protocol — only the chunks the
-// target cannot satisfy from its dedup store or a prior partial transfer
-// cross the wire — and, once the target commits the import, deposes the
-// local copy so every later mutating call on the connection is fenced.
-// The target records the import as a pending operation, so a crash
-// mid-import is resumable (live retry reuses the spooled chunks) or
-// cleanly aborted (boot-time recovery resolves the record).
+// the source checkpoints and exports its session's image, ships it to a
+// peer over the failover wire protocol — only the chunks the target did
+// not already spool in a prior partial transfer cross the wire — and,
+// once the target commits the import, deposes the local copy so every
+// later mutating call on the connection is fenced. The target records
+// the import as a pending operation, so a crash mid-import is resumable
+// (live retry reuses the spooled chunks) or cleanly aborted (boot-time
+// recovery resolves the record).
 
 // migrateImport is the target side's in-progress transfer state, held
 // on the serving connection's context between Hello and Commit.
@@ -90,8 +90,8 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 		return err
 	}
 
-	// Ship only the chunks the target asked for (resumable offsets plus
-	// dedup reuse made the rest unnecessary).
+	// Ship only the chunks the target asked for (resumable offsets made
+	// the rest unnecessary).
 	for _, id := range need.Chunks {
 		if int(id.Entry) < 0 || int(id.Entry) >= len(img.Entries) {
 			return fmt.Errorf("core: migrate: target needs unknown entry %d: %w", id.Entry, api.ErrInvalidValue)
@@ -137,7 +137,7 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 	}
 	rt.event(trace.KindCrossMigration, ctx.id, 0, -1,
 		fmt.Sprintf("out to %s: %d/%d bytes shipped", target, shipped, hello.TotalBytes))
-	rt.logf("ctx %d migrated to %s (%d of %d bytes shipped, %d chunks reused)",
+	rt.logf("ctx %d migrated to %s (%d of %d bytes shipped in %d chunks)",
 		ctx.id, target, shipped, hello.TotalBytes, len(need.Chunks))
 	return nil
 }
@@ -261,7 +261,6 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 		need:  make(map[failover.ChunkID]failover.ChunkRef, total),
 	}
 	var need failover.Need
-	reused := 0
 	for i, refs := range hello.Chunks {
 		for k, ref := range refs {
 			id := failover.ChunkID{Entry: int32(i), Index: int32(k)}
@@ -276,19 +275,12 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 				// chunk that does not match THIS manifest is re-requested.
 				spool.Drop(id)
 			}
-			if data, ok := rt.mm.DedupLookup(ref.Hash, int(ref.Len), ref.Sum); ok {
-				// Another tenant's identical chunk already lives here;
-				// no transfer needed.
-				spool.PutLocal(id, data)
-				reused++
-				continue
-			}
 			need.Chunks = append(need.Chunks, id)
 		}
 	}
 	ctx.migrate = mi
-	rt.logf("import of session %d from %s: need %d of %d chunks (%d spooled, %d dedup-reused)",
-		session, hello.Owner, len(need.Chunks), total, total-len(need.Chunks)-reused, reused)
+	rt.logf("import of session %d from %s: need %d of %d chunks (%d spooled)",
+		session, hello.Owner, len(need.Chunks), total, total-len(need.Chunks))
 	return frameReply(session, failover.FrameNeed, need)
 }
 

@@ -218,72 +218,6 @@ func TestMigrationEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMigrationDedupReuse: a manifest chunk whose content already lives
-// in the target's dedup store (another tenant's identical data) is
-// satisfied locally — zero bytes cross the wire for it.
-func TestMigrationDedupReuse(t *testing.T) {
-	table := leaseTable()
-	src := newEnv(t, Config{Leases: table, NodeName: "src"}, smallSpec(1<<20, 1))
-	dst := newEnv(t, Config{
-		Leases: table, NodeName: "dst", SessionBase: 1 << 20, MigrateDir: t.TempDir(),
-	}, smallSpec(1<<20, 1))
-	addr := dst.listen(t)
-
-	data := migPattern(128 << 10) // exactly 2 wire chunks
-
-	// A target-local tenant writes the SAME content and checkpoints,
-	// sealing its chunks into the target's dedup store.
-	ct := dst.client()
-	defer ct.Close()
-	pt, err := ct.Malloc(uint64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.MemcpyHD(pt, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if dst.rt.mm.DedupChunks() == 0 {
-		t.Fatal("target checkpoint sealed no dedup chunks; reuse path untestable")
-	}
-
-	c1 := src.client()
-	defer c1.Close()
-	p, err := c1.Malloc(uint64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.MemcpyHD(p, data); err != nil {
-		t.Fatal(err)
-	}
-	session, err := c1.SessionID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Migrate(addr); err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	if shipped := src.rt.timings.MigrationBytes.Snapshot().Sum; shipped != 0 {
-		t.Errorf("migration shipped %d bytes; want 0 (all chunks dedup-reused)", shipped)
-	}
-
-	// The import is still bit-exact: reused chunks carry real content.
-	c2 := dst.client()
-	defer c2.Close()
-	if err := c2.Resume(session); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c2.MemcpyDH(p, uint64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("dedup-reused migration corrupted data")
-	}
-}
-
 // TestMigrationResumableAfterPartition: a transfer severed mid-stream
 // leaves its spooled chunks on the target; the retry ships ONLY the
 // missing tail (resumable offsets), and the import commits bit-exact.

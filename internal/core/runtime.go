@@ -69,9 +69,6 @@ type Config struct {
 	CallOverhead time.Duration
 	// DisableInterSwap turns off inter-application swapping (ablation).
 	DisableInterSwap bool
-	// DisablePrefetch turns off the predictive prefetcher (prefetch.go):
-	// no speculative swap-ins happen between kernel calls (ablation).
-	DisablePrefetch bool
 	// EnableMigration turns on load balancing through dynamic binding
 	// (§5.3.4): when a faster GPU's vGPU frees with nobody waiting, a
 	// job bound to a slower GPU is migrated to it.
@@ -353,11 +350,6 @@ type Runtime struct {
 	// live (Observe is lock-free and cheap), independent of cfg.Trace.
 	timings trace.Timings
 
-	// prefetchCh feeds the background prefetch worker; quit stops it
-	// (and any other runtime-owned background goroutine) at Close.
-	prefetchCh chan prefetchReq
-	quit       chan struct{}
-
 	calls          atomic.Int64
 	binds          atomic.Int64
 	interSwaps     atomic.Int64
@@ -373,10 +365,6 @@ type Runtime struct {
 	readmissions   atomic.Int64
 	retriesSpent   atomic.Int64
 	sheds          atomic.Int64
-
-	prefetchIssued  atomic.Int64
-	prefetchHits    atomic.Int64
-	prefetchSkipped atomic.Int64
 
 	migStarted      atomic.Int64
 	migCompleted    atomic.Int64
@@ -424,23 +412,19 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		claimed:    make(map[int64]bool),
 		tenants:    make(map[string]*tenantState),
 		obsTenants: obs.NewRegistry(),
-		prefetchCh: make(chan prefetchReq, 64),
-		quit:       make(chan struct{}),
 	}
 	if rt.policy == nil {
 		rt.policy = sched.FCFS{}
 	}
 	rt.mm.InstallFaults(cfg.Faults)
 	rt.mm.SetTracer(&trace.Tracer{
-		Rec:        cfg.Trace,
-		Now:        rt.clock.Now,
-		SwapDur:    &rt.timings.SwapDur,
-		SwapBytes:  &rt.timings.SwapBytes,
-		H2D:        &rt.timings.H2D,
-		D2H:        &rt.timings.D2H,
-		DedupSaved: &rt.timings.DedupSaved,
-		Prefetch:   &rt.timings.Prefetch,
-		Attr:       rt.obsTenants.ObserveCtx,
+		Rec:       cfg.Trace,
+		Now:       rt.clock.Now,
+		SwapDur:   &rt.timings.SwapDur,
+		SwapBytes: &rt.timings.SwapBytes,
+		H2D:       &rt.timings.H2D,
+		D2H:       &rt.timings.D2H,
+		Attr:      rt.obsTenants.ObserveCtx,
 	})
 	if cfg.Flight != nil {
 		cfg.Flight.SetSources(rt.clock.Now, rt.timings.Snapshot, rt.Metrics)
@@ -466,9 +450,6 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 	}
 	if cfg.EnableMigration {
 		go rt.migrationMonitor()
-	}
-	if !cfg.DisablePrefetch {
-		go rt.prefetchWorker()
 	}
 	return rt, nil
 }
@@ -576,15 +557,12 @@ func (rt *Runtime) Metrics() Metrics {
 	depth, live := len(rt.waiting), len(rt.ctxs)
 	rt.mu.Unlock()
 	m := Metrics{
-		CallsServed:     rt.calls.Load(),
-		Binds:           rt.binds.Load(),
-		InterAppSwaps:   rt.interSwaps.Load(),
-		IntraAppSwaps:   rt.intraSwaps.Load(),
-		Memory:          rt.mm.Stats(),
-		PrefetchIssued:  rt.prefetchIssued.Load(),
-		PrefetchHits:    rt.prefetchHits.Load(),
-		PrefetchSkipped: rt.prefetchSkipped.Load(),
-		Migrations:      rt.migrations.Load(),
+		CallsServed:   rt.calls.Load(),
+		Binds:         rt.binds.Load(),
+		InterAppSwaps: rt.interSwaps.Load(),
+		IntraAppSwaps: rt.intraSwaps.Load(),
+		Memory:        rt.mm.Stats(),
+		Migrations:    rt.migrations.Load(),
 
 		MigrationsStarted:   rt.migStarted.Load(),
 		MigrationsCompleted: rt.migCompleted.Load(),
@@ -792,7 +770,6 @@ func (rt *Runtime) Close() {
 		return
 	}
 	rt.closed = true
-	close(rt.quit)
 	devs := rt.devs
 	rt.cond.Broadcast()
 	rt.mu.Unlock()

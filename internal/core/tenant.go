@@ -114,8 +114,8 @@ func (rt *Runtime) joinTenant(ctx *Context, tenant string) api.Error {
 	ctx.tenant = tenant
 	ctx.tenantCharged = usage
 	// Cache the tenant's attribution bundle on the context (we hold
-	// ctx.mu) and route lower-layer accounting (memmgr swap/checkpoint/
-	// dedup bytes) for this context to it. Everything the session does
+	// ctx.mu) and route lower-layer accounting (memmgr swap/checkpoint
+	// bytes) for this context to it. Everything the session does
 	// from here on is attributed to the tenant.
 	ctx.tm = rt.obsTenants.Tenant(tenant)
 	ctx.tm.SessionJoin()

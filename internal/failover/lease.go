@@ -1,7 +1,7 @@
 // Package failover implements the cluster failover plane (DESIGN.md
 // §13): epoch-numbered session leases with write fencing, the CRC-framed
-// wire protocol that ships a sealed context image between nodes with
-// resumable offsets and dedup-chunk reuse, pending-operation records
+// wire protocol that ships a checkpointed context image between nodes
+// with resumable offsets, pending-operation records
 // that make a crashed import resumable or cleanly abortable, and the
 // monitor that promotes a peer for every session whose owner's lease
 // expired.

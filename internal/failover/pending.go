@@ -92,8 +92,7 @@ func OpenSpool(dir string, rec PendingRecord) (*Spool, error) {
 	return s, nil
 }
 
-// Has reports whether the chunk was already received (or satisfied from
-// the dedup store via PutLocal).
+// Has reports whether the chunk was already received.
 func (s *Spool) Has(id ChunkID) bool {
 	_, ok := s.chunks[id]
 	return ok
@@ -128,12 +127,6 @@ func (s *Spool) Put(id ChunkID, data []byte) error {
 // copy left in the spool file is harmless: the re-sent chunk is appended
 // after it and replay keeps the later record.
 func (s *Spool) Drop(id ChunkID) { delete(s.chunks, id) }
-
-// PutLocal records a chunk satisfied without transfer (dedup-store hit).
-// It is not spooled: the store can satisfy it again after a crash.
-func (s *Spool) PutLocal(id ChunkID, data []byte) {
-	s.chunks[id] = data
-}
 
 // Resolve finishes the pending operation: the record and spool are
 // deleted. Call it after the import committed (the journal now owns the

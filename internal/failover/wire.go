@@ -18,9 +18,8 @@ import (
 //
 //	source → target  Hello   (the image record, entry data replaced by
 //	                          manifests: per-chunk hash/len/CRC)
-//	target → source  Need    (chunks not satisfiable from the target's
-//	                          dedup store or a prior partial transfer —
-//	                          the resumable offsets)
+//	target → source  Need    (chunks a prior partial transfer did not
+//	                          spool — the resumable offsets)
 //	source → target  Chunk*  (only the needed chunks, one frame each)
 //	source → target  Commit
 //	target → source  Result  (imported, or a typed failure)
@@ -44,16 +43,12 @@ const (
 	FrameResult
 )
 
-// ChunkSize is the migration transfer granularity. It deliberately
-// matches the memory manager's dedup chunking, so a manifest chunk of
-// an entry's data has the same (hash, bytes) as the interned chunk a
-// sealed copy of that entry produced — which is what lets the target
-// satisfy chunks from its own dedup store without any transfer.
+// ChunkSize is the migration transfer granularity: the unit a resumed
+// transfer skips once spooled, and the most a broken one re-sends.
 const ChunkSize = 64 << 10
 
-// ChunkRef identifies a chunk's content: FNV-1a hash (the dedup store's
-// key), exact length, and a CRC-32C guarding against hash collisions
-// and corruption.
+// ChunkRef identifies a chunk's content: FNV-1a hash, exact length,
+// and a CRC-32C; a chunk from a peer or the spool must match all three.
 type ChunkRef struct {
 	Hash uint64
 	Len  uint32
@@ -78,7 +73,7 @@ type Hello struct {
 	// Chunks[i] is the chunk manifest of Record.Image.Entries[i]'s data.
 	Chunks [][]ChunkRef
 	// TotalBytes is the summed data length across entries — what a
-	// dedup-blind transfer would ship.
+	// transfer with nothing spooled ships.
 	TotalBytes int64
 }
 
@@ -120,8 +115,7 @@ func (h *Hello) Assemble(chunk func(ChunkID) ([]byte, bool)) (*ckptlog.ImageReco
 	return &rec, nil
 }
 
-// Need is the FrameNeed payload: the chunks the target cannot satisfy
-// locally.
+// Need is the FrameNeed payload: the chunks the target has not spooled.
 type Need struct {
 	Chunks []ChunkID
 }
@@ -177,7 +171,7 @@ func VerifyChunk(ref ChunkRef, data []byte) bool {
 		crc32.Checksum(data, wal.Castagnoli) == ref.Sum
 }
 
-// fnv64a matches the memory manager's dedup-store hash (FNV-1a 64).
+// fnv64a is FNV-1a 64, ChunkRef's content hash.
 func fnv64a(b []byte) uint64 {
 	const (
 		offset = 14695981039346656037

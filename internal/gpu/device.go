@@ -41,9 +41,9 @@ type Device struct {
 	// The execution engine and the two copy engines are independent
 	// mutexes, mirroring dual-copy-engine GPUs: an h2d transfer, a d2h
 	// transfer and a kernel can all be in flight at once, so modeled
-	// transfer time submitted by a background goroutine (prefetch,
-	// swap-out) overlaps the modeled execution of the current kernel
-	// instead of queueing behind it.
+	// transfer time submitted on another context's behalf (a co-tenant's
+	// flush, an inter-application swap-out) overlaps the modeled
+	// execution of the current kernel instead of queueing behind it.
 	execMu sync.Mutex // the execution engine: one kernel at a time
 	h2dMu  sync.Mutex // host→device copy engine: one DMA transfer at a time
 	d2hMu  sync.Mutex // device→host copy engine: one DMA transfer at a time

@@ -88,24 +88,13 @@ type PTE struct {
 	// LostDirty records that device-only data was lost to a device
 	// failure; the runtime clears it by replaying kernels (§4.6).
 	LostDirty bool
-	// Prefetched marks an entry whose residency was established
-	// speculatively by the predictive prefetcher; the next launch that
-	// references it consumes the mark as a prefetch hit.
-	Prefetched bool
 
 	// owner is the per-context state the entry belongs to.
 	owner *ctxState
 	// data is the swap-area backing. It is materialised lazily and only
 	// for entries that carry real bytes; synthetic (timing-only)
-	// workloads keep it nil however large Size is. A sealed entry (see
-	// dedup.go) keeps data nil and carries its bytes in chunks instead.
+	// workloads keep it nil however large Size is.
 	data []byte
-	// chunks is the content-addressed form of the swap image; non-nil
-	// exactly when the entry is sealed into the dedup store.
-	chunks []*swapChunk
-	// dedupSaved counts swap bytes this entry shares with other entries
-	// (released from host occupancy while sealed).
-	dedupSaved uint64
 	// writesSinceResident counts deferred host writes folded into the
 	// next bulk host→device transfer (the §4.5 coalescing benefit).
 	writesSinceResident int
@@ -115,7 +104,7 @@ type PTE struct {
 func (p *PTE) CtxID() int64 { return p.owner.id }
 
 // HasData reports whether the entry carries real bytes in swap.
-func (p *PTE) HasData() bool { return p.hasSwapBytes() }
+func (p *PTE) HasData() bool { return p.data != nil }
 
 // DeviceOps is the slice of a bound virtual GPU's CUDA context that the
 // manager drives: real allocation and de-allocation on the physical
@@ -213,19 +202,12 @@ type Manager struct {
 	// own, so the tracer carries the model-time source.
 	tracer *trace.Tracer
 
-	// dedup is the manager-global content-addressed chunk store
-	// (dedup.go); its own mutex orders it after the shard locks.
-	dedup dedupStore
-
 	swapOps         atomic.Int64
 	swapBytes       atomic.Int64
 	coalesced       atomic.Int64
 	badOps          atomic.Int64
 	checkpoint      atomic.Int64
 	checkpointBytes atomic.Int64
-	dedupHits       atomic.Int64
-	dedupSavedBytes atomic.Int64
-	cowBreaks       atomic.Int64
 }
 
 // virtTag marks virtual addresses so they can never be mistaken for
@@ -250,7 +232,6 @@ func New(deferTransfers bool, hostLimit uint64) *Manager {
 		DeferTransfers: deferTransfers,
 		hostLimit:      hostLimit,
 	}
-	m.dedup.chunks = make(map[uint64][]*swapChunk)
 	for i := range m.shards {
 		m.shards[i].ctxs = make(map[int64]*ctxState)
 	}
@@ -315,9 +296,6 @@ func (m *Manager) Stats() api.Memory {
 		SwapOps:         m.swapOps.Load(),
 		SwapBytes:       m.swapBytes.Load(),
 		CheckpointBytes: m.checkpointBytes.Load(),
-		DedupHits:       m.dedupHits.Load(),
-		DedupSavedBytes: m.dedupSavedBytes.Load(),
-		CowBreaks:       m.cowBreaks.Load(),
 		CoalescedWrites: m.coalesced.Load(),
 		BadOpsRejected:  m.badOps.Load(),
 		Checkpoints:     m.checkpoint.Load(),
@@ -482,15 +460,7 @@ func (m *Manager) CopyHD(pte *PTE, off uint64, data []byte, size uint64, ops Dev
 		return err
 	}
 	if data != nil {
-		if off == 0 && size == pte.Size {
-			// Full overwrite: drop any chunk sharing without
-			// rematerialising the old image, then re-seal the new one.
-			m.discardSeal(pte)
-			copy(pte.swapData(), data)
-			m.seal(pte)
-		} else {
-			copy(m.mutableSwap(pte)[off:], data)
-		}
+		copy(pte.swapData()[off:], data)
 	}
 	return m.wrote(pte, off, data, size, ops)
 }
@@ -510,8 +480,8 @@ func (m *Manager) Memset(pte *PTE, off uint64, value byte, size uint64, ops Devi
 	if err := m.pullDeviceCopy(pte, off, size, ops, false); err != nil {
 		return err
 	}
-	if pte.hasSwapBytes() || value != 0 {
-		fill := m.mutableSwap(pte)[off:][:size]
+	if pte.data != nil || value != 0 {
+		fill := pte.swapData()[off:][:size]
 		for i := range fill {
 			fill[i] = value
 		}
@@ -564,11 +534,11 @@ func (m *Manager) CopyDH(pte *PTE, off, size uint64, ops DeviceOps) ([]byte, err
 	if err := m.pullDeviceCopy(pte, off, size, ops, true); err != nil {
 		return nil, err
 	}
-	if !pte.hasSwapBytes() {
+	if pte.data == nil {
 		return nil, nil
 	}
 	out := make([]byte, size)
-	pte.readSwapRange(out, off)
+	copy(out, pte.data[off:])
 	return out, nil
 }
 
@@ -639,14 +609,10 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 			continue
 		}
 		if datas != nil && datas[n] != nil {
-			m.discardSeal(pte)
 			pte.data = datas[n]
 			if pte.Nested != nil {
 				m.patchPointers(pte, pte.data, true)
 			}
-			// A device→swap sync produces a full consistent image — the
-			// natural point to intern it for cross-context sharing.
-			m.seal(pte)
 		}
 		pte.ToCopy2Swap = false
 		m.noteWrite(pte)
@@ -675,19 +641,11 @@ func (m *Manager) Free(pte *PTE, ops DeviceOps) error {
 		cs.usage -= pte.Size
 	}
 	s.mu.Unlock()
-	if removed {
-		// Shared chunk bytes were already released at seal time; only
-		// the entry's private share of host occupancy returns here.
-		m.dedupSavedBytes.Add(-int64(pte.dedupSaved))
-		m.tracer.Attribute(pte.CtxID(), trace.AttrDedupSaved, -int64(pte.dedupSaved))
-		m.releaseHost(pte.Size - pte.dedupSaved)
-		pte.dedupSaved = 0
-		m.dropChunks(pte)
-	}
 	if !removed {
 		m.badOps.Add(1)
 		return api.ErrInvalidDevicePointer
 	}
+	m.releaseHost(pte.Size)
 	if m.obs != nil {
 		m.obs.EntryFreed(pte.CtxID(), pte.Virtual)
 	}
@@ -844,7 +802,7 @@ func (m *Manager) gatherHD(items []api.HDCopy, pte *PTE, depth int) []api.HDCopy
 	if pte.ToCopy2Dev {
 		return append(items, api.HDCopy{Dst: pte.Device, Data: m.deviceImage(pte), Size: pte.Size})
 	}
-	if pte.Nested != nil && pte.hasSwapBytes() {
+	if pte.Nested != nil && pte.data != nil {
 		img := m.deviceImage(pte)
 		for _, o := range pte.Nested.Offsets {
 			items = append(items, api.HDCopy{Dst: pte.Device + api.DevPtr(o), Data: img[o : o+8], Size: 8})
@@ -869,12 +827,10 @@ func lands(items []api.HDCopy, pte *PTE) bool {
 // the members' device addresses installed (the swap image keeps the
 // virtual ones).
 func (m *Manager) deviceImage(pte *PTE) []byte {
-	if pte.Nested == nil || !pte.hasSwapBytes() {
-		// Read-only use: a sealed entry hands out a fresh copy, an
-		// unsealed one its private buffer.
-		return pte.swapView()
+	if pte.Nested == nil || pte.data == nil {
+		return pte.data
 	}
-	img := pte.swapImageCopy()
+	img := bytes.Clone(pte.data)
 	m.patchPointers(pte, img, false)
 	return img
 }
@@ -957,13 +913,18 @@ func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
 // swapped") and the implicit checkpoint that precedes unbinding and
 // migration. It returns the number of entries swapped.
 func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (int, error) {
+	return m.SwapOutEntries(m.liveTable(ctxID), ops)
+}
+
+// liveTable returns the context's page table itself, not a snapshot.
+// The table only changes under the context's service lock (Malloc,
+// Free, import, release), so a caller holding that lock may walk it
+// after the shard lock is dropped.
+func (m *Manager) liveTable(ctxID int64) []*PTE {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
-	table := s.tableOf(ctxID)
-	s.mu.Unlock()
-	// No snapshot: the table only changes under the context's service
-	// lock (Malloc, Free, import, release), which the caller holds.
-	return m.SwapOutEntries(table, ops)
+	defer s.mu.Unlock()
+	return s.tableOf(ctxID)
 }
 
 // SwapOutEntries performs the swap row of Table 1 on entries (one
@@ -1021,7 +982,7 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
 // can be restarted on another GPU at the cost of replaying only
 // not-yet-executed work. It returns the number of entries flushed.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
-	n, flushed, err := m.syncToSwap(m.AppendEntries(nil, ctxID), ops)
+	n, flushed, err := m.syncToSwap(m.liveTable(ctxID), ops)
 	if err != nil {
 		return 0, err
 	}
@@ -1038,7 +999,7 @@ func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
 // number of entries that lost dirty data.
 func (m *Manager) InvalidateResidency(ctxID int64) int {
 	lost := 0
-	for _, pte := range m.AppendEntries(nil, ctxID) {
+	for _, pte := range m.liveTable(ctxID) {
 		if !pte.IsAllocated {
 			continue
 		}
@@ -1056,40 +1017,35 @@ func (m *Manager) InvalidateResidency(ctxID int64) int {
 
 // ClearLost clears the LostDirty marks after a successful replay.
 func (m *Manager) ClearLost(ctxID int64) {
-	for _, pte := range m.AppendEntries(nil, ctxID) {
+	for _, pte := range m.liveTable(ctxID) {
 		pte.LostDirty = false
 	}
 }
 
 // ReleaseContext drops the whole page table and swap area of a context
-// (application exit), freeing any device memory it still holds.
+// (application exit), freeing any device memory it still holds. It takes
+// the table in the same step that detaches it, so it needs neither a
+// snapshot nor the context's service lock: a refused import releases a
+// session no context serves.
 func (m *Manager) ReleaseContext(ctxID int64, ops DeviceOps) {
-	entries := m.AppendEntries(nil, ctxID)
-	for _, pte := range entries {
-		if pte.IsAllocated && ops != nil {
-			_ = ops.Free(pte.Device)
-		}
-	}
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
+	var entries []*PTE
 	var released uint64
 	if cs := s.ctxs[ctxID]; cs != nil {
 		// Empty the state as well as dropping it: entries still point at
 		// it, and a late Free of one must find nothing to remove.
-		released, cs.table, cs.usage = cs.usage, nil, 0
+		entries, released = cs.table, cs.usage
+		cs.table, cs.usage = nil, 0
 		delete(s.ctxs, ctxID)
 	}
 	s.mu.Unlock()
-	for _, pte := range entries {
-		// Shared chunk bytes were released at seal time; the bulk
-		// release below must not return them a second time.
-		if pte.dedupSaved > 0 {
-			released -= pte.dedupSaved
-			m.dedupSavedBytes.Add(-int64(pte.dedupSaved))
-			m.tracer.Attribute(ctxID, trace.AttrDedupSaved, -int64(pte.dedupSaved))
-			pte.dedupSaved = 0
+	if ops != nil {
+		for _, pte := range entries {
+			if pte.IsAllocated {
+				_ = ops.Free(pte.Device)
+			}
 		}
-		m.dropChunks(pte)
 	}
 	m.releaseHost(released)
 	if m.obs != nil {

@@ -434,6 +434,69 @@ func TestPartialCopyHDOverDirtyEntrySyncsFirst(t *testing.T) {
 	}
 }
 
+// pagePattern fills a buffer with bytes that differ from page to page.
+func pagePattern(page int, size uint64) []byte {
+	data := make([]byte, size)
+	for j := range data {
+		data[j] = byte(j*7 + page)
+	}
+	return data
+}
+
+// TestPullDeviceCopy pins the shared guard's semantics: reads always
+// pull a device-newer copy, partial writes pull it (and fail unbound),
+// full-extent writes never pull.
+func TestPullDeviceCopy(t *testing.T) {
+	m := New(true, 0)
+	ops := newFakeOps(1 << 20)
+	pte := mustMalloc(t, m, 1, 512)
+	if err := m.MakeResident(pte, ops); err != nil {
+		t.Fatalf("MakeResident: %v", err)
+	}
+	devData := pagePattern(3, 512)
+	ops.poke(pte.Device, devData)
+	m.MarkKernelEffects([]*PTE{pte}, nil)
+
+	// Read: pulls the device copy.
+	out, err := m.CopyDH(pte, 0, 512, ops)
+	if err != nil || !bytes.Equal(out, devData) {
+		t.Fatalf("CopyDH on device-newer entry: err %v, match %v", err, bytes.Equal(out, devData))
+	}
+	if pte.ToCopy2Swap {
+		t.Fatal("ToCopy2Swap still set after read pull")
+	}
+
+	// Partial write while unbound: must fail, the device-newer bytes
+	// around the write cannot be fetched.
+	m.MarkKernelEffects([]*PTE{pte}, nil)
+	if err := m.CopyHD(pte, 8, []byte{1, 2, 3}, 0, nil); !errors.Is(err, api.ErrInvalidValue) {
+		t.Fatalf("partial CopyHD unbound on device-newer entry = %v, want ErrInvalidValue", err)
+	}
+
+	// Full overwrite while unbound: allowed, nothing to pull.
+	full := pagePattern(4, 512)
+	if err := m.CopyHD(pte, 0, full, 0, nil); err != nil {
+		t.Fatalf("full CopyHD unbound on device-newer entry: %v", err)
+	}
+	if out, _ := m.CopyDH(pte, 0, 512, nil); !bytes.Equal(out, full) {
+		t.Fatal("full overwrite content lost")
+	}
+
+	// Partial write while bound: pulls the device copy, then overlays.
+	dev2 := pagePattern(5, 512)
+	ops.poke(pte.Device, dev2)
+	m.MarkKernelEffects([]*PTE{pte}, nil)
+	patch := []byte{9, 9, 9}
+	if err := m.CopyHD(pte, 100, patch, 0, ops); err != nil {
+		t.Fatalf("partial CopyHD bound: %v", err)
+	}
+	want := append([]byte(nil), dev2...)
+	copy(want[100:], patch)
+	if out, _ := m.CopyDH(pte, 0, 512, ops); !bytes.Equal(out, want) {
+		t.Fatal("partial write did not overlay the pulled device copy")
+	}
+}
+
 func TestSwapOutPreservesDirtyData(t *testing.T) {
 	m := New(true, 0)
 	ops := newFakeOps(1 << 20)

@@ -1,6 +1,10 @@
 package memmgr
 
-import "gvrt/internal/api"
+import (
+	"bytes"
+
+	"gvrt/internal/api"
+)
 
 // Observer receives a notification after every mutation of the durable
 // memory state — the page table and swap area that §4.6 declares to be
@@ -34,10 +38,8 @@ func (p *PTE) image() EntryImage {
 		Virtual: p.Virtual,
 		Size:    p.Size,
 		Kind:    p.Kind,
-		HasData: p.hasSwapBytes(),
-	}
-	if e.HasData {
-		e.Data = p.swapImageCopy()
+		HasData: p.data != nil,
+		Data:    bytes.Clone(p.data),
 	}
 	if p.Nested != nil {
 		e.NestedMembers = append([]api.DevPtr(nil), p.Nested.Members...)

@@ -10,10 +10,16 @@ import (
 	"gvrt/internal/faultinject"
 )
 
+// hostExact reports whether the swap area's occupancy is exactly the
+// footprint of context 1, the only one the property tests allocate for:
+// every byte Malloc reserved stays charged until Free returns it.
+func hostExact(m *Manager) bool { return m.Stats().HostBytesInUse == m.UsageOf(1) }
+
 // TestFlagInvariantsUnderRandomOps property-checks the Figure 4 state
 // machine against random call sequences: after every operation the
-// entry must be in one of the five legal states, and the accounting of
-// the fake device must match the entries' IsAllocated flags.
+// entry must be in one of the five legal states, the accounting of the
+// fake device must match the entries' IsAllocated flags, and host
+// occupancy must equal the context's footprint.
 func TestFlagInvariantsUnderRandomOps(t *testing.T) {
 	legal := func(p *PTE) bool {
 		// The five states of Figure 4: F/F/F, F/T/F, T/F/F, T/T/F,
@@ -47,8 +53,8 @@ func TestFlagInvariantsUnderRandomOps(t *testing.T) {
 			default:
 				pte := entries[int(op)%len(entries)]
 				switch op % 5 {
-				case 0: // copyHD
-					if err := m.CopyHD(pte, 0, []byte{op}, 0, dev); err != nil {
+				case 0: // copyHD: two fill values, so images often repeat
+					if err := m.CopyHD(pte, 0, bytes.Repeat([]byte{op % 2}, int(pte.Size)), 0, dev); err != nil {
 						return false
 					}
 				case 1: // launch path
@@ -97,13 +103,13 @@ func TestFlagInvariantsUnderRandomOps(t *testing.T) {
 					sum += n
 				}
 			}
-			if sum != dev.used {
+			if sum != dev.used || !hostExact(m) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -181,8 +187,9 @@ func TestDataIntegrityUnderRandomSwaps(t *testing.T) {
 // writes and a tenth of all page-table allocations: injected failures
 // are tolerated (the op reports ErrSwapAllocation and moves on), but
 // after every step — failed or not — each entry must still be in a
-// legal state, with never both transfer flags set, and the fake
-// device's accounting must still match the IsAllocated flags.
+// legal state, with never both transfer flags set, the fake device's
+// accounting must still match the IsAllocated flags, and host occupancy
+// must still equal the context's footprint.
 func TestFlagInvariantsUnderSwapWriteFailures(t *testing.T) {
 	legal := func(p *PTE) bool {
 		if p.ToCopy2Dev && p.ToCopy2Swap {
@@ -264,7 +271,7 @@ func TestFlagInvariantsUnderSwapWriteFailures(t *testing.T) {
 					sum += n
 				}
 			}
-			if sum != dev.used {
+			if sum != dev.used || !hostExact(m) {
 				return false
 			}
 		}

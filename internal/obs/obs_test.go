@@ -24,8 +24,6 @@ func TestRegistryAttribution(t *testing.T) {
 	r.ObserveCtx(7, trace.AttrSwapBytes, 100)
 	r.ObserveCtx(7, trace.AttrSwapOps, 1)
 	r.ObserveCtx(7, trace.AttrCheckpointBytes, 50)
-	r.ObserveCtx(7, trace.AttrDedupSaved, 30)
-	r.ObserveCtx(7, trace.AttrDedupSaved, -10)
 	// Unknown context: silently unattributed, never panics.
 	r.ObserveCtx(99, trace.AttrSwapBytes, 1<<30)
 
@@ -43,7 +41,7 @@ func TestRegistryAttribution(t *testing.T) {
 	want := api.TenantUsage{
 		Sessions: 1, Calls: 2, Errors: 1, Launches: 1, GPUTimeNS: 1000,
 		QueueWaitNS: 200, SwapBytes: 100, SwapOps: 1, CheckpointBytes: 50,
-		MigrationBytes: 64, DedupSavedBytes: 20, FenceRejections: 1, QuotaRejects: 1,
+		MigrationBytes: 64, FenceRejections: 1, QuotaRejects: 1,
 	}
 	got := u
 	got.Launch, got.QueueWait = trace.HistSnapshot{}, trace.HistSnapshot{}

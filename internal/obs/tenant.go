@@ -34,7 +34,6 @@ type TenantMetrics struct {
 	swapOps         atomic.Int64
 	checkpointBytes atomic.Int64
 	migrationBytes  atomic.Int64
-	dedupSavedBytes atomic.Int64
 	fenceRejections atomic.Int64
 	quotaRejects    atomic.Int64
 
@@ -96,7 +95,6 @@ func (m *TenantMetrics) Usage() api.TenantUsage {
 		SwapOps:         m.swapOps.Load(),
 		CheckpointBytes: m.checkpointBytes.Load(),
 		MigrationBytes:  m.migrationBytes.Load(),
-		DedupSavedBytes: m.dedupSavedBytes.Load(),
 		FenceRejections: m.fenceRejections.Load(),
 		QuotaRejects:    m.quotaRejects.Load(),
 		Launch:          m.Launch.Snapshot(),
@@ -167,8 +165,6 @@ func (r *Registry) ObserveCtx(ctxID int64, kind trace.AttrKind, v int64) {
 		m.swapOps.Add(v)
 	case trace.AttrCheckpointBytes:
 		m.checkpointBytes.Add(v)
-	case trace.AttrDedupSaved:
-		m.dedupSavedBytes.Add(v)
 	}
 }
 

@@ -152,11 +152,7 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_coalesced_writes_total":     true,
 	"gvrt_bad_ops_rejected_total":     true,
 	"gvrt_checkpoints_total":          true,
-	"gvrt_prefetch_issued_total":      true,
 	"gvrt_prefetch_hits_total":        true,
-	"gvrt_prefetch_skipped_total":     true,
-	"gvrt_dedup_hits_total":           true,
-	"gvrt_cow_breaks_total":           true,
 	"gvrt_migrations_total":           true,
 	"gvrt_migrations_started_total":   true,
 	"gvrt_migrations_completed_total": true,
@@ -176,7 +172,6 @@ var goldenFamilies = map[string]bool{ // name -> required
 	// Node gauges.
 	"gvrt_queue_depth":       true,
 	"gvrt_live_contexts":     true,
-	"gvrt_dedup_saved_bytes": true,
 	"gvrt_host_bytes_in_use": true,
 	// Per-device series.
 	"gvrt_device_healthy":             true,
@@ -199,7 +194,6 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_tenant_swap_ops_total":           true,
 	"gvrt_tenant_checkpoint_bytes_total":   true,
 	"gvrt_tenant_migration_bytes_total":    true,
-	"gvrt_tenant_dedup_saved_bytes":        true,
 	"gvrt_tenant_fence_rejections_total":   true,
 	"gvrt_tenant_quota_rejects_total":      true,
 	"gvrt_tenant_launch_latency_seconds":   true,
@@ -216,7 +210,6 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_d2h_transfer_seconds":        false,
 	"gvrt_journal_commit_wall_seconds": false,
 	"gvrt_peer_call_seconds":           false,
-	"gvrt_prefetch_seconds":            false,
 	"gvrt_dedup_seal_saved_bytes":      false,
 	"gvrt_migration_duration_seconds":  false,
 	"gvrt_migration_size_bytes":        false,

@@ -173,7 +173,7 @@ func TestMetricsBucketsCumulative(t *testing.T) {
 
 func TestStatusz(t *testing.T) {
 	h, rt := newNode(t)
-	rt.Timings().DedupSaved.Observe(64 << 10)
+	rt.Timings().SwapBytes.Observe(64 << 10)
 	rt.Timings().MigrationBytes.Observe(64 << 10)
 	body := get(t, h, "/statusz").Body.String()
 	for _, want := range []string{"devices:", "Tesla C2050", "healthy", "counters:", "launch_latency", "spans recorded:"} {
@@ -183,7 +183,7 @@ func TestStatusz(t *testing.T) {
 	}
 	// Byte families print bytes: 64 KiB lands in the log2 bucket whose
 	// upper bound is 128 KiB, and the mean is exact.
-	for _, k := range []string{"dedup_saved", "migration_bytes"} {
+	for _, k := range []string{"swap_bytes", "migration_bytes"} {
 		re := regexp.MustCompile(`(?m)^  ` + k + ` +1 +131072B +131072B +65536B$`)
 		if !re.MatchString(body) {
 			t.Errorf("/statusz does not print %s in bytes:\n%s", k, body)

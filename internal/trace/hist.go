@@ -267,17 +267,15 @@ type Timings struct {
 	JournalCommitWall Histogram
 	// PeerCall is per-peer-RPC round-trip time.
 	PeerCall Histogram
-	// Prefetch is per-speculative-swap-in duration (the background
-	// residency work done between a context's kernel calls).
-	Prefetch Histogram
-	// DedupSaved is bytes saved per swap-image seal that shared at
-	// least one chunk with the dedup store.
+	// DedupSaved is retired with swap deduplication and observes
+	// nothing. It stays only because benchmark/ reads it; delete it and
+	// its family when the benchmark module drops that read.
 	DedupSaved Histogram
 	// MigrationDur is model time per completed cross-node migration
 	// (export → committed import on the target).
 	MigrationDur Histogram
 	// MigrationBytes is wire bytes actually shipped per migration —
-	// after dedup/resume chunks were excluded from the transfer.
+	// after chunks a resumed transfer had spooled were excluded.
 	MigrationBytes Histogram
 }
 
@@ -302,7 +300,6 @@ var Families = []Family{
 	{"migration_bytes", "gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", true, func(t *Timings) *Histogram { return &t.MigrationBytes }},
 	{"migration_duration", "gvrt_migration_duration_seconds", "Cross-node session migration duration (model seconds).", false, func(t *Timings) *Histogram { return &t.MigrationDur }},
 	{"peer_call", "gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", false, func(t *Timings) *Histogram { return &t.PeerCall }},
-	{"prefetch", "gvrt_prefetch_seconds", "Predictive swap-in prefetch duration (model seconds).", false, func(t *Timings) *Histogram { return &t.Prefetch }},
 	{"queue_wait", "gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", false, func(t *Timings) *Histogram { return &t.QueueWait }},
 	{"swap_bytes", "gvrt_swap_size_bytes", "Per-swap-operation size (bytes).", true, func(t *Timings) *Histogram { return &t.SwapBytes }},
 	{"swap_duration", "gvrt_swap_duration_seconds", "Per-swap-operation duration (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},

@@ -175,9 +175,9 @@ func TestDeltaDoesNotAliasInput(t *testing.T) {
 }
 
 func TestDeltaNegativeSumNoReset(t *testing.T) {
-	// DedupSaved observes negative adjustments, so Sum may legitimately
-	// decrease between snapshots while counts stay monotonic. That must
-	// not be misread as a restart.
+	// Observe accepts negative values, so Sum may legitimately decrease
+	// between snapshots while counts stay monotonic. That must not be
+	// misread as a restart.
 	var h Histogram
 	h.Observe(1000)
 	prev := h.Snapshot()
@@ -220,8 +220,8 @@ func TestFamiliesDeclareEveryTiming(t *testing.T) {
 			t.Errorf("Timings.%s has no family", v.Type().Field(i).Name)
 		}
 	}
-	if got := FormatValue("dedup_saved", 65536); got != "65536B" {
-		t.Errorf("FormatValue(dedup_saved) = %q, want 65536B", got)
+	if got := FormatValue("swap_bytes", 65536); got != "65536B" {
+		t.Errorf("FormatValue(swap_bytes) = %q, want 65536B", got)
 	}
 	if got := FormatValue("call.cudaLaunch", 1500); got != "1.5µs" {
 		t.Errorf("FormatValue(call.cudaLaunch) = %q, want 1.5µs", got)

@@ -16,12 +16,6 @@ type Tracer struct {
 	SwapBytes *Histogram
 	H2D       *Histogram
 	D2H       *Histogram
-	// DedupSaved observes the bytes saved each time a swap image seals
-	// with at least one shared chunk.
-	DedupSaved *Histogram
-	// Prefetch observes the model-time duration of speculative swap-in
-	// work done by the predictive prefetcher.
-	Prefetch *Histogram
 	// Attr, when set, receives the same byte-level accounting the
 	// instrumented layer adds to its own counters, keyed by the owning
 	// context so the caller can attribute it (per tenant). It must be
@@ -42,9 +36,6 @@ const (
 	AttrSwapOps
 	// AttrCheckpointBytes: bytes flushed device→swap by checkpoints.
 	AttrCheckpointBytes
-	// AttrDedupSaved: net change in host bytes avoided by dedup for
-	// images owned by ctx (negative when a shared image privatises).
-	AttrDedupSaved
 )
 
 // Start returns the current model time, or 0 on a nil tracer.

@@ -56,7 +56,7 @@ const (
 )
 
 // Castagnoli is the CRC-32C table behind every checksum in the repo:
-// frames here, migration chunk refs, the dedup store's lookups.
+// frames here and migration chunk refs.
 var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeFrame appends the framed record to buf and returns it.
