@@ -2,6 +2,7 @@ package api
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -101,13 +102,20 @@ func TestFindKernel(t *testing.T) {
 }
 
 func TestAnnotateFromPTX(t *testing.T) {
-	fb := FatBinary{ID: "b", Kernels: []KernelMeta{
+	in := FatBinary{ID: "b", Kernels: []KernelMeta{
 		{Name: "plain", PTX: "ld.global.f32 %f1, [%rd1];"},
 		{Name: "alloc", PTX: "call.uni (r), malloc, (%rd1);"},
 		{Name: "nested", PTX: "ld.global.u64 %rd2, [%rd1];\nld.global.u32 %r1, [%rd2];"},
 		{Name: "preset", UsesDynamicAlloc: true}, // no PTX: flag kept
 	}}
-	AnnotateFromPTX(&fb)
+	orig := slices.Clone(in.Kernels)
+	fb := AnnotateFromPTX(in)
+	if !slices.Equal(in.Kernels, orig) {
+		t.Error("AnnotateFromPTX wrote into its argument's kernels")
+	}
+	if same := AnnotateFromPTX(FatBinary{Kernels: in.Kernels[:1]}); &same.Kernels[0] != &in.Kernels[0] {
+		t.Error("a binary whose flags all stand was cloned")
+	}
 	if fb.Kernels[0].UsesDynamicAlloc || fb.Kernels[0].UsesNestedPointers {
 		t.Error("plain kernel mis-annotated")
 	}

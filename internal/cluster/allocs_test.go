@@ -64,35 +64,95 @@ func TestLaunchDispatchAllocs(t *testing.T) {
 // per session and fails here. One session is pipe-dispatch's (register,
 // tenant, two mallocs, 20 × (copy, launch), two frees, exit); the other
 // run is an inter-swap pair, two sessions whose buffers evict each other
-// on every launch. Both run the default configuration, and the pins are
-// their measured counts; lower them with the change that earns it.
+// on every launch. The offloaded session is the dispatch session arriving
+// at a head whose only vGPU a ballast session holds, so the head proxies
+// it to a peer over loopback TCP (§4.7); both nodes' allocations count.
+// The pins are the measured counts; lower them with the change that
+// earns it.
 func TestSessionAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  core.Config
-		pin  float64
-		run  func(t *testing.T, rt *core.Runtime)
+		name    string
+		cfg     core.Config
+		pin     float64
+		offload bool
+		run     func(t *testing.T, rt *core.Runtime)
 	}{
-		{"dispatch session", core.Config{}, 75, dispatchSession},
-		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, 97, interSwapPair},
+		{"dispatch session", core.Config{}, 75, false, dispatchSession},
+		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, 97, false, interSwapPair},
+		{"offloaded session", core.Config{VGPUsPerDevice: 1, OffloadThreshold: 1}, 111, true, dispatchSession},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var peerDone chan struct{}
+			if tc.offload {
+				tc.cfg.PeerDial, peerDone = tcpPeer(t)
+			}
 			node, err := NewNode("node", sim.NewClock(1e-9), []gpu.Spec{gpu.TeslaC2050}, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer node.Close()
 			run := func() { tc.run(t, node.RT) }
+			if tc.offload {
+				ballast := frontend.Connect(node.Dial())
+				defer ballast.Close()
+				p, err := ballast.Malloc(4096)
+				ok(t, err)
+				ok(t, ballast.RegisterFatBinary(sessionBinary))
+				ok(t, ballast.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}))
+				run = func() { tc.run(t, node.RT); <-peerDone }
+			}
 			for i := 0; i < 10; i++ {
-				run() // warm the maps, free lists and device scratch
+				run() // warm the maps, free lists, device scratch and wire pool
+			}
+			pin := tc.pin
+			if tc.offload && raceEnabled {
+				pin += 2 * 5 // a dropped wire costs its five objects again, on each end
 			}
 			got := testing.AllocsPerRun(100, run)
 			t.Logf("%s: %.0f allocs", tc.name, got)
-			if got > tc.pin {
-				t.Errorf("%s allocates %.0f objects, pinned at %.0f", tc.name, got, tc.pin)
+			if got > pin {
+				t.Errorf("%s allocates %.0f objects, pinned at %.0f", tc.name, got, pin)
+			}
+			// 10 warm-up runs, AllocsPerRun's own warm-up and 100 measured.
+			if off := node.RT.Metrics().Offloaded; tc.offload && off != 111 {
+				t.Errorf("%d of 111 sessions offloaded", off)
 			}
 		})
 	}
+}
+
+// tcpPeer starts a peer node serving a loopback TCP listener. It returns
+// a dialer for it and a channel that receives once each time the peer
+// has torn a session down.
+func tcpPeer(t *testing.T) (func() (transport.Conn, error), chan struct{}) {
+	peer, err := NewNode("peer", sim.NewClock(1e-9), []gpu.Spec{gpu.TeslaC2050}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every session a test runs (111), so a peer goroutine
+	// finishing after the test stopped receiving never blocks.
+	done := make(chan struct{}, 128)
+	go func() {
+		for {
+			sc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				peer.RT.Serve(sc)
+				done <- struct{}{}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		peer.Close()
+	})
+	return func() (transport.Conn, error) { return transport.Dial(l.Addr()) }, done
 }
 
 var sessionBinary = api.FatBinary{ID: "sessions", Kernels: []api.KernelMeta{{Name: "k", BaseTime: time.Microsecond}}}

@@ -188,6 +188,28 @@ func TestPTXAnnotationDrivesPolicies(t *testing.T) {
 	}
 }
 
+// TestRegisterLeavesCallersBinary: a received call is immutable. Over a
+// pipe the registered binary's kernels are the caller's own array, so
+// annotating them in place handed the derived flags back to the caller,
+// and to every later session registering the same value.
+func TestRegisterLeavesCallersBinary(t *testing.T) {
+	env := newEnv(t, Config{}, smallSpec(1<<20, 1))
+	fb := api.FatBinary{ID: "ptx-shared", Kernels: []api.KernelMeta{{
+		Name: "builder", BaseTime: 1000, PTX: "call.uni (retval0), malloc, (%rd1);",
+	}}}
+	for session := 0; session < 2; session++ {
+		c := env.client()
+		err := c.RegisterFatBinary(fb)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fb.Kernels[0].UsesDynamicAlloc {
+			t.Fatalf("session %d: registering set UsesDynamicAlloc in the caller's binary", session)
+		}
+	}
+}
+
 // TestPTXNestedRequiresRegistration: PTX-detected nesting makes the
 // runtime reject launches without a registered nested structure.
 func TestPTXNestedRequiresRegistration(t *testing.T) {

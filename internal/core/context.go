@@ -267,7 +267,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		// the binary reaches the bound vGPU's CUDA context at bind
 		// time, or immediately if already bound. Kernel attributes the
 		// toolchain did not set are derived from the shipped PTX (§1).
-		api.AnnotateFromPTX(&c.Binary)
+		c.Binary = api.AnnotateFromPTX(c.Binary)
 		ctx.binaries[c.Binary.ID] = c.Binary
 		if v := rt.boundVGPU(ctx); v != nil {
 			if err := v.cuctx.RegisterFatBinary(c.Binary); err != nil {

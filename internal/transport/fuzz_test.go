@@ -132,7 +132,7 @@ func FuzzDecodeCall(f *testing.F) {
 			}
 		}
 		_ = call.CallName()
-		used := data[:consumed(in, len(data), &srv.w)]
+		used := data[:consumed(in, len(data), srv.w)]
 		if again := callFrame(t, srv.lastSeq, call); !bytes.Equal(again, used) {
 			t.Fatalf("%#v was decoded from\n  %x\nbut encodes as\n  %x", call, used, again)
 		}
@@ -168,9 +168,69 @@ func FuzzDecodeReply(f *testing.F) {
 			}
 			return
 		}
-		used := data[:consumed(in, len(data), &cl.w)]
+		used := data[:consumed(in, len(data), cl.w)]
 		if again := replyFrame(t, cl.seq, reply); !bytes.Equal(again, used) {
 			t.Fatalf("%+v was decoded from\n  %x\nbut encodes as\n  %x", reply, used, again)
+		}
+	})
+}
+
+// memoSeeds are frame sequences that each hold a near miss for the
+// memo: the same frame again after one that differs from it only in one
+// body byte, in the span parent, in the span flag, or in fitting the
+// read buffer.
+func memoSeeds(t testing.TB) [][]byte {
+	frames := func(calls ...api.Call) []byte {
+		var b []byte
+		for i, c := range calls {
+			b = append(b, callFrame(t, uint64(i+1), c)...)
+		}
+		return b
+	}
+	malloc := api.MallocCall{Size: 8}
+	flipped := callFrame(t, 2, malloc)
+	flipped[headerLen] ^= 1
+	launch := api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{1, 2}}
+	fits := api.MemcpyHDCall{Dst: 1, Data: bytes.Repeat([]byte{7}, readBuf-headerLen-17)}
+	over := api.MemcpyHDCall{Dst: 1, Data: bytes.Repeat([]byte{7}, readBuf-headerLen-16)}
+	return [][]byte{
+		append(append(callFrame(t, 1, malloc), flipped...), callFrame(t, 3, malloc)...),
+		frames(api.WithSpan{Parent: 1, Call: launch}, api.WithSpan{Parent: 2, Call: launch}, api.WithSpan{Parent: 1, Call: launch}),
+		frames(malloc, api.WithSpan{Call: malloc}, malloc, api.WithSpan{Parent: 1, Call: malloc}),
+		frames(fits, fits, over, over, fits),
+		frames(append(everyCall, everyCall...)...),
+	}
+}
+
+// FuzzMemoMatchesDecode feeds one server connection a sequence of
+// frames. Whatever Recv returns, from the memo or not, must equal a
+// fresh api.DecodeCall of the frame it came from, and the memo must
+// never hold a frame that did not fit the read buffer.
+func FuzzMemoMatchesDecode(f *testing.F) {
+	for _, b := range memoSeeds(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &memConn{in: bytes.NewReader(data)}
+		srv := NewServerConn(in).(*tcpServerConn)
+		w := srv.w
+		for start := 0; ; {
+			call, err := srv.Recv()
+			if err != nil {
+				return
+			}
+			end := consumed(in, len(data), w)
+			fr := data[start:end]
+			want, err := api.DecodeCall(api.Kind(fr[5]), le.Uint64(fr[14:]), fr[headerLen:], false)
+			if err != nil || !reflect.DeepEqual(call, want) {
+				t.Fatalf("frame %x: Recv returned %#v, a fresh decode %#v (%v)", fr, call, want, err)
+			}
+			for _, e := range w.memo {
+				if e.call != nil && headerLen+len(e.body) > readBuf {
+					t.Fatalf("memo holds a %d-byte body, past the %d-byte read buffer", len(e.body), readBuf)
+				}
+			}
+			start = end
 		}
 	})
 }

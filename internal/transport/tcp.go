@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -47,12 +48,22 @@ const (
 	// keepWriteBuf is the largest send buffer a connection holds on to
 	// between frames.
 	keepWriteBuf = 64 << 10
+
+	// memoSize is how many decoded frames a serving connection
+	// remembers (wire.decodeCall), and memoRoom the body bytes each
+	// memo slot starts with: every fixed-size call and a launch with a
+	// few arguments.
+	memoSize = 4
+	memoRoom = 128
 )
 
 var le = binary.LittleEndian
 
 // wire is the framing state of one end of a connection. It is used by
-// one goroutine at a time: calls are strictly sequential.
+// one goroutine at a time: calls are strictly sequential. Wires are
+// pooled: a connection takes one when it opens and its Close gives it
+// back, so a short offloaded session (§4.7) pays for no buffer of its
+// own.
 type wire struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -66,10 +77,48 @@ type wire struct {
 	wbuf []byte
 	iov  [2][]byte
 	vec  net.Buffers
+	// memo is the serving side's last decoded frames, next the slot the
+	// next miss overwrites.
+	memo [memoSize]memoEntry
+	next int
 }
 
-func newWire(c net.Conn) wire {
-	return wire{c: c, br: bufio.NewReaderSize(c, readBuf), wbuf: make([]byte, headerLen, 256)}
+// memoEntry is one remembered frame: the header fields its decoding
+// depends on, a copy of its body, and the call it decoded to (nil in an
+// empty slot).
+type memoEntry struct {
+	kind   api.Kind
+	parent uint64
+	body   []byte
+	call   api.Call
+}
+
+var wirePool = sync.Pool{New: func() any {
+	w := &wire{br: bufio.NewReaderSize(nil, readBuf), wbuf: make([]byte, headerLen, 256)}
+	room := make([]byte, memoSize*memoRoom)
+	for i := range w.memo {
+		w.memo[i].body = room[i*memoRoom : i*memoRoom : (i+1)*memoRoom]
+	}
+	return w
+}}
+
+func newWire(c net.Conn) *wire {
+	w := wirePool.Get().(*wire)
+	w.c = c
+	w.br.Reset(c)
+	return w
+}
+
+// release clears w — its connection, buffered bytes and remembered
+// calls — and puts it back in the pool. The caller must hold the only
+// reference and drop it.
+func (w *wire) release() {
+	w.br.Reset(nil)
+	w.c, w.held, w.next = nil, 0, 0
+	for i := range w.memo {
+		w.memo[i] = memoEntry{body: w.memo[i].body[:0]}
+	}
+	wirePool.Put(w)
 }
 
 func (w *wire) sendCall(seq uint64, call api.Call) error {
@@ -155,6 +204,27 @@ func (w *wire) read() (frame, error) {
 	return f, err
 }
 
+// decodeCall is api.DecodeCall behind a memo of the last memoSize
+// frames. A frame whose kind, span parent and body equal a remembered
+// one gets the very value that one decoded to: an offloaded session's
+// copies and launches repeat byte for byte, and a received call is
+// immutable (ServerConn.Recv). Only a frame read in place is remembered,
+// so the memo holds at most memoSize read buffers' worth of bytes.
+func (w *wire) decodeCall(f frame) (api.Call, error) {
+	for i := range w.memo {
+		if e := &w.memo[i]; e.call != nil && e.kind == f.kind && e.parent == f.parent && bytes.Equal(e.body, f.body) {
+			return e.call, nil
+		}
+	}
+	call, err := api.DecodeCall(f.kind, f.parent, f.body, f.own)
+	if err == nil && !f.own {
+		e := &w.memo[w.next]
+		*e = memoEntry{kind: f.kind, parent: f.parent, body: append(e.body[:0], f.body...), call: call}
+		w.next = (w.next + 1) % memoSize
+	}
+	return call, err
+}
+
 // readOwned reads an n-byte body into a fresh buffer without trusting n
 // for more than readChunk beyond what has arrived.
 func readOwned(r io.Reader, n int) ([]byte, error) {
@@ -169,14 +239,42 @@ func readOwned(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// tcpConn is the client side of a TCP connection.
-// Calls are serialised by a mutex: a connection belongs to a single
-// application thread and carries one call at a time.
+// endpoint is what either side of a stream connection holds: the socket
+// and, until the connection ends, a pooled wire. mu serialises the
+// side's operations, so a Close that races one cannot pull the wire from
+// under it.
+type endpoint struct {
+	c  net.Conn
+	mu sync.Mutex
+	w  *wire // nil once the connection has ended
+}
+
+// drop gives the wire back to the pool; the caller holds mu. Every later
+// operation finds no wire and returns ErrClosed, so none can touch a
+// buffer another connection now owns.
+func (e *endpoint) drop() {
+	if e.w != nil {
+		e.w.release()
+		e.w = nil
+	}
+}
+
+// Close may be called while an operation is in flight (a deadline
+// tearing down a peer that stopped replying): the socket closes before
+// the lock is taken, so the blocked read fails and lets go of the wire.
+func (e *endpoint) Close() error {
+	err := e.c.Close()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.drop()
+	return err
+}
+
+// tcpConn is the client side of a TCP connection. A connection belongs
+// to a single application thread and carries one call at a time.
 type tcpConn struct {
-	mu   sync.Mutex
-	w    wire
-	seq  uint64
-	dead bool
+	endpoint
+	seq uint64
 }
 
 // Dial connects to a runtime daemon at addr (host:port).
@@ -191,7 +289,7 @@ func Dial(addr string) (Conn, error) {
 // NewClientConn wraps an established net.Conn as the client side of a
 // connection.
 func NewClientConn(c net.Conn) Conn {
-	return &tcpConn{w: newWire(c)}
+	return &tcpConn{endpoint: endpoint{c: c, w: newWire(c)}}
 }
 
 // Call sends call and waits for its reply. Any failure — a call with no
@@ -201,17 +299,17 @@ func NewClientConn(c net.Conn) Conn {
 func (t *tcpConn) Call(call api.Call) (api.Reply, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.dead {
+	if t.w == nil {
 		return api.Reply{}, ErrClosed
 	}
 	t.seq++
 	if err := t.w.sendCall(t.seq, call); err != nil {
-		t.dead = true
+		t.drop()
 		return api.Reply{}, fmt.Errorf("transport: send: %w", err)
 	}
 	reply, err := t.recvReply()
 	if err != nil {
-		t.dead = true
+		t.drop()
 		return api.Reply{}, fmt.Errorf("transport: recv: %w", err)
 	}
 	return reply, nil
@@ -231,27 +329,16 @@ func (t *tcpConn) recvReply() (api.Reply, error) {
 	return api.DecodeReply(f.body, f.own)
 }
 
-// Close may be called while a Call is in flight (a deadline tearing
-// down a peer that stopped replying): the socket closes before the lock
-// is taken, so the blocked read fails and the hung Call lets go of it.
-func (t *tcpConn) Close() error {
-	err := t.w.c.Close()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dead = true
-	return err
-}
-
 // tcpServerConn is the daemon side of a stream connection.
 type tcpServerConn struct {
-	w       wire
+	endpoint
 	lastSeq uint64
 }
 
 // NewServerConn wraps an accepted net.Conn as the runtime side of a
 // connection.
 func NewServerConn(c net.Conn) ServerConn {
-	return &tcpServerConn{w: newWire(c)}
+	return &tcpServerConn{endpoint: endpoint{c: c, w: newWire(c)}}
 }
 
 // Recv is where a peer's bytes become a call, and the only place they
@@ -260,15 +347,22 @@ func NewServerConn(c net.Conn) ServerConn {
 // exactly, closes the connection — the peer sees EOF instead of waiting
 // for a reply that cannot come — and is reported as ErrClosed.
 func (t *tcpServerConn) Recv() (api.Call, error) {
-	f, err := t.w.read()
-	if err == nil {
-		var call api.Call
-		if call, err = api.DecodeCall(f.kind, f.parent, f.body, f.own); err == nil {
-			t.lastSeq = f.seq
-			return call, nil
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.w == nil {
+		return nil, ErrClosed
 	}
-	_ = t.w.c.Close()
+	f, err := t.w.read()
+	var call api.Call
+	if err == nil {
+		call, err = t.w.decodeCall(f)
+	}
+	if err == nil {
+		t.lastSeq = f.seq
+		return call, nil
+	}
+	_ = t.c.Close()
+	t.drop()
 	if err == io.EOF {
 		return nil, ErrClosed
 	}
@@ -278,14 +372,18 @@ func (t *tcpServerConn) Recv() (api.Call, error) {
 // Reply answers the last call. If it cannot be sent the client would
 // wait forever, so the connection is closed.
 func (t *tcpServerConn) Reply(r api.Reply) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.w == nil {
+		return ErrClosed
+	}
 	if err := t.w.sendReply(t.lastSeq, r); err != nil {
-		_ = t.w.c.Close()
+		_ = t.c.Close()
+		t.drop()
 		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	return nil
 }
-
-func (t *tcpServerConn) Close() error { return t.w.c.Close() }
 
 // Listener accepts runtime connections over TCP.
 type Listener struct {

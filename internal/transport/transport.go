@@ -46,7 +46,10 @@ type ServerConn interface {
 	// api.WithSpan wraps a non-nil call that is not another WithSpan,
 	// and anything a peer sends that does not decode into such a call
 	// ends the connection instead (the pipe's sender is code in this
-	// process and is only held to non-nil).
+	// process and is only held to non-nil). A received call is
+	// immutable: a handler never writes through its slices. A stream
+	// hands out one value for every repeat of the same frame, and a pipe
+	// hands over the caller's own slices.
 	Recv() (api.Call, error)
 	// Reply answers the call most recently returned by Recv.
 	Reply(api.Reply) error
