@@ -71,23 +71,85 @@ var ErrWire = errors.New("api: malformed wire data")
 
 var le = binary.LittleEndian
 
-// AppendCall appends c's wire body to dst and reports c's kind. The
-// call's bulk field, if it has one, is returned as payload instead of
-// being appended, so that a transport can send it without copying: the
-// body is dst followed by payload. parent is WithSpan.Parent, for the
-// frame header, and zero for any other call. Kind 0 means c has no
-// wire form: nil, a type this file does not know, or a WithSpan around
-// nothing or around another WithSpan.
-func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64) {
+// KindOf is the one call→kind table: c's wire kind, with KindSpan set on
+// a WithSpan around a call that has a kind of its own. Kind 0 means c
+// has no wire form: nil, a type this file does not know, or a WithSpan
+// around nothing or around another WithSpan.
+func KindOf(c Call) Kind {
 	switch c := c.(type) {
 	case WithSpan:
 		if _, nested := c.Call.(WithSpan); nested {
-			return dst, nil, 0, 0
+			return 0
 		}
-		if body, payload, k, _ = AppendCall(dst, c.Call); k == 0 {
-			return dst, nil, 0, 0
+		if k := KindOf(c.Call); k != 0 {
+			return k | KindSpan
 		}
-		return body, payload, k | KindSpan, c.Parent
+	case RegisterFatBinaryCall:
+		return KindRegisterFatBinary
+	case MallocCall:
+		return KindMalloc
+	case FreeCall:
+		return KindFree
+	case MemsetCall:
+		return KindMemset
+	case MemcpyHDCall:
+		return KindMemcpyHD
+	case MemcpyDHCall:
+		return KindMemcpyDH
+	case MemcpyDDCall:
+		return KindMemcpyDD
+	case LaunchCall:
+		return KindLaunch
+	case SetDeviceCall:
+		return KindSetDevice
+	case GetDeviceCountCall:
+		return KindGetDeviceCount
+	case SynchronizeCall:
+		return KindSynchronize
+	case RegisterNestedCall:
+		return KindRegisterNested
+	case SetAppIDCall:
+		return KindSetAppID
+	case SetTenantCall:
+		return KindSetTenant
+	case SetDeadlineCall:
+		return KindSetDeadline
+	case GetSessionCall:
+		return KindGetSession
+	case ResumeCall:
+		return KindResume
+	case CheckpointCall:
+		return KindCheckpoint
+	case PingCall:
+		return KindPing
+	case MigrateCall:
+		return KindMigrate
+	case MigrateFrameCall:
+		return KindMigrateFrame
+	case AdoptCall:
+		return KindAdopt
+	case ExitCall:
+		return KindExit
+	case StatsCall:
+		return KindStats
+	}
+	return 0
+}
+
+// AppendCall appends c's wire body to dst and reports c's kind (KindOf).
+// The call's bulk field, if it has one, is returned as payload instead
+// of being appended, so that a transport can send it without copying:
+// the body is dst followed by payload. parent is WithSpan.Parent, for
+// the frame header, and zero for any other call. Kind 0 means c has no
+// wire form, and nothing is appended.
+func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64) {
+	if k = KindOf(c); k == 0 {
+		return dst, nil, 0, 0
+	}
+	switch c := c.(type) {
+	case WithSpan:
+		body, payload, _, _ = AppendCall(dst, c.Call)
+		return body, payload, k, c.Parent
 	case RegisterFatBinaryCall:
 		dst = appendString(dst, c.Binary.ID)
 		dst = le.AppendUint32(dst, uint32(len(c.Binary.Kernels)))
@@ -98,28 +160,26 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 			dst = appendBool(dst, m.UsesNestedPointers)
 			dst = appendString(dst, m.PTX)
 		}
-		return dst, nil, KindRegisterFatBinary, 0
 	case MallocCall:
 		dst = le.AppendUint64(dst, c.Size)
 		dst = le.AppendUint64(dst, uint64(c.Kind))
-		return dst, nil, KindMalloc, 0
 	case FreeCall:
-		return le.AppendUint64(dst, uint64(c.Ptr)), nil, KindFree, 0
+		dst = le.AppendUint64(dst, uint64(c.Ptr))
 	case MemsetCall:
 		dst = le.AppendUint64(dst, uint64(c.Dst))
 		dst = le.AppendUint64(dst, c.Size)
-		return append(dst, c.Value), nil, KindMemset, 0
+		dst = append(dst, c.Value)
 	case MemcpyHDCall:
 		dst = le.AppendUint64(dst, uint64(c.Dst))
 		dst = le.AppendUint64(dst, c.Size)
-		return appendBool(dst, c.Data != nil), c.Data, KindMemcpyHD, 0
+		dst, payload = appendBool(dst, c.Data != nil), c.Data
 	case MemcpyDHCall:
 		dst = le.AppendUint64(dst, uint64(c.Src))
-		return le.AppendUint64(dst, c.Size), nil, KindMemcpyDH, 0
+		dst = le.AppendUint64(dst, c.Size)
 	case MemcpyDDCall:
 		dst = le.AppendUint64(dst, uint64(c.Dst))
 		dst = le.AppendUint64(dst, uint64(c.Src))
-		return le.AppendUint64(dst, c.Size), nil, KindMemcpyDD, 0
+		dst = le.AppendUint64(dst, c.Size)
 	case LaunchCall:
 		dst = appendDim3(dst, c.Grid)
 		dst = appendDim3(dst, c.Block)
@@ -131,43 +191,28 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 		for _, ro := range c.ReadOnly {
 			dst = appendBool(dst, ro)
 		}
-		return dst, nil, KindLaunch, 0
 	case SetDeviceCall:
-		return le.AppendUint64(dst, uint64(c.Device)), nil, KindSetDevice, 0
-	case GetDeviceCountCall:
-		return dst, nil, KindGetDeviceCount, 0
-	case SynchronizeCall:
-		return dst, nil, KindSynchronize, 0
+		dst = le.AppendUint64(dst, uint64(c.Device))
 	case RegisterNestedCall:
 		dst = le.AppendUint64(dst, uint64(c.Parent))
 		dst = appendUint64s(dst, c.Members)
-		return appendUint64s(dst, c.Offsets), nil, KindRegisterNested, 0
+		dst = appendUint64s(dst, c.Offsets)
 	case SetAppIDCall:
-		return appendString(dst, c.AppID), nil, KindSetAppID, 0
+		dst = appendString(dst, c.AppID)
 	case SetTenantCall:
-		return appendString(dst, c.Tenant), nil, KindSetTenant, 0
+		dst = appendString(dst, c.Tenant)
 	case SetDeadlineCall:
-		return le.AppendUint64(dst, uint64(c.Relative)), nil, KindSetDeadline, 0
-	case GetSessionCall:
-		return dst, nil, KindGetSession, 0
+		dst = le.AppendUint64(dst, uint64(c.Relative))
 	case ResumeCall:
-		return le.AppendUint64(dst, uint64(c.ID)), nil, KindResume, 0
-	case CheckpointCall:
-		return dst, nil, KindCheckpoint, 0
-	case PingCall:
-		return dst, nil, KindPing, 0
+		dst = le.AppendUint64(dst, uint64(c.ID))
 	case MigrateCall:
-		return appendString(dst, c.Target), nil, KindMigrate, 0
+		dst = appendString(dst, c.Target)
 	case MigrateFrameCall:
-		return appendBool(dst, c.Frame != nil), c.Frame, KindMigrateFrame, 0
+		dst, payload = appendBool(dst, c.Frame != nil), c.Frame
 	case AdoptCall:
-		return appendString(dst, c.Dir), nil, KindAdopt, 0
-	case ExitCall:
-		return dst, nil, KindExit, 0
-	case StatsCall:
-		return dst, nil, KindStats, 0
+		dst = appendString(dst, c.Dir)
 	}
-	return dst, nil, 0, 0
+	return dst, payload, k, 0
 }
 
 // DecodeCall decodes the body of a kind-k frame whose header carried

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gvrt/internal/trace"
 )
 
 // wireCalls is a populated value (or several, where nil and empty must
@@ -258,5 +260,42 @@ func TestWireCountCannotAllocate(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Errorf("rejecting two lying counts allocated %d bytes", grew)
+	}
+}
+
+// TestCallHistogramsCoverEveryKind checks the table the dispatcher's
+// per-kind histograms rest on: every call type's KindOf is distinct and
+// in trace.Timings.ObserveCall's range, so each type's service times
+// land in a histogram of its own, keyed by its CallName.
+func TestCallHistogramsCoverEveryKind(t *testing.T) {
+	var tm trace.Timings
+	seen := map[Kind]string{}
+	for name, values := range wireCalls {
+		c := values[0]
+		k := KindOf(c)
+		if w, ok := c.(WithSpan); ok {
+			if k != KindOf(w.Call)|KindSpan {
+				t.Errorf("KindOf(%#v) = %d, want the wrapped kind with the span flag", c, k)
+			}
+			continue
+		}
+		if k == 0 || int(k) >= trace.CallKinds {
+			t.Errorf("KindOf(%s) = %d, outside 1..%d", name, k, trace.CallKinds-1)
+			continue
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s and %s share kind %d", prev, name, k)
+		}
+		seen[k] = name
+		tm.ObserveCall(int(k), c.CallName(), 1)
+	}
+	snap := tm.Snapshot()
+	for name, values := range wireCalls {
+		if key := trace.CallFamily.Key + values[0].CallName(); name != "WithSpan" && snap[key].Count != 1 {
+			t.Errorf("%s: histogram %q counted %d calls, want 1", name, key, snap[key].Count)
+		}
+	}
+	if KindOf(nil) != 0 || KindOf(WithSpan{}) != 0 || KindOf(WithSpan{Call: WithSpan{Call: PingCall{}}}) != 0 {
+		t.Error("a call without a wire form has a kind")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/failover"
 	"gvrt/internal/memmgr"
 	"gvrt/internal/obs"
 	"gvrt/internal/sched"
@@ -73,9 +74,15 @@ type Context struct {
 	pinned atomic.Bool
 	// leaseEpoch is the session-lease epoch this node held when it
 	// acquired ownership; the write fence compares it against the lease
-	// table on every mutating call (fence.go). Atomic because resume()
+	// on every mutating call (fence.go). Atomic because resume()
 	// updates it under rt.mu while the fence reads it under ctx.mu.
 	leaseEpoch atomic.Uint64
+	// lease is the session's cell in the lease table, cached when the
+	// lease is acquired (and re-bound by resume) so the fence locks only
+	// this session's record. Set before the dispatcher starts and by
+	// resume, read by the fence: all on the dispatcher goroutine. Nil
+	// until acquired, which the fence treats as fenced.
+	lease *failover.Cell
 	// deposed marks a connection whose session migrated away: every
 	// later mutating call is fenced locally, without a table round trip.
 	deposed atomic.Bool
@@ -205,7 +212,7 @@ func (rt *Runtime) ServeLabeled(sc transport.ServerConn, label string) {
 			return r
 		}()
 		sp.end(-1, "", reply.Code.Err())
-		rt.timings.Call.Observe(call.CallName(), int64(rt.clock.Now()-served))
+		rt.timings.ObserveCall(int(api.KindOf(call)), call.CallName(), int64(rt.clock.Now()-served))
 
 		if err := sc.Reply(reply); err != nil {
 			return

@@ -12,7 +12,9 @@ import (
 // injected revocation — bumps the epoch, so a deposed owner's in-flight
 // write is rejected with the typed api.ErrFenced no matter how late it
 // arrives. The check piggybacks lease renewal: a healthy owner extends
-// its lease on every served call and never comes close to expiry.
+// its lease on every served call and never comes close to expiry. The
+// check goes through the session's own lease cell, cached on the
+// context, so it shares no lock with any other session's calls.
 
 // fence is the write fence: it rejects the call when this connection no
 // longer owns its session. Callers hold ctx.mu.
@@ -39,7 +41,7 @@ func (rt *Runtime) fence(ctx *Context) error {
 			t.Revoke(ctx.id)
 		}
 	}
-	renewed, err := t.Check(ctx.id, rt.cfg.node(), ctx.leaseEpoch.Load())
+	renewed, err := ctx.lease.Check(rt.cfg.node(), ctx.leaseEpoch.Load())
 	if err != nil {
 		rt.fenceRejections.Add(1)
 		if ctx.tm != nil {
@@ -56,17 +58,18 @@ func (rt *Runtime) fence(ctx *Context) error {
 }
 
 // leaseAcquire takes the session's lease for this node and remembers the
-// epoch on the context. A session owned live by another node fails with
-// ErrFenced. No-op without a lease table.
+// epoch and the lease's cell on the context. A session owned live by
+// another node fails with ErrFenced. No-op without a lease table.
 func (rt *Runtime) leaseAcquire(ctx *Context) error {
 	t := rt.cfg.Leases
 	if t == nil {
 		return nil
 	}
-	l, err := t.Acquire(ctx.id, rt.cfg.node())
+	c, l, err := t.Claim(ctx.id, rt.cfg.node())
 	if err != nil {
 		return err
 	}
+	ctx.lease = c
 	ctx.leaseEpoch.Store(l.Epoch)
 	return nil
 }

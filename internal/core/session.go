@@ -144,11 +144,12 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 		// Claiming the session means taking its lease; failure (a live
 		// owner elsewhere) leaves the orphan unclaimed for a later, valid
 		// claimant.
-		l, lerr := t.Acquire(id, rt.cfg.node())
+		c, l, lerr := t.Claim(id, rt.cfg.node())
 		if lerr != nil {
 			rt.mu.Unlock()
 			return api.ErrFenced
 		}
+		ctx.lease = c
 		ctx.leaseEpoch.Store(l.Epoch)
 	}
 	delete(rt.orphans, id)

@@ -15,6 +15,7 @@
 package failover
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -40,19 +41,40 @@ type Lease struct {
 	// Expires is the model time at which the lease lapses and becomes
 	// stealable. Expiry alone does not fence the owner: a slow owner
 	// that renews before anyone steals keeps its epoch (the renewal
-	// and the steal serialise on the table lock; exactly one wins).
+	// and the steal serialise on the session's cell lock; exactly one
+	// wins).
 	Expires time.Duration
 }
 
 // Table is the cluster's session-lease registry. One Table is shared by
-// every node of a cluster (the model of an external lease service);
-// all operations serialise on its lock, which is what makes the
-// renew-versus-steal race well defined. Safe for concurrent use.
+// every node of a cluster (the model of an external lease service).
+// Each session's record lives in its own Cell behind its own lock; the
+// table's lock guards only the map from session to cell, and table
+// operations take table lock → cell lock (Check drops the first before
+// taking the second). A holder that cached its cell (Claim) fences
+// through Cell.Check without touching the table, so sessions never
+// contend with one another on the per-call path. Renew-versus-steal
+// still serialises on the one cell lock, which is what makes that race
+// well defined. Safe for concurrent use.
 type Table struct {
 	mu     sync.Mutex
 	ttl    time.Duration
 	now    func() time.Duration
-	leases map[int64]*Lease
+	leases map[int64]*Cell
+}
+
+// Cell is one session's lease record with its own lock. A Release marks
+// it dead as it leaves the table, so a cached handle can never pass the
+// fence after the lease it named is gone — not even once a fresh lease
+// for the same session starts a new epoch chain in a new cell.
+type Cell struct {
+	mu   sync.Mutex
+	l    Lease
+	dead bool
+	// ttl and now are the table's, copied so that a fence reads nothing
+	// that shares a cache line with the table's lock.
+	ttl time.Duration
+	now func() time.Duration
 }
 
 // NewTable builds a lease table. ttl <= 0 means DefaultTTL; now is the
@@ -61,7 +83,7 @@ func NewTable(ttl time.Duration, now func() time.Duration) *Table {
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	return &Table{ttl: ttl, now: now, leases: make(map[int64]*Lease)}
+	return &Table{ttl: ttl, now: now, leases: make(map[int64]*Cell)}
 }
 
 // Acquire takes (or retakes) the session's lease for owner. A fresh
@@ -69,24 +91,34 @@ func NewTable(ttl time.Duration, now func() time.Duration) *Table {
 // the same epoch; an expired or revoked lease is taken over at epoch+1.
 // A live lease held by another node fails with api.ErrFenced.
 func (t *Table) Acquire(session int64, owner string) (Lease, error) {
+	_, l, err := t.Claim(session, owner)
+	return l, err
+}
+
+// Claim is Acquire that also hands back the session's cell, for a
+// holder that fences its calls through Cell.Check.
+func (t *Table) Claim(session int64, owner string) (*Cell, Lease, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
-	l := t.leases[session]
-	switch {
-	case l == nil:
-		l = &Lease{Session: session, Owner: owner, Epoch: 1, Expires: now + t.ttl}
-		t.leases[session] = l
-	case l.Owner == owner:
-		l.Expires = now + t.ttl
-	case l.Owner == "" || now > l.Expires:
-		l.Owner = owner
-		l.Epoch++
-		l.Expires = now + t.ttl
-	default:
-		return Lease{}, api.ErrFenced
+	c := t.leases[session]
+	if c == nil {
+		c = &Cell{l: Lease{Session: session, Owner: owner, Epoch: 1, Expires: expiry(now, t.ttl)}, ttl: t.ttl, now: t.now}
+		t.leases[session] = c
+		return c, c.l, nil
 	}
-	return *l, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.l.Owner == owner:
+	case c.l.Owner == "" || now > c.l.Expires:
+		c.l.Owner = owner
+		c.l.Epoch++
+	default:
+		return nil, Lease{}, api.ErrFenced
+	}
+	c.l.Expires = expiry(now, t.ttl)
+	return c, c.l, nil
 }
 
 // Check is the write fence: it verifies that (owner, epoch) still names
@@ -95,47 +127,83 @@ func (t *Table) Acquire(session int64, owner string) (Lease, error) {
 // fails with api.ErrFenced.
 func (t *Table) Check(session int64, owner string, epoch uint64) (renewed bool, err error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	l := t.leases[session]
-	if l == nil || l.Owner != owner || l.Epoch != epoch {
+	c := t.leases[session]
+	t.mu.Unlock()
+	return c.Check(owner, epoch)
+}
+
+// Check is Table.Check on a cached cell, under the cell's lock alone. A
+// nil cell — a holder that never acquired — is fenced.
+func (c *Cell) Check(owner string, epoch uint64) (renewed bool, err error) {
+	if c == nil {
 		return false, api.ErrFenced
 	}
-	now := t.now()
-	if l.Expires-now < t.ttl/2 {
-		l.Expires = now + t.ttl
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead || c.l.Owner != owner || c.l.Epoch != epoch {
+		return false, api.ErrFenced
+	}
+	now := c.now()
+	if c.l.Expires-now < c.ttl/2 {
+		c.l.Expires = expiry(now, c.ttl)
 		return true, nil
 	}
 	return false, nil
 }
 
+// expiry is now+ttl, saturating: a clock pinned at its maximum keeps a
+// renewed lease live instead of wrapping its expiry into the past.
+func expiry(now, ttl time.Duration) time.Duration {
+	if now > math.MaxInt64-ttl {
+		return math.MaxInt64
+	}
+	return now + ttl
+}
+
+// cell runs f on the session's record under table lock → cell lock; f
+// is not called for an unknown session.
+func (t *Table) cell(session int64, f func(c *Cell)) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.leases[session]
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f(c)
+	return true
+}
+
 // Steal transfers an expired (or revoked) lease to newOwner at epoch+1.
 // A lease still within its TTL cannot be stolen — the monitor must wait
 // for expiry; a concurrent renewal by the owner defeats the steal.
-func (t *Table) Steal(session int64, newOwner string) (Lease, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l := t.leases[session]
-	if l == nil {
-		return Lease{}, api.ErrInvalidValue
-	}
-	if l.Owner != "" && t.now() <= l.Expires {
-		return Lease{}, api.ErrFenced
-	}
-	l.Owner = newOwner
-	l.Epoch++
-	l.Expires = t.now() + t.ttl
-	return *l, nil
+func (t *Table) Steal(session int64, newOwner string) (l Lease, err error) {
+	err = api.ErrInvalidValue
+	t.cell(session, func(c *Cell) {
+		now := t.now()
+		if c.l.Owner != "" && now <= c.l.Expires {
+			err = api.ErrFenced
+			return
+		}
+		c.l.Owner = newOwner
+		c.l.Epoch++
+		c.l.Expires = expiry(now, t.ttl)
+		l, err = c.l, nil
+	})
+	return l, err
 }
 
 // Release drops the session's lease if owner still holds it (orderly
-// context exit). The record is deleted outright: a released session is
-// gone, not stealable.
+// context exit). The record is deleted outright and its cell marked
+// dead: a released session is gone, not stealable.
 func (t *Table) Release(session int64, owner string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l := t.leases[session]; l != nil && l.Owner == owner {
-		delete(t.leases, session)
-	}
+	t.cell(session, func(c *Cell) {
+		if c.l.Owner == owner {
+			c.dead = true
+			delete(t.leases, session)
+		}
+	})
 }
 
 // Revoke force-expires the session's lease and bumps the epoch, as if a
@@ -144,12 +212,10 @@ func (t *Table) Release(session int64, owner string) {
 // the prior owner's next fence check fails with ErrFenced, and anyone
 // may Acquire the session afterwards.
 func (t *Table) Revoke(session int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l := t.leases[session]; l != nil {
-		l.Owner = ""
-		l.Epoch++
-	}
+	t.cell(session, func(c *Cell) {
+		c.l.Owner = ""
+		c.l.Epoch++
+	})
 }
 
 // Expired lists sessions whose lease is past its TTL and still has an
@@ -159,20 +225,18 @@ func (t *Table) Expired() []int64 {
 	defer t.mu.Unlock()
 	now := t.now()
 	var ids []int64
-	for id, l := range t.leases {
-		if l.Owner != "" && now > l.Expires {
+	for id, c := range t.leases {
+		c.mu.Lock()
+		if c.l.Owner != "" && now > c.l.Expires {
 			ids = append(ids, id)
 		}
+		c.mu.Unlock()
 	}
 	return ids
 }
 
 // Lookup returns the session's current lease.
-func (t *Table) Lookup(session int64) (Lease, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l := t.leases[session]; l != nil {
-		return *l, true
-	}
-	return Lease{}, false
+func (t *Table) Lookup(session int64) (l Lease, ok bool) {
+	ok = t.cell(session, func(c *Cell) { l = c.l })
+	return l, ok
 }

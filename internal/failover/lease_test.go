@@ -2,6 +2,9 @@ package failover
 
 import (
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,5 +177,88 @@ func TestLeaseReleaseByNonOwnerIgnored(t *testing.T) {
 	tbl.Release(1, "b") // stale release from a deposed node
 	if l, ok := tbl.Lookup(1); !ok || l.Owner != "a" {
 		t.Fatalf("lease after foreign release = %+v, %v; want intact", l, ok)
+	}
+}
+
+// TestCellFencedAfterRelease: a cached cell never passes once the lease
+// it named was released — not even after a fresh lease for the same
+// session restarts the epoch chain in a new cell.
+func TestCellFencedAfterRelease(t *testing.T) {
+	tbl, _ := newTestTable(time.Hour)
+	c, l, err := tbl.Claim(1, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Check("a", l.Epoch); err != nil {
+		t.Fatalf("holder check through its cell: %v", err)
+	}
+	tbl.Release(1, "a")
+	if _, err := c.Check("a", l.Epoch); !errors.Is(err, api.ErrFenced) {
+		t.Fatalf("check after release err = %v, want ErrFenced", err)
+	}
+	if l2, err := tbl.Acquire(1, "a"); err != nil || l2.Epoch != l.Epoch {
+		t.Fatalf("fresh acquire after release = %+v, %v", l2, err)
+	}
+	if _, err := c.Check("a", l.Epoch); !errors.Is(err, api.ErrFenced) {
+		t.Fatalf("released cell passed once a new lease reused its epoch: %v", err)
+	}
+	var never *Cell
+	if _, err := never.Check("a", 1); !errors.Is(err, api.ErrFenced) {
+		t.Fatalf("nil cell err = %v, want ErrFenced", err)
+	}
+}
+
+// TestCellRenewVersusSteal races owners renewing through cached cells
+// against peers stealing on expiry, on a clock every operation moves.
+// For each epoch at most one owner's fence may ever pass.
+func TestCellRenewVersusSteal(t *testing.T) {
+	var clock atomic.Int64
+	tbl := NewTable(10*time.Millisecond, func() time.Duration { return time.Duration(clock.Load()) })
+	if _, err := tbl.Acquire(1, "n0"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	passed := map[uint64]map[string]bool{}
+	var wg sync.WaitGroup
+	for n := 0; n < 4; n++ {
+		owner := fmt.Sprintf("n%d", n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				clock.Add(int64(time.Millisecond))
+				l, err := tbl.Steal(1, owner)
+				if err != nil {
+					if l, err = tbl.Acquire(1, owner); err != nil {
+						continue
+					}
+				}
+				c, l2, err := tbl.Claim(1, owner)
+				if err != nil || l2.Epoch != l.Epoch {
+					continue // lost it between the two calls
+				}
+				for j := 0; j < 3; j++ {
+					clock.Add(int64(time.Millisecond))
+					if _, err := c.Check(owner, l.Epoch); err != nil {
+						break
+					}
+					mu.Lock()
+					if passed[l.Epoch] == nil {
+						passed[l.Epoch] = map[string]bool{}
+					}
+					passed[l.Epoch][owner] = true
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(passed) < 2 {
+		t.Fatalf("only %d epochs saw a passing fence; the race never ran", len(passed))
+	}
+	for epoch, owners := range passed {
+		if len(owners) > 1 {
+			t.Errorf("epoch %d: fences of %v all passed", epoch, owners)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func BenchmarkMakeResidentSwapOut(b *testing.B) {
 		if err := m.MakeResident(pte, dev); err != nil {
 			b.Fatal(err)
 		}
-		if err := m.SwapOut(pte, dev); err != nil {
+		if _, err := m.SwapOutEntries([]*PTE{pte}, dev); err != nil {
 			b.Fatal(err)
 		}
 	}

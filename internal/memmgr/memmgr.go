@@ -900,13 +900,6 @@ func (m *Manager) MarkKernelEffects(ptes []*PTE, readOnly []bool) {
 	}
 }
 
-// SwapOut performs the swap row of Table 1 on one entry (SwapOutEntries
-// of one).
-func (m *Manager) SwapOut(pte *PTE, ops DeviceOps) error {
-	_, err := m.SwapOutEntries([]*PTE{pte}, ops)
-	return err
-}
-
 // SwapOutAll swaps out every resident entry of a context — the
 // inter-application swap action (§4.5: "all the page table entries
 // belonging to the application that accepts the request will be

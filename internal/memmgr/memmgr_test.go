@@ -296,7 +296,7 @@ func TestFigure4FlagTransitions(t *testing.T) {
 	assertState("copyHD resident", true, true, false) // T/T/F
 
 	// swap: free device, data only on host.
-	if err := m.SwapOut(pte, ops); err != nil {
+	if _, err := m.SwapOutEntries([]*PTE{pte}, ops); err != nil {
 		t.Fatal(err)
 	}
 	assertState("swap", false, true, false) // F/T/F
@@ -509,7 +509,7 @@ func TestSwapOutPreservesDirtyData(t *testing.T) {
 	}
 	m.MarkKernelEffects([]*PTE{pte}, nil)
 	ops.poke(pte.Device, []byte{40, 41, 42, 43}) // kernel output
-	if err := m.SwapOut(pte, ops); err != nil {
+	if _, err := m.SwapOutEntries([]*PTE{pte}, ops); err != nil {
 		t.Fatal(err)
 	}
 	// Re-bind on a *different* device: data must follow.
@@ -778,7 +778,7 @@ func TestIntraAppSwapMatmul(t *testing.T) {
 	if err := m.MakeResident(c, ops); !errors.Is(err, api.ErrMemoryAllocation) {
 		t.Fatalf("expected OOM before intra-app swap, got %v", err)
 	}
-	if err := m.SwapOut(a, ops); err != nil {
+	if _, err := m.SwapOutEntries([]*PTE{a}, ops); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.MakeResident(c, ops); err != nil {

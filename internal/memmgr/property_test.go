@@ -67,7 +67,7 @@ func TestFlagInvariantsUnderRandomOps(t *testing.T) {
 						return false
 					}
 				case 3: // swap
-					if err := m.SwapOut(pte, dev); err != nil {
+					if _, err := m.SwapOutEntries([]*PTE{pte}, dev); err != nil {
 						return false
 					}
 				case 4: // memset
@@ -158,13 +158,13 @@ func TestDataIntegrityUnderRandomSwaps(t *testing.T) {
 					}
 				}
 			case 2:
-				if err := m.SwapOut(pte, dev); err != nil {
+				if _, err := m.SwapOutEntries([]*PTE{pte}, dev); err != nil {
 					return false
 				}
 			case 3:
 				// Re-bind on a brand new device: migration.
 				if pte.IsAllocated {
-					if err := m.SwapOut(pte, dev); err != nil {
+					if _, err := m.SwapOutEntries([]*PTE{pte}, dev); err != nil {
 						return false
 					}
 				}
@@ -242,7 +242,7 @@ func TestFlagInvariantsUnderSwapWriteFailures(t *testing.T) {
 				case 2:
 					_, err = m.CopyDH(pte, 0, 1, dev)
 				case 3:
-					err = m.SwapOut(pte, dev)
+					_, err = m.SwapOutEntries([]*PTE{pte}, dev)
 				case 4:
 					err = m.Memset(pte, 0, op, 1, dev)
 				}

@@ -15,6 +15,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"time"
 )
@@ -42,10 +43,15 @@ func NewClock(scale float64) *Clock {
 // Scale reports the wall-seconds-per-model-second factor.
 func (c *Clock) Scale() float64 { return c.scale }
 
-// Now returns the model time elapsed since the clock was created.
+// Now returns the model time elapsed since the clock was created. It
+// saturates at the largest Duration rather than overflowing: at scale
+// 1e-9 that is reached about 9.2 wall seconds after creation, and model
+// time must never run negative.
 func (c *Clock) Now() time.Duration {
-	wall := time.Since(c.start)
-	return time.Duration(float64(wall) / c.scale)
+	if m := float64(time.Since(c.start)) / c.scale; m < math.MaxInt64 {
+		return time.Duration(m)
+	}
+	return math.MaxInt64
 }
 
 // sleepFloor is the empirically observed minimum wall duration of

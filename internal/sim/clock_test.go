@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,20 @@ func TestNewClockDefaultScale(t *testing.T) {
 	c := NewClock(0.5)
 	if c.Scale() != 0.5 {
 		t.Errorf("Scale() = %v, want 0.5", c.Scale())
+	}
+}
+
+// TestClockNowSaturates: at scale 1e-9, ten wall seconds are 1e19 model
+// nanoseconds, past the largest Duration. Now must pin there instead of
+// wrapping negative.
+func TestClockNowSaturates(t *testing.T) {
+	c := &Clock{scale: 1e-9, start: time.Now().Add(-10 * time.Second)}
+	if now := c.Now(); now != math.MaxInt64 {
+		t.Fatalf("Now() = %v 10 s after a 1e-9 clock started, want the largest Duration", now)
+	}
+	fresh := NewClock(1e-9)
+	if now := fresh.Now(); now < 0 || now == math.MaxInt64 {
+		t.Fatalf("fresh 1e-9 clock: Now() = %v, want a small positive model time", now)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -184,60 +183,15 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// HistVec is a set of Histograms keyed by label (e.g. per call kind).
-// Lookup takes a read lock; Observe on the returned histogram is
-// lock-free.
-type HistVec struct {
-	mu sync.RWMutex
-	m  map[string]*Histogram
-}
+// CallKinds bounds the kinds Timings.ObserveCall takes, a call's wire
+// kind (api.KindOf); every kind is below it.
+const CallKinds = 32
 
-// Observe records v under label, creating the histogram on first use.
-func (v *HistVec) Observe(label string, val int64) {
-	v.With(label).Observe(val)
-}
-
-// With returns the histogram for label, creating it on first use.
-func (v *HistVec) With(label string) *Histogram {
-	v.mu.RLock()
-	h := v.m[label]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.m == nil {
-		v.m = make(map[string]*Histogram)
-	}
-	if h = v.m[label]; h == nil {
-		h = &Histogram{}
-		v.m[label] = h
-	}
-	return h
-}
-
-// Labels returns the registered labels, sorted.
-func (v *HistVec) Labels() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]string, 0, len(v.m))
-	for k := range v.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot copies every labeled histogram.
-func (v *HistVec) Snapshot() map[string]HistSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]HistSnapshot, len(v.m))
-	for k, h := range v.m {
-		out[k] = h.Snapshot()
-	}
-	return out
+// callHist is one call kind's service-time histogram and the CUDA-level
+// name its snapshot key carries ("call.<name>").
+type callHist struct {
+	name string
+	Histogram
 }
 
 // Timings bundles the runtime's latency and size histograms. All
@@ -245,9 +199,11 @@ func (v *HistVec) Snapshot() map[string]HistSnapshot {
 // which is wall time (fsync cost is real, not simulated). A zero
 // Timings is ready to use.
 type Timings struct {
-	// Call records service time per call kind ("call.<name>" keys in
-	// Snapshot).
-	Call HistVec
+	// call records service time per call kind, indexed by the call's
+	// wire kind and created on the kind's first observation, so a
+	// runtime carries histograms only for the kinds it serves
+	// ("call.<name>" keys in Snapshot).
+	call [CallKinds]atomic.Pointer[callHist]
 	// Launch is end-to-end kernel launch service time.
 	Launch Histogram
 	// QueueWait is time parked waiting for a free vGPU.
@@ -279,6 +235,18 @@ type Timings struct {
 	MigrationBytes Histogram
 }
 
+// ObserveCall records one service time of a call of wire kind kind
+// (api.KindOf) and CUDA-level name name: an array index and an atomic
+// load, with no lock and no map.
+func (t *Timings) ObserveCall(kind int, name string, v int64) {
+	h := t.call[kind].Load()
+	if h == nil {
+		t.call[kind].CompareAndSwap(nil, &callHist{name: name})
+		h = t.call[kind].Load()
+	}
+	h.Observe(v)
+}
+
 // Family declares one histogram family: the key its snapshot carries,
 // its exposition name and help, and its unit — bytes, or nanoseconds
 // exposed as seconds.
@@ -305,7 +273,7 @@ var Families = []Family{
 	{"swap_duration", "gvrt_swap_duration_seconds", "Per-swap-operation duration (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},
 }
 
-// CallFamily declares the per-call-kind histograms (Timings.Call),
+// CallFamily declares the per-call-kind histograms (Timings.ObserveCall),
 // keyed "call.<kind>" in a snapshot and labelled by kind on /metrics.
 var CallFamily = Family{Key: "call.", Metric: "gvrt_call_duration_seconds", Help: "Service time per CUDA call kind (model seconds)."}
 
@@ -343,9 +311,9 @@ func SortedKeys(m map[string]HistSnapshot) []string {
 // family key.
 func (t *Timings) Snapshot() map[string]HistSnapshot {
 	out := make(map[string]HistSnapshot)
-	for k, s := range t.Call.Snapshot() {
-		if s.Count > 0 {
-			out[CallFamily.Key+k] = s
+	for k := range t.call {
+		if h := t.call[k].Load(); h != nil {
+			out[CallFamily.Key+h.name] = h.Snapshot()
 		}
 	}
 	for _, f := range Families {

@@ -149,21 +149,6 @@ func TestHistSnapshotMergeDelta(t *testing.T) {
 	}
 }
 
-func TestHistVec(t *testing.T) {
-	var v HistVec
-	v.Observe("cudaLaunch", 100)
-	v.Observe("cudaLaunch", 200)
-	v.Observe("cudaMalloc", 50)
-	labels := v.Labels()
-	if len(labels) != 2 || labels[0] != "cudaLaunch" || labels[1] != "cudaMalloc" {
-		t.Errorf("Labels = %v", labels)
-	}
-	snap := v.Snapshot()
-	if snap["cudaLaunch"].Count != 2 || snap["cudaMalloc"].Count != 1 {
-		t.Errorf("Snapshot = %v", snap)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -186,7 +171,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestTimingsSnapshotSkipsEmpty(t *testing.T) {
 	var tm Timings
 	tm.Launch.Observe(5000)
-	tm.Call.Observe("cudaLaunch", 5000)
+	tm.ObserveCall(8, "cudaLaunch", 5000)
 	snap := tm.Snapshot()
 	if len(snap) != 2 {
 		t.Errorf("Snapshot keys = %v, want launch_latency and call.cudaLaunch only", snap)

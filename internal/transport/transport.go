@@ -14,7 +14,11 @@
 // A connection corresponds to exactly one application thread, carries
 // one call at a time, and stays open for the thread's lifetime — the
 // unit the paper's connection manager enqueues and the dispatcher
-// schedules.
+// schedules. The pipe relies on that alternation: the call and the reply
+// travel in the pipe's own fields, each direction is woken through a
+// one-slot channel that is never found full, and each side parks on a
+// plain receive — no select — and a pipe's per-call path touches
+// nothing any other pipe does.
 package transport
 
 import (
@@ -58,29 +62,33 @@ type ServerConn interface {
 	Close() error
 }
 
-// pipe implements an in-process connection with a pair of unbuffered
-// channels: the rendezvous gives exactly the synchronous semantics of
-// the socket RPC.
+// pipe implements an in-process connection. The call and the reply
+// travel in the pipe's own fields; each direction is signalled by a
+// one-slot channel. Calls strictly alternate with replies, so a signal
+// never finds its slot full, and each side parks on a plain receive
+// rather than a select that also locks a done channel.
+// Close, from either side or a third goroutine, marks the pipe closed
+// and closes both signal channels under mu, the lock that orders every
+// signal: whichever side is parked wakes and observes ErrClosed. A
+// signal sent before the close is still delivered, so a call the client
+// handed over is received and only its reply fails.
+//
+// Neither field outlives its delivery: the receiving side takes the
+// value and clears the field, so the pipe never pins a caller's buffers.
 type pipe struct {
-	calls   chan api.Call
-	replies chan api.Reply
-	done    chan struct{}
-	once    sync.Once
+	mu      sync.Mutex
+	closed  bool
+	call    api.Call
+	reply   api.Reply
+	callSig chan struct{}
+	replSig chan struct{}
 }
 
 // Pipe creates a connected in-process (client, server) pair.
 func Pipe() (Conn, ServerConn) {
-	p := &pipe{
-		calls:   make(chan api.Call),
-		replies: make(chan api.Reply),
-		done:    make(chan struct{}),
-	}
-	return (*pipeClient)(wrap(p)), (*pipeServer)(wrap(p))
+	p := &pipe{callSig: make(chan struct{}, 1), replSig: make(chan struct{}, 1)}
+	return (*pipeClient)(p), (*pipeServer)(p)
 }
-
-// wrap is the identity; it exists so the two views share the struct
-// while having distinct method sets.
-func wrap(p *pipe) *pipe { return p }
 
 type pipeClient pipe
 
@@ -89,17 +97,20 @@ func (c *pipeClient) Call(call api.Call) (api.Reply, error) {
 	if call == nil {
 		return api.Reply{}, errors.New("transport: nil call")
 	}
-	select {
-	case p.calls <- call:
-	case <-p.done:
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return api.Reply{}, ErrClosed
 	}
-	select {
-	case r := <-p.replies:
-		return r, nil
-	case <-p.done:
+	p.call = call
+	p.callSig <- struct{}{}
+	p.mu.Unlock()
+	if _, ok := <-p.replSig; !ok {
 		return api.Reply{}, ErrClosed
 	}
+	r := p.reply
+	p.reply = api.Reply{}
+	return r, nil
 }
 
 func (c *pipeClient) Close() error {
@@ -111,22 +122,24 @@ type pipeServer pipe
 
 func (s *pipeServer) Recv() (api.Call, error) {
 	p := (*pipe)(s)
-	select {
-	case call := <-p.calls:
-		return call, nil
-	case <-p.done:
+	if _, ok := <-p.callSig; !ok {
 		return nil, ErrClosed
 	}
+	call := p.call
+	p.call = nil
+	return call, nil
 }
 
 func (s *pipeServer) Reply(r api.Reply) error {
 	p := (*pipe)(s)
-	select {
-	case p.replies <- r:
-		return nil
-	case <-p.done:
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
 		return ErrClosed
 	}
+	p.reply = r
+	p.replSig <- struct{}{}
+	return nil
 }
 
 func (s *pipeServer) Close() error {
@@ -134,7 +147,15 @@ func (s *pipeServer) Close() error {
 	return nil
 }
 
-func (p *pipe) close() { p.once.Do(func() { close(p.done) }) }
+func (p *pipe) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed {
+		p.closed = true
+		close(p.callSig)
+		close(p.replSig)
+	}
+}
 
 // String diagnostics.
 func (c *pipeClient) String() string { return "pipe-client" }

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gvrt/internal/api"
 )
@@ -208,5 +210,91 @@ func TestPipeManySequentialCalls(t *testing.T) {
 		if r.Ptr != api.DevPtr(i) {
 			t.Fatalf("call %d: Ptr = %d", i, r.Ptr)
 		}
+	}
+}
+
+// TestPipeCloseStorm races Close from a third goroutine against a live
+// call stream: every Call, Recv and Reply must return a value or
+// ErrClosed, and none may stay blocked once the pipe is closed.
+func TestPipeCloseStorm(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		c, s := Pipe()
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for {
+				call, err := s.Recv()
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("Recv err = %v, want ErrClosed", err)
+					}
+					return
+				}
+				m := call.(api.MallocCall)
+				if err := s.Reply(api.Reply{Ptr: api.DevPtr(m.Size)}); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("Reply err = %v, want ErrClosed", err)
+					}
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				r, err := c.Call(api.MallocCall{Size: uint64(i)})
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("Call err = %v, want ErrClosed", err)
+					}
+					return
+				}
+				if r.Ptr != api.DevPtr(i) {
+					t.Errorf("call %d: Ptr = %d", i, r.Ptr)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < round%64; i++ {
+				runtime.Gosched()
+			}
+			if round%2 == 0 {
+				c.Close()
+			} else {
+				s.Close()
+			}
+		}()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: an operation stayed blocked after Close", round)
+		}
+	}
+}
+
+// TestPipeHoldsNoDeliveredValue checks that the pipe keeps no reference
+// to a call or reply once the other side has taken it, so it never pins
+// a caller's buffers between calls.
+func TestPipeHoldsNoDeliveredValue(t *testing.T) {
+	c, s := Pipe()
+	defer c.Close()
+	go echoServe(t, s)
+	r, err := c.Call(api.MemcpyDHCall{Size: 64})
+	if err != nil || len(r.Data) != 64 {
+		t.Fatalf("reply = %+v, %v", r, err)
+	}
+	p := (*pipe)(c.(*pipeClient))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.call != nil {
+		t.Errorf("pipe still holds the delivered call %#v", p.call)
+	}
+	if p.reply.Data != nil {
+		t.Error("pipe still holds the delivered reply's data")
 	}
 }
