@@ -195,24 +195,29 @@ func (rt *Runtime) ServeLabeled(sc transport.ServerConn, label string) {
 				rt.clock.Sleep(dec.Delay)
 			}
 		}
-		rt.calls.Add(1)
-		reply := func() api.Reply {
+		kind := api.KindOf(call)
+		reply, end := func() (api.Reply, time.Duration) {
 			// The service lock is released via defer so that even a
 			// panic escaping a handler cannot leave the context locked
 			// and deadlock teardown.
 			ctx.mu.Lock()
 			defer ctx.mu.Unlock()
-			defer ctx.lastActiveNS.Store(int64(rt.clock.Now()))
 			ctx.curSpan = sp.id()
 			defer func() { ctx.curSpan = 0 }()
 			r := rt.handle(ctx, call)
+			// One end reading: last-active is the call's end, not start (§4.5).
+			end := rt.clock.Now()
+			ctx.lastActiveNS.Store(int64(end))
 			if ctx.tm != nil {
 				ctx.tm.AddCall(r.Code != api.Success)
+				if kind == api.KindLaunch {
+					ctx.tm.Launch.Observe(int64(end - served))
+				}
 			}
-			return r
+			return r, end
 		}()
 		sp.end(-1, "", reply.Code.Err())
-		rt.timings.ObserveCall(int(api.KindOf(call)), call.CallName(), int64(rt.clock.Now()-served))
+		rt.timings.ObserveCall(int(kind), call.CallName(), int64(end-served))
 
 		if err := sc.Reply(reply); err != nil {
 			return

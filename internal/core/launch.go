@@ -16,19 +16,8 @@ import (
 // transfers), intra- and inter-application swapping (§4.5), the
 // unbind-and-retry fallback, and failure recovery by replay (§4.6).
 
-// launch services a cudaLaunch. The caller holds ctx.mu.
+// launch services a cudaLaunch (timed by the dispatcher); ctx.mu is held.
 func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
-	launchStart := rt.clock.Now()
-	defer func() {
-		lat := int64(rt.clock.Now() - launchStart)
-		rt.timings.Launch.Observe(lat)
-		if ctx.tm != nil {
-			// gpuTimeNS was attributed at the Exec site; here the bundle
-			// gets only the end-to-end latency observation (caller holds
-			// ctx.mu; Observe is lock-free).
-			ctx.tm.Launch.Observe(lat)
-		}
-	}()
 	meta, _, err := ctx.findKernel(call.Kernel)
 	if err != nil {
 		return err

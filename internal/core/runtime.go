@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -350,7 +351,6 @@ type Runtime struct {
 	// live (Observe is lock-free and cheap), independent of cfg.Trace.
 	timings trace.Timings
 
-	calls          atomic.Int64
 	binds          atomic.Int64
 	interSwaps     atomic.Int64
 	intraSwaps     atomic.Int64
@@ -557,7 +557,6 @@ func (rt *Runtime) Metrics() Metrics {
 	depth, live := len(rt.waiting), len(rt.ctxs)
 	rt.mu.Unlock()
 	m := Metrics{
-		CallsServed:   rt.calls.Load(),
 		Binds:         rt.binds.Load(),
 		InterAppSwaps: rt.interSwaps.Load(),
 		IntraAppSwaps: rt.intraSwaps.Load(),
@@ -584,6 +583,11 @@ func (rt *Runtime) Metrics() Metrics {
 		LiveContexts:   live,
 		Tenants:        rt.obsTenants.Snapshot(),
 		Histograms:     rt.timings.Snapshot(),
+	}
+	for k, h := range m.Histograms {
+		if strings.HasPrefix(k, trace.CallFamily.Key) {
+			m.CallsServed += h.Count
+		}
 	}
 	for _, ds := range rt.deviceList() {
 		st := ds.dev.Stats()

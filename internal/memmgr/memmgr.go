@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gvrt/internal/api"
 	"gvrt/internal/faultinject"
@@ -558,7 +559,7 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 	if ops == nil {
 		return api.ErrInvalidValue
 	}
-	_, _, err := m.syncToSwap([]*PTE{pte}, ops)
+	_, _, _, err := m.syncToSwap([]*PTE{pte}, ops)
 	return err
 }
 
@@ -566,13 +567,13 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 // swap-out, §4.6 checkpoint): the dirty ones among entries — resident,
 // device copy newer — are pulled as one submission and ToCopy2Swap is
 // cleared. entries belong to one context and do not repeat. It returns
-// how many entries it pulled and their bytes. An injected swap-write
-// failure (one check per entry) or a failed submission aborts before any
-// entry changed: each stays in the legal "device copy authoritative"
-// state, and the next sync retries.
-func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64, err error) {
+// how many entries it pulled, their bytes and (traced) when it ended. An
+// injected swap-write failure (one check per entry) or a failed
+// submission aborts before any entry changed: each stays in the legal
+// "device copy authoritative" state, and the next sync retries.
+func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64, end time.Duration, err error) {
 	if len(entries) == 0 {
-		return 0, 0, nil
+		return 0, 0, 0, nil
 	}
 	cs := entries[0].owner
 	items := cs.dh[:0]
@@ -584,23 +585,23 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 	}
 	cs.dh = items[:0] // no pointers to clear
 	if len(items) == 0 {
-		return 0, 0, nil
+		return 0, 0, m.tracer.Start(), nil
 	}
 	for range items {
 		if err := m.swapWriteFault(); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
 	t := m.tracer
 	start := t.Start()
 	datas, err := ops.MemcpyDHBatch(items)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if t != nil {
-		elapsed := t.Start() - start
-		t.Observe(t.D2H, int64(elapsed))
-		if elapsed > 0 && t.Spans() {
+		end = t.Start()
+		t.Observe(t.D2H, int64(end-start))
+		if end > start && t.Spans() {
 			t.Span("d2h", cs.id, start, -1, fmt.Sprintf("%d bytes in %d transfers", total, len(items)))
 		}
 	}
@@ -618,7 +619,7 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 		m.noteWrite(pte)
 		n++
 	}
-	return n, total, nil
+	return n, total, end, nil
 }
 
 // Free services a de-allocation (Table 1, free row): swap space is
@@ -927,9 +928,10 @@ func (m *Manager) liveTable(ctxID int64) []*PTE {
 // on host" state and can be made resident on any device. Besides the
 // unbind path, this serves intra-application eviction, which displaces
 // a launch's whole shortfall at once. It returns the number of entries
-// swapped.
-func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
-	_, spilled, err := m.syncToSwap(entries, ops)
+// swapped. The submission is timed (from the spill's end) and counted
+// once; only swap_bytes, which needs no clock, sees each entry.
+func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err error) {
+	_, spilled, start, err := m.syncToSwap(entries, ops)
 	if err != nil {
 		return 0, err
 	}
@@ -938,35 +940,38 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
 		m.swapBytes.Add(int64(spilled))
 		t.Attribute(entries[0].CtxID(), trace.AttrSwapBytes, int64(spilled))
 	}
-	n := 0
 	for _, pte := range entries {
 		if !pte.IsAllocated {
 			continue
 		}
-		start := t.Start()
 		// The data is safe in swap by now. A device that died before the
 		// free took its memory with it: the entry is swapped out all the
 		// same, and the swap image is as complete as if the free had
 		// succeeded.
-		if err := ops.Free(pte.Device); err != nil && !errors.Is(err, api.ErrDeviceUnavailable) {
-			return n, err
+		if e := ops.Free(pte.Device); e != nil && !errors.Is(e, api.ErrDeviceUnavailable) {
+			err = e
+			break
 		}
 		pte.IsAllocated = false
 		pte.Device = 0
 		pte.ToCopy2Dev = true
-		m.swapOps.Add(1)
-		t.Attribute(pte.CtxID(), trace.AttrSwapOps, 1)
 		if t != nil {
-			elapsed := t.Start() - start
-			t.Observe(t.SwapDur, int64(elapsed))
 			t.Observe(t.SwapBytes, int64(pte.Size))
-			if elapsed > 0 && t.Spans() {
-				t.Span("swap-out", pte.CtxID(), start, -1, fmt.Sprintf("%d bytes", pte.Size))
-			}
 		}
 		n++
 	}
-	return n, nil
+	if n > 0 {
+		m.swapOps.Add(int64(n))
+		t.Attribute(entries[0].CtxID(), trace.AttrSwapOps, int64(n))
+		if t != nil {
+			elapsed := t.Start() - start
+			t.Observe(t.SwapDur, int64(elapsed))
+			if elapsed > 0 && t.Spans() {
+				t.Span("swap-out", entries[0].CtxID(), start, -1, fmt.Sprintf("%d entries", n))
+			}
+		}
+	}
+	return n, err
 }
 
 // Checkpoint flushes every device-newer entry of the context to swap in
@@ -975,7 +980,7 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (int, error) {
 // can be restarted on another GPU at the cost of replaying only
 // not-yet-executed work. It returns the number of entries flushed.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
-	n, flushed, err := m.syncToSwap(m.liveTable(ctxID), ops)
+	n, flushed, _, err := m.syncToSwap(m.liveTable(ctxID), ops)
 	if err != nil {
 		return 0, err
 	}

@@ -15,15 +15,13 @@ import (
 const histBuckets = 64
 
 // Histogram is a fixed-shape log2-bucketed histogram. Observe is
-// lock-free (one atomic add per bucket plus count and sum), Snapshot
-// is a consistent-enough read for monitoring (buckets are read
-// individually, so a snapshot taken during heavy traffic may be off
-// by in-flight observations — acceptable for exposition). The shape
-// is identical across all histograms, which makes snapshots mergeable
-// bucket-by-bucket.
+// lock-free: two atomic adds, bucket and sum; the count is the buckets'
+// sum, so a snapshot's Count is the sum of its Buckets. A snapshot's Sum
+// may be off by in-flight observations — acceptable for exposition. The
+// shape is identical across all histograms, which makes snapshots
+// mergeable bucket-by-bucket.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 }
 
@@ -51,12 +49,8 @@ func BucketBound(i int) int64 {
 // Observe records one value (typically nanoseconds or bytes).
 func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // HistSnapshot is a point-in-time copy of a Histogram, shaped for the
 // wire: Buckets[i] is the count of observations in log2 bucket i,
@@ -70,12 +64,12 @@ type HistSnapshot struct {
 // Snapshot copies the histogram.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	last := -1
 	var raw [histBuckets]int64
 	for i := range h.buckets {
 		raw[i] = h.buckets[i].Load()
+		s.Count += raw[i]
 		if raw[i] != 0 {
 			last = i
 		}
@@ -187,11 +181,12 @@ func (s HistSnapshot) Mean() float64 {
 // kind (api.KindOf); every kind is below it.
 const CallKinds = 32
 
-// callHist is one call kind's service-time histogram and the CUDA-level
-// name its snapshot key carries ("call.<name>").
+// callHist is a call kind's CUDA-level name (its "call.<name>" key) and
+// service-time histogram: own, in one allocation, for all but cudaLaunch.
 type callHist struct {
 	name string
-	Histogram
+	*Histogram
+	own Histogram
 }
 
 // Timings bundles the runtime's latency and size histograms. All
@@ -204,15 +199,15 @@ type Timings struct {
 	// runtime carries histograms only for the kinds it serves
 	// ("call.<name>" keys in Snapshot).
 	call [CallKinds]atomic.Pointer[callHist]
-	// Launch is end-to-end kernel launch service time.
+	// Launch is the cudaLaunch call histogram, also named launch_latency.
 	Launch Histogram
 	// QueueWait is time parked waiting for a free vGPU.
 	QueueWait Histogram
 	// BindWait is total time from first bind attempt to bound.
 	BindWait Histogram
-	// SwapDur is per-swap-operation duration.
+	// SwapDur is swap-out duration, one observation per submission.
 	SwapDur Histogram
-	// SwapBytes is per-swap-operation size in bytes.
+	// SwapBytes is per-entry swap-out size in bytes (count = swap ops).
 	SwapBytes Histogram
 	// H2D and D2H are per-submission durations: one observation per
 	// vectored copy, however many entries it moves.
@@ -237,11 +232,15 @@ type Timings struct {
 
 // ObserveCall records one service time of a call of wire kind kind
 // (api.KindOf) and CUDA-level name name: an array index and an atomic
-// load, with no lock and no map.
+// load, with no lock and no map. cudaLaunch observes into Launch.
 func (t *Timings) ObserveCall(kind int, name string, v int64) {
 	h := t.call[kind].Load()
 	if h == nil {
-		t.call[kind].CompareAndSwap(nil, &callHist{name: name})
+		c := &callHist{name: name, Histogram: &t.Launch}
+		if name != "cudaLaunch" {
+			c.Histogram = &c.own
+		}
+		t.call[kind].CompareAndSwap(nil, c)
 		h = t.call[kind].Load()
 	}
 	h.Observe(v)
@@ -269,8 +268,8 @@ var Families = []Family{
 	{"migration_duration", "gvrt_migration_duration_seconds", "Cross-node session migration duration (model seconds).", false, func(t *Timings) *Histogram { return &t.MigrationDur }},
 	{"peer_call", "gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", false, func(t *Timings) *Histogram { return &t.PeerCall }},
 	{"queue_wait", "gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", false, func(t *Timings) *Histogram { return &t.QueueWait }},
-	{"swap_bytes", "gvrt_swap_size_bytes", "Per-swap-operation size (bytes).", true, func(t *Timings) *Histogram { return &t.SwapBytes }},
-	{"swap_duration", "gvrt_swap_duration_seconds", "Per-swap-operation duration (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},
+	{"swap_bytes", "gvrt_swap_size_bytes", "Size of each entry swapped out (bytes).", true, func(t *Timings) *Histogram { return &t.SwapBytes }},
+	{"swap_duration", "gvrt_swap_duration_seconds", "Swap-out duration per submission (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},
 }
 
 // CallFamily declares the per-call-kind histograms (Timings.ObserveCall),

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -228,5 +229,42 @@ func TestFamiliesDeclareEveryTiming(t *testing.T) {
 	}
 	if got := FormatValue("call.cudaLaunch", 1500); got != "1.5µs" {
 		t.Errorf("FormatValue(call.cudaLaunch) = %q, want 1.5µs", got)
+	}
+}
+
+// TestSnapshotCountIsBucketSum: with Observe racing Snapshot, every
+// snapshot's Count is the sum of its Buckets (there is no count word to
+// drift from them), and counts never go backwards. Run it with -race.
+func TestSnapshotCountIsBucketSum(t *testing.T) {
+	var h Histogram
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	defer wg.Wait()
+	defer close(done)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					h.Observe(i % 100000)
+				}
+			}
+		}()
+	}
+	var prev int64
+	for i := 0; i < 2000; i++ {
+		s := h.Snapshot()
+		var sum int64
+		for _, b := range s.Buckets {
+			sum += b
+		}
+		if s.Count != sum || s.Count < prev {
+			t.Fatalf("snapshot %d: Count %d, bucket sum %d, previous Count %d", i, s.Count, sum, prev)
+		}
+		prev = s.Count
 	}
 }

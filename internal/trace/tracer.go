@@ -68,17 +68,15 @@ func (t *Tracer) Span(phase string, ctx int64, start time.Duration, device int, 
 // Observe records v into h when both the tracer and histogram are
 // non-nil.
 func (t *Tracer) Observe(h *Histogram, v int64) {
-	if t == nil || h == nil {
-		return
+	if t != nil && h != nil {
+		h.Observe(v)
 	}
-	h.Observe(v)
 }
 
 // Attribute reports an attributable quantity for ctx. No-op on a nil
 // tracer or unset Attr sink.
 func (t *Tracer) Attribute(ctx int64, kind AttrKind, v int64) {
-	if t == nil || t.Attr == nil {
-		return
+	if t != nil && t.Attr != nil {
+		t.Attr(ctx, kind, v)
 	}
-	t.Attr(ctx, kind, v)
 }
