@@ -63,6 +63,37 @@ func KernelImpl(binaryID, kernel string) (KernelFunc, bool) {
 	return fn, ok
 }
 
+// Binaries is the set of fat binaries a context has registered, in
+// registration order. A kernel name two binaries define resolves to the
+// first-registered one, the same on every launch and in every layer.
+type Binaries []FatBinary
+
+// Register adds fb; a binary re-registered under its ID is replaced in
+// place.
+func (bs *Binaries) Register(fb FatBinary) {
+	for i := range *bs {
+		if (*bs)[i].ID == fb.ID {
+			(*bs)[i] = fb
+			return
+		}
+	}
+	*bs = append(*bs, fb)
+}
+
+// Find returns the metadata of the named kernel and the ID of the
+// binary it resolves to; ok is false if no binary defines it.
+func (bs Binaries) Find(name string) (meta KernelMeta, binaryID string, ok bool) {
+	for i := range bs {
+		ks := bs[i].Kernels
+		for j := range ks {
+			if ks[j].Name == name {
+				return ks[j], bs[i].ID, true
+			}
+		}
+	}
+	return KernelMeta{}, "", false
+}
+
 // FindKernel returns the metadata for a kernel name within a binary.
 func (fb *FatBinary) FindKernel(name string) (KernelMeta, error) {
 	for _, k := range fb.Kernels {

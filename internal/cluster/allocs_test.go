@@ -77,9 +77,9 @@ func TestSessionAllocs(t *testing.T) {
 		offload bool
 		run     func(t *testing.T, rt *core.Runtime)
 	}{
-		{"dispatch session", core.Config{}, 74, false, dispatchSession},
-		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, 95, false, interSwapPair},
-		{"offloaded session", core.Config{VGPUsPerDevice: 1, OffloadThreshold: 1}, 110, true, dispatchSession},
+		{"dispatch session", core.Config{}, 71, false, dispatchSession},
+		{"inter-swap pair", core.Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, 89, false, interSwapPair},
+		{"offloaded session", core.Config{VGPUsPerDevice: 1, OffloadThreshold: 1}, 108, true, dispatchSession},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var peerDone chan struct{}

@@ -87,20 +87,16 @@ func (rt *Runtime) bindWait(ctx *Context) (*vGPU, error) {
 }
 
 // onBind completes a binding outside rt.mu: the application's fat
-// binaries are registered with the vGPU's CUDA context (the dispatcher
-// issues registration functions before any kernel work, §4.3).
+// binaries become the vGPU's CUDA context's binaries, replacing those
+// of the application bound before (the dispatcher issues registration
+// functions before any kernel work, §4.3).
 func (rt *Runtime) onBind(ctx *Context, v *vGPU) error {
 	rt.binds.Add(1)
 	if rt.cfg.Logf != nil { // the guard keeps the arguments off the heap
-		rt.logf("ctx %d (%s) bound to %s", ctx.id, ctx.label, v.name)
+		rt.logf("ctx %d bound to %s", ctx.id, v.name)
 	}
 	rt.event(trace.KindBind, ctx.id, 0, v.ds.index, v.name)
-	for _, fb := range ctx.binaries {
-		if err := v.cuctx.RegisterFatBinary(fb); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.cuctx.SetFatBinaries(ctx.binaries)
 }
 
 // anyHealthy reports whether any device can still serve.
@@ -291,11 +287,7 @@ func (rt *Runtime) tryMigrateLocked(v *vGPU, depth int) {
 	// cascades to whoever waits for it or sits on a slower device still.
 	err := rt.vacate(victim, oldV)
 	if err == nil {
-		for _, fb := range victim.binaries {
-			if err = v.cuctx.RegisterFatBinary(fb); err != nil {
-				break
-			}
-		}
+		err = v.cuctx.SetFatBinaries(victim.binaries)
 	}
 
 	rt.mu.Lock()

@@ -20,17 +20,16 @@ import (
 // (§4.6's Context structure): its connection, registered binaries, the
 // replay log since the last checkpoint, binding state and accounting.
 //
-// Locking: mu is the service lock — the context's dispatcher goroutine
-// holds it for the duration of each call, and other parties
-// (inter-application swap, migration, device removal) acquire it before
-// touching the context's page-table entries. Binding fields (vgpu,
-// granted, waiting membership, needsRecovery) are guarded by the
-// runtime mutex. The *Time fields are atomics because scheduling
-// policies read them while the owner updates them.
+// Locking: mu is the service lock — Handle holds it for the duration of
+// each call, and other parties (inter-application swap, migration,
+// device removal) acquire it before touching the context's page-table
+// entries. Binding fields (vgpu, granted, waiting membership,
+// needsRecovery) are guarded by the runtime mutex. The *Time fields are
+// atomics because scheduling policies read them while the owner updates
+// them.
 type Context struct {
-	id    int64
-	rt    *Runtime
-	label string
+	id int64
+	rt *Runtime
 
 	mu sync.Mutex
 
@@ -50,8 +49,8 @@ type Context struct {
 	needsRecovery atomic.Bool
 	exited        atomic.Bool
 
-	// Owner-goroutine state (under mu).
-	binaries   map[string]api.FatBinary
+	// Owner state (under mu).
+	binaries   api.Binaries
 	replay     []api.LaunchCall
 	replayRefs map[api.DevPtr]bool
 	// unreplayed counts the log's trailing kernels the device state does
@@ -79,9 +78,9 @@ type Context struct {
 	leaseEpoch atomic.Uint64
 	// lease is the session's cell in the lease table, cached when the
 	// lease is acquired (and re-bound by resume) so the fence locks only
-	// this session's record. Set before the dispatcher starts and by
-	// resume, read by the fence: all on the dispatcher goroutine. Nil
-	// until acquired, which the fence treats as fenced.
+	// this session's record. Set before the first call and by resume,
+	// read by the fence: never by two calls at once. Nil until acquired,
+	// which the fence treats as fenced.
 	lease *failover.Cell
 	// deposed marks a connection whose session migrated away: every
 	// later mutating call is fenced locally, without a table round trip.
@@ -91,7 +90,7 @@ type Context struct {
 	migrate *migrateImport
 	// curSpan is the in-flight call's root span ID; phase children
 	// (queue-wait, bind, swap-in, launch, recovery) parent to it. Only
-	// the dispatcher goroutine reads or writes it.
+	// Handle reads or writes it, under mu.
 	curSpan trace.SpanID
 	// Launch-path scratch (under mu), reused call to call so the hot
 	// path stays allocation-free. Nothing downstream retains these: the
@@ -125,14 +124,12 @@ func (c *Context) waiterInfo() sched.Waiter {
 }
 
 // newContext registers a fresh context with the runtime.
-func (rt *Runtime) newContext(label string) *Context {
+func (rt *Runtime) newContext() *Context {
 	rt.mu.Lock()
 	rt.nextCtx++
 	ctx := &Context{
 		id:         rt.nextCtx,
 		rt:         rt,
-		label:      label,
-		binaries:   make(map[string]api.FatBinary),
 		replayRefs: make(map[api.DevPtr]bool),
 	}
 	rt.ctxs[ctx.id] = ctx
@@ -146,86 +143,75 @@ func (rt *Runtime) newContext(label string) *Context {
 	if j := rt.journal; j != nil {
 		j.ContextCreated(ctx.id)
 	}
-	rt.event(trace.KindConnect, ctx.id, 0, -1, label)
+	rt.event(trace.KindConnect, ctx.id, 0, -1, "")
 	return ctx
 }
 
-// Serve runs the dispatcher loop for one connection until the client
-// exits or the connection drops. It is the per-connection body of the
-// paper's multithreaded dispatcher (§4.3): call Serve on its own
-// goroutine per accepted connection.
+// Serve runs the dispatcher for one connection until the client exits
+// or the connection drops. It is the per-connection body of the paper's
+// multithreaded dispatcher (§4.3): call Serve on its own goroutine per
+// accepted connection. The goroutine owns the session — it creates the
+// context and tears it down — while each call is served by the
+// context's Handle, on whichever goroutine transport.Serve runs it.
 func (rt *Runtime) Serve(sc transport.ServerConn) {
-	rt.ServeLabeled(sc, "")
+	ctx := rt.newContext()
+	defer rt.teardown(ctx)
+	transport.Serve(sc, ctx)
 }
 
-// ServeLabeled is Serve with a diagnostic label attached to the context.
-func (rt *Runtime) ServeLabeled(sc transport.ServerConn, label string) {
-	ctx := rt.newContext(label)
-	defer rt.teardown(ctx)
-	// The dispatcher owns the connection for the session's whole life
-	// and nobody reads it afterwards: close it rather than leave an
-	// accepted socket to the garbage collector's finalizer.
-	defer func() { _ = sc.Close() }()
-	for {
-		call, err := sc.Recv()
-		if err != nil {
-			return
-		}
-		// A forwarding hop (offload proxy) wraps calls with its span ID
-		// so this node's call spans parent across the wire; unwrap
-		// before dispatch so handlers see the plain call.
-		var remoteParent trace.SpanID
-		if w, ok := call.(api.WithSpan); ok {
-			call, remoteParent = w.Call, trace.SpanID(w.Parent)
-		}
-		served := rt.clock.Now()
-		// The span's name is built only for a recorder to keep: it is
-		// an allocation, and this is every call of every session.
-		var sp *span
-		if rt.cfg.Trace != nil {
-			sp = rt.beginSpan("call."+call.CallName(), ctx.id, remoteParent)
-		}
-		// Framework overhead: interception, queuing, scheduling (§5:
-		// "all the overheads introduced by our framework").
-		rt.clock.Sleep(rt.cfg.overhead())
-		if h := rt.dispatchHook; h != nil {
-			// Injected scheduler stall: the call sits in the dispatcher
-			// for extra model time before being served.
-			if dec := h.Check(); dec.Delay > 0 {
-				rt.clock.Sleep(dec.Delay)
-			}
-		}
-		kind := api.KindOf(call)
-		reply, end := func() (api.Reply, time.Duration) {
-			// The service lock is released via defer so that even a
-			// panic escaping a handler cannot leave the context locked
-			// and deadlock teardown.
-			ctx.mu.Lock()
-			defer ctx.mu.Unlock()
-			ctx.curSpan = sp.id()
-			defer func() { ctx.curSpan = 0 }()
-			r := rt.handle(ctx, call)
-			// One end reading: last-active is the call's end, not start (§4.5).
-			end := rt.clock.Now()
-			ctx.lastActiveNS.Store(int64(end))
-			if ctx.tm != nil {
-				ctx.tm.AddCall(r.Code != api.Success)
-				if kind == api.KindLaunch {
-					ctx.tm.Launch.Observe(int64(end - served))
-				}
-			}
-			return r, end
-		}()
-		sp.end(-1, "", reply.Code.Err())
-		rt.timings.ObserveCall(int(kind), call.CallName(), int64(end-served))
-
-		if err := sc.Reply(reply); err != nil {
-			return
-		}
-		if _, isExit := call.(api.ExitCall); isExit {
-			return
+// Handle serves one call of the context's application thread and
+// reports whether the connection ends after the reply (an exit). Calls
+// of one context never overlap: the connection carries one at a time.
+func (ctx *Context) Handle(call api.Call) (api.Reply, bool) {
+	rt := ctx.rt
+	// A forwarding hop (offload proxy) wraps calls with its span ID so
+	// this node's call spans parent across the wire; unwrap before
+	// dispatch so handlers see the plain call.
+	var remoteParent trace.SpanID
+	if w, ok := call.(api.WithSpan); ok {
+		call, remoteParent = w.Call, trace.SpanID(w.Parent)
+	}
+	served := rt.clock.Now()
+	// The span's name is built only for a recorder to keep: it is an
+	// allocation, and this is every call of every session.
+	var sp *span
+	if rt.cfg.Trace != nil {
+		sp = rt.beginSpan("call."+call.CallName(), ctx.id, remoteParent)
+	}
+	// Framework overhead: interception, queuing, scheduling (§5: "all
+	// the overheads introduced by our framework").
+	rt.clock.Sleep(rt.cfg.overhead())
+	if h := rt.dispatchHook; h != nil {
+		// Injected scheduler stall: the call sits in the dispatcher for
+		// extra model time before being served.
+		if dec := h.Check(); dec.Delay > 0 {
+			rt.clock.Sleep(dec.Delay)
 		}
 	}
+	kind := api.KindOf(call)
+	reply, end := func() (api.Reply, time.Duration) {
+		// The service lock is released via defer so that even a panic
+		// escaping a handler cannot leave the context locked and
+		// deadlock teardown.
+		ctx.mu.Lock()
+		defer ctx.mu.Unlock()
+		ctx.curSpan = sp.id()
+		defer func() { ctx.curSpan = 0 }()
+		r := rt.handle(ctx, call)
+		// One end reading: last-active is the call's end, not start (§4.5).
+		end := rt.clock.Now()
+		ctx.lastActiveNS.Store(int64(end))
+		if ctx.tm != nil {
+			ctx.tm.AddCall(r.Code != api.Success)
+			if kind == api.KindLaunch {
+				ctx.tm.Launch.Observe(int64(end - served))
+			}
+		}
+		return r, end
+	}()
+	sp.end(-1, "", reply.Code.Err())
+	rt.timings.ObserveCall(int(kind), call.CallName(), int64(end-served))
+	return reply, kind == api.KindExit
 }
 
 // teardown releases everything a finished or disconnected context holds.
@@ -280,7 +266,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		// time, or immediately if already bound. Kernel attributes the
 		// toolchain did not set are derived from the shipped PTX (§1).
 		c.Binary = api.AnnotateFromPTX(c.Binary)
-		ctx.binaries[c.Binary.ID] = c.Binary
+		ctx.binaries.Register(c.Binary)
 		if v := rt.boundVGPU(ctx); v != nil {
 			if err := v.cuctx.RegisterFatBinary(c.Binary); err != nil {
 				return api.Reply{Code: api.Code(err)}

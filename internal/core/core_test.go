@@ -133,6 +133,102 @@ func TestEndToEndDataFlow(t *testing.T) {
 	}
 }
 
+// dupBinaries registers host implementations of kernel "k" in two
+// binaries, dup-a adding 1 to its buffer's first byte and dup-b 3,
+// and returns a constructor for binaries defining "k" with a given
+// duration.
+func dupBinaries(t *testing.T) func(id string, d time.Duration) api.FatBinary {
+	for id, add := range map[string]byte{"dup-a": 1, "dup-b": 3} {
+		api.RegisterKernelImpl(id, "k", func(mem api.KernelMemory, _ []uint64) error {
+			buf, err := mem.Arg(0)
+			if err == nil {
+				buf[0] += add
+			}
+			return err
+		})
+		t.Cleanup(func() { api.RegisterKernelImpl(id, "k", nil) })
+	}
+	return func(id string, d time.Duration) api.FatBinary {
+		return api.FatBinary{ID: id, Kernels: []api.KernelMeta{{Name: "k", BaseTime: d}}}
+	}
+}
+
+// launchK launches "k" n times on p, checking that core timed each
+// launch at want, and returns the buffer's first byte.
+func launchK(t *testing.T, env *testEnv, c *frontend.Client, p api.DevPtr, n int, want time.Duration) byte {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		before := env.rt.Metrics().GPUTimeNS
+		if err := c.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := time.Duration(env.rt.Metrics().GPUTimeNS - before); got != want {
+			t.Fatalf("launch %d was timed at %v, want %v", i+1, got, want)
+		}
+	}
+	out, err := c.MemcpyDH(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
+}
+
+// TestKernelResolvesToFirstRegisteredBinary: a kernel name two binaries
+// define resolves to the first-registered one on every launch, in both
+// layers — core times the launch from that binary's metadata and cudart
+// runs that binary's host implementation — and a binary registered
+// again under its ID keeps its place.
+func TestKernelResolvesToFirstRegisteredBinary(t *testing.T) {
+	bin := dupBinaries(t)
+	env := newEnv(t, Config{}, smallSpec(1<<20, 1))
+	c := env.client()
+	defer c.Close()
+	for _, fb := range []api.FatBinary{bin("dup-a", time.Millisecond), bin("dup-b", time.Second)} {
+		if err := c.RegisterFatBinary(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := c.Malloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := launchK(t, env, c, p, 32, time.Millisecond); got != 32 {
+		t.Fatalf("buffer = %d after 32 launches; want dup-a's implementation each time", got)
+	}
+	// Registered again while bound, with a new duration.
+	if err := c.RegisterFatBinary(bin("dup-a", 2*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := launchK(t, env, c, p, 32, 2*time.Millisecond); got != 64 {
+		t.Fatalf("buffer = %d after 64 launches; want dup-a's implementation each time", got)
+	}
+}
+
+// TestKernelResolvesAmongBoundAppsBinaries: a vGPU's CUDA context
+// serves one application after another, and a binary the previous one
+// registered does not resolve for the next.
+func TestKernelResolvesAmongBoundAppsBinaries(t *testing.T) {
+	bin := dupBinaries(t)
+	env := newEnv(t, Config{VGPUsPerDevice: 1}, smallSpec(1<<20, 1))
+	for i, fb := range []api.FatBinary{bin("dup-b", time.Second), bin("dup-a", time.Millisecond)} {
+		func() {
+			c := env.client()
+			defer c.Close()
+			if err := c.RegisterFatBinary(fb); err != nil {
+				t.Fatal(err)
+			}
+			p, err := c.Malloc(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]byte{"dup-a": 32, "dup-b": 96}[fb.ID]
+			if got := launchK(t, env, c, p, 32, fb.Kernels[0].BaseTime); got != want {
+				t.Fatalf("application %d (%s): buffer = %d after 32 launches, want %d", i, fb.ID, got, want)
+			}
+		}()
+	}
+}
+
 func TestDeviceCountReportsVGPUs(t *testing.T) {
 	env := newEnv(t, Config{VGPUsPerDevice: 3}, smallSpec(1<<20, 1), smallSpec(1<<20, 1))
 	c := env.client()

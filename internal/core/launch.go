@@ -18,9 +18,9 @@ import (
 
 // launch services a cudaLaunch (timed by the dispatcher); ctx.mu is held.
 func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
-	meta, _, err := ctx.findKernel(call.Kernel)
-	if err != nil {
-		return err
+	meta, _, ok := ctx.binaries.Find(call.Kernel)
+	if !ok {
+		return api.ErrNotRegistered
 	}
 	if meta.UsesDynamicAlloc && !ctx.pinned.Load() {
 		// Applications that allocate device memory from kernels are
@@ -91,17 +91,6 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 		return rt.checkpoint(ctx)
 	}
 	return nil
-}
-
-// findKernel locates kernel metadata in the context's registered
-// binaries.
-func (ctx *Context) findKernel(name string) (api.KernelMeta, string, error) {
-	for id, fb := range ctx.binaries {
-		if meta, err := fb.FindKernel(name); err == nil {
-			return meta, id, nil
-		}
-	}
-	return api.KernelMeta{}, "", api.ErrNotRegistered
 }
 
 // hasNestedRegistration reports whether at least one pointer argument

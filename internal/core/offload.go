@@ -86,7 +86,7 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 		// sessions run to completion.
 		rt.sheds.Add(1)
 		rt.event(trace.KindShed, 0, 0, -1, "draining")
-		rt.shed(sc)
+		transport.Serve(sc, shed{})
 		return
 	}
 	admitted := int(rt.admitted.Add(1))
@@ -101,7 +101,8 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 			// its ID travels with every forwarded call so the peer's
 			// call spans parent to it across the wire.
 			osp := rt.beginSpan("offload", 0, 0)
-			rt.proxy(sc, peer, osp.id())
+			transport.Serve(sc, &hop{peer: peer, parent: osp.id()})
+			_ = peer.Close()
 			osp.end(-1, "", nil)
 			return
 		}
@@ -112,7 +113,7 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 		rt.sheds.Add(1)
 		rt.logf("admission control: shedding connection (projected queue over cap)")
 		rt.event(trace.KindShed, 0, 0, -1, "")
-		rt.shed(sc)
+		transport.Serve(sc, shed{})
 		return
 	}
 	defer rt.admitted.Add(-1)
@@ -121,75 +122,52 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 
 // shed rejects a connection fast: every call is answered with
 // ErrOverloaded — a transient code retry layers understand — without
-// ever creating a context or touching the waiting list. The goroutine
-// parks on the (cheap) connection until the application gives up or
-// exits.
-func (rt *Runtime) shed(sc transport.ServerConn) {
-	defer func() { _ = sc.Close() }()
-	for {
-		call, err := sc.Recv()
-		if err != nil {
-			return
-		}
-		if _, isExit := call.(api.ExitCall); isExit {
-			_ = sc.Reply(api.Reply{})
-			return
-		}
-		if err := sc.Reply(api.Reply{Code: api.ErrOverloaded}); err != nil {
-			return
-		}
+// ever creating a context or touching the waiting list, until the
+// application gives up or exits.
+type shed struct{}
+
+func (shed) Handle(call api.Call) (api.Reply, bool) {
+	if _, isExit := call.(api.ExitCall); isExit {
+		return api.Reply{}, true
 	}
+	return api.Reply{Code: api.ErrOverloaded}, false
 }
 
-// proxy pumps calls from a local connection to a peer runtime and
-// relays the replies, until either side closes. A non-zero parent
-// span ID is attached to every forwarded call (api.WithSpan) so the
-// peer's spans nest under this hop in a merged trace.
-func (rt *Runtime) proxy(sc transport.ServerConn, peer transport.Conn, parent trace.SpanID) {
-	defer func() {
-		_ = peer.Close()
-		// Close the application side too: once the proxy stops pumping,
-		// a call left (or arriving) on sc would block forever against a
-		// connection nobody reads. Closing it turns that into the clean
-		// connection error the frontend already folds.
-		_ = sc.Close()
-	}()
-	for {
-		call, err := sc.Recv()
-		if err != nil {
-			return
-		}
-		// A call that an earlier hop already wrapped is forwarded under
-		// this hop's span, or as it came when this hop records none: a
-		// WithSpan never wraps another.
-		out := call
-		if w, ok := call.(api.WithSpan); ok {
-			call = w.Call
-		}
-		if parent != 0 {
-			out = api.WithSpan{Parent: uint64(parent), Call: call}
-		}
-		reply, err := peer.Call(out)
-		if err != nil {
-			// The peer died mid-stream; the application observes a
-			// connection-level failure, as it would with a crashed
-			// remote daemon. A deadline expiry keeps its own code so
-			// the caller can tell "peer too slow" from "peer gone" —
-			// either way this proxied stream is finished.
-			code := api.ErrConnectionClosed
-			if api.Code(err) == api.ErrDeadlineExceeded {
-				code = api.ErrDeadlineExceeded
-			}
-			_ = sc.Reply(api.Reply{Code: code})
-			return
-		}
-		if err := sc.Reply(reply); err != nil {
-			return
-		}
-		if _, isExit := call.(api.ExitCall); isExit {
-			return
-		}
+// hop is an offloaded connection's handler: it forwards each call to a
+// peer runtime and relays the reply. A non-zero parent span ID is
+// attached to every forwarded call (api.WithSpan) so the peer's spans
+// nest under this hop in a merged trace.
+type hop struct {
+	peer   transport.Conn
+	parent trace.SpanID
+}
+
+func (h *hop) Handle(call api.Call) (api.Reply, bool) {
+	// A call that an earlier hop already wrapped is forwarded under this
+	// hop's span, or as it came when this hop records none: a WithSpan
+	// never wraps another.
+	out := call
+	if w, ok := call.(api.WithSpan); ok {
+		call = w.Call
 	}
+	if h.parent != 0 {
+		out = api.WithSpan{Parent: uint64(h.parent), Call: call}
+	}
+	reply, err := h.peer.Call(out)
+	if err != nil {
+		// The peer died mid-stream; the application observes a
+		// connection-level failure, as it would with a crashed remote
+		// daemon. A deadline expiry keeps its own code so the caller can
+		// tell "peer too slow" from "peer gone" — either way this
+		// proxied stream is finished.
+		code := api.ErrConnectionClosed
+		if api.Code(err) == api.ErrDeadlineExceeded {
+			code = api.ErrDeadlineExceeded
+		}
+		return api.Reply{Code: code}, true
+	}
+	_, isExit := call.(api.ExitCall)
+	return reply, isExit
 }
 
 // ServeListener accepts connections until the listener closes, routing

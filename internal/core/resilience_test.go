@@ -84,6 +84,54 @@ func TestOffloadDialFailureFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestOffloadPeerDiesMidSession: when the peer serving an offloaded
+// session goes away, the application's next call is answered with
+// ErrConnectionClosed, the head's HandleConn returns, and the
+// connection is closed behind it.
+func TestOffloadPeerDiesMidSession(t *testing.T) {
+	envB := newEnv(t, Config{}, smallSpec(1<<20, 1))
+	peerEnd := make(chan transport.ServerConn, 1)
+	envA := newEnv(t, Config{
+		VGPUsPerDevice:   1,
+		OffloadThreshold: 1,
+		PeerDial: func() (transport.Conn, error) {
+			c, s := transport.Pipe()
+			peerEnd <- s
+			envB.wg.Add(1)
+			go func() { defer envB.wg.Done(); envB.rt.Serve(s) }()
+			return c, nil
+		},
+	}, smallSpec(1<<20, 1))
+	// A resident context puts the next arrival over the threshold.
+	ballast := envA.client()
+	defer ballast.Close()
+	if _, err := ballast.Malloc(64); err != nil {
+		t.Fatal(err)
+	}
+
+	pc, ps := transport.Pipe()
+	handled := make(chan struct{})
+	go func() { defer close(handled); envA.rt.HandleConn(ps) }()
+	if r, err := pc.Call(api.MallocCall{Size: 16}); err != nil || r.Code != api.Success {
+		t.Fatalf("offloaded Malloc = %+v, %v", r, err)
+	}
+	if got := envA.rt.Metrics().Offloaded; got != 1 {
+		t.Fatalf("Offloaded = %d, want 1", got)
+	}
+	_ = (<-peerEnd).Close() // the peer dies
+	if r, err := pc.Call(api.MallocCall{Size: 16}); err != nil || r.Code != api.ErrConnectionClosed {
+		t.Fatalf("call after the peer died = %+v, %v; want an ErrConnectionClosed reply", r, err)
+	}
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("HandleConn still serving a session whose peer died")
+	}
+	if _, err := pc.Call(api.MallocCall{Size: 16}); !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("call on the dead session err = %v, want transport.ErrClosed", err)
+	}
+}
+
 // TestDeviceReadmission drives the full self-healing arc: a device
 // fails mid-workload, the fault clears (operator restore), and the
 // health monitor re-admits the device — fresh vGPUs, a Readmissions

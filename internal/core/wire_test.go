@@ -35,7 +35,8 @@ func TestHostilePeerCannotCrashRuntime(t *testing.T) {
 		peer, ps := transport.Pipe()
 		env.wg.Add(1)
 		go func() { defer env.wg.Done(); env.rt.Serve(ps) }()
-		env.rt.proxy(sc, peer, 7)
+		transport.Serve(sc, &hop{peer: peer, parent: 7})
+		_ = peer.Close()
 	}
 	hostile := []struct {
 		name  string

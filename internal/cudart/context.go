@@ -27,7 +27,7 @@ type Context struct {
 	// pointer on every memcpy — and per item on batched submissions —
 	// so membership must be a binary search, not a map scan.
 	allocs    []allocSpan
-	binaries  map[string]api.FatBinary
+	binaries  api.Binaries
 	destroyed bool
 }
 
@@ -73,7 +73,22 @@ func (c *Context) RegisterFatBinary(fb api.FatBinary) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.binaries[fb.ID] = fb
+	c.binaries.Register(fb)
+	return nil
+}
+
+// SetFatBinaries makes bs, in its order, the context's whole set of
+// binaries. A runtime that hands one context to one application after
+// another calls it at each binding, so a kernel name resolves only among
+// the bound application's binaries.
+func (c *Context) SetFatBinaries(bs api.Binaries) error {
+	if err := c.live(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.binaries)
+	c.binaries = append(c.binaries[:0], bs...)
 	return nil
 }
 
@@ -193,21 +208,6 @@ func (c *Context) MemcpyDD(dst, src api.DevPtr, size uint64) error {
 	return c.dev.CopyDD(dst, src, size)
 }
 
-// findKernel locates kernel metadata by name across the context's
-// registered binaries, returning the binary ID it came from.
-func (c *Context) findKernel(name string) (api.KernelMeta, string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, fb := range c.binaries {
-		for _, k := range fb.Kernels {
-			if k.Name == name {
-				return k, id, nil
-			}
-		}
-	}
-	return api.KernelMeta{}, "", api.ErrNotRegistered
-}
-
 // argMem adapts a launch's pointer arguments to api.KernelMemory.
 type argMem struct {
 	dev  *gpu.Device
@@ -229,9 +229,11 @@ func (c *Context) Launch(call api.LaunchCall) error {
 	if err := c.live(); err != nil {
 		return err
 	}
-	meta, binID, err := c.findKernel(call.Kernel)
-	if err != nil {
-		return err
+	c.mu.Lock()
+	meta, binID, ok := c.binaries.Find(call.Kernel)
+	c.mu.Unlock()
+	if !ok {
+		return api.ErrNotRegistered
 	}
 	for _, p := range call.PtrArgs {
 		if !c.owns(p) {

@@ -200,7 +200,6 @@ func (rt *Runtime) CreateContext(dev int) (*Context, error) {
 		devIndex: dev,
 		dev:      d,
 		reserved: res,
-		binaries: make(map[string]api.FatBinary),
 	}, nil
 }
 

@@ -19,8 +19,8 @@
 //
 // Locking: the maps are guarded by the manager's mutex. PTE fields are
 // mutated only while holding the owning context's service lock (the
-// runtime guarantees this: a context's own dispatcher goroutine holds it
-// while serving a call, and inter-application swap or migration acquire
+// runtime guarantees this: a context's own dispatcher holds it while
+// serving a call, and inter-application swap or migration acquire
 // it via TryLock before touching a victim's entries), so flag
 // transitions never race. The same lock guards each context's reusable
 // swap-path scratch (ctxState).

@@ -14,11 +14,13 @@
 // A connection corresponds to exactly one application thread, carries
 // one call at a time, and stays open for the thread's lifetime — the
 // unit the paper's connection manager enqueues and the dispatcher
-// schedules. The pipe relies on that alternation: the call and the reply
-// travel in the pipe's own fields, each direction is woken through a
-// one-slot channel that is never found full, and each side parks on a
-// plain receive — no select — and a pipe's per-call path touches
-// nothing any other pipe does.
+// schedules. Serve is the one server loop: the runtime supplies a
+// Handler per connection. Over a stream the connection's goroutine
+// receives each call, handles it and replies. Over a pipe the client's
+// Call runs the handler on the application's own goroutine — no
+// hand-off, no park — while the connection's goroutine waits for the
+// connection to end; a pipe's per-call path touches nothing any other
+// pipe does.
 package transport
 
 import (
@@ -62,31 +64,67 @@ type ServerConn interface {
 	Close() error
 }
 
-// pipe implements an in-process connection. The call and the reply
-// travel in the pipe's own fields; each direction is signalled by a
-// one-slot channel. Calls strictly alternate with replies, so a signal
-// never finds its slot full, and each side parks on a plain receive
-// rather than a select that also locks a done channel.
-// Close, from either side or a third goroutine, marks the pipe closed
-// and closes both signal channels under mu, the lock that orders every
-// signal: whichever side is parked wakes and observes ErrClosed. A
-// signal sent before the close is still delivered, so a call the client
-// handed over is received and only its reply fails.
+// Handler serves the calls of one connection, one at a time. Handle
+// answers a call and reports whether the connection ends after that
+// reply — an application's exit, or a failure that leaves the
+// connection unusable.
+type Handler interface {
+	Handle(api.Call) (api.Reply, bool)
+}
+
+// Serve answers the calls on sc with h until the connection ends, then
+// closes sc. Over a stream it is a Recv → Handle → Reply loop on the
+// calling goroutine. Over a pipe the client's Call runs Handle on the
+// client's own goroutine, so a call costs no goroutine hand-off; Serve
+// then parks until the connection ends and no call is in flight, so the
+// caller's teardown never runs beside the handler.
+func Serve(sc ServerConn, h Handler) {
+	if p, ok := sc.(*pipeServer); ok {
+		(*pipe)(p).serve(h)
+		return
+	}
+	defer func() { _ = sc.Close() }()
+	for {
+		call, err := sc.Recv()
+		if err != nil {
+			return
+		}
+		r, end := h.Handle(call)
+		if sc.Reply(r) != nil || end {
+			return
+		}
+	}
+}
+
+// pipe implements an in-process connection. Once Serve installs a
+// handler, the client's Call runs it inline (busy marks that call in
+// flight); before then, and for a server that uses Recv/Reply, the call
+// and the reply travel in the pipe's own fields and each side parks on
+// the pipe's one condition variable. mu guards every field and is never
+// held across a handler. Close, from either side or a third goroutine,
+// marks the pipe closed and wakes whichever side is parked with
+// ErrClosed. A call handed over before the close is still received, and
+// only its reply fails.
 //
 // Neither field outlives its delivery: the receiving side takes the
 // value and clears the field, so the pipe never pins a caller's buffers.
 type pipe struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	sync.Cond
 	closed  bool
+	pending bool // call holds a call Recv has not taken
+	replied bool // reply holds a reply the client has not taken
+	busy    bool // a client is running h inline
+	left    bool // Serve has returned
+	h       Handler
 	call    api.Call
 	reply   api.Reply
-	callSig chan struct{}
-	replSig chan struct{}
 }
 
 // Pipe creates a connected in-process (client, server) pair.
 func Pipe() (Conn, ServerConn) {
-	p := &pipe{callSig: make(chan struct{}, 1), replSig: make(chan struct{}, 1)}
+	p := &pipe{}
+	p.L = &p.mu
 	return (*pipeClient)(p), (*pipeServer)(p)
 }
 
@@ -102,14 +140,40 @@ func (c *pipeClient) Call(call api.Call) (api.Reply, error) {
 		p.mu.Unlock()
 		return api.Reply{}, ErrClosed
 	}
-	p.call = call
-	p.callSig <- struct{}{}
-	p.mu.Unlock()
-	if _, ok := <-p.replSig; !ok {
+	if h := p.h; h != nil {
+		p.busy = true
+		p.mu.Unlock()
+		r, end := p.run(h, call)
+		p.mu.Lock()
+		p.busy = false
+		closed := p.closed
+		if closed || end {
+			p.closed = true
+			p.Broadcast()
+		}
+		// The call that ends the connection returns only once Serve has:
+		// the server goroutine runs before its client goes on.
+		for end && !closed && !p.left {
+			p.Wait()
+		}
+		p.mu.Unlock()
+		if closed {
+			return api.Reply{}, ErrClosed
+		}
+		return r, nil
+	}
+	p.call, p.pending = call, true
+	p.Broadcast()
+	for !p.replied && !p.closed {
+		p.Wait()
+	}
+	if !p.replied {
+		p.mu.Unlock()
 		return api.Reply{}, ErrClosed
 	}
 	r := p.reply
-	p.reply = api.Reply{}
+	p.reply, p.replied = api.Reply{}, false
+	p.mu.Unlock()
 	return r, nil
 }
 
@@ -118,15 +182,66 @@ func (c *pipeClient) Close() error {
 	return nil
 }
 
+// run calls h on call. A handler that panics or exits its goroutine
+// closes the pipe on the way out, so Serve returns and its caller's
+// teardown runs.
+func (p *pipe) run(h Handler, call api.Call) (api.Reply, bool) {
+	done := false
+	defer func() {
+		if !done {
+			p.mu.Lock()
+			p.busy = false
+			p.closed = true
+			p.Broadcast()
+			p.mu.Unlock()
+		}
+	}()
+	r, end := h.Handle(call)
+	done = true
+	return r, end
+}
+
+// serve is Serve over a pipe. A call handed over before the handler is
+// installed is served here, on the server goroutine; every later call
+// runs inline in its client.
+func (p *pipe) serve(h Handler) {
+	p.mu.Lock()
+	if p.pending {
+		call := p.call
+		p.call, p.pending, p.busy = nil, false, true
+		p.mu.Unlock()
+		r, end := p.run(h, call)
+		p.mu.Lock()
+		p.busy = false
+		if !p.closed {
+			p.reply, p.replied = r, true
+			p.closed = end
+			p.Broadcast()
+		}
+	}
+	p.h = h
+	for !p.closed || p.busy {
+		p.Wait()
+	}
+	p.h, p.left = nil, true
+	p.Broadcast()
+	p.mu.Unlock()
+}
+
 type pipeServer pipe
 
 func (s *pipeServer) Recv() (api.Call, error) {
 	p := (*pipe)(s)
-	if _, ok := <-p.callSig; !ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.pending && !p.closed {
+		p.Wait()
+	}
+	if !p.pending {
 		return nil, ErrClosed
 	}
 	call := p.call
-	p.call = nil
+	p.call, p.pending = nil, false
 	return call, nil
 }
 
@@ -137,8 +252,8 @@ func (s *pipeServer) Reply(r api.Reply) error {
 	if p.closed {
 		return ErrClosed
 	}
-	p.reply = r
-	p.replSig <- struct{}{}
+	p.reply, p.replied = r, true
+	p.Broadcast()
 	return nil
 }
 
@@ -152,8 +267,7 @@ func (p *pipe) close() {
 	defer p.mu.Unlock()
 	if !p.closed {
 		p.closed = true
-		close(p.callSig)
-		close(p.replSig)
+		p.Broadcast()
 	}
 }
 

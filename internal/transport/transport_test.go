@@ -217,28 +217,36 @@ func TestPipeManySequentialCalls(t *testing.T) {
 // call stream: every Call, Recv and Reply must return a value or
 // ErrClosed, and none may stay blocked once the pipe is closed.
 func TestPipeCloseStorm(t *testing.T) {
+	closeStorm(t, func(s ServerConn) {
+		for {
+			call, err := s.Recv()
+			if err != nil {
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("Recv err = %v, want ErrClosed", err)
+				}
+				return
+			}
+			m := call.(api.MallocCall)
+			if err := s.Reply(api.Reply{Ptr: api.DevPtr(m.Size)}); err != nil {
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("Reply err = %v, want ErrClosed", err)
+				}
+				return
+			}
+		}
+	})
+}
+
+// closeStorm runs rounds of a client calling Malloc in a loop on a
+// pipe served by server, while a third goroutine closes one end.
+func closeStorm(t *testing.T, server func(ServerConn)) {
 	for round := 0; round < 200; round++ {
 		c, s := Pipe()
 		var wg sync.WaitGroup
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			for {
-				call, err := s.Recv()
-				if err != nil {
-					if !errors.Is(err, ErrClosed) {
-						t.Errorf("Recv err = %v, want ErrClosed", err)
-					}
-					return
-				}
-				m := call.(api.MallocCall)
-				if err := s.Reply(api.Reply{Ptr: api.DevPtr(m.Size)}); err != nil {
-					if !errors.Is(err, ErrClosed) {
-						t.Errorf("Reply err = %v, want ErrClosed", err)
-					}
-					return
-				}
-			}
+			server(s)
 		}()
 		go func() {
 			defer wg.Done()
