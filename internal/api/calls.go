@@ -1,6 +1,9 @@
 package api
 
-import "time"
+import (
+	"reflect"
+	"time"
+)
 
 // DevPtr is a device (or, under gvrt, virtual) memory address as seen by
 // an application. 0 is the null pointer.
@@ -62,9 +65,35 @@ type FatBinary struct {
 // a runtime. Every concrete type has a wire kind and a fixed byte layout
 // in wire.go, which is what the TCP transport carries; a new call type
 // needs both (TestWireRoundTripEveryCall fails without them).
+//
+// A call travels in its pointer form (*LaunchCall), which boxes into a
+// Call without allocating. The value form (LaunchCall{}) is still
+// served: every entry that accepts calls runs Lift once, and past it
+// the runtime and the wire code name pointer forms only.
 type Call interface {
 	// CallName returns the CUDA-level name of the call, for tracing.
 	CallName() string
+}
+
+// Lift returns c in its pointer form: a call passed by value is copied
+// behind a fresh pointer, and a WithSpan gets its wrapped call lifted.
+// A pointer form, nil and anything else that is not a struct come back
+// as they are, at the cost of one type check.
+func Lift(c Call) Call {
+	if w, ok := c.(WithSpan); ok {
+		if w.Call != nil && reflect.TypeOf(w.Call).Kind() == reflect.Struct {
+			w.Call = Lift(w.Call)
+			return w
+		}
+		return c
+	}
+	v := reflect.ValueOf(c)
+	if v.Kind() != reflect.Struct {
+		return c
+	}
+	p := reflect.New(v.Type())
+	p.Elem().Set(v)
+	return p.Interface().(Call)
 }
 
 // RegisterFatBinaryCall mirrors __cudaRegisterFatBinary followed by the

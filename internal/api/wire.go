@@ -72,9 +72,10 @@ var ErrWire = errors.New("api: malformed wire data")
 var le = binary.LittleEndian
 
 // KindOf is the one call→kind table: c's wire kind, with KindSpan set on
-// a WithSpan around a call that has a kind of its own. Kind 0 means c
-// has no wire form: nil, a type this file does not know, or a WithSpan
-// around nothing or around another WithSpan.
+// a WithSpan around a call that has a kind of its own. It names pointer
+// forms only (Lift). Kind 0 means c has no wire form: nil, a value form,
+// a type this file does not know, or a WithSpan around nothing or around
+// another WithSpan.
 func KindOf(c Call) Kind {
 	switch c := c.(type) {
 	case WithSpan:
@@ -84,53 +85,53 @@ func KindOf(c Call) Kind {
 		if k := KindOf(c.Call); k != 0 {
 			return k | KindSpan
 		}
-	case RegisterFatBinaryCall:
+	case *RegisterFatBinaryCall:
 		return KindRegisterFatBinary
-	case MallocCall:
+	case *MallocCall:
 		return KindMalloc
-	case FreeCall:
+	case *FreeCall:
 		return KindFree
-	case MemsetCall:
+	case *MemsetCall:
 		return KindMemset
-	case MemcpyHDCall:
+	case *MemcpyHDCall:
 		return KindMemcpyHD
-	case MemcpyDHCall:
+	case *MemcpyDHCall:
 		return KindMemcpyDH
-	case MemcpyDDCall:
+	case *MemcpyDDCall:
 		return KindMemcpyDD
-	case LaunchCall:
+	case *LaunchCall:
 		return KindLaunch
-	case SetDeviceCall:
+	case *SetDeviceCall:
 		return KindSetDevice
-	case GetDeviceCountCall:
+	case *GetDeviceCountCall:
 		return KindGetDeviceCount
-	case SynchronizeCall:
+	case *SynchronizeCall:
 		return KindSynchronize
-	case RegisterNestedCall:
+	case *RegisterNestedCall:
 		return KindRegisterNested
-	case SetAppIDCall:
+	case *SetAppIDCall:
 		return KindSetAppID
-	case SetTenantCall:
+	case *SetTenantCall:
 		return KindSetTenant
-	case SetDeadlineCall:
+	case *SetDeadlineCall:
 		return KindSetDeadline
-	case GetSessionCall:
+	case *GetSessionCall:
 		return KindGetSession
-	case ResumeCall:
+	case *ResumeCall:
 		return KindResume
-	case CheckpointCall:
+	case *CheckpointCall:
 		return KindCheckpoint
-	case PingCall:
+	case *PingCall:
 		return KindPing
-	case MigrateCall:
+	case *MigrateCall:
 		return KindMigrate
-	case MigrateFrameCall:
+	case *MigrateFrameCall:
 		return KindMigrateFrame
-	case AdoptCall:
+	case *AdoptCall:
 		return KindAdopt
-	case ExitCall:
+	case *ExitCall:
 		return KindExit
-	case StatsCall:
+	case *StatsCall:
 		return KindStats
 	}
 	return 0
@@ -141,8 +142,9 @@ func KindOf(c Call) Kind {
 // of being appended, so that a transport can send it without copying:
 // the body is dst followed by payload. parent is WithSpan.Parent, for
 // the frame header, and zero for any other call. Kind 0 means c has no
-// wire form, and nothing is appended.
+// wire form, and nothing is appended. A value form is lifted first.
 func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64) {
+	c = Lift(c)
 	if k = KindOf(c); k == 0 {
 		return dst, nil, 0, 0
 	}
@@ -150,7 +152,7 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 	case WithSpan:
 		body, payload, _, _ = AppendCall(dst, c.Call)
 		return body, payload, k, c.Parent
-	case RegisterFatBinaryCall:
+	case *RegisterFatBinaryCall:
 		dst = appendString(dst, c.Binary.ID)
 		dst = le.AppendUint32(dst, uint32(len(c.Binary.Kernels)))
 		for _, m := range c.Binary.Kernels {
@@ -160,27 +162,27 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 			dst = appendBool(dst, m.UsesNestedPointers)
 			dst = appendString(dst, m.PTX)
 		}
-	case MallocCall:
+	case *MallocCall:
 		dst = le.AppendUint64(dst, c.Size)
 		dst = le.AppendUint64(dst, uint64(c.Kind))
-	case FreeCall:
+	case *FreeCall:
 		dst = le.AppendUint64(dst, uint64(c.Ptr))
-	case MemsetCall:
+	case *MemsetCall:
 		dst = le.AppendUint64(dst, uint64(c.Dst))
 		dst = le.AppendUint64(dst, c.Size)
 		dst = append(dst, c.Value)
-	case MemcpyHDCall:
+	case *MemcpyHDCall:
 		dst = le.AppendUint64(dst, uint64(c.Dst))
 		dst = le.AppendUint64(dst, c.Size)
 		dst, payload = appendBool(dst, c.Data != nil), c.Data
-	case MemcpyDHCall:
+	case *MemcpyDHCall:
 		dst = le.AppendUint64(dst, uint64(c.Src))
 		dst = le.AppendUint64(dst, c.Size)
-	case MemcpyDDCall:
+	case *MemcpyDDCall:
 		dst = le.AppendUint64(dst, uint64(c.Dst))
 		dst = le.AppendUint64(dst, uint64(c.Src))
 		dst = le.AppendUint64(dst, c.Size)
-	case LaunchCall:
+	case *LaunchCall:
 		dst = appendDim3(dst, c.Grid)
 		dst = appendDim3(dst, c.Block)
 		dst = le.AppendUint64(dst, uint64(c.Repeat))
@@ -191,25 +193,25 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 		for _, ro := range c.ReadOnly {
 			dst = appendBool(dst, ro)
 		}
-	case SetDeviceCall:
+	case *SetDeviceCall:
 		dst = le.AppendUint64(dst, uint64(c.Device))
-	case RegisterNestedCall:
+	case *RegisterNestedCall:
 		dst = le.AppendUint64(dst, uint64(c.Parent))
 		dst = appendUint64s(dst, c.Members)
 		dst = appendUint64s(dst, c.Offsets)
-	case SetAppIDCall:
+	case *SetAppIDCall:
 		dst = appendString(dst, c.AppID)
-	case SetTenantCall:
+	case *SetTenantCall:
 		dst = appendString(dst, c.Tenant)
-	case SetDeadlineCall:
+	case *SetDeadlineCall:
 		dst = le.AppendUint64(dst, uint64(c.Relative))
-	case ResumeCall:
+	case *ResumeCall:
 		dst = le.AppendUint64(dst, uint64(c.ID))
-	case MigrateCall:
+	case *MigrateCall:
 		dst = appendString(dst, c.Target)
-	case MigrateFrameCall:
+	case *MigrateFrameCall:
 		dst, payload = appendBool(dst, c.Frame != nil), c.Frame
-	case AdoptCall:
+	case *AdoptCall:
 		dst = appendString(dst, c.Dir)
 	}
 	return dst, payload, k, 0
@@ -217,7 +219,8 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 
 // DecodeCall decodes the body of a kind-k frame whose header carried
 // span parent parent. It is total: any input yields either an error
-// wrapping ErrWire or a non-nil Call, and nothing is allocated on the
+// wrapping ErrWire or a non-nil Call in its pointer form (a WithSpan
+// around one for a span kind), and nothing is allocated on the
 // word of a count the body is too short to honour. own says the caller
 // hands body over, so the call's bulk field may alias it; otherwise it
 // is copied and body can be reused.
@@ -251,21 +254,21 @@ func DecodeCall(k Kind, parent uint64, body []byte, own bool) (Call, error) {
 				}
 			}
 		}
-		c = RegisterFatBinaryCall{Binary: fb}
+		c = &RegisterFatBinaryCall{Binary: fb}
 	case KindMalloc:
-		c = MallocCall{Size: r.u64(), Kind: AllocKind(r.u64())}
+		c = &MallocCall{Size: r.u64(), Kind: AllocKind(r.u64())}
 	case KindFree:
-		c = FreeCall{Ptr: DevPtr(r.u64())}
+		c = &FreeCall{Ptr: DevPtr(r.u64())}
 	case KindMemset:
-		c = MemsetCall{Dst: DevPtr(r.u64()), Size: r.u64(), Value: r.u8()}
+		c = &MemsetCall{Dst: DevPtr(r.u64()), Size: r.u64(), Value: r.u8()}
 	case KindMemcpyHD:
-		c = MemcpyHDCall{Dst: DevPtr(r.u64()), Size: r.u64(), Data: r.payload(own)}
+		c = &MemcpyHDCall{Dst: DevPtr(r.u64()), Size: r.u64(), Data: r.payload(own)}
 	case KindMemcpyDH:
-		c = MemcpyDHCall{Src: DevPtr(r.u64()), Size: r.u64()}
+		c = &MemcpyDHCall{Src: DevPtr(r.u64()), Size: r.u64()}
 	case KindMemcpyDD:
-		c = MemcpyDDCall{Dst: DevPtr(r.u64()), Src: DevPtr(r.u64()), Size: r.u64()}
+		c = &MemcpyDDCall{Dst: DevPtr(r.u64()), Src: DevPtr(r.u64()), Size: r.u64()}
 	case KindLaunch:
-		lc := LaunchCall{
+		lc := &LaunchCall{
 			Grid:    r.dim3(),
 			Block:   r.dim3(),
 			Repeat:  int(r.u64()),
@@ -281,41 +284,41 @@ func DecodeCall(k Kind, parent uint64, body []byte, own bool) (Call, error) {
 		}
 		c = lc
 	case KindSetDevice:
-		c = SetDeviceCall{Device: int(r.u64())}
+		c = &SetDeviceCall{Device: int(r.u64())}
 	case KindGetDeviceCount:
-		c = GetDeviceCountCall{}
+		c = &GetDeviceCountCall{}
 	case KindSynchronize:
-		c = SynchronizeCall{}
+		c = &SynchronizeCall{}
 	case KindRegisterNested:
-		c = RegisterNestedCall{
+		c = &RegisterNestedCall{
 			Parent:  DevPtr(r.u64()),
 			Members: readUint64s[DevPtr](&r),
 			Offsets: readUint64s[uint64](&r),
 		}
 	case KindSetAppID:
-		c = SetAppIDCall{AppID: r.str()}
+		c = &SetAppIDCall{AppID: r.str()}
 	case KindSetTenant:
-		c = SetTenantCall{Tenant: r.str()}
+		c = &SetTenantCall{Tenant: r.str()}
 	case KindSetDeadline:
-		c = SetDeadlineCall{Relative: time.Duration(r.u64())}
+		c = &SetDeadlineCall{Relative: time.Duration(r.u64())}
 	case KindGetSession:
-		c = GetSessionCall{}
+		c = &GetSessionCall{}
 	case KindResume:
-		c = ResumeCall{ID: int64(r.u64())}
+		c = &ResumeCall{ID: int64(r.u64())}
 	case KindCheckpoint:
-		c = CheckpointCall{}
+		c = &CheckpointCall{}
 	case KindPing:
-		c = PingCall{}
+		c = &PingCall{}
 	case KindMigrate:
-		c = MigrateCall{Target: r.str()}
+		c = &MigrateCall{Target: r.str()}
 	case KindMigrateFrame:
-		c = MigrateFrameCall{Frame: r.payload(own)}
+		c = &MigrateFrameCall{Frame: r.payload(own)}
 	case KindAdopt:
-		c = AdoptCall{Dir: r.str()}
+		c = &AdoptCall{Dir: r.str()}
 	case KindExit:
-		c = ExitCall{}
+		c = &ExitCall{}
 	case KindStats:
-		c = StatsCall{}
+		c = &StatsCall{}
 	default:
 		return nil, fmt.Errorf("%w: unknown call kind %d", ErrWire, k)
 	}

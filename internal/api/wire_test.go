@@ -140,7 +140,7 @@ func TestWireRoundTripEveryCall(t *testing.T) {
 				if !own {
 					clear(in) // a copying decode keeps nothing of its input
 				}
-				if !reflect.DeepEqual(got, c) {
+				if !reflect.DeepEqual(got, Lift(c)) {
 					t.Errorf("round trip (own=%v):\n  sent %#v\n  got  %#v", own, c, got)
 				}
 				if k2, p2, again := encodeCall(t, got); k2 != k || p2 != parent || !bytes.Equal(again, body) {
@@ -232,7 +232,7 @@ func TestWireDecodeRejects(t *testing.T) {
 	// and comes back nil.
 	k, _, body := encodeCall(t, LaunchCall{PtrArgs: []DevPtr{}, Scalars: []uint64{}, ReadOnly: []bool{}})
 	got, err := DecodeCall(k, 0, body, false)
-	if lc, ok := got.(LaunchCall); err != nil || !ok || lc.PtrArgs != nil || lc.Scalars != nil || lc.ReadOnly != nil {
+	if lc, ok := got.(*LaunchCall); err != nil || !ok || lc.PtrArgs != nil || lc.Scalars != nil || lc.ReadOnly != nil {
 		t.Errorf("empty slices decoded to %#v, %v", got, err)
 	}
 }
@@ -271,7 +271,7 @@ func TestCallHistogramsCoverEveryKind(t *testing.T) {
 	var tm trace.Timings
 	seen := map[Kind]string{}
 	for name, values := range wireCalls {
-		c := values[0]
+		c := Lift(values[0])
 		k := KindOf(c)
 		if w, ok := c.(WithSpan); ok {
 			if k != KindOf(w.Call)|KindSpan {
@@ -297,5 +297,37 @@ func TestCallHistogramsCoverEveryKind(t *testing.T) {
 	}
 	if KindOf(nil) != 0 || KindOf(WithSpan{}) != 0 || KindOf(WithSpan{Call: WithSpan{Call: PingCall{}}}) != 0 {
 		t.Error("a call without a wire form has a kind")
+	}
+}
+
+// TestWirePointerForms checks the two forms of every call: the value
+// and pointer forms encode to the same bytes, DecodeCall hands back the
+// pointer form (a WithSpan around one), KindOf names pointer forms only,
+// and Lift leaves a pointer form as it is.
+func TestWirePointerForms(t *testing.T) {
+	for name, values := range wireCalls {
+		for _, c := range values {
+			p := Lift(c)
+			if name != "WithSpan" {
+				if reflect.TypeOf(p).Kind() != reflect.Pointer || KindOf(c) != 0 {
+					t.Errorf("%s: Lift gave %T, KindOf of the value form %d", name, p, KindOf(c))
+				}
+				if again := Lift(p); again != p {
+					t.Errorf("%s: Lift of the pointer form is not the pointer form", name)
+				}
+			}
+			kv, pv, bv := encodeCall(t, c)
+			kp, pp, bp := encodeCall(t, p)
+			if kv != kp || pv != pp || !bytes.Equal(bv, bp) {
+				t.Errorf("%s: %#v and its pointer form encode differently", name, c)
+			}
+			got, err := DecodeCall(kp, pp, bp, false)
+			if w, ok := got.(WithSpan); ok {
+				got = w.Call
+			}
+			if err != nil || reflect.TypeOf(got).Kind() != reflect.Pointer {
+				t.Errorf("%s: decoded to %T, %v, want a pointer form", name, got, err)
+			}
+		}
 	}
 }

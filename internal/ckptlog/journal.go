@@ -221,6 +221,8 @@ func (j *Journal) EntryFreed(ctxID int64, virtual api.DevPtr) {
 // mutation record before it) is durable before this returns, so the
 // runtime may acknowledge the launch to the client knowing a crash
 // cannot lose it. An error means the launch must not be acknowledged.
+// The pending list keeps call's slices: pass a copy nothing writes
+// (the runtime passes its replay log's), never a received call.
 func (j *Journal) KernelCommitted(ctxID int64, call api.LaunchCall) error {
 	payload, err := wal.EncodeGob(kernelRecord{Call: call})
 	if err != nil {

@@ -290,7 +290,7 @@ func (n *Node) pingPeer() error {
 	conn := transport.WithFaults(c, n.link, n.clock.Sleep)
 	conn = transport.WithDeadline(conn, n.clock, DefaultProbeInterval)
 	defer func() { _ = conn.Close() }()
-	_, err := conn.Call(api.PingCall{})
+	_, err := conn.Call(&api.PingCall{})
 	return err
 }
 

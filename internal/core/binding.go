@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gvrt/internal/api"
 	"gvrt/internal/gpu"
 	"gvrt/internal/sched"
@@ -167,7 +169,7 @@ func (rt *Runtime) pickFreeVGPULocked(ctx *Context) *vGPU {
 func (rt *Runtime) dropWaiterLocked(ctx *Context) {
 	for i, w := range rt.waiting {
 		if w == ctx {
-			rt.waiting = append(rt.waiting[:i], rt.waiting[i+1:]...)
+			rt.waiting = slices.Delete(rt.waiting, i, i+1) // clears the vacated tail slot
 			break
 		}
 	}
@@ -210,7 +212,7 @@ func (rt *Runtime) releaseVGPULocked(v *vGPU) {
 		if !v.ds.tryClaim(v, w) {
 			return
 		}
-		rt.waiting = append(rt.waiting[:i], rt.waiting[i+1:]...)
+		rt.waiting = slices.Delete(rt.waiting, i, i+1)
 		w.inWaiting = false
 		w.granted = v
 		rt.cond.Broadcast()

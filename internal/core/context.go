@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,12 +93,23 @@ type Context struct {
 	// (queue-wait, bind, swap-in, launch, recovery) parent to it. Only
 	// Handle reads or writes it, under mu.
 	curSpan trace.SpanID
+	// keptPtrs, keptScalars and keptReadOnly hold the replay log's
+	// copies of its launches' argument slices (launch.go, under mu).
+	keptPtrs     argArena[api.DevPtr]
+	keptScalars  argArena[uint64]
+	keptReadOnly argArena[bool]
 	// Launch-path scratch (under mu), reused call to call so the hot
-	// path stays allocation-free. Nothing downstream retains these: the
-	// replay log and journal record the client's original call.
+	// path stays allocation-free; the first launches use the arrays
+	// behind them. Nothing downstream retains these: the replay log and
+	// journal record their own copy of the call.
 	scratchPTEs []*memmgr.PTE
 	scratchOffs []uint64
 	scratchArgs []api.DevPtr
+	scratchBuf  struct {
+		ptes [4]*memmgr.PTE
+		offs [4]uint64
+		args [4]api.DevPtr
+	}
 	// scratchVictims is intraSwap's table snapshot; parked cleared.
 	scratchVictims []*memmgr.PTE
 
@@ -132,6 +144,8 @@ func (rt *Runtime) newContext() *Context {
 		rt:         rt,
 		replayRefs: make(map[api.DevPtr]bool),
 	}
+	b := &ctx.scratchBuf
+	ctx.scratchPTEs, ctx.scratchOffs, ctx.scratchArgs = b.ptes[:0], b.offs[:0], b.args[:0]
 	rt.ctxs[ctx.id] = ctx
 	rt.mu.Unlock()
 	if err := rt.leaseAcquire(ctx); err != nil {
@@ -171,6 +185,7 @@ func (ctx *Context) Handle(call api.Call) (api.Reply, bool) {
 	if w, ok := call.(api.WithSpan); ok {
 		call, remoteParent = w.Call, trace.SpanID(w.Parent)
 	}
+	call = api.Lift(call)
 	served := rt.clock.Now()
 	// The span's name is built only for a recorder to keep: it is an
 	// allocation, and this is every call of every session.
@@ -260,21 +275,23 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		}
 	}
 	switch c := call.(type) {
-	case api.RegisterFatBinaryCall:
+	case *api.RegisterFatBinaryCall:
 		// Registration functions are issued ahead of binding (§4.3);
 		// the binary reaches the bound vGPU's CUDA context at bind
 		// time, or immediately if already bound. Kernel attributes the
 		// toolchain did not set are derived from the shipped PTX (§1).
-		c.Binary = api.AnnotateFromPTX(c.Binary)
-		ctx.binaries.Register(c.Binary)
+		// The call is the sender's: the registry keeps a copy.
+		fb := api.AnnotateFromPTX(c.Binary)
+		fb.Kernels = slices.Clone(fb.Kernels)
+		ctx.binaries.Register(fb)
 		if v := rt.boundVGPU(ctx); v != nil {
-			if err := v.cuctx.RegisterFatBinary(c.Binary); err != nil {
+			if err := v.cuctx.RegisterFatBinary(fb); err != nil {
 				return api.Reply{Code: api.Code(err)}
 			}
 		}
 		return api.Reply{}
 
-	case api.MallocCall:
+	case *api.MallocCall:
 		kind := memmgr.KindLinear
 		switch c.Kind {
 		case api.AllocPitched:
@@ -293,7 +310,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		}
 		return api.Reply{Code: api.Code(err), Ptr: ptr}
 
-	case api.FreeCall:
+	case *api.FreeCall:
 		pte, _, err := rt.resolveSettled(ctx, c.Ptr, true)
 		if err != nil {
 			return api.Reply{Code: api.Code(err)}
@@ -306,7 +323,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		}
 		return api.Reply{Code: api.Code(err)}
 
-	case api.MemsetCall:
+	case *api.MemsetCall:
 		pte, off, err := rt.resolveSettled(ctx, c.Dst, false)
 		if err != nil {
 			return api.Reply{Code: api.Code(err)}
@@ -316,7 +333,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		})
 		return api.Reply{Code: api.Code(err)}
 
-	case api.MemcpyHDCall:
+	case *api.MemcpyHDCall:
 		pte, off, err := rt.resolveSettled(ctx, c.Dst, false)
 		if err != nil {
 			return api.Reply{Code: api.Code(err)}
@@ -326,7 +343,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		})
 		return api.Reply{Code: api.Code(err)}
 
-	case api.MemcpyDHCall:
+	case *api.MemcpyDHCall:
 		pte, off, err := rt.resolveSettled(ctx, c.Src, false)
 		if err != nil {
 			return api.Reply{Code: api.Code(err)}
@@ -339,21 +356,21 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		})
 		return api.Reply{Code: api.Code(err), Data: data}
 
-	case api.MemcpyDDCall:
+	case *api.MemcpyDDCall:
 		return api.Reply{Code: api.Code(rt.memcpyDD(ctx, c))}
 
-	case api.LaunchCall:
+	case *api.LaunchCall:
 		return api.Reply{Code: api.Code(rt.launch(ctx, c))}
 
-	case api.SetDeviceCall:
+	case *api.SetDeviceCall:
 		// Ignored: device procurement is abstracted away (§4.3).
 		return api.Reply{}
 
-	case api.GetDeviceCountCall:
+	case *api.GetDeviceCountCall:
 		// Overridden: applications see virtual, not physical, GPUs.
 		return api.Reply{Count: rt.VGPUCount()}
 
-	case api.SynchronizeCall:
+	case *api.SynchronizeCall:
 		if v := rt.boundVGPU(ctx); v != nil {
 			return api.Reply{Code: api.Code(rt.deviceOp(ctx, func() error {
 				if v := rt.boundVGPU(ctx); v != nil {
@@ -364,7 +381,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		}
 		return api.Reply{}
 
-	case api.SetDeadlineCall:
+	case *api.SetDeadlineCall:
 		// QoS hint (§2): record the absolute model-time deadline for
 		// deadline-aware waiting-list policies.
 		if c.Relative > 0 {
@@ -374,7 +391,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		}
 		return api.Reply{}
 
-	case api.SetAppIDCall:
+	case *api.SetAppIDCall:
 		// CUDA 4.0 compatibility (§4.8): remember which application
 		// this thread belongs to, so sibling threads — which may share
 		// data on the GPU — are bound to the same physical device.
@@ -383,51 +400,51 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		rt.mu.Unlock()
 		return api.Reply{}
 
-	case api.SetTenantCall:
+	case *api.SetTenantCall:
 		// Multi-tenant quota surface (tenant.go): enrol this thread in
 		// the tenant, counting it against the tenant's session cap and
 		// charging its existing allocations against the byte cap.
 		return api.Reply{Code: rt.joinTenant(ctx, c.Tenant)}
 
-	case api.RegisterNestedCall:
+	case *api.RegisterNestedCall:
 		parent, _, err := rt.mm.ResolveFor(ctx.id, c.Parent, true)
 		if err != nil {
 			return api.Reply{Code: api.Code(err)}
 		}
 		return api.Reply{Code: api.Code(rt.mm.RegisterNested(parent, c.Members, c.Offsets))}
 
-	case api.StatsCall:
+	case *api.StatsCall:
 		data, err := json.Marshal(rt.Metrics())
 		if err != nil {
 			return api.Reply{Code: api.ErrInvalidValue}
 		}
 		return api.Reply{Data: data}
 
-	case api.GetSessionCall:
+	case *api.GetSessionCall:
 		return api.Reply{ID: ctx.id}
 
-	case api.ResumeCall:
+	case *api.ResumeCall:
 		return api.Reply{Code: rt.resume(ctx, c.ID)}
 
-	case api.CheckpointCall:
+	case *api.CheckpointCall:
 		return api.Reply{Code: api.Code(rt.checkpoint(ctx))}
 
-	case api.MigrateCall:
+	case *api.MigrateCall:
 		return api.Reply{Code: api.Code(rt.migrateSession(ctx, c.Target))}
 
-	case api.MigrateFrameCall:
+	case *api.MigrateFrameCall:
 		return rt.handleMigrateFrame(ctx, c.Frame)
 
-	case api.AdoptCall:
+	case *api.AdoptCall:
 		n, err := rt.AdoptJournalDir(c.Dir)
 		return api.Reply{Code: api.Code(err), Count: n}
 
-	case api.PingCall:
+	case *api.PingCall:
 		// Liveness probe (the breaker's half-open test): deliberately
 		// touches no context or device state.
 		return api.Reply{}
 
-	case api.ExitCall:
+	case *api.ExitCall:
 		return api.Reply{}
 
 	default:
@@ -437,7 +454,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 
 // memcpyDD routes a device-to-device copy through the swap area so it
 // works across residency states.
-func (rt *Runtime) memcpyDD(ctx *Context, c api.MemcpyDDCall) error {
+func (rt *Runtime) memcpyDD(ctx *Context, c *api.MemcpyDDCall) error {
 	src, soff, err := rt.resolveSettled(ctx, c.Src, false)
 	if err != nil {
 		return err
@@ -527,12 +544,13 @@ func (rt *Runtime) checkpoint(ctx *Context) (err error) {
 // trimReplay drops the log's first k kernels — the ones the swap image
 // has just come to reflect — and rebuilds replayRefs from what is left.
 func (ctx *Context) trimReplay(k int) {
-	rest := ctx.replay[k:]
+	old := ctx.replay
 	ctx.replay = ctx.replay[:0]
 	clear(ctx.replayRefs)
-	for _, call := range rest { // appends behind the read position
+	for _, call := range old[k:] { // appends behind the read position
 		ctx.recordReplay(call)
 	}
+	clear(old[len(ctx.replay):]) // the dropped kernels pin no arena
 }
 
 // deviceOp runs a device-touching operation with transparent failure

@@ -87,9 +87,9 @@ func (rt *Runtime) leaseRelease(ctx *Context) {
 // (MemcpyDH empties the replay log durably) count as mutating.
 func mutatingCall(call api.Call) bool {
 	switch call.(type) {
-	case api.MallocCall, api.FreeCall, api.MemsetCall, api.MemcpyHDCall,
-		api.MemcpyDHCall, api.MemcpyDDCall, api.LaunchCall,
-		api.RegisterNestedCall, api.CheckpointCall, api.MigrateCall:
+	case *api.MallocCall, *api.FreeCall, *api.MemsetCall, *api.MemcpyHDCall,
+		*api.MemcpyDHCall, *api.MemcpyDDCall, *api.LaunchCall,
+		*api.RegisterNestedCall, *api.CheckpointCall, *api.MigrateCall:
 		return true
 	}
 	return false

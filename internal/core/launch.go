@@ -17,7 +17,7 @@ import (
 // unbind-and-retry fallback, and failure recovery by replay (§4.6).
 
 // launch services a cudaLaunch (timed by the dispatcher); ctx.mu is held.
-func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
+func (rt *Runtime) launch(ctx *Context, call *api.LaunchCall) error {
 	meta, _, ok := ctx.binaries.Find(call.Kernel)
 	if !ok {
 		return api.ErrNotRegistered
@@ -69,7 +69,7 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 	if ctx.tm != nil {
 		ctx.tm.AddGPUTime(int64(kernelTime))
 	}
-	ctx.recordReplayResolved(call, ptes)
+	kept := ctx.recordReplayResolved(call, ptes)
 
 	// Re-fence immediately before the commit: the kernel took model
 	// time, and ownership may have moved while it ran. A deposed
@@ -83,7 +83,7 @@ func (rt *Runtime) launch(ctx *Context, call api.LaunchCall) error {
 	// Write-ahead commit: the launch is only acknowledged once the
 	// journal has it durably; a failure here surfaces to the client
 	// instead of a success it could lose to a crash.
-	if err := rt.journalCommit(ctx, call); err != nil {
+	if err := rt.journalCommit(ctx, kept); err != nil {
 		return err
 	}
 
@@ -106,6 +106,8 @@ func (ctx *Context) hasNestedRegistration(args []api.DevPtr) bool {
 }
 
 // recordReplay appends the launch to the context's replay log (§4.6).
+// call's slices are retained as they are: a kept copy, or a call the
+// runtime decoded itself.
 func (ctx *Context) recordReplay(call api.LaunchCall) {
 	ctx.replay = append(ctx.replay, call)
 	for _, p := range call.PtrArgs {
@@ -115,14 +117,52 @@ func (ctx *Context) recordReplay(call api.LaunchCall) {
 	}
 }
 
-// recordReplayResolved is recordReplay for the launch hot path, which
-// already resolved every pointer argument: reuse those entries instead
-// of a second page-table lookup per argument.
-func (ctx *Context) recordReplayResolved(call api.LaunchCall, ptes []*memmgr.PTE) {
-	ctx.replay = append(ctx.replay, call)
+// recordReplayResolved is recordReplay for a received launch, whose
+// pointer arguments the hot path already resolved: reuse those entries
+// instead of a second page-table lookup per argument. The call is the
+// sender's, so the log keeps a copy, which it returns.
+func (ctx *Context) recordReplayResolved(call *api.LaunchCall, ptes []*memmgr.PTE) api.LaunchCall {
+	kept := *call
+	kept.PtrArgs = ctx.keptPtrs.keep(call.PtrArgs)
+	kept.Scalars = ctx.keptScalars.keep(call.Scalars)
+	kept.ReadOnly = ctx.keptReadOnly.keep(call.ReadOnly)
+	ctx.replay = append(ctx.replay, kept)
 	for _, pte := range ptes {
 		ctx.replayRefs[pte.Virtual] = true
 	}
+	return kept
+}
+
+// argArena is one of a context's append-only argument arenas: the
+// replay log's copies of a field of the launches it keeps (§4.6). A
+// region is never reused — a full buffer is replaced, not rewound — so
+// what a kept entry points into, which the journal and a migration may
+// hold too, never changes. A slice equal to one of the last few kept is
+// shared instead of copied: a session that relaunches with the same
+// arguments copies nothing.
+type argArena[T comparable] struct {
+	buf    []T
+	recent [4][]T
+	next   int
+}
+
+func (a *argArena[T]) keep(s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	for _, r := range a.recent {
+		if slices.Equal(r, s) {
+			return r
+		}
+	}
+	if cap(a.buf)-len(a.buf) < len(s) {
+		a.buf = make([]T, 0, max(min(2*cap(a.buf), 512), 16, len(s)))
+	}
+	a.buf = append(a.buf, s...)
+	kept := a.buf[len(a.buf)-len(s) : len(a.buf) : len(a.buf)]
+	a.recent[a.next%len(a.recent)] = kept
+	a.next++
+	return kept
 }
 
 // resolveArgs appends the entry and offset behind each virtual pointer
@@ -151,7 +191,7 @@ func (rt *Runtime) resolveArgs(ctx *Context, args []api.DevPtr, ptes []*memmgr.P
 // vacated its device and backed off to retry later, possibly elsewhere
 // (§4.5). n counts the caller's consecutive attempts: the backoff grows
 // with it so conflicting applications do not thrash the swap area.
-func (rt *Runtime) attemptKernel(ctx *Context, call api.LaunchCall, ptes []*memmgr.PTE, offs []uint64, n int) (bool, error) {
+func (rt *Runtime) attemptKernel(ctx *Context, call *api.LaunchCall, ptes []*memmgr.PTE, offs []uint64, n int) (bool, error) {
 	if ctx.needsRecovery.CompareAndSwap(true, false) {
 		return false, rt.recover(ctx)
 	}
@@ -191,14 +231,14 @@ func (rt *Runtime) attemptKernel(ctx *Context, call api.LaunchCall, ptes []*memm
 // there with device addresses, and applies Figure 4's post-launch
 // transition. A device that dies under the kernel is marked failed
 // before the error returns.
-func (rt *Runtime) runKernel(ctx *Context, v *vGPU, call api.LaunchCall, ptes []*memmgr.PTE, offs []uint64) error {
+func (rt *Runtime) runKernel(ctx *Context, v *vGPU, call *api.LaunchCall, ptes []*memmgr.PTE, offs []uint64) error {
 	rsp := rt.beginSpan("swap-in", ctx.id, ctx.curSpan)
 	err := rt.ensureResident(ctx, v, ptes)
 	rsp.endIfTimed(v.ds.index, "", err)
 	if err != nil {
 		return err
 	}
-	devCall := call
+	devCall := *call
 	devCall.PtrArgs = ctx.scratchArgs[:0]
 	for i, pte := range ptes {
 		devCall.PtrArgs = append(devCall.PtrArgs, pte.Device+api.DevPtr(offs[i]))
@@ -522,7 +562,7 @@ func (rt *Runtime) recover(ctx *Context) (err error) {
 			return err
 		}
 		var ran bool
-		if ran, err = rt.attemptKernel(ctx, call, ptes, offs, tries); err != nil {
+		if ran, err = rt.attemptKernel(ctx, &call, ptes, offs, tries); err != nil {
 			return err
 		}
 		tries++

@@ -163,7 +163,7 @@ func (rt *Runtime) sendMigFrame(conn transport.Conn, f wal.Frame) (wal.Frame, er
 			return wal.Frame{}, api.ErrConnectionClosed
 		}
 	}
-	reply, err := conn.Call(api.MigrateFrameCall{Frame: wal.EncodeFrame(nil, f)})
+	reply, err := conn.Call(&api.MigrateFrameCall{Frame: wal.EncodeFrame(nil, f)})
 	if err != nil {
 		return wal.Frame{}, err
 	}

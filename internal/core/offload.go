@@ -127,7 +127,7 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 type shed struct{}
 
 func (shed) Handle(call api.Call) (api.Reply, bool) {
-	if _, isExit := call.(api.ExitCall); isExit {
+	if _, isExit := api.Lift(call).(*api.ExitCall); isExit {
 		return api.Reply{}, true
 	}
 	return api.Reply{Code: api.ErrOverloaded}, false
@@ -146,8 +146,9 @@ func (h *hop) Handle(call api.Call) (api.Reply, bool) {
 	// A call that an earlier hop already wrapped is forwarded under this
 	// hop's span, or as it came when this hop records none: a WithSpan
 	// never wraps another.
-	out := call
-	if w, ok := call.(api.WithSpan); ok {
+	out := api.Lift(call)
+	call = out
+	if w, ok := out.(api.WithSpan); ok {
 		call = w.Call
 	}
 	if h.parent != 0 {
@@ -166,7 +167,7 @@ func (h *hop) Handle(call api.Call) (api.Reply, bool) {
 		}
 		return api.Reply{Code: code}, true
 	}
-	_, isExit := call.(api.ExitCall)
+	_, isExit := call.(*api.ExitCall)
 	return reply, isExit
 }
 

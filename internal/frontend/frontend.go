@@ -35,6 +35,14 @@ type Client struct {
 	conn   transport.Conn
 	closed bool
 	retry  *resilience.Retrier
+	// The steady-state calls, one reusable value per kind: a call goes
+	// out as its address, which boxes into api.Call without allocating.
+	// A slice field is cleared once the call returns, so the client never
+	// pins the caller's buffers.
+	launch api.LaunchCall
+	hd     api.MemcpyHDCall
+	malloc api.MallocCall
+	free   api.FreeCall
 }
 
 // Connect wraps an established connection. Use transport.Pipe for an
@@ -85,14 +93,15 @@ func (c *Client) call(call api.Call) (api.Reply, error) {
 // CUDA toolchain emits before main: it ships the application's kernel
 // image to the runtime.
 func (c *Client) RegisterFatBinary(fb api.FatBinary) error {
-	_, err := c.call(api.RegisterFatBinaryCall{Binary: fb})
+	_, err := c.call(&api.RegisterFatBinaryCall{Binary: fb})
 	return err
 }
 
 // Malloc mirrors cudaMalloc. The returned pointer is virtual: only the
 // runtime ever sees device addresses.
 func (c *Client) Malloc(size uint64) (api.DevPtr, error) {
-	r, err := c.call(api.MallocCall{Size: size})
+	c.malloc = api.MallocCall{Size: size}
+	r, err := c.call(&c.malloc)
 	return r.Ptr, err
 }
 
@@ -102,7 +111,7 @@ func (c *Client) Malloc(size uint64) (api.DevPtr, error) {
 func (c *Client) MallocPitch(widthBytes, height uint64) (ptr DevPtr2, err error) {
 	const align = 512
 	pitch := (widthBytes + align - 1) &^ uint64(align-1)
-	r, err := c.call(api.MallocCall{Size: pitch * height, Kind: api.AllocPitched})
+	r, err := c.call(&api.MallocCall{Size: pitch * height, Kind: api.AllocPitched})
 	return DevPtr2{Ptr: r.Ptr, Pitch: pitch}, err
 }
 
@@ -112,25 +121,28 @@ func (c *Client) MallocArray(elemBytes, width, height uint64) (api.DevPtr, error
 	if height == 0 {
 		height = 1
 	}
-	r, err := c.call(api.MallocCall{Size: elemBytes * width * height, Kind: api.AllocArray})
+	r, err := c.call(&api.MallocCall{Size: elemBytes * width * height, Kind: api.AllocArray})
 	return r.Ptr, err
 }
 
 // Memset mirrors cudaMemset.
 func (c *Client) Memset(dst api.DevPtr, value byte, size uint64) error {
-	_, err := c.call(api.MemsetCall{Dst: dst, Value: value, Size: size})
+	_, err := c.call(&api.MemsetCall{Dst: dst, Value: value, Size: size})
 	return err
 }
 
 // Free mirrors cudaFree.
 func (c *Client) Free(p api.DevPtr) error {
-	_, err := c.call(api.FreeCall{Ptr: p})
+	c.free = api.FreeCall{Ptr: p}
+	_, err := c.call(&c.free)
 	return err
 }
 
 // MemcpyHD mirrors cudaMemcpy(HostToDevice) with real bytes.
 func (c *Client) MemcpyHD(dst api.DevPtr, data []byte) error {
-	_, err := c.call(api.MemcpyHDCall{Dst: dst, Data: data})
+	c.hd = api.MemcpyHDCall{Dst: dst, Data: data}
+	_, err := c.call(&c.hd)
+	c.hd.Data = nil
 	return err
 }
 
@@ -138,46 +150,49 @@ func (c *Client) MemcpyHD(dst api.DevPtr, data []byte) error {
 // real payload — the workload models use it so multi-gigabyte modeled
 // data sets cost no host memory.
 func (c *Client) MemcpyHDSynthetic(dst api.DevPtr, size uint64) error {
-	_, err := c.call(api.MemcpyHDCall{Dst: dst, Size: size})
+	c.hd = api.MemcpyHDCall{Dst: dst, Size: size}
+	_, err := c.call(&c.hd)
 	return err
 }
 
 // MemcpyDH mirrors cudaMemcpy(DeviceToHost). The returned slice is nil
 // for synthetic data.
 func (c *Client) MemcpyDH(src api.DevPtr, size uint64) ([]byte, error) {
-	r, err := c.call(api.MemcpyDHCall{Src: src, Size: size})
+	r, err := c.call(&api.MemcpyDHCall{Src: src, Size: size})
 	return r.Data, err
 }
 
 // MemcpyDD mirrors cudaMemcpy(DeviceToDevice).
 func (c *Client) MemcpyDD(dst, src api.DevPtr, size uint64) error {
-	_, err := c.call(api.MemcpyDDCall{Dst: dst, Src: src, Size: size})
+	_, err := c.call(&api.MemcpyDDCall{Dst: dst, Src: src, Size: size})
 	return err
 }
 
 // Launch mirrors cudaConfigureCall + cudaLaunch.
 func (c *Client) Launch(call api.LaunchCall) error {
-	_, err := c.call(call)
+	c.launch = call
+	_, err := c.call(&c.launch)
+	c.launch.PtrArgs, c.launch.Scalars, c.launch.ReadOnly = nil, nil, nil
 	return err
 }
 
 // SetDevice mirrors cudaSetDevice. The gvrt runtime ignores it (§4.3);
 // it exists so unmodified applications keep working.
 func (c *Client) SetDevice(device int) error {
-	_, err := c.call(api.SetDeviceCall{Device: device})
+	_, err := c.call(&api.SetDeviceCall{Device: device})
 	return err
 }
 
 // DeviceCount mirrors cudaGetDeviceCount; under gvrt it reports the
 // number of virtual GPUs (§4.3).
 func (c *Client) DeviceCount() (int, error) {
-	r, err := c.call(api.GetDeviceCountCall{})
+	r, err := c.call(&api.GetDeviceCountCall{})
 	return r.Count, err
 }
 
 // Synchronize mirrors cudaDeviceSynchronize.
 func (c *Client) Synchronize() error {
-	_, err := c.call(api.SynchronizeCall{})
+	_, err := c.call(&api.SynchronizeCall{})
 	return err
 }
 
@@ -187,7 +202,7 @@ func (c *Client) Synchronize() error {
 // the same identifier to the same physical device. Call it before the
 // first kernel launch.
 func (c *Client) SetAppID(id string) error {
-	_, err := c.call(api.SetAppIDCall{AppID: id})
+	_, err := c.call(&api.SetAppIDCall{AppID: id})
 	return err
 }
 
@@ -196,7 +211,7 @@ func (c *Client) SetAppID(id string) error {
 // byte cap on every subsequent allocation). Fails with ErrQuotaExceeded
 // when the tenant's session cap is already full.
 func (c *Client) SetTenant(name string) error {
-	_, err := c.call(api.SetTenantCall{Tenant: name})
+	_, err := c.call(&api.SetTenantCall{Tenant: name})
 	return err
 }
 
@@ -204,14 +219,14 @@ func (c *Client) SetTenant(name string) error {
 // parent embeds, at offsets[i], the pointer to members[i]. Required for
 // kernels that traverse nested pointers.
 func (c *Client) RegisterNested(parent api.DevPtr, members []api.DevPtr, offsets []uint64) error {
-	_, err := c.call(api.RegisterNestedCall{Parent: parent, Members: members, Offsets: offsets})
+	_, err := c.call(&api.RegisterNestedCall{Parent: parent, Members: members, Offsets: offsets})
 	return err
 }
 
 // Stats asks the daemon for its metrics snapshot — the node-level load
 // information §2 suggests exposing to cluster schedulers.
 func (c *Client) Stats() (api.RuntimeStats, error) {
-	r, err := c.call(api.StatsCall{})
+	r, err := c.call(&api.StatsCall{})
 	if err != nil {
 		return api.RuntimeStats{}, err
 	}
@@ -227,7 +242,7 @@ func (c *Client) Stats() (api.RuntimeStats, error) {
 // (EarliestDeadlineFirst) order the waiting list by it; other policies
 // ignore it. A non-positive d clears the deadline.
 func (c *Client) SetDeadline(d time.Duration) error {
-	_, err := c.call(api.SetDeadlineCall{Relative: d})
+	_, err := c.call(&api.SetDeadlineCall{Relative: d})
 	return err
 }
 
@@ -236,7 +251,7 @@ func (c *Client) SetDeadline(d time.Duration) error {
 // migration, a new connection can Resume it (§4.6's full-restart
 // capability).
 func (c *Client) SessionID() (int64, error) {
-	r, err := c.call(api.GetSessionCall{})
+	r, err := c.call(&api.GetSessionCall{})
 	return r.ID, err
 }
 
@@ -245,14 +260,14 @@ func (c *Client) SessionID() (int64, error) {
 // this connection; virtual pointers from the previous session remain
 // valid afterwards.
 func (c *Client) Resume(id int64) error {
-	_, err := c.call(api.ResumeCall{ID: id})
+	_, err := c.call(&api.ResumeCall{ID: id})
 	return err
 }
 
 // Checkpoint asks the runtime to capture the thread's device state in
 // host memory (§2, §4.6), so a later device failure costs no recompute.
 func (c *Client) Checkpoint() error {
-	_, err := c.call(api.CheckpointCall{})
+	_, err := c.call(&api.CheckpointCall{})
 	return err
 }
 
@@ -262,7 +277,7 @@ func (c *Client) Checkpoint() error {
 // the caller should reconnect to target and Resume under the session ID
 // from Session().
 func (c *Client) Migrate(target string) error {
-	_, err := c.call(api.MigrateCall{Target: target})
+	_, err := c.call(&api.MigrateCall{Target: target})
 	return err
 }
 
@@ -271,7 +286,7 @@ func (c *Client) Migrate(target string) error {
 // storage — as resumable orphan sessions (failover promotion). Returns
 // the number of sessions adopted.
 func (c *Client) Adopt(dir string) (int, error) {
-	r, err := c.call(api.AdoptCall{Dir: dir})
+	r, err := c.call(&api.AdoptCall{Dir: dir})
 	return r.Count, err
 }
 
@@ -280,7 +295,7 @@ func (c *Client) Close() error {
 	if c.closed {
 		return nil
 	}
-	_, _ = c.call(api.ExitCall{})
+	_, _ = c.call(&api.ExitCall{})
 	c.closed = true
 	return c.conn.Close()
 }

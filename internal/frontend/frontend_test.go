@@ -9,7 +9,8 @@ import (
 )
 
 // scriptedServer replies to calls in order from a script and records
-// what it saw.
+// what it saw. A received call is the client's and is not retained, so
+// the record is a copy: the call decoded from its own wire encoding.
 type scriptedServer struct {
 	t       *testing.T
 	sc      transport.ServerConn
@@ -32,7 +33,12 @@ func (s *scriptedServer) run() {
 		if err != nil {
 			return
 		}
-		s.seen = append(s.seen, call)
+		body, payload, k, parent := api.AppendCall(nil, call)
+		kept, err := api.DecodeCall(k, parent, append(body, payload...), true)
+		if err != nil {
+			s.t.Errorf("recording %#v: %v", call, err)
+		}
+		s.seen = append(s.seen, kept)
 		var r api.Reply
 		if len(s.replies) > 0 {
 			r = s.replies[0]
@@ -144,15 +150,15 @@ func TestClientSyntheticAndNestedCalls(t *testing.T) {
 	if err := c.SetDevice(3); err != nil {
 		t.Fatal(err)
 	}
-	hd := s.seen[0].(api.MemcpyHDCall)
+	hd := s.seen[0].(*api.MemcpyHDCall)
 	if hd.Data != nil || hd.Size != 999 {
 		t.Errorf("synthetic MemcpyHD = %+v", hd)
 	}
-	dd := s.seen[1].(api.MemcpyDDCall)
+	dd := s.seen[1].(*api.MemcpyDDCall)
 	if dd.Dst != 2 || dd.Src != 3 || dd.Size != 4 {
 		t.Errorf("MemcpyDD = %+v", dd)
 	}
-	nested := s.seen[2].(api.RegisterNestedCall)
+	nested := s.seen[2].(*api.RegisterNestedCall)
 	if nested.Parent != 5 || len(nested.Members) != 1 {
 		t.Errorf("RegisterNested = %+v", nested)
 	}
@@ -169,7 +175,7 @@ func TestClientLaunchPassthrough(t *testing.T) {
 	if err := c.Launch(call); err != nil {
 		t.Fatal(err)
 	}
-	got := s.seen[0].(api.LaunchCall)
+	got := s.seen[0].(*api.LaunchCall)
 	if got.Kernel != "k" || got.Repeat != 3 || len(got.PtrArgs) != 2 || !got.ReadOnly[0] {
 		t.Errorf("launch mangled: %+v", got)
 	}

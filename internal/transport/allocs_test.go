@@ -34,15 +34,15 @@ func echoPipe() (Conn, func()) {
 // round trip through the wire codec (tcp.go), both ends counted.
 // Frames, headers and buffers cost nothing per call. A repeated call —
 // an offloaded session's copies and launches — costs nothing at all:
-// the server's memo hands back the value it decoded the first time. A
+// the server's memo hands back the pointer it decoded the first time. A
 // call that differs every time costs what the decoded value is made
-// of: the caller's and the decoder's boxing of the call, the
-// kernel-name string and the two argument slices.
+// of: the caller's and the decoder's call, the kernel-name string and
+// the two argument slices. Both send the pointer form, as a client does.
 func TestCodecAllocsPerCall(t *testing.T) {
 	client, stop := echoPipe()
 	defer stop()
 	scalars := []uint64{7}
-	var repeated api.Call = api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{0x1000}, Scalars: []uint64{7}}
+	var repeated api.Call = &api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{0x1000}, Scalars: []uint64{7}}
 	for _, tc := range []struct {
 		name   string
 		budget float64
@@ -51,7 +51,7 @@ func TestCodecAllocsPerCall(t *testing.T) {
 		{"repeated", 0, func() api.Call { return repeated }},
 		{"varying", 5, func() api.Call {
 			scalars[0]++
-			return api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{0x1000}, Scalars: scalars}
+			return &api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{0x1000}, Scalars: scalars}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -59,7 +59,7 @@ func TestPooledWireAfterRacingClose(t *testing.T) {
 				if err != nil {
 					return
 				}
-				if server.Reply(api.Reply{Data: call.(api.MemcpyHDCall).Data}) != nil {
+				if server.Reply(api.Reply{Data: api.Lift(call).(*api.MemcpyHDCall).Data}) != nil {
 					return
 				}
 			}

@@ -20,10 +20,11 @@ func (f handlerFunc) Handle(c api.Call) (api.Reply, bool) { return f(c) }
 // echoHandler answers a Malloc with its size as the pointer and ends
 // the connection on Exit.
 var echoHandler = handlerFunc(func(call api.Call) (api.Reply, bool) {
-	if m, ok := call.(api.MallocCall); ok {
+	call = api.Lift(call)
+	if m, ok := call.(*api.MallocCall); ok {
 		return api.Reply{Ptr: api.DevPtr(m.Size)}, false
 	}
-	_, exit := call.(api.ExitCall)
+	_, exit := call.(*api.ExitCall)
 	return api.Reply{}, exit
 })
 

@@ -48,7 +48,7 @@ func TestWithSpanOverTCP(t *testing.T) {
 	if w.Parent != 42 {
 		t.Errorf("parent = %d, want 42", w.Parent)
 	}
-	lc, ok := w.Call.(api.LaunchCall)
+	lc, ok := w.Call.(*api.LaunchCall)
 	if !ok || lc.Kernel != "k" || lc.Repeat != 3 {
 		t.Errorf("wrapped call = %#v", w.Call)
 	}

@@ -206,7 +206,7 @@ func (w *wire) read() (frame, error) {
 
 // decodeCall is api.DecodeCall behind a memo of the last memoSize
 // frames. A frame whose kind, span parent and body equal a remembered
-// one gets the very value that one decoded to: an offloaded session's
+// one gets the very pointer that one decoded to: an offloaded session's
 // copies and launches repeat byte for byte, and a received call is
 // immutable (ServerConn.Recv). Only a frame read in place is remembered,
 // so the memo holds at most memoSize read buffers' worth of bytes.

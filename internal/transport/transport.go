@@ -53,9 +53,11 @@ type ServerConn interface {
 	// and anything a peer sends that does not decode into such a call
 	// ends the connection instead (the pipe's sender is code in this
 	// process and is only held to non-nil). A received call is
-	// immutable: a handler never writes through its slices. A stream
-	// hands out one value for every repeat of the same frame, and a pipe
-	// hands over the caller's own slices.
+	// immutable and is not retained past its handling: a handler never
+	// writes through it or its slices, and whatever keeps part of it
+	// copies what it keeps. A stream hands out one pointer for every
+	// repeat of the same frame, and a pipe hands over the caller's own
+	// call, which the caller reuses once the reply is back.
 	Recv() (api.Call, error)
 	// Reply answers the call most recently returned by Recv.
 	Reply(api.Reply) error
@@ -67,7 +69,8 @@ type ServerConn interface {
 // Handler serves the calls of one connection, one at a time. Handle
 // answers a call and reports whether the connection ends after that
 // reply — an application's exit, or a failure that leaves the
-// connection unusable.
+// connection unusable. The call is the sender's, as on ServerConn.Recv:
+// immutable, and not retained past Handle — retaining means copying.
 type Handler interface {
 	Handle(api.Call) (api.Reply, bool)
 }

@@ -19,12 +19,12 @@ func echoServe(t *testing.T, s ServerConn) {
 			return
 		}
 		var r api.Reply
-		switch c := call.(type) {
-		case api.MallocCall:
+		switch c := api.Lift(call).(type) {
+		case *api.MallocCall:
 			r = api.Reply{Ptr: api.DevPtr(c.Size)}
-		case api.MemcpyDHCall:
+		case *api.MemcpyDHCall:
 			r = api.Reply{Data: make([]byte, c.Size)}
-		case api.GetDeviceCountCall:
+		case *api.GetDeviceCountCall:
 			r = api.Reply{Count: 4}
 		default:
 			r = api.Reply{Code: api.ErrInvalidValue}
@@ -174,7 +174,7 @@ func TestTCPLargePayload(t *testing.T) {
 			if err != nil {
 				return
 			}
-			hd := call.(api.MemcpyHDCall)
+			hd := api.Lift(call).(*api.MemcpyHDCall)
 			if err := s.Reply(api.Reply{Data: hd.Data}); err != nil {
 				return
 			}
@@ -226,7 +226,7 @@ func TestPipeCloseStorm(t *testing.T) {
 				}
 				return
 			}
-			m := call.(api.MallocCall)
+			m := api.Lift(call).(*api.MallocCall)
 			if err := s.Reply(api.Reply{Ptr: api.DevPtr(m.Size)}); err != nil {
 				if !errors.Is(err, ErrClosed) {
 					t.Errorf("Reply err = %v, want ErrClosed", err)

@@ -98,7 +98,7 @@ func TestOneWritePerFrame(t *testing.T) {
 				return
 			}
 			var r api.Reply
-			if dh, ok := call.(api.MemcpyDHCall); ok {
+			if dh, ok := api.Lift(call).(*api.MemcpyDHCall); ok {
 				r.Data = make([]byte, dh.Size)
 			}
 			if server.Reply(r) != nil {
@@ -144,7 +144,7 @@ func TestPayloadSizesOverPipe(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if server.Reply(api.Reply{Data: call.(api.MemcpyHDCall).Data}) != nil {
+			if server.Reply(api.Reply{Data: api.Lift(call).(*api.MemcpyHDCall).Data}) != nil {
 				return
 			}
 		}
