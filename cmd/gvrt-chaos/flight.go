@@ -34,17 +34,7 @@ func readFlight(path string) int {
 		fmt.Printf("(%d older records overwritten by the ring)\n", dropped)
 	}
 	for _, r := range d.Records {
-		line := fmt.Sprintf("  #%-5d %12s  %-16s", r.Seq, r.Model, r.Kind)
-		if r.Ctx != 0 {
-			line += fmt.Sprintf(" ctx=%d", r.Ctx)
-		}
-		if r.Device != 0 {
-			line += fmt.Sprintf(" dev=%d", r.Device)
-		}
-		if r.Detail != "" {
-			line += "  " + r.Detail
-		}
-		fmt.Println(line)
+		fmt.Println(flightLine(r))
 	}
 
 	if len(d.Hists) > 0 {
@@ -81,4 +71,20 @@ func readFlight(path string) int {
 		}
 	}
 	return 0
+}
+
+// flightLine formats one black-box record. A record names a device
+// when Device >= 0 (-1 means none), as trace.Event.String does.
+func flightLine(r obs.FlightRecord) string {
+	line := fmt.Sprintf("  #%-5d %12s  %-16s", r.Seq, r.Model, r.Kind)
+	if r.Ctx != 0 {
+		line += fmt.Sprintf(" ctx=%d", r.Ctx)
+	}
+	if r.Device >= 0 {
+		line += fmt.Sprintf(" dev=%d", r.Device)
+	}
+	if r.Detail != "" {
+		line += "  " + r.Detail
+	}
+	return line
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gvrt/internal/faultinject"
+	"gvrt/internal/obs"
 	"gvrt/internal/sim"
 )
 
@@ -76,4 +77,21 @@ func TestReapedChildKillsAtOnce(t *testing.T) {
 	}
 	victim.kill()
 	victim.kill()
+}
+
+// TestFlightLineNamesTheDevice: a record on device 0 names it, and a
+// device-less record (-1) names none.
+func TestFlightLineNamesTheDevice(t *testing.T) {
+	for _, tc := range []struct {
+		rec  obs.FlightRecord
+		want string
+	}{
+		{obs.FlightRecord{Seq: 1, Kind: "bind", Ctx: 3, Device: 0}, "#1 0s bind ctx=3 dev=0"},
+		{obs.FlightRecord{Seq: 2, Kind: "intra-swap", Device: 2}, "#2 0s intra-swap dev=2"},
+		{obs.FlightRecord{Seq: 3, Kind: "exit", Ctx: 3, Device: -1}, "#3 0s exit ctx=3"},
+	} {
+		if got := strings.Join(strings.Fields(flightLine(tc.rec)), " "); got != tc.want {
+			t.Errorf("flightLine(%+v) = %q, want %q", tc.rec, got, tc.want)
+		}
+	}
 }

@@ -116,9 +116,7 @@ func main() {
 		cfg.PeerDial = func() (transport.Conn, error) { return transport.Dial(addr) }
 	}
 	if *verbose {
-		cfg.Logf = func(format string, args ...any) {
-			log.Printf("gvrtd: "+format, args...)
-		}
+		cfg.OnEvent = func(e trace.Event) { log.Printf("gvrtd: %v", e) }
 	}
 	// The operator plane's /tracez and /trace.json need a recorder;
 	// arming it only with -http keeps the zero-observer fast path.

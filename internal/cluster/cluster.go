@@ -331,7 +331,6 @@ func (n *Node) StartFailover(table *failover.Table, journalDirFor func(session i
 		Sleep:   n.clock.Sleep,
 		Limit:   resilience.NewBudget(DefaultMigrationStormCap, DefaultMigrationStormRefill, n.clock.Now),
 		Backoff: resilience.NewBackoff(DefaultPromoteBackoffBase, DefaultPromoteBackoffCap, sim.NewRNG(1).Fork("failover/"+n.Name)),
-		Logf:    n.RT.Logf,
 		Promote: func(session int64) error {
 			dir := journalDirFor(session)
 			if dir == "" {

@@ -94,9 +94,6 @@ func (rt *Runtime) bindWait(ctx *Context) (*vGPU, error) {
 // functions before any kernel work, §4.3).
 func (rt *Runtime) onBind(ctx *Context, v *vGPU) error {
 	rt.binds.Add(1)
-	if rt.cfg.Logf != nil { // the guard keeps the arguments off the heap
-		rt.logf("ctx %d bound to %s", ctx.id, v.name)
-	}
 	rt.event(trace.KindBind, ctx.id, 0, v.ds.index, v.name)
 	return v.cuctx.SetFatBinaries(ctx.binaries)
 }
@@ -296,15 +293,14 @@ func (rt *Runtime) tryMigrateLocked(v *vGPU, depth int) {
 	if err != nil {
 		// The victim carries on from wherever the failure left it: on
 		// oldV, flagged for recovery if oldV died, or cleanly unbound.
-		rt.logf("migration of ctx %d failed: %v", victim.id, err)
+		rt.eventf(trace.KindNote, victim.id, v.ds.index, "migration from %s to %s failed: %v", oldV.name, v.name, err)
 		v.ds.clearBoundIf(v, victim)
 		victim.mu.Unlock()
 		return
 	}
 	victim.vgpu.Store(v)
 	rt.migrations.Add(1)
-	rt.logf("migrated ctx %d from %s to %s", victim.id, oldV.name, v.name)
-	rt.event(trace.KindMigration, victim.id, 0, v.ds.index, oldV.name+" -> "+v.name)
+	rt.eventf(trace.KindMigration, victim.id, v.ds.index, "%s -> %s", oldV.name, v.name)
 	victim.mu.Unlock()
 	_ = depth
 }

@@ -152,7 +152,7 @@ func (rt *Runtime) newContext() *Context {
 		// Another node owns this ID live — a session-base misconfiguration.
 		// The context stays registered but every mutating call will be
 		// fenced (epoch 0 never matches a table entry).
-		rt.logf("ctx %d: lease acquisition failed: %v", ctx.id, err)
+		rt.eventf(trace.KindNote, ctx.id, -1, "lease acquisition failed: %v", err)
 	}
 	if j := rt.journal; j != nil {
 		j.ContextCreated(ctx.id)

@@ -352,14 +352,29 @@ func TestWorkingSetTooBigForAnyDevice(t *testing.T) {
 // through the full stack: per-kernel working sets fit the device but
 // the application's total footprint does not.
 func TestIntraAppSwapEndToEnd(t *testing.T) {
-	// Device: 1 MiB minus 1 KiB reservation per vGPU. Three buffers of
-	// 384 KiB: any two fit, three don't.
 	env := newEnv(t, Config{VGPUsPerDevice: 1}, smallSpec(1<<20, 1))
+	intraSwapWalk(t, env)
+	m := env.rt.Metrics()
+	if m.IntraAppSwaps == 0 {
+		t.Errorf("IntraAppSwaps = 0, want > 0")
+	}
+	if m.InterAppSwaps != 0 {
+		t.Errorf("InterAppSwaps = %d, want 0 (single app)", m.InterAppSwaps)
+	}
+}
+
+// intraSwapWalk runs one application whose kernels each need two of
+// three buffers that do not fit together, so the second kernel's
+// binding swaps out an entry of the first's.
+func intraSwapWalk(t *testing.T, env *testEnv) {
+	t.Helper()
 	c := env.client()
 	defer c.Close()
 	if err := c.RegisterFatBinary(testBinary()); err != nil {
 		t.Fatal(err)
 	}
+	// Device: 1 MiB minus 1 KiB reservation per vGPU. Three buffers of
+	// 384 KiB: any two fit, three don't.
 	const size = 384 << 10
 	var bufs [3]api.DevPtr
 	for i := range bufs {
@@ -378,13 +393,6 @@ func TestIntraAppSwapEndToEnd(t *testing.T) {
 	}
 	if err := c.Launch(api.LaunchCall{Kernel: "inc", PtrArgs: []api.DevPtr{bufs[1], bufs[2]}, Scalars: []uint64{0}}); err != nil {
 		t.Fatalf("kernel 2: %v", err)
-	}
-	m := env.rt.Metrics()
-	if m.IntraAppSwaps == 0 {
-		t.Errorf("IntraAppSwaps = 0, want > 0")
-	}
-	if m.InterAppSwaps != 0 {
-		t.Errorf("InterAppSwaps = %d, want 0 (single app)", m.InterAppSwaps)
 	}
 }
 

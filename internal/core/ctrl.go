@@ -9,6 +9,7 @@ package core
 
 import (
 	"gvrt/internal/api"
+	"gvrt/internal/trace"
 )
 
 // DrainDevice evacuates and removes a device for the control plane:
@@ -59,7 +60,7 @@ func (rt *Runtime) BeginDrain() {
 	if rt.draining.Swap(true) {
 		return // already draining
 	}
-	rt.logf("drain: refusing new connections")
+	rt.event(trace.KindNote, 0, 0, -1, "drain: refusing new connections")
 	t := rt.cfg.Leases
 	if t == nil {
 		return
@@ -74,6 +75,6 @@ func (rt *Runtime) BeginDrain() {
 		t.Revoke(id)
 	}
 	if len(ids) > 0 {
-		rt.logf("drain: revoked %d session leases", len(ids))
+		rt.eventf(trace.KindNote, 0, -1, "drain: revoked %d session leases", len(ids))
 	}
 }

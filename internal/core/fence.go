@@ -47,7 +47,6 @@ func (rt *Runtime) fence(ctx *Context) error {
 		if ctx.tm != nil {
 			ctx.tm.AddFenceRejection()
 		}
-		rt.logf("ctx %d: write fenced, lease lost (epoch %d)", ctx.id, ctx.leaseEpoch.Load())
 		rt.event(trace.KindFence, ctx.id, 0, -1, "lease lost")
 		return api.ErrFenced
 	}

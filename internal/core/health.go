@@ -109,7 +109,7 @@ func (rt *Runtime) readmitDevice(ds *deviceState) {
 			for _, c := range fresh {
 				c.Destroy()
 			}
-			rt.logf("device %d re-admission aborted: %v", ds.index, err)
+			rt.eventf(trace.KindNote, 0, ds.index, "re-admission aborted: %v", err)
 			return
 		}
 		fresh = append(fresh, cuctx)
@@ -144,6 +144,5 @@ func (rt *Runtime) readmitDevice(ds *deviceState) {
 	rt.mu.Unlock()
 
 	rt.readmissions.Add(1)
-	rt.logf("device %d (%s) re-admitted", ds.index, ds.dev.Spec().Name)
 	rt.event(trace.KindRecovery, 0, 0, ds.index, "device re-admitted")
 }

@@ -7,6 +7,7 @@ import (
 
 	"gvrt/internal/api"
 	"gvrt/internal/ckptlog"
+	"gvrt/internal/trace"
 )
 
 // This file connects the runtime to the crash-consistent checkpoint
@@ -74,7 +75,7 @@ func (rt *Runtime) journalCommit(ctx *Context, call api.LaunchCall) error {
 	err := rt.journal.KernelCommitted(ctx.id, call)
 	rt.timings.JournalCommitWall.Observe(time.Since(wallStart).Nanoseconds())
 	if err != nil {
-		rt.logf("ctx %d: kernel commit not durable, refusing ack: %v", ctx.id, err)
+		rt.eventf(trace.KindNote, ctx.id, -1, "kernel commit not durable, refusing ack: %v", err)
 		return err
 	}
 	return nil
@@ -96,12 +97,12 @@ func (rt *Runtime) journalSnapshot(ctx *Context) error {
 	return rt.journal.SnapshotContext(img, slices.Clone(ctx.replay))
 }
 
-// journalSnapshotLogged is journalSnapshot for call sites that cannot
-// propagate an error (swap-out of a victim context); a failure is loud
-// but not fatal — the journal keeps the context's previous image plus
-// its pending kernels, which still recovers to the correct state.
-func (rt *Runtime) journalSnapshotLogged(ctx *Context) {
+// journalSnapshotNoted is journalSnapshot for call sites that cannot
+// propagate an error (swap-out of a victim context); a failure is a
+// note, not fatal — the journal keeps the context's previous image
+// plus its pending kernels, which still recovers to the correct state.
+func (rt *Runtime) journalSnapshotNoted(ctx *Context) {
 	if err := rt.journalSnapshot(ctx); err != nil {
-		rt.logf("ctx %d: journal snapshot failed: %v", ctx.id, err)
+		rt.eventf(trace.KindNote, ctx.id, -1, "journal snapshot failed: %v", err)
 	}
 }

@@ -26,7 +26,7 @@ func (rt *Runtime) launch(ctx *Context, call *api.LaunchCall) error {
 		// Applications that allocate device memory from kernels are
 		// served but excluded from sharing and dynamic scheduling (§1).
 		ctx.pinned.Store(true)
-		rt.logf("ctx %d pinned: kernel %s uses dynamic device allocation", ctx.id, call.Kernel)
+		rt.eventf(trace.KindNote, ctx.id, -1, "pinned: kernel %s uses dynamic device allocation", call.Kernel)
 	}
 	if meta.UsesNestedPointers {
 		// Nested traversals require registered nested structures; the
@@ -377,9 +377,8 @@ func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, neede
 	}
 	n, err := rt.mm.SwapOutEntries(victims, v.cuctx)
 	rt.intraSwaps.Add(int64(n))
-	if rt.cfg.Logf != nil || rt.cfg.Trace != nil {
-		for _, pte := range victims[:n] {
-			rt.logf("ctx %d intra-app swapped entry %#x (%d bytes)", ctx.id, uint64(pte.Virtual), pte.Size)
+	if rt.observed {
+		for range victims[:n] {
 			rt.event(trace.KindIntraSwap, ctx.id, 0, v.ds.index, "")
 		}
 	}
@@ -449,9 +448,6 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 			return false
 		}
 		rt.interSwaps.Add(1)
-		if rt.cfg.Logf != nil {
-			rt.logf("ctx %d inter-app swapped out ctx %d", ctx.id, victim.id)
-		}
 		rt.event(trace.KindInterSwap, ctx.id, victim.id, v.ds.index, "")
 		return true
 	}
@@ -481,7 +477,7 @@ func (rt *Runtime) vacate(ctx *Context, v *vGPU) error {
 		return err
 	}
 	ctx.trimReplay(len(ctx.replay) - ctx.unreplayed)
-	rt.journalSnapshotLogged(ctx)
+	rt.journalSnapshotNoted(ctx)
 	if ctx.vgpu.CompareAndSwap(v, nil) {
 		rt.mu.Lock()
 		rt.releaseVGPULocked(v)
@@ -510,7 +506,6 @@ func (rt *Runtime) onDeviceFailure(ds *deviceState) {
 	}
 	ds.mu.Unlock()
 	rt.deviceFailures.Add(1)
-	rt.logf("device %d (%s) failed", ds.index, ds.dev.Spec().Name)
 	rt.event(trace.KindFailure, 0, 0, ds.index, ds.dev.Spec().Name)
 	// Start watching for the fault to clear so the device can be hot
 	// re-admitted (health.go).
@@ -574,7 +569,6 @@ func (rt *Runtime) recover(ctx *Context) (err error) {
 		}
 	}
 	rt.mm.ClearLost(ctx.id)
-	rt.logf("ctx %d recovered (%d kernels replayed)", ctx.id, replayed)
 	rt.event(trace.KindRecovery, ctx.id, 0, -1, "")
 	return nil
 }

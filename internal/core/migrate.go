@@ -135,10 +135,7 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 	if ctx.tm != nil {
 		ctx.tm.AddMigrationBytes(shipped)
 	}
-	rt.event(trace.KindCrossMigration, ctx.id, 0, -1,
-		fmt.Sprintf("out to %s: %d/%d bytes shipped", target, shipped, hello.TotalBytes))
-	rt.logf("ctx %d migrated to %s (%d of %d bytes shipped in %d chunks)",
-		ctx.id, target, shipped, hello.TotalBytes, len(need.Chunks))
+	rt.eventf(trace.KindCrossMigration, ctx.id, -1, "out to %s: %d/%d bytes shipped", target, shipped, hello.TotalBytes)
 	return nil
 }
 
@@ -279,8 +276,8 @@ func (rt *Runtime) migrateHello(ctx *Context, f wal.Frame) api.Reply {
 		}
 	}
 	ctx.migrate = mi
-	rt.logf("import of session %d from %s: need %d of %d chunks (%d spooled)",
-		session, hello.Owner, len(need.Chunks), total, total-len(need.Chunks))
+	rt.eventf(trace.KindNote, session, -1, "import from %s: need %d of %d chunks (%d spooled)",
+		hello.Owner, len(need.Chunks), total, total-len(need.Chunks))
 	return frameReply(session, failover.FrameNeed, need)
 }
 
@@ -312,7 +309,7 @@ func (rt *Runtime) migrateCommit(ctx *Context, f wal.Frame) api.Reply {
 	}
 	refuse := func(err error, detail string) api.Reply {
 		rt.migAborted.Add(1)
-		rt.logf("import of session %d refused: %s: %v", f.ID, detail, err)
+		rt.eventf(trace.KindNote, f.ID, -1, "import refused: %s: %v", detail, err)
 		return frameReply(f.ID, failover.FrameResult, failover.Result{
 			Code:   int32(api.Code(err)),
 			Detail: detail,

@@ -95,7 +95,6 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 		if err == nil {
 			rt.admitted.Add(-1)
 			rt.offloaded.Add(1)
-			rt.logf("offloading connection to peer")
 			rt.event(trace.KindOffload, 0, 0, -1, "")
 			// The offload span lives for the whole proxied connection;
 			// its ID travels with every forwarded call so the peer's
@@ -106,12 +105,11 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 			osp.end(-1, "", nil)
 			return
 		}
-		rt.logf("offload dial failed (%v); serving locally", err)
+		rt.eventf(trace.KindNote, 0, -1, "offload dial failed (%v); serving locally", err)
 	}
 	if rt.shouldShed(admitted) {
 		rt.admitted.Add(-1)
 		rt.sheds.Add(1)
-		rt.logf("admission control: shedding connection (projected queue over cap)")
 		rt.event(trace.KindShed, 0, 0, -1, "")
 		transport.Serve(sc, shed{})
 		return

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -21,6 +20,7 @@ import (
 	"gvrt/internal/api"
 	"gvrt/internal/faultinject"
 	"gvrt/internal/frontend"
+	"gvrt/internal/trace"
 	"gvrt/internal/transport"
 )
 
@@ -303,25 +303,22 @@ func TestVacateMidReplayKeepsTheTail(t *testing.T) {
 	var env *testEnv
 	var armed atomic.Bool
 	var replaying, first atomic.Int64
-	// The injection point is the logger, as in TestBindingLostBeforeUse:
-	// it runs inside onBind, after the binding is published and before
-	// it is used. The device the retry binds dies under it, and the one
-	// that died first comes back to take the recovery.
-	logf := func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		i := strings.Index(line, "bound to vGPU")
-		if i < 0 || !strings.HasPrefix(line, fmt.Sprintf("ctx %d ", replaying.Load())) || !armed.CompareAndSwap(true, false) {
+	// The injection point is the bind event, as in
+	// TestBindingLostBeforeUse: OnEvent runs inside onBind, after the
+	// binding is published and before it is used. The device the retry
+	// binds dies under it, and the one that died first comes back to
+	// take the recovery.
+	onEvent := func(e trace.Event) {
+		if e.Kind != trace.KindBind || e.Ctx != replaying.Load() || !armed.CompareAndSwap(true, false) {
 			return
 		}
-		var dev int
-		fmt.Sscanf(line[i:], "bound to vGPU%d.", &dev)
-		env.rt.FailDevice(dev)
+		env.rt.FailDevice(e.Device)
 		if err := env.rt.ReadmitDevice(int(first.Load())); err != nil {
 			t.Error(err)
 		}
 	}
 	var s, cotenant *session
-	env, s, cotenant, _ = fullDevice(t, Config{Logf: logf})
+	env, s, cotenant, _ = fullDevice(t, Config{OnEvent: onEvent})
 	replaying.Store(s.ctx.id)
 	small := s.buffer(t, 16, 10)
 	large := s.buffer(t, 600<<10, 20)

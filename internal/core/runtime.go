@@ -108,16 +108,18 @@ type Config struct {
 	// fast with ErrOverloaded instead of queueing forever. 0 disables
 	// admission control (the paper's unbounded behaviour).
 	AdmissionMaxQueue int
-	// Logf, when set, receives debug events.
-	Logf func(format string, args ...any)
+	// OnEvent, when set, receives every runtime event synchronously at
+	// the transition that emits it, like Trace and Flight (gvrtd -v
+	// prints each one).
+	OnEvent func(trace.Event)
 	// Trace, when set, records structured scheduling events (bindings,
 	// swaps, migrations, failures, recoveries, offloads) into a bounded
 	// ring for tests and operators.
 	Trace *trace.Recorder
 	// Flight, when set, is the node's black-box crash recorder: every
-	// structured event is mirrored into its bounded ring, and fence or
-	// breaker storms trigger an automatic dump. Fed only from cold
-	// paths — the launch/swap hot paths never touch it.
+	// runtime event is also noted in its bounded ring, and fence or
+	// breaker storms trigger an automatic dump. Events are state
+	// transitions (binds and swaps included), never one per call.
 	Flight *obs.FlightRecorder
 	// Faults, when set, arms the deterministic fault plane: devices, the
 	// memory manager's swap area and the dispatcher consult it at their
@@ -303,6 +305,10 @@ type Runtime struct {
 	mm     *memmgr.Manager
 	policy sched.Policy
 
+	// observed is set when any event sink (Trace, Flight, OnEvent) is
+	// armed; without one, event returns at its first check.
+	observed bool
+
 	// dispatchHook is the fault plane's scheduler-stall site; nil
 	// without a plan.
 	dispatchHook *faultinject.Hook
@@ -403,6 +409,7 @@ type Runtime struct {
 func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:        cfg,
+		observed:   cfg.Trace != nil || cfg.Flight != nil || cfg.OnEvent != nil,
 		clock:      crt.Clock(),
 		crt:        crt,
 		mm:         memmgr.New(!cfg.WriteThrough, cfg.HostMemory),
@@ -436,10 +443,11 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 	if cfg.SessionBase > 0 {
 		rt.nextCtx = cfg.SessionBase
 	}
-	if n := failover.ResolvePending(cfg.MigrateDir, cfg.Logf); n > 0 {
+	for _, rec := range failover.ResolvePending(cfg.MigrateDir) {
 		// A pending record at boot is an import the crash interrupted —
 		// it never committed, so aborting it is the clean outcome.
-		rt.migAborted.Add(int64(n))
+		rt.migAborted.Add(1)
+		rt.eventf(trace.KindNote, rec.Session, -1, "aborted pending import (owner %s epoch %d)", rec.Owner, rec.Epoch)
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	for i := 0; i < crt.DeviceCount(); i++ {
@@ -634,14 +642,12 @@ func (rt *Runtime) QueueDepth() int {
 // activity shows up in this node's stats and trace.
 func (rt *Runtime) NoteBreakerTrip(link string) {
 	rt.breakerTrips.Add(1)
-	rt.logf("peer link %s: breaker tripped open", link)
 	rt.event(trace.KindBreakerTrip, 0, 0, -1, link)
 }
 
 // NoteBreakerHeal records a breaker re-closing after its half-open
 // probe succeeded.
 func (rt *Runtime) NoteBreakerHeal(link string) {
-	rt.logf("peer link %s: breaker re-closed", link)
 	rt.event(trace.KindBreakerHeal, 0, 0, -1, link)
 }
 
@@ -655,18 +661,6 @@ func (rt *Runtime) TenantAttribution() map[string]api.TenantUsage {
 	return rt.obsTenants.Snapshot()
 }
 
-// logf emits a debug event when configured.
-// Logf forwards to the runtime's configured logger (no-op when
-// unset), so sibling subsystems like the failover monitor can share
-// the daemon's log stream.
-func (rt *Runtime) Logf(format string, args ...any) { rt.logf(format, args...) }
-
-func (rt *Runtime) logf(format string, args ...any) {
-	if rt.cfg.Logf != nil {
-		rt.cfg.Logf(format, args...)
-	}
-}
-
 // flightCrashDump writes the black box before an armed crash point
 // kills the process, so even a faultinject SIGKILL at a site that
 // calls ckptlog.Die directly leaves a post-mortem behind.
@@ -676,23 +670,32 @@ func (rt *Runtime) flightCrashDump() {
 	}
 }
 
-// event records a structured trace event (no-op without a recorder)
-// and mirrors it to the debug log and the flight recorder. Every call
-// site is a cold-path state transition, so the flight recorder's short
-// mutex never sits on the launch or swap hot paths.
+// event is the runtime's one reporter: it hands a transition to every
+// armed sink — the trace recorder, the flight recorder and OnEvent —
+// and returns at once when none is. Call sites are state transitions;
+// the few on the swap path loop or build a detail only under
+// rt.observed.
 func (rt *Runtime) event(kind trace.Kind, ctx, other int64, device int, detail string) {
+	if !rt.observed {
+		return
+	}
+	e := trace.Event{Time: rt.clock.Now(), Kind: kind, Ctx: ctx, Other: other, Device: device, Detail: detail}
+	if rt.cfg.Trace != nil {
+		rt.cfg.Trace.Record(e)
+	}
 	if rt.cfg.Flight != nil {
 		rt.cfg.Flight.Note(kind.String(), ctx, device, detail)
 	}
-	if rt.cfg.Trace != nil {
-		rt.cfg.Trace.Record(trace.Event{
-			Time:   rt.clock.Now(),
-			Kind:   kind,
-			Ctx:    ctx,
-			Other:  other,
-			Device: device,
-			Detail: detail,
-		})
+	if rt.cfg.OnEvent != nil {
+		rt.cfg.OnEvent(e)
+	}
+}
+
+// eventf is event with a formatted detail, formatted only when a sink
+// is armed.
+func (rt *Runtime) eventf(kind trace.Kind, ctx int64, device int, format string, args ...any) {
+	if rt.observed {
+		rt.event(kind, ctx, 0, device, fmt.Sprintf(format, args...))
 	}
 }
 

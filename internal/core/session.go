@@ -55,8 +55,6 @@ func (rt *Runtime) adoptImage(rec *ckptlog.ImageRecord, detail string) error {
 		_, _ = t.Acquire(id, rt.cfg.node())
 	}
 	rt.event(trace.KindCrossMigration, id, 0, -1, detail)
-	rt.logf("adopted session %d (%d entries, %d pending kernels): %s",
-		id, len(rec.Image.Entries), len(rec.Pending), detail)
 	return nil
 }
 
@@ -98,11 +96,17 @@ func (rt *Runtime) RecoverFromJournal(rec *ckptlog.Recovered) error {
 // caller must have fenced the old owner first (the monitor's Steal, or
 // lease expiry).
 func (rt *Runtime) AdoptJournalDir(dir string) (int, error) {
-	j, rec, err := ckptlog.Open(dir, ckptlog.Options{Logf: rt.cfg.Logf})
+	j, rec, err := ckptlog.Open(dir, ckptlog.Options{})
 	if err != nil {
 		return 0, err
 	}
 	defer j.Close()
+	if rec.TornBytes > 0 {
+		rt.eventf(trace.KindNote, 0, -1, "journal %s: truncated %d torn tail bytes", dir, rec.TornBytes)
+	}
+	for _, q := range rec.Quarantined {
+		rt.eventf(trace.KindNote, q.CtxID, -1, "journal %s: quarantined %v", dir, q)
+	}
 	return rt.adoptRecovered(rec, "promoted from journal "+dir)
 }
 
@@ -177,7 +181,7 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 		// Likewise retire the pre-resume context's own lease.
 		t.Release(oldID, rt.cfg.node())
 	}
-	rt.logf("ctx resumed session %d (%d pending kernels)", id, len(pending))
+	rt.eventf(trace.KindNote, id, -1, "resumed (%d pending kernels)", len(pending))
 	return api.Success
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +8,7 @@ import (
 	"gvrt/internal/api"
 	"gvrt/internal/frontend"
 	"gvrt/internal/gpu"
+	"gvrt/internal/trace"
 )
 
 // displacingPair opens two sessions on one C2050 whose 1600 MiB buffers
@@ -66,24 +65,23 @@ func TestInterSwapLaunchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSwapPathStillLogs is the other half of guarding the log calls:
-// with a logger configured the bind and swap lines still appear.
+// TestSwapPathStillLogs is the other half of guarding the events: with
+// only OnEvent armed, the bind and inter-swap events still reach it.
 func TestSwapPathStillLogs(t *testing.T) {
 	var mu sync.Mutex
-	var lines []string
-	_, round := displacingPair(t, Config{Logf: func(format string, args ...any) {
+	seen := map[trace.Kind]int{}
+	_, round := displacingPair(t, Config{OnEvent: func(e trace.Event) {
 		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
+		seen[e.Kind]++
 		mu.Unlock()
 	}})
 	round()
 	round()
 	mu.Lock()
-	log := strings.Join(lines, "\n")
-	mu.Unlock()
-	for _, want := range []string{"bound to vGPU0.", "inter-app swapped out ctx"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("log lacks %q:\n%s", want, log)
+	defer mu.Unlock()
+	for _, want := range []trace.Kind{trace.KindBind, trace.KindInterSwap} {
+		if seen[want] == 0 {
+			t.Errorf("OnEvent saw no %s event: %v", want, seen)
 		}
 	}
 }
@@ -95,8 +93,8 @@ func TestSwapPathStillLogs(t *testing.T) {
 // binding, got nil and dereferenced it (ensureResident), killing the
 // process; now bind hands back the slot it bound, the dead device
 // answers ErrDeviceUnavailable, and the ordinary recovery path takes
-// over. The logger is the injection point: it runs inside onBind, after
-// the binding is published and before it is used.
+// over. The bind event is the injection point: OnEvent runs inside
+// onBind, after the binding is published and before it is used.
 func TestBindingLostBeforeUse(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -113,21 +111,17 @@ func TestBindingLostBeforeUse(t *testing.T) {
 			var armed atomic.Bool
 			var left atomic.Int32
 			left.Store(tc.failOnBind)
-			logf := func(format string, args ...any) {
-				line := fmt.Sprintf(format, args...)
-				i := strings.Index(line, "bound to vGPU")
-				if i < 0 || !armed.Load() || left.Add(-1) < 0 {
+			onEvent := func(e trace.Event) {
+				if e.Kind != trace.KindBind || !armed.Load() || left.Add(-1) < 0 {
 					return
 				}
-				var dev int
-				fmt.Sscanf(line[i:], "bound to vGPU%d.", &dev)
-				env.rt.FailDevice(dev)
+				env.rt.FailDevice(e.Device)
 			}
 			specs := make([]gpu.Spec, tc.devices)
 			for i := range specs {
 				specs[i] = smallSpec(1<<20, 1)
 			}
-			env = newEnv(t, Config{Logf: logf}, specs...)
+			env = newEnv(t, Config{OnEvent: onEvent}, specs...)
 			c := env.client()
 			defer c.Close()
 			if err := c.RegisterFatBinary(testBinary()); err != nil {

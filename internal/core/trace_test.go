@@ -1,11 +1,17 @@
 package core
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/frontend"
+	"gvrt/internal/obs"
 	"gvrt/internal/trace"
+	"gvrt/internal/transport"
 )
 
 // TestRuntimeEmitsTraceEvents drives a representative flow and asserts
@@ -88,5 +94,102 @@ func TestRuntimeEmitsTraceEvents(t *testing.T) {
 	}
 	if rec.Dump() == "" {
 		t.Error("Dump is empty")
+	}
+}
+
+// flightRecords dumps f and returns the records it held.
+func flightRecords(t *testing.T, f *obs.FlightRecorder) []obs.FlightRecord {
+	t.Helper()
+	path, err := f.Dump("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := obs.ReadFlightDump(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Records
+}
+
+// TestFlightOnlyNodeRecordsIntraSwaps: a node that arms only the flight
+// recorder (gvrtd -flight without -http) records intra-application
+// swaps like every other event.
+func TestFlightOnlyNodeRecordsIntraSwaps(t *testing.T) {
+	f := obs.NewFlightRecorder("n", t.TempDir(), 0)
+	env := newEnv(t, Config{VGPUsPerDevice: 1, Flight: f}, smallSpec(1<<20, 1))
+	intraSwapWalk(t, env)
+	n := 0
+	for _, r := range flightRecords(t, f) {
+		if r.Kind == trace.KindIntraSwap.String() {
+			n++
+		}
+	}
+	if n == 0 {
+		t.Errorf("no %s record in the flight dump (%d intra-app swaps)", trace.KindIntraSwap, env.rt.Metrics().IntraAppSwaps)
+	}
+}
+
+// TestNotesReachEveryRecorder: transitions no other kind describes — a
+// pinned context, an offload dial that fails, a drain — reach the trace
+// and the flight recorder alike as notes.
+func TestNotesReachEveryRecorder(t *testing.T) {
+	rec := trace.NewRecorder(256)
+	f := obs.NewFlightRecorder("n", t.TempDir(), 0)
+	env := newEnv(t, Config{
+		VGPUsPerDevice:   1,
+		Trace:            rec,
+		Flight:           f,
+		OffloadThreshold: 1,
+		PeerDial:         func() (transport.Conn, error) { return nil, errors.New("peer unreachable") },
+	}, smallSpec(1<<20, 1))
+
+	// dyn allocates from the device: its context is pinned.
+	a, b := env.client(), env.client()
+	defer a.Close()
+	defer b.Close()
+	if err := a.RegisterFatBinary(testBinary()); err != nil {
+		t.Fatal(err)
+	}
+	pa, err := a.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Launch(api.LaunchCall{Kernel: "dyn", PtrArgs: []api.DevPtr{pa}}); err != nil {
+		t.Fatal(err)
+	}
+	// Two resident contexts put the next arrival over the offload
+	// threshold; its dial fails and it is served locally.
+	if _, err := b.Malloc(64); err != nil {
+		t.Fatal(err)
+	}
+	pc, ps := transport.Pipe()
+	env.wg.Add(1)
+	go func() {
+		defer env.wg.Done()
+		env.rt.HandleConn(ps)
+	}()
+	c := frontend.Connect(pc)
+	if _, err := c.Malloc(16); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	env.rt.BeginDrain()
+
+	want := []string{"pinned: kernel dyn", "offload dial failed", "drain: refusing new connections"}
+	var traced, flown []string
+	for _, e := range rec.Filter(trace.KindNote) {
+		traced = append(traced, e.Detail)
+	}
+	for _, r := range flightRecords(t, f) {
+		if r.Kind == trace.KindNote.String() {
+			flown = append(flown, r.Detail)
+		}
+	}
+	for _, w := range want {
+		for name, got := range map[string][]string{"trace": traced, "flight": flown} {
+			if !slices.ContainsFunc(got, func(d string) bool { return strings.HasPrefix(d, w) }) {
+				t.Errorf("%s recorder lacks a %q note: %q", name, w, got)
+			}
+		}
 	}
 }

@@ -56,7 +56,8 @@ type ManagerOptions struct {
 	// deterministically; operators would use it to inspect a crashed
 	// mutation before letting the daemon touch it.
 	DisableResume bool
-	// Logf, when set, receives manager events.
+	// Logf, when set, receives the same operation events as Trace, one
+	// line each.
 	Logf func(format string, args ...any)
 }
 
@@ -138,26 +139,26 @@ func (m *Manager) now() time.Duration {
 	return time.Since(m.start)
 }
 
+// event is the manager's one reporter: it hands an operation
+// transition to Trace and Logf, whichever are set.
 func (m *Manager) event(op *Op, outcome string) {
-	if m.opts.Trace == nil {
+	if m.opts.Trace == nil && m.opts.Logf == nil {
 		return
 	}
 	dev := -1
 	if op.Kind == OpDeviceDrain || op.Kind == OpDeviceReadmit {
 		dev = op.Device
 	}
-	detail := fmt.Sprintf("%s %s", op.Kind, outcome)
+	detail := fmt.Sprintf("op %d %s %s", op.ID, op.Kind, outcome)
 	if op.Tenant != "" {
 		detail += " tenant=" + op.Tenant
 	}
-	m.opts.Trace.Record(trace.Event{
-		Time: m.now(), Kind: trace.KindCtrlOp, Device: dev, Detail: detail,
-	})
-}
-
-func (m *Manager) logf(format string, args ...any) {
+	e := trace.Event{Time: m.now(), Kind: trace.KindCtrlOp, Device: dev, Detail: detail}
+	if m.opts.Trace != nil {
+		m.opts.Trace.Record(e)
+	}
 	if m.opts.Logf != nil {
-		m.opts.Logf(format, args...)
+		m.opts.Logf("%v", e)
 	}
 }
 
@@ -390,7 +391,6 @@ func (m *Manager) ReadmitDevice(id int) error {
 // (non-crash) path, returning the hook's error.
 func (m *Manager) abort(op *Op, _ time.Duration, cause error) error {
 	if err := m.rollbackLocked(op); err != nil {
-		m.logf("op %d (%s) failed (%v) and rollback also failed: %v", op.ID, op.Kind, cause, err)
 		m.markStuckLocked(op, fmt.Errorf("%v (rollback: %v)", cause, err))
 		return cause
 	}
@@ -565,7 +565,6 @@ func (m *Manager) resumeForwardLocked(op *Op) error {
 	}
 	m.resumed.Add(1)
 	m.event(op, "resumed")
-	m.logf("op %d (%s) resumed to completion", op.ID, op.Kind)
 	return nil
 }
 
@@ -626,12 +625,11 @@ func (m *Manager) markStuckLocked(op *Op, cause error) {
 	op.State = StateStuck
 	op.Err = cause.Error()
 	if err := m.store.Commit((&Txn{}).Put(OpKey(op.ID), encodeJSON(op))); err != nil {
-		m.logf("marking op %d stuck failed: %v", op.ID, err)
+		m.event(op, "stuck, not recorded: "+err.Error())
 		return
 	}
 	m.stuck.Add(1)
-	m.event(op, "stuck")
-	m.logf("op %d (%s) stuck: %v", op.ID, op.Kind, cause)
+	m.event(op, "stuck: "+op.Err)
 }
 
 // --- Cleanup ---------------------------------------------------------
@@ -678,7 +676,6 @@ func (m *Manager) cleanupLocked(id uint64) error {
 	m.cleaned.Add(1)
 	m.rolledBack.Add(1)
 	m.event(&op, "cleaned")
-	m.logf("op %d (%s) cleaned up (rolled back)", id, op.Kind)
 	return nil
 }
 

@@ -34,8 +34,6 @@ type MonitorConfig struct {
 	// Backoff, when set, spaces retries after a failed promotion
 	// (decorrelated jitter, reset on success).
 	Backoff *resilience.Backoff
-	// Logf, when set, receives monitor events.
-	Logf func(format string, args ...any)
 	// OnPromote, when set, observes every promotion attempt's outcome
 	// (counters, tests).
 	OnPromote func(session int64, err error)
@@ -104,7 +102,6 @@ func (m *Monitor) scan() {
 			m.mu.Lock()
 			m.limited++
 			m.mu.Unlock()
-			m.logf("failover: promotion of session %d storm-limited", session)
 			continue
 		}
 		if _, err := m.cfg.Table.Steal(session, m.cfg.Owner); err != nil {
@@ -124,21 +121,13 @@ func (m *Monitor) scan() {
 		}
 		m.mu.Unlock()
 		if err != nil {
-			m.logf("failover: promoting session %d failed: %v", session, err)
 			if m.cfg.Backoff != nil {
 				m.cfg.Sleep(m.cfg.Backoff.Next())
 			}
 			continue
 		}
-		m.logf("failover: promoted session %d to %s", session, m.cfg.Owner)
 		if m.cfg.Backoff != nil {
 			m.cfg.Backoff.Reset()
 		}
-	}
-}
-
-func (m *Monitor) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
 	}
 }

@@ -166,17 +166,14 @@ func PendingOps(dir string) []PendingRecord {
 
 // ResolvePending aborts every pending import in dir (target restart:
 // nothing in-flight can complete, and a committed import already
-// resolved its record). Returns the number of records aborted.
-func ResolvePending(dir string, logf func(format string, args ...any)) int {
+// resolved its record). Returns the records aborted.
+func ResolvePending(dir string) []PendingRecord {
 	recs := PendingOps(dir)
 	for _, rec := range recs {
 		_ = os.Remove(pendingPath(dir, rec.Session))
 		_ = os.Remove(spoolPath(dir, rec.Session))
-		if logf != nil {
-			logf("failover: aborted pending import of session %d (owner %s epoch %d)", rec.Session, rec.Owner, rec.Epoch)
-		}
 	}
-	return len(recs)
+	return recs
 }
 
 func readPending(path string) (PendingRecord, error) {

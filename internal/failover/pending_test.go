@@ -193,19 +193,21 @@ func TestResolvePendingAbortsAllAtBoot(t *testing.T) {
 		}
 		s.Close() // all three die mid-import
 	}
-	var logged int
-	if n := ResolvePending(dir, func(string, ...any) { logged++ }); n != 3 {
-		t.Fatalf("ResolvePending aborted %d, want 3", n)
+	recs := ResolvePending(dir)
+	if len(recs) != 3 {
+		t.Fatalf("ResolvePending aborted %d, want 3", len(recs))
 	}
-	if logged != 3 {
-		t.Fatalf("ResolvePending logged %d aborts, want 3", logged)
+	for i, rec := range recs {
+		if rec.Session != int64(i+1) || rec.Owner != "src" || rec.Epoch != 1 {
+			t.Errorf("aborted record %d = %+v", i, rec)
+		}
 	}
 	if ops := PendingOps(dir); len(ops) != 0 {
 		t.Fatalf("pending ops survived boot abort: %+v", ops)
 	}
 	// Idempotent on a clean dir.
-	if n := ResolvePending(dir, nil); n != 0 {
-		t.Fatalf("second ResolvePending aborted %d, want 0", n)
+	if recs := ResolvePending(dir); len(recs) != 0 {
+		t.Fatalf("second ResolvePending aborted %d, want 0", len(recs))
 	}
 }
 

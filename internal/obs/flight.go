@@ -49,33 +49,37 @@ type FlightDump struct {
 const FlightSchema = "gvrt-flight/v1"
 
 // FlightRecorder is a bounded per-node black box. Note appends to a
-// fixed ring under a short mutex — it is fed only from cold paths
-// (state transitions, fence rejections, breaker trips, crash points),
-// never from the launch or swap hot paths. Dump writes the ring
-// atomically (temp file + rename) so a dump racing a SIGKILL is either
-// complete or absent, never torn.
+// trace.Ring — it is fed state transitions (binds, swaps, fence
+// rejections, breaker trips, crash points), never one record per
+// call. Dump writes the ring atomically (temp file + rename) and dumps
+// run one at a time, so a dump racing a SIGKILL or another dump is
+// either complete or absent, never torn.
 //
 // Dumps trigger on: armed faultinject crash points (WrapCrash), fence
 // or breaker storms (>= stormThreshold events inside stormWindow), an
 // explicit Dump call (panic handlers), and — so an external SIGKILL
 // still leaves evidence — a periodic background flush (Run).
 type FlightRecorder struct {
+	node string
+	path string
+	recs *trace.Ring[FlightRecord]
+
+	// mu guards the sources and the storm detector.
 	mu       sync.Mutex
-	node     string
-	path     string
-	recs     []FlightRecord
-	n        int // filled entries
-	head     int // next write position
-	seq      uint64
 	modelNow func() time.Duration
 	hists    func() map[string]trace.HistSnapshot
 	stats    func() api.RuntimeStats
-	lastHist map[string]trace.HistSnapshot
 
 	stormWindow    time.Duration
 	stormThreshold int
 	stormTimes     []time.Time
 	stormFired     time.Time
+
+	// dumpMu is held by a dump from its snapshot through the rename:
+	// concurrent dumps share the temp file, and each takes its
+	// histogram delta against lastHist, the previous dump's snapshot.
+	dumpMu   sync.Mutex
+	lastHist map[string]trace.HistSnapshot
 
 	dumps atomic.Int64
 }
@@ -89,7 +93,7 @@ func NewFlightRecorder(node, dir string, capacity int) *FlightRecorder {
 	return &FlightRecorder{
 		node:           node,
 		path:           filepath.Join(dir, "flight-"+node+".json"),
-		recs:           make([]FlightRecord, capacity),
+		recs:           trace.NewRing[FlightRecord](capacity),
 		stormWindow:    2 * time.Second,
 		stormThreshold: 8,
 	}
@@ -120,17 +124,12 @@ func (f *FlightRecorder) Note(kind string, ctx int64, device int, detail string)
 		return
 	}
 	now := time.Now()
+	rec := FlightRecord{Wall: now, Kind: kind, Ctx: ctx, Device: device, Detail: detail}
 	f.mu.Lock()
-	f.seq++
-	rec := FlightRecord{Seq: f.seq, Wall: now, Kind: kind, Ctx: ctx, Device: device, Detail: detail}
 	if f.modelNow != nil {
 		rec.Model = f.modelNow()
 	}
-	f.recs[f.head] = rec
-	f.head = (f.head + 1) % len(f.recs)
-	if f.n < len(f.recs) {
-		f.n++
-	}
+	f.recs.Put(rec)
 	storm := false
 	if kind == "fence" || kind == "breaker-trip" {
 		cut := now.Add(-f.stormWindow)
@@ -152,19 +151,6 @@ func (f *FlightRecorder) Note(kind string, ctx int64, device int, detail string)
 	}
 }
 
-// snapshotLocked renders the ring oldest-first. Caller holds f.mu.
-func (f *FlightRecorder) snapshotLocked() []FlightRecord {
-	out := make([]FlightRecord, 0, f.n)
-	start := f.head - f.n
-	if start < 0 {
-		start += len(f.recs)
-	}
-	for i := 0; i < f.n; i++ {
-		out = append(out, f.recs[(start+i)%len(f.recs)])
-	}
-	return out
-}
-
 // Dump writes the black box to disk atomically and returns the path.
 // Histogram deltas are relative to the previous dump, so consecutive
 // dumps describe disjoint intervals.
@@ -172,29 +158,23 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	if f == nil {
 		return "", nil
 	}
+	f.dumpMu.Lock()
+	defer f.dumpMu.Unlock()
 	f.mu.Lock()
-	d := FlightDump{
-		Schema:  FlightSchema,
-		Node:    f.node,
-		Reason:  reason,
-		Wall:    time.Now(),
-		Seq:     f.seq,
-		Records: f.snapshotLocked(),
-	}
-	hists := f.hists
-	stats := f.stats
-	prev := f.lastHist
+	hists, stats := f.hists, f.stats
 	f.mu.Unlock()
-
+	d := FlightDump{Schema: FlightSchema, Node: f.node, Reason: reason, Wall: time.Now()}
+	d.Records, d.Seq = f.recs.Snapshot()
+	for i := range d.Records {
+		d.Records[i].Seq = d.Seq - uint64(len(d.Records)-1-i)
+	}
 	if hists != nil {
 		cur := hists()
 		d.Hists = make(map[string]trace.HistSnapshot, len(cur))
 		for k, s := range cur {
-			d.Hists[k] = s.Delta(prev[k])
+			d.Hists[k] = s.Delta(f.lastHist[k])
 		}
-		f.mu.Lock()
 		f.lastHist = cur
-		f.mu.Unlock()
 	}
 	if stats != nil {
 		s := stats()

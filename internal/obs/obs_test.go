@@ -2,11 +2,13 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -446,6 +448,54 @@ func TestFlightRecorderWrapCrash(t *testing.T) {
 	nilF.WrapCrash(func() { ran = true })()
 	if !ran {
 		t.Error("nil recorder WrapCrash dropped next")
+	}
+}
+
+// TestFlightDumpsSerialize: the storm goroutine, the periodic flush, a
+// crash point, a panic and shutdown can all dump at once. Every dump
+// must publish a whole file, and each must take its histogram delta
+// against the dump before it, so the deltas partition the observations.
+func TestFlightDumpsSerialize(t *testing.T) {
+	f := NewFlightRecorder("n1", t.TempDir(), 16)
+	var h trace.Histogram
+	f.SetSources(nil, func() map[string]trace.HistSnapshot {
+		h.Observe(1) // one observation per dump
+		return map[string]trace.HistSnapshot{"x": h.Snapshot()}
+	}, nil)
+	const workers, dumps = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*dumps)
+	var sum atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < dumps; i++ {
+				f.Note("bind", int64(w), 0, "")
+				if _, err := f.Dump("concurrent"); err != nil {
+					errs <- err
+					continue
+				}
+				d, err := ReadFlightDump(f.Path())
+				if err != nil {
+					errs <- err
+					continue
+				}
+				n := d.Hists["x"].Count
+				if n != 1 {
+					errs <- fmt.Errorf("dump delta holds %d observations, want 1", n)
+				}
+				sum.Add(n)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := h.Snapshot().Count; sum.Load() != got {
+		t.Errorf("dump deltas sum to %d, histogram holds %d observations", sum.Load(), got)
 	}
 }
 

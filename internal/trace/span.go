@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -75,68 +74,24 @@ func (s Span) String() string {
 	return b.String()
 }
 
-// spanRing is a bounded ring of completed spans, mirroring the event
-// ring. It has its own lock so heavy span traffic does not contend
-// with event recording.
-type spanRing struct {
-	mu    sync.Mutex
-	ring  []Span
-	next  int
-	count uint64
-	full  bool
-}
+// RecordSpan appends a completed span, evicting the oldest when the
+// span ring is full.
+func (r *Recorder) RecordSpan(s Span) { r.spans.Put(s) }
 
-func (r *spanRing) record(s Span, capacity int) {
-	r.mu.Lock()
-	if len(r.ring) == 0 {
-		if capacity < 256 {
-			capacity = 256
-		}
-		r.ring = make([]Span, capacity)
-	}
-	r.ring[r.next] = s
-	r.next++
-	r.count++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *spanRing) snapshot() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Span(nil), r.ring[:r.next]...)
-	}
-	out := make([]Span, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
+// Spans returns the retained spans in completion order.
+func (r *Recorder) Spans() []Span {
+	out, _ := r.spans.Snapshot()
 	return out
 }
 
-// RecordSpan appends a completed span, evicting the oldest when the
-// span ring is full. The span ring's capacity tracks the event ring's.
-func (r *Recorder) RecordSpan(s Span) {
-	r.spans.record(s, len(r.ring))
-}
-
-// Spans returns the retained spans in completion order.
-func (r *Recorder) Spans() []Span { return r.spans.snapshot() }
-
 // SpanTotal reports how many spans were ever recorded (including
 // evicted ones).
-func (r *Recorder) SpanTotal() uint64 {
-	r.spans.mu.Lock()
-	defer r.spans.mu.Unlock()
-	return r.spans.count
-}
+func (r *Recorder) SpanTotal() uint64 { return r.spans.Total() }
 
 // SlowestSpans returns up to n retained spans ordered by descending
 // duration — the /tracez view.
 func (r *Recorder) SlowestSpans(n int) []Span {
-	out := r.spans.snapshot()
+	out := r.Spans()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Dur() > out[j].Dur() })
 	if n > 0 && len(out) > n {
 		out = out[:n]

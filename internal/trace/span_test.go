@@ -23,6 +23,22 @@ func TestKindStringNegative(t *testing.T) {
 	}
 }
 
+// TestEveryKindNamed: every kind up to the last has its own name, so
+// the flight recorder, which stores names, can tell them apart.
+func TestEveryKindNamed(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := KindConnect; k <= KindNote; k++ {
+		name := k.String()
+		if name == "" || strings.HasPrefix(name, "kind(") {
+			t.Errorf("kind %d has no name", int(k))
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", int(prev), int(k), name)
+		}
+		seen[name] = k
+	}
+}
+
 func TestSpanIDsUnique(t *testing.T) {
 	seen := make(map[SpanID]bool)
 	var mu sync.Mutex

@@ -4,14 +4,13 @@
 // migrations, failures, recoveries and offloads.
 //
 // A Recorder is cheap enough to stay enabled in production: recording
-// is one mutex acquisition and one slice write, with no allocation
-// beyond the pre-sized ring. Plug one into core.Config.Trace.
+// is one mutex acquisition and one slot write, with no allocation
+// beyond the ring itself. Plug one into core.Config.Trace.
 package trace
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -59,6 +58,10 @@ const (
 	// (started, completed, resumed, rolled back, stuck); Detail carries
 	// the operation kind and outcome.
 	KindCtrlOp
+	// KindNote is a runtime transition no other kind describes (a drain,
+	// a refused import, a failed journal write); Detail carries the
+	// whole message.
+	KindNote
 )
 
 var kindNames = [...]string{
@@ -79,6 +82,7 @@ var kindNames = [...]string{
 	KindFence:          "fence",
 	KindCrossMigration: "cross-migration",
 	KindCtrlOp:         "ctrl-op",
+	KindNote:           "note",
 }
 
 // String implements fmt.Stringer.
@@ -125,66 +129,34 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Recorder is a bounded ring buffer of events, safe for concurrent use.
+// Recorder keeps the most recent events and spans in two bounded
+// rings, safe for concurrent use.
 type Recorder struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	count uint64
-	full  bool
-
-	spans spanRing
+	events *Ring[Event]
+	// spans has its own lock so heavy span traffic does not contend
+	// with event recording.
+	spans *Ring[Span]
 }
 
 // NewRecorder creates a recorder keeping the most recent capacity
-// events (minimum 16).
+// events (minimum 16) and as many spans (minimum 256).
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Recorder{ring: make([]Event, capacity)}
+	capacity = max(capacity, 16)
+	return &Recorder{events: NewRing[Event](capacity), spans: NewRing[Span](max(capacity, 256))}
 }
 
 // Record appends an event, evicting the oldest when full.
-func (r *Recorder) Record(e Event) {
-	r.mu.Lock()
-	r.ring[r.next] = e
-	r.next++
-	r.count++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
+func (r *Recorder) Record(e Event) { r.events.Put(e) }
 
 // Len reports how many events are currently retained.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.ring)
-	}
-	return r.next
-}
+func (r *Recorder) Len() int { return r.events.Len() }
 
 // Total reports how many events were ever recorded (including evicted).
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
+func (r *Recorder) Total() uint64 { return r.events.Total() }
 
 // Snapshot returns the retained events in recording order.
 func (r *Recorder) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.ring[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
+	out, _ := r.events.Snapshot()
 	return out
 }
 
