@@ -2,7 +2,9 @@ package api
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // KernelMemory gives a kernel implementation access to the device
@@ -32,13 +34,16 @@ type KernelFunc func(mem KernelMemory, scalars []uint64) error
 // wherever the fat binary has been shipped. Both the client process and
 // a daemon process link the same workload package, so both sides have
 // the registry populated, mirroring how real fat binaries travel with
-// the application to whichever node executes them.
+// the application to whichever node executes them. Copy-on-write: a
+// launch's lookup is one atomic load; a registration copies the map.
 var (
-	implMu sync.RWMutex
-	impls  = make(map[string]KernelFunc)
+	implMu sync.Mutex
+	impls  atomic.Pointer[map[implKey]KernelFunc]
 )
 
-func implKey(binaryID, kernel string) string { return binaryID + "\x00" + kernel }
+type implKey struct{ binaryID, kernel string }
+
+func init() { impls.Store(&map[implKey]KernelFunc{}) }
 
 // RegisterKernelImpl installs the host-side implementation for kernel
 // name within fat binary binaryID. Passing nil removes a previous
@@ -47,19 +52,19 @@ func implKey(binaryID, kernel string) string { return binaryID + "\x00" + kernel
 func RegisterKernelImpl(binaryID, kernel string, fn KernelFunc) {
 	implMu.Lock()
 	defer implMu.Unlock()
+	m := maps.Clone(*impls.Load())
 	if fn == nil {
-		delete(impls, implKey(binaryID, kernel))
-		return
+		delete(m, implKey{binaryID, kernel})
+	} else {
+		m[implKey{binaryID, kernel}] = fn
 	}
-	impls[implKey(binaryID, kernel)] = fn
+	impls.Store(&m)
 }
 
 // KernelImpl looks up the host-side implementation for a kernel; the
 // second result reports whether one is registered.
 func KernelImpl(binaryID, kernel string) (KernelFunc, bool) {
-	implMu.RLock()
-	defer implMu.RUnlock()
-	fn, ok := impls[implKey(binaryID, kernel)]
+	fn, ok := (*impls.Load())[implKey{binaryID, kernel}]
 	return fn, ok
 }
 

@@ -287,7 +287,7 @@ func TestCallHistogramsCoverEveryKind(t *testing.T) {
 			t.Errorf("%s and %s share kind %d", prev, name, k)
 		}
 		seen[k] = name
-		tm.ObserveCall(int(k), c.CallName(), 1)
+		tm.ObserveCall(int(k), c.CallName(), 0, 1)
 	}
 	snap := tm.Snapshot()
 	for name, values := range wireCalls {

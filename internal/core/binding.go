@@ -22,7 +22,7 @@ func (rt *Runtime) bind(ctx *Context) (*vGPU, error) {
 	sp := rt.beginSpan("bind", ctx.id, ctx.curSpan)
 	start := rt.clock.Now()
 	v, err := rt.bindWait(ctx)
-	rt.timings.BindWait.Observe(int64(rt.clock.Now() - start))
+	rt.timings.BindWait.ObserveLane(ctx.lane, int64(rt.clock.Now()-start))
 	dev := -1
 	if err == nil {
 		dev = v.ds.index
@@ -66,7 +66,7 @@ func (rt *Runtime) bindWait(ctx *Context) (*vGPU, error) {
 			rt.cond.Wait()
 		}
 		waited := rt.clock.Now() - ctx.arrived
-		rt.timings.QueueWait.Observe(int64(waited))
+		rt.timings.QueueWait.ObserveLane(ctx.lane, int64(waited))
 		if ctx.tm != nil {
 			// Safe: the dispatcher holds ctx.mu for the whole call, and
 			// tm only changes under ctx.mu. AddQueueWait is atomic adds.

@@ -113,6 +113,11 @@ type Context struct {
 	// scratchVictims is intraSwap's table snapshot; parked cleared.
 	scratchVictims []*memmgr.PTE
 
+	// lane is the runtime lane this context's instruments are written on;
+	// laneHeld (under mu) says it still counts toward rt.laneUse.
+	lane     int
+	laneHeld bool
+
 	gpuTimeNS    atomic.Int64
 	nextKernelNS atomic.Int64
 	lastActiveNS atomic.Int64
@@ -143,11 +148,19 @@ func (rt *Runtime) newContext() *Context {
 		id:         rt.nextCtx,
 		rt:         rt,
 		replayRefs: make(map[api.DevPtr]bool),
+		laneHeld:   true,
 	}
+	for i := range rt.laneUse {
+		if rt.laneUse[i].Load() < rt.laneUse[ctx.lane].Load() {
+			ctx.lane = i
+		}
+	}
+	rt.laneUse[ctx.lane].Add(1)
 	b := &ctx.scratchBuf
 	ctx.scratchPTEs, ctx.scratchOffs, ctx.scratchArgs = b.ptes[:0], b.offs[:0], b.args[:0]
 	rt.ctxs[ctx.id] = ctx
 	rt.mu.Unlock()
+	rt.mm.SetLane(ctx.id, ctx.lane)
 	if err := rt.leaseAcquire(ctx); err != nil {
 		// Another node owns this ID live — a session-base misconfiguration.
 		// The context stays registered but every mutating call will be
@@ -170,7 +183,10 @@ func (rt *Runtime) newContext() *Context {
 func (rt *Runtime) Serve(sc transport.ServerConn) {
 	ctx := rt.newContext()
 	defer rt.teardown(ctx)
-	transport.Serve(sc, ctx)
+	if err := transport.Serve(sc, ctx); err != nil {
+		// A call panicked on a stream: only this connection is closed.
+		rt.eventf(trace.KindNote, ctx.id, -1, "connection closed: %v", err)
+	}
 }
 
 // Handle serves one call of the context's application thread and
@@ -217,16 +233,24 @@ func (ctx *Context) Handle(call api.Call) (api.Reply, bool) {
 		end := rt.clock.Now()
 		ctx.lastActiveNS.Store(int64(end))
 		if ctx.tm != nil {
-			ctx.tm.AddCall(r.Code != api.Success)
+			ctx.tm.AddCallOn(ctx.lane, r.Code != api.Success)
 			if kind == api.KindLaunch {
-				ctx.tm.Launch.Observe(int64(end - served))
+				ctx.tm.Launch.ObserveLane(ctx.lane, int64(end-served))
 			}
 		}
 		return r, end
 	}()
 	sp.end(-1, "", reply.Code.Err())
-	rt.timings.ObserveCall(int(kind), call.CallName(), int64(end-served))
+	rt.timings.ObserveCall(int(kind), call.CallName(), ctx.lane, int64(end-served))
 	return reply, kind == api.KindExit
+}
+
+// releaseLane gives the context's lane back once; caller holds ctx.mu.
+func (rt *Runtime) releaseLane(ctx *Context) {
+	if ctx.laneHeld {
+		ctx.laneHeld = false
+		rt.laneUse[ctx.lane].Add(-1)
+	}
 }
 
 // teardown releases everything a finished or disconnected context holds.
@@ -235,23 +259,22 @@ func (rt *Runtime) teardown(ctx *Context) {
 	defer ctx.mu.Unlock()
 	var ops memmgr.DeviceOps
 	ctx.exited.Store(true)
-	rt.mu.Lock()
-	if ctx.inWaiting {
-		rt.dropWaiterLocked(ctx)
-	}
-	rt.mu.Unlock()
 	v := ctx.vgpu.Load()
 	if v != nil {
 		ops = v.cuctx
 	}
 	rt.mm.ReleaseContext(ctx.id, ops)
+	rt.releaseLane(ctx)
+	// One rt.mu hold; no grant can race it, as a parked waiter holds its
+	// own ctx.mu.
+	rt.mu.Lock()
+	if ctx.inWaiting {
+		rt.dropWaiterLocked(ctx)
+	}
 	if v != nil {
-		rt.mu.Lock()
 		ctx.vgpu.Store(nil)
 		rt.releaseVGPULocked(v)
-		rt.mu.Unlock()
 	}
-	rt.mu.Lock()
 	delete(rt.ctxs, ctx.id)
 	rt.mu.Unlock()
 	if mi := ctx.migrate; mi != nil && mi.spool != nil {
@@ -445,6 +468,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{}
 
 	case *api.ExitCall:
+		rt.releaseLane(ctx) // the next session may come before teardown
 		return api.Reply{}
 
 	default:

@@ -51,7 +51,7 @@ func (rt *Runtime) fence(ctx *Context) error {
 		return api.ErrFenced
 	}
 	if renewed {
-		rt.leaseRenewals.Add(1)
+		rt.leaseRenewals.Add(ctx.lane, 1)
 	}
 	return nil
 }

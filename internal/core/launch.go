@@ -65,9 +65,9 @@ func (rt *Runtime) launch(ctx *Context, call *api.LaunchCall) error {
 	}
 
 	ctx.gpuTimeNS.Add(int64(kernelTime))
-	rt.gpuTimeNS.Add(int64(kernelTime))
+	rt.gpuTimeNS.Add(ctx.lane, int64(kernelTime))
 	if ctx.tm != nil {
-		ctx.tm.AddGPUTime(int64(kernelTime))
+		ctx.tm.AddGPUTime(ctx.lane, int64(kernelTime))
 	}
 	kept := ctx.recordReplayResolved(call, ptes)
 

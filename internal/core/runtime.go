@@ -305,6 +305,15 @@ type Runtime struct {
 	mm     *memmgr.Manager
 	policy sched.Policy
 
+	// gpuTimeNS totals modeled kernel execution time across all
+	// contexts — the node figure per-tenant attribution is conserved
+	// against. It and leaseRenewals are lane counters; their headers sit
+	// among fields no call writes. laneUse is how many admitted contexts
+	// hold each lane (DESIGN.md §11).
+	gpuTimeNS     trace.Counter
+	leaseRenewals trace.Counter
+	laneUse       []atomic.Int32
+
 	// observed is set when any event sink (Trace, Flight, OnEvent) is
 	// armed; without one, event returns at its first check.
 	observed bool
@@ -376,7 +385,6 @@ type Runtime struct {
 	migCompleted    atomic.Int64
 	migAborted      atomic.Int64
 	fenceRejections atomic.Int64
-	leaseRenewals   atomic.Int64
 
 	// Tenant quota enforcement (tenant.go): tenantMu guards the
 	// registry; per-tenant usage counters live inside each entry.
@@ -389,10 +397,6 @@ type Runtime struct {
 	// cached on each context at admission (ctx.tm, under ctx.mu), so
 	// attribution adds atomic ops but no locks to launch/swap paths.
 	obsTenants *obs.Registry
-	// gpuTimeNS totals modeled kernel execution time across all
-	// contexts — the node figure per-tenant attribution is conserved
-	// against.
-	gpuTimeNS atomic.Int64
 
 	// draining, once set, makes HandleConn refuse every new connection
 	// (graceful shutdown: the daemon stops admitting, lets in-flight
@@ -419,7 +423,9 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		claimed:    make(map[int64]bool),
 		tenants:    make(map[string]*tenantState),
 		obsTenants: obs.NewRegistry(),
+		laneUse:    make([]atomic.Int32, trace.LaneCount()),
 	}
+	rt.gpuTimeNS, rt.leaseRenewals = trace.NewCounter(), trace.NewCounter()
 	if rt.policy == nil {
 		rt.policy = sched.FCFS{}
 	}

@@ -172,11 +172,10 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 	for _, call := range pending {
 		ctx.recordReplay(call)
 	}
-	if j := rt.journal; j != nil {
-		// The empty pre-resume context will never be torn down under its
-		// old ID; retire it from the journal.
-		j.ContextReleased(oldID)
-	}
+	// Retire the empty pre-resume context from the memory manager (and
+	// through it the journal); the session takes the context's lane.
+	rt.mm.ReleaseContext(oldID, nil)
+	rt.mm.SetLane(id, ctx.lane)
 	if t := rt.cfg.Leases; t != nil {
 		// Likewise retire the pre-resume context's own lease.
 		t.Release(oldID, rt.cfg.node())

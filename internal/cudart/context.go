@@ -136,74 +136,71 @@ func (c *Context) Free(p api.DevPtr) error {
 	return nil
 }
 
-// owns reports whether ptr falls inside one of this context's
-// allocations (pointers may point mid-allocation).
-func (c *Context) owns(ptr api.DevPtr) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.allocIndex(ptr) >= 0
+// MemcpyHD mirrors cudaMemcpy(HostToDevice): a one-item MemcpyHDBatch.
+// data carries real bytes or, when nil, size describes a synthetic
+// (timing-only) transfer.
+func (c *Context) MemcpyHD(dst api.DevPtr, data []byte, size uint64) error {
+	return c.MemcpyHDBatch([]api.HDCopy{{Dst: dst, Data: data, Size: size}})
 }
 
-// MemcpyHD mirrors cudaMemcpy(HostToDevice). data carries real bytes or,
-// when nil, size describes a synthetic (timing-only) transfer.
-func (c *Context) MemcpyHD(dst api.DevPtr, data []byte, size uint64) error {
-	if err := c.live(); err != nil {
-		return err
+// ownsLocked checks that the context is live and that each of the n
+// pointers ptr yields falls inside one of its allocations (pointers may
+// point mid-allocation). Caller holds c.mu: a submission takes the lock
+// once, not once per item.
+func (c *Context) ownsLocked(n int, ptr func(i int) api.DevPtr) error {
+	if c.destroyed {
+		return api.ErrInvalidValue
 	}
-	if !c.owns(dst) {
-		return api.ErrInvalidDevicePointer
+	for i := 0; i < n; i++ {
+		if c.allocIndex(ptr(i)) < 0 {
+			return api.ErrInvalidDevicePointer
+		}
 	}
-	return c.dev.CopyIn(dst, data, size)
+	return nil
 }
 
 // MemcpyHDBatch mirrors a vectored cudaMemcpy(HostToDevice): every
 // destination is validated against this context's allocations, then the
 // transfers land as a single copy-engine submission (gpu.CopyInBatch).
 func (c *Context) MemcpyHDBatch(items []api.HDCopy) error {
-	if err := c.live(); err != nil {
+	c.mu.Lock()
+	err := c.ownsLocked(len(items), func(i int) api.DevPtr { return items[i].Dst })
+	c.mu.Unlock()
+	if err != nil {
 		return err
-	}
-	for i := range items {
-		if !c.owns(items[i].Dst) {
-			return api.ErrInvalidDevicePointer
-		}
 	}
 	return c.dev.CopyInBatch(items)
 }
 
-// MemcpyDH mirrors cudaMemcpy(DeviceToHost).
+// MemcpyDH mirrors cudaMemcpy(DeviceToHost): a one-item MemcpyDHBatch.
 func (c *Context) MemcpyDH(src api.DevPtr, size uint64) ([]byte, error) {
-	if err := c.live(); err != nil {
+	datas, err := c.MemcpyDHBatch([]api.DHCopy{{Src: src, Size: size}})
+	if datas == nil {
 		return nil, err
 	}
-	if !c.owns(src) {
-		return nil, api.ErrInvalidDevicePointer
-	}
-	return c.dev.CopyOut(src, size)
+	return datas[0], nil
 }
 
 // MemcpyDHBatch lands several device→host transfers as one copy-engine
 // submission (see Device.CopyOutBatch). The returned slice is parallel
 // to items; entries are nil for synthetic allocations.
 func (c *Context) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
-	if err := c.live(); err != nil {
+	c.mu.Lock()
+	err := c.ownsLocked(len(items), func(i int) api.DevPtr { return items[i].Src })
+	c.mu.Unlock()
+	if err != nil {
 		return nil, err
-	}
-	for i := range items {
-		if !c.owns(items[i].Src) {
-			return nil, api.ErrInvalidDevicePointer
-		}
 	}
 	return c.dev.CopyOutBatch(items)
 }
 
 // MemcpyDD mirrors cudaMemcpy(DeviceToDevice) within the context.
 func (c *Context) MemcpyDD(dst, src api.DevPtr, size uint64) error {
-	if err := c.live(); err != nil {
+	c.mu.Lock()
+	err := c.ownsLocked(2, func(i int) api.DevPtr { return [2]api.DevPtr{dst, src}[i] })
+	c.mu.Unlock()
+	if err != nil {
 		return err
-	}
-	if !c.owns(dst) || !c.owns(src) {
-		return api.ErrInvalidDevicePointer
 	}
 	return c.dev.CopyDD(dst, src, size)
 }
@@ -226,19 +223,16 @@ func (m argMem) Arg(i int) ([]byte, error) {
 // (scaled by device speed, Repeat times) and applies the registered
 // host-side implementation, if any, to the device buffers.
 func (c *Context) Launch(call api.LaunchCall) error {
-	if err := c.live(); err != nil {
-		return err
-	}
+	// Liveness, the binary and every pointer in one hold of c.mu.
 	c.mu.Lock()
-	meta, binID, ok := c.binaries.Find(call.Kernel)
+	meta, binID, found := c.binaries.Find(call.Kernel)
+	err := c.ownsLocked(len(call.PtrArgs), func(i int) api.DevPtr { return call.PtrArgs[i] })
 	c.mu.Unlock()
-	if !ok {
-		return api.ErrNotRegistered
+	if !found && err != api.ErrInvalidValue {
+		err = api.ErrNotRegistered
 	}
-	for _, p := range call.PtrArgs {
-		if !c.owns(p) {
-			return api.ErrInvalidDevicePointer
-		}
+	if err != nil {
+		return err
 	}
 	var fn func() error
 	if impl, ok := api.KernelImpl(binID, call.Kernel); ok {
@@ -307,6 +301,5 @@ func (c *Context) Destroy() {
 
 	c.rt.mu.Lock()
 	c.rt.ctxPerDev[c.devIndex]--
-	c.rt.destroyedC++
 	c.rt.mu.Unlock()
 }

@@ -21,6 +21,7 @@ package cudart
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gvrt/internal/api"
 	"gvrt/internal/gpu"
@@ -45,29 +46,27 @@ type Runtime struct {
 	clock *sim.Clock
 
 	// Limits are fixed at construction; see the Default* constants.
-	contextReservation   uint64
+	contextReservation   atomic.Uint64 // read by every launch's fit check
 	maxContextsPerDevice int
 	maxProcesses         int
 
-	mu         sync.Mutex
-	devices    []*gpu.Device
-	ctxPerDev  map[int]int
-	processes  int
-	everCtx    int64 // total contexts ever created, for metrics
-	everProcs  int64
-	destroyedC int64
+	mu        sync.Mutex
+	devices   []*gpu.Device
+	ctxPerDev map[int]int
+	processes int
 }
 
 // New creates a runtime managing the given devices with default limits.
 func New(clock *sim.Clock, devices ...*gpu.Device) *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		clock:                clock,
-		contextReservation:   DefaultContextReservation,
 		maxContextsPerDevice: DefaultMaxContextsPerDevice,
 		maxProcesses:         DefaultMaxProcesses,
 		devices:              append([]*gpu.Device(nil), devices...),
 		ctxPerDev:            make(map[int]int),
 	}
+	rt.contextReservation.Store(DefaultContextReservation)
+	return rt
 }
 
 // Clock returns the model clock the runtime runs on.
@@ -80,7 +79,7 @@ func (rt *Runtime) SetLimits(contextReservation uint64, maxContextsPerDevice, ma
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if contextReservation > 0 {
-		rt.contextReservation = contextReservation
+		rt.contextReservation.Store(contextReservation)
 	}
 	if maxContextsPerDevice > 0 {
 		rt.maxContextsPerDevice = maxContextsPerDevice
@@ -91,11 +90,7 @@ func (rt *Runtime) SetLimits(contextReservation uint64, maxContextsPerDevice, ma
 }
 
 // ContextReservation reports the device memory each context reserves.
-func (rt *Runtime) ContextReservation() uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.contextReservation
-}
+func (rt *Runtime) ContextReservation() uint64 { return rt.contextReservation.Load() }
 
 // DeviceCount mirrors cudaGetDeviceCount.
 func (rt *Runtime) DeviceCount() int {
@@ -146,7 +141,6 @@ func (rt *Runtime) AttachProcess() (*Process, error) {
 		return nil, api.ErrRuntimeUnstable
 	}
 	rt.processes++
-	rt.everProcs++
 	return &Process{rt: rt}, nil
 }
 
@@ -184,11 +178,10 @@ func (rt *Runtime) CreateContext(dev int) (*Context, error) {
 		return nil, api.ErrTooManyContexts
 	}
 	rt.ctxPerDev[dev]++
-	rt.everCtx++
 	rt.mu.Unlock()
 
 	rt.clock.Sleep(gpu.ContextCreateTime)
-	res, err := d.Malloc(rt.contextReservation)
+	res, err := d.Malloc(rt.contextReservation.Load())
 	if err != nil {
 		rt.mu.Lock()
 		rt.ctxPerDev[dev]--

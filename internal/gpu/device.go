@@ -267,9 +267,26 @@ func hdSize(it *api.HDCopy) uint64 {
 // touched: each consults the DMA fault hook, then must lie inside one
 // allocation. It returns how long the submission holds the engine — the
 // sum of the items' modeled times — and the items the fault plane
-// corrupts.
+// corrupts. The batch is resolved in one hold of d.mu; the hooks then
+// fire in the per-item order, up to the first bad item's.
 func (d *Device) admit(n int, item func(i int) (api.DevPtr, uint64)) (total time.Duration, corrupt []int, err error) {
+	bad, badErr := n, error(nil)
+	d.mu.Lock()
 	for i := 0; i < n; i++ {
+		ptr, size := item(i)
+		b, off, ok := d.alloc.resolve(uint64(ptr))
+		alloc, _ := d.alloc.sizeOf(b)
+		if !ok || !inRange(off, size, alloc) {
+			bad, badErr = i, api.ErrInvalidDevicePointer
+			if ok {
+				badErr = api.ErrInvalidValue
+			}
+			break
+		}
+		total += d.dmaTime(size)
+	}
+	d.mu.Unlock()
+	for i := 0; i < n && i <= bad; i++ {
 		if h := d.dmaHook; h != nil {
 			dec := h.Check()
 			if dec.Corrupt {
@@ -279,15 +296,9 @@ func (d *Device) admit(n int, item func(i int) (api.DevPtr, uint64)) (total time
 				return 0, nil, err
 			}
 		}
-		ptr, size := item(i)
-		_, off, alloc, err := d.resolve(ptr)
-		if err != nil {
-			return 0, nil, err
+		if i == bad {
+			return 0, nil, badErr
 		}
-		if !inRange(off, size, alloc) {
-			return 0, nil, api.ErrInvalidValue
-		}
-		total += d.dmaTime(size)
 	}
 	return total, corrupt, nil
 }

@@ -121,16 +121,17 @@ type DeviceOps interface {
 
 // numShards is the stripe count of the manager's page-table state.
 // Contexts hash to shards by ID, so two applications' allocation
-// traffic only contends when they land on the same stripe; 64 stripes
-// keep that probability low for any realistic tenant count.
-const numShards = 64
+// traffic only contends when they land on the same stripe; IDs are
+// issued in sequence, so any 32 consecutive admissions stay apart.
+const numShards = 32
 
 // shard is one stripe of per-context state, keyed by context ID and
 // guarded by the stripe's own mutex; host-swap-area occupancy is global
-// and lives in the Manager as an atomic.
+// and lives in the Manager as an atomic. Each shard has its own cache line.
 type shard struct {
 	mu   sync.Mutex
 	ctxs map[int64]*ctxState
+	_    [48]byte
 }
 
 // ctxState is everything the manager keeps for one context. table, next
@@ -140,6 +141,7 @@ type shard struct {
 // one.
 type ctxState struct {
 	id    int64
+	lane  int    // the runtime lane its instruments are written on (SetLane)
 	table []*PTE // sorted by Virtual
 	next  uint64 // allocation cursor
 	usage uint64 // the MemUsage map of §4.5
@@ -156,6 +158,16 @@ type ctxState struct {
 func newCtxState(id int64) *ctxState {
 	cs := &ctxState{id: id}
 	cs.hd, cs.dh = cs.hdInline[:0], cs.dhInline[:0]
+	return cs
+}
+
+// state returns the context's state, creating it. Caller holds s.mu.
+func (s *shard) state(ctxID int64) *ctxState {
+	cs := s.ctxs[ctxID]
+	if cs == nil {
+		cs = newCtxState(ctxID)
+		s.ctxs[ctxID] = cs
+	}
 	return cs
 }
 
@@ -203,12 +215,12 @@ type Manager struct {
 	// own, so the tracer carries the model-time source.
 	tracer *trace.Tracer
 
-	swapOps         atomic.Int64
-	swapBytes       atomic.Int64
+	swapOps         trace.Counter // on the context's lane, as are the other Counters
+	swapBytes       trace.Counter
 	coalesced       atomic.Int64
 	badOps          atomic.Int64
-	checkpoint      atomic.Int64
-	checkpointBytes atomic.Int64
+	checkpoint      trace.Counter
+	checkpointBytes trace.Counter
 }
 
 // virtTag marks virtual addresses so they can never be mistaken for
@@ -230,8 +242,12 @@ const maxEntry = 1<<ctxShift - 256
 // host memory backing the swap area.
 func New(deferTransfers bool, hostLimit uint64) *Manager {
 	m := &Manager{
-		DeferTransfers: deferTransfers,
-		hostLimit:      hostLimit,
+		DeferTransfers:  deferTransfers,
+		hostLimit:       hostLimit,
+		swapOps:         trace.NewCounter(),
+		swapBytes:       trace.NewCounter(),
+		checkpoint:      trace.NewCounter(),
+		checkpointBytes: trace.NewCounter(),
 	}
 	for i := range m.shards {
 		m.shards[i].ctxs = make(map[int64]*ctxState)
@@ -304,6 +320,14 @@ func (m *Manager) Stats() api.Memory {
 	}
 }
 
+// SetLane sets the runtime lane ctxID's instruments are written on.
+func (m *Manager) SetLane(ctxID int64, lane int) {
+	s := m.shardOf(ctxID)
+	s.mu.Lock()
+	s.state(ctxID).lane = lane
+	s.mu.Unlock()
+}
+
 // Malloc services an allocation call (Table 1, malloc row): it creates
 // the page-table entry and reserves swap space, touching no device. The
 // returned pointer is virtual.
@@ -325,11 +349,7 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 	}
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
-	cs := s.ctxs[ctxID]
-	if cs == nil {
-		cs = newCtxState(ctxID)
-		s.ctxs[ctxID] = cs
-	}
+	cs := s.state(ctxID)
 	off := cs.next
 	if !inRange(off, size, maxEntry) {
 		s.mu.Unlock()
@@ -600,7 +620,7 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 	}
 	if t != nil {
 		end = t.Start()
-		t.Observe(t.D2H, int64(end-start))
+		t.Observe(t.D2H, cs.lane, int64(end-start))
 		if end > start && t.Spans() {
 			t.Span("d2h", cs.id, start, -1, fmt.Sprintf("%d bytes in %d transfers", total, len(items)))
 		}
@@ -872,7 +892,7 @@ func (m *Manager) toDevice(cs *ctxState, items []api.HDCopy, ops DeviceOps) erro
 	err := ops.MemcpyHDBatch(items)
 	if err == nil && t != nil {
 		elapsed := t.Start() - start
-		t.Observe(t.H2D, int64(elapsed))
+		t.Observe(t.H2D, cs.lane, int64(elapsed))
 		if elapsed > 0 && t.Spans() {
 			var total uint64
 			for _, it := range items {
@@ -932,13 +952,13 @@ func (m *Manager) liveTable(ctxID int64) []*PTE {
 // once; only swap_bytes, which needs no clock, sees each entry.
 func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err error) {
 	_, spilled, start, err := m.syncToSwap(entries, ops)
-	if err != nil {
+	if err != nil || len(entries) == 0 {
 		return 0, err
 	}
-	t := m.tracer
+	t, cs := m.tracer, entries[0].owner
 	if spilled > 0 {
-		m.swapBytes.Add(int64(spilled))
-		t.Attribute(entries[0].CtxID(), trace.AttrSwapBytes, int64(spilled))
+		m.swapBytes.Add(cs.lane, int64(spilled))
+		t.Attribute(cs.id, cs.lane, trace.AttrSwapBytes, int64(spilled))
 	}
 	for _, pte := range entries {
 		if !pte.IsAllocated {
@@ -956,18 +976,18 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 		pte.Device = 0
 		pte.ToCopy2Dev = true
 		if t != nil {
-			t.Observe(t.SwapBytes, int64(pte.Size))
+			t.Observe(t.SwapBytes, cs.lane, int64(pte.Size))
 		}
 		n++
 	}
 	if n > 0 {
-		m.swapOps.Add(int64(n))
-		t.Attribute(entries[0].CtxID(), trace.AttrSwapOps, int64(n))
+		m.swapOps.Add(cs.lane, int64(n))
+		t.Attribute(cs.id, cs.lane, trace.AttrSwapOps, int64(n))
 		if t != nil {
 			elapsed := t.Start() - start
-			t.Observe(t.SwapDur, int64(elapsed))
+			t.Observe(t.SwapDur, cs.lane, int64(elapsed))
 			if elapsed > 0 && t.Spans() {
-				t.Span("swap-out", entries[0].CtxID(), start, -1, fmt.Sprintf("%d entries", n))
+				t.Span("swap-out", cs.id, start, -1, fmt.Sprintf("%d entries", n))
 			}
 		}
 	}
@@ -980,13 +1000,18 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 // can be restarted on another GPU at the cost of replaying only
 // not-yet-executed work. It returns the number of entries flushed.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
-	n, flushed, _, err := m.syncToSwap(m.liveTable(ctxID), ops)
+	table := m.liveTable(ctxID)
+	n, flushed, _, err := m.syncToSwap(table, ops)
 	if err != nil {
 		return 0, err
 	}
-	m.checkpointBytes.Add(int64(flushed))
-	m.tracer.Attribute(ctxID, trace.AttrCheckpointBytes, int64(flushed))
-	m.checkpoint.Add(1)
+	lane := 0 // an empty table's checkpoint counts on lane 0
+	if len(table) > 0 {
+		lane = table[0].owner.lane
+	}
+	m.checkpointBytes.Add(lane, int64(flushed))
+	m.tracer.Attribute(ctxID, lane, trace.AttrCheckpointBytes, int64(flushed))
+	m.checkpoint.Add(lane, 1)
 	return n, nil
 }
 

@@ -23,16 +23,16 @@ func TestRegistryAttribution(t *testing.T) {
 		t.Fatal("Tenant not idempotent")
 	}
 	r.BindCtx(7, a)
-	r.ObserveCtx(7, trace.AttrSwapBytes, 100)
-	r.ObserveCtx(7, trace.AttrSwapOps, 1)
-	r.ObserveCtx(7, trace.AttrCheckpointBytes, 50)
+	r.ObserveCtx(7, 0, trace.AttrSwapBytes, 100)
+	r.ObserveCtx(7, 0, trace.AttrSwapOps, 1)
+	r.ObserveCtx(7, 0, trace.AttrCheckpointBytes, 50)
 	// Unknown context: silently unattributed, never panics.
-	r.ObserveCtx(99, trace.AttrSwapBytes, 1<<30)
+	r.ObserveCtx(99, 0, trace.AttrSwapBytes, 1<<30)
 
 	a.SessionJoin()
 	a.AddCall(false)
 	a.AddCall(true)
-	a.AddGPUTime(1000)
+	a.AddGPUTime(0, 1000)
 	a.AddQueueWait(200)
 	a.AddFenceRejection()
 	a.AddQuotaReject()
@@ -55,7 +55,7 @@ func TestRegistryAttribution(t *testing.T) {
 	}
 
 	r.UnbindCtx(7)
-	r.ObserveCtx(7, trace.AttrSwapBytes, 500)
+	r.ObserveCtx(7, 0, trace.AttrSwapBytes, 500)
 	if got := r.Snapshot()["a"].SwapBytes; got != 100 {
 		t.Errorf("attribution after unbind: swap bytes = %d, want 100", got)
 	}
@@ -71,7 +71,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			m := r.Tenant("t")
 			r.BindCtx(int64(g), m)
 			for i := 0; i < 1000; i++ {
-				r.ObserveCtx(int64(g), trace.AttrSwapBytes, 1)
+				r.ObserveCtx(int64(g), 0, trace.AttrSwapBytes, 1)
 				m.AddCall(false)
 			}
 		}(g)

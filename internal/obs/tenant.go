@@ -23,17 +23,19 @@ import (
 // TenantMetrics is the always-on attribution bundle for one tenant.
 // All mutators are a single atomic add (or a lock-free histogram
 // observe); the zero value is unusable — get bundles from a Registry.
+// What a steady-state call writes is written on the caller's lane; the
+// lane counters' headers come first, off the lines of the shared atomics.
 type TenantMetrics struct {
-	sessions        atomic.Int64
-	calls           atomic.Int64
+	calls           trace.Counter
+	launches        trace.Counter
+	gpuTimeNS       trace.Counter
+	checkpointBytes trace.Counter
 	errors          atomic.Int64
-	launches        atomic.Int64
-	gpuTimeNS       atomic.Int64
+	migrationBytes  atomic.Int64
+	sessions        atomic.Int64
 	queueWaitNS     atomic.Int64
 	swapBytes       atomic.Int64
 	swapOps         atomic.Int64
-	checkpointBytes atomic.Int64
-	migrationBytes  atomic.Int64
 	fenceRejections atomic.Int64
 	quotaRejects    atomic.Int64
 
@@ -48,21 +50,24 @@ type TenantMetrics struct {
 func (m *TenantMetrics) SessionJoin()  { m.sessions.Add(1) }
 func (m *TenantMetrics) SessionLeave() { m.sessions.Add(-1) }
 
-// AddCall counts one served call and whether it errored.
-func (m *TenantMetrics) AddCall(failed bool) {
-	m.calls.Add(1)
+// AddCall counts one served call, on lane 0, and whether it errored.
+func (m *TenantMetrics) AddCall(failed bool) { m.AddCallOn(0, failed) }
+
+// AddCallOn is AddCall on lane.
+func (m *TenantMetrics) AddCallOn(lane int, failed bool) {
+	m.calls.Add(lane, 1)
 	if failed {
 		m.errors.Add(1)
 	}
 }
 
-// AddGPUTime attributes one successfully executed kernel launch and
-// the modeled GPU execution time it consumed. Launch latency is
+// AddGPUTime attributes, on lane, one successfully executed kernel launch
+// and the modeled GPU execution time it consumed. Launch latency is
 // observed separately into the Launch histogram (which also sees
 // failed attempts, mirroring the runtime-wide histogram).
-func (m *TenantMetrics) AddGPUTime(gpuNS int64) {
-	m.launches.Add(1)
-	m.gpuTimeNS.Add(gpuNS)
+func (m *TenantMetrics) AddGPUTime(lane int, gpuNS int64) {
+	m.launches.Add(lane, 1)
+	m.gpuTimeNS.Add(lane, gpuNS)
 }
 
 // AddQueueWait attributes time parked waiting for a free vGPU.
@@ -131,7 +136,8 @@ func (r *Registry) Tenant(name string) *TenantMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m = r.tenants[name]; m == nil {
-		m = &TenantMetrics{}
+		m = &TenantMetrics{calls: trace.NewCounter(), launches: trace.NewCounter(),
+			gpuTimeNS: trace.NewCounter(), checkpointBytes: trace.NewCounter()}
 		r.tenants[name] = m
 	}
 	return m
@@ -150,9 +156,9 @@ func (r *Registry) UnbindCtx(ctxID int64) {
 
 // ObserveCtx is the trace.Tracer Attr sink: it attributes a quantity
 // reported by a lower layer (memmgr) to the tenant whose context owns
-// it. Contexts that never joined a tenant are simply not attributed.
-// Lock-free: one sync.Map load plus one atomic add.
-func (r *Registry) ObserveCtx(ctxID int64, kind trace.AttrKind, v int64) {
+// it, on lane. Contexts that never joined a tenant are simply not
+// attributed. Lock-free: one sync.Map load plus one atomic add.
+func (r *Registry) ObserveCtx(ctxID int64, lane int, kind trace.AttrKind, v int64) {
 	mv, ok := r.byCtx.Load(ctxID)
 	if !ok {
 		return
@@ -164,7 +170,7 @@ func (r *Registry) ObserveCtx(ctxID int64, kind trace.AttrKind, v int64) {
 	case trace.AttrSwapOps:
 		m.swapOps.Add(v)
 	case trace.AttrCheckpointBytes:
-		m.checkpointBytes.Add(v)
+		m.checkpointBytes.Add(lane, v)
 	}
 }
 

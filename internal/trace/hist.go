@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/bits"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -19,10 +20,64 @@ const histBuckets = 64
 // sum, so a snapshot's Count is the sum of its Buckets. A snapshot's Sum
 // may be off by in-flight observations — acceptable for exposition. The
 // shape is identical across all histograms, which makes snapshots
-// mergeable bucket-by-bucket.
+// mergeable bucket-by-bucket. The zero value is ready to use.
+//
+// Observe writes lane 0's words; ObserveLane a runtime lane's (Counter).
+// Lanes ≥1 live in one block, allocated on first use, whose pointer sits
+// off the lines of lane 0's hot buckets and sum.
 type Histogram struct {
+	lanes atomic.Pointer[histLanes]
+	histLane
+}
+
+// histLane is one lane's words. The padding keeps whatever follows it —
+// the next lane, or the next histogram's lanes pointer — off the line of
+// its sum.
+type histLane struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
+	_       [56]byte
+}
+
+// histLanes is the block of lanes ≥1; the padding gives its header a
+// line of its own.
+type histLanes struct {
+	l []histLane
+	_ [40]byte
+}
+
+// MaxLanes bounds L, the lane count (LaneCount) a runtime is built with.
+const MaxLanes = 4
+
+// LaneCount returns min(GOMAXPROCS, MaxLanes).
+func LaneCount() int { return min(runtime.GOMAXPROCS(0), MaxLanes) }
+
+// Counter is a lane counter: one int64 per lane, each on a cache line of
+// its own; Load sums the lanes, so the total is exact. See NewCounter.
+type Counter struct{ lanes []laneWord }
+
+type laneWord struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+// NewCounter returns a counter of LaneCount lanes.
+func NewCounter() Counter { return Counter{make([]laneWord, LaneCount())} }
+
+// Add adds n on lane, or on lane 0 if the counter lacks it.
+func (c *Counter) Add(lane int, n int64) {
+	if lane >= len(c.lanes) {
+		lane = 0
+	}
+	c.lanes[lane].n.Add(n)
+}
+
+// Load returns the total over all lanes.
+func (c *Counter) Load() (n int64) {
+	for i := range c.lanes {
+		n += c.lanes[i].n.Load()
+	}
+	return n
 }
 
 // bucketOf returns the bucket index for a value.
@@ -46,10 +101,26 @@ func BucketBound(i int) int64 {
 	return int64(1) << uint(i)
 }
 
-// Observe records one value (typically nanoseconds or bytes).
-func (h *Histogram) Observe(v int64) {
-	h.buckets[bucketOf(v)].Add(1)
-	h.sum.Add(v)
+// Observe records one value (typically nanoseconds or bytes) on lane 0.
+func (h *Histogram) Observe(v int64) { h.histLane.observe(v) }
+
+func (l *histLane) observe(v int64) {
+	l.buckets[bucketOf(v)].Add(1)
+	l.sum.Add(v)
+}
+
+// ObserveLane records one value on lane, or on lane 0 past the block's.
+func (h *Histogram) ObserveLane(lane int, v int64) {
+	l := &h.histLane
+	if lane > 0 {
+		if h.lanes.Load() == nil {
+			h.lanes.CompareAndSwap(nil, &histLanes{l: make([]histLane, max(LaneCount(), lane+1)-1)})
+		}
+		if b := h.lanes.Load(); lane <= len(b.l) {
+			l = &b.l[lane-1]
+		}
+	}
+	l.observe(v)
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram, shaped for the
@@ -61,16 +132,26 @@ type HistSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// Snapshot copies the histogram.
+// Snapshot copies the histogram, its lanes summed.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Sum = h.sum.Load()
-	last := -1
 	var raw [histBuckets]int64
-	for i := range h.buckets {
-		raw[i] = h.buckets[i].Load()
-		s.Count += raw[i]
-		if raw[i] != 0 {
+	add := func(l *histLane) {
+		s.Sum += l.sum.Load()
+		for i := range raw {
+			raw[i] += l.buckets[i].Load()
+		}
+	}
+	add(&h.histLane)
+	if b := h.lanes.Load(); b != nil {
+		for i := range b.l {
+			add(&b.l[i])
+		}
+	}
+	last := -1
+	for i, n := range raw {
+		s.Count += n
+		if n != 0 {
 			last = i
 		}
 	}
@@ -230,10 +311,10 @@ type Timings struct {
 	MigrationBytes Histogram
 }
 
-// ObserveCall records one service time of a call of wire kind kind
-// (api.KindOf) and CUDA-level name name: an array index and an atomic
-// load, with no lock and no map. cudaLaunch observes into Launch.
-func (t *Timings) ObserveCall(kind int, name string, v int64) {
+// ObserveCall records, on lane, one service time of a call of wire kind
+// kind (api.KindOf) and CUDA-level name name: an array index and an
+// atomic load, with no lock and no map. cudaLaunch observes into Launch.
+func (t *Timings) ObserveCall(kind int, name string, lane int, v int64) {
 	h := t.call[kind].Load()
 	if h == nil {
 		c := &callHist{name: name, Histogram: &t.Launch}
@@ -243,7 +324,7 @@ func (t *Timings) ObserveCall(kind int, name string, v int64) {
 		t.call[kind].CompareAndSwap(nil, c)
 		h = t.call[kind].Load()
 	}
-	h.Observe(v)
+	h.ObserveLane(lane, v)
 }
 
 // Family declares one histogram family: the key its snapshot carries,

@@ -186,7 +186,7 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestTimingsSnapshotSkipsEmpty(t *testing.T) {
 	var tm Timings
-	tm.ObserveCall(8, "cudaLaunch", 5000)
+	tm.ObserveCall(8, "cudaLaunch", 0, 5000)
 	snap := tm.Snapshot()
 	if len(snap) != 2 {
 		t.Errorf("Snapshot keys = %v, want launch_latency and call.cudaLaunch only", snap)
@@ -202,7 +202,7 @@ func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	start := tr.Start()
 	tr.Span("x", 1, start, -1, "")
-	tr.Observe(nil, 5) // must not panic
+	tr.Observe(nil, 0, 5) // must not panic
 }
 
 func TestWriteChromeTrace(t *testing.T) {

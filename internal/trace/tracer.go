@@ -18,9 +18,9 @@ type Tracer struct {
 	D2H       *Histogram
 	// Attr, when set, receives the same byte-level accounting the
 	// instrumented layer adds to its own counters, keyed by the owning
-	// context so the caller can attribute it (per tenant). It must be
-	// safe to call from swap paths: implementations may not take locks.
-	Attr func(ctx int64, kind AttrKind, v int64)
+	// context and lane so the caller can attribute it (per tenant). It must
+	// be safe to call from swap paths: implementations may not take locks.
+	Attr func(ctx int64, lane int, kind AttrKind, v int64)
 }
 
 // AttrKind names a per-context attributable quantity reported through
@@ -65,18 +65,18 @@ func (t *Tracer) Span(phase string, ctx int64, start time.Duration, device int, 
 	})
 }
 
-// Observe records v into h when both the tracer and histogram are
-// non-nil.
-func (t *Tracer) Observe(h *Histogram, v int64) {
+// Observe records v into h on lane when both the tracer and histogram
+// are non-nil.
+func (t *Tracer) Observe(h *Histogram, lane int, v int64) {
 	if t != nil && h != nil {
-		h.Observe(v)
+		h.ObserveLane(lane, v)
 	}
 }
 
-// Attribute reports an attributable quantity for ctx. No-op on a nil
-// tracer or unset Attr sink.
-func (t *Tracer) Attribute(ctx int64, kind AttrKind, v int64) {
+// Attribute reports an attributable quantity for ctx, on its lane.
+// No-op on a nil tracer or unset Attr sink.
+func (t *Tracer) Attribute(ctx int64, lane int, kind AttrKind, v int64) {
 	if t != nil && t.Attr != nil {
-		t.Attr(ctx, kind, v)
+		t.Attr(ctx, lane, kind, v)
 	}
 }

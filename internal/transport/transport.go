@@ -81,20 +81,27 @@ type Handler interface {
 // client's own goroutine, so a call costs no goroutine hand-off; Serve
 // then parks until the connection ends and no call is in flight, so the
 // caller's teardown never runs beside the handler.
-func Serve(sc ServerConn, h Handler) {
+// Over a stream, a handler panic ends only its connection: Serve returns
+// it as its only error. Over a pipe it goes on up the caller's goroutine.
+func Serve(sc ServerConn, h Handler) (err error) {
 	if p, ok := sc.(*pipeServer); ok {
 		(*pipe)(p).serve(h)
-		return
+		return nil
 	}
 	defer func() { _ = sc.Close() }()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("transport: handler panicked: %v", r)
+		}
+	}()
 	for {
 		call, err := sc.Recv()
 		if err != nil {
-			return
+			return nil
 		}
 		r, end := h.Handle(call)
 		if sc.Reply(r) != nil || end {
-			return
+			return nil
 		}
 	}
 }
