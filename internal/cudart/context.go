@@ -194,17 +194,6 @@ func (c *Context) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
 	return c.dev.CopyOutBatch(items)
 }
 
-// MemcpyDD mirrors cudaMemcpy(DeviceToDevice) within the context.
-func (c *Context) MemcpyDD(dst, src api.DevPtr, size uint64) error {
-	c.mu.Lock()
-	err := c.ownsLocked(2, func(i int) api.DevPtr { return [2]api.DevPtr{dst, src}[i] })
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return c.dev.CopyDD(dst, src, size)
-}
-
 // argMem adapts a launch's pointer arguments to api.KernelMemory.
 type argMem struct {
 	dev  *gpu.Device

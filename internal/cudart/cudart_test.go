@@ -302,30 +302,6 @@ func TestContextMemoryInUse(t *testing.T) {
 	if ctx.MemoryInUse() != 0 {
 		t.Errorf("MemoryInUse after Free = %d", ctx.MemoryInUse())
 	}
-}
-
-func TestContextMemcpyDD(t *testing.T) {
-	rt := newTestRuntime()
-	ctx, _ := rt.CreateContext(0)
-	defer ctx.Destroy()
-	src, _ := ctx.Malloc(64)
-	dst, _ := ctx.Malloc(64)
-	if err := ctx.MemcpyHD(src, []byte{5, 6, 7}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.MemcpyDD(dst, src, 3); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ctx.MemcpyDH(dst, 3)
-	if err != nil || len(out) != 3 || out[2] != 7 {
-		t.Errorf("MemcpyDD = %v, %v", out, err)
-	}
-	other, _ := rt.CreateContext(0)
-	defer other.Destroy()
-	foreign, _ := other.Malloc(64)
-	if err := ctx.MemcpyDD(dst, foreign, 1); !errors.Is(err, api.ErrInvalidDevicePointer) {
-		t.Errorf("cross-context MemcpyDD err = %v", err)
-	}
 	if ctx.Device() == nil || ctx.DeviceIndex() != 0 {
 		t.Error("context device accessors broken")
 	}

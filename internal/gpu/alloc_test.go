@@ -1,7 +1,10 @@
 package gpu
 
 import (
-	"math/bits"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,8 +31,8 @@ func TestAllocatorBasic(t *testing.T) {
 	if a.available() != 1<<20 {
 		t.Errorf("available after frees = %d, want %d", a.available(), 1<<20)
 	}
-	if spans := a.freeSpans(); len(spans) != 1 || spans[0].len != 1<<20 {
-		t.Errorf("free space not coalesced: %v", spans)
+	if len(a.free) != 1 || a.free[0] != (span{addr: 0x1000, len: 1 << 20}) {
+		t.Errorf("free space not coalesced: %v", a.free)
 	}
 }
 
@@ -72,8 +75,8 @@ func TestAllocatorExhaustion(t *testing.T) {
 
 func TestAllocatorFragmentation(t *testing.T) {
 	// Allocate 4 blocks, free alternating ones: total free is 2 blocks
-	// but the largest single allocation is 1 block. The arena is too
-	// small for a slab chunk, so each granule is a direct buddy carve.
+	// but the largest single allocation is 1 block: the two free
+	// granules are not adjacent, so first-fit cannot join them.
 	a := newAllocator(0, 4*allocGranularity)
 	var ptrs []uint64
 	for i := 0; i < 4; i++ {
@@ -131,26 +134,23 @@ func TestAllocatorResolve(t *testing.T) {
 	}
 }
 
-// TestAllocatorSpanFallback pins the satisfiability guarantee the span
-// fallback exists for: after small carves fragment the buddy
-// decomposition, a request larger than any single power-of-two block
-// must still succeed by carving across adjacent free blocks — the
-// near-capacity tenant-buffer case the runtime's swap tests rely on.
+// TestAllocatorSpanFallback pins the satisfiability guarantee the
+// runtime's swap tests rely on: a request succeeds whenever one
+// contiguous free span covers it, however large — the near-capacity
+// tenant buffer (600 KiB on a 1 MiB device) behind two reservations.
 func TestAllocatorSpanFallback(t *testing.T) {
 	a := newAllocator(0, 1<<20)
 	// Two context reservations, as the runtime carves per vGPU.
-	r1, ok := a.alloc(1024)
-	if !ok {
-		t.Fatal("reservation alloc failed")
+	for i := 0; i < 2; i++ {
+		if _, ok := a.alloc(1024); !ok {
+			t.Fatal("reservation alloc failed")
+		}
 	}
-	if _, ok := a.alloc(1024); !ok {
-		t.Fatal("reservation alloc failed")
-	}
-	// 600 KiB exceeds every remaining single buddy block (the largest
-	// is 512 KiB) but fits in the coalesced span.
+	// 600 KiB is more than half the arena, but the span behind the
+	// reservations covers it.
 	p, ok := a.alloc(600 << 10)
 	if !ok {
-		t.Fatalf("span-fallback alloc failed: largestFree=%d available=%d",
+		t.Fatalf("near-capacity alloc failed: largestFree=%d available=%d",
 			a.largestFree(), a.available())
 	}
 	if _, ok := a.alloc(600 << 10); ok {
@@ -162,77 +162,16 @@ func TestAllocatorSpanFallback(t *testing.T) {
 	if _, ok := a.alloc(600 << 10); !ok {
 		t.Error("600 KiB alloc should fit again after free")
 	}
-	_ = r1
-}
-
-// TestAllocatorFragmentationVsFirstFit runs the same interleaved
-// small/large trace through the buddy/slab allocator and the original
-// first-fit allocator. First-fit peppers the arena with small-object
-// islands, so freeing the large blocks leaves only block-sized holes;
-// the slab tier clusters the small objects in one chunk, so the same
-// frees coalesce back into one huge span.
-func TestAllocatorFragmentationVsFirstFit(t *testing.T) {
-	const (
-		smalls = 32
-		large  = uint64(64 << 10)
-		arena  = (smalls + 1) * (64 << 10) // hybrid worst case: 1 chunk + 32 larges
-	)
-	bd := newAllocator(0, arena)
-	ff := newFFAllocator(0, arena)
-	var bdLarge, ffLarge []uint64
-	for i := 0; i < smalls; i++ {
-		if _, ok := bd.alloc(allocGranularity); !ok {
-			t.Fatalf("buddy small alloc %d failed", i)
-		}
-		p, ok := bd.alloc(large)
-		if !ok {
-			t.Fatalf("buddy large alloc %d failed", i)
-		}
-		bdLarge = append(bdLarge, p)
-		if _, ok := ff.alloc(allocGranularity); !ok {
-			t.Fatalf("first-fit small alloc %d failed", i)
-		}
-		p, ok = ff.alloc(large)
-		if !ok {
-			t.Fatalf("first-fit large alloc %d failed", i)
-		}
-		ffLarge = append(ffLarge, p)
-	}
-	for _, p := range bdLarge {
-		if err := bd.freeBlock(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range ffLarge {
-		if err := ff.freeBlock(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bd.available() != ff.available() {
-		t.Errorf("accounting diverged: buddy %d, first-fit %d", bd.available(), ff.available())
-	}
-	bdMax, ffMax := bd.largestFree(), ff.largestFree()
-	t.Logf("largest free span after churn: buddy=%d first-fit=%d", bdMax, ffMax)
-	if ffMax > 2*large {
-		t.Errorf("first-fit largest span %d unexpectedly large; trace no longer fragments", ffMax)
-	}
-	if bdMax < 8*ffMax {
-		t.Errorf("buddy largest span %d not clearly better than first-fit %d", bdMax, ffMax)
-	}
-	// The coalesced span must be usable as one allocation.
-	if _, ok := bd.alloc(bdMax); !ok {
-		t.Errorf("buddy cannot allocate its own largest span %d", bdMax)
-	}
 }
 
 // TestAllocatorInvariants property-tests the allocator against a random
-// sequence of alloc/free operations: accounting must balance, live
-// allocations must never overlap each other or free space, buddy
-// blocks must stay aligned, and freeing everything must coalesce back
-// to a single span.
+// sequence of alloc/free operations: after every step the free list
+// must hold (allocatorInvariantsHold), and freeing everything must
+// coalesce back to a single span.
 func TestAllocatorInvariants(t *testing.T) {
+	const base, arena = 1 << 20, 1 << 22
 	check := func(ops []uint16) bool {
-		a := newAllocator(1<<20, 1<<22)
+		a := newAllocator(base, arena)
 		var live []uint64
 		for _, op := range ops {
 			if op%3 != 0 || len(live) == 0 {
@@ -247,7 +186,8 @@ func TestAllocatorInvariants(t *testing.T) {
 				}
 				live = append(live[:i], live[i+1:]...)
 			}
-			if !allocatorInvariantsHold(a, live) {
+			if err := allocatorInvariants(a, base, live); err != "" {
+				t.Log(err)
 				return false
 			}
 		}
@@ -256,134 +196,62 @@ func TestAllocatorInvariants(t *testing.T) {
 				return false
 			}
 		}
-		spans := a.freeSpans()
-		return a.available() == a.size && len(spans) == 1 && spans[0].len == a.size
+		return a.available() == arena && len(a.free) == 1 && a.free[0] == (span{addr: base, len: arena})
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-func allocatorInvariantsHold(a *allocator, live []uint64) bool {
-	// Accounting balances.
+// allocatorInvariants checks the free list of a, whose arena starts at
+// base, against the live allocations, and says what broke ("" if
+// nothing did). Free spans must be sorted, never empty and never
+// adjacent, and together with the live allocations they must tile the
+// arena in granule-sized pieces: that makes every piece disjoint from
+// the others and inside the arena, and free plus live bytes the arena.
+func allocatorInvariants(a *allocator, base uint64, live []uint64) string {
+	tiles := make([]span, 0, len(live)+len(a.free))
 	var liveSum uint64
 	for _, p := range live {
 		n, ok := a.sizeOf(p)
 		if !ok {
-			return false
+			return fmt.Sprintf("live %#x has no size", p)
 		}
 		liveSum += n
+		tiles = append(tiles, span{addr: p, len: n})
 	}
-	if liveSum != a.inUse {
-		return false
+	if len(live) != len(a.used) || liveSum != a.inUse {
+		return fmt.Sprintf("%d live allocations of %d bytes, allocator holds %d of %d", len(live), liveSum, len(a.used), a.inUse)
 	}
-	// Buddy free lists hold aligned, in-arena, non-duplicate blocks.
-	var freeSum uint64
-	for k := range a.freeLists {
-		for i, off := range a.freeLists[k] {
-			if off&(1<<k-1) != 0 || off+1<<k > a.size {
-				return false
-			}
-			if i > 0 && a.freeLists[k][i-1] >= off {
-				return false // unsorted or duplicate
-			}
-			freeSum += 1 << k
+	for i, s := range a.free {
+		if i > 0 && s.addr <= a.free[i-1].addr+a.free[i-1].len {
+			return fmt.Sprintf("free spans %v and %v are unsorted, overlapping or adjacent", a.free[i-1], s)
 		}
+		tiles = append(tiles, s)
 	}
-	// Slab chunks: free space inside chunks is neither buddy-free nor
-	// allocated; it accounts for the remainder.
-	var slabFree uint64
-	for off, m := range a.chunks {
-		if off&(chunkSize-1) != 0 || m.live == 0 {
-			return false
+	slices.SortFunc(tiles, func(x, y span) int { return cmp.Compare(x.addr, y.addr) })
+	at := base
+	for _, t := range tiles {
+		if t.addr != at || t.len == 0 || t.len%allocGranularity != 0 {
+			return fmt.Sprintf("%v does not continue the arena at %#x in whole granules", t, at)
 		}
-		slabFree += chunkSize - uint64(m.live)*m.objSize
+		at += t.len
 	}
-	if freeSum+slabFree != a.available() || freeSum+slabFree+liveSum != a.size {
-		return false
+	if at != base+a.size {
+		return fmt.Sprintf("pieces end at %#x, arena at %#x", at, base+a.size)
 	}
-	// Free spans are sorted, disjoint and inside the arena.
-	var prevEnd uint64
-	for _, s := range a.freeSpans() {
-		off := s.addr - a.base
-		if off < prevEnd || off+s.len > a.size {
-			return false
-		}
-		prevEnd = off + s.len
-	}
-	// Live allocations never overlap a free span or each other.
-	for i, p := range live {
-		n, _ := a.sizeOf(p)
-		for _, s := range a.freeSpans() {
-			if p < s.addr+s.len && s.addr < p+n {
-				return false
-			}
-		}
-		for _, q := range live[i+1:] {
-			qn, _ := a.sizeOf(q)
-			if p < q+qn && q < p+n {
-				return false
-			}
-		}
-	}
-	return true
+	return ""
 }
 
-// TestAllocatorSlabReuse exercises the slab free/reuse cycle: a chunk
-// that fills, partially drains, and refills must keep handing out
-// non-overlapping class objects, and draining it completely must
-// return the chunk to the buddy lists.
-func TestAllocatorSlabReuse(t *testing.T) {
-	a := newAllocator(0, 1<<20)
-	objs := make(map[uint64]bool)
-	var ptrs []uint64
-	perChunk := chunkSize / allocGranularity
-	for i := 0; i < perChunk+4; i++ { // spills into a second chunk
-		p, ok := a.alloc(allocGranularity)
-		if !ok {
-			t.Fatalf("slab alloc %d failed", i)
-		}
-		if objs[p] {
-			t.Fatalf("slab handed out duplicate object %#x", p)
-		}
-		objs[p] = true
-		ptrs = append(ptrs, p)
-	}
-	if got := len(a.chunks); got != 2 {
-		t.Fatalf("chunks = %d, want 2", got)
-	}
-	// Drain and refill the first chunk's worth.
-	for _, p := range ptrs[:perChunk] {
-		if err := a.freeBlock(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(a.chunks); got != 1 {
-		t.Fatalf("chunks after drain = %d, want 1", got)
-	}
-	for _, p := range ptrs[perChunk:] {
-		if err := a.freeBlock(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.available() != 1<<20 || len(a.chunks) != 0 {
-		t.Fatalf("arena not fully returned: available=%d chunks=%d", a.available(), len(a.chunks))
-	}
-	if spans := a.freeSpans(); len(spans) != 1 {
-		t.Errorf("free space not coalesced after slab drain: %v", spans)
-	}
-}
-
-// TestAllocatorNonPowerOfTwoArena checks buddy bookkeeping on an arena
-// whose size is not a power of two (real device capacities, e.g. 3 GB).
+// TestAllocatorNonPowerOfTwoArena checks an arena whose size is not a
+// power of two (real device capacities, e.g. 3 GB).
 func TestAllocatorNonPowerOfTwoArena(t *testing.T) {
-	const arena = 3 << 20 // decomposes into 2 MiB + 1 MiB blocks
+	const arena = 3 << 20
 	a := newAllocator(0, arena)
 	if got := a.largestFree(); got != arena {
-		t.Fatalf("initial largestFree = %d, want %d (adjacent blocks must span)", got, arena)
+		t.Fatalf("initial largestFree = %d, want %d", got, arena)
 	}
-	// A request above the largest single block must carve across the
-	// 2 MiB / 1 MiB block boundary.
+	// A request above every power of two inside the arena must fit.
 	p, ok := a.alloc(arena - (256 << 10))
 	if !ok {
 		t.Fatal("near-capacity alloc failed on non-power-of-two arena")
@@ -402,26 +270,52 @@ func TestAllocatorNonPowerOfTwoArena(t *testing.T) {
 	}
 }
 
-func TestCeilOrder(t *testing.T) {
-	cases := []struct {
-		n    uint64
-		want int
-	}{
-		{1, minOrder}, {255, minOrder}, {256, minOrder}, {257, 9},
-		{512, 9}, {1 << 16, 16}, {1<<16 + 1, 17}, {600 << 10, 20},
-	}
-	for _, c := range cases {
-		if got := ceilOrder(c.n); got != c.want {
-			t.Errorf("ceilOrder(%d) = %d, want %d", c.n, got, c.want)
+// FuzzAllocator decodes its input as an alloc/free script on a small
+// arena: each 9-byte record, up to 64 of them, is an opcode byte and a
+// uint64 operand. An even opcode allocates the operand's bytes — any
+// uint64, so sizes near 2^64 must be refused cleanly — and an odd one
+// frees the live allocation the operand picks. After every step the
+// free list must hold (allocatorInvariants), and an alloc must fail
+// exactly when no free span covers the rounded request.
+func FuzzAllocator(f *testing.F) {
+	rec := func(op byte, v uint64) []byte { return binary.LittleEndian.AppendUint64([]byte{op}, v) }
+	f.Add(rec(0, ^uint64(0)-100))
+	f.Add(append(append(append(rec(0, 100), rec(0, 5000)...), rec(1, 0)...), rec(0, 1<<16)...))
+	f.Add(append(append(append(rec(0, 0), rec(0, 1)...), rec(0, 1<<20)...), rec(1, 1)...))
+	const base, arena = 1 << 40, 1 << 20
+	f.Fuzz(func(t *testing.T, script []byte) {
+		a := newAllocator(base, arena)
+		var live []uint64
+		for n := 0; n < 64 && len(script) >= 9; n, script = n+1, script[9:] {
+			op, v := script[0], binary.LittleEndian.Uint64(script[1:9])
+			if op%2 == 1 && len(live) > 0 {
+				i := int(v % uint64(len(live)))
+				if err := a.freeBlock(live[i]); err != nil {
+					t.Fatalf("free %#x: %v", live[i], err)
+				}
+				live = append(live[:i], live[i+1:]...)
+			} else {
+				fits := false
+				if v <= arena {
+					need := max(roundUp(v), allocGranularity)
+					for _, s := range a.free {
+						fits = fits || s.len >= need
+					}
+				}
+				before := a.available()
+				p, ok := a.alloc(v)
+				switch {
+				case ok != fits:
+					t.Fatalf("alloc(%d) ok=%v, want %v (free spans %v)", v, ok, fits, a.free)
+				case !ok && a.available() != before:
+					t.Fatalf("refused alloc(%d) moved available %d -> %d", v, before, a.available())
+				case ok:
+					live = append(live, p)
+				}
+			}
+			if err := allocatorInvariants(a, base, live); err != "" {
+				t.Fatal(err)
+			}
 		}
-	}
-	// Sanity: ceilOrder agrees with bits.Len64 semantics for powers of two.
-	for o := minOrder; o < 40; o++ {
-		if got := ceilOrder(1 << o); got != o {
-			t.Errorf("ceilOrder(1<<%d) = %d", o, got)
-		}
-		if got := bits.Len64(uint64(1)<<o) - 1; got != o {
-			t.Errorf("bits.Len64 sanity failed at %d", o)
-		}
-	}
+	})
 }

@@ -410,38 +410,6 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 	return out, nil
 }
 
-// CopyDD transfers size bytes between two device allocations.
-func (d *Device) CopyDD(dst, src api.DevPtr, size uint64) error {
-	if err := d.usable(); err != nil {
-		return err
-	}
-	db, doff, dalloc, err := d.resolve(dst)
-	if err != nil {
-		return err
-	}
-	sb, soff, salloc, err := d.resolve(src)
-	if err != nil {
-		return err
-	}
-	if !inRange(doff, size, dalloc) || !inRange(soff, size, salloc) {
-		return api.ErrInvalidValue
-	}
-	// On-device copies ride the h2d engine (one engine is enough for a
-	// same-device blit; picking one side keeps the lock order trivial).
-	d.h2dMu.Lock()
-	// On-device copies are roughly an order of magnitude faster than
-	// PCIe transfers.
-	d.clock.Sleep(d.dmaTime(size / 10))
-	d.h2dMu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if sbuf, ok := d.bufs[sb]; ok {
-		dbuf := d.backing(db, dalloc)
-		copy(dbuf[doff:doff+size], sbuf[soff:])
-	}
-	return nil
-}
-
 // backing returns (materialising if needed) the byte store for the
 // allocation based at base. Caller holds d.mu.
 func (d *Device) backing(base api.DevPtr, size uint64) []byte {

@@ -19,30 +19,28 @@ func swapArena(t *testing.T) *allocator {
 }
 
 // TestAllocatorSteadyStateAllocatesNothing pins the §4.5 swap path's
-// allocator cost where it is earned: once the free lists and the span
-// view have grown to the workload's size, evicting and restoring a
-// working set costs no heap allocation at all.
+// allocator cost where it is earned: once the free list has grown to
+// the workload's size, evicting and restoring a working set costs no
+// heap allocation at all.
 func TestAllocatorSteadyStateAllocatesNothing(t *testing.T) {
 	cycles := map[string]func(a *allocator){
-		// The inter-application phase: one 1600 MiB buffer, not a power
-		// of two, so it takes the span first-fit.
-		"span 1600 MiB": func(a *allocator) {
+		// The inter-application phase: one 1600 MiB buffer.
+		"1600 MiB": func(a *allocator) {
 			p, ok := a.alloc(1600 << 20)
 			if !ok {
-				t.Fatal("span alloc failed")
+				t.Fatal("alloc failed")
 			}
 			if err := a.freeBlock(p); err != nil {
 				t.Fatal(err)
 			}
 		},
-		// The intra-application phase: 23 × 128 MiB, each carved from a
-		// single buddy block.
-		"carve 23 x 128 MiB": func(a *allocator) {
+		// The intra-application phase: 23 × 128 MiB.
+		"23 x 128 MiB": func(a *allocator) {
 			var ps [23]uint64
 			for i := range ps {
 				var ok bool
 				if ps[i], ok = a.alloc(128 << 20); !ok {
-					t.Fatalf("carve %d failed", i)
+					t.Fatalf("alloc %d failed", i)
 				}
 			}
 			for _, p := range ps {
@@ -52,10 +50,10 @@ func TestAllocatorSteadyStateAllocatesNothing(t *testing.T) {
 			}
 		},
 		// The dispatch workloads' session buffers.
-		"carve 256 KiB": func(a *allocator) {
+		"256 KiB": func(a *allocator) {
 			p, ok := a.alloc(256 << 10)
 			if !ok {
-				t.Fatal("carve failed")
+				t.Fatal("alloc failed")
 			}
 			if err := a.freeBlock(p); err != nil {
 				t.Fatal(err)
@@ -64,7 +62,7 @@ func TestAllocatorSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	for name, cycle := range cycles {
 		a := swapArena(t)
-		cycle(a) // grow the lists and the view once
+		cycle(a) // grow the free list once
 		if got := testing.AllocsPerRun(100, func() { cycle(a) }); got != 0 {
 			t.Errorf("%s: %v allocations per alloc/free cycle, want 0", name, got)
 		}
@@ -72,10 +70,10 @@ func TestAllocatorSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestAllocatorAddressSequenceGolden replays a fixed alloc/free script —
-// slab, buddy and span requests interleaved with frees, on a C2050-sized
-// arena — and compares every returned address against the sequence the
-// allocator produced at commit 92be28a, before its span view and
-// free-list pop were made allocation-free. Placement decides the
+// requests from 100 B to 1600 MiB interleaved with frees, on a
+// C2050-sized arena — and compares every returned address against the
+// sequence captured from the first-fit reference allocator
+// (EXPERIMENTS.md, "One device allocator"). Placement decides the
 // modeled-time figures (Fig. 7), so it must not move.
 func TestAllocatorAddressSequenceGolden(t *testing.T) {
 	a := newAllocator(1<<40, TeslaC2050.MemBytes)
@@ -134,16 +132,17 @@ func TestAllocatorAddressSequenceGolden(t *testing.T) {
 	}
 }
 
-// Captured by running the script above against commit 92be28a.
+// Captured by running the script above against the first-fit reference
+// allocator, before it became the implementation.
 var goldenFirst = []uint64{
-	0x10000000000, 0x10080000000, 0x10080000100, 0x10080000200,
-	0x10080010000, 0x10080020000, 0x10080000100, 0x10088000000,
+	0x10000000000, 0x10000000000, 0x10000000100, 0x10000000200,
+	0x10000000200, 0x10000000400, 0x10000000100, 0x10000000c00,
 }
 
 const (
-	goldenOK     = 1994
-	goldenFailed = 413
-	goldenHash   = 0xbcb85785140929e
+	goldenOK     = 1987
+	goldenFailed = 420
+	goldenHash   = 0x135cc0805058418f
 )
 
 // TestAllocatorResolveBaseAndInterior holds the exact-base fast path to
@@ -152,10 +151,9 @@ const (
 func TestAllocatorResolveBaseAndInterior(t *testing.T) {
 	a := newAllocator(1<<40, 1<<30)
 	walk := func(ptr uint64) (base, off uint64, ok bool) {
-		p := ptr - a.base
 		for b, n := range a.used {
-			if p >= b && p < b+n {
-				return a.base + b, p - b, true
+			if ptr >= b && ptr < b+n {
+				return b, ptr - b, true
 			}
 		}
 		return 0, 0, false
