@@ -181,19 +181,14 @@ func (rt *Runtime) CreateContext(dev int) (*Context, error) {
 	rt.mu.Unlock()
 
 	rt.clock.Sleep(gpu.ContextCreateTime)
-	res, err := d.Malloc(rt.contextReservation.Load())
-	if err != nil {
+	c := &Context{rt: rt, devIndex: dev, dev: d}
+	if _, err := d.MallocAs(&c.owner, rt.contextReservation.Load(), 0); err != nil {
 		rt.mu.Lock()
 		rt.ctxPerDev[dev]--
 		rt.mu.Unlock()
 		return nil, err
 	}
-	return &Context{
-		rt:       rt,
-		devIndex: dev,
-		dev:      d,
-		reserved: res,
-	}, nil
+	return c, nil
 }
 
 // ContextsOn reports the number of live contexts on device dev.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/faultinject"
 	"gvrt/internal/gpu"
 	"gvrt/internal/sim"
 )
@@ -57,6 +58,9 @@ func TestContextReservationConsumesMemory(t *testing.T) {
 	ctx, err := rt.CreateContext(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ctx.Device() != rt.Device(0) || ctx.DeviceIndex() != 0 {
+		t.Error("context device accessors broken")
 	}
 	after := rt.Device(0).Available()
 	if before-after != DefaultContextReservation {
@@ -264,8 +268,8 @@ func TestDestroyReleasesEverything(t *testing.T) {
 		}
 		last = p
 	}
-	// A free the failed device refused must leave the span with the
-	// context: the device comes back with the block still allocated, and
+	// A free the failed device refused must leave the block in the
+	// context's name: the device comes back with it still allocated, and
 	// nothing but Destroy can return it (the soak's stranded 600 KiB).
 	rt.Device(0).Fail()
 	if err := ctx.Free(last); !errors.Is(err, api.ErrDeviceUnavailable) {
@@ -285,24 +289,58 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	}
 }
 
-func TestContextMemoryInUse(t *testing.T) {
+// TestMallocZeroIsInvalid: cudaMalloc of zero bytes yields no pointer
+// the context could use, so it is refused and takes no device memory —
+// as memmgr.Malloc refuses it under the runtime.
+func TestMallocZeroIsInvalid(t *testing.T) {
 	rt := newTestRuntime()
-	ctx, _ := rt.CreateContext(0)
-	defer ctx.Destroy()
-	if ctx.MemoryInUse() != 0 {
-		t.Errorf("fresh context MemoryInUse = %d", ctx.MemoryInUse())
-	}
-	p, _ := ctx.Malloc(1 << 20)
-	if ctx.MemoryInUse() != 1<<20 {
-		t.Errorf("MemoryInUse = %d, want 1MiB", ctx.MemoryInUse())
-	}
-	if err := ctx.Free(p); err != nil {
+	ctx, err := rt.CreateContext(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.MemoryInUse() != 0 {
-		t.Errorf("MemoryInUse after Free = %d", ctx.MemoryInUse())
+	defer ctx.Destroy()
+	before := rt.Device(0).Available()
+	if p, err := ctx.Malloc(0); !errors.Is(err, api.ErrInvalidValue) {
+		t.Errorf("Malloc(0) = %#x, %v; want ErrInvalidValue", p, err)
 	}
-	if ctx.Device() == nil || ctx.DeviceIndex() != 0 {
-		t.Error("context device accessors broken")
+	if got := rt.Device(0).Available(); got != before {
+		t.Errorf("Malloc(0) took %d bytes", before-got)
+	}
+}
+
+// TestMallocRacingDestroyHoldsNothing: an allocation already past the
+// context's liveness check when Destroy runs must not land for the
+// destroyed context, where nothing would ever free it. A fault rule
+// stalls the context's first Malloc inside the device (the reservation
+// is the device's first allocation, the Malloc its second) for ten
+// model hours, 36 wall milliseconds at this clock's scale: Destroy,
+// called once the rule has fired, returns long before the stall ends.
+func TestMallocRacingDestroyHoldsNothing(t *testing.T) {
+	clock := sim.NewClock(1e-6)
+	dev := gpu.NewDevice(0, gpu.TeslaC2050, clock)
+	plane := faultinject.New(faultinject.Plan{Name: "malloc-racing-destroy", Rules: []faultinject.Rule{{
+		Point: faultinject.PointDeviceMalloc, AtNth: 2, Action: faultinject.ActDelay, Delay: 10 * time.Hour,
+	}}})
+	dev.InstallFaults(plane)
+	rt := New(clock, dev)
+	before := dev.Available()
+	ctx, err := rt.CreateContext(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ctx.Malloc(1 << 20)
+		done <- err
+	}()
+	for len(plane.Schedule()) == 0 {
+		time.Sleep(10 * time.Microsecond)
+	}
+	ctx.Destroy()
+	if err := <-done; !errors.Is(err, api.ErrInvalidValue) {
+		t.Errorf("Malloc racing Destroy err = %v, want ErrInvalidValue", err)
+	}
+	if got := dev.Available(); got != before {
+		t.Errorf("available %d after Destroy, %d before the context: %d bytes stranded", got, before, before-got)
 	}
 }

@@ -1,9 +1,10 @@
 package gpu
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+
+	"gvrt/internal/api"
 )
 
 // allocGranularity mirrors cudaMalloc's coarse alignment: every
@@ -16,19 +17,56 @@ const allocGranularity = 256
 // enough — cudaMalloc's contract, and the return code the paper's §4.5
 // reacts to: accounting alone cannot tell whether a request fits.
 //
+// Its table of live blocks is the one record of device memory: what
+// each allocation holds, who owns it and the bytes behind it.
+//
 // allocator is not safe for concurrent use; Device serialises access.
 type allocator struct {
 	size uint64
 	// free holds the free spans, sorted by address and never adjacent:
 	// freeBlock merges a released block into any span it touches.
 	free []span
-	// used maps allocation address -> length.
-	used map[uint64]uint64
+	// used maps allocation address -> block.
+	used map[uint64]block
 	// inUse is the sum of allocated lengths.
 	inUse uint64
 }
 
 type span struct{ addr, len uint64 }
+
+// Owner marks the allocations of one address space — a CUDA context —
+// in its device's table. A call made for an owner may address only the
+// bytes it asked for of its own allocations; Release frees them all and
+// retires the owner. The device's mu guards it.
+type Owner struct{ retired bool }
+
+// live fails with ErrInvalidValue, a destroyed context's answer, once o
+// is retired. A nil owner, the device-level caller, is always live.
+func (o *Owner) live() error {
+	if o != nil && o.retired {
+		return api.ErrInvalidValue
+	}
+	return nil
+}
+
+// block is one live allocation: its length rounded up to the
+// granularity, the length asked for (the bytes its owner's calls may
+// address; a reservation asks for none), its owner (nil for
+// device-level callers) and, once real data has landed in it, the bytes
+// behind it. Synthetic (timing-only) traffic never materialises buf,
+// which keeps multi-gigabyte modeled workloads cheap in host RAM.
+type block struct {
+	len, asked uint64
+	owner      *Owner
+	buf        []byte
+}
+
+// addressable reports whether a call made for o may address byte off of
+// b: an owner only the length it asked for of its own blocks, a
+// device-level caller (nil) every byte.
+func (b *block) addressable(o *Owner, off uint64) bool {
+	return o == nil || b.owner == o && off < b.asked
+}
 
 func newAllocator(base, size uint64) *allocator {
 	// A sub-granule tail could never be allocated anyway; drop it so
@@ -37,7 +75,7 @@ func newAllocator(base, size uint64) *allocator {
 	return &allocator{
 		size: size,
 		free: []span{{addr: base, len: size}},
-		used: make(map[uint64]uint64),
+		used: make(map[uint64]block),
 	}
 }
 
@@ -45,13 +83,17 @@ func roundUp(n uint64) uint64 {
 	return (n + allocGranularity - 1) &^ uint64(allocGranularity-1)
 }
 
-// alloc reserves n bytes (rounded up to the granularity) and returns
-// the base address, or ok=false if no contiguous free span is large
-// enough.
-func (a *allocator) alloc(n uint64) (addr uint64, ok bool) {
+// alloc reserves n bytes (rounded up to the granularity) for owner o,
+// which may address asked of them, and returns the base address. It
+// fails with ErrInvalidValue once o is retired and with
+// ErrMemoryAllocation when no contiguous free span is large enough.
+func (a *allocator) alloc(n, asked uint64, o *Owner) (addr uint64, err error) {
+	if err := o.live(); err != nil {
+		return 0, err
+	}
 	// Refuse before rounding: n within a granule of 2^64 would wrap.
 	if n > a.size {
-		return 0, false
+		return 0, api.ErrMemoryAllocation
 	}
 	n = max(roundUp(n), allocGranularity)
 	for i := range a.free {
@@ -65,20 +107,36 @@ func (a *allocator) alloc(n uint64) (addr uint64, ok bool) {
 		if s.len == 0 {
 			a.free = slices.Delete(a.free, i, i+1)
 		}
-		a.used[addr] = n
+		a.used[addr] = block{len: n, asked: asked, owner: o}
 		a.inUse += n
-		return addr, true
+		return addr, nil
 	}
-	return 0, false
+	return 0, api.ErrMemoryAllocation
 }
 
-// freeBlock releases the allocation based at addr, merging it into the
-// free spans it touches.
-func (a *allocator) freeBlock(addr uint64) error {
-	n, ok := a.used[addr]
-	if !ok {
-		return fmt.Errorf("gpu: free of unallocated address %#x", addr)
+// freeable returns the block based at addr if o may free it. It fails
+// with ErrInvalidValue once o is retired and with
+// ErrInvalidDevicePointer unless addr is the base of a block o may
+// address.
+func (a *allocator) freeable(addr uint64, o *Owner) (block, error) {
+	if err := o.live(); err != nil {
+		return block{}, err
 	}
+	b, ok := a.used[addr]
+	if !ok || !b.addressable(o, 0) {
+		return block{}, api.ErrInvalidDevicePointer
+	}
+	return b, nil
+}
+
+// freeBlock releases the allocation based at addr on o's behalf, if it
+// is freeable, merging it into the free spans it touches.
+func (a *allocator) freeBlock(addr uint64, o *Owner) error {
+	b, err := a.freeable(addr, o)
+	if err != nil {
+		return err
+	}
+	n := b.len
 	delete(a.used, addr)
 	a.inUse -= n
 	// a.free[i] is the first span above the block.
@@ -100,6 +158,19 @@ func (a *allocator) freeBlock(addr uint64) error {
 	return nil
 }
 
+// release frees every block o owns and retires o, so no later
+// allocation lands for it. It returns how many blocks it freed.
+func (a *allocator) release(o *Owner) (n int) {
+	for addr, b := range a.used {
+		if b.owner == o {
+			_ = a.freeBlock(addr, nil) // a device-level free of a live base cannot fail
+			n++
+		}
+	}
+	o.retired = true
+	return n
+}
+
 // available reports the total free bytes (which, due to fragmentation,
 // may exceed the largest satisfiable single allocation).
 func (a *allocator) available() uint64 { return a.size - a.inUse }
@@ -117,24 +188,28 @@ func (a *allocator) largestFree() uint64 {
 }
 
 // resolve maps an address that may point into the middle of an
-// allocation to (allocation base, offset). ok is false if the address
-// is not inside any live allocation.
-func (a *allocator) resolve(ptr uint64) (base, off uint64, ok bool) {
+// allocation to (allocation base, offset, block). ok is false if the
+// address is not inside any live allocation.
+func (a *allocator) resolve(ptr uint64) (base, off uint64, b block, ok bool) {
 	// DMA descriptors name allocation bases: try the exact key before
 	// walking the map (tens of entries) for an interior pointer.
-	if _, ok := a.used[ptr]; ok {
-		return ptr, 0, true
+	if b, ok := a.used[ptr]; ok {
+		return ptr, 0, b, true
 	}
-	for b, n := range a.used {
-		if ptr >= b && ptr-b < n {
-			return b, ptr - b, true
+	for base, b := range a.used {
+		if ptr >= base && ptr-base < b.len {
+			return base, ptr - base, b, true
 		}
 	}
-	return 0, 0, false
+	return 0, 0, block{}, false
 }
 
-// sizeOf returns the length of the allocation based at addr.
-func (a *allocator) sizeOf(addr uint64) (uint64, bool) {
-	n, ok := a.used[addr]
-	return n, ok
+// backing returns the bytes behind the block b based at base,
+// materialising them on first use.
+func (a *allocator) backing(base uint64, b block) []byte {
+	if b.buf == nil {
+		b.buf = make([]byte, b.len)
+		a.used[base] = b
+	}
+	return b.buf
 }

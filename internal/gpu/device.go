@@ -30,13 +30,10 @@ type Device struct {
 	spec  Spec
 	clock *sim.Clock
 
+	// mu guards alloc, the device's table of allocations, and the
+	// retired flag of every Owner.
 	mu    sync.Mutex
 	alloc *allocator
-	// bufs backs allocations that have carried real data, keyed by
-	// allocation base. Synthetic (timing-only) traffic never
-	// materialises backing, which keeps multi-gigabyte modeled
-	// workloads cheap in host RAM.
-	bufs map[api.DevPtr][]byte
 
 	// The execution engine and the two copy engines are independent
 	// mutexes, mirroring dual-copy-engine GPUs: an h2d transfer, a d2h
@@ -89,7 +86,6 @@ func NewDevice(id int, spec Spec, clock *sim.Clock) *Device {
 		spec:  spec,
 		clock: clock,
 		alloc: newAllocator(base, spec.MemBytes),
-		bufs:  make(map[api.DevPtr][]byte),
 	}
 }
 
@@ -184,7 +180,13 @@ func (d *Device) usable() error {
 // Malloc reserves n bytes of device memory. It fails with
 // ErrMemoryAllocation when no single free block can satisfy the request,
 // exactly like cudaMalloc under fragmentation.
-func (d *Device) Malloc(n uint64) (api.DevPtr, error) {
+func (d *Device) Malloc(n uint64) (api.DevPtr, error) { return d.MallocAs(nil, n, n) }
+
+// MallocAs is Malloc on behalf of o, whose calls may then address the
+// first asked of the n bytes: all of them for cudaMalloc, none for a
+// CUDA context's reservation. It fails with ErrInvalidValue once o is
+// retired.
+func (d *Device) MallocAs(o *Owner, n, asked uint64) (api.DevPtr, error) {
 	if err := d.usable(); err != nil {
 		return 0, err
 	}
@@ -195,46 +197,55 @@ func (d *Device) Malloc(n uint64) (api.DevPtr, error) {
 	}
 	d.clock.Sleep(MallocTime)
 	d.mu.Lock()
-	addr, ok := d.alloc.alloc(n)
+	addr, err := d.alloc.alloc(n, asked, o)
 	d.mu.Unlock()
-	if !ok {
-		return 0, api.ErrMemoryAllocation
-	}
-	return api.DevPtr(addr), nil
+	return api.DevPtr(addr), err
 }
 
 // Free releases an allocation made by Malloc. Freeing an address that is
 // not an allocation base returns ErrInvalidDevicePointer.
-func (d *Device) Free(p api.DevPtr) error {
+func (d *Device) Free(p api.DevPtr) error { return d.FreeAs(nil, p) }
+
+// FreeAs is Free on behalf of o: p must be the base of an allocation o
+// may address. That is checked before the device's health, as a CUDA
+// context's address space is its own: a pointer it does not own is
+// invalid on a failed device too.
+func (d *Device) FreeAs(o *Owner, p api.DevPtr) error {
+	if o != nil {
+		d.mu.Lock()
+		_, err := d.alloc.freeable(uint64(p), o)
+		d.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 	if err := d.usable(); err != nil {
 		return err
 	}
 	d.clock.Sleep(FreeTime)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.alloc.freeBlock(uint64(p)); err != nil {
-		return api.ErrInvalidDevicePointer
+	return d.alloc.freeBlock(uint64(p), o)
+}
+
+// Release frees every allocation o owns, its reservation included, and
+// retires o: a later call on its behalf fails with ErrInvalidValue and no
+// allocation can land for it, so the device keeps nothing of o. It
+// charges FreeTime per block, as freeing them one by one would; a failed
+// device charges nothing, and the blocks go all the same.
+func (d *Device) Release(o *Owner) {
+	d.mu.Lock()
+	n := d.alloc.release(o)
+	d.mu.Unlock()
+	if d.usable() == nil {
+		d.clock.Sleep(time.Duration(n) * FreeTime)
 	}
-	delete(d.bufs, p)
-	return nil
 }
 
 // inRange reports whether [off, off+size) lies within limit bytes. off
 // and size come from the caller, so their sum is never formed: it can
 // wrap.
 func inRange(off, size, limit uint64) bool { return size <= limit && off <= limit-size }
-
-// resolve maps ptr to (allocation base, offset, allocation size).
-func (d *Device) resolve(ptr api.DevPtr) (base api.DevPtr, off, size uint64, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b, o, ok := d.alloc.resolve(uint64(ptr))
-	if !ok {
-		return 0, 0, 0, api.ErrInvalidDevicePointer
-	}
-	n, _ := d.alloc.sizeOf(b)
-	return api.DevPtr(b), o, n, nil
-}
 
 // dmaTime returns the model duration of moving n bytes over the copy
 // engine.
@@ -263,29 +274,41 @@ func hdSize(it *api.HDCopy) uint64 {
 	return it.Size
 }
 
-// admit validates a submission of n transfers before the engine is
-// touched: each consults the DMA fault hook, then must lie inside one
-// allocation. It returns how long the submission holds the engine — the
-// sum of the items' modeled times — and the items the fault plane
-// corrupts. The batch is resolved in one hold of d.mu; the hooks then
-// fire in the per-item order, up to the first bad item's.
-func (d *Device) admit(n int, item func(i int) (api.DevPtr, uint64)) (total time.Duration, corrupt []int, err error) {
+// admit validates a submission of n transfers made for o before the
+// engine is touched: each consults the DMA fault hook, then must lie
+// inside one allocation. It returns how long the submission holds the
+// engine — the sum of the items' modeled times — and the items the fault
+// plane corrupts. The batch is resolved in one hold of d.mu, where an
+// owner's pointers are checked first, every one of them, before the
+// device's health and before any range or hook; the hooks then fire in
+// the per-item order, up to the first bad item's.
+func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (total time.Duration, corrupt []int, err error) {
 	bad, badErr := n, error(nil)
 	d.mu.Lock()
+	if err := o.live(); err != nil {
+		d.mu.Unlock()
+		return 0, nil, err
+	}
 	for i := 0; i < n; i++ {
 		ptr, size := item(i)
-		b, off, ok := d.alloc.resolve(uint64(ptr))
-		alloc, _ := d.alloc.sizeOf(b)
-		if !ok || !inRange(off, size, alloc) {
+		_, off, b, ok := d.alloc.resolve(uint64(ptr))
+		switch {
+		case o != nil && !(ok && b.addressable(o, off)):
+			d.mu.Unlock()
+			return 0, nil, api.ErrInvalidDevicePointer
+		case bad < n:
+		case !ok:
 			bad, badErr = i, api.ErrInvalidDevicePointer
-			if ok {
-				badErr = api.ErrInvalidValue
-			}
-			break
+		case !inRange(off, size, b.len):
+			bad, badErr = i, api.ErrInvalidValue
+		default:
+			total += d.dmaTime(size)
 		}
-		total += d.dmaTime(size)
 	}
 	d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		return 0, nil, err
+	}
 	for i := 0; i < n && i <= bad; i++ {
 		if h := d.dmaHook; h != nil {
 			dec := h.Check()
@@ -311,11 +334,12 @@ func (d *Device) admit(n int, item func(i int) (api.DevPtr, uint64)) (total time
 // without landing any data. An item's Data, when non-nil, carries its
 // real bytes (and its length overrides Size); a nil Data is a
 // timing-and-accounting-only transfer.
-func (d *Device) CopyInBatch(items []api.HDCopy) error {
-	if err := d.usable(); err != nil {
-		return err
-	}
-	total, corrupt, err := d.admit(len(items), func(i int) (api.DevPtr, uint64) {
+func (d *Device) CopyInBatch(items []api.HDCopy) error { return d.CopyInAs(nil, items) }
+
+// CopyInAs is CopyInBatch on behalf of o: every destination must lie in
+// the bytes o may address.
+func (d *Device) CopyInAs(o *Owner, items []api.HDCopy) error {
+	total, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
 		return items[i].Dst, hdSize(&items[i])
 	})
 	if err != nil {
@@ -337,9 +361,8 @@ func (d *Device) CopyInBatch(items []api.HDCopy) error {
 		d.mu.Lock()
 		// Resolved again, not carried across the sleep: an allocation
 		// freed while the copy was in flight takes no data.
-		if base, off, ok := d.alloc.resolve(uint64(it.Dst)); ok {
-			alloc, _ := d.alloc.sizeOf(base)
-			buf := d.backing(api.DevPtr(base), alloc)
+		if base, off, b, ok := d.alloc.resolve(uint64(it.Dst)); ok && b.addressable(o, off) {
+			buf := d.alloc.backing(base, b)
 			copy(buf[off:], it.Data)
 			if slices.Contains(corrupt, i) && len(it.Data) > 0 {
 				// ECC-style corruption: one flipped byte in the landed data.
@@ -369,11 +392,12 @@ func (d *Device) CopyOut(src api.DevPtr, size uint64) ([]byte, error) {
 // returned slice is parallel to items with nil entries for allocations
 // that have no real backing, and nil altogether when none has
 // (synthetic traffic allocates nothing).
-func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
-	if err := d.usable(); err != nil {
-		return nil, err
-	}
-	total, corrupt, err := d.admit(len(items), func(i int) (api.DevPtr, uint64) {
+func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) { return d.CopyOutAs(nil, items) }
+
+// CopyOutAs is CopyOutBatch on behalf of o: every source must lie in the
+// bytes o may address.
+func (d *Device) CopyOutAs(o *Owner, items []api.DHCopy) ([][]byte, error) {
+	total, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
 		return items[i].Src, items[i].Size
 	})
 	if err != nil {
@@ -392,13 +416,12 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 		it := &items[i]
 		d.d2hBytes.Add(int64(it.Size))
 		d.d2hOps.Add(1)
-		base, off, ok := d.alloc.resolve(uint64(it.Src))
-		buf, real := d.bufs[api.DevPtr(base)]
-		if !ok || !real {
+		_, off, b, ok := d.alloc.resolve(uint64(it.Src))
+		if !ok || b.buf == nil || !b.addressable(o, off) {
 			continue
 		}
 		data := make([]byte, it.Size)
-		copy(data, buf[off:])
+		copy(data, b.buf[off:])
 		if slices.Contains(corrupt, i) && it.Size > 0 {
 			data[0] ^= 0xFF
 		}
@@ -410,28 +433,17 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 	return out, nil
 }
 
-// backing returns (materialising if needed) the byte store for the
-// allocation based at base. Caller holds d.mu.
-func (d *Device) backing(base api.DevPtr, size uint64) []byte {
-	buf, ok := d.bufs[base]
-	if !ok {
-		buf = make([]byte, size)
-		d.bufs[base] = buf
-	}
-	return buf
-}
-
 // Bytes exposes the backing bytes of the allocation containing ptr,
 // starting at ptr, materialising the store on first use. It is how
 // kernel implementations see "device memory".
 func (d *Device) Bytes(ptr api.DevPtr) ([]byte, error) {
-	base, off, size, err := d.resolve(ptr)
-	if err != nil {
-		return nil, err
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.backing(base, size)[off:], nil
+	base, off, b, ok := d.alloc.resolve(uint64(ptr))
+	if !ok {
+		return nil, api.ErrInvalidDevicePointer
+	}
+	return d.alloc.backing(base, b)[off:], nil
 }
 
 // Exec occupies the execution engine for repeat back-to-back runs of a
@@ -439,6 +451,26 @@ func (d *Device) Bytes(ptr api.DevPtr) ([]byte, error) {
 // kernel's host-side data transformation) once per run if non-nil.
 // The per-launch overhead is charged for every run.
 func (d *Device) Exec(base time.Duration, repeat int, fn func() error) error {
+	return d.ExecAs(nil, nil, base, repeat, fn)
+}
+
+// ExecAs is Exec on behalf of o, whose kernel takes the pointer
+// arguments ptrs: each must lie in the bytes o may address. Like FreeAs
+// it judges them before the device's health.
+func (d *Device) ExecAs(o *Owner, ptrs []api.DevPtr, base time.Duration, repeat int, fn func() error) error {
+	if o != nil {
+		d.mu.Lock()
+		err := o.live()
+		for i := 0; err == nil && i < len(ptrs); i++ {
+			if _, off, b, ok := d.alloc.resolve(uint64(ptrs[i])); !ok || !b.addressable(o, off) {
+				err = api.ErrInvalidDevicePointer
+			}
+		}
+		d.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 	if err := d.usable(); err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 func swapArena(t *testing.T) *allocator {
 	t.Helper()
 	a := newAllocator(1<<40, TeslaC2050.MemBytes)
-	if _, ok := a.alloc(64 << 20); !ok {
+	if _, ok := a.take(64 << 20); !ok {
 		t.Fatal("context reservation did not fit")
 	}
 	return a
@@ -26,11 +26,11 @@ func TestAllocatorSteadyStateAllocatesNothing(t *testing.T) {
 	cycles := map[string]func(a *allocator){
 		// The inter-application phase: one 1600 MiB buffer.
 		"1600 MiB": func(a *allocator) {
-			p, ok := a.alloc(1600 << 20)
+			p, ok := a.take(1600 << 20)
 			if !ok {
 				t.Fatal("alloc failed")
 			}
-			if err := a.freeBlock(p); err != nil {
+			if err := a.freeBlock(p, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -39,23 +39,23 @@ func TestAllocatorSteadyStateAllocatesNothing(t *testing.T) {
 			var ps [23]uint64
 			for i := range ps {
 				var ok bool
-				if ps[i], ok = a.alloc(128 << 20); !ok {
+				if ps[i], ok = a.take(128 << 20); !ok {
 					t.Fatalf("alloc %d failed", i)
 				}
 			}
 			for _, p := range ps {
-				if err := a.freeBlock(p); err != nil {
+				if err := a.freeBlock(p, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 		},
 		// The dispatch workloads' session buffers.
 		"256 KiB": func(a *allocator) {
-			p, ok := a.alloc(256 << 10)
+			p, ok := a.take(256 << 10)
 			if !ok {
 				t.Fatal("alloc failed")
 			}
-			if err := a.freeBlock(p); err != nil {
+			if err := a.freeBlock(p, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -101,14 +101,14 @@ func TestAllocatorAddressSequenceGolden(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		if r := next(); len(live) > 0 && r%5 < 2 {
 			i := int(next() % uint64(len(live)))
-			if err := a.freeBlock(live[i]); err != nil {
+			if err := a.freeBlock(live[i], nil); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 			continue
 		}
-		p, got := a.alloc(sizes[next()%uint64(len(sizes))])
+		p, got := a.take(sizes[next()%uint64(len(sizes))])
 		if got {
 			live = append(live, p)
 			ok++
@@ -151,8 +151,8 @@ const (
 func TestAllocatorResolveBaseAndInterior(t *testing.T) {
 	a := newAllocator(1<<40, 1<<30)
 	walk := func(ptr uint64) (base, off uint64, ok bool) {
-		for b, n := range a.used {
-			if ptr >= b && ptr < b+n {
+		for b, blk := range a.used {
+			if ptr >= b && ptr < b+blk.len {
 				return b, ptr - b, true
 			}
 		}
@@ -160,30 +160,30 @@ func TestAllocatorResolveBaseAndInterior(t *testing.T) {
 	}
 	var live []uint64
 	for _, n := range []uint64{256, 1000, 4096, 1 << 20, 3 << 20, 600 << 10, 100} {
-		p, ok := a.alloc(n)
+		p, ok := a.take(n)
 		if !ok {
 			t.Fatalf("alloc(%d) failed", n)
 		}
 		live = append(live, p)
 	}
 	// A hole in the middle: its base must stop resolving.
-	if err := a.freeBlock(live[3]); err != nil {
+	if err := a.freeBlock(live[3], nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range live {
-		n, _ := a.sizeOf(p)
+		n := a.used[p].len
 		for _, ptr := range []uint64{p, p + 1, p + 255, p + n - 1, p + n, p - 1} {
-			b, o, ok := a.resolve(ptr)
+			b, o, _, ok := a.resolve(ptr)
 			wb, wo, wok := walk(ptr)
 			if b != wb || o != wo || ok != wok {
 				t.Errorf("resolve(%#x) = (%#x, %d, %v), linear walk says (%#x, %d, %v)", ptr, b, o, ok, wb, wo, wok)
 			}
 		}
 	}
-	if b, o, ok := a.resolve(live[1]); !ok || b != live[1] || o != 0 {
+	if b, o, _, ok := a.resolve(live[1]); !ok || b != live[1] || o != 0 {
 		t.Errorf("resolve(base) = (%#x, %d, %v)", b, o, ok)
 	}
-	if _, _, ok := a.resolve(live[3]); ok {
+	if _, _, _, ok := a.resolve(live[3]); ok {
 		t.Error("freed base still resolves")
 	}
 }
