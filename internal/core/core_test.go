@@ -35,7 +35,13 @@ func smallSpec(mem uint64, speed float64) gpu.Spec {
 // reservation is shrunk to 1 KiB so tiny devices work.
 func newEnv(t *testing.T, cfg Config, specs ...gpu.Spec) *testEnv {
 	t.Helper()
-	clock := sim.NewClock(1e-7) // 1 model s = 0.1 µs wall: instant
+	return newEnvAt(t, 1e-7, cfg, specs...) // 1 model s = 0.1 µs wall: instant
+}
+
+// newEnvAt is newEnv on a clock of the given scale.
+func newEnvAt(t *testing.T, scale float64, cfg Config, specs ...gpu.Spec) *testEnv {
+	t.Helper()
+	clock := sim.NewClock(scale)
 	devs := make([]*gpu.Device, len(specs))
 	for i, s := range specs {
 		devs[i] = gpu.NewDevice(i, s, clock)

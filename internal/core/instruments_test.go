@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/gpu"
+	"gvrt/internal/trace"
 )
 
 // TestLastActiveStampedAtCallEnd: a context's last-active stamp is the
@@ -36,10 +38,44 @@ func TestLastActiveStampedAtCallEnd(t *testing.T) {
 // TestInstrumentsAgree runs a scripted pair of tenants that displace
 // each other on one device (§4.5 inter-application swap, two entries
 // per swap-out) and checks that the instruments sharing a reading, or
-// derived from one another, agree exactly.
+// derived from one another, agree exactly. The transfer and swap
+// histograms observe the model time the device charged, so their sums
+// are exact against the device model and the same at every clock scale.
 func TestInstrumentsAgree(t *testing.T) {
+	const buf = 300 << 10
+	var sums [][3]int64
+	for _, scale := range []float64{1e-7, 1e-5} {
+		env := newEnvAt(t, scale, Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, smallSpec(1<<20, 1))
+		h := instrumentsAgree(t, env, buf)
+		dev := env.crt.Device(0)
+		st := dev.Stats()
+		swapped := env.rt.Metrics().Memory.SwapOps
+		for _, c := range []struct {
+			name string
+			sum  int64
+			want time.Duration
+		}{
+			{"h2d", h["h2d"].Sum, time.Duration(st.H2DOps) * dev.DMATime(buf)},
+			{"d2h", h["d2h"].Sum, time.Duration(st.D2HOps) * dev.DMATime(buf)},
+			{"swap_duration", h["swap_duration"].Sum, time.Duration(swapped) * gpu.FreeTime},
+		} {
+			if time.Duration(c.sum) != c.want || c.want == 0 {
+				t.Errorf("scale %g: %s sum %v, want %v charged by the model", scale, c.name, time.Duration(c.sum), c.want)
+			}
+		}
+		sums = append(sums, [3]int64{h["h2d"].Sum, h["d2h"].Sum, h["swap_duration"].Sum})
+	}
+	if sums[0] != sums[1] {
+		t.Errorf("h2d, d2h and swap_duration sums %v at scale 1e-7 but %v at 1e-5", sums[0], sums[1])
+	}
+}
+
+// instrumentsAgree runs TestInstrumentsAgree's script on env, with
+// buffers of buf bytes, checks the instruments that count the same
+// thing, and returns the runtime's histograms.
+func instrumentsAgree(t *testing.T, env *testEnv, buf uint64) map[string]trace.HistSnapshot {
+	t.Helper()
 	const rounds = 6
-	env := newEnv(t, Config{VGPUsPerDevice: 2, MinVictimIdle: -1}, smallSpec(1<<20, 1))
 	var sessions [2]*session
 	var launches [2]api.LaunchCall
 	scripted := int64(0)
@@ -48,7 +84,7 @@ func TestInstrumentsAgree(t *testing.T) {
 		if err := s.SetTenant(tenant); err != nil {
 			t.Fatal(err)
 		}
-		launches[k] = api.LaunchCall{Kernel: "noop", PtrArgs: []api.DevPtr{s.buffer(t, 300<<10, 1), s.buffer(t, 300<<10, 2)}}
+		launches[k] = api.LaunchCall{Kernel: "noop", PtrArgs: []api.DevPtr{s.buffer(t, buf, 1), s.buffer(t, buf, 2)}}
 		sessions[k] = s
 		scripted += 7 // the two above, SetTenant, two Malloc+MemcpyHD pairs
 	}
@@ -92,4 +128,5 @@ func TestInstrumentsAgree(t *testing.T) {
 			t.Errorf("tenant %s: Launch histogram count %d, launches %d, want %d", tenant, u.Launch.Count, u.Launches, rounds)
 		}
 	}
+	return h
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gvrt/internal/api"
 	"gvrt/internal/gpu"
@@ -84,27 +85,30 @@ func (c *Context) Malloc(size uint64) (api.DevPtr, error) {
 }
 
 // Free mirrors cudaFree. Only pointers allocated by this context are
-// valid: contexts are isolated address spaces.
-func (c *Context) Free(p api.DevPtr) error { return c.dev.FreeAs(&c.owner, p) }
+// valid: contexts are isolated address spaces. It returns the model time
+// the device charged (gpu.FreeTime, or nothing when it refused).
+func (c *Context) Free(p api.DevPtr) (time.Duration, error) { return c.dev.FreeAs(&c.owner, p) }
 
 // MemcpyHD mirrors cudaMemcpy(HostToDevice): a one-item MemcpyHDBatch.
 // data carries real bytes or, when nil, size describes a synthetic
 // (timing-only) transfer.
 func (c *Context) MemcpyHD(dst api.DevPtr, data []byte, size uint64) error {
-	return c.MemcpyHDBatch([]api.HDCopy{{Dst: dst, Data: data, Size: size}})
+	_, err := c.MemcpyHDBatch([]api.HDCopy{{Dst: dst, Data: data, Size: size}})
+	return err
 }
 
 // MemcpyHDBatch mirrors a vectored cudaMemcpy(HostToDevice): every
 // destination must lie inside one of this context's allocations (a
 // pointer may point mid-allocation), then the transfers land as a
-// single copy-engine submission (gpu.CopyInBatch).
-func (c *Context) MemcpyHDBatch(items []api.HDCopy) error {
+// single copy-engine submission (gpu.CopyInBatch). It returns the model
+// time the submission charged (gpu.Device.CopyInAs).
+func (c *Context) MemcpyHDBatch(items []api.HDCopy) (time.Duration, error) {
 	return c.dev.CopyInAs(&c.owner, items)
 }
 
 // MemcpyDH mirrors cudaMemcpy(DeviceToHost): a one-item MemcpyDHBatch.
 func (c *Context) MemcpyDH(src api.DevPtr, size uint64) ([]byte, error) {
-	datas, err := c.MemcpyDHBatch([]api.DHCopy{{Src: src, Size: size}})
+	datas, _, err := c.MemcpyDHBatch([]api.DHCopy{{Src: src, Size: size}})
 	if datas == nil {
 		return nil, err
 	}
@@ -113,8 +117,9 @@ func (c *Context) MemcpyDH(src api.DevPtr, size uint64) ([]byte, error) {
 
 // MemcpyDHBatch lands several device→host transfers as one copy-engine
 // submission (see Device.CopyOutBatch). The returned slice is parallel
-// to items; entries are nil for synthetic allocations.
-func (c *Context) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
+// to items; entries are nil for synthetic allocations. The duration is
+// the model time the submission charged.
+func (c *Context) MemcpyDHBatch(items []api.DHCopy) ([][]byte, time.Duration, error) {
 	return c.dev.CopyOutAs(&c.owner, items)
 }
 

@@ -158,7 +158,7 @@ func TestContextIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Free(p); !errors.Is(err, api.ErrInvalidDevicePointer) {
+	if _, err := b.Free(p); !errors.Is(err, api.ErrInvalidDevicePointer) {
 		t.Errorf("cross-context Free err = %v, want ErrInvalidDevicePointer", err)
 	}
 	if err := b.MemcpyHD(p, []byte{1}, 0); !errors.Is(err, api.ErrInvalidDevicePointer) {
@@ -272,7 +272,7 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	// context's name: the device comes back with it still allocated, and
 	// nothing but Destroy can return it (the soak's stranded 600 KiB).
 	rt.Device(0).Fail()
-	if err := ctx.Free(last); !errors.Is(err, api.ErrDeviceUnavailable) {
+	if _, err := ctx.Free(last); !errors.Is(err, api.ErrDeviceUnavailable) {
 		t.Fatalf("Free on a failed device: %v", err)
 	}
 	rt.Device(0).Restore()

@@ -93,7 +93,8 @@ func TestErrorPrecedence(t *testing.T) {
 			for i, p := range ptrs {
 				items[i] = api.HDCopy{Dst: p, Data: []byte{1, 2, 3, 4}}
 			}
-			return e.c.MemcpyHDBatch(items)
+			_, err := e.c.MemcpyHDBatch(items)
+			return err
 		}
 	}
 	dh := func(ptrs ...api.DevPtr) func(e *precedenceEnv) error {
@@ -102,7 +103,7 @@ func TestErrorPrecedence(t *testing.T) {
 			for i, p := range ptrs {
 				items[i] = api.DHCopy{Src: p, Size: 4}
 			}
-			_, err := e.c.MemcpyDHBatch(items)
+			_, _, err := e.c.MemcpyDHBatch(items)
 			return err
 		}
 	}
@@ -134,14 +135,14 @@ func TestErrorPrecedence(t *testing.T) {
 		{name: "Malloc failed device", failed: true, call: func(e *precedenceEnv) error { _, err := e.c.Malloc(64); return err }, want: api.ErrDeviceUnavailable},
 		{name: "Malloc destroyed on failed device", destroyed: true, failed: true, call: func(e *precedenceEnv) error { _, err := e.c.Malloc(64); return err }, want: api.ErrInvalidValue},
 
-		{name: "Free", call: func(e *precedenceEnv) error { return e.c.Free(e.own) }},
-		{name: "Free destroyed", destroyed: true, call: func(e *precedenceEnv) error { return e.c.Free(e.own) }, want: api.ErrInvalidValue},
-		{name: "Free foreign", call: func(e *precedenceEnv) error { return e.c.Free(e.foreign) }, want: api.ErrInvalidDevicePointer},
-		{name: "Free interior", call: func(e *precedenceEnv) error { return e.c.Free(e.interior()) }, want: api.ErrInvalidDevicePointer},
-		{name: "Free slack", call: func(e *precedenceEnv) error { return e.c.Free(e.slack()) }, want: api.ErrInvalidDevicePointer},
-		{name: "Free failed device", failed: true, call: func(e *precedenceEnv) error { return e.c.Free(e.own) }, want: api.ErrDeviceUnavailable},
-		{name: "Free foreign on failed device", failed: true, call: func(e *precedenceEnv) error { return e.c.Free(e.foreign) }, want: api.ErrInvalidDevicePointer},
-		{name: "Free foreign destroyed", destroyed: true, call: func(e *precedenceEnv) error { return e.c.Free(e.foreign) }, want: api.ErrInvalidValue},
+		{name: "Free", call: func(e *precedenceEnv) error { _, err := e.c.Free(e.own); return err }},
+		{name: "Free destroyed", destroyed: true, call: func(e *precedenceEnv) error { _, err := e.c.Free(e.own); return err }, want: api.ErrInvalidValue},
+		{name: "Free foreign", call: func(e *precedenceEnv) error { _, err := e.c.Free(e.foreign); return err }, want: api.ErrInvalidDevicePointer},
+		{name: "Free interior", call: func(e *precedenceEnv) error { _, err := e.c.Free(e.interior()); return err }, want: api.ErrInvalidDevicePointer},
+		{name: "Free slack", call: func(e *precedenceEnv) error { _, err := e.c.Free(e.slack()); return err }, want: api.ErrInvalidDevicePointer},
+		{name: "Free failed device", failed: true, call: func(e *precedenceEnv) error { _, err := e.c.Free(e.own); return err }, want: api.ErrDeviceUnavailable},
+		{name: "Free foreign on failed device", failed: true, call: func(e *precedenceEnv) error { _, err := e.c.Free(e.foreign); return err }, want: api.ErrInvalidDevicePointer},
+		{name: "Free foreign destroyed", destroyed: true, call: func(e *precedenceEnv) error { _, err := e.c.Free(e.foreign); return err }, want: api.ErrInvalidValue},
 
 		{name: "MemcpyHD", call: func(e *precedenceEnv) error { return e.c.MemcpyHD(e.own, []byte{1}, 0) }, hooks: hookCounts{dma: 1}},
 		{name: "MemcpyHD interior", call: func(e *precedenceEnv) error { return e.c.MemcpyHD(e.interior(), []byte{1}, 0) }, hooks: hookCounts{dma: 1}},
@@ -167,10 +168,12 @@ func TestErrorPrecedence(t *testing.T) {
 		{name: "MemcpyHDBatch foreign second", call: func(e *precedenceEnv) error { return hd(e.own, e.foreign)(e) }, want: api.ErrInvalidDevicePointer},
 		{name: "MemcpyHDBatch slack second", call: func(e *precedenceEnv) error { return hd(e.own, e.slack())(e) }, want: api.ErrInvalidDevicePointer},
 		{name: "MemcpyHDBatch past the end then foreign", call: func(e *precedenceEnv) error {
-			return e.c.MemcpyHDBatch([]api.HDCopy{{Dst: e.own, Size: past}, {Dst: e.foreign, Size: 1}})
+			_, err := e.c.MemcpyHDBatch([]api.HDCopy{{Dst: e.own, Size: past}, {Dst: e.foreign, Size: 1}})
+			return err
 		}, want: api.ErrInvalidDevicePointer},
 		{name: "MemcpyHDBatch past the end second", call: func(e *precedenceEnv) error {
-			return e.c.MemcpyHDBatch([]api.HDCopy{{Dst: e.own, Size: 1}, {Dst: e.own, Size: past}, {Dst: e.own, Size: 1}})
+			_, err := e.c.MemcpyHDBatch([]api.HDCopy{{Dst: e.own, Size: 1}, {Dst: e.own, Size: past}, {Dst: e.own, Size: 1}})
+			return err
 		}, want: api.ErrInvalidValue, hooks: hookCounts{dma: 2}},
 		{name: "MemcpyHDBatch destroyed", destroyed: true, call: func(e *precedenceEnv) error { return hd(e.own)(e) }, want: api.ErrInvalidValue},
 		{name: "MemcpyHDBatch failed device", failed: true, call: func(e *precedenceEnv) error { return hd(e.own, e.interior())(e) }, want: api.ErrDeviceUnavailable},
@@ -182,11 +185,11 @@ func TestErrorPrecedence(t *testing.T) {
 		{name: "MemcpyDHBatch foreign second", call: func(e *precedenceEnv) error { return dh(e.own, e.foreign)(e) }, want: api.ErrInvalidDevicePointer},
 		{name: "MemcpyDHBatch slack second", call: func(e *precedenceEnv) error { return dh(e.own, e.slack())(e) }, want: api.ErrInvalidDevicePointer},
 		{name: "MemcpyDHBatch past the end then foreign", call: func(e *precedenceEnv) error {
-			_, err := e.c.MemcpyDHBatch([]api.DHCopy{{Src: e.own, Size: past}, {Src: e.foreign, Size: 1}})
+			_, _, err := e.c.MemcpyDHBatch([]api.DHCopy{{Src: e.own, Size: past}, {Src: e.foreign, Size: 1}})
 			return err
 		}, want: api.ErrInvalidDevicePointer},
 		{name: "MemcpyDHBatch past the end second", call: func(e *precedenceEnv) error {
-			_, err := e.c.MemcpyDHBatch([]api.DHCopy{{Src: e.own, Size: 1}, {Src: e.own, Size: past}, {Src: e.own, Size: 1}})
+			_, _, err := e.c.MemcpyDHBatch([]api.DHCopy{{Src: e.own, Size: 1}, {Src: e.own, Size: past}, {Src: e.own, Size: 1}})
 			return err
 		}, want: api.ErrInvalidValue, hooks: hookCounts{dma: 2}},
 		{name: "MemcpyDHBatch destroyed", destroyed: true, call: func(e *precedenceEnv) error { return dh(e.own)(e) }, want: api.ErrInvalidValue},

@@ -57,7 +57,7 @@ func TestContextChurnLeavesTableUnchanged(t *testing.T) {
 			t.Fatalf("context %d: %v", i, err)
 		}
 		if i%2 == 0 {
-			if err := c.Free(ptrs[len(ptrs)-1]); err != nil {
+			if _, err := c.Free(ptrs[len(ptrs)-1]); err != nil {
 				t.Fatalf("context %d: %v", i, err)
 			}
 		}

@@ -204,28 +204,32 @@ func (d *Device) MallocAs(o *Owner, n, asked uint64) (api.DevPtr, error) {
 
 // Free releases an allocation made by Malloc. Freeing an address that is
 // not an allocation base returns ErrInvalidDevicePointer.
-func (d *Device) Free(p api.DevPtr) error { return d.FreeAs(nil, p) }
+func (d *Device) Free(p api.DevPtr) error {
+	_, err := d.FreeAs(nil, p)
+	return err
+}
 
 // FreeAs is Free on behalf of o: p must be the base of an allocation o
 // may address. That is checked before the device's health, as a CUDA
 // context's address space is its own: a pointer it does not own is
-// invalid on a failed device too.
-func (d *Device) FreeAs(o *Owner, p api.DevPtr) error {
+// invalid on a failed device too. It returns the model time it charged:
+// FreeTime once the device was found usable, nothing before.
+func (d *Device) FreeAs(o *Owner, p api.DevPtr) (time.Duration, error) {
 	if o != nil {
 		d.mu.Lock()
 		_, err := d.alloc.freeable(uint64(p), o)
 		d.mu.Unlock()
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := d.usable(); err != nil {
-		return err
+		return 0, err
 	}
 	d.clock.Sleep(FreeTime)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.alloc.freeBlock(uint64(p), o)
+	return FreeTime, d.alloc.freeBlock(uint64(p), o)
 }
 
 // Release frees every allocation o owns, its reservation included, and
@@ -247,9 +251,9 @@ func (d *Device) Release(o *Owner) {
 // wrap.
 func inRange(off, size, limit uint64) bool { return size <= limit && off <= limit-size }
 
-// dmaTime returns the model duration of moving n bytes over the copy
+// DMATime returns the model duration of moving n bytes over the copy
 // engine.
-func (d *Device) dmaTime(n uint64) time.Duration {
+func (d *Device) DMATime(n uint64) time.Duration {
 	bw := d.spec.BandwidthBps
 	if bw == 0 {
 		bw = 6 << 30
@@ -277,17 +281,18 @@ func hdSize(it *api.HDCopy) uint64 {
 // admit validates a submission of n transfers made for o before the
 // engine is touched: each consults the DMA fault hook, then must lie
 // inside one allocation. It returns how long the submission holds the
-// engine — the sum of the items' modeled times — and the items the fault
-// plane corrupts. The batch is resolved in one hold of d.mu, where an
-// owner's pointers are checked first, every one of them, before the
-// device's health and before any range or hook; the hooks then fire in
-// the per-item order, up to the first bad item's.
-func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (total time.Duration, corrupt []int, err error) {
+// engine (the sum of the items' modeled times), how long the fault plane
+// stalled it before that, and the items the fault plane corrupts. The
+// batch is resolved in one hold of d.mu, where an owner's pointers are
+// checked first, every one of them, before the device's health and
+// before any range or hook; the hooks then fire in the per-item order,
+// up to the first bad item's.
+func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (total, stall time.Duration, corrupt []int, err error) {
 	bad, badErr := n, error(nil)
 	d.mu.Lock()
 	if err := o.live(); err != nil {
 		d.mu.Unlock()
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	for i := 0; i < n; i++ {
 		ptr, size := item(i)
@@ -295,19 +300,19 @@ func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (
 		switch {
 		case o != nil && !(ok && b.addressable(o, off)):
 			d.mu.Unlock()
-			return 0, nil, api.ErrInvalidDevicePointer
+			return 0, 0, nil, api.ErrInvalidDevicePointer
 		case bad < n:
 		case !ok:
 			bad, badErr = i, api.ErrInvalidDevicePointer
 		case !inRange(off, size, b.len):
 			bad, badErr = i, api.ErrInvalidValue
 		default:
-			total += d.dmaTime(size)
+			total += d.DMATime(size)
 		}
 	}
 	d.mu.Unlock()
 	if err := d.usable(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	for i := 0; i < n && i <= bad; i++ {
 		if h := d.dmaHook; h != nil {
@@ -316,14 +321,15 @@ func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (
 				corrupt = append(corrupt, i)
 			}
 			if err := d.applyFault(dec); err != nil {
-				return 0, nil, err
+				return 0, 0, nil, err
 			}
+			stall += max(dec.Delay, 0)
 		}
 		if i == bad {
-			return 0, nil, badErr
+			return 0, 0, nil, badErr
 		}
 	}
-	return total, corrupt, nil
+	return total, stall, corrupt, nil
 }
 
 // CopyInBatch is the host→device copy engine: the items land as one
@@ -334,22 +340,27 @@ func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (
 // without landing any data. An item's Data, when non-nil, carries its
 // real bytes (and its length overrides Size); a nil Data is a
 // timing-and-accounting-only transfer.
-func (d *Device) CopyInBatch(items []api.HDCopy) error { return d.CopyInAs(nil, items) }
+func (d *Device) CopyInBatch(items []api.HDCopy) error {
+	_, err := d.CopyInAs(nil, items)
+	return err
+}
 
 // CopyInAs is CopyInBatch on behalf of o: every destination must lie in
-// the bytes o may address.
-func (d *Device) CopyInAs(o *Owner, items []api.HDCopy) error {
-	total, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
+// the bytes o may address. It returns the model time the submission
+// charged: its items' transfer times plus any stall the fault plane
+// injected. Time spent waiting for the engine is not part of it.
+func (d *Device) CopyInAs(o *Owner, items []api.HDCopy) (time.Duration, error) {
+	total, stall, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
 		return items[i].Dst, hdSize(&items[i])
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	d.h2dMu.Lock()
 	d.clock.Sleep(total)
 	d.h2dMu.Unlock()
 	if err := d.usable(); err != nil {
-		return err
+		return 0, err
 	}
 	for i := range items {
 		it := &items[i]
@@ -371,7 +382,7 @@ func (d *Device) CopyInAs(o *Owner, items []api.HDCopy) error {
 		}
 		d.mu.Unlock()
 	}
-	return nil
+	return total + stall, nil
 }
 
 // CopyOut transfers size bytes from src to the host: a one-item
@@ -392,22 +403,26 @@ func (d *Device) CopyOut(src api.DevPtr, size uint64) ([]byte, error) {
 // returned slice is parallel to items with nil entries for allocations
 // that have no real backing, and nil altogether when none has
 // (synthetic traffic allocates nothing).
-func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) { return d.CopyOutAs(nil, items) }
+func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
+	out, _, err := d.CopyOutAs(nil, items)
+	return out, err
+}
 
 // CopyOutAs is CopyOutBatch on behalf of o: every source must lie in the
-// bytes o may address.
-func (d *Device) CopyOutAs(o *Owner, items []api.DHCopy) ([][]byte, error) {
-	total, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
+// bytes o may address. Like CopyInAs it returns the model time the
+// submission charged.
+func (d *Device) CopyOutAs(o *Owner, items []api.DHCopy) ([][]byte, time.Duration, error) {
+	total, stall, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
 		return items[i].Src, items[i].Size
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	d.d2hMu.Lock()
 	d.clock.Sleep(total)
 	d.d2hMu.Unlock()
 	if err := d.usable(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var out [][]byte
 	d.mu.Lock()
@@ -430,7 +445,7 @@ func (d *Device) CopyOutAs(o *Owner, items []api.DHCopy) ([][]byte, error) {
 		}
 		out[i] = data
 	}
-	return out, nil
+	return out, total + stall, nil
 }
 
 // Bytes exposes the backing bytes of the allocation containing ptr,

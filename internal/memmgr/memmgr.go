@@ -111,12 +111,14 @@ func (p *PTE) HasData() bool { return p.data != nil }
 // manager drives: real allocation and de-allocation on the physical
 // device, and vectored transfers — each call is one copy-engine
 // submission. MemcpyDHBatch's result is parallel to items, nil for an
-// item without real bytes and nil altogether when none has.
+// item without real bytes and nil altogether when none has. Free and
+// the transfers return the model time the device charged for them,
+// which is what the manager's duration histograms observe.
 type DeviceOps interface {
 	Malloc(size uint64) (api.DevPtr, error)
-	Free(p api.DevPtr) error
-	MemcpyHDBatch(items []api.HDCopy) error
-	MemcpyDHBatch(items []api.DHCopy) ([][]byte, error)
+	Free(p api.DevPtr) (time.Duration, error)
+	MemcpyHDBatch(items []api.HDCopy) (time.Duration, error)
+	MemcpyDHBatch(items []api.DHCopy) ([][]byte, time.Duration, error)
 }
 
 // numShards is the stripe count of the manager's page-table state.
@@ -211,8 +213,8 @@ type Manager struct {
 	obs Observer
 
 	// tracer records swap/transfer spans and feeds the runtime's
-	// histograms; nil records nothing. The manager has no clock of its
-	// own, so the tracer carries the model-time source.
+	// histograms; nil records nothing. The histograms observe the model
+	// time the device charged, so only spans read the tracer's clock.
 	tracer *trace.Tracer
 
 	swapOps         trace.Counter // on the context's lane, as are the other Counters
@@ -379,7 +381,7 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 // is counted as a bad operation and reported as ErrInvalidDevicePointer
 // without reaching a device.
 func (m *Manager) ResolveFor(ctxID int64, ptr api.DevPtr, base bool) (*PTE, uint64, error) {
-	if uint64(ptr)&virtTag == 0 || ptrCtx(ptr) != ctxID {
+	if !owns(ctxID, ptr) {
 		m.badOps.Add(1)
 		return nil, 0, api.ErrInvalidDevicePointer
 	}
@@ -410,6 +412,11 @@ func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
 
 // ptrCtx extracts the owning context's ID from a virtual pointer's bits.
 func ptrCtx(ptr api.DevPtr) int64 { return int64(uint64(ptr) &^ virtTag >> ctxShift) }
+
+// owns reports whether ptr is a virtual pointer of ctxID's.
+func owns(ctxID int64, ptr api.DevPtr) bool {
+	return uint64(ptr)&virtTag != 0 && ptrCtx(ptr) == ctxID
+}
 
 // inRange reports whether [off, off+size) lies within limit bytes. off
 // and size are client-chosen, so their sum is never formed: it can wrap.
@@ -579,7 +586,7 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 	if ops == nil {
 		return api.ErrInvalidValue
 	}
-	_, _, _, err := m.syncToSwap([]*PTE{pte}, ops)
+	_, _, err := m.syncToSwap([]*PTE{pte}, ops)
 	return err
 }
 
@@ -587,13 +594,13 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 // swap-out, §4.6 checkpoint): the dirty ones among entries — resident,
 // device copy newer — are pulled as one submission and ToCopy2Swap is
 // cleared. entries belong to one context and do not repeat. It returns
-// how many entries it pulled, their bytes and (traced) when it ended. An
-// injected swap-write failure (one check per entry) or a failed
-// submission aborts before any entry changed: each stays in the legal
-// "device copy authoritative" state, and the next sync retries.
-func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64, end time.Duration, err error) {
+// how many entries it pulled and their bytes. An injected swap-write
+// failure (one check per entry) or a failed submission aborts before any
+// entry changed: each stays in the legal "device copy authoritative"
+// state, and the next sync retries.
+func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64, err error) {
 	if len(entries) == 0 {
-		return 0, 0, 0, nil
+		return 0, 0, nil
 	}
 	cs := entries[0].owner
 	items := cs.dh[:0]
@@ -605,23 +612,22 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 	}
 	cs.dh = items[:0] // no pointers to clear
 	if len(items) == 0 {
-		return 0, 0, m.tracer.Start(), nil
+		return 0, 0, nil
 	}
 	for range items {
 		if err := m.swapWriteFault(); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 	t := m.tracer
 	start := t.Start()
-	datas, err := ops.MemcpyDHBatch(items)
+	datas, charged, err := ops.MemcpyDHBatch(items)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if t != nil {
-		end = t.Start()
-		t.Observe(t.D2H, cs.lane, int64(end-start))
-		if end > start && t.Spans() {
+		t.Observe(t.D2H, cs.lane, int64(charged))
+		if t.Spans() {
 			t.Span("d2h", cs.id, start, -1, fmt.Sprintf("%d bytes in %d transfers", total, len(items)))
 		}
 	}
@@ -639,7 +645,7 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 		m.noteWrite(pte)
 		n++
 	}
-	return n, total, end, nil
+	return n, total, nil
 }
 
 // Free services a de-allocation (Table 1, free row): swap space is
@@ -647,7 +653,7 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 // freed.
 func (m *Manager) Free(pte *PTE, ops DeviceOps) error {
 	if pte.IsAllocated && ops != nil {
-		if err := ops.Free(pte.Device); err != nil {
+		if _, err := ops.Free(pte.Device); err != nil {
 			return err
 		}
 	}
@@ -881,19 +887,18 @@ func (m *Manager) landed(pte *PTE, depth int) {
 // toDevice is the one way bytes move swap→device (§4.5's deferred
 // copyHD, and write-through without deferral): items, built in the
 // context's descriptor scratch, land as one submission, traced as one
-// h2d observation. The scratch is parked emptied of the swap images its
-// descriptors held.
+// h2d observation of the model time it charged. The scratch is parked
+// emptied of the swap images its descriptors held.
 func (m *Manager) toDevice(cs *ctxState, items []api.HDCopy, ops DeviceOps) error {
 	if len(items) == 0 {
 		return nil
 	}
 	t := m.tracer
 	start := t.Start()
-	err := ops.MemcpyHDBatch(items)
+	charged, err := ops.MemcpyHDBatch(items)
 	if err == nil && t != nil {
-		elapsed := t.Start() - start
-		t.Observe(t.H2D, cs.lane, int64(elapsed))
-		if elapsed > 0 && t.Spans() {
+		t.Observe(t.H2D, cs.lane, int64(charged))
+		if t.Spans() {
 			var total uint64
 			for _, it := range items {
 				total += it.Size
@@ -948,14 +953,17 @@ func (m *Manager) liveTable(ctxID int64) []*PTE {
 // on host" state and can be made resident on any device. Besides the
 // unbind path, this serves intra-application eviction, which displaces
 // a launch's whole shortfall at once. It returns the number of entries
-// swapped. The submission is timed (from the spill's end) and counted
-// once; only swap_bytes, which needs no clock, sees each entry.
+// swapped. The submission is timed and counted once: its duration is the
+// model time its frees charged (the spill is the d2h histogram's); only
+// swap_bytes sees each entry.
 func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err error) {
-	_, spilled, start, err := m.syncToSwap(entries, ops)
+	_, spilled, err := m.syncToSwap(entries, ops)
 	if err != nil || len(entries) == 0 {
 		return 0, err
 	}
 	t, cs := m.tracer, entries[0].owner
+	start := t.Start()
+	var charged time.Duration
 	if spilled > 0 {
 		m.swapBytes.Add(cs.lane, int64(spilled))
 		t.Attribute(cs.id, cs.lane, trace.AttrSwapBytes, int64(spilled))
@@ -968,10 +976,12 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 		// free took its memory with it: the entry is swapped out all the
 		// same, and the swap image is as complete as if the free had
 		// succeeded.
-		if e := ops.Free(pte.Device); e != nil && !errors.Is(e, api.ErrDeviceUnavailable) {
+		freed, e := ops.Free(pte.Device)
+		if e != nil && !errors.Is(e, api.ErrDeviceUnavailable) {
 			err = e
 			break
 		}
+		charged += freed
 		pte.IsAllocated = false
 		pte.Device = 0
 		pte.ToCopy2Dev = true
@@ -984,9 +994,8 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 		m.swapOps.Add(cs.lane, int64(n))
 		t.Attribute(cs.id, cs.lane, trace.AttrSwapOps, int64(n))
 		if t != nil {
-			elapsed := t.Start() - start
-			t.Observe(t.SwapDur, cs.lane, int64(elapsed))
-			if elapsed > 0 && t.Spans() {
+			t.Observe(t.SwapDur, cs.lane, int64(charged))
+			if t.Spans() {
 				t.Span("swap-out", cs.id, start, -1, fmt.Sprintf("%d entries", n))
 			}
 		}
@@ -1001,7 +1010,7 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 // not-yet-executed work. It returns the number of entries flushed.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
 	table := m.liveTable(ctxID)
-	n, flushed, _, err := m.syncToSwap(table, ops)
+	n, flushed, err := m.syncToSwap(table, ops)
 	if err != nil {
 		return 0, err
 	}
@@ -1066,7 +1075,7 @@ func (m *Manager) ReleaseContext(ctxID int64, ops DeviceOps) {
 	if ops != nil {
 		for _, pte := range entries {
 			if pte.IsAllocated {
-				_ = ops.Free(pte.Device)
+				_, _ = ops.Free(pte.Device)
 			}
 		}
 	}

@@ -3,9 +3,18 @@ package memmgr
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
+	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/trace"
+)
+
+// The model time a fakeOps charges per transfer and per free.
+const (
+	fakeCopyTime = 3 * time.Microsecond
+	fakeFreeTime = 5 * time.Microsecond
 )
 
 // fakeOps is a deterministic in-memory DeviceOps with a capacity cap
@@ -66,20 +75,20 @@ func (f *fakeOps) Malloc(size uint64) (api.DevPtr, error) {
 	return p, nil
 }
 
-func (f *fakeOps) Free(p api.DevPtr) error {
+func (f *fakeOps) Free(p api.DevPtr) (time.Duration, error) {
 	if err := f.takeErr(); err != nil {
-		return err
+		return 0, err
 	}
 	f.frees++
 	size, ok := f.sizes[p]
 	if !ok {
-		return api.ErrInvalidDevicePointer
+		return 0, api.ErrInvalidDevicePointer
 	}
 	f.used -= size
 	delete(f.bufs, p)
 	delete(f.sizes, p)
 	delete(f.real, p)
-	return nil
+	return fakeFreeTime, nil
 }
 
 // resolve finds the allocation containing ptr.
@@ -92,13 +101,13 @@ func (f *fakeOps) resolve(ptr api.DevPtr) (api.DevPtr, uint64, bool) {
 	return 0, 0, false
 }
 
-func (f *fakeOps) MemcpyHDBatch(items []api.HDCopy) error {
+func (f *fakeOps) MemcpyHDBatch(items []api.HDCopy) (time.Duration, error) {
 	if err := f.takeErr(); err != nil {
-		return err
+		return 0, err
 	}
 	for _, it := range items {
 		if _, _, ok := f.resolve(it.Dst); !ok {
-			return api.ErrInvalidDevicePointer
+			return 0, api.ErrInvalidDevicePointer
 		}
 	}
 	f.hdCalls++
@@ -110,16 +119,16 @@ func (f *fakeOps) MemcpyHDBatch(items []api.HDCopy) error {
 			f.real[base] = true
 		}
 	}
-	return nil
+	return time.Duration(len(items)) * fakeCopyTime, nil
 }
 
-func (f *fakeOps) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
+func (f *fakeOps) MemcpyDHBatch(items []api.DHCopy) ([][]byte, time.Duration, error) {
 	if err := f.takeErr(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, it := range items {
 		if _, _, ok := f.resolve(it.Src); !ok {
-			return nil, api.ErrInvalidDevicePointer
+			return nil, 0, api.ErrInvalidDevicePointer
 		}
 	}
 	f.dhCalls++
@@ -136,7 +145,7 @@ func (f *fakeOps) MemcpyDHBatch(items []api.DHCopy) ([][]byte, error) {
 		out[i] = make([]byte, it.Size)
 		copy(out[i], f.bufs[base][off:])
 	}
-	return out, nil
+	return out, time.Duration(len(items)) * fakeCopyTime, nil
 }
 
 func mustMalloc(t *testing.T, m *Manager, ctx int64, size uint64) *PTE {
@@ -802,7 +811,7 @@ func TestIntraAppSwapMatmul(t *testing.T) {
 // its free.
 type diesBeforeFree struct{ *fakeOps }
 
-func (diesBeforeFree) Free(api.DevPtr) error { return api.ErrDeviceUnavailable }
+func (diesBeforeFree) Free(api.DevPtr) (time.Duration, error) { return 0, api.ErrDeviceUnavailable }
 
 // TestSwapOutCompleteWhenDeviceDiesBeforeFree: once the dirty data has
 // reached swap, a device that dies before the free has only taken its
@@ -918,5 +927,87 @@ func TestOneSubmissionPerOperation(t *testing.T) {
 				t.Errorf("%d transfers, want %d", got, transfers)
 			}
 		})
+	}
+}
+
+// TestTransfersReadNoClock: the h2d, d2h and swap_duration histograms
+// observe the model time the device charged, so a cycle through every
+// transfer path reads the tracer's clock only for spans — never without
+// a recorder — and observes exactly what the device charged either way.
+// With a recorder, each transfer's span is still recorded, ending no
+// earlier than it starts.
+func TestTransfersReadNoClock(t *testing.T) {
+	for _, spans := range []bool{false, true} {
+		var reads int
+		var h2d, d2h, swapDur trace.Histogram
+		tr := &trace.Tracer{
+			Now: func() time.Duration {
+				reads++
+				return time.Duration(reads) * time.Microsecond
+			},
+			H2D: &h2d, D2H: &d2h, SwapDur: &swapDur,
+		}
+		if spans {
+			tr.Rec = trace.NewRecorder(16)
+		}
+		m, ops := New(true, 0), newFakeOps(1<<20)
+		m.SetTracer(tr)
+		ptes := []*PTE{mustMalloc(t, m, 1, 64), mustMalloc(t, m, 1, 64)}
+		for _, pte := range ptes {
+			if err := m.CopyHD(pte, 0, []byte{1, 2, 3}, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.EnsureAllocated(pte, ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.FlushDeferred(ptes, ops); err != nil {
+			t.Fatal(err)
+		}
+		m.MarkKernelEffects(ptes, nil)
+		if _, err := m.Checkpoint(1, ops); err != nil {
+			t.Fatal(err)
+		}
+		m.MarkKernelEffects(ptes, nil)
+		if _, err := m.CopyDH(ptes[0], 0, 64, ops); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := m.SwapOutEntries(ptes, ops); err != nil || n != 2 {
+			t.Fatalf("SwapOutEntries = %d, %v; want 2 entries", n, err)
+		}
+
+		if !spans && reads != 0 {
+			t.Errorf("%d clock reads without a recorder, want 0", reads)
+		}
+		// One h2d submission of two entries; d2h submissions of two
+		// (checkpoint), one (CopyDH) and the one entry CopyDH left dirty
+		// (swap-out); one swap-out freeing two entries.
+		for _, c := range []struct {
+			name  string
+			h     *trace.Histogram
+			count int64
+			sum   time.Duration
+		}{
+			{"h2d", &h2d, 1, 2 * fakeCopyTime},
+			{"d2h", &d2h, 3, 4 * fakeCopyTime},
+			{"swap_duration", &swapDur, 1, 2 * fakeFreeTime},
+		} {
+			if s := c.h.Snapshot(); s.Count != c.count || time.Duration(s.Sum) != c.sum {
+				t.Errorf("spans %v: %s count %d sum %v, want %d and %v", spans, c.name, s.Count, time.Duration(s.Sum), c.count, c.sum)
+			}
+		}
+		if !spans {
+			continue
+		}
+		phases := map[string]int{}
+		for _, sp := range tr.Rec.Spans() {
+			phases[sp.Phase]++
+			if sp.End < sp.Start {
+				t.Errorf("%s span ends at %v, before its start %v", sp.Phase, sp.End, sp.Start)
+			}
+		}
+		if want := map[string]int{"h2d": 1, "d2h": 3, "swap-out": 1}; !reflect.DeepEqual(phases, want) {
+			t.Errorf("spans by phase %v, want %v", phases, want)
+		}
 	}
 }

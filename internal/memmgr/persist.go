@@ -65,27 +65,59 @@ func (m *Manager) ExportContext(ctxID int64) (*ContextImage, error) {
 // Every entry comes back off-device with its swap copy authoritative
 // (ToCopy2Dev set when it carries data), so the first kernel launch
 // after resume lazily restores residency — exactly the §4.6 restart
-// semantics. It fails if the context ID is already in use.
+// semantics. It fails if the context ID is already in use, and with
+// ErrInvalidValue on an image ExportContext could not have produced
+// (importEntries); a refused image imports and reserves nothing.
 func (m *Manager) ImportContext(img *ContextImage) error {
+	cs := newCtxState(img.CtxID)
+	entries, err := importEntries(img, cs)
+	if err != nil {
+		return err
+	}
+	var total uint64
+	for _, pte := range entries {
+		total += pte.Size
+	}
 	s := m.shardOf(img.CtxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.tableOf(img.CtxID)) > 0 {
 		return fmt.Errorf("memmgr: context %d already present", img.CtxID)
 	}
-	var total uint64
-	for _, e := range img.Entries {
-		total += e.Size
-	}
 	// Bulk-reserve the whole image against the host limit up front; a
 	// failed reservation imports nothing.
 	if !m.reserveHost(total) {
 		return api.ErrSwapAllocation
 	}
-	cs := newCtxState(img.CtxID)
-	cs.next, cs.usage = img.NextOff, total
-	var entries []*PTE
-	for _, e := range img.Entries {
+	cs.next, cs.usage, cs.table = img.NextOff, total, entries
+	s.ctxs[img.CtxID] = cs
+	return nil
+}
+
+// importEntries builds the page table an image describes for cs, sorted
+// by Virtual as Resolve needs. An image comes from a disk or a peer, so
+// nothing in it is trusted: it returns ErrInvalidValue unless every entry
+// is one Malloc and RegisterNested could have made in the image's
+// context — a non-empty extent in the context's address space, below the
+// allocation cursor and clear of every other entry; exactly Size real
+// bytes when it has any; nested pointers paired with 8-byte slots inside
+// the entry and naming the context's own entries. Bounded and disjoint
+// in one context's space, the sizes cannot sum past 2^40, let alone wrap.
+func importEntries(img *ContextImage, cs *ctxState) ([]*PTE, error) {
+	limit := min(img.NextOff, maxEntry)
+	entries := make([]*PTE, 0, len(img.Entries))
+	for i := range img.Entries {
+		e := &img.Entries[i]
+		off := uint64(e.Virtual) & (1<<ctxShift - 1)
+		if !owns(img.CtxID, e.Virtual) || e.Size == 0 || !inRange(off, e.Size, limit) ||
+			e.HasData && uint64(len(e.Data)) != e.Size || len(e.NestedMembers) != len(e.NestedOffsets) {
+			return nil, api.ErrInvalidValue
+		}
+		for k, o := range e.NestedOffsets {
+			if !inRange(o, 8, e.Size) || !owns(img.CtxID, e.NestedMembers[k]) {
+				return nil, api.ErrInvalidValue
+			}
+		}
 		pte := &PTE{
 			Virtual: e.Virtual,
 			Size:    e.Size,
@@ -105,11 +137,11 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 		}
 		entries = append(entries, pte)
 	}
-	// Resolve binary-searches the table by Virtual; images produced by
-	// ExportContext are already ordered, but sort defensively so a
-	// hand-built image cannot break lookups.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Virtual < entries[j].Virtual })
-	cs.table = entries
-	s.ctxs[img.CtxID] = cs
-	return nil
+	for i := 1; i < len(entries); i++ {
+		if prev := entries[i-1]; entries[i].Virtual-prev.Virtual < api.DevPtr(prev.Size) {
+			return nil, api.ErrInvalidValue
+		}
+	}
+	return entries, nil
 }

@@ -286,12 +286,14 @@ type Timings struct {
 	QueueWait Histogram
 	// BindWait is total time from first bind attempt to bound.
 	BindWait Histogram
-	// SwapDur is swap-out duration, one observation per submission.
+	// SwapDur is the model time a swap-out's frees charged, one
+	// observation per submission.
 	SwapDur Histogram
 	// SwapBytes is per-entry swap-out size in bytes (count = swap ops).
 	SwapBytes Histogram
-	// H2D and D2H are per-submission durations: one observation per
-	// vectored copy, however many entries it moves.
+	// H2D and D2H are the model time each vectored copy charged, one
+	// observation per submission however many entries it moves; time
+	// spent waiting for the engine is not in them.
 	H2D Histogram
 	D2H Histogram
 	// JournalCommitWall is wall-clock nanoseconds per durable kernel
@@ -340,9 +342,9 @@ type Family struct {
 // sorted by key (the order /metrics renders them in).
 var Families = []Family{
 	{"bind_wait", "gvrt_bind_wait_seconds", "Time from first bind attempt to bound (model seconds).", false, func(t *Timings) *Histogram { return &t.BindWait }},
-	{"d2h", "gvrt_d2h_transfer_seconds", "Device-to-host copy duration per submission (model seconds).", false, func(t *Timings) *Histogram { return &t.D2H }},
+	{"d2h", "gvrt_d2h_transfer_seconds", "Device-to-host copy time each submission charged on the device model, engine queueing excluded (model seconds).", false, func(t *Timings) *Histogram { return &t.D2H }},
 	{"dedup_saved", "gvrt_dedup_seal_saved_bytes", "Bytes saved per swap-image seal by chunk deduplication (bytes).", true, func(t *Timings) *Histogram { return &t.DedupSaved }},
-	{"h2d", "gvrt_h2d_transfer_seconds", "Host-to-device copy duration per submission (model seconds).", false, func(t *Timings) *Histogram { return &t.H2D }},
+	{"h2d", "gvrt_h2d_transfer_seconds", "Host-to-device copy time each submission charged on the device model, engine queueing excluded (model seconds).", false, func(t *Timings) *Histogram { return &t.H2D }},
 	{"journal_commit_wall", "gvrt_journal_commit_wall_seconds", "Durable kernel commit cost (WALL seconds, dominated by fsync).", false, func(t *Timings) *Histogram { return &t.JournalCommitWall }},
 	{"launch_latency", "gvrt_launch_latency_seconds", "End-to-end kernel launch service time (model seconds).", false, func(t *Timings) *Histogram { return &t.Launch }},
 	{"migration_bytes", "gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", true, func(t *Timings) *Histogram { return &t.MigrationBytes }},
@@ -350,7 +352,7 @@ var Families = []Family{
 	{"peer_call", "gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", false, func(t *Timings) *Histogram { return &t.PeerCall }},
 	{"queue_wait", "gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", false, func(t *Timings) *Histogram { return &t.QueueWait }},
 	{"swap_bytes", "gvrt_swap_size_bytes", "Size of each entry swapped out (bytes).", true, func(t *Timings) *Histogram { return &t.SwapBytes }},
-	{"swap_duration", "gvrt_swap_duration_seconds", "Swap-out duration per submission (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},
+	{"swap_duration", "gvrt_swap_duration_seconds", "Device frees' time each swap-out charged on the device model; its spill is a d2h transfer (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},
 }
 
 // CallFamily declares the per-call-kind histograms (Timings.ObserveCall),

@@ -38,9 +38,12 @@ const (
 	AttrCheckpointBytes
 )
 
-// Start returns the current model time, or 0 on a nil tracer.
+// Start returns the current model time, to open a span, when Span will
+// record one (Spans); otherwise 0, without reading the clock. The
+// durations the instrumented layers observe are the model's own, so a
+// span is the only thing they read the clock for.
 func (t *Tracer) Start() time.Duration {
-	if t == nil || t.Now == nil {
+	if !t.Spans() {
 		return 0
 	}
 	return t.Now()

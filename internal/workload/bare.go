@@ -46,7 +46,10 @@ func (b *BareClient) RegisterFatBinary(fb api.FatBinary) error {
 func (b *BareClient) Malloc(size uint64) (api.DevPtr, error) { return b.ctx.Malloc(size) }
 
 // Free implements CUDA.
-func (b *BareClient) Free(p api.DevPtr) error { return b.ctx.Free(p) }
+func (b *BareClient) Free(p api.DevPtr) error {
+	_, err := b.ctx.Free(p)
+	return err
+}
 
 // MemcpyHDSynthetic implements CUDA.
 func (b *BareClient) MemcpyHDSynthetic(dst api.DevPtr, size uint64) error {
