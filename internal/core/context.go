@@ -551,7 +551,10 @@ func (rt *Runtime) checkpoint(ctx *Context) (err error) {
 	if v := rt.boundVGPU(ctx); v != nil {
 		err := rt.deviceOp(ctx, func() error {
 			if v := rt.boundVGPU(ctx); v != nil {
-				_, e := rt.mm.Checkpoint(ctx.id, v.cuctx)
+				flushed, e := rt.mm.Checkpoint(ctx.id, v.cuctx)
+				if e == nil && ctx.tm != nil {
+					ctx.tm.AddCheckpointBytes(ctx.lane, flushed)
+				}
 				return e
 			}
 			return nil

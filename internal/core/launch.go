@@ -297,8 +297,9 @@ func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) err
 			missing += pte.Size
 		}
 	}
-	// Accounting-first: free enough device memory for the whole launch.
-	for attempt := 0; missing > v.ds.dev.Available(); attempt++ {
+	// Accounting-first: free enough device memory for the whole launch
+	// (a launch whose entries are all resident asks the device nothing).
+	for attempt := 0; missing > 0 && missing > v.ds.dev.Available(); attempt++ {
 		if attempt > 64 {
 			return api.ErrMemoryAllocation
 		}

@@ -114,9 +114,9 @@ func (rt *Runtime) joinTenant(ctx *Context, tenant string) api.Error {
 	ctx.tenant = tenant
 	ctx.tenantCharged = usage
 	// Cache the tenant's attribution bundle on the context (we hold
-	// ctx.mu) and route lower-layer accounting (memmgr swap/checkpoint
-	// bytes) for this context to it. Everything the session does
-	// from here on is attributed to the tenant.
+	// ctx.mu) and route lower-layer accounting (memmgr swap bytes and
+	// ops) for this context to it. Everything the session does from
+	// here on is attributed to the tenant.
 	ctx.tm = rt.obsTenants.Tenant(tenant)
 	ctx.tm.SessionJoin()
 	rt.obsTenants.BindCtx(ctx.id, ctx.tm)

@@ -586,7 +586,7 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 	if ops == nil {
 		return api.ErrInvalidValue
 	}
-	_, _, err := m.syncToSwap([]*PTE{pte}, ops)
+	_, err := m.syncToSwap([]*PTE{pte}, ops)
 	return err
 }
 
@@ -594,13 +594,13 @@ func (m *Manager) pullDeviceCopy(pte *PTE, off, size uint64, ops DeviceOps, read
 // swap-out, §4.6 checkpoint): the dirty ones among entries — resident,
 // device copy newer — are pulled as one submission and ToCopy2Swap is
 // cleared. entries belong to one context and do not repeat. It returns
-// how many entries it pulled and their bytes. An injected swap-write
-// failure (one check per entry) or a failed submission aborts before any
-// entry changed: each stays in the legal "device copy authoritative"
-// state, and the next sync retries.
-func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64, err error) {
+// the bytes it pulled. An injected swap-write failure (one check per
+// entry) or a failed submission aborts before any entry changed: each
+// stays in the legal "device copy authoritative" state, and the next
+// sync retries.
+func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (total uint64, err error) {
 	if len(entries) == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	cs := entries[0].owner
 	items := cs.dh[:0]
@@ -612,18 +612,18 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 	}
 	cs.dh = items[:0] // no pointers to clear
 	if len(items) == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	for range items {
 		if err := m.swapWriteFault(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	t := m.tracer
 	start := t.Start()
 	datas, charged, err := ops.MemcpyDHBatch(items)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if t != nil {
 		t.Observe(t.D2H, cs.lane, int64(charged))
@@ -631,6 +631,7 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 			t.Span("d2h", cs.id, start, -1, fmt.Sprintf("%d bytes in %d transfers", total, len(items)))
 		}
 	}
+	n := 0
 	for _, pte := range entries {
 		if !pte.IsAllocated || !pte.ToCopy2Swap {
 			continue
@@ -645,7 +646,7 @@ func (m *Manager) syncToSwap(entries []*PTE, ops DeviceOps) (n int, total uint64
 		m.noteWrite(pte)
 		n++
 	}
-	return n, total, nil
+	return total, nil
 }
 
 // Free services a de-allocation (Table 1, free row): swap space is
@@ -957,7 +958,7 @@ func (m *Manager) liveTable(ctxID int64) []*PTE {
 // model time its frees charged (the spill is the d2h histogram's); only
 // swap_bytes sees each entry.
 func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err error) {
-	_, spilled, err := m.syncToSwap(entries, ops)
+	spilled, err := m.syncToSwap(entries, ops)
 	if err != nil || len(entries) == 0 {
 		return 0, err
 	}
@@ -966,7 +967,7 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 	var charged time.Duration
 	if spilled > 0 {
 		m.swapBytes.Add(cs.lane, int64(spilled))
-		t.Attribute(cs.id, cs.lane, trace.AttrSwapBytes, int64(spilled))
+		t.Attribute(cs.id, trace.AttrSwapBytes, int64(spilled))
 	}
 	for _, pte := range entries {
 		if !pte.IsAllocated {
@@ -992,7 +993,7 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 	}
 	if n > 0 {
 		m.swapOps.Add(cs.lane, int64(n))
-		t.Attribute(cs.id, cs.lane, trace.AttrSwapOps, int64(n))
+		t.Attribute(cs.id, trace.AttrSwapOps, int64(n))
 		if t != nil {
 			t.Observe(t.SwapDur, cs.lane, int64(charged))
 			if t.Spans() {
@@ -1007,10 +1008,10 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 // one submission, without releasing device memory (§4.6): afterwards the
 // page table and swap area hold the full device state, so the context
 // can be restarted on another GPU at the cost of replaying only
-// not-yet-executed work. It returns the number of entries flushed.
-func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
+// not-yet-executed work. It returns the bytes flushed.
+func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int64, error) {
 	table := m.liveTable(ctxID)
-	n, flushed, err := m.syncToSwap(table, ops)
+	flushed, err := m.syncToSwap(table, ops)
 	if err != nil {
 		return 0, err
 	}
@@ -1019,9 +1020,8 @@ func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int, error) {
 		lane = table[0].owner.lane
 	}
 	m.checkpointBytes.Add(lane, int64(flushed))
-	m.tracer.Attribute(ctxID, lane, trace.AttrCheckpointBytes, int64(flushed))
 	m.checkpoint.Add(lane, 1)
-	return n, nil
+	return int64(flushed), nil
 }
 
 // InvalidateResidency drops every device mapping of a context without

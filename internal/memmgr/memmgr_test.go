@@ -590,9 +590,9 @@ func TestCheckpointFlushesDirtyEntries(t *testing.T) {
 	}
 	m.MarkKernelEffects([]*PTE{a}, nil) // only a is dirty
 	ops.poke(a.Device, []byte{1, 1, 1, 1})
-	n, err := m.Checkpoint(1, ops)
-	if err != nil || n != 1 {
-		t.Fatalf("Checkpoint = %d, %v; want 1 flush", n, err)
+	flushed, err := m.Checkpoint(1, ops)
+	if err != nil || flushed != 4 {
+		t.Fatalf("Checkpoint = %d, %v; want a's 4 bytes flushed", flushed, err)
 	}
 	if a.ToCopy2Swap || !a.IsAllocated {
 		t.Error("checkpoint should flush but keep residency")

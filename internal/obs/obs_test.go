@@ -23,11 +23,10 @@ func TestRegistryAttribution(t *testing.T) {
 		t.Fatal("Tenant not idempotent")
 	}
 	r.BindCtx(7, a)
-	r.ObserveCtx(7, 0, trace.AttrSwapBytes, 100)
-	r.ObserveCtx(7, 0, trace.AttrSwapOps, 1)
-	r.ObserveCtx(7, 0, trace.AttrCheckpointBytes, 50)
+	r.ObserveCtx(7, trace.AttrSwapBytes, 100)
+	r.ObserveCtx(7, trace.AttrSwapOps, 1)
 	// Unknown context: silently unattributed, never panics.
-	r.ObserveCtx(99, 0, trace.AttrSwapBytes, 1<<30)
+	r.ObserveCtx(99, trace.AttrSwapBytes, 1<<30)
 
 	a.SessionJoin()
 	a.AddCall(false)
@@ -36,6 +35,7 @@ func TestRegistryAttribution(t *testing.T) {
 	a.AddQueueWait(200)
 	a.AddFenceRejection()
 	a.AddQuotaReject()
+	a.AddCheckpointBytes(0, 50)
 	a.AddMigrationBytes(64)
 	a.Launch.Observe(5000)
 
@@ -55,7 +55,7 @@ func TestRegistryAttribution(t *testing.T) {
 	}
 
 	r.UnbindCtx(7)
-	r.ObserveCtx(7, 0, trace.AttrSwapBytes, 500)
+	r.ObserveCtx(7, trace.AttrSwapBytes, 500)
 	if got := r.Snapshot()["a"].SwapBytes; got != 100 {
 		t.Errorf("attribution after unbind: swap bytes = %d, want 100", got)
 	}
@@ -71,7 +71,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			m := r.Tenant("t")
 			r.BindCtx(int64(g), m)
 			for i := 0; i < 1000; i++ {
-				r.ObserveCtx(int64(g), 0, trace.AttrSwapBytes, 1)
+				r.ObserveCtx(int64(g), trace.AttrSwapBytes, 1)
 				m.AddCall(false)
 			}
 		}(g)

@@ -83,6 +83,9 @@ func (m *TenantMetrics) AddFenceRejection() { m.fenceRejections.Add(1) }
 // refused — the per-tenant face of load shedding.
 func (m *TenantMetrics) AddQuotaReject() { m.quotaRejects.Add(1) }
 
+// AddCheckpointBytes attributes, on lane, bytes a checkpoint flushed.
+func (m *TenantMetrics) AddCheckpointBytes(lane int, n int64) { m.checkpointBytes.Add(lane, n) }
+
 // AddMigrationBytes attributes wire bytes shipped by a cross-node
 // migration of one of the tenant's contexts.
 func (m *TenantMetrics) AddMigrationBytes(n int64) { m.migrationBytes.Add(n) }
@@ -156,9 +159,9 @@ func (r *Registry) UnbindCtx(ctxID int64) {
 
 // ObserveCtx is the trace.Tracer Attr sink: it attributes a quantity
 // reported by a lower layer (memmgr) to the tenant whose context owns
-// it, on lane. Contexts that never joined a tenant are simply not
-// attributed. Lock-free: one sync.Map load plus one atomic add.
-func (r *Registry) ObserveCtx(ctxID int64, lane int, kind trace.AttrKind, v int64) {
+// it. Contexts that never joined a tenant are simply not attributed.
+// Lock-free: one sync.Map load plus one atomic add.
+func (r *Registry) ObserveCtx(ctxID int64, kind trace.AttrKind, v int64) {
 	mv, ok := r.byCtx.Load(ctxID)
 	if !ok {
 		return
@@ -169,8 +172,6 @@ func (r *Registry) ObserveCtx(ctxID int64, lane int, kind trace.AttrKind, v int6
 		m.swapBytes.Add(v)
 	case trace.AttrSwapOps:
 		m.swapOps.Add(v)
-	case trace.AttrCheckpointBytes:
-		m.checkpointBytes.Add(lane, v)
 	}
 }
 

@@ -18,9 +18,9 @@ type Tracer struct {
 	D2H       *Histogram
 	// Attr, when set, receives the same byte-level accounting the
 	// instrumented layer adds to its own counters, keyed by the owning
-	// context and lane so the caller can attribute it (per tenant). It must
-	// be safe to call from swap paths: implementations may not take locks.
-	Attr func(ctx int64, lane int, kind AttrKind, v int64)
+	// context so the caller can attribute it (per tenant). It must be
+	// safe to call from swap paths: implementations may not take locks.
+	Attr func(ctx int64, kind AttrKind, v int64)
 }
 
 // AttrKind names a per-context attributable quantity reported through
@@ -34,8 +34,6 @@ const (
 	AttrSwapBytes AttrKind = iota
 	// AttrSwapOps: swap-out operations completed for ctx.
 	AttrSwapOps
-	// AttrCheckpointBytes: bytes flushed device→swap by checkpoints.
-	AttrCheckpointBytes
 )
 
 // Start returns the current model time, to open a span, when Span will
@@ -76,10 +74,10 @@ func (t *Tracer) Observe(h *Histogram, lane int, v int64) {
 	}
 }
 
-// Attribute reports an attributable quantity for ctx, on its lane.
-// No-op on a nil tracer or unset Attr sink.
-func (t *Tracer) Attribute(ctx int64, lane int, kind AttrKind, v int64) {
+// Attribute reports an attributable quantity for ctx. No-op on a nil
+// tracer or unset Attr sink.
+func (t *Tracer) Attribute(ctx int64, kind AttrKind, v int64) {
 	if t != nil && t.Attr != nil {
-		t.Attr(ctx, lane, kind, v)
+		t.Attr(ctx, kind, v)
 	}
 }

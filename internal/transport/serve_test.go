@@ -77,10 +77,10 @@ func TestServeOverPipe(t *testing.T) {
 	}
 }
 
-// TestServeTakesCallHandedOverFirst: a call handed over before Serve
-// installs its handler is served exactly once, on the server goroutine;
-// later calls run inline.
-func TestServeTakesCallHandedOverFirst(t *testing.T) {
+// TestServeRunsCallHandedOverFirstInline: a call handed over before
+// Serve installs its handler is served exactly once, on its caller's
+// goroutine, and so is the next call.
+func TestServeRunsCallHandedOverFirstInline(t *testing.T) {
 	c, s := Pipe()
 	var mu sync.Mutex
 	var seen []bool // inline(), per handled call
@@ -108,13 +108,73 @@ func TestServeTakesCallHandedOverFirst(t *testing.T) {
 	}
 	c.Close()
 	<-done
-	if len(seen) != 2 || seen[0] || !seen[1] {
-		t.Fatalf("calls handled inline = %v, want [false true]", seen)
+	if len(seen) != 2 || !seen[0] || !seen[1] {
+		t.Fatalf("calls handled inline = %v, want [true true]", seen)
+	}
+}
+
+// TestRecvTakesCallHandedOverFirst: a Recv/Reply server receives and
+// answers a call handed over before its first Recv.
+func TestRecvTakesCallHandedOverFirst(t *testing.T) {
+	c, s := Pipe()
+	defer c.Close()
+	first := make(chan error, 1)
+	go func() {
+		r, err := c.Call(api.MallocCall{Size: 7})
+		if err == nil && r.Ptr != 7 {
+			err = errors.New("wrong reply")
+		}
+		first <- err
+	}()
+	waitPending((*pipe)(s.(*pipeServer)))
+	call, err := s.Recv()
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	if m, ok := api.Lift(call).(*api.MallocCall); !ok || m.Size != 7 {
+		t.Fatalf("Recv = %#v, want the handed-over Malloc", call)
+	}
+	if err := s.Reply(api.Reply{Ptr: 7}); err != nil {
+		t.Fatalf("Reply: %v", err)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first call: %v", err)
+	}
+}
+
+// TestServeNeverRunsCallClosedBeforeIt: a Close while the first call
+// waits for Serve fails that call with ErrClosed, and Serve then returns
+// without running the handler.
+func TestServeNeverRunsCallClosedBeforeIt(t *testing.T) {
+	for _, side := range []string{"client", "server"} {
+		t.Run(side, func(t *testing.T) {
+			c, s := Pipe()
+			errc := make(chan error, 1)
+			go func() { _, err := c.Call(api.MallocCall{}); errc <- err }()
+			waitPending((*pipe)(s.(*pipeServer)))
+			if side == "client" {
+				c.Close()
+			} else {
+				s.Close()
+			}
+			if err := <-errc; !errors.Is(err, ErrClosed) {
+				t.Errorf("client err = %v, want ErrClosed", err)
+			}
+			ran := false
+			<-serve(s, handlerFunc(func(call api.Call) (api.Reply, bool) {
+				ran = true
+				return api.Reply{}, false
+			}))
+			if ran {
+				t.Error("Serve ran a call handed over before the close")
+			}
+		})
 	}
 }
 
 // TestServeHoldsNoPipeLockInHandler: the pipe's lock is free while a
-// handler runs, on the server-goroutine and the inline path alike.
+// handler runs, for a call handed over before Serve and a later one
+// alike.
 func TestServeHoldsNoPipeLockInHandler(t *testing.T) {
 	c, s := Pipe()
 	p := (*pipe)(s.(*pipeServer))
@@ -227,8 +287,8 @@ func TestServeReturnsAfterHandlerPanic(t *testing.T) {
 }
 
 // TestServeEndingCallReturnsAfterServe: the call that ends the
-// connection returns to its client only after Serve has left, on the
-// inline and the server-goroutine path alike.
+// connection returns to its client only after Serve has left, whether
+// it was handed over before Serve started or not.
 func TestServeEndingCallReturnsAfterServe(t *testing.T) {
 	for _, first := range []bool{false, true} {
 		c, s := Pipe()

@@ -17,10 +17,10 @@
 // schedules. Serve is the one server loop: the runtime supplies a
 // Handler per connection. Over a stream the connection's goroutine
 // receives each call, handles it and replies. Over a pipe the client's
-// Call runs the handler on the application's own goroutine — no
-// hand-off, no park — while the connection's goroutine waits for the
-// connection to end; a pipe's per-call path touches nothing any other
-// pipe does.
+// Call runs the handler on the application's own goroutine, the first
+// call too — no hand-off, no park — while the connection's goroutine
+// waits for the connection to end; a pipe's per-call path touches
+// nothing any other pipe does.
 package transport
 
 import (
@@ -78,9 +78,10 @@ type Handler interface {
 // Serve answers the calls on sc with h until the connection ends, then
 // closes sc. Over a stream it is a Recv → Handle → Reply loop on the
 // calling goroutine. Over a pipe the client's Call runs Handle on the
-// client's own goroutine, so a call costs no goroutine hand-off; Serve
-// then parks until the connection ends and no call is in flight, so the
-// caller's teardown never runs beside the handler.
+// client's own goroutine (a call made before Serve starts waits for it),
+// so a call costs no goroutine hand-off; Serve only parks until the
+// connection ends and no call is in flight, so the caller's teardown
+// never runs beside the handler.
 // Over a stream, a handler panic ends only its connection: Serve returns
 // it as its only error. Over a pipe it goes on up the caller's goroutine.
 func Serve(sc ServerConn, h Handler) (err error) {
@@ -108,13 +109,14 @@ func Serve(sc ServerConn, h Handler) (err error) {
 
 // pipe implements an in-process connection. Once Serve installs a
 // handler, the client's Call runs it inline (busy marks that call in
-// flight); before then, and for a server that uses Recv/Reply, the call
-// and the reply travel in the pipe's own fields and each side parks on
-// the pipe's one condition variable. mu guards every field and is never
+// flight). Before then the call is handed over in the pipe's own field
+// and the client parks on the pipe's one condition variable, until a
+// Recv/Reply server answers it or Serve's handler is installed and the
+// client takes it back to run inline. mu guards every field and is never
 // held across a handler. Close, from either side or a third goroutine,
 // marks the pipe closed and wakes whichever side is parked with
-// ErrClosed. A call handed over before the close is still received, and
-// only its reply fails.
+// ErrClosed. Recv still receives a call handed over before the close,
+// and only its reply fails; Serve never runs it.
 //
 // Neither field outlives its delivery: the receiving side takes the
 // value and clears the field, so the pipe never pins a caller's buffers.
@@ -122,7 +124,7 @@ type pipe struct {
 	mu sync.Mutex
 	sync.Cond
 	closed  bool
-	pending bool // call holds a call Recv has not taken
+	pending bool // call holds a call neither Recv nor its client has taken
 	replied bool // reply holds a reply the client has not taken
 	busy    bool // a client is running h inline
 	left    bool // Serve has returned
@@ -146,44 +148,47 @@ func (c *pipeClient) Call(call api.Call) (api.Reply, error) {
 		return api.Reply{}, errors.New("transport: nil call")
 	}
 	p.mu.Lock()
+	if p.h == nil && !p.closed {
+		// No handler yet: wait for a Recv server's reply, Serve or Close.
+		p.call, p.pending = call, true
+		p.Broadcast()
+		for !p.replied && !p.closed && (p.h == nil || !p.pending) {
+			p.Wait()
+		}
+		if p.replied {
+			r := p.reply
+			p.reply, p.replied = api.Reply{}, false
+			p.mu.Unlock()
+			return r, nil
+		}
+		if !p.closed {
+			p.call, p.pending = nil, false
+		}
+	}
 	if p.closed {
 		p.mu.Unlock()
 		return api.Reply{}, ErrClosed
 	}
-	if h := p.h; h != nil {
-		p.busy = true
-		p.mu.Unlock()
-		r, end := p.run(h, call)
-		p.mu.Lock()
-		p.busy = false
-		closed := p.closed
-		if closed || end {
-			p.closed = true
-			p.Broadcast()
-		}
-		// The call that ends the connection returns only once Serve has:
-		// the server goroutine runs before its client goes on.
-		for end && !closed && !p.left {
-			p.Wait()
-		}
-		p.mu.Unlock()
-		if closed {
-			return api.Reply{}, ErrClosed
-		}
-		return r, nil
+	p.busy = true
+	h := p.h
+	p.mu.Unlock()
+	r, end := p.run(h, call)
+	p.mu.Lock()
+	p.busy = false
+	closed := p.closed
+	if closed || end {
+		p.closed = true
+		p.Broadcast()
 	}
-	p.call, p.pending = call, true
-	p.Broadcast()
-	for !p.replied && !p.closed {
+	// The call that ends the connection returns only once Serve has:
+	// the server goroutine runs before its client goes on.
+	for end && !closed && !p.left {
 		p.Wait()
 	}
-	if !p.replied {
-		p.mu.Unlock()
+	p.mu.Unlock()
+	if closed {
 		return api.Reply{}, ErrClosed
 	}
-	r := p.reply
-	p.reply, p.replied = api.Reply{}, false
-	p.mu.Unlock()
 	return r, nil
 }
 
@@ -211,25 +216,13 @@ func (p *pipe) run(h Handler, call api.Call) (api.Reply, bool) {
 	return r, end
 }
 
-// serve is Serve over a pipe. A call handed over before the handler is
-// installed is served here, on the server goroutine; every later call
-// runs inline in its client.
+// serve is Serve over a pipe. It only installs h and waits for the
+// pipe to close with no call in flight: every call, a call handed over
+// before h was installed too, runs inline in its client.
 func (p *pipe) serve(h Handler) {
 	p.mu.Lock()
-	if p.pending {
-		call := p.call
-		p.call, p.pending, p.busy = nil, false, true
-		p.mu.Unlock()
-		r, end := p.run(h, call)
-		p.mu.Lock()
-		p.busy = false
-		if !p.closed {
-			p.reply, p.replied = r, true
-			p.closed = end
-			p.Broadcast()
-		}
-	}
 	p.h = h
+	p.Broadcast()
 	for !p.closed || p.busy {
 		p.Wait()
 	}
