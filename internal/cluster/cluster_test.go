@@ -97,23 +97,34 @@ func TestOffloadRebalancesUnbalancedCluster(t *testing.T) {
 }
 
 func TestClusterResultSanity(t *testing.T) {
-	// Timing assertions need a scale where modeled sleeps dominate wall
-	// noise: 1 model second = 1 wall millisecond.
+	res, err := obliviousRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClusterResult(t, res)
+}
+
+// obliviousRun runs four MT jobs obliviously over a three-GPU node and
+// a one-GPU node. Timing assertions need a scale where modeled sleeps
+// dominate wall noise: 1 model second = 1 wall millisecond.
+func obliviousRun() (workload.BatchResult, error) {
 	clock := sim.NewClock(1e-3)
 	cfg := core.Config{CallOverhead: -1}
 	a, err := NewNode("a", clock, []gpu.Spec{tinySpec(), tinySpec(), tinySpec()}, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewNode("b", clock, []gpu.Spec{tinySpec()}, cfg)
-	if err != nil {
-		t.Fatal(err)
+		return workload.BatchResult{}, err
 	}
 	defer a.Close()
+	b, err := NewNode("b", clock, []gpu.Spec{tinySpec()}, cfg)
+	if err != nil {
+		return workload.BatchResult{}, err
+	}
 	defer b.Close()
-	head := NewHead(clock, a, b)
+	return NewHead(clock, a, b).RunOblivious(fastApps(4)), nil
+}
 
-	res := head.RunOblivious(fastApps(4))
+func checkClusterResult(t *testing.T, res workload.BatchResult) {
+	t.Helper()
 	if res.Failed() != 0 {
 		t.Fatal(res.Errors)
 	}

@@ -376,16 +376,19 @@ func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, neede
 			break
 		}
 	}
-	n, err := rt.mm.SwapOutEntries(victims, v.cuctx)
-	rt.intraSwaps.Add(int64(n))
+	s, err := rt.mm.SwapOutEntries(victims, v.cuctx)
+	if ctx.tm != nil {
+		ctx.tm.AddSwap(ctx.lane, s.Bytes, int64(s.Entries))
+	}
+	rt.intraSwaps.Add(int64(s.Entries))
 	if rt.observed {
-		for range victims[:n] {
+		for range victims[:s.Entries] {
 			rt.event(trace.KindIntraSwap, ctx.id, 0, v.ds.index, "")
 		}
 	}
 	clear(table) // parked scratch must not pin entries
 	ctx.scratchVictims = table[:0]
-	return err == nil && n > 0
+	return err == nil && s.Entries > 0
 }
 
 // referenced reports whether pte belongs to the working set: it is one
@@ -470,7 +473,11 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 // bound, entries the flush had not reached stay resident — and the
 // error goes back to the caller.
 func (rt *Runtime) vacate(ctx *Context, v *vGPU) error {
-	if _, err := rt.mm.SwapOutAll(ctx.id, v.cuctx); err != nil {
+	s, err := rt.mm.SwapOutAll(ctx.id, v.cuctx)
+	if ctx.tm != nil {
+		ctx.tm.AddSwap(ctx.lane, s.Bytes, int64(s.Entries))
+	}
+	if err != nil {
 		if errors.Is(err, api.ErrDeviceUnavailable) {
 			rt.onDeviceFailure(v.ds)
 			ctx.needsRecovery.Store(true)

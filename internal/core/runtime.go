@@ -437,7 +437,6 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		SwapBytes: &rt.timings.SwapBytes,
 		H2D:       &rt.timings.H2D,
 		D2H:       &rt.timings.D2H,
-		Attr:      rt.obsTenants.ObserveCtx,
 	})
 	if cfg.Flight != nil {
 		cfg.Flight.SetSources(rt.clock.Now, rt.timings.Snapshot, rt.Metrics)

@@ -114,12 +114,10 @@ func (rt *Runtime) joinTenant(ctx *Context, tenant string) api.Error {
 	ctx.tenant = tenant
 	ctx.tenantCharged = usage
 	// Cache the tenant's attribution bundle on the context (we hold
-	// ctx.mu) and route lower-layer accounting (memmgr swap bytes and
-	// ops) for this context to it. Everything the session does from
-	// here on is attributed to the tenant.
+	// ctx.mu). Everything the session does from here on is attributed
+	// to the tenant.
 	ctx.tm = rt.obsTenants.Tenant(tenant)
 	ctx.tm.SessionJoin()
-	rt.obsTenants.BindCtx(ctx.id, ctx.tm)
 	return api.Success
 }
 
@@ -147,7 +145,6 @@ func (rt *Runtime) leaveTenant(ctx *Context) {
 	ctx.tenantCharged = 0
 	if ctx.tm != nil {
 		ctx.tm.SessionLeave()
-		rt.obsTenants.UnbindCtx(ctx.id)
 		ctx.tm = nil
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,40 +113,52 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-shape test")
 	}
+	c, err := measureFig7Corners()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFig7Shape(t, c)
+}
+
+// fig7Corners are Fig 7's corners in model seconds: one vGPU per device
+// (serialized) and four (shared), each at CPU fraction 0 and 2.
+type fig7Corners struct{ ser0, ser2, shr0, shr2 float64 }
+
+func measureFig7Corners() (c fig7Corners, err error) {
 	o := Options{Scale: 2e-4, Runs: 1, Seed: 1}
 	specs := threeGPUNode()
-	mk := func(frac float64) []workload.App {
+	measure := func(vgpus int, frac float64) float64 {
 		batch := make([]workload.App, 12)
 		for i := range batch {
 			batch[i] = workload.MML(frac)
 		}
-		return batch
-	}
-	measure := func(vgpus int, frac float64) float64 {
-		res, _, err := runGvrtBatch(o, core.Config{VGPUsPerDevice: vgpus}, specs, mk(frac))
-		if err != nil {
-			t.Fatal(err)
+		res, _, e := runGvrtBatch(o, core.Config{VGPUsPerDevice: vgpus}, specs, batch)
+		if e == nil && res.Failed() > 0 {
+			e = fmt.Errorf("vgpus=%d frac=%v: %w", vgpus, frac, firstErr(res))
 		}
-		if res.Failed() > 0 {
-			t.Fatalf("vgpus=%d frac=%v: %v", vgpus, frac, firstErr(res))
+		if err == nil {
+			err = e
 		}
 		return res.Total.Seconds()
 	}
+	c.ser0, c.ser2 = measure(1, 0), measure(1, 2)
+	c.shr0, c.shr2 = measure(4, 0), measure(4, 2)
+	return c, err
+}
 
-	ser0, ser2 := measure(1, 0), measure(1, 2)
-	shr0, shr2 := measure(4, 0), measure(4, 2)
-
+func checkFig7Shape(t *testing.T, c fig7Corners) {
+	t.Helper()
 	// Serialized grows strongly with CPU fraction.
-	if ser2 < ser0*1.8 {
-		t.Errorf("serialized: frac 2 (%v s) not ≫ frac 0 (%v s)", ser2, ser0)
+	if c.ser2 < c.ser0*1.8 {
+		t.Errorf("serialized: frac 2 (%v s) not ≫ frac 0 (%v s)", c.ser2, c.ser0)
 	}
 	// Sharing stays flat-ish.
-	if shr2 > shr0*1.5 {
-		t.Errorf("sharing: frac 2 (%v s) grew vs frac 0 (%v s)", shr2, shr0)
+	if c.shr2 > c.shr0*1.5 {
+		t.Errorf("sharing: frac 2 (%v s) grew vs frac 0 (%v s)", c.shr2, c.shr0)
 	}
 	// At high CPU fraction, sharing clearly beats serialization.
-	if shr2 > ser2*0.7 {
-		t.Errorf("sharing at frac 2 (%v s) not clearly below serialized (%v s)", shr2, ser2)
+	if c.shr2 > c.ser2*0.7 {
+		t.Errorf("sharing at frac 2 (%v s) not clearly below serialized (%v s)", c.shr2, c.ser2)
 	}
 }
 

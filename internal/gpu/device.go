@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,7 @@ const (
 
 // Device is one simulated GPU. All methods are safe for concurrent use:
 // memory-map state is guarded by a mutex, while kernel execution and DMA
-// transfers serialise on the execution and copy engines respectively —
+// transfers queue on the execution and copy engines respectively —
 // concurrent callers queue exactly as concurrent CUDA contexts queue on
 // real hardware.
 type Device struct {
@@ -30,20 +31,22 @@ type Device struct {
 	spec  Spec
 	clock *sim.Clock
 
-	// mu guards alloc, the device's table of allocations, and the
-	// retired flag of every Owner.
+	// mu guards alloc, the device's table of allocations, the retired
+	// flag of every Owner, and the engines' timelines.
 	mu    sync.Mutex
 	alloc *allocator
 
 	// The execution engine and the two copy engines are independent
-	// mutexes, mirroring dual-copy-engine GPUs: an h2d transfer, a d2h
+	// timelines, mirroring dual-copy-engine GPUs: an h2d transfer, a d2h
 	// transfer and a kernel can all be in flight at once, so modeled
 	// transfer time submitted on another context's behalf (a co-tenant's
 	// flush, an inter-application swap-out) overlaps the modeled
 	// execution of the current kernel instead of queueing behind it.
-	execMu sync.Mutex // the execution engine: one kernel at a time
-	h2dMu  sync.Mutex // host→device copy engine: one DMA transfer at a time
-	d2hMu  sync.Mutex // device→host copy engine: one DMA transfer at a time
+	// Each is the model time its engine is next free at; submissions
+	// run on one engine one at a time, in the order they booked it.
+	execFree time.Duration
+	h2dFree  time.Duration
+	d2hFree  time.Duration
 
 	failed  atomic.Bool
 	removed atomic.Bool
@@ -261,6 +264,32 @@ func (d *Device) DMATime(n uint64) time.Duration {
 	return MemcpyOverhead + time.Duration(float64(n)/float64(bw)*float64(time.Second))
 }
 
+// occupy runs a submission of total model time on the engine whose
+// timeline is *freeAt, after those booked before it: it books under mu,
+// then sleeps out the wait and the submission with no lock held. A
+// submission too short for the clock to delay books nothing.
+func (d *Device) occupy(freeAt *time.Duration, total time.Duration) {
+	if !d.clock.Delays(total) {
+		return
+	}
+	d.mu.Lock()
+	now := d.clock.Now()
+	end := book(freeAt, now, total)
+	d.mu.Unlock()
+	d.clock.Sleep(end - now)
+}
+
+// book appends a submission of total, made at now, to an engine's
+// timeline and returns the model time the engine frees after it. The
+// timeline saturates at the largest Duration, as Clock.Now does.
+func book(freeAt *time.Duration, now, total time.Duration) time.Duration {
+	start := max(now, *freeAt)
+	if *freeAt = start + total; *freeAt < start {
+		*freeAt = math.MaxInt64
+	}
+	return *freeAt
+}
+
 // CopyIn transfers size bytes from host to dst: a one-item CopyInBatch.
 // When data is non-nil it carries the real bytes and the allocation's
 // backing store is updated; when data is nil the transfer is
@@ -356,9 +385,7 @@ func (d *Device) CopyInAs(o *Owner, items []api.HDCopy) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.h2dMu.Lock()
-	d.clock.Sleep(total)
-	d.h2dMu.Unlock()
+	d.occupy(&d.h2dFree, total)
 	if err := d.usable(); err != nil {
 		return 0, err
 	}
@@ -418,9 +445,7 @@ func (d *Device) CopyOutAs(o *Owner, items []api.DHCopy) ([][]byte, time.Duratio
 	if err != nil {
 		return nil, 0, err
 	}
-	d.d2hMu.Lock()
-	d.clock.Sleep(total)
-	d.d2hMu.Unlock()
+	d.occupy(&d.d2hFree, total)
 	if err := d.usable(); err != nil {
 		return nil, 0, err
 	}
@@ -504,11 +529,9 @@ func (d *Device) ExecAs(o *Owner, ptrs []api.DevPtr, base time.Duration, repeat 
 	per := LaunchOverhead + time.Duration(float64(base)/speed)
 	total := per * time.Duration(repeat)
 
-	d.execMu.Lock()
-	d.clock.Sleep(total)
+	d.occupy(&d.execFree, total)
 	d.busy.Add(int64(total))
 	d.launches.Add(int64(repeat))
-	d.execMu.Unlock()
 
 	if err := d.usable(); err != nil {
 		// The device died while the kernel was in flight.

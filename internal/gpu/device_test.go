@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -273,5 +274,52 @@ func TestDeviceConcurrentMallocFree(t *testing.T) {
 	wg.Wait()
 	if d.Available() != d.Capacity() {
 		t.Errorf("leak: Available = %d, want %d", d.Available(), d.Capacity())
+	}
+}
+
+// TestBookEngineTimeline: an engine runs its submissions one at a time
+// in the order they booked it, and its timeline never wraps.
+func TestBookEngineTimeline(t *testing.T) {
+	var freeAt time.Duration
+	now := 5 * time.Second
+	for i, c := range []struct{ total, wait time.Duration }{
+		{time.Second, 0},
+		{2 * time.Second, time.Second},
+		{3 * time.Second, 3 * time.Second},
+	} {
+		if wait := book(&freeAt, now, c.total) - now - c.total; wait != c.wait {
+			t.Errorf("booking %d at one instant waits %v, want %v", i, wait, c.wait)
+		}
+	}
+	later := freeAt + time.Second
+	if end := book(&freeAt, later, time.Second); end != later+time.Second {
+		t.Errorf("booking after the engine frees ends at %v, want %v", end, later+time.Second)
+	}
+	freeAt = math.MaxInt64 - time.Second
+	if end := book(&freeAt, 0, 2*time.Second); end != math.MaxInt64 || freeAt != math.MaxInt64 {
+		t.Errorf("booking past the largest Duration ends at %v (free at %v), want both saturated", end, freeAt)
+	}
+}
+
+// TestShortSubmissionBooksNothing: at 1 model second per wall
+// microsecond a transfer or a kernel is far below what the clock can
+// delay, so it returns without booking its engine.
+func TestShortSubmissionBooksNothing(t *testing.T) {
+	d := testDevice()
+	p, err := d.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CopyIn(p, make([]byte, 64), 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CopyOut(p, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Exec(time.Millisecond, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d.h2dFree != 0 || d.d2hFree != 0 || d.execFree != 0 {
+		t.Errorf("engines free at h2d %v, d2h %v, exec %v; want all 0", d.h2dFree, d.d2hFree, d.execFree)
 	}
 }

@@ -931,8 +931,8 @@ func (m *Manager) MarkKernelEffects(ptes []*PTE, readOnly []bool) {
 // inter-application swap action (§4.5: "all the page table entries
 // belonging to the application that accepts the request will be
 // swapped") and the implicit checkpoint that precedes unbinding and
-// migration. It returns the number of entries swapped.
-func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (int, error) {
+// migration. It returns what it swapped out.
+func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (Spilled, error) {
 	return m.SwapOutEntries(m.liveTable(ctxID), ops)
 }
 
@@ -953,21 +953,20 @@ func (m *Manager) liveTable(ctxID int64) []*PTE {
 // entry's device memory is freed. Afterwards they are in the "data only
 // on host" state and can be made resident on any device. Besides the
 // unbind path, this serves intra-application eviction, which displaces
-// a launch's whole shortfall at once. It returns the number of entries
-// swapped. The submission is timed and counted once: its duration is the
-// model time its frees charged (the spill is the d2h histogram's); only
-// swap_bytes sees each entry.
-func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err error) {
+// a launch's whole shortfall at once. It returns what it swapped out,
+// as far as it got. The submission is timed and counted once: its
+// duration is the model time its frees charged (the spill is the d2h
+// histogram's); only swap_bytes sees each entry.
+func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (s Spilled, err error) {
 	spilled, err := m.syncToSwap(entries, ops)
 	if err != nil || len(entries) == 0 {
-		return 0, err
+		return s, err
 	}
 	t, cs := m.tracer, entries[0].owner
 	start := t.Start()
 	var charged time.Duration
-	if spilled > 0 {
-		m.swapBytes.Add(cs.lane, int64(spilled))
-		t.Attribute(cs.id, trace.AttrSwapBytes, int64(spilled))
+	if s.Bytes = int64(spilled); spilled > 0 {
+		m.swapBytes.Add(cs.lane, s.Bytes)
 	}
 	for _, pte := range entries {
 		if !pte.IsAllocated {
@@ -989,19 +988,26 @@ func (m *Manager) SwapOutEntries(entries []*PTE, ops DeviceOps) (n int, err erro
 		if t != nil {
 			t.Observe(t.SwapBytes, cs.lane, int64(pte.Size))
 		}
-		n++
+		s.Entries++
 	}
-	if n > 0 {
-		m.swapOps.Add(cs.lane, int64(n))
-		t.Attribute(cs.id, trace.AttrSwapOps, int64(n))
+	if s.Entries > 0 {
+		m.swapOps.Add(cs.lane, int64(s.Entries))
 		if t != nil {
 			t.Observe(t.SwapDur, cs.lane, int64(charged))
 			if t.Spans() {
-				t.Span("swap-out", cs.id, start, -1, fmt.Sprintf("%d entries", n))
+				t.Span("swap-out", cs.id, start, -1, fmt.Sprintf("%d entries", s.Entries))
 			}
 		}
 	}
-	return n, err
+	return s, err
+}
+
+// Spilled is what a swap-out moved: the entries it swapped out, and the
+// device-newer bytes it spilled to swap before freeing them — the
+// swap_ops and swap_bytes it counted.
+type Spilled struct {
+	Entries int
+	Bytes   int64
 }
 
 // Checkpoint flushes every device-newer entry of the context to swap in

@@ -518,8 +518,8 @@ func TestSwapOutPreservesDirtyData(t *testing.T) {
 	}
 	m.MarkKernelEffects([]*PTE{pte}, nil)
 	ops.poke(pte.Device, []byte{40, 41, 42, 43}) // kernel output
-	if _, err := m.SwapOutEntries([]*PTE{pte}, ops); err != nil {
-		t.Fatal(err)
+	if s, err := m.SwapOutEntries([]*PTE{pte}, ops); err != nil || s != (Spilled{Entries: 1, Bytes: 4}) {
+		t.Fatalf("SwapOutEntries = %+v, %v; want 1 entry and 4 bytes", s, err)
 	}
 	// Re-bind on a *different* device: data must follow.
 	ops2 := newFakeOps(1 << 20)
@@ -551,9 +551,9 @@ func TestSwapOutAllAndUsage(t *testing.T) {
 	if m.ResidentBytes(5) != 300 {
 		t.Errorf("ResidentBytes = %d, want 300", m.ResidentBytes(5))
 	}
-	n, err := m.SwapOutAll(5, ops)
-	if err != nil || n != 3 {
-		t.Fatalf("SwapOutAll = %d, %v", n, err)
+	s, err := m.SwapOutAll(5, ops)
+	if err != nil || s.Entries != 3 {
+		t.Fatalf("SwapOutAll = %+v, %v", s, err)
 	}
 	if m.ResidentBytes(5) != 0 {
 		t.Errorf("ResidentBytes after SwapOutAll = %d", m.ResidentBytes(5))
@@ -831,8 +831,8 @@ func TestSwapOutCompleteWhenDeviceDiesBeforeFree(t *testing.T) {
 	}
 	ops.poke(pte.Device, []byte{2}) // a kernel's output, on the device only
 	m.MarkKernelEffects([]*PTE{pte}, nil)
-	if n, err := m.SwapOutAll(1, diesBeforeFree{ops}); n != 1 || err != nil {
-		t.Fatalf("SwapOutAll over a device that died before the free = %d, %v; want 1, nil", n, err)
+	if s, err := m.SwapOutAll(1, diesBeforeFree{ops}); s != (Spilled{Entries: 1, Bytes: 64}) || err != nil {
+		t.Fatalf("SwapOutAll over a device that died before the free = %+v, %v; want 1 entry and 64 bytes, nil", s, err)
 	}
 	if pte.IsAllocated || pte.ToCopy2Swap || !pte.ToCopy2Dev {
 		t.Errorf("entry after the swap-out: %+v", pte)
@@ -972,8 +972,8 @@ func TestTransfersReadNoClock(t *testing.T) {
 		if _, err := m.CopyDH(ptes[0], 0, 64, ops); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := m.SwapOutEntries(ptes, ops); err != nil || n != 2 {
-			t.Fatalf("SwapOutEntries = %d, %v; want 2 entries", n, err)
+		if s, err := m.SwapOutEntries(ptes, ops); err != nil || s.Entries != 2 {
+			t.Fatalf("SwapOutEntries = %+v, %v; want 2 entries", s, err)
 		}
 
 		if !spans && reads != 0 {

@@ -22,12 +22,6 @@ func TestRegistryAttribution(t *testing.T) {
 	if r.Tenant("a") != a {
 		t.Fatal("Tenant not idempotent")
 	}
-	r.BindCtx(7, a)
-	r.ObserveCtx(7, trace.AttrSwapBytes, 100)
-	r.ObserveCtx(7, trace.AttrSwapOps, 1)
-	// Unknown context: silently unattributed, never panics.
-	r.ObserveCtx(99, trace.AttrSwapBytes, 1<<30)
-
 	a.SessionJoin()
 	a.AddCall(false)
 	a.AddCall(true)
@@ -36,6 +30,7 @@ func TestRegistryAttribution(t *testing.T) {
 	a.AddFenceRejection()
 	a.AddQuotaReject()
 	a.AddCheckpointBytes(0, 50)
+	a.AddSwap(0, 100, 1)
 	a.AddMigrationBytes(64)
 	a.Launch.Observe(5000)
 
@@ -53,12 +48,6 @@ func TestRegistryAttribution(t *testing.T) {
 	if u.Launch.Count != 1 || u.QueueWait.Count != 1 {
 		t.Errorf("histograms not attributed: launch=%d queue=%d", u.Launch.Count, u.QueueWait.Count)
 	}
-
-	r.UnbindCtx(7)
-	r.ObserveCtx(7, trace.AttrSwapBytes, 500)
-	if got := r.Snapshot()["a"].SwapBytes; got != 100 {
-		t.Errorf("attribution after unbind: swap bytes = %d, want 100", got)
-	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {
@@ -69,9 +58,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			m := r.Tenant("t")
-			r.BindCtx(int64(g), m)
 			for i := 0; i < 1000; i++ {
-				r.ObserveCtx(int64(g), trace.AttrSwapBytes, 1)
+				m.AddSwap(g, 1, 1)
 				m.AddCall(false)
 			}
 		}(g)

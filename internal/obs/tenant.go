@@ -30,12 +30,12 @@ type TenantMetrics struct {
 	launches        trace.Counter
 	gpuTimeNS       trace.Counter
 	checkpointBytes trace.Counter
+	swapBytes       trace.Counter
+	swapOps         trace.Counter
 	errors          atomic.Int64
 	migrationBytes  atomic.Int64
 	sessions        atomic.Int64
 	queueWaitNS     atomic.Int64
-	swapBytes       atomic.Int64
-	swapOps         atomic.Int64
 	fenceRejections atomic.Int64
 	quotaRejects    atomic.Int64
 
@@ -86,6 +86,13 @@ func (m *TenantMetrics) AddQuotaReject() { m.quotaRejects.Add(1) }
 // AddCheckpointBytes attributes, on lane, bytes a checkpoint flushed.
 func (m *TenantMetrics) AddCheckpointBytes(lane int, n int64) { m.checkpointBytes.Add(lane, n) }
 
+// AddSwap attributes, on lane, one swap-out: the bytes it spilled and
+// the entries it swapped out.
+func (m *TenantMetrics) AddSwap(lane int, bytes, entries int64) {
+	m.swapBytes.Add(lane, bytes)
+	m.swapOps.Add(lane, entries)
+}
+
 // AddMigrationBytes attributes wire bytes shipped by a cross-node
 // migration of one of the tenant's contexts.
 func (m *TenantMetrics) AddMigrationBytes(n int64) { m.migrationBytes.Add(n) }
@@ -110,15 +117,12 @@ func (m *TenantMetrics) Usage() api.TenantUsage {
 	}
 }
 
-// Registry maps tenant names to their attribution bundles and context
-// IDs to the bundle of the tenant they joined. Bundle creation takes
-// the registry lock (cold: once per tenant); every per-context lookup
-// used from swap paths goes through a sync.Map, which is lock-free for
-// the steady-state read case.
+// Registry maps tenant names to their attribution bundles. Bundle
+// creation takes the registry lock (cold: once per tenant); the runtime
+// caches each context's bundle, so no per-call path looks one up.
 type Registry struct {
 	mu      sync.RWMutex
 	tenants map[string]*TenantMetrics
-	byCtx   sync.Map // int64 ctx ID -> *TenantMetrics
 }
 
 // NewRegistry returns an empty registry.
@@ -140,39 +144,11 @@ func (r *Registry) Tenant(name string) *TenantMetrics {
 	defer r.mu.Unlock()
 	if m = r.tenants[name]; m == nil {
 		m = &TenantMetrics{calls: trace.NewCounter(), launches: trace.NewCounter(),
-			gpuTimeNS: trace.NewCounter(), checkpointBytes: trace.NewCounter()}
+			gpuTimeNS: trace.NewCounter(), checkpointBytes: trace.NewCounter(),
+			swapBytes: trace.NewCounter(), swapOps: trace.NewCounter()}
 		r.tenants[name] = m
 	}
 	return m
-}
-
-// BindCtx routes future per-context attribution (from layers below
-// core, via trace.Tracer.Attr) to m.
-func (r *Registry) BindCtx(ctxID int64, m *TenantMetrics) {
-	r.byCtx.Store(ctxID, m)
-}
-
-// UnbindCtx removes a context's attribution route.
-func (r *Registry) UnbindCtx(ctxID int64) {
-	r.byCtx.Delete(ctxID)
-}
-
-// ObserveCtx is the trace.Tracer Attr sink: it attributes a quantity
-// reported by a lower layer (memmgr) to the tenant whose context owns
-// it. Contexts that never joined a tenant are simply not attributed.
-// Lock-free: one sync.Map load plus one atomic add.
-func (r *Registry) ObserveCtx(ctxID int64, kind trace.AttrKind, v int64) {
-	mv, ok := r.byCtx.Load(ctxID)
-	if !ok {
-		return
-	}
-	m := mv.(*TenantMetrics)
-	switch kind {
-	case trace.AttrSwapBytes:
-		m.swapBytes.Add(v)
-	case trace.AttrSwapOps:
-		m.swapOps.Add(v)
-	}
 }
 
 // Snapshot renders every tenant's usage, keyed by name.

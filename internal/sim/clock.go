@@ -7,7 +7,11 @@
 // scaled-down wall-clock sleeps, so that real goroutine concurrency —
 // queueing, overlap of CPU and GPU phases, contention on the dispatcher —
 // produces the timing behaviour, while the full evaluation suite runs in
-// seconds instead of hours.
+// seconds instead of hours. Inside a testing/synctest bubble the same
+// Clock runs in virtual time, with no mode to select: model time is then
+// a function of the inputs, not of the host's load, provided every wait
+// above the clock blocks durably (a sleep, a channel, a sync.Cond; never
+// a sync.Mutex held across a sleep).
 //
 // A Clock with Scale = 0.001 executes one model second as one wall
 // millisecond. All packages in this module take durations in model time
@@ -87,17 +91,31 @@ func (c *Clock) Sleep(d time.Duration) {
 // delay well above this threshold.
 const resolutionFloor = 80 * time.Nanosecond
 
-// sleepWall delays for approximately w of wall time.
+// Delays reports whether Sleep(d) waits at all: a model duration whose
+// wall length is at or below the resolution floor returns at once.
+func (c *Clock) Delays(d time.Duration) bool { return c.wall(d) > resolutionFloor }
+
+// sleepWall delays for approximately w of wall time. A clock that does
+// not move across a yield is a bubble's, which moves only while every
+// goroutine is blocked, so the remainder is slept out instead of spun.
 func sleepWall(w time.Duration) {
 	if w <= resolutionFloor {
 		return
 	}
-	deadline := time.Now().Add(w)
+	now := time.Now()
+	deadline := now.Add(w)
 	if w > spinCutoff {
 		time.Sleep(w - 2*sleepFloor)
+		now = time.Now()
 	}
-	for time.Now().Before(deadline) {
+	for now.Before(deadline) {
 		runtime.Gosched()
+		next := time.Now()
+		if next.Equal(now) {
+			time.Sleep(deadline.Sub(next))
+			return
+		}
+		now = next
 	}
 }
 

@@ -16,25 +16,7 @@ type Tracer struct {
 	SwapBytes *Histogram
 	H2D       *Histogram
 	D2H       *Histogram
-	// Attr, when set, receives the same byte-level accounting the
-	// instrumented layer adds to its own counters, keyed by the owning
-	// context so the caller can attribute it (per tenant). It must be
-	// safe to call from swap paths: implementations may not take locks.
-	Attr func(ctx int64, kind AttrKind, v int64)
 }
-
-// AttrKind names a per-context attributable quantity reported through
-// Tracer.Attr.
-type AttrKind uint8
-
-const (
-	// AttrSwapBytes: bytes spilled device→swap for ctx (dirty syncs
-	// only — mirrors the runtime's swap_bytes counter, not the
-	// per-operation size histogram).
-	AttrSwapBytes AttrKind = iota
-	// AttrSwapOps: swap-out operations completed for ctx.
-	AttrSwapOps
-)
 
 // Start returns the current model time, to open a span, when Span will
 // record one (Spans); otherwise 0, without reading the clock. The
@@ -71,13 +53,5 @@ func (t *Tracer) Span(phase string, ctx int64, start time.Duration, device int, 
 func (t *Tracer) Observe(h *Histogram, lane int, v int64) {
 	if t != nil && h != nil {
 		h.ObserveLane(lane, v)
-	}
-}
-
-// Attribute reports an attributable quantity for ctx. No-op on a nil
-// tracer or unset Attr sink.
-func (t *Tracer) Attribute(ctx int64, kind AttrKind, v int64) {
-	if t != nil && t.Attr != nil {
-		t.Attr(ctx, kind, v)
 	}
 }
