@@ -112,6 +112,10 @@ type Context struct {
 	}
 	// scratchVictims is intraSwap's table snapshot; parked cleared.
 	scratchVictims []*memmgr.PTE
+	// space is the context's page table in the memory manager, read
+	// through it under mu (or a victim's TryLock) with no shard lock.
+	// newContext and resume set it, each where it sets the lane.
+	space *memmgr.Space
 
 	// lane is the runtime lane this context's instruments are written on;
 	// laneHeld (under mu) says it still counts toward rt.laneUse.
@@ -160,7 +164,7 @@ func (rt *Runtime) newContext() *Context {
 	ctx.scratchPTEs, ctx.scratchOffs, ctx.scratchArgs = b.ptes[:0], b.offs[:0], b.args[:0]
 	rt.ctxs[ctx.id] = ctx
 	rt.mu.Unlock()
-	rt.mm.SetLane(ctx.id, ctx.lane)
+	ctx.space = rt.mm.SetLane(ctx.id, ctx.lane)
 	if err := rt.leaseAcquire(ctx); err != nil {
 		// Another node owns this ID live — a session-base misconfiguration.
 		// The context stays registered but every mutating call will be
@@ -430,7 +434,7 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: rt.joinTenant(ctx, c.Tenant)}
 
 	case *api.RegisterNestedCall:
-		parent, _, err := rt.mm.ResolveFor(ctx.id, c.Parent, true)
+		parent, _, err := rt.mm.ResolveIn(ctx.space, c.Parent, true)
 		if err != nil {
 			return api.Reply{Code: api.Code(err)}
 		}
@@ -510,7 +514,7 @@ func (rt *Runtime) memcpyDD(ctx *Context, c *api.MemcpyDDCall) error {
 // whose device state is gone, and would put post-kernel bytes into the
 // swap area under a log that re-applies the kernel to its own output.
 func (rt *Runtime) resolveSettled(ctx *Context, ptr api.DevPtr, base bool) (*memmgr.PTE, uint64, error) {
-	pte, off, err := rt.mm.ResolveFor(ctx.id, ptr, base)
+	pte, off, err := rt.mm.ResolveIn(ctx.space, ptr, base)
 	if err == nil && ctx.replayRefs[pte.Virtual] {
 		err = rt.checkpoint(ctx)
 	}
@@ -551,7 +555,7 @@ func (rt *Runtime) checkpoint(ctx *Context) (err error) {
 	if v := rt.boundVGPU(ctx); v != nil {
 		err := rt.deviceOp(ctx, func() error {
 			if v := rt.boundVGPU(ctx); v != nil {
-				flushed, e := rt.mm.Checkpoint(ctx.id, v.cuctx)
+				flushed, e := rt.mm.CheckpointIn(ctx.space, v.cuctx)
 				if e == nil && ctx.tm != nil {
 					ctx.tm.AddCheckpointBytes(ctx.lane, flushed)
 				}

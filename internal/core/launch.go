@@ -97,7 +97,7 @@ func (rt *Runtime) launch(ctx *Context, call *api.LaunchCall) error {
 // has a registered nested structure.
 func (ctx *Context) hasNestedRegistration(args []api.DevPtr) bool {
 	for _, p := range args {
-		pte, _, err := ctx.rt.mm.ResolveFor(ctx.id, p, false)
+		pte, _, err := ctx.rt.mm.ResolveIn(ctx.space, p, false)
 		if err == nil && pte.Nested != nil {
 			return true
 		}
@@ -111,7 +111,7 @@ func (ctx *Context) hasNestedRegistration(args []api.DevPtr) bool {
 func (ctx *Context) recordReplay(call api.LaunchCall) {
 	ctx.replay = append(ctx.replay, call)
 	for _, p := range call.PtrArgs {
-		if pte, _, err := ctx.rt.mm.ResolveFor(ctx.id, p, false); err == nil {
+		if pte, _, err := ctx.rt.mm.ResolveIn(ctx.space, p, false); err == nil {
 			ctx.replayRefs[pte.Virtual] = true
 		}
 	}
@@ -170,7 +170,7 @@ func (a *argArena[T]) keep(s []T) []T {
 // another context's entry, is rejected before it can reach a device.
 func (rt *Runtime) resolveArgs(ctx *Context, args []api.DevPtr, ptes []*memmgr.PTE, offs []uint64) ([]*memmgr.PTE, []uint64, error) {
 	for _, p := range args {
-		pte, off, err := rt.mm.ResolveFor(ctx.id, p, false)
+		pte, off, err := rt.mm.ResolveIn(ctx.space, p, false)
 		if err != nil {
 			return ptes, offs, err
 		}
@@ -299,11 +299,15 @@ func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) err
 	}
 	// Accounting-first: free enough device memory for the whole launch
 	// (a launch whose entries are all resident asks the device nothing).
-	for attempt := 0; missing > 0 && missing > v.ds.dev.Available(); attempt++ {
+	for attempt := 0; missing > 0; attempt++ {
+		avail := v.ds.dev.Available()
+		if missing <= avail {
+			break
+		}
 		if attempt > 64 {
 			return api.ErrMemoryAllocation
 		}
-		needed := missing - v.ds.dev.Available()
+		needed := missing - avail
 		if rt.intraSwap(ctx, v, ptes, needed) {
 			continue
 		}
@@ -363,7 +367,7 @@ func (rt *Runtime) ensureResident(ctx *Context, v *vGPU, ptes []*memmgr.PTE) err
 func (rt *Runtime) intraSwap(ctx *Context, v *vGPU, exclude []*memmgr.PTE, needed uint64) bool {
 	// Snapshot and victim list share one reusable buffer: victims are
 	// filtered in place, behind the read position.
-	table := rt.mm.AppendEntries(ctx.scratchVictims[:0], ctx.id)
+	table := rt.mm.AppendEntriesIn(ctx.scratchVictims[:0], ctx.space)
 	victims := table[:0]
 	var freed uint64
 	for _, pte := range table {
@@ -442,7 +446,7 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 		// The victim must be "using the amount of memory required"
 		// (§4.5); its page-table flags are only safe to read under its
 		// service lock, so the check happens here.
-		if rt.mm.ResidentBytes(victim.id) < needed {
+		if rt.mm.ResidentBytesIn(victim.space) < needed {
 			victim.mu.Unlock()
 			continue
 		}
@@ -473,7 +477,7 @@ func (rt *Runtime) interSwap(ctx *Context, v *vGPU, needed uint64) bool {
 // bound, entries the flush had not reached stay resident — and the
 // error goes back to the caller.
 func (rt *Runtime) vacate(ctx *Context, v *vGPU) error {
-	s, err := rt.mm.SwapOutAll(ctx.id, v.cuctx)
+	s, err := rt.mm.SwapOutAllIn(ctx.space, v.cuctx)
 	if ctx.tm != nil {
 		ctx.tm.AddSwap(ctx.lane, s.Bytes, int64(s.Entries))
 	}

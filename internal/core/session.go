@@ -169,13 +169,14 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 		ctx.needsRecovery.Store(true)
 	}
 	rt.mu.Unlock()
+	// Retire the empty pre-resume context from the memory manager (and
+	// through it the journal); the session takes the context's lane, and
+	// its page table is the one the replay log resolves in.
+	rt.mm.ReleaseContext(oldID, nil)
+	ctx.space = rt.mm.SetLane(id, ctx.lane)
 	for _, call := range pending {
 		ctx.recordReplay(call)
 	}
-	// Retire the empty pre-resume context from the memory manager (and
-	// through it the journal); the session takes the context's lane.
-	rt.mm.ReleaseContext(oldID, nil)
-	rt.mm.SetLane(id, ctx.lane)
 	if t := rt.cfg.Leases; t != nil {
 		// Likewise retire the pre-resume context's own lease.
 		t.Release(oldID, rt.cfg.node())

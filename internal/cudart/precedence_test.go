@@ -32,16 +32,21 @@ func (e *precedenceEnv) slack() api.DevPtr    { return e.own + 100 }
 // none, so the plane counts how often each device hook is asked.
 const never = 1 << 62
 
-func newPrecedenceEnv(t *testing.T) (*precedenceEnv, *faultinject.Plane) {
+// Unarmed, the device has no hooks and the plane is nil: a transfer the
+// clock cannot delay is then admitted and landed in one hold.
+func newPrecedenceEnv(t *testing.T, armed bool) (*precedenceEnv, *faultinject.Plane) {
 	t.Helper()
 	clock := sim.NewClock(1e-6)
 	dev := gpu.NewDevice(0, gpu.TeslaC2050, clock)
-	plane := faultinject.New(faultinject.Plan{Name: "precedence", Rules: []faultinject.Rule{
-		{Point: faultinject.PointDeviceMalloc, AtNth: never, Action: faultinject.ActError},
-		{Point: faultinject.PointDeviceDMA, AtNth: never, Action: faultinject.ActError},
-		{Point: faultinject.PointDeviceExec, AtNth: never, Action: faultinject.ActError},
-	}})
-	dev.InstallFaults(plane)
+	var plane *faultinject.Plane
+	if armed {
+		plane = faultinject.New(faultinject.Plan{Name: "precedence", Rules: []faultinject.Rule{
+			{Point: faultinject.PointDeviceMalloc, AtNth: never, Action: faultinject.ActError},
+			{Point: faultinject.PointDeviceDMA, AtNth: never, Action: faultinject.ActError},
+			{Point: faultinject.PointDeviceExec, AtNth: never, Action: faultinject.ActError},
+		}})
+		dev.InstallFaults(plane)
+	}
 	e := &precedenceEnv{rt: New(clock, dev), dev: dev}
 	other, err := e.rt.CreateContext(0)
 	if err != nil {
@@ -85,7 +90,8 @@ func countHooks(p *faultinject.Plane) hookCounts {
 // its own allocation's slack past the length it asked for), an interior
 // pointer, a failed device, an unknown kernel — and how many times each
 // device fault hook is consulted on the way, which is how far the call
-// got into the device before it was refused.
+// got into the device before it was refused. Each row runs twice, with
+// the hooks armed and without them, and must answer the same both ways.
 func TestErrorPrecedence(t *testing.T) {
 	hd := func(ptrs ...api.DevPtr) func(e *precedenceEnv) error {
 		return func(e *precedenceEnv) error {
@@ -228,22 +234,30 @@ func TestErrorPrecedence(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			e, plane := newPrecedenceEnv(t)
-			if r.destroyed {
-				e.c.Destroy()
-			}
-			if r.failed {
-				e.dev.Fail()
-			}
-			before := countHooks(plane)
-			err := r.call(e)
-			after := countHooks(plane)
-			if r.want == nil && err != nil || r.want != nil && !errors.Is(err, r.want) {
-				t.Errorf("err = %v, want %v", err, r.want)
-			}
-			got := hookCounts{after.malloc - before.malloc, after.dma - before.dma, after.exec - before.exec}
-			if got != r.hooks {
-				t.Errorf("hooks consulted %+v, want %+v", got, r.hooks)
+			for _, armed := range []bool{true, false} {
+				e, plane := newPrecedenceEnv(t, armed)
+				if r.destroyed {
+					e.c.Destroy()
+				}
+				if r.failed {
+					e.dev.Fail()
+				}
+				var before hookCounts
+				if armed {
+					before = countHooks(plane)
+				}
+				err := r.call(e)
+				if r.want == nil && err != nil || r.want != nil && !errors.Is(err, r.want) {
+					t.Errorf("armed %v: err = %v, want %v", armed, err, r.want)
+				}
+				if !armed {
+					continue
+				}
+				after := countHooks(plane)
+				got := hookCounts{after.malloc - before.malloc, after.dma - before.dma, after.exec - before.exec}
+				if got != r.hooks {
+					t.Errorf("hooks consulted %+v, want %+v", got, r.hooks)
+				}
 			}
 		})
 	}

@@ -217,21 +217,23 @@ func (d *Device) Free(p api.DevPtr) error {
 // context's address space is its own: a pointer it does not own is
 // invalid on a failed device too. It returns the model time it charged:
 // FreeTime once the device was found usable, nothing before.
+// A free the clock cannot delay is judged and done in one hold of d.mu.
 func (d *Device) FreeAs(o *Owner, p api.DevPtr) (time.Duration, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if o != nil {
-		d.mu.Lock()
-		_, err := d.alloc.freeable(uint64(p), o)
-		d.mu.Unlock()
-		if err != nil {
+		if _, err := d.alloc.freeable(uint64(p), o); err != nil {
 			return 0, err
 		}
 	}
 	if err := d.usable(); err != nil {
 		return 0, err
 	}
-	d.clock.Sleep(FreeTime)
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	if d.clock.Delays(FreeTime) {
+		d.mu.Unlock()
+		d.clock.Sleep(FreeTime)
+		d.mu.Lock()
+	}
 	return FreeTime, d.alloc.freeBlock(uint64(p), o)
 }
 
@@ -307,29 +309,29 @@ func hdSize(it *api.HDCopy) uint64 {
 	return it.Size
 }
 
-// admit validates a submission of n transfers made for o before the
-// engine is touched: each consults the DMA fault hook, then must lie
-// inside one allocation. It returns how long the submission holds the
-// engine (the sum of the items' modeled times), how long the fault plane
-// stalled it before that, and the items the fault plane corrupts. The
-// batch is resolved in one hold of d.mu, where an owner's pointers are
-// checked first, every one of them, before the device's health and
-// before any range or hook; the hooks then fire in the per-item order,
-// up to the first bad item's.
-func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (total, stall time.Duration, corrupt []int, err error) {
+// submit runs a submission of n transfers made for o on the engine whose
+// timeline is *freeAt, and returns the model time it charged: its items'
+// transfer times plus any stall the fault plane injected (time spent
+// waiting for the engine is not part of it). Every item is admitted
+// before the engine is touched, so a batch fails as a whole without
+// landing any data: in one hold of d.mu an owner's pointers are checked
+// first, every one of them, before the device's health and before any
+// range or hook; the DMA fault hook then fires in the per-item order, up
+// to the first bad item's. land moves the bytes, with d.mu held, once
+// the submission has run; corrupt lists the items the fault plane
+// corrupts. A submission no hook sees and the clock cannot delay is
+// admitted and landed in the same hold.
+func (d *Device) submit(o *Owner, freeAt *time.Duration, n int, item func(i int) (api.DevPtr, uint64), land func(corrupt []int)) (time.Duration, error) {
+	var total time.Duration
 	bad, badErr := n, error(nil)
 	d.mu.Lock()
-	if err := o.live(); err != nil {
-		d.mu.Unlock()
-		return 0, 0, nil, err
-	}
-	for i := 0; i < n; i++ {
+	err := o.live()
+	for i := 0; err == nil && i < n; i++ {
 		ptr, size := item(i)
 		_, off, b, ok := d.alloc.resolve(uint64(ptr))
 		switch {
 		case o != nil && !(ok && b.addressable(o, off)):
-			d.mu.Unlock()
-			return 0, 0, nil, api.ErrInvalidDevicePointer
+			err = api.ErrInvalidDevicePointer
 		case bad < n:
 		case !ok:
 			bad, badErr = i, api.ErrInvalidDevicePointer
@@ -339,10 +341,20 @@ func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (
 			total += d.DMATime(size)
 		}
 	}
-	d.mu.Unlock()
-	if err := d.usable(); err != nil {
-		return 0, 0, nil, err
+	if err == nil {
+		err = d.usable()
 	}
+	if err == nil && bad == n && d.dmaHook == nil && !d.clock.Delays(total) {
+		land(nil)
+		d.mu.Unlock()
+		return total, nil
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	var stall time.Duration
+	var corrupt []int
 	for i := 0; i < n && i <= bad; i++ {
 		if h := d.dmaHook; h != nil {
 			dec := h.Check()
@@ -350,15 +362,22 @@ func (d *Device) admit(o *Owner, n int, item func(i int) (api.DevPtr, uint64)) (
 				corrupt = append(corrupt, i)
 			}
 			if err := d.applyFault(dec); err != nil {
-				return 0, 0, nil, err
+				return 0, err
 			}
 			stall += max(dec.Delay, 0)
 		}
 		if i == bad {
-			return 0, 0, nil, badErr
+			return 0, badErr
 		}
 	}
-	return total, stall, corrupt, nil
+	d.occupy(freeAt, total)
+	if err := d.usable(); err != nil {
+		return 0, err
+	}
+	d.mu.Lock()
+	land(corrupt)
+	d.mu.Unlock()
+	return total + stall, nil
 }
 
 // CopyInBatch is the host→device copy engine: the items land as one
@@ -376,40 +395,32 @@ func (d *Device) CopyInBatch(items []api.HDCopy) error {
 
 // CopyInAs is CopyInBatch on behalf of o: every destination must lie in
 // the bytes o may address. It returns the model time the submission
-// charged: its items' transfer times plus any stall the fault plane
-// injected. Time spent waiting for the engine is not part of it.
+// charged (submit).
 func (d *Device) CopyInAs(o *Owner, items []api.HDCopy) (time.Duration, error) {
-	total, stall, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
+	return d.submit(o, &d.h2dFree, len(items), func(i int) (api.DevPtr, uint64) {
 		return items[i].Dst, hdSize(&items[i])
-	})
-	if err != nil {
-		return 0, err
-	}
-	d.occupy(&d.h2dFree, total)
-	if err := d.usable(); err != nil {
-		return 0, err
-	}
-	for i := range items {
-		it := &items[i]
-		d.h2dBytes.Add(int64(hdSize(it)))
-		d.h2dOps.Add(1)
-		if it.Data == nil {
-			continue
-		}
-		d.mu.Lock()
-		// Resolved again, not carried across the sleep: an allocation
-		// freed while the copy was in flight takes no data.
-		if base, off, b, ok := d.alloc.resolve(uint64(it.Dst)); ok && b.addressable(o, off) {
-			buf := d.alloc.backing(base, b)
-			copy(buf[off:], it.Data)
-			if slices.Contains(corrupt, i) && len(it.Data) > 0 {
-				// ECC-style corruption: one flipped byte in the landed data.
-				buf[off] ^= 0xFF
+	}, func(corrupt []int) {
+		var moved int64
+		for i := range items {
+			it := &items[i]
+			moved += int64(hdSize(it))
+			if it.Data == nil {
+				continue
+			}
+			// Resolved again, not carried across the engine's sleep: an
+			// allocation freed while the copy was in flight takes no data.
+			if base, off, b, ok := d.alloc.resolve(uint64(it.Dst)); ok && b.addressable(o, off) {
+				buf := d.alloc.backing(base, b)
+				copy(buf[off:], it.Data)
+				if slices.Contains(corrupt, i) && len(it.Data) > 0 {
+					// ECC-style corruption: one flipped byte in the landed data.
+					buf[off] ^= 0xFF
+				}
 			}
 		}
-		d.mu.Unlock()
-	}
-	return total + stall, nil
+		d.h2dBytes.Add(moved)
+		d.h2dOps.Add(int64(len(items)))
+	})
 }
 
 // CopyOut transfers size bytes from src to the host: a one-item
@@ -439,38 +450,32 @@ func (d *Device) CopyOutBatch(items []api.DHCopy) ([][]byte, error) {
 // bytes o may address. Like CopyInAs it returns the model time the
 // submission charged.
 func (d *Device) CopyOutAs(o *Owner, items []api.DHCopy) ([][]byte, time.Duration, error) {
-	total, stall, corrupt, err := d.admit(o, len(items), func(i int) (api.DevPtr, uint64) {
-		return items[i].Src, items[i].Size
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	d.occupy(&d.d2hFree, total)
-	if err := d.usable(); err != nil {
-		return nil, 0, err
-	}
 	var out [][]byte
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range items {
-		it := &items[i]
-		d.d2hBytes.Add(int64(it.Size))
-		d.d2hOps.Add(1)
-		_, off, b, ok := d.alloc.resolve(uint64(it.Src))
-		if !ok || b.buf == nil || !b.addressable(o, off) {
-			continue
+	charged, err := d.submit(o, &d.d2hFree, len(items), func(i int) (api.DevPtr, uint64) {
+		return items[i].Src, items[i].Size
+	}, func(corrupt []int) {
+		var moved int64
+		for i := range items {
+			it := &items[i]
+			moved += int64(it.Size)
+			_, off, b, ok := d.alloc.resolve(uint64(it.Src))
+			if !ok || b.buf == nil || !b.addressable(o, off) {
+				continue
+			}
+			data := make([]byte, it.Size)
+			copy(data, b.buf[off:])
+			if slices.Contains(corrupt, i) && it.Size > 0 {
+				data[0] ^= 0xFF
+			}
+			if out == nil {
+				out = make([][]byte, len(items))
+			}
+			out[i] = data
 		}
-		data := make([]byte, it.Size)
-		copy(data, b.buf[off:])
-		if slices.Contains(corrupt, i) && it.Size > 0 {
-			data[0] ^= 0xFF
-		}
-		if out == nil {
-			out = make([][]byte, len(items))
-		}
-		out[i] = data
-	}
-	return out, total + stall, nil
+		d.d2hBytes.Add(moved)
+		d.d2hOps.Add(int64(len(items)))
+	})
+	return out, charged, err
 }
 
 // Bytes exposes the backing bytes of the allocation containing ptr,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/faultinject"
 	"gvrt/internal/sim"
 )
 
@@ -321,5 +322,100 @@ func TestShortSubmissionBooksNothing(t *testing.T) {
 	}
 	if d.h2dFree != 0 || d.d2hFree != 0 || d.execFree != 0 {
 		t.Errorf("engines free at h2d %v, d2h %v, exec %v; want all 0", d.h2dFree, d.d2hFree, d.execFree)
+	}
+}
+
+// TestSubmissionPaths: a batch lands the same bytes and counts the same
+// per-item ops whichever path it takes — admitted and landed in one hold
+// of d.mu (no hook armed, a clock too coarse to delay it), booked on its
+// engine (a clock that delays it), or consulted item by item by an armed
+// DMA hook, which fires in item order: the occurrence its rule names
+// corrupts exactly that item.
+func TestSubmissionPaths(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		scale  float64
+		hooked bool
+	}{
+		{"one hold", 1e-6, false},
+		{"booked", 1e-2, false},
+		{"hooked", 1e-6, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDevice(0, TeslaC2050, sim.NewClock(c.scale))
+			var plane *faultinject.Plane
+			if c.hooked {
+				plane = faultinject.New(faultinject.Plan{Name: "order", Seed: 1, Rules: []faultinject.Rule{
+					{Point: faultinject.PointDeviceDMA, AtNth: 2, Action: faultinject.ActCorrupt},
+				}})
+				d.InstallFaults(plane)
+			}
+			var in []api.HDCopy
+			var out []api.DHCopy
+			for i := 0; i < 3; i++ {
+				p, err := d.Malloc(64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in = append(in, api.HDCopy{Dst: p, Data: []byte{byte(i + 1), 7}})
+				out = append(out, api.DHCopy{Src: p, Size: 2})
+			}
+			in[2] = api.HDCopy{Dst: in[2].Dst, Size: 48} // synthetic: never materialised
+			if _, err := d.CopyInAs(nil, in); err != nil {
+				t.Fatal(err)
+			}
+			datas, _, err := d.CopyOutAs(nil, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := byte(2)
+			if c.hooked {
+				second ^= 0xFF
+			}
+			if len(datas) != 3 || !bytes.Equal(datas[0], []byte{1, 7}) || !bytes.Equal(datas[1], []byte{second, 7}) || datas[2] != nil {
+				t.Errorf("read back %v, want [[1 7] [%d 7] []]", datas, second)
+			}
+			want := Stats{H2DOps: 3, H2DBytes: 52, D2HOps: 3, D2HBytes: 6}
+			if got := d.Stats(); got != want {
+				t.Errorf("stats %+v, want %+v", got, want)
+			}
+			if booked := d.h2dFree != 0 && d.d2hFree != 0; booked != (c.name == "booked") {
+				t.Errorf("engines booked = %v (h2d free at %v, d2h at %v)", booked, d.h2dFree, d.d2hFree)
+			}
+			if c.hooked {
+				if n := plane.Occurrences()[string(faultinject.PointDeviceDMA)+"/gpu0"]; n != 6 {
+					t.Errorf("DMA hook consulted %d times, want once per item: 6", n)
+				}
+			}
+		})
+	}
+}
+
+// TestFreeAsOwnerBeforeHealth: a CUDA context's address space is its
+// own, so another owner's pointer is invalid on a failed device too —
+// in the one hold a free the clock cannot delay takes, and around the
+// sleep of one it can. Only a usable device charges FreeTime.
+func TestFreeAsOwnerBeforeHealth(t *testing.T) {
+	for _, scale := range []float64{1e-6, 1e-2} {
+		d := NewDevice(0, TeslaC2050, sim.NewClock(scale))
+		mine, other := &Owner{}, &Owner{}
+		p, err := d.MallocAs(mine, 64, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Fail()
+		if charged, err := d.FreeAs(other, p); charged != 0 || !errors.Is(err, api.ErrInvalidDevicePointer) {
+			t.Errorf("scale %g: another owner's free on a failed device = %v, %v; want 0, ErrInvalidDevicePointer", scale, charged, err)
+		}
+		if charged, err := d.FreeAs(mine, p); charged != 0 || !errors.Is(err, api.ErrDeviceUnavailable) {
+			t.Errorf("scale %g: own free on a failed device = %v, %v; want 0, ErrDeviceUnavailable", scale, charged, err)
+		}
+		d.Restore()
+		if charged, err := d.FreeAs(mine, p); charged != FreeTime || err != nil {
+			t.Errorf("scale %g: own free = %v, %v; want %v, nil", scale, charged, err, FreeTime)
+		}
+		if got := d.Available(); got != d.Capacity() {
+			t.Errorf("scale %g: available %d after the free, want %d", scale, got, d.Capacity())
+		}
 	}
 }

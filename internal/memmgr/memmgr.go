@@ -17,13 +17,15 @@
 // patching, transfer deferral with bulk coalescing, and the implicit
 // checkpoint capability of §4.6.
 //
-// Locking: the maps are guarded by the manager's mutex. PTE fields are
-// mutated only while holding the owning context's service lock (the
-// runtime guarantees this: a context's own dispatcher holds it while
-// serving a call, and inter-application swap or migration acquire
-// it via TryLock before touching a victim's entries), so flag
-// transitions never race. The same lock guards each context's reusable
-// swap-path scratch (ctxState).
+// Locking: a context's page table is written under both its shard's
+// lock and the context's service lock (the runtime guarantees the
+// latter: a context's own dispatcher holds it while serving a call, and
+// inter-application swap or migration acquire it via TryLock before
+// touching a victim's entries). So the service-lock holder reads the
+// table through the context's Space with no other lock, and everyone
+// else reads it by ID under the shard lock. PTE fields are mutated only
+// under the service lock, so flag transitions never race; the same lock
+// guards each context's reusable swap-path scratch (its Space).
 package memmgr
 
 import (
@@ -91,7 +93,7 @@ type PTE struct {
 	LostDirty bool
 
 	// owner is the per-context state the entry belongs to.
-	owner *ctxState
+	owner *Space
 	// data is the swap-area backing. It is materialised lazily and only
 	// for entries that carry real bytes; synthetic (timing-only)
 	// workloads keep it nil however large Size is.
@@ -132,16 +134,17 @@ const numShards = 32
 // and lives in the Manager as an atomic. Each shard has its own cache line.
 type shard struct {
 	mu   sync.Mutex
-	ctxs map[int64]*ctxState
+	ctxs map[int64]*Space
 	_    [48]byte
 }
 
-// ctxState is everything the manager keeps for one context. table, next
-// and usage are guarded by the shard mutex. The descriptor scratch
-// belongs to whoever holds the context's service lock (package comment);
-// it is cleared of swap images before it is parked, so it never pins
-// one.
-type ctxState struct {
+// Space is everything the manager keeps for one context, and the handle
+// its service-lock holder reads the page table through (SetLane returns
+// it). table, next and usage are written under the shard mutex and the
+// service lock (package comment). The descriptor scratch belongs to the
+// service-lock holder; it is cleared of swap images before it is parked,
+// so it never pins one. A Space kept past ReleaseContext is empty.
+type Space struct {
 	id    int64
 	lane  int    // the runtime lane its instruments are written on (SetLane)
 	table []*PTE // sorted by Virtual
@@ -157,29 +160,28 @@ type ctxState struct {
 	dhInline [2]api.DHCopy
 }
 
-func newCtxState(id int64) *ctxState {
-	cs := &ctxState{id: id}
+func newSpace(id int64) *Space {
+	cs := &Space{id: id}
 	cs.hd, cs.dh = cs.hdInline[:0], cs.dhInline[:0]
 	return cs
 }
 
 // state returns the context's state, creating it. Caller holds s.mu.
-func (s *shard) state(ctxID int64) *ctxState {
+func (s *shard) state(ctxID int64) *Space {
 	cs := s.ctxs[ctxID]
 	if cs == nil {
-		cs = newCtxState(ctxID)
+		cs = newSpace(ctxID)
 		s.ctxs[ctxID] = cs
 	}
 	return cs
 }
 
-// tableOf returns the context's page table, nil when it has none.
-// Caller holds s.mu.
-func (s *shard) tableOf(ctxID int64) []*PTE {
-	if cs := s.ctxs[ctxID]; cs != nil {
-		return cs.table
+// entries returns the Space's page table, nil for a nil Space.
+func (sp *Space) entries() []*PTE {
+	if sp == nil {
+		return nil
 	}
-	return nil
+	return sp.table
 }
 
 // Manager is the runtime's memory manager. One instance serves all
@@ -252,7 +254,7 @@ func New(deferTransfers bool, hostLimit uint64) *Manager {
 		checkpointBytes: trace.NewCounter(),
 	}
 	for i := range m.shards {
-		m.shards[i].ctxs = make(map[int64]*ctxState)
+		m.shards[i].ctxs = make(map[int64]*Space)
 	}
 	return m
 }
@@ -322,12 +324,26 @@ func (m *Manager) Stats() api.Memory {
 	}
 }
 
-// SetLane sets the runtime lane ctxID's instruments are written on.
-func (m *Manager) SetLane(ctxID int64, lane int) {
+// SetLane sets the runtime lane ctxID's instruments are written on and
+// returns the context's Space, creating it: the handle through which
+// the holder of the context's service lock reads its page table.
+func (m *Manager) SetLane(ctxID int64, lane int) *Space {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
-	s.state(ctxID).lane = lane
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	sp := s.state(ctxID)
+	sp.lane = lane
+	return sp
+}
+
+// space returns ctxID's Space, nil when it has none. Its table is the
+// live one, not a snapshot: a caller holding the context's service lock
+// may walk it after the shard lock is dropped.
+func (m *Manager) space(ctxID int64) *Space {
+	s := m.shardOf(ctxID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctxs[ctxID]
 }
 
 // Malloc services an allocation call (Table 1, malloc row): it creates
@@ -372,31 +388,36 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 	return v, nil
 }
 
-// ResolveFor is the one door a tenant-supplied pointer enters through
-// (Table 1's "check valid PTE"): it maps ptr — possibly mid-entry, unless
-// base demands the allocation's own address (free, nested parent) — to
-// ctxID's entry and offset. The owner is in the pointer's bits, so a
-// foreign pointer is refused before another tenant's shard lock is
-// taken, and whatever is found in ctxID's table is ctxID's. Every refusal
-// is counted as a bad operation and reported as ErrInvalidDevicePointer
-// without reaching a device.
+// ResolveFor is ResolveIn on ctxID's Space, looked up and searched under
+// its shard lock: for callers that do not hold the context's service
+// lock, and for nested members, which name their context by ID.
 func (m *Manager) ResolveFor(ctxID int64, ptr api.DevPtr, base bool) (*PTE, uint64, error) {
-	if !owns(ctxID, ptr) {
-		m.badOps.Add(1)
-		return nil, 0, api.ErrInvalidDevicePointer
-	}
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The table is sorted by Virtual (the allocation cursor only grows
-	// and Free preserves order), so the owning entry is the last one
-	// starting at or below ptr.
-	tbl := s.tableOf(ctxID)
-	i := sort.Search(len(tbl), func(i int) bool { return tbl[i].Virtual > ptr })
-	if i > 0 {
-		pte := tbl[i-1]
-		if off := uint64(ptr - pte.Virtual); off < pte.Size && (off == 0 || !base) {
-			return pte, off, nil
+	return m.ResolveIn(s.ctxs[ctxID], ptr, base)
+}
+
+// ResolveIn is the one door a tenant-supplied pointer enters through
+// (Table 1's "check valid PTE"): it maps ptr — possibly mid-entry, unless
+// base demands the allocation's own address (free, nested parent) — to
+// the entry and offset of sp's context, whose service lock the caller
+// holds. The owner is in the pointer's bits, so a foreign pointer is
+// refused without a look at any table, and whatever is found in sp's
+// table is sp's. Every refusal is counted as a bad operation and
+// reported as ErrInvalidDevicePointer without reaching a device.
+func (m *Manager) ResolveIn(sp *Space, ptr api.DevPtr, base bool) (*PTE, uint64, error) {
+	if sp != nil && owns(sp.id, ptr) {
+		// The table is sorted by Virtual (the allocation cursor only grows
+		// and Free preserves order), so the owning entry is the last one
+		// starting at or below ptr.
+		tbl := sp.table
+		i := sort.Search(len(tbl), func(i int) bool { return tbl[i].Virtual > ptr })
+		if i > 0 {
+			pte := tbl[i-1]
+			if off := uint64(ptr - pte.Virtual); off < pte.Size && (off == 0 || !base) {
+				return pte, off, nil
+			}
 		}
 	}
 	m.badOps.Add(1)
@@ -422,13 +443,20 @@ func owns(ctxID int64, ptr api.DevPtr) bool {
 // and size are client-chosen, so their sum is never formed: it can wrap.
 func inRange(off, size, limit uint64) bool { return size <= limit && off <= limit-size }
 
-// AppendEntries appends a snapshot of a context's page table to dst (a
-// caller that keeps dst from call to call snapshots without allocating).
+// AppendEntries is AppendEntriesIn on ctxID's Space, under its shard
+// lock.
 func (m *Manager) AppendEntries(dst []*PTE, ctxID int64) []*PTE {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append(dst, s.tableOf(ctxID)...)
+	return m.AppendEntriesIn(dst, s.ctxs[ctxID])
+}
+
+// AppendEntriesIn appends a snapshot of sp's page table to dst (a caller
+// that keeps dst from call to call snapshots without allocating). The
+// caller holds sp's context's service lock.
+func (m *Manager) AppendEntriesIn(dst []*PTE, sp *Space) []*PTE {
+	return append(dst, sp.entries()...)
 }
 
 // UsageOf reports the context's total allocation footprint (the
@@ -443,14 +471,20 @@ func (m *Manager) UsageOf(ctxID int64) uint64 {
 	return 0
 }
 
-// ResidentBytes reports how much of the context's footprint currently
-// occupies device memory.
+// ResidentBytes is ResidentBytesIn on ctxID's Space, under its shard
+// lock.
 func (m *Manager) ResidentBytes(ctxID int64) uint64 {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return m.ResidentBytesIn(s.ctxs[ctxID])
+}
+
+// ResidentBytesIn reports how much of the footprint of sp's context,
+// whose service lock the caller holds, currently occupies device memory.
+func (m *Manager) ResidentBytesIn(sp *Space) uint64 {
 	var sum uint64
-	for _, pte := range s.tableOf(ctxID) {
+	for _, pte := range sp.entries() {
 		if pte.IsAllocated {
 			sum += pte.Size
 		}
@@ -890,7 +924,7 @@ func (m *Manager) landed(pte *PTE, depth int) {
 // context's descriptor scratch, land as one submission, traced as one
 // h2d observation of the model time it charged. The scratch is parked
 // emptied of the swap images its descriptors held.
-func (m *Manager) toDevice(cs *ctxState, items []api.HDCopy, ops DeviceOps) error {
+func (m *Manager) toDevice(cs *Space, items []api.HDCopy, ops DeviceOps) error {
 	if len(items) == 0 {
 		return nil
 	}
@@ -933,18 +967,13 @@ func (m *Manager) MarkKernelEffects(ptes []*PTE, readOnly []bool) {
 // swapped") and the implicit checkpoint that precedes unbinding and
 // migration. It returns what it swapped out.
 func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (Spilled, error) {
-	return m.SwapOutEntries(m.liveTable(ctxID), ops)
+	return m.SwapOutAllIn(m.space(ctxID), ops)
 }
 
-// liveTable returns the context's page table itself, not a snapshot.
-// The table only changes under the context's service lock (Malloc,
-// Free, import, release), so a caller holding that lock may walk it
-// after the shard lock is dropped.
-func (m *Manager) liveTable(ctxID int64) []*PTE {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tableOf(ctxID)
+// SwapOutAllIn is SwapOutAll on sp, whose context's service lock the
+// caller holds.
+func (m *Manager) SwapOutAllIn(sp *Space, ops DeviceOps) (Spilled, error) {
+	return m.SwapOutEntries(sp.entries(), ops)
 }
 
 // SwapOutEntries performs the swap row of Table 1 on entries (one
@@ -1016,7 +1045,13 @@ type Spilled struct {
 // can be restarted on another GPU at the cost of replaying only
 // not-yet-executed work. It returns the bytes flushed.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int64, error) {
-	table := m.liveTable(ctxID)
+	return m.CheckpointIn(m.space(ctxID), ops)
+}
+
+// CheckpointIn is Checkpoint on sp, whose context's service lock the
+// caller holds.
+func (m *Manager) CheckpointIn(sp *Space, ops DeviceOps) (int64, error) {
+	table := sp.entries()
 	flushed, err := m.syncToSwap(table, ops)
 	if err != nil {
 		return 0, err
@@ -1037,7 +1072,7 @@ func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int64, error) {
 // number of entries that lost dirty data.
 func (m *Manager) InvalidateResidency(ctxID int64) int {
 	lost := 0
-	for _, pte := range m.liveTable(ctxID) {
+	for _, pte := range m.space(ctxID).entries() {
 		if !pte.IsAllocated {
 			continue
 		}
@@ -1055,7 +1090,7 @@ func (m *Manager) InvalidateResidency(ctxID int64) int {
 
 // ClearLost clears the LostDirty marks after a successful replay.
 func (m *Manager) ClearLost(ctxID int64) {
-	for _, pte := range m.liveTable(ctxID) {
+	for _, pte := range m.space(ctxID).entries() {
 		pte.LostDirty = false
 	}
 }

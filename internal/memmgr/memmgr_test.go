@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -741,8 +742,10 @@ func TestRegisterNestedValidation(t *testing.T) {
 func TestReleaseContext(t *testing.T) {
 	m := New(true, 1000)
 	ops := newFakeOps(1 << 20)
+	sp := m.SetLane(9, 1)
+	var pte *PTE
 	for i := 0; i < 3; i++ {
-		pte := mustMalloc(t, m, 9, 100)
+		pte = mustMalloc(t, m, 9, 100)
 		if err := m.MakeResident(pte, ops); err != nil {
 			t.Fatal(err)
 		}
@@ -756,6 +759,75 @@ func TestReleaseContext(t *testing.T) {
 	}
 	if m.Stats().HostBytesInUse != 0 {
 		t.Errorf("HostBytesInUse = %d after release", m.Stats().HostBytesInUse)
+	}
+	// A Space kept past the release resolves nothing, not even once the
+	// ID's next allocation has made it a fresh one.
+	mustMalloc(t, m, 9, 100)
+	if _, _, err := m.ResolveIn(sp, pte.Virtual, false); !errors.Is(err, api.ErrInvalidDevicePointer) {
+		t.Errorf("ResolveIn on a released Space err = %v, want ErrInvalidDevicePointer", err)
+	}
+	if n, b := len(m.AppendEntriesIn(nil, sp)), m.ResidentBytesIn(sp); n != 0 || b != 0 {
+		t.Errorf("released Space holds %d entries, %d resident bytes", n, b)
+	}
+}
+
+// TestSpaceReadsBesideShardTraffic: the owner of a Space resolves and
+// checkpoints through it, with no shard lock, while contexts on the same
+// shard allocate, free and are released. Run with -race: the owner's
+// reads must touch nothing the others write.
+func TestSpaceReadsBesideShardTraffic(t *testing.T) {
+	const owner, rounds = 5, 200
+	m := New(true, 0)
+	ops := newFakeOps(1 << 20)
+	sp := m.SetLane(owner, 1)
+	var ptes []*PTE
+	for i := 0; i < 4; i++ {
+		pte := mustMalloc(t, m, owner, 64)
+		if err := m.MakeResident(pte, ops); err != nil {
+			t.Fatal(err)
+		}
+		ptes = append(ptes, pte)
+	}
+	var wg sync.WaitGroup
+	for g := int64(1); g <= 3; g++ {
+		id := owner + g*numShards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				a, errA := m.Malloc(id, 64, KindLinear)
+				_, errB := m.Malloc(id, 64, KindLinear)
+				pte, _, errC := m.ResolveFor(id, a, true)
+				if err := errors.Join(errA, errB, errC); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := m.Free(pte, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				m.ReleaseContext(id, nil)
+			}
+		}()
+	}
+	foreign := api.DevPtr(virtTag | uint64(owner+numShards)<<ctxShift)
+	for n := 0; n < rounds; n++ {
+		for _, want := range ptes {
+			if pte, off, err := m.ResolveIn(sp, want.Virtual+1, false); pte != want || off != 1 || err != nil {
+				t.Fatalf("ResolveIn = %v, %d, %v; want entry %#x at 1", pte, off, err, want.Virtual)
+			}
+		}
+		if _, _, err := m.ResolveIn(sp, foreign, false); !errors.Is(err, api.ErrInvalidDevicePointer) {
+			t.Fatalf("ResolveIn of a shard neighbour's pointer err = %v", err)
+		}
+		m.MarkKernelEffects(ptes, nil)
+		if flushed, err := m.CheckpointIn(sp, ops); flushed != 4*64 || err != nil {
+			t.Fatalf("CheckpointIn = %d, %v; want %d, nil", flushed, err, 4*64)
+		}
+	}
+	wg.Wait()
+	if st := m.Stats(); st.Checkpoints != rounds || st.CheckpointBytes != rounds*4*64 || st.HostBytesInUse != 4*64 {
+		t.Errorf("stats %+v: want %d checkpoints of %d bytes and only the owner's %d host bytes", st, rounds, 4*64, 4*64)
 	}
 }
 

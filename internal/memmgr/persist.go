@@ -69,7 +69,7 @@ func (m *Manager) ExportContext(ctxID int64) (*ContextImage, error) {
 // ErrInvalidValue on an image ExportContext could not have produced
 // (importEntries); a refused image imports and reserves nothing.
 func (m *Manager) ImportContext(img *ContextImage) error {
-	cs := newCtxState(img.CtxID)
+	cs := newSpace(img.CtxID)
 	entries, err := importEntries(img, cs)
 	if err != nil {
 		return err
@@ -81,7 +81,7 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	s := m.shardOf(img.CtxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tableOf(img.CtxID)) > 0 {
+	if len(s.ctxs[img.CtxID].entries()) > 0 {
 		return fmt.Errorf("memmgr: context %d already present", img.CtxID)
 	}
 	// Bulk-reserve the whole image against the host limit up front; a
@@ -103,7 +103,7 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 // bytes when it has any; nested pointers paired with 8-byte slots inside
 // the entry and naming the context's own entries. Bounded and disjoint
 // in one context's space, the sizes cannot sum past 2^40, let alone wrap.
-func importEntries(img *ContextImage, cs *ctxState) ([]*PTE, error) {
+func importEntries(img *ContextImage, cs *Space) ([]*PTE, error) {
 	limit := min(img.NextOff, maxEntry)
 	entries := make([]*PTE, 0, len(img.Entries))
 	for i := range img.Entries {
