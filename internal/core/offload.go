@@ -135,6 +135,15 @@ func (shed) Handle(call api.Call) (api.Reply, bool) {
 // peer runtime and relays the reply. A non-zero parent span ID is
 // attached to every forwarded call (api.WithSpan) so the peer's spans
 // nest under this hop in a merged trace.
+//
+// Over a peer that can post (transport.Poster), a call whose reply is
+// only a code and which CUDA itself may complete asynchronously is
+// posted and answered Success at once; the next synchronous call
+// collects the replies. A posted call that failed reaches the
+// application as that call's reply, and the peer connection ends with
+// it — CUDA's sticky error — so no retry can lose the posted work.
+// (The peer is asserted a Poster per posted call rather than held in a
+// second field, which would take the hop to the next size class.)
 type hop struct {
 	peer   transport.Conn
 	parent trace.SpanID
@@ -152,6 +161,12 @@ func (h *hop) Handle(call api.Call) (api.Reply, bool) {
 	if h.parent != 0 {
 		out = api.WithSpan{Parent: uint64(h.parent), Call: call}
 	}
+	if p, ok := h.peer.(transport.Poster); ok && posted(call) {
+		if p.Post(out) != nil {
+			return api.Reply{Code: api.ErrConnectionClosed}, true
+		}
+		return api.Reply{}, false
+	}
 	reply, err := h.peer.Call(out)
 	if err != nil {
 		// The peer died mid-stream; the application observes a
@@ -167,6 +182,16 @@ func (h *hop) Handle(call api.Call) (api.Reply, bool) {
 	}
 	_, isExit := call.(*api.ExitCall)
 	return reply, isExit
+}
+
+// posted reports whether the hop posts call: its reply carries only a
+// code, and CUDA may complete it asynchronously.
+func posted(call api.Call) bool {
+	switch call.(type) {
+	case *api.LaunchCall, *api.MemcpyHDCall, *api.FreeCall, *api.SetTenantCall:
+		return true
+	}
+	return false
 }
 
 // ServeListener accepts connections until the listener closes, routing

@@ -153,8 +153,8 @@ func TestSwapPathAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.MarkKernelEffects(ptes, nil)
-		if s, err := m.SwapOutAll(ptes[0].CtxID(), ops); s.Entries != len(ptes) || err != nil {
-			t.Fatalf("SwapOutAll = %+v, %v", s, err)
+		if s, err := m.SwapOutAllIn(ptes[0].owner, ops); s.Entries != len(ptes) || err != nil {
+			t.Fatalf("SwapOutAllIn = %+v, %v", s, err)
 		}
 	}
 	cycle() // grow the scratch and the allocator's free lists once

@@ -13,9 +13,9 @@
 // The manager implements the per-call actions and error returns of
 // Table 1, the two swap flavours (§4.5 intra-application and
 // inter-application swap are orchestrated above this package, using
-// SwapOut/SwapOutAll), nested-structure registration with device-pointer
-// patching, transfer deferral with bulk coalescing, and the implicit
-// checkpoint capability of §4.6.
+// SwapOutEntries/SwapOutAllIn), nested-structure registration with
+// device-pointer patching, transfer deferral with bulk coalescing, and
+// the implicit checkpoint capability of §4.6.
 //
 // Locking: a context's page table is written under both its shard's
 // lock and the context's service lock (the runtime guarantees the
@@ -443,15 +443,6 @@ func owns(ctxID int64, ptr api.DevPtr) bool {
 // and size are client-chosen, so their sum is never formed: it can wrap.
 func inRange(off, size, limit uint64) bool { return size <= limit && off <= limit-size }
 
-// AppendEntries is AppendEntriesIn on ctxID's Space, under its shard
-// lock.
-func (m *Manager) AppendEntries(dst []*PTE, ctxID int64) []*PTE {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return m.AppendEntriesIn(dst, s.ctxs[ctxID])
-}
-
 // AppendEntriesIn appends a snapshot of sp's page table to dst (a caller
 // that keeps dst from call to call snapshots without allocating). The
 // caller holds sp's context's service lock.
@@ -469,15 +460,6 @@ func (m *Manager) UsageOf(ctxID int64) uint64 {
 		return cs.usage
 	}
 	return 0
-}
-
-// ResidentBytes is ResidentBytesIn on ctxID's Space, under its shard
-// lock.
-func (m *Manager) ResidentBytes(ctxID int64) uint64 {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return m.ResidentBytesIn(s.ctxs[ctxID])
 }
 
 // ResidentBytesIn reports how much of the footprint of sp's context,
@@ -961,17 +943,12 @@ func (m *Manager) MarkKernelEffects(ptes []*PTE, readOnly []bool) {
 	}
 }
 
-// SwapOutAll swaps out every resident entry of a context — the
-// inter-application swap action (§4.5: "all the page table entries
-// belonging to the application that accepts the request will be
-// swapped") and the implicit checkpoint that precedes unbinding and
-// migration. It returns what it swapped out.
-func (m *Manager) SwapOutAll(ctxID int64, ops DeviceOps) (Spilled, error) {
-	return m.SwapOutAllIn(m.space(ctxID), ops)
-}
-
-// SwapOutAllIn is SwapOutAll on sp, whose context's service lock the
-// caller holds.
+// SwapOutAllIn swaps out every resident entry of sp's context, whose
+// service lock the caller holds — the inter-application swap action
+// (§4.5: "all the page table entries belonging to the application that
+// accepts the request will be swapped") and the implicit checkpoint
+// that precedes unbinding and migration. It returns what it swapped
+// out.
 func (m *Manager) SwapOutAllIn(sp *Space, ops DeviceOps) (Spilled, error) {
 	return m.SwapOutEntries(sp.entries(), ops)
 }

@@ -543,27 +543,28 @@ func TestSwapOutPreservesDirtyData(t *testing.T) {
 func TestSwapOutAllAndUsage(t *testing.T) {
 	m := New(true, 0)
 	ops := newFakeOps(1 << 20)
+	sp := m.SetLane(5, 0)
 	for i := 0; i < 3; i++ {
 		pte := mustMalloc(t, m, 5, 100)
 		if err := m.MakeResident(pte, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.ResidentBytes(5) != 300 {
-		t.Errorf("ResidentBytes = %d, want 300", m.ResidentBytes(5))
+	if got := m.ResidentBytesIn(sp); got != 300 {
+		t.Errorf("ResidentBytesIn = %d, want 300", got)
 	}
-	s, err := m.SwapOutAll(5, ops)
+	s, err := m.SwapOutAllIn(sp, ops)
 	if err != nil || s.Entries != 3 {
-		t.Fatalf("SwapOutAll = %+v, %v", s, err)
+		t.Fatalf("SwapOutAllIn = %+v, %v", s, err)
 	}
-	if m.ResidentBytes(5) != 0 {
-		t.Errorf("ResidentBytes after SwapOutAll = %d", m.ResidentBytes(5))
+	if got := m.ResidentBytesIn(sp); got != 0 {
+		t.Errorf("ResidentBytesIn after SwapOutAllIn = %d", got)
 	}
 	if m.UsageOf(5) != 300 {
-		t.Errorf("UsageOf after SwapOutAll = %d, want 300 (still allocated virtually)", m.UsageOf(5))
+		t.Errorf("UsageOf after SwapOutAllIn = %d, want 300 (still allocated virtually)", m.UsageOf(5))
 	}
 	if ops.used != 0 {
-		t.Errorf("device still holds %d bytes after SwapOutAll", ops.used)
+		t.Errorf("device still holds %d bytes after SwapOutAllIn", ops.used)
 	}
 }
 
@@ -754,7 +755,7 @@ func TestReleaseContext(t *testing.T) {
 	if ops.used != 0 {
 		t.Error("ReleaseContext leaked device memory")
 	}
-	if m.UsageOf(9) != 0 || len(m.AppendEntries(nil, 9)) != 0 {
+	if m.UsageOf(9) != 0 || len(m.AppendEntriesIn(nil, m.space(9))) != 0 {
 		t.Error("ReleaseContext left table state")
 	}
 	if m.Stats().HostBytesInUse != 0 {
@@ -887,7 +888,7 @@ func (diesBeforeFree) Free(api.DevPtr) (time.Duration, error) { return 0, api.Er
 
 // TestSwapOutCompleteWhenDeviceDiesBeforeFree: once the dirty data has
 // reached swap, a device that dies before the free has only taken its
-// own memory with it. The entry must end swapped out and SwapOutAll
+// own memory with it. The entry must end swapped out and SwapOutAllIn
 // must succeed — reporting a failure made the runtime keep a replay log
 // over a swap image that already reflected it, and every logged kernel
 // was applied twice (the soak's "byte 0 = N+1").
@@ -903,8 +904,8 @@ func TestSwapOutCompleteWhenDeviceDiesBeforeFree(t *testing.T) {
 	}
 	ops.poke(pte.Device, []byte{2}) // a kernel's output, on the device only
 	m.MarkKernelEffects([]*PTE{pte}, nil)
-	if s, err := m.SwapOutAll(1, diesBeforeFree{ops}); s != (Spilled{Entries: 1, Bytes: 64}) || err != nil {
-		t.Fatalf("SwapOutAll over a device that died before the free = %+v, %v; want 1 entry and 64 bytes, nil", s, err)
+	if s, err := m.SwapOutAllIn(m.SetLane(1, 0), diesBeforeFree{ops}); s != (Spilled{Entries: 1, Bytes: 64}) || err != nil {
+		t.Fatalf("SwapOutAllIn over a device that died before the free = %+v, %v; want 1 entry and 64 bytes, nil", s, err)
 	}
 	if pte.IsAllocated || pte.ToCopy2Swap || !pte.ToCopy2Dev {
 		t.Errorf("entry after the swap-out: %+v", pte)

@@ -39,7 +39,7 @@ type ContextImage struct {
 
 // ExportContext captures a context's page table and swap area. Entries
 // still dirty on the device (ToCopy2Swap) cannot be captured — the
-// caller must Checkpoint or SwapOutAll first; ExportContext fails
+// caller must Checkpoint or SwapOutAllIn first; ExportContext fails
 // loudly rather than snapshot stale data.
 func (m *Manager) ExportContext(ctxID int64) (*ContextImage, error) {
 	s := m.shardOf(ctxID)

@@ -63,7 +63,7 @@ func TestImportContextRefusesMalformedImages(t *testing.T) {
 			if err := m.ImportContext(image(tc.edit)); !errors.Is(err, api.ErrInvalidValue) {
 				t.Fatalf("ImportContext = %v, want ErrInvalidValue", err)
 			}
-			if n := len(m.AppendEntries(nil, ctx)); n != 0 || m.UsageOf(ctx) != 0 || m.Stats().HostBytesInUse != 0 {
+			if n := len(m.AppendEntriesIn(nil, m.space(ctx))); n != 0 || m.UsageOf(ctx) != 0 || m.Stats().HostBytesInUse != 0 {
 				t.Fatalf("refused image left %d entries, usage %d, %d host bytes", n, m.UsageOf(ctx), m.Stats().HostBytesInUse)
 			}
 			if err := m.ImportContext(image(nil)); err != nil {

@@ -68,6 +68,26 @@ func TestCodecAllocsPerCall(t *testing.T) {
 	}
 }
 
+// TestPostAllocs: a steady-state post costs nothing, both ends counted
+// — the frame written, and at the bound the owed replies collected.
+func TestPostAllocs(t *testing.T) {
+	c, _ := tcpServe(t, handlerFunc(func(api.Call) (api.Reply, bool) { return api.Reply{}, false }))
+	var call api.Call = &api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{0x1000}, Scalars: []uint64{7}}
+	post := func() {
+		if err := c.Post(call); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*maxPosted; i++ {
+		post()
+	}
+	avg := testing.AllocsPerRun(4*maxPosted, post)
+	t.Logf("post: %.2f allocs", avg)
+	if avg > 0 {
+		t.Errorf("a post allocates %.2f objects, budget 0", avg)
+	}
+}
+
 // TestCodecFirstCallCostsSteadyState: a connection's first frame of
 // each kind allocates no more than a later frame of that kind which
 // the memo does not hold. Every offloaded session (§4.7) is a new

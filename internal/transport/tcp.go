@@ -55,6 +55,10 @@ const (
 	// few arguments.
 	memoSize = 4
 	memoRoom = 128
+
+	// maxPosted bounds a client connection's posted calls whose replies
+	// it has not read yet; the post past it collects them first.
+	maxPosted = 64
 )
 
 var le = binary.LittleEndian
@@ -271,10 +275,14 @@ func (e *endpoint) Close() error {
 }
 
 // tcpConn is the client side of a TCP connection. A connection belongs
-// to a single application thread and carries one call at a time.
+// to a single application thread and carries one call at a time, or a
+// run of posted calls whose replies the next Call collects.
 type tcpConn struct {
 	endpoint
 	seq uint64
+	// owed counts the posted calls, the last owed ones sent, whose
+	// replies have not been read.
+	owed int
 }
 
 // Dial connects to a runtime daemon at addr (host:port).
@@ -287,25 +295,28 @@ func Dial(addr string) (Conn, error) {
 }
 
 // NewClientConn wraps an established net.Conn as the client side of a
-// connection.
+// connection. The Conn is also a Poster.
 func NewClientConn(c net.Conn) Conn {
 	return &tcpConn{endpoint: endpoint{c: c, w: newWire(c)}}
 }
 
-// Call sends call and waits for its reply. Any failure — a call with no
-// wire form, a short write, a torn or malformed reply, a reply to a
-// different call — ends the connection: every later Call returns
-// ErrClosed.
+// Call collects the replies owed to posted calls, then sends call and
+// waits for its reply. Any failure — a call with no wire form, a short
+// write, a torn or malformed reply, a reply to a different call — ends
+// the connection: every later Call returns ErrClosed. So does a posted
+// call that failed: its reply is returned in place of call's, which is
+// never sent.
 func (t *tcpConn) Call(call api.Call) (api.Reply, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.w == nil {
 		return api.Reply{}, ErrClosed
 	}
-	t.seq++
-	if err := t.w.sendCall(t.seq, call); err != nil {
-		t.drop()
-		return api.Reply{}, fmt.Errorf("transport: send: %w", err)
+	if r, err := t.collect(); err != nil || r.Code != api.Success {
+		return r, err
+	}
+	if err := t.send(call); err != nil {
+		return api.Reply{}, err
 	}
 	reply, err := t.recvReply()
 	if err != nil {
@@ -315,7 +326,66 @@ func (t *tcpConn) Call(call api.Call) (api.Reply, error) {
 	return reply, nil
 }
 
+// Post implements Poster, with maxPosted as its bound.
+func (t *tcpConn) Post(call api.Call) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.w == nil {
+		return ErrClosed
+	}
+	if t.owed == maxPosted {
+		r, err := t.collect()
+		if err == nil && r.Code != api.Success {
+			err = fmt.Errorf("transport: posted call failed: %w", r.Code)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := t.send(call); err != nil {
+		return err
+	}
+	t.owed++
+	return nil
+}
+
+// send numbers call and writes it; a failure ends the connection.
+func (t *tcpConn) send(call api.Call) error {
+	t.seq++
+	if err := t.w.sendCall(t.seq, call); err != nil {
+		t.drop()
+		return fmt.Errorf("transport: send: %w", err)
+	}
+	return nil
+}
+
+// collect reads the replies owed to posted calls, oldest first. A reply
+// that fails the checks ends the connection and is returned as an
+// error. The first reply that is not Success is returned: it ends the
+// connection too, socket included, so the server lets go of what the
+// session held now rather than when the caller closes.
+func (t *tcpConn) collect() (api.Reply, error) {
+	for t.owed > 0 {
+		t.owed--
+		r, err := t.recvReply()
+		if err != nil {
+			t.drop()
+			return api.Reply{}, fmt.Errorf("transport: recv: %w", err)
+		}
+		if r.Code != api.Success {
+			_ = t.c.Close()
+			t.drop()
+			return r, nil
+		}
+	}
+	return api.Reply{}, nil
+}
+
+// recvReply reads the next reply due, the one to call t.seq - t.owed:
+// the last call sent, or while collect runs, which counts a posted call
+// as no longer owed before it reads, the oldest posted one.
 func (t *tcpConn) recvReply() (api.Reply, error) {
+	seq := t.seq - uint64(t.owed)
 	f, err := t.w.read()
 	if err != nil {
 		return api.Reply{}, err
@@ -323,8 +393,8 @@ func (t *tcpConn) recvReply() (api.Reply, error) {
 	if f.kind != api.KindReply || f.parent != 0 {
 		return api.Reply{}, fmt.Errorf("kind-%d frame (span parent %d) where a reply was due", f.kind, f.parent)
 	}
-	if f.seq != t.seq {
-		return api.Reply{}, fmt.Errorf("reply sequence %d for call %d", f.seq, t.seq)
+	if f.seq != seq {
+		return api.Reply{}, fmt.Errorf("reply sequence %d for call %d", f.seq, seq)
 	}
 	return api.DecodeReply(f.body, f.own)
 }

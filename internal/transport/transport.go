@@ -14,13 +14,16 @@
 // A connection corresponds to exactly one application thread, carries
 // one call at a time, and stays open for the thread's lifetime — the
 // unit the paper's connection manager enqueues and the dispatcher
-// schedules. Serve is the one server loop: the runtime supplies a
-// Handler per connection. Over a stream the connection's goroutine
-// receives each call, handles it and replies. Over a pipe the client's
-// Call runs the handler on the application's own goroutine, the first
-// call too — no hand-off, no park — while the connection's goroutine
-// waits for the connection to end; a pipe's per-call path touches
-// nothing any other pipe does.
+// schedules. A TCP client may also post a call (Poster): the frame is
+// written and the reply is left to be collected, in order, by the
+// connection's next Call; the server cannot tell the difference. Serve
+// is the one server loop: the runtime supplies a Handler per
+// connection. Over a stream the connection's goroutine receives each
+// call, handles it and replies. Over a pipe the client's Call runs the
+// handler on the application's own goroutine, the first call too — no
+// hand-off, no park — while the connection's goroutine waits for the
+// connection to end; a pipe's per-call path touches nothing any other
+// pipe does.
 package transport
 
 import (
@@ -34,13 +37,29 @@ import (
 // ErrClosed is returned for operations on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
-// Conn is the application (frontend) side of a connection: a strictly
-// synchronous call/reply channel.
+// Conn is the application (frontend) side of a connection: a call/reply
+// channel whose Call blocks for its reply. A Conn that is also a Poster
+// may have calls in flight whose replies it has not read; Call reads
+// them first.
 type Conn interface {
 	// Call sends one CUDA call and blocks for its reply.
 	Call(api.Call) (api.Reply, error)
 	// Close tears down the connection. The server observes EOF.
 	Close() error
+}
+
+// Poster is implemented by a Conn that can send a call without waiting
+// for its reply; only the TCP client is one. Post writes the call's
+// frame before it returns and keeps nothing of the call. The server
+// replies to it as to any call, and the connection's next Call collects
+// the owed replies, oldest first, before it sends its own. The first
+// posted call that failed ends the connection: that Call returns its
+// reply in place of its own, which is never sent, and every later
+// operation returns ErrClosed. Outstanding posts are bounded: at the
+// bound, Post collects first, and returns a posted failure as its
+// error. Any Post error ends the connection.
+type Poster interface {
+	Post(api.Call) error
 }
 
 // ServerConn is the runtime side of a connection.
