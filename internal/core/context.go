@@ -113,8 +113,9 @@ type Context struct {
 	// scratchVictims is intraSwap's table snapshot; parked cleared.
 	scratchVictims []*memmgr.PTE
 	// space is the context's page table in the memory manager, read
-	// through it under mu (or a victim's TryLock) with no shard lock.
-	// newContext and resume set it, each where it sets the lane.
+	// and written through it under mu (or a victim's TryLock) with no
+	// shard lock; its Usage is read under no lock. newContext and resume
+	// set it, each where it sets the lane.
 	space *memmgr.Space
 
 	// lane is the runtime lane this context's instruments are written on;
@@ -139,7 +140,7 @@ func (c *Context) waiterInfo() sched.Waiter {
 		Arrived:         c.arrived,
 		NextKernelTime:  c.nextKernel(),
 		ConsumedGPUTime: c.gpuTime(),
-		MemDemand:       c.rt.mm.UsageOf(c.id),
+		MemDemand:       c.space.Usage(),
 		Deadline:        time.Duration(c.deadlineNS.Load()),
 	}
 }

@@ -90,7 +90,7 @@ func (rt *Runtime) journalSnapshot(ctx *Context) error {
 	if rt.journal == nil {
 		return nil
 	}
-	img, err := rt.mm.ExportContext(ctx.id)
+	img, err := rt.mm.ExportContext(ctx.space)
 	if err != nil {
 		return fmt.Errorf("core: exporting ctx %d for journal: %w", ctx.id, err)
 	}

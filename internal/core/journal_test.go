@@ -335,7 +335,7 @@ func TestExportRefusesDirtyEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env1.rt.mm.ExportContext(session); err == nil {
+	if _, err := env1.rt.mm.ExportContext(sessionCtx(t, env1, c).space); err == nil {
 		t.Fatal("ExportContext captured a device-dirty context")
 	} else if !strings.Contains(err.Error(), "checkpoint before export") {
 		t.Fatalf("dirty export error = %v", err)

@@ -552,7 +552,7 @@ func (rt *Runtime) recover(ctx *Context) (err error) {
 	}
 	ctx.needsRecovery.Store(false)
 	if ctx.vgpu.Load() == nil {
-		rt.mm.InvalidateResidency(ctx.id)
+		rt.mm.InvalidateResidency(ctx.space)
 		ctx.unreplayed = len(ctx.replay)
 	}
 	rt.recoveries.Add(1)
@@ -580,7 +580,7 @@ func (rt *Runtime) recover(ctx *Context) (err error) {
 			tries = 0 // the next kernel counts its own attempts
 		}
 	}
-	rt.mm.ClearLost(ctx.id)
+	rt.mm.ClearLost(ctx.space)
 	rt.event(trace.KindRecovery, ctx.id, 0, -1, "")
 	return nil
 }

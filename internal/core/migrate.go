@@ -52,7 +52,7 @@ func (rt *Runtime) migrateSession(ctx *Context, target string) (err error) {
 	if err := rt.checkpoint(ctx); err != nil {
 		return err
 	}
-	img, err := rt.mm.ExportContext(ctx.id)
+	img, err := rt.mm.ExportContext(ctx.space)
 	if err != nil {
 		return err
 	}

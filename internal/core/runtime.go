@@ -206,8 +206,9 @@ type vGPU struct {
 // its own mutex, so slot traffic on one device never contends with
 // another's. healthy is atomic for lock-free reads on the hot path.
 //
-// Lock order: ctx.mu → rt.mu → ds.mu → memmgr shard. A ds.mu holder
-// never takes rt.mu or another device's ds.mu.
+// Lock order: ctx.mu → rt.mu → ds.mu; a memmgr shard lock is a leaf
+// taken under ctx.mu alone. A ds.mu holder never takes rt.mu or another
+// device's ds.mu.
 type deviceState struct {
 	index   int
 	dev     *gpu.Device
@@ -336,7 +337,7 @@ type Runtime struct {
 	// it guards the waiting list, grant hand-off, the context registry
 	// and the device-list slice — the state that coordinates *across*
 	// devices. Per-device slot state lives in each deviceState shard;
-	// per-context memory state in the memory manager's shards.
+	// per-context memory state in the context's memmgr.Space.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	devs    []*deviceState
@@ -439,7 +440,7 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		D2H:       &rt.timings.D2H,
 	})
 	if cfg.Flight != nil {
-		cfg.Flight.SetSources(rt.clock.Now, rt.timings.Snapshot, rt.Metrics)
+		cfg.Flight.SetSources(rt.timings.Snapshot, rt.Metrics)
 	}
 	rt.dispatchHook = cfg.Faults.Hook(faultinject.PointDispatch, "")
 	rt.leaseHook = cfg.Faults.Hook(faultinject.PointLeaseCheck, "")
@@ -677,19 +678,22 @@ func (rt *Runtime) flightCrashDump() {
 
 // event is the runtime's one reporter: it hands a transition to every
 // armed sink — the trace recorder, the flight recorder and OnEvent —
-// and returns at once when none is. Call sites are state transitions;
-// the few on the swap path loop or build a detail only under
-// rt.observed.
+// and returns at once when none is. The trace recorder stamps the event
+// as it takes its slot, and the other sinks get that stamp. Call sites
+// are state transitions; the few on the swap path loop or build a
+// detail only under rt.observed.
 func (rt *Runtime) event(kind trace.Kind, ctx, other int64, device int, detail string) {
 	if !rt.observed {
 		return
 	}
-	e := trace.Event{Time: rt.clock.Now(), Kind: kind, Ctx: ctx, Other: other, Device: device, Detail: detail}
+	e := trace.Event{Kind: kind, Ctx: ctx, Other: other, Device: device, Detail: detail}
 	if rt.cfg.Trace != nil {
-		rt.cfg.Trace.Record(e)
+		e = rt.cfg.Trace.Record(e, rt.clock.Now)
+	} else {
+		e.Time = rt.clock.Now()
 	}
 	if rt.cfg.Flight != nil {
-		rt.cfg.Flight.Note(kind.String(), ctx, device, detail)
+		rt.cfg.Flight.Note(e.Time, kind.String(), ctx, device, detail)
 	}
 	if rt.cfg.OnEvent != nil {
 		rt.cfg.OnEvent(e)

@@ -126,7 +126,7 @@ func (rt *Runtime) hasSession(id int64) bool {
 // loser sees the typed ErrSessionClaimed (a session that never existed
 // stays ErrInvalidValue).
 func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
-	if rt.mm.UsageOf(ctx.id) != 0 {
+	if ctx.space.Usage() != 0 {
 		// Resume must precede any allocation on this connection.
 		return api.ErrInvalidValue
 	}

@@ -159,7 +159,7 @@ func TestRefusedImportLeavesNothingBehind(t *testing.T) {
 	if got := dst.rt.OrphanSessions(); len(got) != 0 {
 		t.Errorf("refused import left orphans %v", got)
 	}
-	if got := dst.rt.mm.UsageOf(session); got != 0 {
+	if got := dst.rt.mm.Stats().HostBytesInUse; got != 0 {
 		t.Errorf("refused import left %d host bytes reserved", got)
 	}
 	c2 := dst.client()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gvrt/internal/api"
+	"gvrt/internal/memmgr"
 )
 
 // TestSoakShardedRuntime is the concurrency soak for the per-device
@@ -38,20 +39,20 @@ func TestSoakShardedRuntime(t *testing.T) {
 	// occupancy may transiently exceed the per-context sum but never
 	// undershoot it. The audit reads the usages before the occupancy, so
 	// a Free landing in between can make a single read undershoot: only
-	// a violation that persists across retries is a real leak.
+	// a violation that persists across retries is a real leak. Each
+	// tenant hands in its context's Space once its first call has
+	// returned, before it allocates; a released Space's usage reads 0.
+	var spacesMu sync.Mutex
+	var spaces []*memmgr.Space
 	audit := func() error {
 		var err error
 		for attempt := 0; attempt < 5; attempt++ {
-			env.rt.mu.Lock()
-			ctxs := make([]*Context, 0, len(env.rt.ctxs))
-			for _, c := range env.rt.ctxs {
-				ctxs = append(ctxs, c)
-			}
-			env.rt.mu.Unlock()
 			var sum uint64
-			for _, c := range ctxs {
-				sum += env.rt.mm.UsageOf(c.id)
+			spacesMu.Lock()
+			for _, sp := range spaces {
+				sum += sp.Usage()
 			}
+			spacesMu.Unlock()
 			used := env.rt.mm.Stats().HostBytesInUse
 			if used >= sum {
 				return nil
@@ -90,6 +91,17 @@ func TestSoakShardedRuntime(t *testing.T) {
 				errs <- fmt.Errorf("tenant %d: register: %w", id, err)
 				return
 			}
+			session, err := c.SessionID()
+			if err != nil {
+				errs <- fmt.Errorf("tenant %d: session: %w", id, err)
+				return
+			}
+			env.rt.mu.Lock()
+			sp := env.rt.ctxs[session].space
+			env.rt.mu.Unlock()
+			spacesMu.Lock()
+			spaces = append(spaces, sp)
+			spacesMu.Unlock()
 			seed := make([]byte, 16)
 			for j := range seed {
 				seed[j] = byte(id + j)

@@ -87,7 +87,7 @@ func (rt *Runtime) joinTenant(ctx *Context, tenant string) api.Error {
 		// Re-announcing under a different tenant moves the membership.
 		rt.leaveTenant(ctx)
 	}
-	usage := rt.mm.UsageOf(ctx.id)
+	usage := ctx.space.Usage()
 	rt.tenantMu.Lock()
 	ts := rt.tenants[tenant]
 	if ts == nil {

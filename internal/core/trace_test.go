@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -191,5 +194,57 @@ func TestNotesReachEveryRecorder(t *testing.T) {
 				t.Errorf("%s recorder lacks a %q note: %q", name, w, got)
 			}
 		}
+	}
+}
+
+// TestEventsRecordedInTimeOrder: goroutines emit events at once, and the
+// trace ring holds them in the order of their stamps, because the
+// recorder reads the clock inside the hold that takes the slot. The
+// flight recorder and OnEvent get the stamp the trace recorded.
+func TestEventsRecordedInTimeOrder(t *testing.T) {
+	const emitters, each = 4, 2000
+	rec := trace.NewRecorder(emitters * each)
+	f := obs.NewFlightRecorder("n", t.TempDir(), emitters*each)
+	var mu sync.Mutex
+	seen := make(map[[2]int64]time.Duration, emitters*each)
+	env := newEnv(t, Config{Trace: rec, Flight: f, OnEvent: func(e trace.Event) {
+		mu.Lock()
+		seen[[2]int64{e.Ctx, e.Other}] = e.Time
+		mu.Unlock()
+	}}, smallSpec(1<<20, 1))
+	var wg sync.WaitGroup
+	for g := int64(1); g <= emitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < each; i++ {
+				env.rt.event(trace.KindNote, g, i, -1, strconv.FormatInt(i, 10))
+			}
+		}()
+	}
+	wg.Wait()
+	evs := rec.Snapshot()
+	if len(evs) != emitters*each {
+		t.Fatalf("recorded %d events, want %d", len(evs), emitters*each)
+	}
+	stamps := make(map[[2]int64]time.Duration, len(evs))
+	for i, e := range evs {
+		if i > 0 && e.Time < evs[i-1].Time {
+			t.Fatalf("event %d time %v before event %d time %v", i, e.Time, i-1, evs[i-1].Time)
+		}
+		stamps[[2]int64{e.Ctx, e.Other}] = e.Time
+	}
+	if !maps.Equal(seen, stamps) {
+		t.Error("OnEvent saw other stamps than the trace recorded")
+	}
+	records := flightRecords(t, f)
+	for _, r := range records {
+		i, _ := strconv.ParseInt(r.Detail, 10, 64)
+		if want := stamps[[2]int64{r.Ctx, i}]; r.Model != want {
+			t.Fatalf("flight record of ctx %d event %d at %v, trace at %v", r.Ctx, i, r.Model, want)
+		}
+	}
+	if len(records) != len(evs) {
+		t.Errorf("flight recorded %d events, want %d", len(records), len(evs))
 	}
 }

@@ -153,9 +153,11 @@ func (m *Manager) event(op *Op, outcome string) {
 	if op.Tenant != "" {
 		detail += " tenant=" + op.Tenant
 	}
-	e := trace.Event{Time: m.now(), Kind: trace.KindCtrlOp, Device: dev, Detail: detail}
+	e := trace.Event{Kind: trace.KindCtrlOp, Device: dev, Detail: detail}
 	if m.opts.Trace != nil {
-		m.opts.Trace.Record(e)
+		e = m.opts.Trace.Record(e, m.now)
+	} else {
+		e.Time = m.now()
 	}
 	if m.opts.Logf != nil {
 		m.opts.Logf("%v", e)

@@ -17,15 +17,14 @@
 // device-pointer patching, transfer deferral with bulk coalescing, and
 // the implicit checkpoint capability of §4.6.
 //
-// Locking: a context's page table is written under both its shard's
-// lock and the context's service lock (the runtime guarantees the
-// latter: a context's own dispatcher holds it while serving a call, and
-// inter-application swap or migration acquire it via TryLock before
-// touching a victim's entries). So the service-lock holder reads the
-// table through the context's Space with no other lock, and everyone
-// else reads it by ID under the shard lock. PTE fields are mutated only
-// under the service lock, so flag transitions never race; the same lock
-// guards each context's reusable swap-path scratch (its Space).
+// Locking: a shard's lock guards only its map from context ID to Space.
+// Everything else in a Space — the page table, the cursor, the PTEs and
+// the swap-path scratch — is read and written only by the holder of the
+// context's service lock (the runtime guarantees it: a context's own
+// dispatcher holds it while serving a call, and inter-application swap
+// or migration acquire it via TryLock before touching a victim's
+// entries), so flag transitions never race. The one exception is the
+// context's footprint, an atomic anyone may read (Space.Usage).
 package memmgr
 
 import (
@@ -139,17 +138,17 @@ type shard struct {
 }
 
 // Space is everything the manager keeps for one context, and the handle
-// its service-lock holder reads the page table through (SetLane returns
-// it). table, next and usage are written under the shard mutex and the
-// service lock (package comment). The descriptor scratch belongs to the
-// service-lock holder; it is cleared of swap images before it is parked,
-// so it never pins one. A Space kept past ReleaseContext is empty.
+// its service-lock holder reaches the page table through (SetLane
+// returns it). All of it but usage belongs to that holder (package
+// comment). The descriptor scratch is cleared of swap images before it
+// is parked, so it never pins one. A Space kept past ReleaseContext is
+// empty.
 type Space struct {
 	id    int64
-	lane  int    // the runtime lane its instruments are written on (SetLane)
-	table []*PTE // sorted by Virtual
-	next  uint64 // allocation cursor
-	usage uint64 // the MemUsage map of §4.5
+	lane  int           // the runtime lane its instruments are written on (SetLane)
+	table []*PTE        // sorted by Virtual
+	next  uint64        // allocation cursor
+	usage atomic.Uint64 // the MemUsage map of §4.5 (Usage)
 
 	hd []api.HDCopy // toDevice's descriptors
 	dh []api.DHCopy // syncToSwap's descriptors
@@ -166,15 +165,9 @@ func newSpace(id int64) *Space {
 	return cs
 }
 
-// state returns the context's state, creating it. Caller holds s.mu.
-func (s *shard) state(ctxID int64) *Space {
-	cs := s.ctxs[ctxID]
-	if cs == nil {
-		cs = newSpace(ctxID)
-		s.ctxs[ctxID] = cs
-	}
-	return cs
-}
+// Usage reports the context's total allocation footprint (the MemUsage
+// map of §4.5): the one reading of a Space that needs no lock.
+func (sp *Space) Usage() uint64 { return sp.usage.Load() }
 
 // entries returns the Space's page table, nil for a nil Space.
 func (sp *Space) entries() []*PTE {
@@ -187,9 +180,9 @@ func (sp *Space) entries() []*PTE {
 // Manager is the runtime's memory manager. One instance serves all
 // contexts and all devices of a node.
 //
-// State is sharded (DESIGN.md §11): each context's page table, cursor
-// and usage live in one of numShards stripes selected by context ID,
-// so the former global mutex never serialises independent tenants.
+// The map from context ID to Space is sharded (DESIGN.md §11) into
+// numShards stripes selected by context ID, so finding or creating one
+// context's Space never serialises independent tenants.
 // The only cross-shard quantity — swap-area occupancy versus the host
 // limit — is an atomic with a reserve/release protocol.
 type Manager struct {
@@ -326,19 +319,27 @@ func (m *Manager) Stats() api.Memory {
 
 // SetLane sets the runtime lane ctxID's instruments are written on and
 // returns the context's Space, creating it: the handle through which
-// the holder of the context's service lock reads its page table.
+// the holder of the context's service lock reaches its page table.
 func (m *Manager) SetLane(ctxID int64, lane int) *Space {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp := s.state(ctxID)
+	sp := m.state(ctxID)
 	sp.lane = lane
 	return sp
 }
 
-// space returns ctxID's Space, nil when it has none. Its table is the
-// live one, not a snapshot: a caller holding the context's service lock
-// may walk it after the shard lock is dropped.
+// state returns ctxID's Space, creating it.
+func (m *Manager) state(ctxID int64) *Space {
+	s := m.shardOf(ctxID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp := s.ctxs[ctxID]
+	if sp == nil {
+		sp = newSpace(ctxID)
+		s.ctxs[ctxID] = sp
+	}
+	return sp
+}
+
+// space returns ctxID's Space, nil when it has none.
 func (m *Manager) space(ctxID int64) *Space {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
@@ -348,7 +349,7 @@ func (m *Manager) space(ctxID int64) *Space {
 
 // Malloc services an allocation call (Table 1, malloc row): it creates
 // the page-table entry and reserves swap space, touching no device. The
-// returned pointer is virtual.
+// returned pointer is virtual. The caller holds ctxID's service lock.
 func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error) {
 	if size == 0 {
 		m.badOps.Add(1)
@@ -365,37 +366,22 @@ func (m *Manager) Malloc(ctxID int64, size uint64, kind Kind) (api.DevPtr, error
 	if !m.reserveHost(size) {
 		return 0, api.ErrSwapAllocation
 	}
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	cs := s.state(ctxID)
+	cs := m.state(ctxID)
 	off := cs.next
 	if !inRange(off, size, maxEntry) {
-		s.mu.Unlock()
 		m.releaseHost(size)
 		return 0, api.ErrMemoryAllocation
 	}
 	// Align entries to 256 bytes like device allocations.
 	cs.next = off + (size+255)&^uint64(255)
-	nextOff := cs.next
 	v := api.DevPtr(virtTag | uint64(ctxID)<<ctxShift | off)
 	pte := &PTE{Virtual: v, Size: size, Kind: kind, owner: cs}
 	cs.table = append(cs.table, pte)
-	cs.usage += size
-	s.mu.Unlock()
+	cs.usage.Add(size)
 	if m.obs != nil {
-		m.obs.EntryWritten(ctxID, pte.image(), nextOff)
+		m.obs.EntryWritten(ctxID, pte.image(), cs.next)
 	}
 	return v, nil
-}
-
-// ResolveFor is ResolveIn on ctxID's Space, looked up and searched under
-// its shard lock: for callers that do not hold the context's service
-// lock, and for nested members, which name their context by ID.
-func (m *Manager) ResolveFor(ctxID int64, ptr api.DevPtr, base bool) (*PTE, uint64, error) {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return m.ResolveIn(s.ctxs[ctxID], ptr, base)
 }
 
 // ResolveIn is the one door a tenant-supplied pointer enters through
@@ -424,11 +410,11 @@ func (m *Manager) ResolveIn(sp *Space, ptr api.DevPtr, base bool) (*PTE, uint64,
 	return nil, 0, api.ErrInvalidDevicePointer
 }
 
-// Resolve is ResolveFor on behalf of whichever context the pointer itself
-// names: for the manager's own lookups of registered nested members, and
-// for callers that hold no context (tests, benchmarks).
+// Resolve is ResolveIn on the Space of whichever context the pointer
+// itself names, for callers that hold no Space (tests, benchmarks). The
+// caller holds that context's service lock: the search reads its table.
 func (m *Manager) Resolve(ptr api.DevPtr) (*PTE, uint64, error) {
-	return m.ResolveFor(ptrCtx(ptr), ptr, false)
+	return m.ResolveIn(m.space(ptrCtx(ptr)), ptr, false)
 }
 
 // ptrCtx extracts the owning context's ID from a virtual pointer's bits.
@@ -448,18 +434,6 @@ func inRange(off, size, limit uint64) bool { return size <= limit && off <= limi
 // caller holds sp's context's service lock.
 func (m *Manager) AppendEntriesIn(dst []*PTE, sp *Space) []*PTE {
 	return append(dst, sp.entries()...)
-}
-
-// UsageOf reports the context's total allocation footprint (the
-// MemUsage map of §4.5).
-func (m *Manager) UsageOf(ctxID int64) uint64 {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cs := s.ctxs[ctxID]; cs != nil {
-		return cs.usage
-	}
-	return 0
 }
 
 // ResidentBytesIn reports how much of the footprint of sp's context,
@@ -676,19 +650,14 @@ func (m *Manager) Free(pte *PTE, ops DeviceOps) error {
 	}
 	pte.IsAllocated = false
 	pte.Device = 0
-	s, cs := m.shardOf(pte.CtxID()), pte.owner
-	s.mu.Lock()
+	cs := pte.owner
 	i := slices.Index(cs.table, pte)
-	removed := i >= 0
-	if removed {
-		cs.table = slices.Delete(cs.table, i, i+1)
-		cs.usage -= pte.Size
-	}
-	s.mu.Unlock()
-	if !removed {
+	if i < 0 {
 		m.badOps.Add(1)
 		return api.ErrInvalidDevicePointer
 	}
+	cs.table = slices.Delete(cs.table, i, i+1)
+	cs.usage.Add(-pte.Size)
 	m.releaseHost(pte.Size)
 	if m.obs != nil {
 		m.obs.EntryFreed(pte.CtxID(), pte.Virtual)
@@ -710,7 +679,7 @@ func (m *Manager) RegisterNested(parent *PTE, members []api.DevPtr, offsets []ui
 			m.badOps.Add(1)
 			return api.ErrInvalidValue
 		}
-		if _, _, err := m.ResolveFor(parent.CtxID(), members[i], false); err != nil {
+		if _, _, err := m.ResolveIn(parent.owner, members[i], false); err != nil {
 			return err
 		}
 	}
@@ -727,7 +696,7 @@ func (m *Manager) RegisterNested(parent *PTE, members []api.DevPtr, offsets []ui
 // virtual addresses (host-side image).
 func (m *Manager) patchPointers(parent *PTE, buf []byte, toVirtual bool) {
 	for i, member := range parent.Nested.Members {
-		pte, off, err := m.Resolve(member)
+		pte, off, err := m.ResolveIn(parent.owner, member, false)
 		if err != nil {
 			continue
 		}
@@ -781,7 +750,7 @@ func (m *Manager) allocate(pte *PTE, ops DeviceOps, depth int) error {
 	}
 	if pte.Nested != nil {
 		for _, member := range pte.Nested.Members {
-			mp, _, err := m.Resolve(member)
+			mp, _, err := m.ResolveIn(pte.owner, member, false)
 			if err != nil {
 				return err
 			}
@@ -838,7 +807,7 @@ func (m *Manager) gatherHD(items []api.HDCopy, pte *PTE, depth int) []api.HDCopy
 	}
 	if pte.Nested != nil {
 		for _, member := range pte.Nested.Members {
-			if mp, _, err := m.Resolve(member); err == nil {
+			if mp, _, err := m.ResolveIn(pte.owner, member, false); err == nil {
 				items = m.gatherHD(items, mp, depth+1)
 			}
 		}
@@ -887,7 +856,7 @@ func (m *Manager) landed(pte *PTE, depth int) {
 	}
 	if pte.Nested != nil {
 		for _, member := range pte.Nested.Members {
-			if mp, _, err := m.Resolve(member); err == nil {
+			if mp, _, err := m.ResolveIn(pte.owner, member, false); err == nil {
 				m.landed(mp, depth+1)
 			}
 		}
@@ -1016,17 +985,19 @@ type Spilled struct {
 	Bytes   int64
 }
 
-// Checkpoint flushes every device-newer entry of the context to swap in
-// one submission, without releasing device memory (§4.6): afterwards the
-// page table and swap area hold the full device state, so the context
-// can be restarted on another GPU at the cost of replaying only
-// not-yet-executed work. It returns the bytes flushed.
+// Checkpoint is CheckpointIn on ctxID's Space, for a caller that holds
+// no Space but holds the context's service lock. It is memmgr's one ID
+// twin of a Space form, kept while benchmark/ladder.go calls it.
 func (m *Manager) Checkpoint(ctxID int64, ops DeviceOps) (int64, error) {
 	return m.CheckpointIn(m.space(ctxID), ops)
 }
 
-// CheckpointIn is Checkpoint on sp, whose context's service lock the
-// caller holds.
+// CheckpointIn flushes every device-newer entry of sp's context, whose
+// service lock the caller holds, to swap in one submission, without
+// releasing device memory (§4.6): afterwards the page table and swap
+// area hold the full device state, so the context can be restarted on
+// another GPU at the cost of replaying only not-yet-executed work. It
+// returns the bytes flushed.
 func (m *Manager) CheckpointIn(sp *Space, ops DeviceOps) (int64, error) {
 	table := sp.entries()
 	flushed, err := m.syncToSwap(table, ops)
@@ -1042,14 +1013,15 @@ func (m *Manager) CheckpointIn(sp *Space, ops DeviceOps) (int64, error) {
 	return int64(flushed), nil
 }
 
-// InvalidateResidency drops every device mapping of a context without
-// touching the (failed or removed) device. Entries whose authoritative
-// copy was device-only are marked LostDirty; the runtime recovers them
-// by replaying kernels since the last checkpoint (§4.6). It returns the
-// number of entries that lost dirty data.
-func (m *Manager) InvalidateResidency(ctxID int64) int {
+// InvalidateResidency drops every device mapping of sp's context, whose
+// service lock the caller holds, without touching the (failed or
+// removed) device. Entries whose authoritative copy was device-only are
+// marked LostDirty; the runtime recovers them by replaying kernels since
+// the last checkpoint (§4.6). It returns the number of entries that lost
+// dirty data.
+func (m *Manager) InvalidateResidency(sp *Space) int {
 	lost := 0
-	for _, pte := range m.space(ctxID).entries() {
+	for _, pte := range sp.table {
 		if !pte.IsAllocated {
 			continue
 		}
@@ -1065,31 +1037,32 @@ func (m *Manager) InvalidateResidency(ctxID int64) int {
 	return lost
 }
 
-// ClearLost clears the LostDirty marks after a successful replay.
-func (m *Manager) ClearLost(ctxID int64) {
-	for _, pte := range m.space(ctxID).entries() {
+// ClearLost clears the LostDirty marks of sp's context after a
+// successful replay.
+func (m *Manager) ClearLost(sp *Space) {
+	for _, pte := range sp.table {
 		pte.LostDirty = false
 	}
 }
 
 // ReleaseContext drops the whole page table and swap area of a context
-// (application exit), freeing any device memory it still holds. It takes
-// the table in the same step that detaches it, so it needs neither a
-// snapshot nor the context's service lock: a refused import releases a
-// session no context serves.
+// (application exit), freeing any device memory it still holds. The
+// caller holds the context's service lock, or no one serves the context
+// (a refused import).
 func (m *Manager) ReleaseContext(ctxID int64, ops DeviceOps) {
 	s := m.shardOf(ctxID)
 	s.mu.Lock()
+	cs := s.ctxs[ctxID]
+	delete(s.ctxs, ctxID)
+	s.mu.Unlock()
 	var entries []*PTE
 	var released uint64
-	if cs := s.ctxs[ctxID]; cs != nil {
-		// Empty the state as well as dropping it: entries still point at
+	if cs != nil {
+		// Empty the Space as well as dropping it: entries still point at
 		// it, and a late Free of one must find nothing to remove.
-		entries, released = cs.table, cs.usage
-		cs.table, cs.usage = nil, 0
-		delete(s.ctxs, ctxID)
+		entries, released = cs.table, cs.usage.Swap(0)
+		cs.table = nil
 	}
-	s.mu.Unlock()
 	if ops != nil {
 		for _, pte := range entries {
 			if pte.IsAllocated {

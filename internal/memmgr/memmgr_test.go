@@ -2,6 +2,7 @@ package memmgr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sync"
@@ -169,8 +170,8 @@ func TestMallocCreatesEntryWithoutDevice(t *testing.T) {
 		t.Errorf("fresh entry flags = %v/%v/%v, want F/F/F",
 			pte.IsAllocated, pte.ToCopy2Dev, pte.ToCopy2Swap)
 	}
-	if m.UsageOf(1) != 1024 {
-		t.Errorf("UsageOf = %d, want 1024", m.UsageOf(1))
+	if got := pte.owner.Usage(); got != 1024 {
+		t.Errorf("Usage = %d, want 1024", got)
 	}
 	if pte.HasData() {
 		t.Error("fresh entry should have no materialised swap data")
@@ -560,8 +561,8 @@ func TestSwapOutAllAndUsage(t *testing.T) {
 	if got := m.ResidentBytesIn(sp); got != 0 {
 		t.Errorf("ResidentBytesIn after SwapOutAllIn = %d", got)
 	}
-	if m.UsageOf(5) != 300 {
-		t.Errorf("UsageOf after SwapOutAllIn = %d, want 300 (still allocated virtually)", m.UsageOf(5))
+	if got := sp.Usage(); got != 300 {
+		t.Errorf("Usage after SwapOutAllIn = %d, want 300 (still allocated virtually)", got)
 	}
 	if ops.used != 0 {
 		t.Errorf("device still holds %d bytes after SwapOutAllIn", ops.used)
@@ -617,7 +618,7 @@ func TestInvalidateResidencyMarksLost(t *testing.T) {
 		}
 	}
 	m.MarkKernelEffects([]*PTE{a}, nil)
-	lost := m.InvalidateResidency(1)
+	lost := m.InvalidateResidency(a.owner)
 	if lost != 1 {
 		t.Errorf("InvalidateResidency lost = %d, want 1", lost)
 	}
@@ -627,7 +628,7 @@ func TestInvalidateResidencyMarksLost(t *testing.T) {
 	if a.IsAllocated || b.IsAllocated {
 		t.Error("entries still marked resident after invalidation")
 	}
-	m.ClearLost(1)
+	m.ClearLost(a.owner)
 	if a.LostDirty {
 		t.Error("ClearLost did not clear")
 	}
@@ -665,8 +666,8 @@ func TestFreeReleasesEverything(t *testing.T) {
 	if ops.frees != 1 || ops.used != 0 {
 		t.Error("Free did not release device memory")
 	}
-	if m.UsageOf(1) != 0 {
-		t.Errorf("UsageOf after Free = %d", m.UsageOf(1))
+	if got := pte.owner.Usage(); got != 0 {
+		t.Errorf("Usage after Free = %d", got)
 	}
 	if _, _, err := m.Resolve(pte.Virtual); err == nil {
 		t.Error("freed entry still resolvable")
@@ -755,7 +756,7 @@ func TestReleaseContext(t *testing.T) {
 	if ops.used != 0 {
 		t.Error("ReleaseContext leaked device memory")
 	}
-	if m.UsageOf(9) != 0 || len(m.AppendEntriesIn(nil, m.space(9))) != 0 {
+	if m.space(9) != nil || sp.Usage() != 0 || len(m.AppendEntriesIn(nil, sp)) != 0 {
 		t.Error("ReleaseContext left table state")
 	}
 	if m.Stats().HostBytesInUse != 0 {
@@ -772,10 +773,12 @@ func TestReleaseContext(t *testing.T) {
 	}
 }
 
-// TestSpaceReadsBesideShardTraffic: the owner of a Space resolves and
-// checkpoints through it, with no shard lock, while contexts on the same
-// shard allocate, free and are released. Run with -race: the owner's
-// reads must touch nothing the others write.
+// TestSpaceReadsBesideShardTraffic: the owner of a Space resolves,
+// registers and makes resident a nested parent, and checkpoints through
+// it, with no shard lock, while contexts on the same shard allocate,
+// free and are released, and another goroutine reads the owner's usage
+// as the scheduler does, under no memmgr lock. Run with -race: the
+// owner's reads and writes must touch nothing the others write.
 func TestSpaceReadsBesideShardTraffic(t *testing.T) {
 	const owner, rounds = 5, 200
 	m := New(true, 0)
@@ -798,7 +801,7 @@ func TestSpaceReadsBesideShardTraffic(t *testing.T) {
 			for n := 0; n < rounds; n++ {
 				a, errA := m.Malloc(id, 64, KindLinear)
 				_, errB := m.Malloc(id, 64, KindLinear)
-				pte, _, errC := m.ResolveFor(id, a, true)
+				pte, _, errC := m.ResolveIn(m.space(id), a, true)
 				if err := errors.Join(errA, errB, errC); err != nil {
 					t.Error(err)
 					return
@@ -811,6 +814,22 @@ func TestSpaceReadsBesideShardTraffic(t *testing.T) {
 			}
 		}()
 	}
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if u := sp.Usage(); u != 4*64 && u != 4*64+16 {
+				t.Errorf("owner usage %d, want %d or %d", u, 4*64, 4*64+16)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	foreign := api.DevPtr(virtTag | uint64(owner+numShards)<<ctxShift)
 	for n := 0; n < rounds; n++ {
 		for _, want := range ptes {
@@ -821,11 +840,35 @@ func TestSpaceReadsBesideShardTraffic(t *testing.T) {
 		if _, _, err := m.ResolveIn(sp, foreign, false); !errors.Is(err, api.ErrInvalidDevicePointer) {
 			t.Fatalf("ResolveIn of a shard neighbour's pointer err = %v", err)
 		}
+		v, err := m.Malloc(owner, 16, KindLinear)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, _, err := m.ResolveIn(sp, v, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = errors.Join(
+			m.CopyHD(parent, 0, make([]byte, 16), 16, ops),
+			m.RegisterNested(parent, []api.DevPtr{ptes[0].Virtual, ptes[1].Virtual + 8}, []uint64{0, 8}),
+			m.EnsureAllocated(parent, ops),
+			m.FlushDeferred([]*PTE{parent}, ops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := ops.bufs[parent.Device]
+		if a, b := binary.LittleEndian.Uint64(img), binary.LittleEndian.Uint64(img[8:]); a != uint64(ptes[0].Device) || b != uint64(ptes[1].Device)+8 {
+			t.Fatalf("resident parent embeds %#x, %#x; want %#x, %#x", a, b, uint64(ptes[0].Device), uint64(ptes[1].Device)+8)
+		}
 		m.MarkKernelEffects(ptes, nil)
 		if flushed, err := m.CheckpointIn(sp, ops); flushed != 4*64 || err != nil {
 			t.Fatalf("CheckpointIn = %d, %v; want %d, nil", flushed, err, 4*64)
 		}
+		if err := m.Free(parent, ops); err != nil {
+			t.Fatal(err)
+		}
 	}
+	close(done)
 	wg.Wait()
 	if st := m.Stats(); st.Checkpoints != rounds || st.CheckpointBytes != rounds*4*64 || st.HostBytesInUse != 4*64 {
 		t.Errorf("stats %+v: want %d checkpoints of %d bytes and only the owner's %d host bytes", st, rounds, 4*64, 4*64)

@@ -37,22 +37,14 @@ type ContextImage struct {
 	Entries []EntryImage
 }
 
-// ExportContext captures a context's page table and swap area. Entries
-// still dirty on the device (ToCopy2Swap) cannot be captured — the
-// caller must Checkpoint or SwapOutAllIn first; ExportContext fails
-// loudly rather than snapshot stale data.
-func (m *Manager) ExportContext(ctxID int64) (*ContextImage, error) {
-	s := m.shardOf(ctxID)
-	s.mu.Lock()
-	var entries []*PTE
-	var next uint64
-	if cs := s.ctxs[ctxID]; cs != nil {
-		entries, next = append(entries, cs.table...), cs.next
-	}
-	s.mu.Unlock()
-
-	img := &ContextImage{CtxID: ctxID, NextOff: next}
-	for _, pte := range entries {
+// ExportContext captures the page table and swap area of sp's context,
+// whose service lock the caller holds. Entries still dirty on the device
+// (ToCopy2Swap) cannot be captured — the caller must CheckpointIn or
+// SwapOutAllIn first; ExportContext fails loudly rather than snapshot
+// stale data.
+func (m *Manager) ExportContext(sp *Space) (*ContextImage, error) {
+	img := &ContextImage{CtxID: sp.id, NextOff: sp.next}
+	for _, pte := range sp.table {
 		if pte.ToCopy2Swap {
 			return nil, fmt.Errorf("memmgr: entry %#x has device-only data; checkpoint before export", uint64(pte.Virtual))
 		}
@@ -65,7 +57,8 @@ func (m *Manager) ExportContext(ctxID int64) (*ContextImage, error) {
 // Every entry comes back off-device with its swap copy authoritative
 // (ToCopy2Dev set when it carries data), so the first kernel launch
 // after resume lazily restores residency — exactly the §4.6 restart
-// semantics. It fails if the context ID is already in use, and with
+// semantics. It fails if the context ID's Space holds entries (its
+// usage says so; another context's table is not its to read), and with
 // ErrInvalidValue on an image ExportContext could not have produced
 // (importEntries); a refused image imports and reserves nothing.
 func (m *Manager) ImportContext(img *ContextImage) error {
@@ -81,7 +74,7 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	s := m.shardOf(img.CtxID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.ctxs[img.CtxID].entries()) > 0 {
+	if old := s.ctxs[img.CtxID]; old != nil && old.Usage() > 0 {
 		return fmt.Errorf("memmgr: context %d already present", img.CtxID)
 	}
 	// Bulk-reserve the whole image against the host limit up front; a
@@ -89,7 +82,8 @@ func (m *Manager) ImportContext(img *ContextImage) error {
 	if !m.reserveHost(total) {
 		return api.ErrSwapAllocation
 	}
-	cs.next, cs.usage, cs.table = img.NextOff, total, entries
+	cs.next, cs.table = img.NextOff, entries
+	cs.usage.Store(total)
 	s.ctxs[img.CtxID] = cs
 	return nil
 }

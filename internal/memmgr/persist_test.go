@@ -2,6 +2,7 @@ package memmgr
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"gvrt/internal/api"
@@ -63,8 +64,8 @@ func TestImportContextRefusesMalformedImages(t *testing.T) {
 			if err := m.ImportContext(image(tc.edit)); !errors.Is(err, api.ErrInvalidValue) {
 				t.Fatalf("ImportContext = %v, want ErrInvalidValue", err)
 			}
-			if n := len(m.AppendEntriesIn(nil, m.space(ctx))); n != 0 || m.UsageOf(ctx) != 0 || m.Stats().HostBytesInUse != 0 {
-				t.Fatalf("refused image left %d entries, usage %d, %d host bytes", n, m.UsageOf(ctx), m.Stats().HostBytesInUse)
+			if sp, used := m.space(ctx), m.Stats().HostBytesInUse; sp != nil || used != 0 {
+				t.Fatalf("refused image left Space %v, %d host bytes", sp, used)
 			}
 			if err := m.ImportContext(image(nil)); err != nil {
 				t.Fatalf("well-formed image after the refusal: %v", err)
@@ -73,5 +74,40 @@ func TestImportContextRefusesMalformedImages(t *testing.T) {
 				t.Errorf("host bytes %d, want %d", got, 64+512)
 			}
 		})
+	}
+}
+
+// TestImportContextRefusesPresentContext: an image for an ID whose Space
+// holds entries is refused; it reserves no host bytes and leaves the
+// live table and its usage as they were. Once that Space is empty again
+// the same image imports.
+func TestImportContextRefusesPresentContext(t *testing.T) {
+	const ctx = 3
+	m := New(true, 0)
+	sp := m.SetLane(ctx, 0)
+	live := mustMalloc(t, m, ctx, 100)
+	img := &ContextImage{CtxID: ctx, NextOff: 1 << 20, Entries: []EntryImage{
+		{Virtual: api.DevPtr(virtTag | ctx<<ctxShift | 512), Size: 64},
+	}}
+	if err := m.ImportContext(img); err == nil || !strings.Contains(err.Error(), "already present") {
+		t.Fatalf("ImportContext onto a live context = %v, want already present", err)
+	}
+	if got := m.Stats().HostBytesInUse; got != 100 {
+		t.Errorf("host bytes %d after the refusal, want 100", got)
+	}
+	if m.space(ctx) != sp || sp.Usage() != 100 || len(sp.table) != 1 {
+		t.Errorf("refusal changed the live Space: usage %d, %d entries", sp.Usage(), len(sp.table))
+	}
+	if pte, _, err := m.Resolve(live.Virtual); pte != live || err != nil {
+		t.Errorf("live entry resolves to %v, %v", pte, err)
+	}
+	if err := m.Free(live, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ImportContext(img); err != nil {
+		t.Fatalf("ImportContext onto an emptied Space: %v", err)
+	}
+	if got, u := m.Stats().HostBytesInUse, m.space(ctx).Usage(); got != 64 || u != 64 {
+		t.Errorf("after the import: %d host bytes, usage %d; want 64, 64", got, u)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // hostExact reports whether the swap area's occupancy is exactly the
 // footprint of context 1, the only one the property tests allocate for:
 // every byte Malloc reserved stays charged until Free returns it.
-func hostExact(m *Manager) bool { return m.Stats().HostBytesInUse == m.UsageOf(1) }
+func hostExact(m *Manager) bool { return m.Stats().HostBytesInUse == m.state(1).Usage() }
 
 // TestFlagInvariantsUnderRandomOps property-checks the Figure 4 state
 // machine against random call sequences: after every operation the

@@ -65,10 +65,9 @@ type FlightRecorder struct {
 	recs *trace.Ring[FlightRecord]
 
 	// mu guards the sources and the storm detector.
-	mu       sync.Mutex
-	modelNow func() time.Duration
-	hists    func() map[string]trace.HistSnapshot
-	stats    func() api.RuntimeStats
+	mu    sync.Mutex
+	hists func() map[string]trace.HistSnapshot
+	stats func() api.RuntimeStats
 
 	stormWindow    time.Duration
 	stormThreshold int
@@ -99,13 +98,12 @@ func NewFlightRecorder(node, dir string, capacity int) *FlightRecorder {
 	}
 }
 
-// SetSources attaches optional context providers: the model clock, a
-// histogram snapshot source (for last-delta capture), and a stats
-// snapshot source. Any may be nil.
-func (f *FlightRecorder) SetSources(modelNow func() time.Duration, hists func() map[string]trace.HistSnapshot, stats func() api.RuntimeStats) {
+// SetSources attaches optional context providers: a histogram snapshot
+// source (for last-delta capture) and a stats snapshot source. Either
+// may be nil.
+func (f *FlightRecorder) SetSources(hists func() map[string]trace.HistSnapshot, stats func() api.RuntimeStats) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.modelNow = modelNow
 	f.hists = hists
 	f.stats = stats
 }
@@ -116,19 +114,17 @@ func (f *FlightRecorder) Path() string { return f.path }
 // Dumps returns how many dumps have been written.
 func (f *FlightRecorder) Dumps() int64 { return f.dumps.Load() }
 
-// Note appends a record to the ring. kind "fence" and "breaker-trip"
-// contribute to storm detection: a threshold crossing inside the storm
-// window triggers an asynchronous dump (at most once per window).
-func (f *FlightRecorder) Note(kind string, ctx int64, device int, detail string) {
+// Note appends a record of an event the emitter stamped at model time
+// model to the ring. kind "fence" and "breaker-trip" contribute to
+// storm detection: a threshold crossing inside the storm window
+// triggers an asynchronous dump (at most once per window).
+func (f *FlightRecorder) Note(model time.Duration, kind string, ctx int64, device int, detail string) {
 	if f == nil {
 		return
 	}
 	now := time.Now()
-	rec := FlightRecord{Wall: now, Kind: kind, Ctx: ctx, Device: device, Detail: detail}
+	rec := FlightRecord{Wall: now, Model: model, Kind: kind, Ctx: ctx, Device: device, Detail: detail}
 	f.mu.Lock()
-	if f.modelNow != nil {
-		rec.Model = f.modelNow()
-	}
 	f.recs.Put(rec)
 	storm := false
 	if kind == "fence" || kind == "breaker-trip" {

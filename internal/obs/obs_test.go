@@ -331,7 +331,6 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder("n1", dir, 4)
 	f.SetSources(
-		func() time.Duration { return 42 * time.Millisecond },
 		func() map[string]trace.HistSnapshot {
 			var h trace.Histogram
 			h.Observe(100)
@@ -340,7 +339,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 		func() api.RuntimeStats { return api.RuntimeStats{CallsServed: 9} },
 	)
 	for i := 0; i < 6; i++ { // overfill the 4-slot ring
-		f.Note("bind", int64(i), 0, "")
+		f.Note(42*time.Millisecond, "bind", int64(i), 0, "")
 	}
 	path, err := f.Dump("test")
 	if err != nil {
@@ -396,7 +395,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 func TestFlightRecorderStormDump(t *testing.T) {
 	f := NewFlightRecorder("n1", t.TempDir(), 64)
 	for i := 0; i < 10; i++ {
-		f.Note("fence", 1, 0, "deposed")
+		f.Note(0, "fence", 1, 0, "deposed")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for f.Dumps() == 0 && time.Now().Before(deadline) {
@@ -416,7 +415,7 @@ func TestFlightRecorderStormDump(t *testing.T) {
 
 func TestFlightRecorderWrapCrash(t *testing.T) {
 	f := NewFlightRecorder("n1", t.TempDir(), 8)
-	f.Note("ctrl-op", 0, 0, "tenant-create")
+	f.Note(0, "ctrl-op", 0, 0, "tenant-create")
 	died := false
 	f.WrapCrash(func() { died = true })()
 	if !died {
@@ -431,7 +430,7 @@ func TestFlightRecorderWrapCrash(t *testing.T) {
 	}
 	// Nil recorder: WrapCrash still runs next and Note is a no-op.
 	var nilF *FlightRecorder
-	nilF.Note("x", 0, 0, "")
+	nilF.Note(0, "x", 0, 0, "")
 	ran := false
 	nilF.WrapCrash(func() { ran = true })()
 	if !ran {
@@ -446,7 +445,7 @@ func TestFlightRecorderWrapCrash(t *testing.T) {
 func TestFlightDumpsSerialize(t *testing.T) {
 	f := NewFlightRecorder("n1", t.TempDir(), 16)
 	var h trace.Histogram
-	f.SetSources(nil, func() map[string]trace.HistSnapshot {
+	f.SetSources(func() map[string]trace.HistSnapshot {
 		h.Observe(1) // one observation per dump
 		return map[string]trace.HistSnapshot{"x": h.Snapshot()}
 	}, nil)
@@ -459,7 +458,7 @@ func TestFlightDumpsSerialize(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < dumps; i++ {
-				f.Note("bind", int64(w), 0, "")
+				f.Note(0, "bind", int64(w), 0, "")
 				if _, err := f.Dump("concurrent"); err != nil {
 					errs <- err
 					continue

@@ -25,13 +25,18 @@ func NewRing[T any](capacity int) *Ring[T] {
 // Put appends v, evicting the oldest value when the ring is full.
 func (r *Ring[T]) Put(v T) {
 	r.mu.Lock()
+	r.put(v)
+	r.mu.Unlock()
+}
+
+// put is Put for a caller holding r.mu.
+func (r *Ring[T]) put(v T) {
 	if r.buf == nil {
 		r.buf = make([]T, r.size)
 	}
 	r.buf[r.next] = v
 	r.next = (r.next + 1) % r.size
 	r.total++
-	r.mu.Unlock()
 }
 
 // Len reports how many values are currently retained.

@@ -145,8 +145,18 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{events: NewRing[Event](capacity), spans: NewRing[Span](max(capacity, 256))}
 }
 
-// Record appends an event, evicting the oldest when full.
-func (r *Recorder) Record(e Event) { r.events.Put(e) }
+// Record appends e stamped with now, evicting the oldest event when
+// full, and returns the stamped event. The clock is read inside the
+// hold that takes the slot, so the ring is in time order however
+// concurrent emitters interleave.
+func (r *Recorder) Record(e Event, now func() time.Duration) Event {
+	ring := r.events
+	ring.mu.Lock()
+	e.Time = now()
+	ring.put(e)
+	ring.mu.Unlock()
+	return e
+}
 
 // Len reports how many events are currently retained.
 func (r *Recorder) Len() int { return r.events.Len() }

@@ -8,13 +8,16 @@ import (
 	"time"
 )
 
+// at is a clock stopped at d.
+func at(d time.Duration) func() time.Duration { return func() time.Duration { return d } }
+
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder(64)
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatal("fresh recorder not empty")
 	}
-	r.Record(Event{Time: time.Second, Kind: KindBind, Ctx: 1, Device: 0})
-	r.Record(Event{Time: 2 * time.Second, Kind: KindInterSwap, Ctx: 2, Other: 1, Device: 0})
+	r.Record(Event{Kind: KindBind, Ctx: 1, Device: 0}, at(time.Second))
+	r.Record(Event{Kind: KindInterSwap, Ctx: 2, Other: 1, Device: 0}, at(2*time.Second))
 	if r.Len() != 2 || r.Total() != 2 {
 		t.Errorf("Len=%d Total=%d, want 2/2", r.Len(), r.Total())
 	}
@@ -25,12 +28,15 @@ func TestRecorderBasics(t *testing.T) {
 	if evs[1].Other != 1 {
 		t.Errorf("Other = %d", evs[1].Other)
 	}
+	if evs[0].Time != time.Second || evs[1].Time != 2*time.Second {
+		t.Errorf("stamps %v, %v; want 1s, 2s", evs[0].Time, evs[1].Time)
+	}
 }
 
 func TestRecorderRingEviction(t *testing.T) {
 	r := NewRecorder(16)
 	for i := 0; i < 40; i++ {
-		r.Record(Event{Ctx: int64(i), Kind: KindBind})
+		r.Record(Event{Ctx: int64(i), Kind: KindBind}, at(0))
 	}
 	if r.Len() != 16 {
 		t.Errorf("Len = %d, want 16", r.Len())
@@ -47,7 +53,7 @@ func TestRecorderRingEviction(t *testing.T) {
 func TestRecorderMinimumCapacity(t *testing.T) {
 	r := NewRecorder(1)
 	for i := 0; i < 20; i++ {
-		r.Record(Event{Ctx: int64(i)})
+		r.Record(Event{Ctx: int64(i)}, at(0))
 	}
 	if r.Len() != 16 {
 		t.Errorf("minimum capacity not applied: Len = %d", r.Len())
@@ -56,10 +62,10 @@ func TestRecorderMinimumCapacity(t *testing.T) {
 
 func TestFilterAndCount(t *testing.T) {
 	r := NewRecorder(64)
-	r.Record(Event{Kind: KindBind})
-	r.Record(Event{Kind: KindInterSwap})
-	r.Record(Event{Kind: KindBind})
-	r.Record(Event{Kind: KindMigration})
+	r.Record(Event{Kind: KindBind}, at(0))
+	r.Record(Event{Kind: KindInterSwap}, at(0))
+	r.Record(Event{Kind: KindBind}, at(0))
+	r.Record(Event{Kind: KindMigration}, at(0))
 	if got := r.Filter(KindBind); len(got) != 2 {
 		t.Errorf("Filter(bind) = %d events, want 2", len(got))
 	}
@@ -88,8 +94,8 @@ func TestEventString(t *testing.T) {
 
 func TestDump(t *testing.T) {
 	r := NewRecorder(16)
-	r.Record(Event{Kind: KindConnect, Ctx: 1})
-	r.Record(Event{Kind: KindExit, Ctx: 1})
+	r.Record(Event{Kind: KindConnect, Ctx: 1}, at(0))
+	r.Record(Event{Kind: KindExit, Ctx: 1}, at(0))
 	d := r.Dump()
 	if strings.Count(d, "\n") != 2 {
 		t.Errorf("Dump = %q", d)
@@ -104,7 +110,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Record(Event{Ctx: int64(g), Kind: KindBind})
+				r.Record(Event{Ctx: int64(g), Kind: KindBind}, at(0))
 				_ = r.Snapshot()
 			}
 		}(g)
@@ -123,7 +129,7 @@ func TestRecorderRingProperty(t *testing.T) {
 		r := NewRecorder(capacity)
 		n := int(nRecords)
 		for i := 0; i < n; i++ {
-			r.Record(Event{Ctx: int64(i)})
+			r.Record(Event{Ctx: int64(i)}, at(0))
 		}
 		evs := r.Snapshot()
 		want := n
