@@ -328,7 +328,7 @@ func main() {
 	defer l.Close()
 
 	// Graceful shutdown: SIGTERM/SIGINT stops admitting (new connections
-	// are shed, live session leases revoked so peers can steal them),
+	// are shed, live session leases revoked so peers can claim them),
 	// closes the listener, compacts and closes the journal and the
 	// store, then exits 0. SIGKILL remains the crash-consistency path
 	// the torture harnesses exercise.

@@ -277,8 +277,8 @@ type MigrateFrameCall struct{ Frame []byte }
 // committed in the journal directory Dir — a dead owner's durable state
 // on shared storage — into this runtime as orphan sessions that clients
 // re-attach to with ResumeCall. Reply.Count reports how many sessions
-// were adopted. The caller (cluster failover monitor, or an operator)
-// must have fenced the old owner via the lease table first.
+// were adopted. The operator sends it once the old owner is dead or
+// fenced; each client's ResumeCall then claims its lapsed lease.
 type AdoptCall struct{ Dir string }
 
 // ExitCall announces the orderly end of an application thread; the

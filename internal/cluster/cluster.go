@@ -19,7 +19,6 @@ import (
 	"gvrt/internal/api"
 	"gvrt/internal/core"
 	"gvrt/internal/cudart"
-	"gvrt/internal/failover"
 	"gvrt/internal/faultinject"
 	"gvrt/internal/frontend"
 	"gvrt/internal/gpu"
@@ -47,17 +46,6 @@ const (
 	DefaultPeerCallDeadline = time.Hour
 	// DefaultProbeInterval is the half-open probe monitor's pace.
 	DefaultProbeInterval = 250 * time.Millisecond
-	// DefaultPromoteBackoffBase / Cap shape the decorrelated-jitter
-	// backoff between failed failover promotions.
-	DefaultPromoteBackoffBase = 100 * time.Millisecond
-	DefaultPromoteBackoffCap  = 2 * time.Second
-	// DefaultMigrationStormCap is the failover storm limiter: at most
-	// this many promotion attempts in a burst, refilled at
-	// DefaultMigrationStormRefill per model second, so a flapping node
-	// expiring dozens of leases cannot melt the cluster with concurrent
-	// image adoptions.
-	DefaultMigrationStormCap    = 4
-	DefaultMigrationStormRefill = 2.0
 )
 
 // Node is one compute node: its GPUs, its CUDA runtime and its gvrt
@@ -246,7 +234,7 @@ func (n *Node) probeMonitor() {
 			return
 		default:
 		}
-		n.clock.Sleep(DefaultProbeInterval)
+		n.clock.Pace(DefaultProbeInterval)
 		n.mu.Lock()
 		if n.breaker.Ready() {
 			n.probeRunning = false
@@ -314,35 +302,6 @@ func (n *Node) Dial() transport.Conn {
 // load shed) under the node's shared retry budget.
 func (n *Node) Connect() (workload.CUDA, error) {
 	return frontend.Connect(n.Dial()).WithRetry(n.retrier), nil
-}
-
-// StartFailover launches this node's failover monitor over the
-// cluster's shared lease table (the same Table wired into every node's
-// Config.Leases): every session whose owner's lease expired has its
-// lease stolen for this node and its durable state adopted from the
-// dead owner's journal directory, reported by journalDirFor. Promotion
-// retries use decorrelated-jitter backoff, and a storm limiter bounds
-// concurrent adoptions after a mass expiry. Stop the returned monitor
-// before Close.
-func (n *Node) StartFailover(table *failover.Table, journalDirFor func(session int64) string) *failover.Monitor {
-	return failover.StartMonitor(failover.MonitorConfig{
-		Table:   table,
-		Owner:   n.RT.NodeName(),
-		Sleep:   n.clock.Sleep,
-		Limit:   resilience.NewBudget(DefaultMigrationStormCap, DefaultMigrationStormRefill, n.clock.Now),
-		Backoff: resilience.NewBackoff(DefaultPromoteBackoffBase, DefaultPromoteBackoffCap, sim.NewRNG(1).Fork("failover/"+n.Name)),
-		Promote: func(session int64) error {
-			dir := journalDirFor(session)
-			if dir == "" {
-				return fmt.Errorf("cluster: node %s: no journal dir for session %d", n.Name, session)
-			}
-			// AdoptJournalDir is idempotent per session, so several
-			// expired sessions sharing one journal adopt in one pass and
-			// the rest resolve as already-known.
-			_, err := n.RT.AdoptJournalDir(dir)
-			return err
-		},
-	})
 }
 
 // Close shuts the node down after all in-flight connections drain.

@@ -11,7 +11,6 @@ import (
 	"gvrt/internal/failover"
 	"gvrt/internal/frontend"
 	"gvrt/internal/gpu"
-	"gvrt/internal/resilience"
 	"gvrt/internal/sim"
 )
 
@@ -101,11 +100,11 @@ func TestFencedPermanentNoRetryBudget(t *testing.T) {
 	}
 }
 
-// TestAutoFailover drives the automatic path end to end: a journaled
-// session runs on node A, node A dies without releasing its lease, and
-// node B's failover monitor — watching the shared lease table — steals
-// the expired lease, adopts the session from A's journal directory, and
-// serves the client's resume with every acknowledged kernel intact.
+// TestAutoFailover drives promotion end to end: a journaled session runs
+// on node A, node A dies without releasing its lease, and once the lease
+// has lapsed the operator adopts A's journal directory onto node B, whose
+// client resume claims the lease and finds every acknowledged kernel
+// intact.
 func TestAutoFailover(t *testing.T) {
 	clock := sim.NewClock(1e-7)
 	table := failover.NewTable(2*time.Second, clock.Now)
@@ -177,31 +176,14 @@ func TestAutoFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon := b.StartFailover(table, func(int64) string { return dir })
-	defer mon.Stop()
-
-	// The lease expires in model time almost immediately at this clock
-	// scale; poll in wall time so the monitor goroutine gets scheduled.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if got := b.RT.OrphanSessions(); len(got) == 1 && got[0] == session {
-			break
-		}
-		if time.Now().After(deadline) {
-			promoted, failed, limited := mon.Counts()
-			t.Fatalf("monitor never adopted session %d (promoted %d, failed %d, limited %d, orphans %v)",
-				session, promoted, failed, limited, b.RT.OrphanSessions())
-		}
-		time.Sleep(time.Millisecond)
+	// The lease lapses in model time; then the operator promotes node B.
+	clock.Sleep(3 * time.Second)
+	if n, err := b.RT.AdoptJournalDir(dir); err != nil || n != 1 {
+		t.Fatalf("AdoptJournalDir = %d, %v; want 1 session", n, err)
 	}
-	if l, ok := table.Lookup(session); !ok || l.Owner != "node-b" {
-		t.Fatalf("lease after failover = %+v, %v; want owned by node-b", l, ok)
+	if got := b.RT.OrphanSessions(); len(got) != 1 || got[0] != session {
+		t.Fatalf("orphans after adoption = %v, want [%d]", got, session)
 	}
-	// Stop the monitor before serving the resumed client: at this clock
-	// scale every wall-microsecond gap between calls is model-minutes,
-	// so the idle lease perpetually re-expires and the monitor would
-	// keep re-stealing (and epoch-bumping) it mid-conversation.
-	mon.Stop()
 
 	// The client reconnects to the new owner and resumes: 2 committed +
 	// 3 replayed + 1 fresh increments.
@@ -226,50 +208,8 @@ func TestAutoFailover(t *testing.T) {
 			t.Fatalf("data after failover = %v, want %v", out, want)
 		}
 	}
-}
-
-// TestFailoverStormLimiter: a node expiring many leases at once cannot
-// trigger unbounded concurrent promotions — the storm budget caps the
-// burst and the overflow is deferred instead of adopted all at once.
-// The budget here deliberately never refills, so the cap is exact and
-// deterministic regardless of how fast model time runs.
-func TestFailoverStormLimiter(t *testing.T) {
-	clock := sim.NewClock(1e-7)
-	table := failover.NewTable(time.Second, clock.Now)
-	// 3x the burst cap of expired sessions, owned by a dead node.
-	const sessions = 3 * DefaultMigrationStormCap
-	for i := int64(1); i <= sessions; i++ {
-		if _, err := table.Acquire(i, "dead-node"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clock.Sleep(2 * time.Second) // expire them all
-
-	mon := failover.StartMonitor(failover.MonitorConfig{
-		Table:   table,
-		Owner:   "node-b",
-		Sleep:   clock.Sleep,
-		Limit:   resilience.NewBudget(DefaultMigrationStormCap, 0, clock.Now),
-		Promote: func(session int64) error { return nil },
-	})
-	defer mon.Stop()
-
-	// Wait (in wall time, so the monitor goroutine runs) for the burst
-	// to be capped: exactly the budget's worth of promotions, the rest
-	// limited.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		promoted, _, limited := mon.Counts()
-		if promoted == DefaultMigrationStormCap && limited > 0 {
-			break
-		}
-		if promoted > DefaultMigrationStormCap {
-			t.Fatalf("promoted %d sessions, want at most the burst cap %d", promoted, DefaultMigrationStormCap)
-		}
-		if time.Now().After(deadline) {
-			_, failed, _ := mon.Counts()
-			t.Fatalf("storm never capped: promoted %d, failed %d, limited %d", promoted, failed, limited)
-		}
-		time.Sleep(time.Millisecond)
+	// Node A held epoch 1; node B's claim of the lapsed lease is epoch 2.
+	if l, ok := table.Lookup(session); !ok || l.Owner != "node-b" || l.Epoch != 2 {
+		t.Fatalf("lease after failover = %+v, %v; want node-b at epoch 2", l, ok)
 	}
 }

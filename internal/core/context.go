@@ -145,12 +145,15 @@ func (c *Context) waiterInfo() sched.Waiter {
 	}
 }
 
-// newContext registers a fresh context with the runtime.
+// newContext registers a fresh context with the runtime. The context is
+// published in rt.ctxs only once its Space is set, so whoever finds it
+// there finds the Space too. SetLane takes a memmgr shard lock, which is
+// never taken under rt.mu, so the ID and lane come from atomics before
+// the one rt.mu hold; two admissions racing may pick the same lane,
+// which costs balance, not correctness.
 func (rt *Runtime) newContext() *Context {
-	rt.mu.Lock()
-	rt.nextCtx++
 	ctx := &Context{
-		id:         rt.nextCtx,
+		id:         rt.nextCtx.Add(1),
 		rt:         rt,
 		replayRefs: make(map[api.DevPtr]bool),
 		laneHeld:   true,
@@ -163,10 +166,11 @@ func (rt *Runtime) newContext() *Context {
 	rt.laneUse[ctx.lane].Add(1)
 	b := &ctx.scratchBuf
 	ctx.scratchPTEs, ctx.scratchOffs, ctx.scratchArgs = b.ptes[:0], b.offs[:0], b.args[:0]
+	ctx.space = rt.mm.SetLane(ctx.id, ctx.lane)
+	rt.mu.Lock()
 	rt.ctxs[ctx.id] = ctx
 	rt.mu.Unlock()
-	ctx.space = rt.mm.SetLane(ctx.id, ctx.lane)
-	if err := rt.leaseAcquire(ctx); err != nil {
+	if err := rt.leaseClaim(ctx, ctx.id); err != nil {
 		// Another node owns this ID live — a session-base misconfiguration.
 		// The context stays registered but every mutating call will be
 		// fenced (epoch 0 never matches a table entry).

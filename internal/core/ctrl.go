@@ -53,7 +53,7 @@ func (rt *Runtime) DeviceCount() int {
 
 // BeginDrain starts a graceful shutdown: new connections are refused
 // (HandleConn sheds them) and every live session's failover lease is
-// revoked so a peer node can steal ownership immediately instead of
+// revoked so a peer node can claim ownership immediately instead of
 // waiting out the TTL. In-flight sessions keep running; the caller
 // closes the listener, flushes the journal, and exits when ready.
 func (rt *Runtime) BeginDrain() {

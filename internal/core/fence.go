@@ -8,10 +8,10 @@ import (
 // This file implements lease-fenced session ownership (DESIGN.md §13).
 // With a lease table configured, every mutating call verifies that this
 // node still holds the session's lease at the epoch it remembered when
-// it acquired it. Ownership moving — failover steal, migration commit,
-// injected revocation — bumps the epoch, so a deposed owner's in-flight
-// write is rejected with the typed api.ErrFenced no matter how late it
-// arrives. The check piggybacks lease renewal: a healthy owner extends
+// it acquired it. Ownership moving — a peer's claim after expiry,
+// migration commit, injected revocation — bumps the epoch, so a deposed
+// owner's in-flight write is rejected with the typed api.ErrFenced no
+// matter how late it arrives. The check piggybacks lease renewal: a healthy owner extends
 // its lease on every served call and never comes close to expiry. The
 // check goes through the session's own lease cell, cached on the
 // context, so it shares no lock with any other session's calls.
@@ -35,7 +35,7 @@ func (rt *Runtime) fence(ctx *Context) error {
 	}
 	if h := rt.leaseHook; h != nil {
 		if dec := h.Check(); dec.Err != nil {
-			// Injected lease-expiry race: a phantom peer stole and
+			// Injected lease-expiry race: a phantom peer claimed and
 			// abandoned the lease the instant before this check, so the
 			// epoch comparison below fails deterministically.
 			t.Revoke(ctx.id)
@@ -56,15 +56,15 @@ func (rt *Runtime) fence(ctx *Context) error {
 	return nil
 }
 
-// leaseAcquire takes the session's lease for this node and remembers the
+// leaseClaim takes session id's lease for this node and remembers the
 // epoch and the lease's cell on the context. A session owned live by
 // another node fails with ErrFenced. No-op without a lease table.
-func (rt *Runtime) leaseAcquire(ctx *Context) error {
+func (rt *Runtime) leaseClaim(ctx *Context, id int64) error {
 	t := rt.cfg.Leases
 	if t == nil {
 		return nil
 	}
-	c, l, err := t.Claim(ctx.id, rt.cfg.node())
+	c, l, err := t.Claim(id, rt.cfg.node())
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,8 @@ func fencedEnv(t *testing.T) (*testEnv, *failover.Table, *atomic.Int64) {
 
 // TestCachedLeaseCellFenced: the fence goes through the lease cell the
 // context cached when it acquired, and that cell stops passing the
-// moment the lease is released, revoked or stolen.
+// moment the lease is released, revoked or claimed by a peer after it
+// lapsed.
 func TestCachedLeaseCellFenced(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -40,7 +41,7 @@ func TestCachedLeaseCellFenced(t *testing.T) {
 		{"revoked", func(_ *testing.T, tbl *failover.Table, _ *atomic.Int64, id int64) { tbl.Revoke(id) }},
 		{"stolen", func(t *testing.T, tbl *failover.Table, clock *atomic.Int64, id int64) {
 			clock.Add(int64(2 * time.Hour))
-			if _, err := tbl.Steal(id, "dst"); err != nil {
+			if _, _, err := tbl.Claim(id, "dst"); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -35,7 +35,7 @@ func (rt *Runtime) kickHealthMonitor() {
 // are left (a later failure kicks it again) or the runtime closes.
 func (rt *Runtime) healthMonitor() {
 	for {
-		rt.clock.Sleep(DefaultHealthInterval)
+		rt.clock.Pace(DefaultHealthInterval)
 		rt.mu.Lock()
 		if rt.closed {
 			rt.healthRunning = false

@@ -156,6 +156,45 @@ func TestLaneReleasedAtExit(t *testing.T) {
 	}
 }
 
+// TestPublishedContextHasSpace: a context appears in rt.ctxs only once
+// its memmgr Space is set, so whoever finds it there under rt.mu may
+// read the Space's usage.
+func TestPublishedContextHasSpace(t *testing.T) {
+	env := newEnv(t, Config{}, smallSpec(1<<20, 1))
+	rt := env.rt
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			rt.newContext()
+		}
+	}()
+	var spaces []*memmgr.Space
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		spaces = spaces[:0]
+		rt.mu.Lock()
+		for id, ctx := range rt.ctxs {
+			if ctx.space == nil {
+				rt.mu.Unlock()
+				<-done
+				t.Fatalf("ctx %d published without its Space", id)
+			}
+			spaces = append(spaces, ctx.space)
+		}
+		rt.mu.Unlock()
+		for _, sp := range spaces {
+			if u := sp.Usage(); u != 0 {
+				t.Fatalf("fresh context's Space holds %d bytes", u)
+			}
+		}
+	}
+}
+
 // stalledTeardowns is a memmgr.Observer that holds every context's
 // teardown in ContextReleased until it is closed.
 type stalledTeardowns chan struct{}

@@ -57,7 +57,7 @@ func migPattern(n int) []byte {
 }
 
 // TestDeposedOwnerFenced is the dedicated fencing regression: once a
-// peer steals the session's lease, every mutating call from the old
+// peer takes over the session's lease, every mutating call from the old
 // owner — including an in-flight launch — is rejected with ErrFenced.
 func TestDeposedOwnerFenced(t *testing.T) {
 	table := leaseTable()
@@ -83,17 +83,17 @@ func TestDeposedOwnerFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A peer steals the lease (the failover monitor's takeover step).
+	// A peer takes the lease over: revoked, then claimed at epoch+1.
 	table.Revoke(session)
-	if _, err := table.Steal(session, "peer"); err != nil {
+	if _, _, err := table.Claim(session, "peer"); err != nil {
 		t.Fatal(err)
 	}
 
 	if err := c.Launch(inc); !errors.Is(err, api.ErrFenced) {
-		t.Fatalf("launch after lease steal err = %v, want ErrFenced", err)
+		t.Fatalf("launch after lease takeover err = %v, want ErrFenced", err)
 	}
 	if err := c.MemcpyHD(p, []byte{9}); !errors.Is(err, api.ErrFenced) {
-		t.Fatalf("memcpy after lease steal err = %v, want ErrFenced", err)
+		t.Fatalf("memcpy after lease takeover err = %v, want ErrFenced", err)
 	}
 	if m := env.rt.Metrics(); m.FenceRejections < 2 {
 		t.Errorf("FenceRejections = %d, want >= 2", m.FenceRejections)

@@ -349,8 +349,11 @@ type Runtime struct {
 	orphans map[int64][]api.LaunchCall
 	// claimed remembers sessions already resumed, so a second claimant
 	// gets the typed ErrSessionClaimed instead of "no such session".
-	claimed       map[int64]bool
-	nextCtx       int64
+	claimed map[int64]bool
+	// nextCtx is the last context ID issued. It is not under mu:
+	// newContext issues IDs without it, and reserveID raises it past
+	// every adopted ID.
+	nextCtx       atomic.Int64
 	closed        bool
 	healthRunning bool
 	// pickFreeVGPULocked's reusable load vector and its devices.
@@ -447,7 +450,7 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 	rt.migXferHook = cfg.Faults.Hook(faultinject.PointMigrateTransfer, "")
 	rt.migImportHook = cfg.Faults.Hook(faultinject.PointMigrateImport, "")
 	if cfg.SessionBase > 0 {
-		rt.nextCtx = cfg.SessionBase
+		rt.nextCtx.Store(cfg.SessionBase)
 	}
 	for _, rec := range failover.ResolvePending(cfg.MigrateDir) {
 		// A pending record at boot is an import the crash interrupted —
@@ -476,7 +479,7 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 func (rt *Runtime) migrationMonitor() {
 	const interval = 200 * time.Millisecond
 	for {
-		rt.clock.Sleep(interval)
+		rt.clock.Pace(interval)
 		rt.mu.Lock()
 		if rt.closed {
 			rt.mu.Unlock()

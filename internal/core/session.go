@@ -42,16 +42,16 @@ func (rt *Runtime) adoptImage(rec *ckptlog.ImageRecord, detail string) error {
 			return err
 		}
 	}
+	rt.reserveID(id)
 	rt.mu.Lock()
 	rt.orphans[id] = slices.Clone(rec.Pending)
-	rt.nextCtx = max(rt.nextCtx, id)
 	rt.mu.Unlock()
 	if t := rt.cfg.Leases; t != nil {
-		// Best effort: a failover steal already moved ownership here and
-		// this renews it; after a cooperative migration the source
-		// released and this takes it fresh. A still-live source lease
-		// (source crashed after commit, before release) is left alone —
-		// the resuming client's Acquire settles ownership after expiry.
+		// Best effort: a dead owner's lapsed (or revoked) lease moves here
+		// at epoch+1; after a cooperative migration the source released
+		// and this takes it fresh. A still-live source lease (source
+		// crashed after commit, before release) is left alone — the
+		// resuming client's Claim settles ownership after expiry.
 		_, _ = t.Acquire(id, rt.cfg.node())
 	}
 	rt.event(trace.KindCrossMigration, id, 0, -1, detail)
@@ -73,12 +73,20 @@ func (rt *Runtime) adoptRecovered(rec *ckptlog.Recovered, detail string) (int, e
 		}
 		n++
 	}
-	rt.mu.Lock()
 	// Never re-issue any context ID the journal has ever seen — including
 	// quarantined and destroyed ones.
-	rt.nextCtx = max(rt.nextCtx, rec.MaxCtxID)
-	rt.mu.Unlock()
+	rt.reserveID(rec.MaxCtxID)
 	return n, nil
+}
+
+// reserveID raises the ID counter to at least id, so newContext never
+// issues an ID this runtime has adopted.
+func (rt *Runtime) reserveID(id int64) {
+	for cur := rt.nextCtx.Load(); cur < id; cur = rt.nextCtx.Load() {
+		if rt.nextCtx.CompareAndSwap(cur, id) {
+			return
+		}
+	}
 }
 
 // RecoverFromJournal installs the state a ckptlog.Open recovered from
@@ -92,9 +100,10 @@ func (rt *Runtime) RecoverFromJournal(rec *ckptlog.Recovered) error {
 }
 
 // AdoptJournalDir recovers every session committed in a dead peer's
-// journal directory into this runtime — the failover promotion step. The
-// caller must have fenced the old owner first (the monitor's Steal, or
-// lease expiry).
+// journal directory into this runtime — the operator's promotion step
+// (api.AdoptCall). The old owner must be dead or fenced: once its lease
+// has lapsed or been revoked, the adoption and the client's Resume claim
+// it for this node at epoch+1.
 func (rt *Runtime) AdoptJournalDir(dir string) (int, error) {
 	j, rec, err := ckptlog.Open(dir, ckptlog.Options{})
 	if err != nil {
@@ -144,17 +153,11 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 		rt.mu.Unlock()
 		return api.ErrInvalidValue
 	}
-	if t := rt.cfg.Leases; t != nil {
-		// Claiming the session means taking its lease; failure (a live
-		// owner elsewhere) leaves the orphan unclaimed for a later, valid
-		// claimant.
-		c, l, lerr := t.Claim(id, rt.cfg.node())
-		if lerr != nil {
-			rt.mu.Unlock()
-			return api.ErrFenced
-		}
-		ctx.lease = c
-		ctx.leaseEpoch.Store(l.Epoch)
+	// Claiming the session means taking its lease; failure (a live owner
+	// elsewhere) leaves the orphan unclaimed for a later, valid claimant.
+	if err := rt.leaseClaim(ctx, id); err != nil {
+		rt.mu.Unlock()
+		return api.ErrFenced
 	}
 	delete(rt.orphans, id)
 	rt.claimed[id] = true

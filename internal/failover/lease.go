@@ -1,17 +1,17 @@
 // Package failover implements the cluster failover plane (DESIGN.md
 // §13): epoch-numbered session leases with write fencing, the CRC-framed
 // wire protocol that ships a checkpointed context image between nodes
-// with resumable offsets, pending-operation records
-// that make a crashed import resumable or cleanly abortable, and the
-// monitor that promotes a peer for every session whose owner's lease
-// expired.
+// with resumable offsets, and pending-operation records that make a
+// crashed import resumable or cleanly abortable. Promotion onto a peer
+// is an operator action (api.AdoptCall) followed by the client's resume,
+// whose Claim takes the dead owner's lapsed lease.
 //
 // The invariant the plane maintains: for every session there is at most
 // one node whose (owner, epoch) pair matches the lease table, and only
-// that node's mutating calls pass the fence. Any steal bumps the epoch,
-// so a deposed owner — however late its in-flight write arrives — is
-// rejected with api.ErrFenced instead of corrupting state it no longer
-// owns.
+// that node's mutating calls pass the fence. Any takeover bumps the
+// epoch, so a deposed owner — however late its in-flight write arrives —
+// is rejected with api.ErrFenced instead of corrupting state it no
+// longer owns.
 package failover
 
 import (
@@ -35,14 +35,14 @@ type Lease struct {
 	// holder).
 	Owner string
 	// Epoch increments on every ownership change. Fence checks compare
-	// the holder's remembered epoch against this — a steal-and-steal-
-	// back still fences the original holder.
+	// the holder's remembered epoch against this — a claim and a claim
+	// back still fence the original holder.
 	Epoch uint64
-	// Expires is the model time at which the lease lapses and becomes
-	// stealable. Expiry alone does not fence the owner: a slow owner
-	// that renews before anyone steals keeps its epoch (the renewal
-	// and the steal serialise on the session's cell lock; exactly one
-	// wins).
+	// Expires is the model time at which the lease lapses and another
+	// node may Claim it. Expiry alone does not fence the owner: a slow
+	// owner that renews before anyone claims keeps its epoch (the
+	// renewal and the claim serialise on the session's cell lock;
+	// exactly one wins).
 	Expires time.Duration
 }
 
@@ -53,7 +53,7 @@ type Lease struct {
 // operations take table lock → cell lock (Check drops the first before
 // taking the second). A holder that cached its cell (Claim) fences
 // through Cell.Check without touching the table, so sessions never
-// contend with one another on the per-call path. Renew-versus-steal
+// contend with one another on the per-call path. Renew-versus-claim
 // still serialises on the one cell lock, which is what makes that race
 // well defined. Safe for concurrent use.
 type Table struct {
@@ -86,17 +86,19 @@ func NewTable(ttl time.Duration, now func() time.Duration) *Table {
 	return &Table{ttl: ttl, now: now, leases: make(map[int64]*Cell)}
 }
 
-// Acquire takes (or retakes) the session's lease for owner. A fresh
-// session starts at epoch 1; re-acquiring one's own lease renews it at
-// the same epoch; an expired or revoked lease is taken over at epoch+1.
-// A live lease held by another node fails with api.ErrFenced.
+// Acquire is Claim for a caller that does not fence through the cell.
 func (t *Table) Acquire(session int64, owner string) (Lease, error) {
 	_, l, err := t.Claim(session, owner)
 	return l, err
 }
 
-// Claim is Acquire that also hands back the session's cell, for a
-// holder that fences its calls through Cell.Check.
+// Claim takes (or retakes) the session's lease for owner and hands back
+// the session's cell, for a holder that fences its calls through
+// Cell.Check. It is the one way a lease changes hands. A fresh session
+// starts at epoch 1; re-claiming one's own lease renews it at the same
+// epoch, even past expiry; a lease that lapsed or was revoked is taken
+// over at epoch+1. A live lease held by another node fails with
+// api.ErrFenced.
 func (t *Table) Claim(session int64, owner string) (*Cell, Lease, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -175,28 +177,10 @@ func (t *Table) cell(session int64, f func(c *Cell)) bool {
 	return true
 }
 
-// Steal transfers an expired (or revoked) lease to newOwner at epoch+1.
-// A lease still within its TTL cannot be stolen — the monitor must wait
-// for expiry; a concurrent renewal by the owner defeats the steal.
-func (t *Table) Steal(session int64, newOwner string) (l Lease, err error) {
-	err = api.ErrInvalidValue
-	t.cell(session, func(c *Cell) {
-		now := t.now()
-		if c.l.Owner != "" && now <= c.l.Expires {
-			err = api.ErrFenced
-			return
-		}
-		c.l.Owner = newOwner
-		c.l.Epoch++
-		c.l.Expires = expiry(now, t.ttl)
-		l, err = c.l, nil
-	})
-	return l, err
-}
-
 // Release drops the session's lease if owner still holds it (orderly
 // context exit). The record is deleted outright and its cell marked
-// dead: a released session is gone, not stealable.
+// dead: a released session is gone, and a later Claim starts a new
+// epoch chain in a new cell.
 func (t *Table) Release(session int64, owner string) {
 	t.cell(session, func(c *Cell) {
 		if c.l.Owner == owner {
@@ -207,32 +191,15 @@ func (t *Table) Release(session int64, owner string) {
 }
 
 // Revoke force-expires the session's lease and bumps the epoch, as if a
-// phantom peer stole and abandoned it — the lease-expiry race made
-// deterministic. Fault injection (PointLeaseCheck) and tests use it;
-// the prior owner's next fence check fails with ErrFenced, and anyone
-// may Acquire the session afterwards.
+// phantom peer claimed and abandoned it — the lease-expiry race made
+// deterministic. Fault injection (PointLeaseCheck), a draining daemon
+// and tests use it; the prior owner's next fence check fails with
+// ErrFenced, and anyone may Claim the session afterwards.
 func (t *Table) Revoke(session int64) {
 	t.cell(session, func(c *Cell) {
 		c.l.Owner = ""
 		c.l.Epoch++
 	})
-}
-
-// Expired lists sessions whose lease is past its TTL and still has an
-// owner — the failover monitor's work queue.
-func (t *Table) Expired() []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	var ids []int64
-	for id, c := range t.leases {
-		c.mu.Lock()
-		if c.l.Owner != "" && now > c.l.Expires {
-			ids = append(ids, id)
-		}
-		c.mu.Unlock()
-	}
-	return ids
 }
 
 // Lookup returns the session's current lease.

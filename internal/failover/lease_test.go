@@ -55,8 +55,9 @@ func TestLeaseLifecycle(t *testing.T) {
 	if _, ok := tbl.Lookup(1); ok {
 		t.Fatal("lease survived release")
 	}
-	if got := tbl.Expired(); len(got) != 0 {
-		t.Fatalf("released lease listed as expired: %v", got)
+	// A released session is gone, not lapsed: anyone starts it afresh.
+	if l, err := tbl.Acquire(1, "b"); err != nil || l.Epoch != 1 {
+		t.Fatalf("claim of a released session = %+v, %v; want a fresh epoch 1", l, err)
 	}
 }
 
@@ -82,60 +83,63 @@ func TestLeaseCheckRenewsPastHalfTTL(t *testing.T) {
 	}
 }
 
+// TestLeaseStealOnlyAfterExpiry: a foreign Claim takes a lease over
+// only once it has lapsed.
 func TestLeaseStealOnlyAfterExpiry(t *testing.T) {
 	tbl, clk := newTestTable(10 * time.Second)
 	if _, err := tbl.Acquire(1, "a"); err != nil {
 		t.Fatal(err)
 	}
-	// Live lease: steal refused, unknown session rejected.
-	if _, err := tbl.Steal(1, "b"); !errors.Is(err, api.ErrFenced) {
-		t.Fatalf("steal of live lease err = %v, want ErrFenced", err)
-	}
-	if _, err := tbl.Steal(99, "b"); !errors.Is(err, api.ErrInvalidValue) {
-		t.Fatalf("steal of unknown session err = %v, want ErrInvalidValue", err)
+	// Live lease: a foreign claim is refused.
+	if _, _, err := tbl.Claim(1, "b"); !errors.Is(err, api.ErrFenced) {
+		t.Fatalf("claim of live lease err = %v, want ErrFenced", err)
 	}
 
 	clk.advance(11 * time.Second)
-	if got := tbl.Expired(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Expired = %v, want [1]", got)
+	// Expiry alone moves nothing: the lapsed lease still names its owner.
+	if l, ok := tbl.Lookup(1); !ok || l.Owner != "a" || l.Epoch != 1 {
+		t.Fatalf("lapsed lease = %+v, %v; want a at epoch 1", l, ok)
 	}
-	l, err := tbl.Steal(1, "b")
+	_, l, err := tbl.Claim(1, "b")
 	if err != nil || l.Owner != "b" || l.Epoch != 2 {
-		t.Fatalf("steal after expiry = %+v, %v", l, err)
+		t.Fatalf("claim after expiry = %+v, %v", l, err)
 	}
 	// The deposed owner's stale (owner, epoch) fails the fence — even
-	// though its lease "merely" expired before the steal.
+	// though its lease "merely" expired before the claim.
 	if _, err := tbl.Check(1, "a", 1); !errors.Is(err, api.ErrFenced) {
 		t.Fatalf("deposed owner check err = %v, want ErrFenced", err)
 	}
-	// An expired-but-unstolen lease can be renewed by its owner: the
-	// renew-versus-steal race is settled by table-lock order alone.
+	// An expired-but-unclaimed lease can be renewed by its owner, at its
+	// epoch: the renew-versus-claim race is settled by lock order alone.
 	clk.advance(11 * time.Second)
-	if _, err := tbl.Acquire(1, "b"); err != nil {
-		t.Fatalf("owner renewal of expired lease: %v", err)
+	if l, err := tbl.Acquire(1, "b"); err != nil || l.Epoch != 2 {
+		t.Fatalf("owner renewal of expired lease = %+v, %v; want epoch 2", l, err)
 	}
-	if _, err := tbl.Steal(1, "c"); !errors.Is(err, api.ErrFenced) {
-		t.Fatalf("steal after owner renewed err = %v, want ErrFenced", err)
+	if _, _, err := tbl.Claim(1, "c"); !errors.Is(err, api.ErrFenced) {
+		t.Fatalf("claim after owner renewed err = %v, want ErrFenced", err)
 	}
 }
 
+// TestLeaseStealAndStealBackStillFences: a lease claimed away and
+// claimed back is at epoch 3, and the first holder's epoch 1 stays
+// fenced.
 func TestLeaseStealAndStealBackStillFences(t *testing.T) {
 	tbl, clk := newTestTable(time.Second)
 	if _, err := tbl.Acquire(1, "a"); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(2 * time.Second)
-	if _, err := tbl.Steal(1, "b"); err != nil {
+	if _, _, err := tbl.Claim(1, "b"); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(2 * time.Second)
-	l, err := tbl.Steal(1, "a") // back to the original node…
+	_, l, err := tbl.Claim(1, "a") // back to the original node…
 	if err != nil || l.Epoch != 3 {
-		t.Fatalf("steal-back = %+v, %v", l, err)
+		t.Fatalf("claim back = %+v, %v", l, err)
 	}
 	// …but its old epoch is still fenced: only the new epoch passes.
 	if _, err := tbl.Check(1, "a", 1); !errors.Is(err, api.ErrFenced) {
-		t.Fatalf("old-epoch check after steal-back err = %v, want ErrFenced", err)
+		t.Fatalf("old-epoch check after claim back err = %v, want ErrFenced", err)
 	}
 	if _, err := tbl.Check(1, "a", 3); err != nil {
 		t.Fatalf("new-epoch check: %v", err)
@@ -148,16 +152,15 @@ func TestLeaseRevoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl.Revoke(1)
-	// The phantom steal fences the holder immediately, without expiry.
+	// The phantom claim fences the holder immediately, without expiry,
+	// and leaves the lease unowned…
 	if _, err := tbl.Check(1, "a", 1); !errors.Is(err, api.ErrFenced) {
 		t.Fatalf("check after revoke err = %v, want ErrFenced", err)
 	}
-	// A revoked lease is not the monitor's business (no owner to fail
-	// over from)…
-	if got := tbl.Expired(); len(got) != 0 {
-		t.Fatalf("revoked lease listed as expired: %v", got)
+	if l, ok := tbl.Lookup(1); !ok || l.Owner != "" || l.Epoch != 2 {
+		t.Fatalf("revoked lease = %+v, %v; want unowned at epoch 2", l, ok)
 	}
-	// …but anyone may acquire it, at a bumped epoch.
+	// …so anyone may acquire it, at a bumped epoch.
 	l, err := tbl.Acquire(1, "b")
 	if err != nil || l.Epoch != 3 {
 		t.Fatalf("acquire after revoke = %+v, %v (want epoch 3)", l, err)
@@ -209,7 +212,7 @@ func TestCellFencedAfterRelease(t *testing.T) {
 }
 
 // TestCellRenewVersusSteal races owners renewing through cached cells
-// against peers stealing on expiry, on a clock every operation moves.
+// against peers claiming on expiry, on a clock every operation moves.
 // For each epoch at most one owner's fence may ever pass.
 func TestCellRenewVersusSteal(t *testing.T) {
 	var clock atomic.Int64
@@ -227,15 +230,9 @@ func TestCellRenewVersusSteal(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				clock.Add(int64(time.Millisecond))
-				l, err := tbl.Steal(1, owner)
+				c, l, err := tbl.Claim(1, owner)
 				if err != nil {
-					if l, err = tbl.Acquire(1, owner); err != nil {
-						continue
-					}
-				}
-				c, l2, err := tbl.Claim(1, owner)
-				if err != nil || l2.Epoch != l.Epoch {
-					continue // lost it between the two calls
+					continue
 				}
 				for j := 0; j < 3; j++ {
 					clock.Add(int64(time.Millisecond))

@@ -95,6 +95,21 @@ const resolutionFloor = 80 * time.Nanosecond
 // wall length is at or below the resolution floor returns at once.
 func (c *Clock) Delays(d time.Duration) bool { return c.wall(d) > resolutionFloor }
 
+// paceFloor is the real pause Pace takes where Sleep would not wait.
+const paceFloor = time.Microsecond
+
+// Pace is Sleep for a loop that paces itself by the clock: where Sleep(d)
+// would return at once (!Delays(d)), Pace still parks for paceFloor of
+// wall time, so the loop never spins a CPU and, inside a synctest
+// bubble, lets virtual time advance. The per-call path keeps Sleep.
+func (c *Clock) Pace(d time.Duration) {
+	if c.Delays(d) {
+		c.Sleep(d)
+		return
+	}
+	time.Sleep(paceFloor)
+}
+
 // sleepWall delays for approximately w of wall time. A clock that does
 // not move across a yield is a bubble's, which moves only while every
 // goroutine is blocked, so the remainder is slept out instead of spun.

@@ -59,6 +59,27 @@ func TestClockSleepZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestClockPaceParks: where Sleep returns at once, Pace still waits
+// paceFloor of wall time; where Sleep waits, Pace is Sleep.
+func TestClockPaceParks(t *testing.T) {
+	c := NewClock(1e-7) // 250 ms model = 25 ns wall: below the floor
+	for _, d := range []time.Duration{0, 250 * time.Millisecond} {
+		if c.Delays(d) {
+			t.Fatalf("Delays(%v) at scale 1e-7, want false", d)
+		}
+		start := time.Now()
+		c.Pace(d)
+		if w := time.Since(start); w < paceFloor {
+			t.Errorf("Pace(%v) returned after %v of wall time, want >= %v", d, w, paceFloor)
+		}
+	}
+	before := c.Now()
+	c.Pace(2000 * time.Second) // 0.2 ms wall
+	if got := c.Now() - before; got < 2000*time.Second {
+		t.Errorf("model time advanced %v during a 2000 s pace, want >= 2000 s", got)
+	}
+}
+
 func TestClockAfter(t *testing.T) {
 	c := NewClock(1e-6)
 	select {
