@@ -195,6 +195,54 @@ func TestPublishedContextHasSpace(t *testing.T) {
 	}
 }
 
+// TestResumedContextHasSpace: a resumed context appears under its
+// session's ID in rt.ctxs only once the session's Space is set, so
+// whoever finds it there under rt.mu reads that Space without racing
+// the resume. Run under -race: the reader reads the Space of the context
+// it finds under the session's ID, and nothing but rt.mu orders that read
+// after the resume's write.
+func TestResumedContextHasSpace(t *testing.T) {
+	env, session := restartedWithOrphan(t, []byte{7})
+	rt := env.rt
+	seen, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for found := false; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.mu.Lock()
+			ctx := rt.ctxs[session]
+			var sp *memmgr.Space
+			if ctx != nil {
+				sp = ctx.space
+			}
+			rt.mu.Unlock()
+			if ctx != nil && sp == nil {
+				t.Errorf("session %d published without its Space", session)
+			}
+			if sp != nil {
+				_ = sp.Usage()
+				if !found {
+					found = true
+					close(seen)
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	c := env.client()
+	defer c.Close()
+	if err := c.Resume(session); err != nil {
+		t.Fatal(err)
+	}
+	<-seen
+	close(stop)
+	<-done
+}
+
 // stalledTeardowns is a memmgr.Observer that holds every context's
 // teardown in ContextReleased until it is closed.
 type stalledTeardowns chan struct{}

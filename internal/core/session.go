@@ -164,7 +164,6 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 	delete(rt.ctxs, ctx.id)
 	oldID := ctx.id
 	ctx.id = id
-	rt.ctxs[id] = ctx
 	if len(pending) > 0 {
 		// The kernels committed since the session's last checkpoint must
 		// re-run before their outputs are read; ensureBound and the
@@ -174,9 +173,14 @@ func (rt *Runtime) resume(ctx *Context, id int64) api.Error {
 	rt.mu.Unlock()
 	// Retire the empty pre-resume context from the memory manager (and
 	// through it the journal); the session takes the context's lane, and
-	// its page table is the one the replay log resolves in.
+	// its page table is the one the replay log resolves in. As in
+	// newContext, the context is published under the session's ID only
+	// once that Space is set, and SetLane runs with no rt.mu held.
 	rt.mm.ReleaseContext(oldID, nil)
 	ctx.space = rt.mm.SetLane(id, ctx.lane)
+	rt.mu.Lock()
+	rt.ctxs[id] = ctx
+	rt.mu.Unlock()
 	for _, call := range pending {
 		ctx.recordReplay(call)
 	}

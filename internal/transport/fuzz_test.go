@@ -68,7 +68,7 @@ func replyFrame(t testing.TB, seq uint64, r api.Reply) []byte {
 	t.Helper()
 	var out memConn
 	w := newWire(&out)
-	if err := w.sendReply(seq, r); err != nil {
+	if err := w.sendReply(seq, r, false); err != nil {
 		t.Fatalf("encode %+v: %v", r, err)
 	}
 	return out.out.Bytes()

@@ -24,7 +24,9 @@ func tcpServe(t testing.TB, h Handler) (c *tcpConn, served <-chan struct{}) {
 		if err != nil {
 			return
 		}
-		_ = Serve(sc, h)
+		if err := Serve(sc, h); err != nil {
+			t.Errorf("Serve: %v", err)
+		}
 	}()
 	conn, err := Dial(l.Addr())
 	if err != nil {

@@ -63,6 +63,9 @@ const (
 
 var le = binary.LittleEndian
 
+// noHeader is the room a frame's header takes before send fills it in.
+var noHeader [headerLen]byte
+
 // wire is the framing state of one end of a connection. It is used by
 // one goroutine at a time: calls are strictly sequential. Wires are
 // pooled: a connection takes one when it opens and its Close gives it
@@ -81,6 +84,10 @@ type wire struct {
 	wbuf []byte
 	iov  [2][]byte
 	vec  net.Buffers
+	// out is the length of the frames held at the front of wbuf: replies
+	// a serving side has not written yet (tcpServerConn.Reply). The next
+	// frame is assembled after them and leaves with them.
+	out int
 	// memo is the serving side's last decoded frames, next the slot the
 	// next miss overwrites.
 	memo [memoSize]memoEntry
@@ -118,7 +125,7 @@ func newWire(c net.Conn) *wire {
 // reference and drop it.
 func (w *wire) release() {
 	w.br.Reset(nil)
-	w.c, w.held, w.next = nil, 0, 0
+	w.c, w.held, w.out, w.next = nil, 0, 0, 0
 	for i := range w.memo {
 		w.memo[i] = memoEntry{body: w.memo[i].body[:0]}
 	}
@@ -130,28 +137,38 @@ func (w *wire) sendCall(seq uint64, call api.Call) error {
 	if kind == 0 {
 		return fmt.Errorf("%T has no wire form", call)
 	}
-	return w.send(buf, payload, kind, seq, parent)
+	return w.send(buf, payload, kind, seq, parent, false)
 }
 
-func (w *wire) sendReply(seq uint64, r api.Reply) error {
-	buf, payload := api.AppendReply(w.wbuf[:headerLen], r)
-	return w.send(buf, payload, api.KindReply, seq, 0)
+// sendReply sends r, after the replies held so far. With hold set, a
+// reply with no payload is held too, until a later frame or flush.
+func (w *wire) sendReply(seq uint64, r api.Reply, hold bool) error {
+	buf, payload := api.AppendReply(append(w.wbuf[:w.out], noHeader[:]...), r)
+	return w.send(buf, payload, api.KindReply, seq, 0, hold)
 }
 
-// send fills in the header at the front of buf and writes the frame.
-func (w *wire) send(buf, payload []byte, kind api.Kind, seq, parent uint64) error {
-	n := len(buf) - headerLen + len(payload)
+// send fills in the header of the frame at w.out in buf and writes buf —
+// the held frames with it — or, with hold set and no payload, holds it.
+func (w *wire) send(buf, payload []byte, kind api.Kind, seq, parent uint64, hold bool) error {
+	hdr := buf[w.out:]
+	n := len(hdr) - headerLen + len(payload)
 	if n > MaxFrame {
 		return fmt.Errorf("%d-byte frame exceeds the %d-byte cap", n, MaxFrame)
 	}
-	le.PutUint32(buf[0:], uint32(n))
-	buf[4] = wireVersion
-	buf[5] = byte(kind)
-	le.PutUint64(buf[6:], seq)
-	le.PutUint64(buf[14:], parent)
-	if cap(buf) <= keepWriteBuf {
+	le.PutUint32(hdr[0:], uint32(n))
+	hdr[4] = wireVersion
+	hdr[5] = byte(kind)
+	le.PutUint64(hdr[6:], seq)
+	le.PutUint64(hdr[14:], parent)
+	keep := cap(buf) <= keepWriteBuf
+	if keep {
 		w.wbuf = buf
 	}
+	if hold && keep && len(payload) == 0 {
+		w.out = len(buf)
+		return nil
+	}
+	w.out = 0
 	if len(payload) == 0 {
 		_, err := w.c.Write(buf)
 		return err
@@ -161,6 +178,27 @@ func (w *wire) send(buf, payload []byte, kind api.Kind, seq, parent uint64) erro
 	_, err := w.vec.WriteTo(w.c)
 	w.iov = [2][]byte{}
 	return err
+}
+
+// flush writes the frames held in wbuf.
+func (w *wire) flush() error {
+	if w.out == 0 {
+		return nil
+	}
+	_, err := w.c.Write(w.wbuf[:w.out])
+	w.out = 0
+	return err
+}
+
+// buffered reports whether the read buffer holds the whole frame after
+// the one read last: the next read will return it without waiting.
+func (w *wire) buffered() bool {
+	n, at := w.br.Buffered(), w.held+headerLen
+	if n < at {
+		return false
+	}
+	hdr, _ := w.br.Peek(at) // buffered bytes: cannot fail
+	return at+int(le.Uint32(hdr[w.held:])) <= n
 }
 
 // frame is a received frame's header and body.
@@ -431,6 +469,7 @@ func (t *tcpServerConn) Recv() (api.Call, error) {
 		t.lastSeq = f.seq
 		return call, nil
 	}
+	_ = t.w.flush() // the replies to the calls before this one
 	_ = t.c.Close()
 	t.drop()
 	if err == io.EOF {
@@ -439,20 +478,37 @@ func (t *tcpServerConn) Recv() (api.Call, error) {
 	return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 }
 
-// Reply answers the last call. If it cannot be sent the client would
-// wait forever, so the connection is closed.
+// Reply answers the last call. A Success reply with no payload is held
+// while the read buffer already holds the client's whole next call, and
+// leaves in one Write with the first reply that is not held. No client
+// waits on a held reply: a client that waits sends nothing meanwhile —
+// a Poster reads its owed replies only before it sends the next frame —
+// so the loop works through the calls already buffered and writes at
+// the last one. If a reply cannot be sent the client would wait
+// forever, so the connection is closed.
 func (t *tcpServerConn) Reply(r api.Reply) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.w == nil {
 		return ErrClosed
 	}
-	if err := t.w.sendReply(t.lastSeq, r); err != nil {
+	hold := r.Code == api.Success && t.w.buffered()
+	if err := t.w.sendReply(t.lastSeq, r, hold); err != nil {
 		_ = t.c.Close()
 		t.drop()
 		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	return nil
+}
+
+// flush writes the replies Reply held. Serve calls it before it closes
+// the connection.
+func (t *tcpServerConn) flush() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.w != nil {
+		_ = t.w.flush()
+	}
 }
 
 // Listener accepts runtime connections over TCP.

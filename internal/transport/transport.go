@@ -19,7 +19,9 @@
 // connection's next Call; the server cannot tell the difference. Serve
 // is the one server loop: the runtime supplies a Handler per
 // connection. Over a stream the connection's goroutine receives each
-// call, handles it and replies. Over a pipe the client's Call runs the
+// call, handles it and replies, holding a reply back while the client's
+// next call is already buffered, so a burst of posted calls is answered
+// in one write. Over a pipe the client's Call runs the
 // handler on the application's own goroutine, the first call too — no
 // hand-off, no park — while the connection's goroutine waits for the
 // connection to end; a pipe's per-call path touches nothing any other
@@ -78,7 +80,10 @@ type ServerConn interface {
 	// repeat of the same frame, and a pipe hands over the caller's own
 	// call, which the caller reuses once the reply is back.
 	Recv() (api.Call, error)
-	// Reply answers the call most recently returned by Recv.
+	// Reply answers the call most recently returned by Recv. Over a
+	// stream a reply may be held, unwritten, while the client's whole
+	// next call is already buffered; it is written with a later reply,
+	// before Recv would wait, or when Serve ends the connection.
 	Reply(api.Reply) error
 	// Close tears down the connection; a blocked client call observes
 	// an ErrConnectionClosed reply.
@@ -96,7 +101,9 @@ type Handler interface {
 
 // Serve answers the calls on sc with h until the connection ends, then
 // closes sc. Over a stream it is a Recv → Handle → Reply loop on the
-// calling goroutine. Over a pipe the client's Call runs Handle on the
+// calling goroutine; the replies Reply held go out before the close,
+// however the loop ends — an ending call, a malformed frame (Recv writes
+// them) or a handler panic. Over a pipe the client's Call runs Handle on the
 // client's own goroutine (a call made before Serve starts waits for it),
 // so a call costs no goroutine hand-off; Serve only parks until the
 // connection ends and no call is in flight, so the caller's teardown
@@ -108,7 +115,12 @@ func Serve(sc ServerConn, h Handler) (err error) {
 		(*pipe)(p).serve(h)
 		return nil
 	}
-	defer func() { _ = sc.Close() }()
+	defer func() {
+		if t, ok := sc.(*tcpServerConn); ok {
+			t.flush() // what Reply held, whether the loop ended or panicked
+		}
+		_ = sc.Close()
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("transport: handler panicked: %v", r)
