@@ -229,14 +229,6 @@ type SetAppIDCall struct{ AppID string }
 // session cap is already full fails the call with ErrQuotaExceeded.
 type SetTenantCall struct{ Tenant string }
 
-// SetDeadlineCall announces a quality-of-service deadline for this
-// application thread (§2: "Yet another scheduling policy may be adopted
-// in the presence of expected quality of service requirements (e.g.:
-// execution deadlines)"). Relative is the model time from now by which
-// the thread hopes to finish; the EarliestDeadlineFirst policy orders
-// the waiting list by it.
-type SetDeadlineCall struct{ Relative time.Duration }
-
 // GetSessionCall asks the runtime for this connection's session
 // identifier, which names the context's persisted state across a full
 // node restart (§4.6's BLCR-style capability).
@@ -299,7 +291,6 @@ func (SynchronizeCall) CallName() string       { return "cudaDeviceSynchronize" 
 func (RegisterNestedCall) CallName() string    { return "gvrtRegisterNested" }
 func (SetAppIDCall) CallName() string          { return "gvrtSetAppID" }
 func (SetTenantCall) CallName() string         { return "gvrtSetTenant" }
-func (SetDeadlineCall) CallName() string       { return "gvrtSetDeadline" }
 func (GetSessionCall) CallName() string        { return "gvrtGetSession" }
 func (ResumeCall) CallName() string            { return "gvrtResume" }
 func (CheckpointCall) CallName() string        { return "gvrtCheckpoint" }

@@ -72,9 +72,9 @@ const (
 	// deadline; the deadline guard tears the connection down, so no
 	// stale reply can ever satisfy a later call.
 	ErrDeadlineExceeded
-	// ErrOverloaded reports fast admission-control rejection: the node's
-	// projected queue exceeds its hard cap and no peer can absorb the
-	// load, so the connection is refused instead of queued forever.
+	// ErrOverloaded reports a connection refused while draining: the
+	// node is shutting down gracefully, so it answers every call of a
+	// new connection with this transient code instead of serving it.
 	ErrOverloaded
 	// ErrSessionClaimed reports a Resume of a persisted session that
 	// another connection already re-attached to: exactly one client wins
@@ -116,7 +116,7 @@ var errNames = map[Error]string{
 	ErrUnsupported:          "operation not supported under sharing",
 	ErrConnectionClosed:     "connection closed",
 	ErrDeadlineExceeded:     "call deadline exceeded",
-	ErrOverloaded:           "node overloaded, admission refused",
+	ErrOverloaded:           "node draining, connection refused",
 	ErrSessionClaimed:       "session already resumed by another connection",
 	ErrJournalFailure:       "durability journal write failed",
 	ErrFenced:               "session lease lost, write fenced",

@@ -133,7 +133,7 @@ type RuntimeStats struct {
 	BreakerTrips    int64 `json:"breaker_trips" metric:"counter Circuit-breaker trips on peer links."`
 	Readmissions    int64 `json:"readmissions" metric:"counter Offloaded connections readmitted locally."`
 	RetriesSpent    int64 `json:"retries_spent" metric:"counter Retry-budget tokens spent."`
-	Sheds           int64 `json:"sheds" metric:"counter Connections shed by admission control."`
+	Sheds           int64 `json:"sheds" metric:"counter Connections refused while draining."`
 	// GPUTimeNS is total modeled kernel execution time across all
 	// contexts — the node-level total the per-tenant GPUTimeNS figures
 	// are conserved against.

@@ -29,7 +29,10 @@ import (
 // constants: never renumber, only append.
 type Kind uint8
 
-// Call kinds, in the order calls.go declares the types.
+// Call kinds, in the order calls.go declares the types. Kind 15 is
+// reserved: it was the deleted deadline call's (gvrtSetDeadline), it is
+// never reassigned, and a frame of kind 15 decodes to ErrWire like any
+// unassigned kind.
 const (
 	KindRegisterFatBinary Kind = 1
 	KindMalloc            Kind = 2
@@ -45,7 +48,6 @@ const (
 	KindRegisterNested    Kind = 12
 	KindSetAppID          Kind = 13
 	KindSetTenant         Kind = 14
-	KindSetDeadline       Kind = 15
 	KindGetSession        Kind = 16
 	KindResume            Kind = 17
 	KindCheckpoint        Kind = 18
@@ -113,8 +115,6 @@ func KindOf(c Call) Kind {
 		return KindSetAppID
 	case *SetTenantCall:
 		return KindSetTenant
-	case *SetDeadlineCall:
-		return KindSetDeadline
 	case *GetSessionCall:
 		return KindGetSession
 	case *ResumeCall:
@@ -203,8 +203,6 @@ func AppendCall(dst []byte, c Call) (body, payload []byte, k Kind, parent uint64
 		dst = appendString(dst, c.AppID)
 	case *SetTenantCall:
 		dst = appendString(dst, c.Tenant)
-	case *SetDeadlineCall:
-		dst = le.AppendUint64(dst, uint64(c.Relative))
 	case *ResumeCall:
 		dst = le.AppendUint64(dst, uint64(c.ID))
 	case *MigrateCall:
@@ -299,8 +297,6 @@ func DecodeCall(k Kind, parent uint64, body []byte, own bool) (Call, error) {
 		c = &SetAppIDCall{AppID: r.str()}
 	case KindSetTenant:
 		c = &SetTenantCall{Tenant: r.str()}
-	case KindSetDeadline:
-		c = &SetDeadlineCall{Relative: time.Duration(r.u64())}
 	case KindGetSession:
 		c = &GetSessionCall{}
 	case KindResume:

@@ -51,7 +51,6 @@ var wireCalls = map[string][]Call{
 	"RegisterNestedCall": {RegisterNestedCall{Parent: 1, Members: []DevPtr{2, 3}, Offsets: []uint64{0, 8}}},
 	"SetAppIDCall":       {SetAppIDCall{AppID: "app-1"}},
 	"SetTenantCall":      {SetTenantCall{Tenant: "tenant-é"}},
-	"SetDeadlineCall":    {SetDeadlineCall{Relative: 90 * time.Second}},
 	"GetSessionCall":     {GetSessionCall{}},
 	"ResumeCall":         {ResumeCall{ID: 42}, ResumeCall{ID: -1}},
 	"CheckpointCall":     {CheckpointCall{}},
@@ -208,6 +207,9 @@ func TestWireDecodeRejects(t *testing.T) {
 	}{
 		{"kind 0", 0, 0, nil},
 		{"unassigned kind", KindStats + 1, 0, nil},
+		// Kind 15 is reserved, never reassigned (wire.go).
+		{"reserved kind 15", 15, 0, make([]byte, 8)},
+		{"span around reserved kind 15", KindSpan | 15, 7, make([]byte, 8)},
 		{"reply kind as a call", KindReply, 0, nil},
 		{"span around nothing", KindSpan, 7, nil},
 		{"span around an unassigned kind", KindSpan | KindReply, 7, nil},

@@ -283,9 +283,10 @@ func (n *Node) pingPeer() error {
 }
 
 // Dial opens a raw client connection to this node, routed through the
-// connection manager (HandleConn) so offloading and admission control
-// apply. Callers that need to wrap the conn (deadlines, observers)
-// before attaching a frontend use this; Connect is the common path.
+// connection manager (HandleConn) so offloading and the refusal of
+// connections while draining apply. Callers that need to wrap the conn
+// (deadlines, observers) before attaching a frontend use this; Connect
+// is the common path.
 func (n *Node) Dial() transport.Conn {
 	c, s := transport.Pipe()
 	n.wg.Add(1)
@@ -298,8 +299,9 @@ func (n *Node) Dial() transport.Conn {
 
 // Connect opens a gvrt client connection to this node, routed through
 // the connection manager so the offloading decision applies. The
-// client transparently retries transient failures (device re-bind,
-// load shed) under the node's shared retry budget.
+// client transparently retries transient failures (device re-bind, a
+// connection refused while draining) under the node's shared retry
+// budget.
 func (n *Node) Connect() (workload.CUDA, error) {
 	return frontend.Connect(n.Dial()).WithRetry(n.retrier), nil
 }

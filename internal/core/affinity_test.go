@@ -267,68 +267,3 @@ func TestMemcpyDDThroughAPI(t *testing.T) {
 		t.Error("oversized MemcpyDD should fail")
 	}
 }
-
-// TestEDFPolicyIntegration: a later-arriving waiter with a tight
-// deadline overtakes an earlier deadline-less one.
-func TestEDFPolicyIntegration(t *testing.T) {
-	env := newEnv(t, Config{VGPUsPerDevice: 1, Policy: sched.EarliestDeadlineFirst{}}, smallSpec(1<<20, 1))
-
-	hog := env.client()
-	if err := hog.RegisterFatBinary(testBinary()); err != nil {
-		t.Fatal(err)
-	}
-	ph, _ := hog.Malloc(64)
-	if err := hog.Launch(api.LaunchCall{Kernel: "inc", PtrArgs: []api.DevPtr{ph}, Scalars: []uint64{0}}); err != nil {
-		t.Fatal(err)
-	}
-
-	mkWaiter := func(deadline time.Duration) (chan error, *frontend.Client) {
-		c := env.client()
-		if err := c.RegisterFatBinary(testBinary()); err != nil {
-			t.Fatal(err)
-		}
-		if deadline > 0 {
-			if err := c.SetDeadline(deadline); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p, _ := c.Malloc(64)
-		ch := make(chan error, 1)
-		go func() {
-			ch <- c.Launch(api.LaunchCall{Kernel: "inc", PtrArgs: []api.DevPtr{p}, Scalars: []uint64{0}})
-		}()
-		return ch, c
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	laxDone, laxC := mkWaiter(0)
-	for env.rt.QueueDepth() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	urgentDone, urgentC := mkWaiter(2 * time.Second)
-	for env.rt.QueueDepth() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if env.rt.QueueDepth() != 2 {
-		t.Fatalf("QueueDepth = %d, want 2", env.rt.QueueDepth())
-	}
-
-	hog.Close()
-	select {
-	case err := <-urgentDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("urgent waiter never ran")
-	}
-	urgentC.Close()
-	defer laxC.Close()
-	select {
-	case err := <-laxDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("lax waiter never ran")
-	}
-}

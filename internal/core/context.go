@@ -126,7 +126,6 @@ type Context struct {
 	gpuTimeNS    atomic.Int64
 	nextKernelNS atomic.Int64
 	lastActiveNS atomic.Int64
-	deadlineNS   atomic.Int64
 }
 
 func (c *Context) gpuTime() time.Duration    { return time.Duration(c.gpuTimeNS.Load()) }
@@ -141,7 +140,6 @@ func (c *Context) waiterInfo() sched.Waiter {
 		NextKernelTime:  c.nextKernel(),
 		ConsumedGPUTime: c.gpuTime(),
 		MemDemand:       c.space.Usage(),
-		Deadline:        time.Duration(c.deadlineNS.Load()),
 	}
 }
 
@@ -410,16 +408,6 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 				}
 				return nil
 			}))}
-		}
-		return api.Reply{}
-
-	case *api.SetDeadlineCall:
-		// QoS hint (§2): record the absolute model-time deadline for
-		// deadline-aware waiting-list policies.
-		if c.Relative > 0 {
-			ctx.deadlineNS.Store(int64(rt.clock.Now() + c.Relative))
-		} else {
-			ctx.deadlineNS.Store(0)
 		}
 		return api.Reply{}
 

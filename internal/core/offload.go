@@ -41,9 +41,9 @@ func (rt *Runtime) peerAvailable() bool {
 	return rt.cfg.PeerAvailable == nil || rt.cfg.PeerAvailable()
 }
 
-// projectedQueue is the load signal shared by offloading and admission
-// control: the number of application threads beyond virtual-GPU
-// capacity once every admitted thread reaches its first kernel launch.
+// projectedQueue is the load signal offloading reads: the number of
+// application threads beyond virtual-GPU capacity once every admitted
+// thread reaches its first kernel launch.
 func (rt *Runtime) projectedQueue(admitted int) int {
 	vgpus := 0
 	for _, ds := range rt.deviceList() {
@@ -62,28 +62,14 @@ func (rt *Runtime) projectedQueue(admitted int) int {
 	return admitted - vgpus
 }
 
-// shouldShed reports whether admission control rejects this connection:
-// the projected queue exceeds the hard cap AND no peer can absorb the
-// load (none configured, or its breaker is open). With a healthy peer
-// the offload path handles the overflow instead.
-func (rt *Runtime) shouldShed(admitted int) bool {
-	if rt.cfg.AdmissionMaxQueue <= 0 {
-		return false
-	}
-	if rt.cfg.PeerDial != nil && rt.peerAvailable() {
-		return false
-	}
-	return rt.projectedQueue(admitted) > rt.cfg.AdmissionMaxQueue
-}
-
-// HandleConn is the connection-manager entry point: it either serves
-// the connection locally or proxies it to a peer node. Call it on its
-// own goroutine per accepted connection.
+// HandleConn is the connection-manager entry point: it serves the
+// connection locally, proxies it to a peer node, or, while the node
+// drains, refuses it (shed). Call it on its own goroutine per accepted
+// connection.
 func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 	if rt.draining.Load() {
-		// Graceful shutdown in progress: refuse new work fast (same
-		// ErrOverloaded protocol the shed path speaks) while in-flight
-		// sessions run to completion.
+		// Graceful shutdown in progress: refuse new work fast while
+		// in-flight sessions run to completion.
 		rt.sheds.Add(1)
 		rt.event(trace.KindShed, 0, 0, -1, "draining")
 		transport.Serve(sc, shed{})
@@ -107,21 +93,14 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 		}
 		rt.eventf(trace.KindNote, 0, -1, "offload dial failed (%v); serving locally", err)
 	}
-	if rt.shouldShed(admitted) {
-		rt.admitted.Add(-1)
-		rt.sheds.Add(1)
-		rt.event(trace.KindShed, 0, 0, -1, "")
-		transport.Serve(sc, shed{})
-		return
-	}
 	defer rt.admitted.Add(-1)
 	rt.Serve(sc)
 }
 
-// shed rejects a connection fast: every call is answered with
-// ErrOverloaded — a transient code retry layers understand — without
-// ever creating a context or touching the waiting list, until the
-// application gives up or exits.
+// shed refuses a connection while the node drains: every call is
+// answered with ErrOverloaded — a transient code retry layers
+// understand — without ever creating a context or touching the waiting
+// list, until the application gives up or exits.
 type shed struct{}
 
 func (shed) Handle(call api.Call) (api.Reply, bool) {

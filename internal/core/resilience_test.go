@@ -211,58 +211,54 @@ func TestDeviceReadmission(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlSheds covers bounded admission: with no peer to
-// absorb overflow and the projected queue over the hard cap, a new
-// connection is rejected fast with ErrOverloaded instead of queueing
-// without bound.
-func TestAdmissionControlSheds(t *testing.T) {
+// TestDrainShedsNewConnections: once the node drains, a connection
+// through HandleConn is refused fast. Every call but Exit is answered
+// with the transient ErrOverloaded, Exit ends the connection, and the
+// refusal is counted and traced once. A session opened before the drain
+// keeps running.
+func TestDrainShedsNewConnections(t *testing.T) {
 	rec := trace.NewRecorder(64)
-	env := newEnv(t, Config{
-		VGPUsPerDevice:    1,
-		AdmissionMaxQueue: 1,
-		Trace:             rec,
-	}, smallSpec(1<<20, 1))
-
-	// Two resident contexts: projected queue for the next arrival is 2,
-	// over the cap of 1.
-	c1, c2 := env.client(), env.client()
-	defer c1.Close()
-	defer c2.Close()
-	if _, err := c1.Malloc(64); err != nil {
+	env := newEnv(t, Config{Trace: rec}, smallSpec(1<<20, 1))
+	live := env.client()
+	defer live.Close()
+	if _, err := live.Malloc(64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Malloc(64); err != nil {
-		t.Fatal(err)
-	}
+	env.rt.BeginDrain()
 
 	pc, ps := transport.Pipe()
-	env.wg.Add(1)
+	defer pc.Close()
+	done := make(chan struct{})
 	go func() {
-		defer env.wg.Done()
+		defer close(done)
 		env.rt.HandleConn(ps)
 	}()
-	c3 := frontend.Connect(pc)
-	err := c3.RegisterFatBinary(testBinary())
-	if api.Code(err) != api.ErrOverloaded {
-		t.Fatalf("shed connection error = %v, want ErrOverloaded", err)
+	c := frontend.Connect(pc)
+	if err := c.RegisterFatBinary(testBinary()); api.Code(err) != api.ErrOverloaded {
+		t.Fatalf("call on a connection refused while draining = %v, want ErrOverloaded", err)
 	}
-	// Every further call keeps seeing the same transient code.
-	if _, err := c3.Malloc(16); api.Code(err) != api.ErrOverloaded {
-		t.Fatalf("second call on shed conn = %v, want ErrOverloaded", err)
+	if _, err := c.Malloc(16); api.Code(err) != api.ErrOverloaded {
+		t.Fatalf("second call on the refused connection = %v, want ErrOverloaded", err)
 	}
-	c3.Close()
+	if r, err := pc.Call(&api.ExitCall{}); err != nil || r.Code != api.Success {
+		t.Fatalf("Exit on the refused connection = %+v, %v", r, err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Exit did not end the refused connection")
+	}
 
+	if _, err := live.Malloc(64); err != nil {
+		t.Errorf("session opened before the drain: %v", err)
+	}
 	if got := env.rt.Metrics().Sheds; got != 1 {
 		t.Errorf("Sheds = %d, want 1", got)
 	}
 	if evs := rec.Filter(trace.KindShed); len(evs) != 1 {
 		t.Errorf("shed trace events = %d, want 1", len(evs))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for env.rt.admitted.Load() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if got := env.rt.admitted.Load(); got != 0 {
-		t.Errorf("admitted = %d after shed connection closed, want 0", got)
+		t.Errorf("admitted = %d after the refused connection, want 0", got)
 	}
 }

@@ -38,8 +38,10 @@ const (
 	// (§5.3.2: "four vGPUs per device provide a good compromise").
 	DefaultVGPUsPerDevice = 4
 	// DefaultCallOverhead models the per-call cost of interception,
-	// queuing and scheduling; calibrated so framework overhead lands
-	// around the paper's ≤10% worst case on short-running jobs.
+	// queuing and scheduling. It is a model constant, not a calibration:
+	// in virtual time (a synctest bubble) Fig 5's overhead column reads
+	// 0% at 8 vGPUs in every row, so the paper's ≤10% worst case does not
+	// test it (ROADMAP item 12).
 	DefaultCallOverhead = 100 * time.Microsecond
 	// DefaultBindBackoff is the pause before a context that could not
 	// obtain memory retries binding (§4.5: "the calling application
@@ -78,9 +80,6 @@ type Config struct {
 	// kernel call whose modeled duration is at least this long (§4.6:
 	// automatic checkpoints after long-running kernels).
 	AutoCheckpoint time.Duration
-	// HostMemory caps the swap area (0 = unlimited). The paper's node
-	// has 48 GB.
-	HostMemory uint64
 	// BindBackoff is the retry pause after a failed memory acquisition;
 	// 0 means DefaultBindBackoff.
 	BindBackoff time.Duration
@@ -102,12 +101,6 @@ type Config struct {
 	// it to the peer link's circuit breaker, so an open breaker stops
 	// the node from even dialing a partitioned peer.
 	PeerAvailable func() bool
-	// AdmissionMaxQueue is the admission-control hard cap: when the
-	// projected queue depth exceeds it and no peer can absorb the load
-	// (PeerAvailable is nil or false), new connections are rejected
-	// fast with ErrOverloaded instead of queueing forever. 0 disables
-	// admission control (the paper's unbounded behaviour).
-	AdmissionMaxQueue int
 	// OnEvent, when set, receives every runtime event synchronously at
 	// the transition that emits it, like Trace and Flight (gvrtd -v
 	// prints each one).
@@ -420,7 +413,7 @@ func New(crt *cudart.Runtime, cfg Config) (*Runtime, error) {
 		observed:   cfg.Trace != nil || cfg.Flight != nil || cfg.OnEvent != nil,
 		clock:      crt.Clock(),
 		crt:        crt,
-		mm:         memmgr.New(!cfg.WriteThrough, cfg.HostMemory),
+		mm:         memmgr.New(!cfg.WriteThrough, 0),
 		policy:     cfg.Policy,
 		ctxs:       make(map[int64]*Context),
 		orphans:    make(map[int64][]api.LaunchCall),

@@ -18,8 +18,9 @@ import (
 // runtime implements this interface (core.Runtime); tests substitute
 // fakes.
 type Hooks interface {
-	// ApplyQuota installs or updates a tenant's enforcement limits on
-	// the admission-control and memory-manager paths.
+	// ApplyQuota installs or updates a tenant's enforcement limits: its
+	// session cap where a session announces its tenant, and its byte cap
+	// on the memory-manager path.
 	ApplyQuota(tenant string, maxSessions int, hostBytes uint64) error
 	// RemoveQuota lifts a tenant's limits.
 	RemoveQuota(tenant string) error

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -137,7 +138,11 @@ func Fig5(o Options) (*Table, error) {
 		for _, tot := range totals {
 			row = append(row, secs(tot/time.Duration(o.runs())))
 		}
-		row = append(row, fmt.Sprintf("%.0f%%", 100*(float64(totals[len(totals)-1])/float64(totals[0])-1)))
+		over := math.Round(100 * (float64(totals[len(totals)-1])/float64(totals[0]) - 1))
+		if over == 0 {
+			over = 0 // a rounding-level negative prints 0%, not -0%
+		}
+		row = append(row, fmt.Sprintf("%.0f%%", over))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil

@@ -13,7 +13,6 @@ package frontend
 
 import (
 	"encoding/json"
-	"time"
 
 	"gvrt/internal/api"
 	"gvrt/internal/resilience"
@@ -235,15 +234,6 @@ func (c *Client) Stats() (api.RuntimeStats, error) {
 		return api.RuntimeStats{}, api.ErrInvalidValue
 	}
 	return out, nil
-}
-
-// SetDeadline declares a quality-of-service deadline: the thread hopes
-// to finish within d of model time. Deadline-aware policies
-// (EarliestDeadlineFirst) order the waiting list by it; other policies
-// ignore it. A non-positive d clears the deadline.
-func (c *Client) SetDeadline(d time.Duration) error {
-	_, err := c.call(&api.SetDeadlineCall{Relative: d})
-	return err
 }
 
 // SessionID returns the identifier under which the node's journal keeps

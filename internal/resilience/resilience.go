@@ -11,8 +11,8 @@
 //
 // The primitives are deliberately small and free of runtime knowledge;
 // transport wires the deadline guard, cluster wires the breaker around
-// its peer link, core wires admission control and device re-admission,
-// and the frontend wires transparent retries.
+// its peer link, core wires device re-admission and refuses connections
+// while draining, and the frontend wires transparent retries.
 package resilience
 
 import (

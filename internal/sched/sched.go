@@ -45,9 +45,6 @@ type Waiter struct {
 	ConsumedGPUTime time.Duration
 	// MemDemand is the context's current memory footprint in bytes.
 	MemDemand uint64
-	// Deadline is the context's absolute QoS deadline in model time
-	// (0 = none declared).
-	Deadline time.Duration
 }
 
 // Policy is a dispatcher scheduling policy. Implementations must be
@@ -168,45 +165,6 @@ func (CreditBased) PickWaiter(waiters []Waiter) int {
 		b := waiters[best]
 		if w.ConsumedGPUTime < b.ConsumedGPUTime ||
 			(w.ConsumedGPUTime == b.ConsumedGPUTime && w.Arrived < b.Arrived) {
-			best = i
-		}
-	}
-	return best
-}
-
-// EarliestDeadlineFirst serves the waiting context whose declared QoS
-// deadline expires soonest — the §2 policy for workloads with execution
-// deadlines. Contexts without a deadline queue behind those with one,
-// in arrival order.
-type EarliestDeadlineFirst struct{}
-
-// Name implements Policy.
-func (EarliestDeadlineFirst) Name() string { return "edf" }
-
-// PickDevice implements Policy.
-func (EarliestDeadlineFirst) PickDevice(w Waiter, devs []DeviceLoad) int {
-	return pickDeviceBalanced(w, devs)
-}
-
-// PickWaiter implements Policy.
-func (EarliestDeadlineFirst) PickWaiter(waiters []Waiter) int {
-	best := 0
-	better := func(a, b Waiter) bool {
-		switch {
-		case a.Deadline == 0 && b.Deadline == 0:
-			return a.Arrived < b.Arrived
-		case a.Deadline == 0:
-			return false
-		case b.Deadline == 0:
-			return true
-		case a.Deadline != b.Deadline:
-			return a.Deadline < b.Deadline
-		default:
-			return a.Arrived < b.Arrived
-		}
-	}
-	for i, w := range waiters {
-		if better(w, waiters[best]) {
 			best = i
 		}
 	}

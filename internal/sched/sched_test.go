@@ -86,30 +86,3 @@ func TestPolicyNames(t *testing.T) {
 		}
 	}
 }
-
-func TestEDFPickWaiter(t *testing.T) {
-	ws := []Waiter{
-		{CtxID: 1, Arrived: 1, Deadline: 0},                // no deadline
-		{CtxID: 2, Arrived: 2, Deadline: 50 * time.Second}, // loose
-		{CtxID: 3, Arrived: 3, Deadline: 10 * time.Second}, // tight
-	}
-	if got := (EarliestDeadlineFirst{}).PickWaiter(ws); got != 2 {
-		t.Errorf("EDF picked index %d, want 2 (tightest deadline)", got)
-	}
-	// Without deadlines it degenerates to FCFS.
-	plain := []Waiter{{CtxID: 1, Arrived: 5}, {CtxID: 2, Arrived: 2}}
-	if got := (EarliestDeadlineFirst{}).PickWaiter(plain); got != 1 {
-		t.Errorf("EDF without deadlines picked %d, want 1 (FCFS)", got)
-	}
-	// Deadline holders always beat deadline-less waiters.
-	mixed := []Waiter{{CtxID: 1, Arrived: 1}, {CtxID: 2, Arrived: 9, Deadline: time.Hour}}
-	if got := (EarliestDeadlineFirst{}).PickWaiter(mixed); got != 1 {
-		t.Errorf("EDF picked %d, want 1 (the deadline holder)", got)
-	}
-	if (EarliestDeadlineFirst{}).Name() != "edf" {
-		t.Error("name")
-	}
-	if (EarliestDeadlineFirst{}).PickDevice(Waiter{}, []DeviceLoad{{Index: 0, MemAvailable: 1}}) != 0 {
-		t.Error("PickDevice broken")
-	}
-}

@@ -39,7 +39,7 @@ const (
 	KindRecovery
 	// KindOffload is a connection redirected to a peer node.
 	KindOffload
-	// KindShed is a connection rejected by admission control.
+	// KindShed is a connection refused while draining.
 	KindShed
 	// KindBreakerTrip is a peer-link circuit breaker opening.
 	KindBreakerTrip
