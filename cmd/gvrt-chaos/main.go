@@ -221,8 +221,7 @@ func main() {
 	fmt.Printf("calls=%d binds=%d swaps=%d/%d migrations=%d failures=%d recoveries=%d replays=%d\n",
 		m.CallsServed, m.Binds, m.InterAppSwaps, m.IntraAppSwaps,
 		m.Migrations, m.DeviceFailures, m.Recoveries, m.Replays)
-	fmt.Printf("readmissions=%d breaker-trips=%d retries=%d sheds=%d\n",
-		m.Readmissions, m.BreakerTrips, m.RetriesSpent, m.Sheds)
+	fmt.Printf("readmissions=%d sheds=%d\n", m.Readmissions, m.Sheds)
 	events := rec.Snapshot()
 	if n := len(events); n > *traceN {
 		events = events[n-*traceN:]

@@ -82,7 +82,7 @@ func main() {
 		nodeName  = flag.String("node", "", "node name registered in the control-plane store (default the listen address)")
 		httpAddr  = flag.String("http", "", "HTTP operator plane address (/metrics, /statusz, /tracez, /trace.json, /debug/pprof); empty = off")
 		traceCap  = flag.Int("trace-buffer", 4096, "events/spans retained for the operator plane's trace views")
-		flightDir = flag.String("flight", "", "flight-recorder directory: the node's black-box ring is dumped here on panics, fence/breaker storms and armed crash points; empty = off")
+		flightDir = flag.String("flight", "", "flight-recorder directory: the node's black-box ring is dumped here on panics, fence storms and armed crash points; empty = off")
 		flightInt = flag.Duration("flight-interval", 30*time.Second, "background flight-recorder flush interval, so even a SIGKILL'd node leaves a dump at most this old")
 		fleet     = flag.String("fleet", "", "comma-separated name=addr peer daemons to aggregate under /metrics?scope=cluster and /cluster")
 		sloTick   = flag.Duration("slo-interval", 2*time.Second, "SLO burn-rate evaluation interval (wall time; needs -store for the declared objectives)")

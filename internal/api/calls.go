@@ -245,9 +245,8 @@ type ResumeCall struct{ ID int64 }
 type CheckpointCall struct{}
 
 // PingCall is the cheapest possible round trip: it touches no context
-// or device state. The cluster layer's half-open circuit-breaker probe
-// uses it to test whether a partitioned peer link has healed without
-// committing real work to a possibly-still-dead peer.
+// or device state. No binary sends it; the transport tests use it as
+// the smallest call a connection can carry.
 type PingCall struct{}
 
 // MigrateCall asks the runtime to migrate this connection's session to

@@ -74,7 +74,9 @@ const (
 	ErrDeadlineExceeded
 	// ErrOverloaded reports a connection refused while draining: the
 	// node is shutting down gracefully, so it answers every call of a
-	// new connection with this transient code instead of serving it.
+	// new connection with this code instead of serving it; the
+	// application may connect again, to this node once it is back or
+	// to another.
 	ErrOverloaded
 	// ErrSessionClaimed reports a Resume of a persisted session that
 	// another connection already re-attached to: exactly one client wins

@@ -130,9 +130,7 @@ type RuntimeStats struct {
 	DeviceFailures  int64 `json:"device_failures" metric:"counter Device failures observed."`
 	Offloaded       int64 `json:"offloaded" metric:"counter Connections offloaded to a peer node."`
 	UnbindRetries   int64 `json:"unbind_retries" metric:"counter Unbind attempts retried."`
-	BreakerTrips    int64 `json:"breaker_trips" metric:"counter Circuit-breaker trips on peer links."`
-	Readmissions    int64 `json:"readmissions" metric:"counter Offloaded connections readmitted locally."`
-	RetriesSpent    int64 `json:"retries_spent" metric:"counter Retry-budget tokens spent."`
+	Readmissions    int64 `json:"readmissions" metric:"counter Failed devices re-admitted to service."`
 	Sheds           int64 `json:"sheds" metric:"counter Connections refused while draining."`
 	// GPUTimeNS is total modeled kernel execution time across all
 	// contexts — the node-level total the per-tenant GPUTimeNS figures

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"gvrt/internal/core"
 	"gvrt/internal/faultinject"
 	"gvrt/internal/frontend"
-	"gvrt/internal/resilience"
 	"gvrt/internal/trace"
 	"gvrt/internal/transport"
 )
@@ -67,13 +67,14 @@ func resJob(b *Node, seed byte) error {
 	return nil
 }
 
-// TestPartitionAndHealSelfHeals is the resilience layer's acceptance
-// test: a seeded fault plan partitions the overloaded node's peer link
-// mid-offload AND kills its only device; application threads keep
-// hammering the node throughout. Then both faults clear — the breaker
-// must re-close off a half-open probe, the device must be re-admitted
-// with a device-level recovery event, and every application thread must
-// finish with verified data, with no call outliving its deadline.
+// TestPartitionAndHealSelfHeals: a seeded fault plan partitions the
+// overloaded node's peer link mid-offload AND kills its only device;
+// application threads keep hammering the node throughout, and the
+// arrivals it would offload are served locally instead. Then both
+// faults clear: every application thread must finish with verified
+// data, with no call outliving its deadline; the device must be
+// re-admitted with a device-level recovery event; and the healed link
+// must carry offloads again from the next dial on.
 func TestPartitionAndHealSelfHeals(t *testing.T) {
 	plan := faultinject.Plan{
 		Name: "partition-and-heal",
@@ -87,17 +88,21 @@ func TestPartitionAndHealSelfHeals(t *testing.T) {
 	}
 	plane := faultinject.New(plan)
 	rec := trace.NewRecorder(1024)
+	var refusedDials atomic.Int32
 	cfgA := core.Config{CallOverhead: -1, VGPUsPerDevice: 1}
 	cfgB := core.Config{CallOverhead: -1, VGPUsPerDevice: 1, OffloadThreshold: 2,
-		Faults: plane, Trace: rec}
+		Faults: plane, Trace: rec, OnEvent: func(e trace.Event) {
+			if e.Kind == trace.KindNote && strings.HasPrefix(e.Detail, "offload dial failed") {
+				refusedDials.Add(1)
+			}
+		}}
 	_, _, b, _ := newTestCluster(t, cfgA, cfgB)
 
 	// Application threads: keep issuing data-checked roundtrips (feeding
 	// the offload path, the link and the device) until the cluster has
-	// healed AND their latest roundtrip verified clean. Failures during
-	// the outage are retried by reconnecting — the connection-level
-	// resilience contract: a thread never hangs, so it can always try
-	// again.
+	// healed AND their latest roundtrip verified clean. A failure during
+	// the outage reaches the thread as its code, and the thread tries
+	// again on a new connection: no call hangs, so it always can.
 	const jobs = 10
 	healed := make(chan struct{})
 	var unfinished atomic.Int32
@@ -124,19 +129,18 @@ func TestPartitionAndHealSelfHeals(t *testing.T) {
 		}(j)
 	}
 
-	// Phase 1: both faults fire under load.
+	// Phase 1: both faults fire under load, and the partitioned link
+	// refuses an offload dial, so that arrival is served locally.
 	link := plane.Hook(faultinject.PointClusterLink, "node-b")
 	dev := b.CRT.Device(0)
 	waitFor(t, deadline, "link partition and device failure", func() bool {
 		return link.Down() && dev.Failed()
 	})
-	// Phase 2: the breaker trips open — offload attempts and dead
-	// proxied calls supply the consecutive failures.
-	waitFor(t, deadline, "breaker trip", func() bool {
-		return b.Breaker().State() != resilience.BreakerClosed
+	waitFor(t, deadline, "an offload dial refused by the partition", func() bool {
+		return refusedDials.Load() > 0
 	})
 
-	// Phase 3: both faults clear (partition heals, operator restores the
+	// Phase 2: both faults clear (partition heals, operator restores the
 	// device).
 	link.Heal()
 	dev.Restore()
@@ -154,20 +158,8 @@ func TestPartitionAndHealSelfHeals(t *testing.T) {
 		t.Fatalf("%d/%d application threads never finished a verified roundtrip after heal", n, jobs)
 	}
 
-	// Phase 4: the self-healing evidence. The breaker re-closed off a
-	// half-open probe...
-	waitFor(t, time.Now().Add(15*time.Second), "breaker re-close", func() bool {
-		return b.Breaker().State() == resilience.BreakerClosed
-	})
-	if b.Breaker().Trips() == 0 {
-		t.Error("breaker never tripped; the test exercised nothing")
-	}
-	m := b.RT.Metrics()
-	if m.BreakerTrips == 0 {
-		t.Errorf("BreakerTrips metric = 0, want > 0")
-	}
-	// ...and the device was re-admitted, with the device-level recovery
-	// event.
+	// Phase 3: the device was re-admitted, with the device-level
+	// recovery event...
 	waitFor(t, time.Now().Add(15*time.Second), "device re-admission", func() bool {
 		return b.RT.Metrics().Readmissions > 0
 	})
@@ -180,14 +172,42 @@ func TestPartitionAndHealSelfHeals(t *testing.T) {
 	if !found {
 		t.Error("no device-level recovery event in node B's trace")
 	}
-	if evs := rec.Filter(trace.KindBreakerTrip); len(evs) == 0 {
-		t.Error("no breaker-trip event in node B's trace")
+
+	// ...and the healed link carries offloads again. Two ballast
+	// sessions, the first holding B's only vGPU, put B over its
+	// threshold, so the next arrival goes to the peer and verifies
+	// there.
+	waitFor(t, time.Now().Add(15*time.Second), "node B's job contexts torn down", func() bool {
+		return b.RT.Metrics().LiveContexts == 0
+	})
+	before := b.RT.Metrics().Offloaded
+	for k := 0; k < 2; k++ {
+		ballast := frontend.Connect(b.Dial())
+		defer ballast.Close()
+		ok(t, ballast.RegisterFatBinary(api.FatBinary{
+			ID:      resBinID,
+			Kernels: []api.KernelMeta{{Name: "inc", BaseTime: time.Millisecond}},
+		}))
+		p, err := ballast.Malloc(1 << 12)
+		ok(t, err)
+		if k == 0 {
+			ok(t, ballast.Launch(api.LaunchCall{Kernel: "inc", PtrArgs: []api.DevPtr{p}, Scalars: []uint64{4}}))
+		}
 	}
-	if evs := rec.Filter(trace.KindBreakerHeal); len(evs) == 0 {
-		t.Error("no breaker-heal event in node B's trace")
+	if off := b.RT.Metrics().Offloaded; off != before {
+		t.Fatalf("a ballast session was offloaded (%d -> %d); node B was not idle", before, off)
 	}
-	t.Logf("self-heal: trips=%d readmissions=%d retries=%d offloaded=%d sheds=%d",
-		m.BreakerTrips, b.RT.Metrics().Readmissions, m.RetriesSpent, m.Offloaded, m.Sheds)
+	err := resJob(b, 42)
+	m := b.RT.Metrics()
+	if m.Offloaded != before+1 {
+		t.Fatalf("Offloaded = %d after heal, want %d: the healed link took no offload (roundtrip: %v)",
+			m.Offloaded, before+1, err)
+	}
+	if err != nil {
+		t.Fatalf("roundtrip over the healed link: %v", err)
+	}
+	t.Logf("self-heal: refused dials=%d readmissions=%d offloaded=%d sheds=%d",
+		refusedDials.Load(), m.Readmissions, m.Offloaded, m.Sheds)
 }
 
 // waitFor polls cond until it holds or the wall deadline passes.

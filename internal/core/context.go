@@ -460,8 +460,8 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		return api.Reply{Code: api.Code(err), Count: n}
 
 	case *api.PingCall:
-		// Liveness probe (the breaker's half-open test): deliberately
-		// touches no context or device state.
+		// The cheapest round trip: deliberately touches no context or
+		// device state.
 		return api.Reply{}
 
 	case *api.ExitCall:

@@ -25,20 +25,7 @@ func (rt *Runtime) shouldOffload(admitted int) bool {
 	if rt.cfg.PeerDial == nil || rt.cfg.OffloadThreshold <= 0 {
 		return false
 	}
-	// Circuit-broken peer: while the link's breaker is open, do not even
-	// attempt the dial — the connection is served locally at once
-	// instead of paying a doomed round trip per arrival.
-	if !rt.peerAvailable() {
-		return false
-	}
 	return rt.projectedQueue(admitted) >= rt.cfg.OffloadThreshold
-}
-
-// peerAvailable consults the cluster layer's link gate (nil means
-// always available, preserving the pre-breaker behaviour for direct
-// PeerDial users).
-func (rt *Runtime) peerAvailable() bool {
-	return rt.cfg.PeerAvailable == nil || rt.cfg.PeerAvailable()
 }
 
 // projectedQueue is the load signal offloading reads: the number of
@@ -98,9 +85,8 @@ func (rt *Runtime) HandleConn(sc transport.ServerConn) {
 }
 
 // shed refuses a connection while the node drains: every call is
-// answered with ErrOverloaded — a transient code retry layers
-// understand — without ever creating a context or touching the waiting
-// list, until the application gives up or exits.
+// answered with ErrOverloaded, without ever creating a context or
+// touching the waiting list, until the application gives up or exits.
 type shed struct{}
 
 func (shed) Handle(call api.Call) (api.Reply, bool) {

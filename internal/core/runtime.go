@@ -96,11 +96,6 @@ type Config struct {
 	// OffloadThreshold is the pending/waiting queue length above which
 	// new connections are offloaded; 0 disables offloading.
 	OffloadThreshold int
-	// PeerAvailable, when set, gates offloading: shouldOffload only
-	// attempts the peer while it returns true. The cluster layer wires
-	// it to the peer link's circuit breaker, so an open breaker stops
-	// the node from even dialing a partitioned peer.
-	PeerAvailable func() bool
 	// OnEvent, when set, receives every runtime event synchronously at
 	// the transition that emits it, like Trace and Flight (gvrtd -v
 	// prints each one).
@@ -110,8 +105,8 @@ type Config struct {
 	// ring for tests and operators.
 	Trace *trace.Recorder
 	// Flight, when set, is the node's black-box crash recorder: every
-	// runtime event is also noted in its bounded ring, and fence or
-	// breaker storms trigger an automatic dump. Events are state
+	// runtime event is also noted in its bounded ring, and fence
+	// storms trigger an automatic dump. Events are state
 	// transitions (binds and swaps included), never one per call.
 	Flight *obs.FlightRecorder
 	// Faults, when set, arms the deterministic fault plane: devices, the
@@ -373,9 +368,7 @@ type Runtime struct {
 	offloaded      atomic.Int64
 	unbindRetries  atomic.Int64
 	admitted       atomic.Int64
-	breakerTrips   atomic.Int64
 	readmissions   atomic.Int64
-	retriesSpent   atomic.Int64
 	sheds          atomic.Int64
 
 	migStarted      atomic.Int64
@@ -584,9 +577,7 @@ func (rt *Runtime) Metrics() Metrics {
 		DeviceFailures: rt.deviceFailures.Load(),
 		Offloaded:      rt.offloaded.Load(),
 		UnbindRetries:  rt.unbindRetries.Load(),
-		BreakerTrips:   rt.breakerTrips.Load(),
 		Readmissions:   rt.readmissions.Load(),
-		RetriesSpent:   rt.retriesSpent.Load(),
 		Sheds:          rt.sheds.Load(),
 		GPUTimeNS:      rt.gpuTimeNS.Load(),
 		QueueDepth:     depth,
@@ -638,24 +629,6 @@ func (rt *Runtime) QueueDepth() int {
 	defer rt.mu.Unlock()
 	return len(rt.waiting)
 }
-
-// NoteBreakerTrip records a peer-link circuit breaker opening; the
-// cluster layer wires its breaker's trip callback here so breaker
-// activity shows up in this node's stats and trace.
-func (rt *Runtime) NoteBreakerTrip(link string) {
-	rt.breakerTrips.Add(1)
-	rt.event(trace.KindBreakerTrip, 0, 0, -1, link)
-}
-
-// NoteBreakerHeal records a breaker re-closing after its half-open
-// probe succeeded.
-func (rt *Runtime) NoteBreakerHeal(link string) {
-	rt.event(trace.KindBreakerHeal, 0, 0, -1, link)
-}
-
-// NoteRetrySpent records one transparent frontend retry; the cluster
-// layer wires its shared retrier's hook here.
-func (rt *Runtime) NoteRetrySpent() { rt.retriesSpent.Add(1) }
 
 // TenantAttribution returns the per-tenant attribution snapshot
 // (internal/obs): what each tenant's sessions consumed on this node.

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 
 	"gvrt/internal/api"
-	"gvrt/internal/resilience"
 	"gvrt/internal/transport"
 )
 
@@ -33,7 +32,6 @@ type DevPtr2 struct {
 type Client struct {
 	conn   transport.Conn
 	closed bool
-	retry  *resilience.Retrier
 	// The steady-state calls, one reusable value per kind: a call goes
 	// out as its address, which boxes into api.Call without allocating.
 	// A slice field is cleared once the call returns, so the client never
@@ -50,42 +48,16 @@ func Connect(conn transport.Conn) *Client {
 	return &Client{conn: conn}
 }
 
-// WithRetry arms transparent retries: calls failing with a transient
-// code that leaves the connection intact (device unavailable, no
-// device, overloaded) are re-issued under r's backoff and budget, so
-// the application rides through a device re-bind or a load spike
-// without seeing the error. r may be shared across clients — the
-// retry budget is then the node-wide amplification cap. Returns c.
-func (c *Client) WithRetry(r *resilience.Retrier) *Client {
-	c.retry = r
-	return c
-}
-
 // call performs one RPC and folds transport errors into CUDA codes.
 func (c *Client) call(call api.Call) (api.Reply, error) {
 	if c.closed {
 		return api.Reply{}, api.ErrConnectionClosed
 	}
-	if c.retry == nil {
-		r, err := c.conn.Call(call)
-		if err != nil {
-			return api.Reply{}, api.ErrConnectionClosed
-		}
-		return r, r.Code.Err()
+	r, err := c.conn.Call(call)
+	if err != nil {
+		return api.Reply{}, api.ErrConnectionClosed
 	}
-	var r api.Reply
-	err := c.retry.Do(func() error {
-		var cerr error
-		r, cerr = c.conn.Call(call)
-		if cerr != nil {
-			r = api.Reply{}
-			// Fold transport errors exactly like the no-retry path; the
-			// classifier treats a dead conn as non-retryable here.
-			return api.ErrConnectionClosed
-		}
-		return r.Code.Err()
-	})
-	return r, err
+	return r, r.Code.Err()
 }
 
 // RegisterFatBinary mirrors the __cudaRegisterFatBinary sequence the

@@ -16,8 +16,7 @@ import (
 )
 
 // FlightRecord is one entry in the black-box ring: a state transition,
-// breaker/fence/lease event, span, or crash-point arm the node saw
-// recently.
+// fence/lease event, span, or crash-point arm the node saw recently.
 type FlightRecord struct {
 	Seq    uint64        `json:"seq"`
 	Wall   time.Time     `json:"wall"`
@@ -50,15 +49,15 @@ const FlightSchema = "gvrt-flight/v1"
 
 // FlightRecorder is a bounded per-node black box. Note appends to a
 // trace.Ring — it is fed state transitions (binds, swaps, fence
-// rejections, breaker trips, crash points), never one record per
-// call. Dump writes the ring atomically (temp file + rename) and dumps
-// run one at a time, so a dump racing a SIGKILL or another dump is
-// either complete or absent, never torn.
+// rejections, crash points), never one record per call. Dump writes
+// the ring atomically (temp file + rename) and dumps run one at a
+// time, so a dump racing a SIGKILL or another dump is either complete
+// or absent, never torn.
 //
 // Dumps trigger on: armed faultinject crash points (WrapCrash), fence
-// or breaker storms (>= stormThreshold events inside stormWindow), an
-// explicit Dump call (panic handlers), and — so an external SIGKILL
-// still leaves evidence — a periodic background flush (Run).
+// storms (>= stormThreshold events inside stormWindow), an explicit
+// Dump call (panic handlers), and — so an external SIGKILL still
+// leaves evidence — a periodic background flush (Run).
 type FlightRecorder struct {
 	node string
 	path string
@@ -115,9 +114,9 @@ func (f *FlightRecorder) Path() string { return f.path }
 func (f *FlightRecorder) Dumps() int64 { return f.dumps.Load() }
 
 // Note appends a record of an event the emitter stamped at model time
-// model to the ring. kind "fence" and "breaker-trip" contribute to
-// storm detection: a threshold crossing inside the storm window
-// triggers an asynchronous dump (at most once per window).
+// model to the ring. kind "fence" contributes to storm detection: a
+// threshold crossing inside the storm window triggers an asynchronous
+// dump (at most once per window).
 func (f *FlightRecorder) Note(model time.Duration, kind string, ctx int64, device int, detail string) {
 	if f == nil {
 		return
@@ -127,7 +126,7 @@ func (f *FlightRecorder) Note(model time.Duration, kind string, ctx int64, devic
 	f.mu.Lock()
 	f.recs.Put(rec)
 	storm := false
-	if kind == "fence" || kind == "breaker-trip" {
+	if kind == "fence" {
 		cut := now.Add(-f.stormWindow)
 		times := f.stormTimes[:0]
 		for _, t := range f.stormTimes {

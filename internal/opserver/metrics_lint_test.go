@@ -164,9 +164,7 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_device_failures_total":      true,
 	"gvrt_offloaded_total":            true,
 	"gvrt_unbind_retries_total":       true,
-	"gvrt_breaker_trips_total":        true,
 	"gvrt_readmissions_total":         true,
-	"gvrt_retries_spent_total":        true,
 	"gvrt_sheds_total":                true,
 	"gvrt_gpu_seconds_total":          true,
 	// Node gauges.

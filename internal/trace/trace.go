@@ -41,10 +41,6 @@ const (
 	KindOffload
 	// KindShed is a connection refused while draining.
 	KindShed
-	// KindBreakerTrip is a peer-link circuit breaker opening.
-	KindBreakerTrip
-	// KindBreakerHeal is a breaker re-closing after a half-open probe.
-	KindBreakerHeal
 	// KindExit is an application-thread exit.
 	KindExit
 	// KindFence is a mutating call rejected because the session's lease
@@ -76,8 +72,6 @@ var kindNames = [...]string{
 	KindRecovery:       "recovery",
 	KindOffload:        "offload",
 	KindShed:           "shed",
-	KindBreakerTrip:    "breaker-trip",
-	KindBreakerHeal:    "breaker-heal",
 	KindExit:           "exit",
 	KindFence:          "fence",
 	KindCrossMigration: "cross-migration",

@@ -7,10 +7,10 @@ import (
 	"gvrt/internal/sim"
 )
 
-// This file implements the deadline guard of the resilience layer: a
-// connection wrapper that bounds every synchronous operation against
-// the model clock, so no call can hang past its deadline no matter what
-// the other side (a partitioned peer, a wedged dispatcher) does.
+// This file implements the call deadline guard: a connection wrapper
+// that bounds every synchronous operation against the model clock, so
+// no call can hang past its deadline no matter what the other side (a
+// partitioned peer, a wedged dispatcher) does.
 //
 // The transport is strictly synchronous — one call, one reply, in
 // order. A wrapper that merely returned early on timeout would leave
