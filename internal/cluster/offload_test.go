@@ -19,46 +19,49 @@ import (
 // tears the context down, and every later call returns
 // ErrConnectionClosed, never Success.
 func TestOffloadDeferredFailure(t *testing.T) {
-	dial, peerDone := tcpPeer(t)
-	node, err := NewNode("node", sim.NewClock(1e-9), []gpu.Spec{gpu.TeslaC2050},
-		core.Config{VGPUsPerDevice: 1, OffloadThreshold: 1, PeerDial: dial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	ballast := frontend.Connect(node.Dial())
-	defer ballast.Close()
-	b, err := ballast.Malloc(4096)
-	ok(t, err)
-	ok(t, ballast.RegisterFatBinary(sessionBinary))
-	ok(t, ballast.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{b}}))
-
-	c := frontend.Connect(node.Dial())
-	defer c.Close()
-	ok(t, c.RegisterFatBinary(sessionBinary))
-	p, err := c.Malloc(4096)
-	ok(t, err)
-	ok(t, c.Free(p))
-	ok(t, c.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}))
-	if off := node.RT.Metrics().Offloaded; off != 1 {
-		t.Fatalf("%d sessions offloaded, want 1", off)
-	}
-	if _, err := c.Malloc(4096); api.Code(err) != api.ErrInvalidDevicePointer {
-		t.Fatalf("call after the posted launch = %v, want its ErrInvalidDevicePointer", err)
-	}
-	select {
-	case <-peerDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("peer still holds the session's context 10s after the failure")
-	}
-	for name, call := range map[string]func() error{
-		"malloc": func() error { _, err := c.Malloc(4096); return err },
-		"launch": func() error { return c.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}) },
-		"copy":   func() error { return c.MemcpyHDSynthetic(p, 64) },
-		"read":   func() error { _, err := c.MemcpyDH(p, 64); return err },
-	} {
-		if err := call(); api.Code(err) != api.ErrConnectionClosed {
-			t.Errorf("%s after the deferred failure = %v, want ErrConnectionClosed", name, err)
+	// The client does not retry: the code reaches the application as is.
+	t.Run("retry=false", func(t *testing.T) {
+		dial, peerDone := tcpPeer(t)
+		node, err := NewNode("node", sim.NewClock(1e-9), []gpu.Spec{gpu.TeslaC2050},
+			core.Config{VGPUsPerDevice: 1, OffloadThreshold: 1, PeerDial: dial})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer node.Close()
+		ballast := frontend.Connect(node.Dial())
+		defer ballast.Close()
+		b, err := ballast.Malloc(4096)
+		ok(t, err)
+		ok(t, ballast.RegisterFatBinary(sessionBinary))
+		ok(t, ballast.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{b}}))
+
+		c := frontend.Connect(node.Dial())
+		defer c.Close()
+		ok(t, c.RegisterFatBinary(sessionBinary))
+		p, err := c.Malloc(4096)
+		ok(t, err)
+		ok(t, c.Free(p))
+		ok(t, c.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}))
+		if off := node.RT.Metrics().Offloaded; off != 1 {
+			t.Fatalf("%d sessions offloaded, want 1", off)
+		}
+		if _, err := c.Malloc(4096); api.Code(err) != api.ErrInvalidDevicePointer {
+			t.Fatalf("call after the posted launch = %v, want its ErrInvalidDevicePointer", err)
+		}
+		select {
+		case <-peerDone:
+		case <-time.After(10 * time.Second):
+			t.Fatal("peer still holds the session's context 10s after the failure")
+		}
+		for name, call := range map[string]func() error{
+			"malloc": func() error { _, err := c.Malloc(4096); return err },
+			"launch": func() error { return c.Launch(api.LaunchCall{Kernel: "k", PtrArgs: []api.DevPtr{p}}) },
+			"copy":   func() error { return c.MemcpyHDSynthetic(p, 64) },
+			"read":   func() error { _, err := c.MemcpyDH(p, 64); return err },
+		} {
+			if err := call(); api.Code(err) != api.ErrConnectionClosed {
+				t.Errorf("%s after the deferred failure = %v, want ErrConnectionClosed", name, err)
+			}
+		}
+	})
 }
