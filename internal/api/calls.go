@@ -244,11 +244,6 @@ type ResumeCall struct{ ID int64 }
 // context can be restarted on another device without rerunning kernels.
 type CheckpointCall struct{}
 
-// PingCall is the cheapest possible round trip: it touches no context
-// or device state. No binary sends it; the transport tests use it as
-// the smallest call a connection can carry.
-type PingCall struct{}
-
 // MigrateCall asks the runtime to migrate this connection's session to
 // the node listening at Target: checkpoint, export the sealed image,
 // ship it chunk-by-chunk over a transport connection (failover wire
@@ -293,7 +288,6 @@ func (SetTenantCall) CallName() string         { return "gvrtSetTenant" }
 func (GetSessionCall) CallName() string        { return "gvrtGetSession" }
 func (ResumeCall) CallName() string            { return "gvrtResume" }
 func (CheckpointCall) CallName() string        { return "gvrtCheckpoint" }
-func (PingCall) CallName() string              { return "gvrtPing" }
 func (MigrateCall) CallName() string           { return "gvrtMigrate" }
 func (MigrateFrameCall) CallName() string      { return "gvrtMigrateFrame" }
 func (AdoptCall) CallName() string             { return "gvrtAdopt" }

@@ -68,9 +68,9 @@ const (
 	// ErrConnectionClosed reports a torn connection between the
 	// frontend and the runtime daemon.
 	ErrConnectionClosed
-	// ErrDeadlineExceeded reports a call that exceeded its model-time
-	// deadline; the deadline guard tears the connection down, so no
-	// stale reply can ever satisfy a later call.
+	// ErrDeadlineExceeded was the code of the deleted call-deadline
+	// guard. Nothing returns it any more; it stays so the codes after it
+	// keep their wire values.
 	ErrDeadlineExceeded
 	// ErrOverloaded reports a connection refused while draining: the
 	// node is shutting down gracefully, so it answers every call of a

@@ -29,10 +29,10 @@ import (
 // constants: never renumber, only append.
 type Kind uint8
 
-// Call kinds, in the order calls.go declares the types. Kind 15 is
-// reserved: it was the deleted deadline call's (gvrtSetDeadline), it is
-// never reassigned, and a frame of kind 15 decodes to ErrWire like any
-// unassigned kind.
+// Call kinds, in the order calls.go declares the types. Kinds 15 and 19
+// are reserved: they were the deleted deadline call's (gvrtSetDeadline)
+// and ping call's (gvrtPing), they are never reassigned, and a frame of
+// either kind decodes to ErrWire like any unassigned kind.
 const (
 	KindRegisterFatBinary Kind = 1
 	KindMalloc            Kind = 2
@@ -51,7 +51,6 @@ const (
 	KindGetSession        Kind = 16
 	KindResume            Kind = 17
 	KindCheckpoint        Kind = 18
-	KindPing              Kind = 19
 	KindMigrate           Kind = 20
 	KindMigrateFrame      Kind = 21
 	KindAdopt             Kind = 22
@@ -121,8 +120,6 @@ func KindOf(c Call) Kind {
 		return KindResume
 	case *CheckpointCall:
 		return KindCheckpoint
-	case *PingCall:
-		return KindPing
 	case *MigrateCall:
 		return KindMigrate
 	case *MigrateFrameCall:
@@ -303,8 +300,6 @@ func DecodeCall(k Kind, parent uint64, body []byte, own bool) (Call, error) {
 		c = &ResumeCall{ID: int64(r.u64())}
 	case KindCheckpoint:
 		c = &CheckpointCall{}
-	case KindPing:
-		c = &PingCall{}
 	case KindMigrate:
 		c = &MigrateCall{Target: r.str()}
 	case KindMigrateFrame:

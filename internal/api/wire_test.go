@@ -54,7 +54,6 @@ var wireCalls = map[string][]Call{
 	"GetSessionCall":     {GetSessionCall{}},
 	"ResumeCall":         {ResumeCall{ID: 42}, ResumeCall{ID: -1}},
 	"CheckpointCall":     {CheckpointCall{}},
-	"PingCall":           {PingCall{}},
 	"MigrateCall":        {MigrateCall{Target: "127.0.0.1:7000"}},
 	"MigrateFrameCall":   {MigrateFrameCall{Frame: []byte("GVCK....")}, MigrateFrameCall{}, MigrateFrameCall{Frame: []byte{}}},
 	"AdoptCall":          {AdoptCall{Dir: "/var/lib/gvrt/journal"}},
@@ -207,9 +206,11 @@ func TestWireDecodeRejects(t *testing.T) {
 	}{
 		{"kind 0", 0, 0, nil},
 		{"unassigned kind", KindStats + 1, 0, nil},
-		// Kind 15 is reserved, never reassigned (wire.go).
+		// Kinds 15 and 19 are reserved, never reassigned (wire.go).
 		{"reserved kind 15", 15, 0, make([]byte, 8)},
 		{"span around reserved kind 15", KindSpan | 15, 7, make([]byte, 8)},
+		{"reserved kind 19", 19, 0, nil},
+		{"span around reserved kind 19", KindSpan | 19, 7, nil},
 		{"reply kind as a call", KindReply, 0, nil},
 		{"span around nothing", KindSpan, 7, nil},
 		{"span around an unassigned kind", KindSpan | KindReply, 7, nil},
@@ -297,7 +298,7 @@ func TestCallHistogramsCoverEveryKind(t *testing.T) {
 			t.Errorf("%s: histogram %q counted %d calls, want 1", name, key, snap[key].Count)
 		}
 	}
-	if KindOf(nil) != 0 || KindOf(WithSpan{}) != 0 || KindOf(WithSpan{Call: WithSpan{Call: PingCall{}}}) != 0 {
+	if KindOf(nil) != 0 || KindOf(WithSpan{}) != 0 || KindOf(WithSpan{Call: WithSpan{Call: SynchronizeCall{}}}) != 0 {
 		t.Error("a call without a wire form has a kind")
 	}
 }

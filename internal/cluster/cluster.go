@@ -14,7 +14,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"gvrt/internal/api"
 	"gvrt/internal/core"
@@ -27,15 +26,6 @@ import (
 	"gvrt/internal/transport"
 	"gvrt/internal/workload"
 )
-
-// DefaultPeerCallDeadline bounds every proxied call to the peer, in
-// model time. Very generous on purpose: an offloaded thread
-// legitimately queues for model-minutes on the peer's waiting list
-// behind long kernels, so the deadline only catches genuine hangs (a
-// partition that bit mid-rendezvous), never load. Fault-plane
-// partitions surface as errors, not hangs, so this is the backstop,
-// not the first line.
-const DefaultPeerCallDeadline = time.Hour
 
 // Node is one compute node: its GPUs, its CUDA runtime and its gvrt
 // runtime daemon.
@@ -120,36 +110,16 @@ func (n *Node) dialPeer() (transport.Conn, error) {
 		// re-offloaded: the paper's offloading is one hop).
 		peer.RT.Serve(s)
 	}()
-	// Every proxied call re-consults the link (a partition firing
-	// mid-offload drops the established connection) and is bounded by
-	// the call deadline (no proxied call outlives it).
-	conn := transport.WithFaults(c, n.link, n.clock.Sleep)
-	conn = transport.WithDeadline(conn, n.clock, DefaultPeerCallDeadline)
-	return &observedConn{inner: conn, now: n.clock.Now, note: n.RT.NotePeerCall}, nil
+	// Every proxied call re-consults the link: a partition firing
+	// mid-offload drops the established connection. Otherwise the link
+	// is the plain connection a daemon dials.
+	return transport.WithFaults(c, n.link, n.clock.Sleep), nil
 }
-
-// observedConn feeds every call's model-time round trip on a peer
-// connection to the node's peer-call latency histogram.
-type observedConn struct {
-	inner transport.Conn
-	now   func() time.Duration
-	note  func(time.Duration)
-}
-
-func (o *observedConn) Call(call api.Call) (api.Reply, error) {
-	start := o.now()
-	r, err := o.inner.Call(call)
-	o.note(o.now() - start)
-	return r, err
-}
-
-func (o *observedConn) Close() error { return o.inner.Close() }
 
 // Dial opens a raw client connection to this node, routed through the
 // connection manager (HandleConn) so offloading and the refusal of
-// connections while draining apply. Callers that need to wrap the conn
-// (deadlines, observers) before attaching a frontend use this; Connect
-// is the common path.
+// connections while draining apply. Callers that need the frontend
+// client itself attach one to it; Connect is the common path.
 func (n *Node) Dial() transport.Conn {
 	c, s := transport.Pipe()
 	n.wg.Add(1)

@@ -459,11 +459,6 @@ func (rt *Runtime) handle(ctx *Context, call api.Call) api.Reply {
 		n, err := rt.AdoptJournalDir(c.Dir)
 		return api.Reply{Code: api.Code(err), Count: n}
 
-	case *api.PingCall:
-		// The cheapest round trip: deliberately touches no context or
-		// device state.
-		return api.Reply{}
-
 	case *api.ExitCall:
 		rt.releaseLane(ctx) // the next session may come before teardown
 		return api.Reply{}

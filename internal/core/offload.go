@@ -136,14 +136,8 @@ func (h *hop) Handle(call api.Call) (api.Reply, bool) {
 	if err != nil {
 		// The peer died mid-stream; the application observes a
 		// connection-level failure, as it would with a crashed remote
-		// daemon. A deadline expiry keeps its own code so the caller can
-		// tell "peer too slow" from "peer gone" — either way this
-		// proxied stream is finished.
-		code := api.ErrConnectionClosed
-		if api.Code(err) == api.ErrDeadlineExceeded {
-			code = api.ErrDeadlineExceeded
-		}
-		return api.Reply{Code: code}, true
+		// daemon, and this proxied stream is finished.
+		return api.Reply{Code: api.ErrConnectionClosed}, true
 	}
 	_, isExit := call.(*api.ExitCall)
 	return reply, isExit

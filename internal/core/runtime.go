@@ -378,9 +378,8 @@ type Runtime struct {
 
 	// Tenant quota enforcement (tenant.go): tenantMu guards the
 	// registry; per-tenant usage counters live inside each entry.
-	tenantMu     sync.Mutex
-	tenants      map[string]*tenantState
-	quotaRejects atomic.Int64
+	tenantMu sync.Mutex
+	tenants  map[string]*tenantState
 
 	// obsTenants attributes runtime work to tenants (internal/obs).
 	// Hot paths reach it only through the *obs.TenantMetrics pointer
@@ -739,12 +738,6 @@ func (rt *Runtime) Timings() *trace.Timings { return &rt.timings }
 // TraceRecorder returns the configured trace recorder, nil when
 // tracing is off.
 func (rt *Runtime) TraceRecorder() *trace.Recorder { return rt.cfg.Trace }
-
-// NotePeerCall records one peer RPC round trip; the cluster layer's
-// link wrapper feeds it.
-func (rt *Runtime) NotePeerCall(d time.Duration) {
-	rt.timings.PeerCall.Observe(int64(d))
-}
 
 // Close shuts the runtime down: waiting contexts are released with an
 // error and the vGPU contexts are destroyed.

@@ -98,13 +98,11 @@ func (rt *Runtime) joinTenant(ctx *Context, tenant string) api.Error {
 	}
 	if ts.maxSessions > 0 && ts.sessions >= ts.maxSessions {
 		rt.tenantMu.Unlock()
-		rt.quotaRejects.Add(1)
 		rt.obsTenants.Tenant(tenant).AddQuotaReject()
 		return api.ErrQuotaExceeded
 	}
 	if ts.hostBytes > 0 && ts.bytes+usage > ts.hostBytes {
 		rt.tenantMu.Unlock()
-		rt.quotaRejects.Add(1)
 		rt.obsTenants.Tenant(tenant).AddQuotaReject()
 		return api.ErrQuotaExceeded
 	}
@@ -163,7 +161,6 @@ func (rt *Runtime) tenantCharge(ctx *Context, size uint64) api.Error {
 	}
 	// size is client-chosen: compare without forming ts.bytes+size.
 	if ts.hostBytes > 0 && (size > ts.hostBytes || ts.bytes > ts.hostBytes-size) {
-		rt.quotaRejects.Add(1)
 		if ctx.tm != nil {
 			ctx.tm.AddQuotaReject()
 		}

@@ -40,9 +40,6 @@ type Point string
 
 // Instrumented injection points.
 const (
-	// PointTransportCall fires on each client-side RPC over a
-	// fault-wrapped connection (drop, delay, error).
-	PointTransportCall Point = "transport.call"
 	// PointClusterLink fires on each use of a node's outbound peer
 	// link: the dial and every proxied call. Label is the source node's
 	// name. ActPartition severs the link permanently.
@@ -523,7 +520,7 @@ func errorFor(override api.Error, point Point) error {
 		return override
 	}
 	switch point {
-	case PointTransportCall, PointClusterLink:
+	case PointClusterLink:
 		return api.ErrConnectionClosed
 	case PointDeviceExec, PointDeviceDMA:
 		return api.ErrDeviceUnavailable

@@ -92,7 +92,6 @@ func TestDefaultErrorsPerPoint(t *testing.T) {
 		point Point
 		want  api.Error
 	}{
-		{PointTransportCall, api.ErrConnectionClosed},
 		{PointClusterLink, api.ErrConnectionClosed},
 		{PointDeviceExec, api.ErrDeviceUnavailable},
 		{PointDeviceDMA, api.ErrDeviceUnavailable},

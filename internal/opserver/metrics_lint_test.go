@@ -207,7 +207,6 @@ var goldenFamilies = map[string]bool{ // name -> required
 	"gvrt_h2d_transfer_seconds":        false,
 	"gvrt_d2h_transfer_seconds":        false,
 	"gvrt_journal_commit_wall_seconds": false,
-	"gvrt_peer_call_seconds":           false,
 	"gvrt_dedup_seal_saved_bytes":      false,
 	"gvrt_migration_duration_seconds":  false,
 	"gvrt_migration_size_bytes":        false,

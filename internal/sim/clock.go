@@ -134,17 +134,6 @@ func sleepWall(w time.Duration) {
 	}
 }
 
-// After returns a channel that receives the current model time after d
-// of model time has elapsed.
-func (c *Clock) After(d time.Duration) <-chan time.Duration {
-	ch := make(chan time.Duration, 1)
-	go func() {
-		c.Sleep(d)
-		ch <- c.Now()
-	}()
-	return ch
-}
-
 // wall converts a model duration to a wall duration.
 func (c *Clock) wall(d time.Duration) time.Duration {
 	w := time.Duration(float64(d) * c.scale)

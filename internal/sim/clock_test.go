@@ -80,18 +80,6 @@ func TestClockPaceParks(t *testing.T) {
 	}
 }
 
-func TestClockAfter(t *testing.T) {
-	c := NewClock(1e-6)
-	select {
-	case now := <-c.After(time.Second):
-		if now < time.Second {
-			t.Errorf("After(1s) delivered at model time %v, want >= 1s", now)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("After(1s) never fired")
-	}
-}
-
 func TestClockConcurrentSleeps(t *testing.T) {
 	c := NewClock(1e-6)
 	var wg sync.WaitGroup

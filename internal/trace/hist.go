@@ -299,8 +299,6 @@ type Timings struct {
 	// JournalCommitWall is wall-clock nanoseconds per durable kernel
 	// commit (dominated by fsync).
 	JournalCommitWall Histogram
-	// PeerCall is per-peer-RPC round-trip time.
-	PeerCall Histogram
 	// DedupSaved is retired with swap deduplication and observes
 	// nothing. It stays only because benchmark/ reads it; delete it and
 	// its family when the benchmark module drops that read.
@@ -349,7 +347,6 @@ var Families = []Family{
 	{"launch_latency", "gvrt_launch_latency_seconds", "End-to-end kernel launch service time (model seconds).", false, func(t *Timings) *Histogram { return &t.Launch }},
 	{"migration_bytes", "gvrt_migration_size_bytes", "Wire bytes actually shipped per cross-node migration (after dedup/resume exclusion).", true, func(t *Timings) *Histogram { return &t.MigrationBytes }},
 	{"migration_duration", "gvrt_migration_duration_seconds", "Cross-node session migration duration (model seconds).", false, func(t *Timings) *Histogram { return &t.MigrationDur }},
-	{"peer_call", "gvrt_peer_call_seconds", "Peer RPC round-trip time (model seconds).", false, func(t *Timings) *Histogram { return &t.PeerCall }},
 	{"queue_wait", "gvrt_queue_wait_seconds", "Time parked waiting for a free virtual GPU (model seconds).", false, func(t *Timings) *Histogram { return &t.QueueWait }},
 	{"swap_bytes", "gvrt_swap_size_bytes", "Size of each entry swapped out (bytes).", true, func(t *Timings) *Histogram { return &t.SwapBytes }},
 	{"swap_duration", "gvrt_swap_duration_seconds", "Device frees' time each swap-out charged on the device model; its spill is a d2h transfer (model seconds).", false, func(t *Timings) *Histogram { return &t.SwapDur }},

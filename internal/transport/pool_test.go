@@ -35,7 +35,7 @@ func TestPooledWireAfterRacingClose(t *testing.T) {
 		}()
 		failed := make(chan error, 1)
 		go func() {
-			_, err := old.Call(api.PingCall{})
+			_, err := old.Call(api.SynchronizeCall{})
 			failed <- err
 		}()
 		<-torn
@@ -97,7 +97,7 @@ func TestClosedConnReturnsErrClosed(t *testing.T) {
 	client.Close()
 	client.Close()
 	server.Close()
-	if _, err := client.Call(api.PingCall{}); !errors.Is(err, ErrClosed) {
+	if _, err := client.Call(api.SynchronizeCall{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Call after Close = %v, want ErrClosed", err)
 	}
 	if _, err := server.Recv(); !errors.Is(err, ErrClosed) {

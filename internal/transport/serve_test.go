@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gvrt/internal/api"
-	"gvrt/internal/sim"
 )
 
 // handlerFunc adapts a function to Handler.
@@ -235,29 +234,6 @@ func TestServeWaitsForInlineCall(t *testing.T) {
 			<-done
 		})
 	}
-}
-
-// TestServeDeadlineOnWedgedHandler: under the deadline guard a wedged
-// inline handler costs its caller ErrDeadlineExceeded, and Serve returns
-// once the handler is released.
-func TestServeDeadlineOnWedgedHandler(t *testing.T) {
-	c, s := Pipe()
-	release := make(chan struct{})
-	done := serve(s, handlerFunc(func(call api.Call) (api.Reply, bool) {
-		<-release
-		return api.Reply{}, false
-	}))
-	dc := WithDeadline(c, sim.NewClock(deadlineTestScale), 50*time.Millisecond)
-	if _, err := dc.Call(api.PingCall{}); api.Code(err) != api.ErrDeadlineExceeded {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	select {
-	case <-done:
-		t.Fatal("Serve returned while the wedged handler was running")
-	default:
-	}
-	close(release)
-	<-done
 }
 
 // TestServeReturnsAfterHandlerPanic: a handler that panics inline closes

@@ -301,9 +301,10 @@ func (e *endpoint) drop() {
 	}
 }
 
-// Close may be called while an operation is in flight (a deadline
-// tearing down a peer that stopped replying): the socket closes before
-// the lock is taken, so the blocked read fails and lets go of the wire.
+// Close may be called while an operation is in flight (another
+// goroutine giving up on a peer that stopped replying): the socket
+// closes before the lock is taken, so the blocked read fails and lets
+// go of the wire.
 func (e *endpoint) Close() error {
 	err := e.c.Close()
 	e.mu.Lock()
